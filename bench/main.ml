@@ -222,30 +222,6 @@ let time_s f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* Cumulative wall time attributed to span [name] so far, in seconds;
-   measuring a phase = subtracting two snapshots around it. Requires
-   telemetry to be enabled while the measured code runs. *)
-let span_total_s name =
-  List.fold_left
-    (fun acc (r : Tytra_telemetry.Export.row) ->
-      if r.Tytra_telemetry.Export.sr_name = name then
-        acc
-        +. (Int64.to_float r.Tytra_telemetry.Export.sr_total_ns /. 1e9)
-      else acc)
-    0.0
-    (Tytra_telemetry.Export.summary ())
-
-(* Run [f] with span recording on (restoring the previous state) and
-   return [f ()] plus the wall time spent inside span [name]. *)
-let with_span_meter name f =
-  let was = Tytra_telemetry.Control.is_enabled () in
-  Tytra_telemetry.Control.set_enabled true;
-  let before = span_total_s name in
-  let r = f () in
-  let dt = span_total_s name -. before in
-  Tytra_telemetry.Control.set_enabled was;
-  (r, dt)
-
 (* --jobs N: width of the Domain pool used by the E5 parallel sweep
    (0 = one per core). *)
 let jobs_flag = ref 1
@@ -431,125 +407,6 @@ let e8 () =
     "(the bounds keep best/pareto provably exact while skipping most of the \
      64-lane space: replication beyond the bandwidth wall cannot beat the \
      incumbent, oversize lane counts cannot fit)@.";
-  (* --- IR fast path vs reference: measured, not asserted --- *)
-  Format.printf
-    "@.IR fast path (derived variants + incremental annealer) vs \
-     --no-fast-ir:@.";
-  let selection_sig sw =
-    let pts = sw.Tytra_dse.Dse.sw_points in
-    let sig_of p =
-      ( Transform.to_string p.Tytra_dse.Dse.dp_variant,
-        Tytra_dse.Dse.ekit p,
-        Tytra_dse.Dse.area p )
-    in
-    ( Option.map sig_of (Tytra_dse.Dse.best pts),
-      List.map sig_of (Tytra_dse.Dse.pareto pts) )
-  in
-  (* workload A: the exhaustive 4-kernel sweep above (every point
-     lowered and validated, nothing pruned away) — the same load whose
-     ir.validate total the committed baseline records *)
-  let sweep_all fast =
-    Tytra_ir.Fastpath.with_enabled fast (fun () ->
-        with_span_meter "ir.validate" (fun () ->
-            List.map
-              (fun (_, prog) ->
-                Tytra_dse.Dse.clear_cache ();
-                Tytra_cost.Report.clear_stage_caches ();
-                selection_sig
-                  (Tytra_dse.Dse.explore_sweep
-                     ~config:{ config with Tytra_dse.Dse.prune = false }
-                     prog))
-              kernels))
-  in
-  let sel_fast, tv_fast = sweep_all true in
-  let sel_slow, tv_slow = sweep_all false in
-  let same_sel = sel_fast = sel_slow in
-  Format.printf
-    "  ir.validate over the exhaustive sweeps: fast %.4f s, slow %.4f s -> \
-     %.2fx; best/pareto %s@."
-    tv_fast tv_slow
-    (tv_slow /. Float.max 1e-9 tv_fast)
-    (if same_sel then "identical" else "DIFFER");
-  (* workload B: the synthesis-grade SOR placement load, once per
-     placement mode. reference vs incremental is the bit-identity
-     check; parallel is held to the wirelength quality bound instead
-     (<= reference + 2% per variant). Normal effort keeps the reference
-     leg affordable — the Full-effort production load runs only under
-     the parallel engine below. *)
-  let place_prog =
-    Tytra_kernels.Sor.program ~ty:(Tytra_ir.Ty.Float 32) ~im:64 ~jm:64
-      ~km:64 ()
-  in
-  let place_variants =
-    [ Transform.Pipe; Transform.ParPipe 2; Transform.ParPipe 4;
-      Transform.ParPipe 8; Transform.ParPipe 16 ]
-  in
-  let place_all ?(effort = `Normal) mode =
-    with_span_meter "sim.techmap.place" (fun () ->
-        List.map
-          (fun v ->
-            let d = Lower.lower place_prog v in
-            let tm = Tytra_sim.Techmap.run ~effort ~mode d in
-            tm.Tytra_sim.Techmap.tm_avg_wire)
-          place_variants)
-  in
-  let wire_slow, tp_slow = place_all Tytra_sim.Techmap.Reference in
-  let wire_fast, tp_fast = place_all Tytra_sim.Techmap.Incremental in
-  let wire_par, tp_par = place_all Tytra_sim.Techmap.Parallel in
-  let same_wire = wire_fast = wire_slow in
-  let quality_ok =
-    List.for_all2 (fun p r -> p <= (r *. 1.02) +. 1e-9) wire_par wire_slow
-  in
-  Format.printf
-    "  sim.techmap.place over 5 SOR runs: reference %.4f s, incremental \
-     %.4f s (%.2fx, placements %s), parallel %.4f s (%.2fx, wire within \
-     +2%%: %s)@."
-    tp_slow tp_fast
-    (tp_slow /. Float.max 1e-9 tp_fast)
-    (if same_wire then "bit-identical" else "DIFFER")
-    tp_par
-    (tp_slow /. Float.max 1e-9 tp_par)
-    (if quality_ok then "yes" else "NO");
-  (* the Full-effort production load (the old E8 bottleneck) now runs
-     on the parallel engine: analytic seed + replica exchange *)
-  let _, tp_full = place_all ~effort:`Full Tytra_sim.Techmap.Parallel in
-  Format.printf
-    "  sim.techmap.place over 5 full SOR runs (parallel engine): %.4f s@."
-    tp_full;
-  (* DSE selections must not depend on the placement mode *)
-  let sel_of_mode mode =
-    Tytra_sim.Techmap.with_place_mode (Some mode) (fun () ->
-        Tytra_dse.Dse.clear_cache ();
-        Tytra_cost.Report.clear_stage_caches ();
-        selection_sig (Tytra_dse.Dse.explore_sweep ~config prog))
-  in
-  let mode_sels =
-    List.map sel_of_mode
-      [ Tytra_sim.Techmap.Reference; Tytra_sim.Techmap.Incremental;
-        Tytra_sim.Techmap.Parallel ]
-  in
-  let mode_sel_same =
-    List.for_all (fun s -> s = List.hd mode_sels) mode_sels
-  in
-  Format.printf "  best/pareto across place modes: %s@."
-    (if mode_sel_same then "identical" else "DIFFER");
-  List.iter
-    (fun (k, v) -> Tytra_telemetry.Metrics.set ("bench.e8.fastpath." ^ k) v)
-    [ ("validate_fast_s", tv_fast);
-      ("validate_slow_s", tv_slow);
-      ("validate_speedup", tv_slow /. Float.max 1e-9 tv_fast);
-      ("place_fast_s", tp_fast);
-      ("place_slow_s", tp_slow);
-      ("place_speedup", tp_slow /. Float.max 1e-9 tp_fast);
-      ("selections_identical", if same_sel then 1.0 else 0.0);
-      ("placements_identical", if same_wire then 1.0 else 0.0) ];
-  List.iter
-    (fun (k, v) -> Tytra_telemetry.Metrics.set ("bench.e8.placemode." ^ k) v)
-    [ ("parallel_s", tp_par);
-      ("parallel_speedup", tp_slow /. Float.max 1e-9 tp_par);
-      ("full_parallel_s", tp_full);
-      ("quality_ok", if quality_ok then 1.0 else 0.0);
-      ("selections_identical", if mode_sel_same then 1.0 else 0.0) ];
   (* --- resilience overhead on the clean path: measured, not asserted.
      jobs = 1 keeps the measurement free of domain-scheduling jitter;
      the retry wrapper and checkpoint writes cost the same per point
@@ -1011,104 +868,6 @@ let e10 () =
         float_of_int
           (warm1.Tytra_exec.Cache.st_misses - warm0.Tytra_exec.Cache.st_misses) );
     ]
-
-(* ------------------------------------------------------------------ *)
-(* E11: parallel placement - analytic seed vs random start, replica    *)
-(* scaling                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let e11 () =
-  Format.printf
-    "@.E11: parallel placement - analytic seed vs random start, replica \
-     scaling@.";
-  Format.printf
-    "=======================================================================@.";
-  let prog =
-    Tytra_kernels.Sor.program ~ty:(Tytra_ir.Ty.Float 32) ~im:64 ~jm:64 ~km:64
-      ()
-  in
-  let netlist_of v =
-    let d = Lower.lower prog v in
-    let summary = Tytra_ir.Config_tree.classify d in
-    let pes =
-      List.filter_map (Tytra_ir.Ast.find_func d)
-        summary.Tytra_ir.Config_tree.cs_pes
-    in
-    Tytra_sim.Techmap.build_netlist d pes
-  in
-  let effort = Tytra_sim.Techmap.effort_passes `Normal in
-  (* --- seed ablation: identical budget, ladder and replica streams;
-     only the starting placement differs --- *)
-  Format.printf
-    "variant |   cells | moves seeded | moves random | saved | wire \
-     seeded / random@.";
-  let any_reduced = ref false in
-  List.iter
-    (fun (name, v) ->
-      let nl = netlist_of v in
-      let seed = Tytra_sim.Prng.seed_of_string ("e11:" ^ name) in
-      let run si =
-        time_s (fun () ->
-            Tytra_sim.Techmap.place_parallel ~seed_init:si ~seed ~effort nl)
-      in
-      let seeded, t_seeded = run `Analytic in
-      let random, t_random = run `Random in
-      let saved =
-        float_of_int random.Tytra_sim.Techmap.pl_moves
-        /. Float.max 1.0 (float_of_int seeded.Tytra_sim.Techmap.pl_moves)
-      in
-      if seeded.Tytra_sim.Techmap.pl_moves < random.Tytra_sim.Techmap.pl_moves
-      then any_reduced := true;
-      Format.printf
-        "%-7s | %7d | %12d | %12d | %4.1fx | %.2f / %.2f (%.3f s / %.3f \
-         s)@."
-        name nl.Tytra_sim.Techmap.n_cells seeded.Tytra_sim.Techmap.pl_moves
-        random.Tytra_sim.Techmap.pl_moves saved
-        seeded.Tytra_sim.Techmap.pl_avg_wire
-        random.Tytra_sim.Techmap.pl_avg_wire t_seeded t_random;
-      List.iter
-        (fun (k, x) ->
-          Tytra_telemetry.Metrics.set
-            (Printf.sprintf "bench.e11.%s.%s" name k)
-            x)
-        [ ("moves_seeded", float_of_int seeded.Tytra_sim.Techmap.pl_moves);
-          ("moves_random", float_of_int random.Tytra_sim.Techmap.pl_moves);
-          ("wire_seeded", seeded.Tytra_sim.Techmap.pl_avg_wire);
-          ("wire_random", random.Tytra_sim.Techmap.pl_avg_wire) ])
-    [ ("pipe", Transform.Pipe); ("par4", Transform.ParPipe 4);
-      ("par16", Transform.ParPipe 16) ];
-  Tytra_telemetry.Metrics.set "bench.e11.seed_reduces_moves"
-    (if !any_reduced then 1.0 else 0.0);
-  Format.printf "analytic seed reduces anneal moves: %s@."
-    (if !any_reduced then "yes" else "NO");
-  (* --- replica scaling on the widest variant: the same fixed 4-replica
-     ensemble (identical work, identical result) spread over 1, 2 and 4
-     domains — wall time measures the domain-parallel speedup, which is
-     bounded by the machine's core count --- *)
-  let nl = netlist_of (Transform.ParPipe 16) in
-  let seed = Tytra_sim.Prng.seed_of_string "e11:replicas" in
-  Format.printf
-    "replica scaling (par16, %d cells, 4 replicas, %d core machine):@."
-    nl.Tytra_sim.Techmap.n_cells
-    (Tytra_exec.Pool.default_jobs ());
-  let t1 = ref 0.0 in
-  List.iter
-    (fun jobs ->
-      let r, t =
-        time_s (fun () ->
-            Tytra_sim.Techmap.place_parallel ~jobs ~seed ~effort nl)
-      in
-      if jobs = 1 then t1 := t;
-      Format.printf
-        "  %d domain%s: %.3f s (%.2fx vs 1), wire %.2f, %d moves@." jobs
-        (if jobs = 1 then " " else "s")
-        t
-        (!t1 /. Float.max 1e-9 t)
-        r.Tytra_sim.Techmap.pl_avg_wire r.Tytra_sim.Techmap.pl_moves;
-      Tytra_telemetry.Metrics.set
-        (Printf.sprintf "bench.e11.domains.j%d_s" jobs)
-        t)
-    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* E12: batched, sharded serving                                       *)
@@ -1877,7 +1636,7 @@ let speed () =
 
 let all = [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
             ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
-            ("e11", e11); ("e12", e12);
+            ("e12", e12);
             ("a1", a1); ("a2", a2); ("a3", a3); ("a4", a4); ("a5", a5);
             ("a6", a6) ]
 
@@ -1901,9 +1660,6 @@ let parse_args args =
         (match int_of_string_opt n with
         | Some j when j >= 0 -> jobs_flag := j
         | _ -> Format.eprintf "ignoring bad --jobs %S@." n);
-        go tl
-    | "--no-fast-ir" :: tl ->
-        Tytra_ir.Fastpath.set_enabled false;
         go tl
     | a :: tl -> rest := a :: !rest; go tl
   in

@@ -72,12 +72,8 @@ let log_reporter ppf =
   in
   { Logs.report }
 
-let setup_observability trace metrics verbose level no_fast_ir place_mode
-    events metrics_json metrics_addr =
-  if no_fast_ir then Tytra_ir.Fastpath.set_enabled false;
-  (match place_mode with
-  | Some m -> Tytra_sim.Techmap.set_place_mode (Some m)
-  | None -> ());
+let setup_observability trace metrics verbose level events metrics_json
+    metrics_addr =
   let level =
     match level with
     | Some l -> l
@@ -184,47 +180,6 @@ let observability_term =
           ~doc:"Log level: $(b,debug), $(b,info), $(b,warning), $(b,error), \
                 $(b,app) or $(b,quiet). Overrides $(b,-v).")
   in
-  let no_fast_ir_arg =
-    Arg.(
-      value & flag
-      & info [ "no-fast-ir" ]
-          ~doc:
-            "Disable the IR fast path (derived variants, incremental \
-             annealing) and use the reference implementations; the slow \
-             twin kept for differential testing. Also: \
-             $(b,TYTRA_FAST_IR=0).")
-  in
-  let place_mode_arg =
-    let conv_mode =
-      let parse s =
-        match Tytra_sim.Techmap.place_mode_of_string s with
-        | Some m -> Ok m
-        | None ->
-            Error
-              (`Msg
-                (Printf.sprintf
-                   "unknown placement mode %S (known: reference, \
-                    incremental, parallel)"
-                   s))
-      in
-      let print fmt m =
-        Format.pp_print_string fmt (Tytra_sim.Techmap.place_mode_to_string m)
-      in
-      Arg.conv (parse, print)
-    in
-    Arg.(
-      value
-      & opt (some conv_mode) None
-      & info [ "place-mode" ] ~docv:"MODE"
-          ~doc:
-            "Placement engine for technology mapping: $(b,reference) \
-             (full-recompute annealer), $(b,incremental) (delta-evaluated \
-             annealer, bit-identical to reference) or $(b,parallel) \
-             (analytically seeded replica-exchange annealing across \
-             domains; deterministic given a seed, wirelength within 2% of \
-             reference). Default: follow the IR fast-path toggle. Also: \
-             $(b,TYTRA_PLACE=)$(docv).")
-  in
   let events_arg =
     Arg.(
       value
@@ -259,7 +214,7 @@ let observability_term =
   in
   Term.(
     const setup_observability $ trace_arg $ metrics_arg $ verbose_arg
-    $ level_arg $ no_fast_ir_arg $ place_mode_arg $ events_arg
+    $ level_arg $ events_arg
     $ metrics_json_arg $ metrics_addr_arg)
 
 (* Root span of one tybec subcommand. *)
@@ -660,10 +615,7 @@ let explore_cmd =
             x_prune = not no_prune; x_retries = retries;
             x_deadline_s = deadline; x_best_effort = best_effort;
             x_checkpoint = checkpoint; x_checkpoint_every = checkpoint_every;
-            x_resume = resume;
-            (* the global --place-mode flag already set the ambient mode
-               in setup_observability; the request stays mode-agnostic *)
-            x_place_mode = None;
+            x_resume = resume; x_place_mode = None;
           }
       in
       match Engine.submit ?on_progress (Lazy.force engine) req with

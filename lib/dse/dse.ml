@@ -51,10 +51,6 @@ type config = {
   jobs : int;                       (** evaluation-pool domains; 1 = seq *)
   use_cache : bool;                 (** memoize point evaluations *)
   prune : bool;                     (** bound-based pruning of the space *)
-  fast_ir : bool;
-      (** derive replicated variants from a pre-validated template
-          ({!Tytra_front.Lower.derive}); also gated by the global
-          {!Tytra_ir.Fastpath} toggle *)
   max_attempts : int;     (** attempts per point (1 = no retry) *)
   retry_delay_s : float;  (** base backoff delay between attempts *)
   deadline_s : float option;
@@ -69,10 +65,6 @@ type config = {
       (** called on the sweep's driving domain after every evaluation
           wave (and every checkpoint chunk) with cumulative coverage;
           the [--progress] live line renders from this *)
-  place_mode : Tytra_sim.Techmap.place_mode option;
-      (** placement engine for any technology mapping performed under
-          this sweep; [None] = the ambient process-wide mode
-          ({!Tytra_sim.Techmap.place_mode}) *)
 }
 
 (** Cumulative sweep coverage, as passed to [config.on_progress].
@@ -96,7 +88,6 @@ let default_config : config =
     jobs = 1;
     use_cache = true;
     prune = true;
-    fast_ir = true;
     max_attempts = 1;
     retry_delay_s = 0.05;
     deadline_s = None;
@@ -104,7 +95,6 @@ let default_config : config =
     checkpoint = None;
     checkpoint_every = 32;
     on_progress = None;
-    place_mode = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -146,15 +136,11 @@ let template_for ~prog_key (prog : Expr.program) : Lower.template =
     ~key:(Tytra_exec.Cache.digest_key [ prog_key; "lower-template" ])
     (fun () -> Lower.template prog)
 
-(* Lower one variant: derived from the program's template on the fast
-   path, full re-lowering + re-validation otherwise. *)
-let lower_point ~(config : config) ~prog_key prog v =
-  if config.fast_ir && Tytra_ir.Fastpath.enabled () then begin
-    let d = Lower.derive (template_for ~prog_key prog) v in
-    Tytra_telemetry.Metrics.incr "dse.points_derived";
-    d
-  end
-  else Lower.lower prog v
+(* Lower one variant by deriving it from the program's template. *)
+let lower_point ~prog_key prog v =
+  let d = Lower.derive (template_for ~prog_key prog) v in
+  Tytra_telemetry.Metrics.incr "dse.points_derived";
+  d
 
 let point_key ~(config : config) ~prog_key v =
   Tytra_exec.Cache.digest_key
@@ -183,7 +169,7 @@ let eval_point ~(config : config) ~prog_key prog v =
   let computed = ref false in
   let compute () =
     computed := true;
-    let d = lower_point ~config ~prog_key prog v in
+    let d = lower_point ~prog_key prog v in
     let report =
       Tytra_cost.Report.evaluate ~device:config.device ?calib:config.calib
         ~form:config.form ~nki:config.nki d
@@ -768,18 +754,6 @@ let sweep_many ~pool ?(restore = []) (configs : config list)
              }))
       sweeps;
   sweeps
-
-(* A config-requested placement mode applies to the whole batch (the
-   override is process-global, and batch configs evaluate concurrently
-   on shared workers, so per-config switching would race): the head
-   config's choice wins. [explore_devices] derives its batch from one
-   base config, so in practice every config agrees. *)
-let sweep_many ~pool ?restore configs prog =
-  match configs with
-  | { place_mode = Some m; _ } :: _ ->
-      Tytra_sim.Techmap.with_place_mode (Some m) (fun () ->
-          sweep_many ~pool ?restore configs prog)
-  | _ -> sweep_many ~pool ?restore configs prog
 
 (* ------------------------------------------------------------------ *)
 (* Exploration                                                         *)

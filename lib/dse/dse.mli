@@ -43,12 +43,6 @@ type config = {
   jobs : int;                       (** evaluation-pool domains; 1 = seq *)
   use_cache : bool;                 (** memoize point evaluations *)
   prune : bool;                     (** bound-based pruning of the space *)
-  fast_ir : bool;
-      (** derive replicated variants from a pre-validated template
-          ({!Tytra_front.Lower.derive}) instead of re-lowering and
-          re-validating each from scratch; also gated by the global
-          {!Tytra_ir.Fastpath} toggle ([--no-fast-ir]). Both paths
-          produce byte-identical designs. *)
   max_attempts : int;     (** attempts per point (1 = no retry) *)
   retry_delay_s : float;  (** base backoff delay between attempts *)
   deadline_s : float option;
@@ -65,12 +59,6 @@ type config = {
       (** called on the sweep's driving domain after every evaluation
           wave (and every checkpoint chunk) with cumulative coverage;
           [tybec explore --progress] renders its live line from this *)
-  place_mode : Tytra_sim.Techmap.place_mode option;
-      (** placement engine for any technology mapping performed under
-          this sweep ([--place-mode]); [None] = the ambient
-          process-wide mode ({!Tytra_sim.Techmap.place_mode}). In a
-          multi-config batch the head config's choice applies to the
-          whole batch. *)
 }
 
 (** Cumulative sweep coverage, as passed to [config.on_progress]. In a
@@ -86,9 +74,9 @@ and progress = {
 
 val default_config : config
 (** Stratix-V GSD8, device calibration, form B, [nki = 1],
-    [max_lanes = 16], [max_vec = 1], [jobs = 1], caching, pruning and
-    the IR fast path on; resilience off ([max_attempts = 1], no
-    deadline, fail-fast, no checkpoint); ambient placement mode. *)
+    [max_lanes = 16], [max_vec = 1], [jobs = 1], caching and pruning
+    on; resilience off ([max_attempts = 1], no deadline, fail-fast, no
+    checkpoint). *)
 
 (** {2 Sweeps} *)
 

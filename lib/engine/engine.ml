@@ -71,8 +71,9 @@ type explore_params = {
   x_checkpoint : string option;
   x_checkpoint_every : int;
   x_resume : string option;
-  x_place_mode : Tytra_sim.Techmap.place_mode option;
-      (** placement engine for the sweep; [None] = ambient mode *)
+  x_place_mode : unit option;
+      (** ignored: kept so existing record literals still compile; not
+          encoded on the wire and not part of the cache key *)
 }
 
 type request =
@@ -460,8 +461,7 @@ let do_explore t ?on_progress (x : explore_params) =
       max_lanes = x.x_max_lanes; jobs; prune = x.x_prune;
       max_attempts = 1 + max 0 x.x_retries; deadline_s = x.x_deadline_s;
       fail_fast = not x.x_best_effort; checkpoint = x.x_checkpoint;
-      checkpoint_every = x.x_checkpoint_every; on_progress;
-      place_mode = x.x_place_mode }
+      checkpoint_every = x.x_checkpoint_every; on_progress }
   in
   let* restore, resumed =
     match x.x_resume with
@@ -547,8 +547,7 @@ let dispatch t ?on_progress = function
    influence the response, the content behind every path parameter
    (source bytes, calibration bytes — a path alone is not a key; the
    path itself still participates because diagnostic names and design
-   names embed it), and ambient state the evaluation reads (the resolved
-   placement mode, for synthesis). [None] means uncacheable: an Explore
+   names embed it). [None] means uncacheable: an Explore
    with checkpoint/resume side effects, and a source or calib file that
    cannot be read (keyless, falls through to the normal error path). A
    {e pure} Explore — no checkpoint file, no resume — is cacheable like
@@ -582,19 +581,13 @@ let request_key ?(cache_explore = false) (req : request) : string option =
       then None
       else
         (* the surviving point set under pruning is jobs-dependent, so
-           the resolved width keys; ambient placement mode keys exactly
-           as for Synth *)
+           the resolved width keys *)
         let jobs = if x.x_jobs = 0 then Pool.default_jobs () else x.x_jobs in
-        let place =
-          match x.x_place_mode with
-          | Some m -> m
-          | None -> Tytra_sim.Techmap.place_mode ()
-        in
         Some
           (Cache.digest_key
              [ "explore";
-               Cache.digest_marshal { x with x_jobs = jobs };
-               Tytra_sim.Techmap.place_mode_to_string place ])
+               Cache.digest_marshal
+                 { x with x_jobs = jobs; x_place_mode = None } ])
   | Check { source } ->
       let* src = source_key source in
       Some (Cache.digest_key ("check" :: src))
@@ -615,15 +608,10 @@ let request_key ?(cache_explore = false) (req : request) : string option =
            @ [ Cache.digest_marshal (device, form, nki, optimize) ]))
   | Synth { source; device; effort; optimize } ->
       let* src = source_key source in
-      (* synthesis output depends on the active placement engine *)
       Some
         (Cache.digest_key
            (("synth" :: src)
-           @ [
-               Cache.digest_marshal (device, effort, optimize);
-               Tytra_sim.Techmap.place_mode_to_string
-                 (Tytra_sim.Techmap.place_mode ());
-             ]))
+           @ [ Cache.digest_marshal (device, effort, optimize) ]))
   | Sim { source; device; form; nki; optimize } ->
       let* src = source_key source in
       Some

@@ -40,8 +40,9 @@ type explore_params = {
   x_checkpoint : string option;
   x_checkpoint_every : int;
   x_resume : string option;
-  x_place_mode : Tytra_sim.Techmap.place_mode option;
-      (** placement engine for the sweep; [None] = ambient mode *)
+  x_place_mode : unit option;
+      (** ignored: kept so existing record literals still compile; not
+          encoded on the wire and not part of the cache key *)
 }
 
 type request =
@@ -129,9 +130,8 @@ type config = {
   parse_cache_capacity : int;
   response_cache_capacity : int;
       (** entries in the full-request response cache: completed [Ok]
-          responses keyed on a digest of the op, every parameter, the
-          content behind every path parameter and the resolved placement
-          mode (for synth and explore). Error responses are never
+          responses keyed on a digest of the op, every parameter and
+          the content behind every path parameter. Error responses are never
           cached; an [Explore] is cached only when pure (no checkpoint
           or resume side effects) and unobserved (no progress
           callback). *)

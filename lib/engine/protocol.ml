@@ -123,10 +123,7 @@ let encode_request ?deadline_s ?deadline_ms ?(retries = 0) ?(stream = false)
           bool_field "best_effort" x.Engine.x_best_effort;
           opt str_field "checkpoint" x.Engine.x_checkpoint;
           int_field "checkpoint_every" x.Engine.x_checkpoint_every;
-          opt str_field "resume" x.Engine.x_resume;
-          opt str_field "place_mode"
-            (Option.map Tytra_sim.Techmap.place_mode_to_string
-               x.Engine.x_place_mode) ]
+          opt str_field "resume" x.Engine.x_resume ]
   in
   obj (envelope @ body)
 
@@ -259,18 +256,6 @@ let decode_op j = function
       let* checkpoint = str_opt_member "checkpoint" j in
       let* checkpoint_every = int_member ~default:32 "checkpoint_every" j in
       let* resume = str_opt_member "resume" j in
-      let* place_mode =
-        match J.str_member "place_mode" j with
-        | None -> Ok None
-        | Some s -> (
-            match Tytra_sim.Techmap.place_mode_of_string s with
-            | Some m -> Ok (Some m)
-            | None ->
-                bad
-                  "unknown place_mode %S (known: reference, incremental, \
-                   parallel)"
-                  s)
-      in
       Ok
         (Engine.Explore
            {
@@ -279,7 +264,7 @@ let decode_op j = function
              x_prune = prune; x_retries = retries; x_deadline_s = deadline;
              x_best_effort = best_effort; x_checkpoint = checkpoint;
              x_checkpoint_every = checkpoint_every; x_resume = resume;
-             x_place_mode = place_mode;
+             x_place_mode = None;
            })
   | op -> bad "unknown op %S (known: check, cost, synth, sim, explore)" op
 

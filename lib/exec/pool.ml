@@ -46,8 +46,8 @@ let jobs t = t.pool_jobs
 (* ------------------------------------------------------------------ *)
 
 (* Set while a domain is executing pool work. A [map] issued from inside
-   a worker (e.g. a parallel placement running within a pooled point
-   evaluation) must not fan out again: the nested spawn would
+   a worker (e.g. an explore sweep running within a batched engine
+   request) must not fan out again: the nested spawn would
    oversubscribe the machine jobs-fold and, once pools hold queues or
    other shared resources, deadlock against the dispatch that is waiting
    on this very item. Nested maps therefore degrade to the sequential

@@ -14,15 +14,9 @@
       match callee declarations;
     - an acyclic call graph rooted at [@main].
 
-    Two implementations coexist (DESIGN.md §10):
-
-    - {!check} — the fast path: one traversal in source order over a
-      {!Symtab} index, O(1) lookups, errors reported in source order
-      with identical (loc, msg) pairs deduplicated;
-    - {!check_reference} — the original multi-pass list-scanning
-      validator, kept verbatim as the differential-testing twin
-      ([--no-fast-ir]); it reports the same defects, without the
-      ordering/dedup guarantees.
+    {!check} is one traversal in source order over a {!Symtab} index
+    with O(1) lookups; errors come back in source order with identical
+    (loc, msg) pairs deduplicated (DESIGN.md §10).
 
     {!check_delta} is the derived-variant entry point: it validates a
     design whose processing-element bodies are already-validated
@@ -49,7 +43,7 @@ let result_ty op ty =
   | _ -> ty
 
 (* ------------------------------------------------------------------ *)
-(* Fast path: one pass over the Symtab index, errors in source order   *)
+(* One pass over the Symtab index, errors in source order              *)
 (* ------------------------------------------------------------------ *)
 
 (* Operand check against the indexed globals; [env] is the per-function
@@ -87,7 +81,7 @@ let check_operand errs loc (sy : Symtab.t) ~env ~expect (o : operand) =
 
 (* Body check of one function: SSA discipline, types, call wiring and
    kind shape, in one walk. *)
-let check_func_fast errs (sy : Symtab.t) (f : func) =
+let check_func errs (sy : Symtab.t) (f : func) =
   let loc = "@" ^ f.fn_name in
   let seen_params = Hashtbl.create (2 * List.length f.fn_params) in
   List.iter
@@ -208,7 +202,7 @@ let check_func_fast errs (sy : Symtab.t) (f : func) =
 
 (* Detect call-graph cycles reachable from any function, O(1) callee
    resolution. *)
-let check_recursion_fast errs (sy : Symtab.t) =
+let check_recursion errs (sy : Symtab.t) =
   let color = Hashtbl.create 16 in
   (* 0 = white, 1 = grey, 2 = black *)
   let rec visit name =
@@ -311,296 +305,26 @@ let check_indexed ?(skip_body = fun _ -> false) (d : design) : error list =
   List.iter
     (fun f ->
       func_dup "design" f.fn_name;
-      if not (skip_body f) then check_func_fast errs sy f)
+      if not (skip_body f) then check_func errs sy f)
     d.d_funcs;
   (* --- design level --- *)
   (match Symtab.find_func sy "main" with
   | None -> err errs "design" "no @main function"
   | Some _ -> ());
-  check_recursion_fast errs sy;
+  check_recursion errs sy;
   dedup_errors (List.rev !errs)
-
-(* ------------------------------------------------------------------ *)
-(* Reference path: the original multi-pass list-scanning validator     *)
-(* ------------------------------------------------------------------ *)
-
-module Reference = struct
-  let dup_names errs loc what names =
-    let seen = Hashtbl.create 16 in
-    List.iter
-      (fun n ->
-        if Hashtbl.mem seen n then err errs loc "duplicate %s %S" what n
-        else Hashtbl.add seen n ())
-      names
-
-  let check_operand errs loc ~globals ~env ~expect (o : operand) =
-    match o with
-    | Var v -> (
-        match SM.find_opt v env with
-        | None -> err errs loc "use of undefined local %%%s" v
-        | Some t ->
-            if not (Ty.equal t expect) then
-              err errs loc "operand %%%s has type %s, expected %s" v
-                (Ty.to_string t) (Ty.to_string expect))
-    | Glob g -> (
-        match SM.find_opt g globals with
-        | None -> err errs loc "use of undeclared global @%s" g
-        | Some t ->
-            if not (Ty.equal t expect) then
-              err errs loc "global @%s has type %s, expected %s" g
-                (Ty.to_string t) (Ty.to_string expect))
-    | Imm i -> (
-        if Ty.is_float expect then
-          err errs loc "integer immediate %Ld used at float type %s" i
-            (Ty.to_string expect)
-        else
-          match Ty.int_range expect with
-          | Some (lo, hi) when Int64.compare i lo < 0 || Int64.compare i hi > 0 ->
-              err errs loc "immediate %Ld out of range for %s" i
-                (Ty.to_string expect)
-          | _ -> ())
-    | ImmF f ->
-        if not (Ty.is_float expect) then
-          err errs loc "float immediate %g used at integer type %s" f
-            (Ty.to_string expect)
-
-  let check_func errs (d : design) (globals : Ty.t SM.t) (f : func) =
-    let loc = "@" ^ f.fn_name in
-    dup_names errs loc "parameter" (List.map fst f.fn_params);
-    List.iter
-      (fun (n, t) ->
-        if not (Ty.valid t) then
-          err errs loc "parameter %%%s has invalid type %s" n (Ty.to_string t))
-      f.fn_params;
-    let env0 =
-      List.fold_left (fun m (n, t) -> SM.add n t m) SM.empty f.fn_params
-    in
-    let param_set = SS.of_list (List.map fst f.fn_params) in
-    let _ =
-      List.fold_left
-        (fun env i ->
-          match i with
-          | Offset { dst; ty; src; off = _ } ->
-              if f.fn_kind = Comb then
-                err errs loc "offset %%%s not allowed in comb function" dst;
-              if SM.mem dst env then err errs loc "local %%%s reassigned (SSA)" dst;
-              (match src with
-              | Var v when SS.mem v param_set -> ()
-              | Var v -> err errs loc "offset source %%%s must be a stream parameter" v
-              | _ -> err errs loc "offset source must be a stream parameter");
-              check_operand errs loc ~globals ~env ~expect:ty src;
-              SM.add dst ty env
-          | Assign { dst; ty; op; args } ->
-              if not (Ty.valid ty) then
-                err errs loc "instruction at invalid type %s" (Ty.to_string ty);
-              if List.length args <> arity op then
-                err errs loc "%s expects %d operands, got %d" (op_to_string op)
-                  (arity op) (List.length args);
-              (match (op, ty) with
-              | (And | Or | Xor | Not | Shl | Shr | Rem), t when Ty.is_float t ->
-                  err errs loc "bitwise/modular op %s at float type %s"
-                    (op_to_string op) (Ty.to_string t)
-              | _ -> ());
-              (match (op, args) with
-              | Select, [ c; a; b ] ->
-                  check_operand errs loc ~globals ~env ~expect:Ty.Bool c;
-                  check_operand errs loc ~globals ~env ~expect:ty a;
-                  check_operand errs loc ~globals ~env ~expect:ty b
-              | _ ->
-                  List.iter (check_operand errs loc ~globals ~env ~expect:ty) args);
-              let rty = result_ty op ty in
-              (match dst with
-              | Dlocal n ->
-                  if SM.mem n env then err errs loc "local %%%s reassigned (SSA)" n;
-                  SM.add n rty env
-              | Dglobal g -> (
-                  match SM.find_opt g globals with
-                  | None ->
-                      err errs loc "assignment to undeclared global @%s" g;
-                      env
-                  | Some t ->
-                      if not (Ty.equal t rty) then
-                        err errs loc
-                          "reduction into @%s: type %s does not match global %s" g
-                          (Ty.to_string rty) (Ty.to_string t);
-                      env))
-          | Call { callee; args; kind; rets } -> (
-              (if f.fn_kind = Comb then
-                 err errs loc "call not allowed in comb function");
-              match find_func d callee with
-              | None ->
-                  err errs loc "call to undefined function @%s" callee;
-                  env
-              | Some g ->
-                  if g.fn_kind <> kind then
-                    err errs loc
-                      "call-site kind %s does not match @%s's declared kind %s"
-                      (kind_to_string kind) callee (kind_to_string g.fn_kind);
-                  if List.length args <> List.length g.fn_params then
-                    err errs loc "call to @%s with %d arguments, expected %d"
-                      callee (List.length args) (List.length g.fn_params)
-                  else
-                    List.iter2
-                      (fun a (_, t) ->
-                        check_operand errs loc ~globals ~env ~expect:t a)
-                      args g.fn_params;
-                  (* returning calls: bind the callee's out_* streams *)
-                  let outs = func_outputs g in
-                  if List.length rets > List.length outs then begin
-                    err errs loc
-                      "call to @%s binds %d results but the callee streams %d \
-                       outputs"
-                      callee (List.length rets) (List.length outs);
-                    env
-                  end
-                  else
-                    List.fold_left2
-                      (fun env r (_, rty) ->
-                        if SM.mem r env then begin
-                          err errs loc "local %%%s reassigned (SSA)" r;
-                          env
-                        end
-                        else SM.add r rty env)
-                      env rets
-                      (List.filteri (fun i _ -> i < List.length rets) outs)))
-        env0 f.fn_body
-    in
-    (* kind-specific body shape *)
-    (match f.fn_kind with
-    | Par ->
-        List.iter
-          (function
-            | Call _ -> ()
-            | i ->
-                err errs loc "par function body must contain only calls, found: %s"
-                  (Pprint.instr_to_string i))
-          f.fn_body
-    | Comb ->
-        List.iter
-          (function
-            | Assign _ -> ()
-            | i ->
-                err errs loc
-                  "comb function body must be pure combinatorial assignments, \
-                   found: %s"
-                  (Pprint.instr_to_string i))
-          f.fn_body
-    | Pipe | Seq -> ());
-    ()
-
-  (* Detect call-graph cycles reachable from any function. *)
-  let check_recursion errs (d : design) =
-    let color = Hashtbl.create 16 in
-    (* 0 = white, 1 = grey, 2 = black *)
-    let rec visit name =
-      match Hashtbl.find_opt color name with
-      | Some 1 -> err errs ("@" ^ name) "recursive call cycle through @%s" name
-      | Some 2 -> ()
-      | _ -> (
-          Hashtbl.replace color name 1;
-          (match find_func d name with
-          | None -> ()
-          | Some f ->
-              List.iter
-                (function Call { callee; _ } -> visit callee | _ -> ())
-                f.fn_body);
-          Hashtbl.replace color name 2)
-    in
-    List.iter (fun f -> visit f.fn_name) d.d_funcs
-
-  let check_manage errs (d : design) =
-    dup_names errs "manage" "memory object" (List.map (fun m -> m.mo_name) d.d_mems);
-    dup_names errs "manage" "stream object"
-      (List.map (fun s -> s.so_name) d.d_streams);
-    dup_names errs "manage" "global" (List.map (fun g -> g.g_name) d.d_globals);
-    dup_names errs "manage" "port"
-      (List.map (fun p -> p.pt_fun ^ "." ^ p.pt_port) d.d_ports);
-    List.iter
-      (fun m ->
-        if m.mo_size <= 0 then
-          err errs ("%" ^ m.mo_name) "memory object size must be positive";
-        if not (Ty.valid m.mo_ty) then
-          err errs ("%" ^ m.mo_name) "invalid element type %s"
-            (Ty.to_string m.mo_ty))
-      d.d_mems;
-    List.iter
-      (fun s ->
-        (match find_mem d s.so_mem with
-        | None ->
-            err errs ("%" ^ s.so_name) "stream references unknown memory object %%%s"
-              s.so_mem
-        | Some _ -> ());
-        match s.so_pattern with
-        | Strided k when k <= 0 ->
-            err errs ("%" ^ s.so_name) "stride must be positive, got %d" k
-        | _ -> ())
-      d.d_streams;
-    List.iter
-      (fun p ->
-        let loc = Printf.sprintf "@%s.%s" p.pt_fun p.pt_port in
-        (match find_stream d p.pt_stream with
-        | None -> err errs loc "port references unknown stream object %%%s" p.pt_stream
-        | Some s ->
-            if s.so_dir <> p.pt_dir then
-              err errs loc "port direction %s conflicts with stream %%%s (%s)"
-                (dir_to_string p.pt_dir) s.so_name (dir_to_string s.so_dir);
-            (match find_mem d s.so_mem with
-            | Some m when not (Ty.equal m.mo_ty p.pt_ty) ->
-                err errs loc "port type %s does not match memory %%%s element type %s"
-                  (Ty.to_string p.pt_ty) m.mo_name (Ty.to_string m.mo_ty)
-            | _ -> ()));
-        match find_func d p.pt_fun with
-        | None -> err errs loc "port on unknown function @%s" p.pt_fun
-        | Some f -> (
-            match List.assoc_opt p.pt_port f.fn_params with
-            | None ->
-                err errs loc "function @%s has no parameter %%%s" p.pt_fun p.pt_port
-            | Some t ->
-                if not (Ty.equal t p.pt_ty) then
-                  err errs loc "port type %s does not match parameter type %s"
-                    (Ty.to_string p.pt_ty) (Ty.to_string t)))
-      d.d_ports
-
-  let check (d : design) : error list =
-    let errs = ref [] in
-    dup_names errs "design" "function" (List.map (fun f -> f.fn_name) d.d_funcs);
-    check_manage errs d;
-    let globals =
-      List.fold_left (fun m g -> SM.add g.g_name g.g_ty m) SM.empty d.d_globals
-    in
-    (match find_func d "main" with
-    | None -> err errs "design" "no @main function"
-    | Some _ -> ());
-    List.iter (fun f -> check_func errs d globals f) d.d_funcs;
-    check_recursion errs d;
-    List.rev !errs
-end
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
 (** [check d] validates [d], returning all errors found (empty on
-    success). On the fast path (the default) this is the indexed
-    one-pass validator: errors come back in source order with identical
-    (loc, msg) pairs deduplicated. Under [--no-fast-ir]
-    ({!Fastpath.enabled} off) the original multi-pass reference runs
-    instead — same defects, without the ordering/dedup guarantees. *)
+    success), in source order with identical (loc, msg) pairs
+    deduplicated. *)
 let check (d : design) : error list =
   Tytra_telemetry.Span.with_ ~name:"ir.validate"
     ~attrs:[ ("design", Tytra_telemetry.Span.Str d.d_name) ]
-  @@ fun () ->
-  if Fastpath.enabled () then check_indexed d else Reference.check d
-
-(** [check_reference d] — the original multi-pass validator, kept for
-    differential testing of the fast path ([--no-fast-ir]). Reports the
-    same defects as {!check} but neither orders nor deduplicates them. *)
-let check_reference (d : design) : error list =
-  Tytra_telemetry.Span.with_ ~name:"ir.validate"
-    ~attrs:
-      [ ("design", Tytra_telemetry.Span.Str d.d_name);
-        ("impl", Tytra_telemetry.Span.Str "reference") ]
-  @@ fun () -> Reference.check d
+  @@ fun () -> check_indexed d
 
 (** [check_delta ~trusted d] — validate [d] skipping the per-instruction
     body walk of the functions named in [trusted] (their bodies are

@@ -23,26 +23,14 @@ let seed_of_string s =
 
 let of_string s = create (seed_of_string s)
 
-(* splitmix64 output mixer (Steele et al.): full-avalanche finalizer
-   shared by the stream step and {!split}. *)
-let mix z =
+let next_int64 (t : t) : int64 =
+  t.state <- Int64.add t.state golden;
+  let z = t.state in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
       0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
-
-let next_int64 (t : t) : int64 =
-  t.state <- Int64.add t.state golden;
-  mix t.state
-
-(** [split t i] — the [i]-th child stream of [t]'s current state. The
-    child seed passes (state, index) through the splitmix64 mixer twice,
-    so sibling streams (and the parent) are decorrelated rather than
-    merely offset along one sequence. Does not advance [t]. *)
-let split (t : t) (i : int) : t =
-  let z = Int64.add t.state (Int64.mul golden (Int64.of_int (i + 1))) in
-  create (mix (mix (Int64.logxor z 0x5851F42D4C957F2DL)))
 
 (** Uniform float in [0, 1). *)
 let float (t : t) : float =

@@ -15,7 +15,6 @@
     (design, device, resource class). *)
 
 open Tytra_ir
-module Pool = Tytra_exec.Pool
 
 module Log = (val Logs.src_log (Logs.Src.create "tytra.techmap"))
 
@@ -179,94 +178,30 @@ let publish_anneal_metrics ~moves ~accepted ~temp0 =
   Tytra_telemetry.Metrics.set "sim.techmap.anneal.temp_final"
     (temp0 /. float_of_int (max 1 moves))
 
-(** [place_reference ~rng ~effort nl] — the original annealer: every
-    move recomputes the full wirelength around both swapped cells from
-    scratch. Kept as the differential twin of {!place_incremental}
-    ([--no-fast-ir]); both consume the PRNG identically and produce the
-    same placement. *)
-let place_reference ~(rng : Prng.t) ~(effort : int) (nl : netlist) :
-    placement_result =
-  let n = nl.n_cells in
-  let grid = int_of_float (ceil (sqrt (float_of_int n))) in
-  let pos = Array.init n (fun i -> (i mod grid, i / grid)) in
-  let loc_of = Hashtbl.create n in
-  Array.iteri (fun i p -> Hashtbl.replace loc_of i p) pos;
-  let edge_len (a, b) =
-    let ax, ay = pos.(a) and bx, by = pos.(b) in
-    abs (ax - bx) + abs (ay - by)
-  in
-  (* adjacency: edges touching each cell *)
-  let adj = Array.make n [] in
-  Array.iteri
-    (fun ei (a, b) ->
-      if a < n && b < n then begin
-        adj.(a) <- ei :: adj.(a);
-        adj.(b) <- ei :: adj.(b)
-      end)
-    nl.n_edges;
-  let total = ref 0 in
-  Array.iter (fun e -> total := !total + edge_len e) nl.n_edges;
-  let moves = effort * n in
-  let temp0 = 4.0 +. (float_of_int grid /. 4.0) in
-  let accepted = ref 0 in
-  for m = 0 to moves - 1 do
-    let a = Prng.int rng n and b = Prng.int rng n in
-    if a <> b then begin
-      let cost_around c =
-        List.fold_left (fun acc ei -> acc + edge_len nl.n_edges.(ei)) 0 adj.(c)
-      in
-      let before = cost_around a + cost_around b in
-      let pa = pos.(a) and pb = pos.(b) in
-      pos.(a) <- pb;
-      pos.(b) <- pa;
-      let after = cost_around a + cost_around b in
-      let dc = after - before in
-      let t = temp0 *. (1.0 -. (float_of_int m /. float_of_int moves)) in
-      let accept =
-        dc <= 0
-        || (t > 0.01 && Prng.float rng < exp (-.float_of_int dc /. t))
-      in
-      if accept then begin
-        total := !total + dc;
-        incr accepted
-      end
-      else begin
-        pos.(a) <- pa;
-        pos.(b) <- pb
-      end
-    end
-  done;
-  publish_anneal_metrics ~moves ~accepted:!accepted ~temp0;
-  let nedges = max 1 (Array.length nl.n_edges) in
-  {
-    pl_avg_wire = float_of_int !total /. float_of_int nedges;
-    pl_grid = grid;
-    pl_moves = moves;
-    pl_accepted = !accepted;
-  }
-
-(* How often (at most) the incremental annealer cross-checks its
-   running total against a from-scratch recompute. Wirelength is
-   integer arithmetic, so any nonzero drift is a bug; the check
-   consumes no PRNG state. The effective interval stretches with the
-   edge count so the O(edges) recompute stays a bounded fraction of
-   total anneal work on large netlists. *)
+(* How often (at most) the annealer cross-checks its running total
+   against a from-scratch recompute. Wirelength is integer arithmetic,
+   so any nonzero drift is a bug; the check consumes no PRNG state. The
+   effective interval stretches with the edge count so the O(edges)
+   recompute stays a bounded fraction of total anneal work on large
+   netlists. *)
 let drift_check_interval = 8192
 
-(** [place_incremental ~rng ~effort nl] — delta-wirelength annealing
-    (DESIGN.md §10): cached per-cell incident-length sums make the
-    before-cost of a swap two O(1) lookups, and only the edges touching
-    the two swapped cells are recomputed; a periodic full recompute
-    guards against drift. The data layout is tuned for the random-index
-    access pattern of annealing: each cell's position (x, y packed in
-    one int), incident-length sum and adjacency bounds live in one
-    4-int record (a single cache line), and each adjacency entry packs
-    the edge index with the far endpoint, so a degree-d move touches
-    ~2 + d lines instead of ~4 + 3d. The PRNG consumption pattern and
-    every accept decision match {!place_reference} exactly, so the
-    resulting placement (and [pl_avg_wire]) is bit-identical —
-    placement cost scales with swap locality instead of netlist size. *)
-let place_incremental ~(rng : Prng.t) ~(effort : int) (nl : netlist) :
+(** [place ~rng ~effort nl] — delta-wirelength annealing
+    (DESIGN.md §10): [effort] passes of random swap moves over the
+    netlist on a linearly cooling schedule. Cached per-cell
+    incident-length sums make the before-cost of a swap two O(1)
+    lookups, and only the edges touching the two swapped cells are
+    recomputed; a periodic full recompute guards against drift. The
+    data layout is tuned for the random-index access pattern of
+    annealing: each cell's position (x, y packed in one int),
+    incident-length sum and adjacency bounds live in one 4-int record
+    (a single cache line), and each adjacency entry packs the edge
+    index with the far endpoint, so a degree-d move touches ~2 + d lines
+    instead of ~4 + 3d, and placement cost scales with swap locality
+    instead of netlist size. The test suite holds a full-recompute
+    oracle to it: same PRNG draws, same accept decisions, bit-identical
+    [pl_avg_wire]. *)
+let place ~(rng : Prng.t) ~(effort : int) (nl : netlist) :
     placement_result =
   let n = nl.n_cells in
   let grid = int_of_float (ceil (sqrt (float_of_int n))) in
@@ -478,511 +413,6 @@ let place_incremental ~(rng : Prng.t) ~(effort : int) (nl : netlist) :
   }
 
 (* ------------------------------------------------------------------ *)
-(* Placement modes                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(** Which placement engine {!place} runs (DESIGN.md §14):
-    - [Reference]: the original full-recompute annealer.
-    - [Incremental]: the delta-wirelength annealer — bit-identical to
-      [Reference], just faster.
-    - [Parallel]: analytic seed + domain-parallel replica-exchange
-      annealing — not bit-identical (replicas explore independently),
-      held instead to a wirelength quality bound vs [Reference]. *)
-type place_mode = Reference | Incremental | Parallel
-
-let place_mode_to_string = function
-  | Reference -> "reference"
-  | Incremental -> "incremental"
-  | Parallel -> "parallel"
-
-let place_mode_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "reference" | "ref" | "slow" -> Some Reference
-  | "incremental" | "inc" | "fast" -> Some Incremental
-  | "parallel" | "par" -> Some Parallel
-  | _ -> None
-
-(* Process-global mode override, [TYTRA_PLACE] from the environment at
-   startup. [None] = follow the {!Tytra_ir.Fastpath} toggle (incremental
-   when on, reference under [--no-fast-ir]), which is the pre-mode
-   behaviour — so an unset TYTRA_PLACE changes nothing. *)
-let place_mode_override : place_mode option ref =
-  ref
-    (match Sys.getenv_opt "TYTRA_PLACE" with
-    | Some s -> place_mode_of_string s
-    | None -> None)
-
-let place_mode () =
-  match !place_mode_override with
-  | Some m -> m
-  | None -> if Fastpath.enabled () then Incremental else Reference
-
-let set_place_mode m = place_mode_override := m
-
-let with_place_mode m f =
-  let prev = !place_mode_override in
-  place_mode_override := m;
-  Fun.protect ~finally:(fun () -> place_mode_override := prev) f
-
-(* ------------------------------------------------------------------ *)
-(* Parallel placement: analytic seed + replica-exchange annealing       *)
-(* ------------------------------------------------------------------ *)
-
-(* Read-only annealing structure shared by every replica: packed edge
-   endpoints and the CSR adjacency of {!place_incremental}, built once
-   per placement. *)
-type anneal_graph = {
-  ag_n : int;
-  ag_grid : int;
-  ag_ne : int;
-  ag_eend : int array;  (* (src lsl 31) lor dst per edge *)
-  ag_off : int array;   (* CSR offsets, length n+1 *)
-  ag_adj : int array;   (* (edge index lsl 31) lor far endpoint *)
-  ag_max_deg : int;
-}
-
-let manhattan_packed pu pv =
-  abs ((pu lsr 16) - (pv lsr 16)) + abs ((pu land 0xFFFF) - (pv land 0xFFFF))
-
-let build_anneal_graph (nl : netlist) : anneal_graph =
-  let n = nl.n_cells in
-  let grid = int_of_float (ceil (sqrt (float_of_int n))) in
-  let ne = Array.length nl.n_edges in
-  let eend = Array.make (max 1 ne) 0 in
-  Array.iteri (fun ei (a, b) -> eend.(ei) <- (a lsl 31) lor b) nl.n_edges;
-  let deg = Array.make (n + 1) 0 in
-  Array.iter
-    (fun (a, b) ->
-      if a < n && b < n then begin
-        deg.(a + 1) <- deg.(a + 1) + 1;
-        deg.(b + 1) <- deg.(b + 1) + 1
-      end)
-    nl.n_edges;
-  let off = deg in
-  for i = 0 to n - 1 do
-    off.(i + 1) <- off.(i + 1) + off.(i)
-  done;
-  let fill = Array.sub off 0 n in
-  let adj = Array.make (max 1 off.(n)) 0 in
-  Array.iteri
-    (fun ei (a, b) ->
-      if a < n && b < n then begin
-        adj.(fill.(a)) <- (ei lsl 31) lor b;
-        fill.(a) <- fill.(a) + 1;
-        adj.(fill.(b)) <- (ei lsl 31) lor a;
-        fill.(b) <- fill.(b) + 1
-      end)
-    nl.n_edges;
-  let max_deg =
-    let m = ref 0 in
-    for i = 0 to n - 1 do
-      m := max !m (off.(i + 1) - off.(i))
-    done;
-    !m
-  in
-  { ag_n = n; ag_grid = grid; ag_ne = ne; ag_eend = eend; ag_off = off;
-    ag_adj = adj; ag_max_deg = max_deg }
-
-(* Number of Gauss-Seidel relaxation sweeps for the analytic seed, and
-   the pull of each cell's original slot. The anchor keeps the linear
-   system non-degenerate (pure relaxation of a connected graph collapses
-   every cell onto the centroid) and preserves enough spread that
-   legalization has meaningful rows to restore. *)
-let seed_sweeps = 12
-let seed_anchor = 0.25
-
-(** Analytic initial placement: a few relaxation sweeps of the quadratic
-    wirelength model [x_i = (Σ_adj x_j + w·x0_i) / (deg_i + w)] over the
-    packed adjacency, then legalization back onto the grid — cells
-    sorted into rows by relaxed y, each row sorted by relaxed x. The
-    result is a legal low-wirelength permutation from which annealing
-    starts near its destination instead of from the raw row-major
-    layout. Purely deterministic: no PRNG draws. *)
-let analytic_seed (g : anneal_graph) : int array =
-  let n = g.ag_n and grid = g.ag_grid in
-  let xs = Array.init n (fun i -> float_of_int (i mod grid)) in
-  let ys = Array.init n (fun i -> float_of_int (i / grid)) in
-  let x0 = Array.copy xs and y0 = Array.copy ys in
-  for _ = 1 to seed_sweeps do
-    for i = 0 to n - 1 do
-      let lo = g.ag_off.(i) and hi = g.ag_off.(i + 1) in
-      if hi > lo then begin
-        let sx = ref 0.0 and sy = ref 0.0 in
-        for k = lo to hi - 1 do
-          let far = g.ag_adj.(k) land 0x7FFFFFFF in
-          sx := !sx +. xs.(far);
-          sy := !sy +. ys.(far)
-        done;
-        let w = float_of_int (hi - lo) +. seed_anchor in
-        xs.(i) <- (!sx +. (seed_anchor *. x0.(i))) /. w;
-        ys.(i) <- (!sy +. (seed_anchor *. y0.(i))) /. w
-      end
-    done
-  done;
-  let ord = Array.init n (fun i -> i) in
-  Array.sort
-    (fun i j ->
-      let c = compare ys.(i) ys.(j) in
-      if c <> 0 then c
-      else
-        let c = compare xs.(i) xs.(j) in
-        if c <> 0 then c else compare i j)
-    ord;
-  let pos = Array.make n 0 in
-  let row = ref 0 and k = ref 0 in
-  while !k < n do
-    let hi = min n (!k + grid) in
-    let rowcells = Array.sub ord !k (hi - !k) in
-    Array.sort
-      (fun i j ->
-        let c = compare xs.(i) xs.(j) in
-        if c <> 0 then c else compare i j)
-      rowcells;
-    Array.iteri (fun col cell -> pos.(cell) <- (col lsl 16) lor !row) rowcells;
-    incr row;
-    k := hi
-  done;
-  pos
-
-(* One temperature slot of the replica-exchange ensemble. Configurations
-   ([rp_crec]/[rp_elen]/[rp_total]) migrate between slots on exchange;
-   the PRNG stream and work counters stay with the slot. *)
-type replica = {
-  rp_rng : Prng.t;
-  rp_scratch : int array;
-  mutable rp_crec : int array;  (* place_incremental's 4-int cell records *)
-  mutable rp_elen : int array;
-  mutable rp_total : int;
-  mutable rp_moves : int;
-  mutable rp_accepted : int;
-  mutable rp_delta_evals : int;
-}
-
-(* Build one replica's mutable state from a packed starting placement:
-   the same 4-int cell records, edge-length cache and incident sums as
-   {!place_incremental}, but over an arbitrary initial position map. *)
-let build_anneal_state (g : anneal_graph) (init : int array) =
-  let n = g.ag_n and ne = g.ag_ne in
-  let crec = Array.make (4 * n) 0 in
-  for i = 0 to n - 1 do
-    crec.(4 * i) <- init.(i);
-    crec.((4 * i) + 2) <- g.ag_off.(i);
-    crec.((4 * i) + 3) <- g.ag_off.(i + 1)
-  done;
-  let elen = Array.make (max 1 ne) 0 in
-  let total = ref 0 in
-  for ei = 0 to ne - 1 do
-    let e = g.ag_eend.(ei) in
-    let a = e lsr 31 and b = e land 0x7FFFFFFF in
-    let l = manhattan_packed crec.(4 * a) crec.(4 * b) in
-    elen.(ei) <- l;
-    total := !total + l;
-    crec.((4 * a) + 1) <- crec.((4 * a) + 1) + l;
-    crec.((4 * b) + 1) <- crec.((4 * b) + 1) + l
-  done;
-  (crec, elen, !total)
-
-(* One annealing segment of one replica: [moves] delta-wirelength swap
-   moves with the temperature cooling linearly from [t0] to [t1]. The
-   move body is the hot loop of {!place_incremental} (same packing, same
-   unsafe accesses); only the schedule differs. *)
-let anneal_segment (g : anneal_graph) (r : replica) ~moves ~t0 ~t1 =
-  let n = g.ag_n in
-  if n > 1 && moves > 0 then begin
-    let crec = r.rp_crec and elen = r.rp_elen in
-    let adj = g.ag_adj and scratch = r.rp_scratch in
-    let rng = r.rp_rng in
-    let total = ref r.rp_total in
-    let accepted = ref 0 in
-    let delta_evals = ref 0 in
-    let fmoves = float_of_int moves in
-    for m = 0 to moves - 1 do
-      let a = Prng.int rng n and b = Prng.int rng n in
-      if a <> b then begin
-        let a4 = 4 * a and b4 = 4 * b in
-        let pa = Array.unsafe_get crec a4 in
-        let pb = Array.unsafe_get crec b4 in
-        let before =
-          Array.unsafe_get crec (a4 + 1) + Array.unsafe_get crec (b4 + 1)
-        in
-        Array.unsafe_set crec a4 pb;
-        Array.unsafe_set crec b4 pa;
-        let lo_a = Array.unsafe_get crec (a4 + 2) in
-        let hi_a = Array.unsafe_get crec (a4 + 3) in
-        let lo_b = Array.unsafe_get crec (b4 + 2) in
-        let hi_b = Array.unsafe_get crec (b4 + 3) in
-        let after = ref 0 in
-        let s = ref 0 in
-        for k = lo_a to hi_a - 1 do
-          let po =
-            Array.unsafe_get crec
-              (4 * (Array.unsafe_get adj k land 0x7FFFFFFF))
-          in
-          let l =
-            abs ((pb lsr 16) - (po lsr 16))
-            + abs ((pb land 0xFFFF) - (po land 0xFFFF))
-          in
-          Array.unsafe_set scratch !s l;
-          incr s;
-          after := !after + l
-        done;
-        for k = lo_b to hi_b - 1 do
-          let po =
-            Array.unsafe_get crec
-              (4 * (Array.unsafe_get adj k land 0x7FFFFFFF))
-          in
-          let l =
-            abs ((pa lsr 16) - (po lsr 16))
-            + abs ((pa land 0xFFFF) - (po land 0xFFFF))
-          in
-          Array.unsafe_set scratch !s l;
-          incr s;
-          after := !after + l
-        done;
-        delta_evals := !delta_evals + !s;
-        let dc = !after - before in
-        let t = t0 +. ((t1 -. t0) *. (float_of_int m /. fmoves)) in
-        let accept =
-          dc <= 0
-          || (t > 0.01 && Prng.float rng < exp (-.float_of_int dc /. t))
-        in
-        if accept then begin
-          let s = ref 0 in
-          for k = lo_a to hi_a - 1 do
-            let entry = Array.unsafe_get adj k in
-            let ei = entry lsr 31 in
-            let l = Array.unsafe_get scratch !s in
-            incr s;
-            let dl = l - Array.unsafe_get elen ei in
-            if dl <> 0 then begin
-              Array.unsafe_set elen ei l;
-              Array.unsafe_set crec (a4 + 1)
-                (Array.unsafe_get crec (a4 + 1) + dl);
-              let o = (4 * (entry land 0x7FFFFFFF)) + 1 in
-              Array.unsafe_set crec o (Array.unsafe_get crec o + dl)
-            end
-          done;
-          for k = lo_b to hi_b - 1 do
-            let entry = Array.unsafe_get adj k in
-            let ei = entry lsr 31 in
-            let l = Array.unsafe_get scratch !s in
-            incr s;
-            let dl = l - Array.unsafe_get elen ei in
-            if dl <> 0 then begin
-              Array.unsafe_set elen ei l;
-              Array.unsafe_set crec (b4 + 1)
-                (Array.unsafe_get crec (b4 + 1) + dl);
-              let o = (4 * (entry land 0x7FFFFFFF)) + 1 in
-              Array.unsafe_set crec o (Array.unsafe_get crec o + dl)
-            end
-          done;
-          total := !total + dc;
-          incr accepted
-        end
-        else begin
-          Array.unsafe_set crec a4 pa;
-          Array.unsafe_set crec b4 pb
-        end
-      end
-    done;
-    r.rp_total <- !total;
-    r.rp_moves <- r.rp_moves + moves;
-    r.rp_accepted <- r.rp_accepted + !accepted;
-    r.rp_delta_evals <- r.rp_delta_evals + !delta_evals
-  end
-
-(* Replica-exchange knobs. The per-replica budget divisor is the
-   headline saving: each replica anneals effort·n/8 moves instead of the
-   reference's effort·n, the replicas run on separate domains, and the
-   convergence check below usually stops the schedule before the budget
-   is spent. *)
-let default_replicas = 4
-let replica_budget_divisor = 8
-let exchange_segments = 8
-let ladder_decay = 0.55
-let ladder_tbase_divisor = 24.0
-let early_exit_threshold = 0.001
-let early_exit_min_segments = 3
-
-(** [place_parallel ~seed ~effort nl] — the three-stage engine: analytic
-    seed, then [replicas] delta-annealing chains at staggered
-    temperatures on separate domains (over {!Tytra_exec.Pool}), with
-    deterministic seed-derived exchange decisions between segments and a
-    convergence-based early exit (counted in
-    [sim.techmap.anneal.early_exit]). Deterministic given [seed] and
-    independent of machine width or [--jobs]: every replica draws from
-    its own {!Prng.split} stream, [Pool.map] is order-preserving, and
-    exchange decisions come from a dedicated stream. [seed_init] exists
-    for E11's ablation: [`Random] starts from a seeded random
-    permutation instead of the analytic seed. *)
-let place_parallel ?(replicas = default_replicas) ?(seed_init = `Analytic)
-    ?jobs ~(seed : int64) ~(effort : int) (nl : netlist) : placement_result =
-  let g = build_anneal_graph nl in
-  let n = g.ag_n and ne = g.ag_ne in
-  let replicas = max 1 replicas in
-  let base = Prng.create seed in
-  let init =
-    match seed_init with
-    | `Analytic -> analytic_seed g
-    | `Random ->
-        let rng = Prng.split base (replicas + 1) in
-        let perm = Array.init n (fun i -> i) in
-        for i = n - 1 downto 1 do
-          let j = Prng.int rng (i + 1) in
-          let t = perm.(i) in
-          perm.(i) <- perm.(j);
-          perm.(j) <- t
-        done;
-        Array.init n (fun i ->
-            ((perm.(i) mod g.ag_grid) lsl 16) lor (perm.(i) / g.ag_grid))
-  in
-  let mk_replica r =
-    let crec, elen, total = build_anneal_state g init in
-    {
-      rp_rng = Prng.split base r;
-      rp_scratch = Array.make (max 1 (2 * g.ag_max_deg)) 0;
-      rp_crec = crec;
-      rp_elen = elen;
-      rp_total = total;
-      rp_moves = 0;
-      rp_accepted = 0;
-      rp_delta_evals = 0;
-    }
-  in
-  let reps = Array.init replicas mk_replica in
-  let exch_rng = Prng.split base replicas in
-  let temp0 = 4.0 +. (float_of_int g.ag_grid /. 4.0) in
-  let tbase = temp0 /. ladder_tbase_divisor in
-  let slot_temp r decay = tbase *. (2.0 ** float_of_int r) *. decay in
-  let budget = max 2048 (effort * n / replica_budget_divisor) in
-  let seg_moves = max 256 (budget / exchange_segments) in
-  let pool_jobs =
-    match jobs with
-    | Some j -> j
-    | None -> min (Pool.default_jobs ()) replicas
-  in
-  let pool = Pool.create ~jobs:pool_jobs () in
-  let slots = List.init replicas (fun r -> r) in
-  let best_total () =
-    Array.fold_left (fun acc r -> min acc r.rp_total) max_int reps
-  in
-  let early_exit = ref false in
-  let prev_best = ref (best_total ()) in
-  let s = ref 0 in
-  while (not !early_exit) && !s < exchange_segments do
-    let decay = ladder_decay ** float_of_int !s in
-    ignore
-      (Pool.map pool
-         (fun r ->
-           let t_start = slot_temp r decay in
-           anneal_segment g reps.(r) ~moves:seg_moves ~t0:t_start
-             ~t1:(t_start *. ladder_decay);
-           r)
-         slots);
-    (* Replica exchange between adjacent temperature slots, alternating
-       pair parity per segment; the Metropolis criterion on the energy
-       gap uses the dedicated exchange stream, so decisions are a pure
-       function of the seed. *)
-    let r0 = !s land 1 in
-    let r = ref r0 in
-    while !r + 1 < replicas do
-      let lo = reps.(!r) and hi = reps.(!r + 1) in
-      let t_lo = slot_temp !r decay and t_hi = slot_temp (!r + 1) decay in
-      let d =
-        ((1.0 /. t_lo) -. (1.0 /. t_hi))
-        *. float_of_int (lo.rp_total - hi.rp_total)
-      in
-      let u = Prng.float exch_rng in
-      if d >= 0.0 || u < exp d then begin
-        let crec = lo.rp_crec and elen = lo.rp_elen and tot = lo.rp_total in
-        lo.rp_crec <- hi.rp_crec;
-        lo.rp_elen <- hi.rp_elen;
-        lo.rp_total <- hi.rp_total;
-        hi.rp_crec <- crec;
-        hi.rp_elen <- elen;
-        hi.rp_total <- tot
-      end;
-      r := !r + 2
-    done;
-    (* Convergence-based early exit: stop the temperature schedule once
-       a whole segment of accepted moves no longer buys wirelength. *)
-    let b = best_total () in
-    if
-      !s + 1 >= early_exit_min_segments
-      && float_of_int (!prev_best - b)
-         <= early_exit_threshold *. float_of_int (max 1 !prev_best)
-    then early_exit := true;
-    prev_best := b;
-    incr s
-  done;
-  (* Recompute every replica's total from its cell records — the same
-     invariant the incremental drift check guards, here applied once at
-     the end instead of periodically. *)
-  let drift = ref 0 in
-  Array.iter
-    (fun r ->
-      let fresh = ref 0 in
-      for ei = 0 to ne - 1 do
-        let e = g.ag_eend.(ei) in
-        fresh :=
-          !fresh
-          + manhattan_packed
-              r.rp_crec.(4 * (e lsr 31))
-              r.rp_crec.(4 * (e land 0x7FFFFFFF))
-      done;
-      let d = abs (!fresh - r.rp_total) in
-      if d > !drift then drift := d;
-      r.rp_total <- !fresh)
-    reps;
-  let best =
-    Array.fold_left (fun acc r -> if r.rp_total < acc.rp_total then r else acc)
-      reps.(0) reps
-  in
-  let moves = Array.fold_left (fun acc r -> acc + r.rp_moves) 0 reps in
-  let accepted = Array.fold_left (fun acc r -> acc + r.rp_accepted) 0 reps in
-  let delta_evals =
-    Array.fold_left (fun acc r -> acc + r.rp_delta_evals) 0 reps
-  in
-  publish_anneal_metrics ~moves ~accepted ~temp0;
-  Tytra_telemetry.Metrics.add "sim.techmap.anneal.delta_evals"
-    (float_of_int delta_evals);
-  Tytra_telemetry.Metrics.set "sim.techmap.anneal.drift"
-    (float_of_int !drift);
-  if !early_exit then
-    Tytra_telemetry.Metrics.incr "sim.techmap.anneal.early_exit";
-  {
-    pl_avg_wire = float_of_int best.rp_total /. float_of_int (max 1 ne);
-    pl_grid = g.ag_grid;
-    pl_moves = moves;
-    pl_accepted = accepted;
-  }
-
-(** [place ?fast ?mode ?seed ~rng ~effort nl] — anneal a placement of
-    [nl]. [mode] (default: the global {!place_mode}, i.e. [TYTRA_PLACE]
-    or the {!Tytra_ir.Fastpath} toggle) selects the engine; the legacy
-    [fast] flag forces [Incremental]/[Reference] and is kept for the
-    differential tests. [Reference] and [Incremental] are bit-identical;
-    [Parallel] draws nothing from [rng] except (when [seed] is not
-    given) one [int64] to derive its replica streams. *)
-let place ?fast ?mode ?seed ?replicas ?seed_init ~(rng : Prng.t)
-    ~(effort : int) (nl : netlist) : placement_result =
-  let m =
-    match (mode, fast) with
-    | Some m, _ -> m
-    | None, Some true -> Incremental
-    | None, Some false -> Reference
-    | None, None -> place_mode ()
-  in
-  match m with
-  | Reference -> place_reference ~rng ~effort nl
-  | Incremental -> place_incremental ~rng ~effort nl
-  | Parallel ->
-      let seed =
-        match seed with Some s -> s | None -> Prng.next_int64 rng
-      in
-      place_parallel ?replicas ?seed_init ~seed ~effort nl
-
-(* ------------------------------------------------------------------ *)
 (* Full tech-map run                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1037,14 +467,12 @@ let effort_passes = function `Fast -> 4 | `Normal -> 40 | `Full -> 220
     the expensive path (seconds for multi-lane designs at [`Full] effort);
     compare with the sub-millisecond analytic estimator. *)
 let run ?(device = Tytra_device.Device.stratixv_gsd8) ?(effort = `Normal)
-    ?mode (d : Ast.design) : report =
-  let mode = match mode with Some m -> m | None -> place_mode () in
+    (d : Ast.design) : report =
   Tytra_telemetry.Span.with_ ~name:"sim.techmap"
     ~attrs:
       [ ("design", Tytra_telemetry.Span.Str d.Ast.d_name);
         ("device", Tytra_telemetry.Span.Str device.Tytra_device.Device.dev_name);
-        ("effort", Tytra_telemetry.Span.Int (effort_passes effort));
-        ("place_mode", Tytra_telemetry.Span.Str (place_mode_to_string mode)) ]
+        ("effort", Tytra_telemetry.Span.Int (effort_passes effort)) ]
   @@ fun () ->
   Tytra_telemetry.Metrics.incr "sim.techmap.runs";
   let summary = Config_tree.classify d in
@@ -1137,22 +565,7 @@ let run ?(device = Tytra_device.Device.stratixv_gsd8) ?(effort = `Normal)
   let pl =
     Tytra_telemetry.Span.with_ ~name:"sim.techmap.place"
       ~attrs:[ ("cells", Tytra_telemetry.Span.Int nl.n_cells) ]
-      (fun () ->
-        match mode with
-        | Parallel ->
-            (* Seed the replica streams from a content digest of the
-               (device, design) pair — not from the design's name and
-               not from the shared rng — so which placement a point
-               receives can never depend on sweep order or --jobs
-               scheduling, only on what is being placed. *)
-            let seed =
-              Prng.seed_of_string
-                ("techmap.place:"
-                ^ Tytra_exec.Cache.digest_marshal
-                    (device.Tytra_device.Device.dev_name, d))
-            in
-            place ~mode:Parallel ~seed ~rng ~effort:(effort_passes effort) nl
-        | m -> place ~mode:m ~rng ~effort:(effort_passes effort) nl)
+      (fun () -> place ~rng ~effort:(effort_passes effort) nl)
   in
   Log.debug (fun m ->
       m "placed %s: %d cells, %d/%d swaps accepted, avg wire %.2f"

@@ -24,9 +24,8 @@ Two modes, selected by what the baseline records:
 
 Whenever ratio gating is active (legacy mode, or --ratio in EXACT
 mode), placement spans (sim.techmap.place*) are held to a tighter <=2x
-gate: placement is the dominant E8 cost and its work counters are
-exact, so its wall time tracks the machine far more reproducibly than
-the sweep-shaped spans around it.
+gate: placement work counters are exact, so its wall time tracks the
+machine far more reproducibly than the sweep-shaped spans around it.
 
 Usage: perf_guard.py BASELINE.json CURRENT.json [--ratio R] [--waive PAT]
 Exit code 0 when clean, 1 with a report on stderr otherwise.
@@ -77,7 +76,6 @@ EXACT_COUNTERS = [
     "sim.cyclesim.runs",
     "sim.techmap.anneal.moves",
     "sim.techmap.anneal.delta_evals",
-    "sim.techmap.anneal.early_exit",
     "engine.batch.requests",
     "engine.batch.dispatches",
     "engine.batch.dedup_hits",
@@ -91,18 +89,6 @@ EXACT_GAUGE_RE = re.compile(
 
 # Equivalence flags that must read 1.0 in the current run.
 IDENTITY_GAUGES = {
-    "bench.e8.fastpath.selections_identical": (
-        "fast path and --no-fast-ir must select identically"
-    ),
-    "bench.e8.fastpath.placements_identical": (
-        "incremental and reference placement must be bit-identical"
-    ),
-    "bench.e8.placemode.quality_ok": (
-        "parallel placement must stay within +2% wirelength of reference"
-    ),
-    "bench.e8.placemode.selections_identical": (
-        "best/pareto selections must agree across all three place modes"
-    ),
     "bench.e12.batch_identical": (
         "submit_batch responses must be byte-identical to sequential submit"
     ),

@@ -67,7 +67,7 @@ let requests_under_test : (string * Engine.request) list =
           x_checkpoint = Some "/tmp/ck";
           x_checkpoint_every = 8;
           x_resume = None;
-          x_place_mode = Some Tytra_sim.Techmap.Parallel;
+          x_place_mode = None;
         } );
   ]
 
@@ -96,7 +96,36 @@ let test_request_roundtrip () =
             (name ^ " re-encode is stable") wire
             (Protocol.encode_request ~deadline_s:1.5 ~retries:2
                d.Protocol.dq_request))
-    requests_under_test
+    requests_under_test;
+  (* place_mode is no longer a protocol member: old clients that still
+     send it decode like any request with an unknown member, and the
+     encoder never emits it *)
+  List.iter
+    (fun mode ->
+      match
+        Protocol.decode_request
+          (Printf.sprintf
+             {|{"v":1,"op":"explore","kernel":"sor","place_mode":%S}|} mode)
+      with
+      | Ok { Protocol.dq_request = Engine.Explore _; _ } -> ()
+      | Ok _ -> Alcotest.failf "place_mode %s: expected an explore" mode
+      | Error e ->
+          Alcotest.failf "place_mode %s rejected: %s" mode
+            (Engine.error_message e))
+    [ "parallel"; "bogus" ];
+  match List.assoc "explore" requests_under_test with
+  | Engine.Explore x ->
+      let wire =
+        Protocol.encode_request
+          (Engine.Explore { x with x_place_mode = Some () })
+      in
+      let n = String.length "place_mode" in
+      let rec mentions i =
+        i + n <= String.length wire
+        && (String.sub wire i n = "place_mode" || mentions (i + 1))
+      in
+      Alcotest.(check bool) "place_mode not encoded" false (mentions 0)
+  | _ -> assert false
 
 let test_defaults_fill_in () =
   match

@@ -1,14 +1,15 @@
-(* IR fast-path differential tests (DESIGN.md §10): the fast
-   implementations must be observably identical to their reference
-   twins.
+(* Differential tests of the production paths (DESIGN.md §10) against
+   the slower twins they replaced, which live in this directory as
+   oracles:
 
    - derived variants (Lower.template / Lower.derive) pretty-print
      byte-identically to a full Lower.lower and validate clean;
    - the indexed one-pass validator agrees with the multi-pass
-     reference on valid and broken designs, reports errors in source
-     order, and deduplicates identical (loc, msg) pairs;
-   - DSE selections (best / pareto) are byte-identical with the fast
-     path on and off. *)
+     Oracle_validate on valid and broken designs, reports errors in
+     source order, and deduplicates identical (loc, msg) pairs;
+   - the delta-wirelength annealer reproduces Oracle_place exactly;
+   - DSE selections (best / pareto) equal those of lowering and costing
+     every variant from scratch. *)
 
 open Tytra_ir
 open Tytra_front
@@ -83,7 +84,7 @@ let test_derive_rejects_bad_delta () =
        (fun e -> contains (Validate.error_to_string e) "unknown stream")
        (Validate.check_delta ~trusted:[ "f0" ] broken))
 
-(* ---- indexed validator vs reference ---- *)
+(* ---- indexed validator vs the multi-pass oracle ---- *)
 
 let err_set errs =
   List.sort_uniq compare (List.map Validate.error_to_string errs)
@@ -91,8 +92,8 @@ let err_set errs =
 let check_agree name d =
   Alcotest.(check (list string))
     (name ^ ": indexed and reference validators agree")
-    (err_set (Validate.check_reference d))
-    (err_set (Fastpath.with_enabled true (fun () -> Validate.check d)))
+    (err_set (Oracle_validate.check d))
+    (err_set (Validate.check d))
 
 let test_validator_agrees_on_valid () =
   List.iter
@@ -152,7 +153,7 @@ let test_errors_in_source_order () =
         List.filter (fun f -> f.Ast.fn_name <> "f0") d.Ast.d_funcs;
     }
   in
-  match Fastpath.with_enabled true (fun () -> Validate.check broken) with
+  match Validate.check broken with
   | first :: _ ->
       Alcotest.(check bool)
         "first error is the memory-object one" true
@@ -197,7 +198,7 @@ let test_errors_deduplicated () =
         ];
     }
   in
-  let errs = Fastpath.with_enabled true (fun () -> Validate.check d) in
+  let errs = Validate.check d in
   let undefined_x =
     List.filter
       (fun e -> contains (Validate.error_to_string e) "undefined local %x")
@@ -223,11 +224,11 @@ let test_annealer_bit_identical () =
               summary.Config_tree.cs_pes
           in
           let nl = Tytra_sim.Techmap.build_netlist d pes in
-          let run fast =
+          let run place =
             let rng = Tytra_sim.Prng.of_string ("anneal:" ^ name) in
-            Tytra_sim.Techmap.place ~fast ~rng ~effort:4 nl
+            place ~rng ~effort:4 nl
           in
-          let f = run true and s = run false in
+          let f = run Tytra_sim.Techmap.place and s = run Oracle_place.place in
           let open Tytra_sim.Techmap in
           Alcotest.(check (float 1e-6))
             (Printf.sprintf "%s %s pl_avg_wire identical" name
@@ -255,13 +256,13 @@ let test_annealer_no_drift () =
   @@ fun () ->
   let rng = Tytra_sim.Prng.of_string "anneal:drift" in
   (* enough moves to cross several drift-check intervals *)
-  ignore (Tytra_sim.Techmap.place ~fast:true ~rng ~effort:40 nl);
+  ignore (Tytra_sim.Techmap.place ~rng ~effort:40 nl);
   match Tytra_telemetry.Metrics.gauge_value "sim.techmap.anneal.drift" with
   | Some drift ->
       Alcotest.(check (float 1e-6)) "drift is zero" 0.0 drift
   | None -> Alcotest.fail "drift gauge not published"
 
-(* ---- DSE selections are identical fast vs slow ---- *)
+(* ---- DSE selections equal a from-scratch lowering of every variant ---- *)
 
 let signature pts =
   List.map
@@ -275,20 +276,36 @@ let signature pts =
 let test_dse_selections_identical () =
   let p = Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 () in
   let config =
-    { Tytra_dse.Dse.default_config with max_lanes = 8; use_cache = false }
+    { Tytra_dse.Dse.default_config with
+      max_lanes = 8; use_cache = false; prune = false }
   in
-  let run fast =
-    Fastpath.with_enabled fast (fun () ->
-        Tytra_dse.Dse.clear_cache ();
-        let pts = Tytra_dse.Dse.explore ~config p in
-        ( Option.map signature
-            (Option.map (fun b -> [ b ]) (Tytra_dse.Dse.best pts)),
-          signature (Tytra_dse.Dse.pareto pts) ))
+  Tytra_dse.Dse.clear_cache ();
+  let swept = Tytra_dse.Dse.explore ~config p in
+  let lowered =
+    List.map
+      (fun v ->
+        let d = Lower.lower p v in
+        {
+          Tytra_dse.Dse.dp_variant = v;
+          dp_design = d;
+          dp_report =
+            Tytra_cost.Report.evaluate ~device:config.device ~form:config.form
+              ~nki:config.nki d;
+        })
+      (Transform.enumerate ~max_lanes:config.max_lanes
+         ~max_vec:config.max_vec p)
   in
-  let best_fast, pareto_fast = run true in
-  let best_slow, pareto_slow = run false in
-  Alcotest.(check bool) "best identical" true (best_fast = best_slow);
-  Alcotest.(check bool) "pareto identical" true (pareto_fast = pareto_slow)
+  let selections pts =
+    ( Option.map (fun b -> signature [ b ]) (Tytra_dse.Dse.best pts),
+      signature (Tytra_dse.Dse.pareto pts) )
+  in
+  Alcotest.(check bool) "every point identical" true
+    (signature swept = signature lowered);
+  let best_swept, pareto_swept = selections swept in
+  let best_lowered, pareto_lowered = selections lowered in
+  Alcotest.(check bool) "best identical" true (best_swept = best_lowered);
+  Alcotest.(check bool) "pareto identical" true
+    (pareto_swept = pareto_lowered)
 
 let test_derive_counts () =
   let p = Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 () in
@@ -302,9 +319,8 @@ let test_derive_counts () =
     Option.value ~default:0.0
       (Tytra_telemetry.Metrics.counter_value "dse.points_derived")
   in
-  Fastpath.with_enabled true (fun () ->
-      Tytra_dse.Dse.clear_cache ();
-      ignore (Tytra_dse.Dse.explore ~config p));
+  Tytra_dse.Dse.clear_cache ();
+  ignore (Tytra_dse.Dse.explore ~config p);
   let after =
     Option.value ~default:0.0
       (Tytra_telemetry.Metrics.counter_value "dse.points_derived")

@@ -26,7 +26,6 @@ let () =
       ("resilience", Test_resilience.suite);
       ("fuzz", Test_fuzz.suite);
       ("fastpath", Test_fastpath.suite);
-      ("place", Test_place.suite);
       ("streambench", Test_streambench.suite);
       ("robustness", Test_robustness.suite);
       ("integration", Test_integration.suite);
