@@ -384,7 +384,7 @@ let e8 () =
       Tytra_telemetry.Metrics.set
         (Printf.sprintf "bench.e8.%s.pruned_s" name) t_pr)
     kernels;
-  (* stage-cache effect: the same pruned SOR sweep, warm per-stage caches *)
+  (* stage-cache effect: the same pruned SOR sweep, warm per-PE cache *)
   let prog = List.assoc "sor" kernels in
   let _, cold = cold_sweep true prog in
   let _, warm =
@@ -734,7 +734,7 @@ let e10 () =
     | Error e -> failwith ("E10 request " ^ label ^ ": " ^ Engine.error_message e)
   in
   (* prewarm sequentially: fills the parse cache and the process-global
-     stage caches, so the measured phases see steady-state traffic (and
+     stage cache, so the measured phases see steady-state traffic (and
      the cache counters stay a pure function of the request counts) *)
   List.iter submit_ok mix;
   let warm0 = Engine.parse_cache_stats eng in
@@ -995,7 +995,7 @@ let e12 () =
         | Error e -> failwith ("E12 sequential: " ^ Engine.error_message e))
       reqs
   in
-  ignore (seq_of workload) (* prewarm parse + stage caches *);
+  ignore (seq_of workload) (* prewarm parse + stage cache *);
   let reference, seq_s = time_s (fun () -> seq_of batch_workload) in
   let batch_engine = Engine.create Engine.default_config in
   ignore

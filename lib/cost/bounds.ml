@@ -55,7 +55,7 @@ let area_lb (b : t) : int = b.b_usage_lb.Tytra_device.Resources.aluts
 (** [of_baseline ~device ~form ~pes baseline] — bounds for a replicated
     variant with [pes] processing elements, from the baseline (Pipe)
     report. Requires [pes ≥ 1]; at [pes = 1] the bounds coincide with
-    the baseline's exact figures. *)
+    the baseline's exact figures, the EKIT bound up to its margin. *)
 let of_baseline ~(device : Tytra_device.Device.t) ~(form : Throughput.form)
     ~(pes : int) (baseline : Report.t) : t =
   let est = baseline.Report.rp_estimate in
@@ -91,6 +91,12 @@ let of_baseline ~(device : Tytra_device.Device.t) ~(form : Throughput.form)
     bd.Throughput.bd_host_s +. bd.Throughput.bd_off_s +. fill_lb +. exec_lb
     +. reconfig
   in
+  (* [total_lb] sums the terms in another order, and through other
+     roundings, than [Throughput.ekit] does for the variant, so a variant
+     that ties the incumbent can get a bound a few ULPs below its own
+     EKIT; [Dse] prunes on a strict [<], which would then drop it. A
+     relative 1e-9 margin keeps the bound above the rounding noise. *)
+  let margin = 1.0 +. 1e-9 in
   {
     b_pes = pes;
     b_usage_lb = usage_lb;
@@ -98,7 +104,7 @@ let of_baseline ~(device : Tytra_device.Device.t) ~(form : Throughput.form)
     b_fits = fits;
     b_fmax_ub_mhz = fmax_ub;
     b_total_lb_s = total_lb;
-    b_ekit_ub = (if total_lb > 0.0 then 1.0 /. total_lb else infinity);
+    b_ekit_ub = (if total_lb > 0.0 then margin /. total_lb else infinity);
   }
 
 let pp fmt (b : t) =

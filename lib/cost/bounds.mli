@@ -40,6 +40,7 @@ val of_baseline :
     variant with [pes] processing elements. [baseline] must be the full
     report of the [Pipe] variant on the same program, device,
     calibration, form and nki. At [pes = 1] the bounds coincide with the
-    baseline's exact figures. *)
+    baseline's exact figures, the EKIT bound up to a relative 1e-9
+    rounding margin. *)
 
 val pp : Format.formatter -> t -> unit

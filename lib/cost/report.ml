@@ -1,24 +1,14 @@
 (** One-call evaluation of a design variant: the "Resource estimates /
     Perf' estimate" outputs of the cost-model use-case (paper Fig 2).
 
-    Evaluation is split into separately memoized stages so repeated
-    sweeps re-pay only what actually changed:
-
-    - {e resource stage} — per-function costing inside
-      {!Resource_model.estimate}, keyed by a structural digest of the IR
-      function + calibration (see [resource_model.ml]); a lane sweep
-      costs the shared PE once.
-    - {e inputs stage} — the Table-I parameter extraction
-      ({!Throughput.inputs_of_design}: IR analysis, traffic, empirical ρ
-      lookups), keyed by design + device + calibration + nki + clock.
-      Re-evaluating the same design under another memory-execution form
-      (form selection, bench E3) skips it entirely.
-    - {e throughput stage} — the EKIT expression itself, keyed by the
-      collapsed numeric inputs + form, so structurally different designs
-      with identical Table-I parameters share one evaluation.
-
-    All stages run through {!Tytra_exec.Cache} and publish hit/miss
-    counters under [cost.stage_cache.*]. *)
+    Evaluation runs one memoized stage: per-function resource costing
+    inside {!Resource_model.estimate}, keyed by a structural digest of
+    the IR function + calibration (see [resource_model.ml]) and looked
+    up once per distinct PE function of a design, so a lane sweep costs
+    the shared PE once. It runs through {!Tytra_exec.Cache} and publishes
+    hit/miss counters under [cost.stage_cache.resource]. The Table-I
+    extraction and the EKIT expression are recomputed on every call:
+    keying them (a digest of the whole design) cost more than they do. *)
 
 (** A complete cost-model evaluation of one design variant. *)
 type t = {
@@ -32,57 +22,10 @@ type t = {
   rp_utilization : Tytra_device.Resources.utilization;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Stage caches                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let inputs_cache : Throughput.inputs Tytra_exec.Cache.t =
-  Tytra_exec.Cache.create ~metrics_prefix:"cost.stage_cache.inputs"
-    ~capacity:4096 ()
-
-let throughput_cache : Throughput.breakdown Tytra_exec.Cache.t =
-  Tytra_exec.Cache.create ~metrics_prefix:"cost.stage_cache.throughput"
-    ~capacity:4096 ()
-
-let calib_key = function
-  | None -> "device-default"
-  | Some c -> Tytra_exec.Cache.digest_marshal c
-
-let inputs_stage ~device ?calib ~nki ~fmax_mhz (d : Tytra_ir.Ast.design) :
-    Throughput.inputs =
-  let key =
-    Tytra_exec.Cache.digest_key
-      [ "inputs";
-        Tytra_exec.Cache.digest_marshal d;
-        device.Tytra_device.Device.dev_name;
-        calib_key calib;
-        string_of_int nki;
-        Printf.sprintf "%h" fmax_mhz ]
-  in
-  Tytra_exec.Cache.find_or_add inputs_cache ~key (fun () ->
-      Throughput.inputs_of_design ~device ?calib ~nki ~fmax_mhz d)
-
-let throughput_stage ~form (inputs : Throughput.inputs) :
-    Throughput.breakdown =
-  let key =
-    Tytra_exec.Cache.digest_key
-      [ "ekit"; Throughput.form_to_string form;
-        Tytra_exec.Cache.digest_marshal inputs ]
-  in
-  Tytra_exec.Cache.find_or_add throughput_cache ~key (fun () ->
-      Throughput.ekit form inputs)
-
 let stage_cache_stats () =
-  [ ("cost.stage_cache.resource", Resource_model.pe_cache_stats ());
-    ("cost.stage_cache.inputs", Tytra_exec.Cache.stats inputs_cache);
-    ("cost.stage_cache.throughput", Tytra_exec.Cache.stats throughput_cache) ]
+  [ ("cost.stage_cache.resource", Resource_model.pe_cache_stats ()) ]
 
-let clear_stage_caches () =
-  Resource_model.clear_pe_cache ();
-  Tytra_exec.Cache.clear inputs_cache;
-  Tytra_exec.Cache.reset_stats inputs_cache;
-  Tytra_exec.Cache.clear throughput_cache;
-  Tytra_exec.Cache.reset_stats throughput_cache
+let clear_stage_caches () = Resource_model.clear_pe_cache ()
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
@@ -106,10 +49,10 @@ let evaluate ?(device = Tytra_device.Device.stratixv_gsd8) ?calib
   let inputs, breakdown =
     Tytra_telemetry.Span.with_ ~name:"cost.throughput" (fun () ->
         let inputs =
-          inputs_stage ~device ?calib ~nki
+          Throughput.inputs_of_design ~device ?calib ~nki
             ~fmax_mhz:est.Resource_model.est_fmax_mhz d
         in
-        (inputs, throughput_stage ~form inputs))
+        (inputs, Throughput.ekit form inputs))
   in
   let walls, balance =
     Tytra_telemetry.Span.with_ ~name:"cost.limits" (fun () ->

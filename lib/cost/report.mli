@@ -2,14 +2,14 @@
     Perf' estimate" outputs of the cost-model use-case (paper Fig 2).
 
     Public interface of [Tytra_cost.Report]. [evaluate] is observably
-    pure and re-entrant — its only shared state is a set of domain-safe
-    memoization caches — so the parallel DSE pool may run any number of
+    pure and re-entrant — its only shared state is a domain-safe
+    memoization cache — so the parallel DSE pool may run any number of
     evaluations concurrently.
 
-    Evaluation is staged: per-function resource costing, Table-I
-    parameter extraction and the EKIT expression are memoized
-    independently (see [report.ml] for the key structure), with hit/miss
-    telemetry under [cost.stage_cache.*]. *)
+    Per-function resource costing is memoized (see [report.ml]), with
+    hit/miss telemetry under [cost.stage_cache.resource]; Table-I
+    parameter extraction and the EKIT expression are recomputed on every
+    call. *)
 
 (** A complete cost-model evaluation of one design variant. *)
 type t = {
@@ -37,9 +37,8 @@ val evaluate :
 
 val stage_cache_stats : unit -> (string * Tytra_exec.Cache.stats) list
 (** Hit/miss/eviction statistics of every cost-model stage cache, as
-    [(metrics-prefix, stats)] pairs: [cost.stage_cache.resource] (per-PE
-    resource costing), [.inputs] (Table-I extraction), [.throughput]
-    (EKIT evaluation). *)
+    [(metrics-prefix, stats)] pairs. The one stage cache is
+    [cost.stage_cache.resource] (per-PE resource costing). *)
 
 val clear_stage_caches : unit -> unit
 (** Drop all stage caches and reset their statistics. Benchmarks call

@@ -180,9 +180,10 @@ let pe_usage_uncached ?(cal = default_calibration) (d : Ast.design)
    scheduling ignores the surrounding design and the offset windows are
    derived from the function alone. Memoizing on a structural digest of
    (function, calibration) makes a lane sweep cost each distinct PE once
-   — an L-lane variant re-uses the baseline's @f0 costing for all L
-   instances, so only the lane-dependent parts (stream control, glue,
-   walls) are recomputed per variant. *)
+   — an L-lane variant re-uses the baseline's @f0 costing, so only the
+   lane-dependent parts (stream control, glue, walls) are recomputed per
+   variant. {!estimate} looks each distinct PE function up once per
+   design, so the digest is not re-taken for every instance. *)
 let pe_cache : Tytra_device.Resources.usage Tytra_exec.Cache.t =
   Tytra_exec.Cache.create ~metrics_prefix:"cost.stage_cache.resource"
     ~capacity:1024 ()
@@ -215,8 +216,19 @@ let estimate ?(device = Tytra_device.Device.stratixv_gsd8)
         ("device", Tytra_telemetry.Span.Str device.Tytra_device.Device.dev_name) ]
   @@ fun () ->
   let summary = Config_tree.classify d in
-  let pes = List.filter_map (Ast.find_func d) summary.Config_tree.cs_pes in
-  let pe_usages = List.map (pe_usage ~cal d) pes in
+  (* replicated lanes instantiate one PE function many times *)
+  let costed = Hashtbl.create 4 in
+  let pe_usages =
+    List.filter_map
+      (fun n ->
+        match Hashtbl.find_opt costed n with
+        | Some u -> u
+        | None ->
+            let u = Option.map (pe_usage ~cal d) (Ast.find_func d n) in
+            Hashtbl.add costed n u;
+            u)
+      summary.Config_tree.cs_pes
+  in
   let datapath = Tytra_device.Resources.sum pe_usages in
   let nstreams = List.length d.Ast.d_streams in
   let infra =
@@ -230,7 +242,7 @@ let estimate ?(device = Tytra_device.Device.stratixv_gsd8)
     }
   in
   let usage = Tytra_device.Resources.add datapath infra in
-  let lanes = max 1 (List.length pes) in
+  let lanes = max 1 (List.length pe_usages) in
   let per_lane =
     match pe_usages with
     | u :: _ ->

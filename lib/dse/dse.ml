@@ -15,7 +15,10 @@
     candidate and skips those that provably cannot fit the device or
     cannot beat an already-evaluated incumbent. Pruning is {e exact}:
     {!best} and {!pareto} over the surviving points equal those of the
-    exhaustive sweep (see [sweep_many] below for the invariant). *)
+    exhaustive sweep, the front as an ordered variant list with its
+    equal-(area, EKIT) duplicates (see [prunable] below for the
+    invariant, and {!Tytra_cost.Bounds.of_baseline} for the rounding
+    margin it needs). *)
 
 open Tytra_front
 
@@ -300,7 +303,8 @@ let update_incumbent st (p : point) =
 
 (* The pruning invariant: a candidate may be skipped only when some
    *evaluated* valid point provably dominates it. [b.b_ekit_ub < be]
-   gives actual_ekit ≤ ekit_ub < incumbent's ekit (strict), and
+   gives actual_ekit ≤ ekit_ub < incumbent's ekit (strict; the bound's
+   rounding margin keeps the ≤ true in floating point), and
    [area_lb b ≥ ba] gives actual_area ≥ area_lb ≥ incumbent's area — so
    the incumbent beats the candidate on throughput and matches-or-beats
    it on area. Such a point can be neither [best] (its EKIT is strictly

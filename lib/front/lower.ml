@@ -60,7 +60,8 @@ and compile_expr_raw ~inline_params (k : Expr.kernel) (fb : Builder.fb)
         else Ast.Imm (Ty.mask ty v)
       end
       else Ast.Var p
-  | Expr.ConstI v -> Ast.Imm (Ty.mask ty v)
+  | Expr.ConstI v ->
+      if Ty.is_float ty then Ast.ImmF (Int64.to_float v) else Ast.Imm (Ty.mask ty v)
   | Expr.ConstF f -> Ast.ImmF f
   | Expr.Bin (op, a, b) ->
       let a' = go a in

@@ -31,6 +31,11 @@ type params = {
 
 module SM = Map.Make (String)
 
+(* the first [n] elements of a list *)
+let rec take n = function
+  | x :: tl when n > 0 -> x :: take (n - 1) tl
+  | _ -> []
+
 (** {2 Pipeline depth} *)
 
 (* [pe_depth_sym sy f] — longest latency path through [f]'s SSA dataflow
@@ -93,15 +98,9 @@ let kpd_sym (sy : Symtab.t) (summary : Config_tree.summary) : int =
          replicate a single lane structure, group PEs per lane *)
       let lanes = max 1 (summary.cs_knl * summary.cs_dv) in
       let per_lane = max 1 (List.length pes / lanes) in
-      let pe_depths =
-        List.map (fun n -> pe_depth_sym sy (Symtab.find_func_exn sy n)) pes
-      in
-      let rec take n = function
-        | [] -> []
-        | _ when n = 0 -> []
-        | x :: tl -> x :: take (n - 1) tl
-      in
-      List.fold_left ( + ) 0 (take per_lane pe_depths)
+      List.fold_left
+        (fun acc n -> acc + pe_depth_sym sy (Symtab.find_func_exn sy n))
+        0 (take per_lane pes)
 
 (** [kpd d] — kernel pipeline depth of design [d]. *)
 let kpd (d : design) : int =
@@ -182,18 +181,13 @@ let ngs_sym (sy : Symtab.t) (summary : Config_tree.summary) : int =
     (* group ports by lane: ports are declared lane-major in generated
        variants; conservatively, take the max size and multiply by lanes
        when each lane has its own port set, else the single port size. *)
-    let per_lane_inputs = max 1 (List.length relevant / lanes) in
-    if List.length relevant >= lanes && lanes > 1 then begin
+    let nrel = List.length relevant in
+    if nrel >= lanes && lanes > 1 then begin
       (* distinct streams per lane: sum one representative per lane *)
       let sizes = List.map (port_mem_size_sym sy) relevant in
-      let sorted = List.sort compare sizes in
-      let _ = per_lane_inputs in
       (* sum of the largest [lanes] sizes approximates Σ elems/lane *)
-      let rec last_n n l =
-        let len = List.length l in
-        if len <= n then l else last_n n (List.tl l)
-      in
-      List.fold_left ( + ) 0 (last_n lanes sorted)
+      let rec drop n l = if n <= 0 then l else drop (n - 1) (List.tl l) in
+      List.fold_left ( + ) 0 (drop (nrel - lanes) (List.sort compare sizes))
     end
     else
       List.fold_left (fun acc p -> max acc (port_mem_size_sym sy p)) 0 relevant
@@ -240,11 +234,6 @@ let params (d : design) : params =
            composition of PEs, so one lane's NI sums its stage PEs *)
         let lanes = max 1 (summary.Config_tree.cs_knl * summary.Config_tree.cs_dv) in
         let per_lane = max 1 (List.length fs / lanes) in
-        let rec take n = function
-          | [] -> []
-          | _ when n = 0 -> []
-          | x :: tl -> x :: take (n - 1) tl
-        in
         List.fold_left (fun acc f -> acc + ni_sym sy f) 0 (take per_lane fs)
   in
   let noff =

@@ -188,10 +188,6 @@ type design = {
 }
 [@@deriving show { with_path = false }, eq]
 
-let empty_design name =
-  { d_name = name; d_mems = []; d_streams = []; d_ports = [];
-    d_globals = []; d_funcs = [] }
-
 (** {2 Lookups} *)
 
 let find_func d name = List.find_opt (fun f -> f.fn_name = name) d.d_funcs

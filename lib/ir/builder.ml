@@ -7,9 +7,12 @@
 
 open Ast
 
+(* Declarations are consed onto reversed lists and put back in
+   declaration order once, by {!design}: appending per declaration would
+   make a replicated variant's hundreds of ports quadratic to build. *)
 type t = {
   name : string;
-  mutable mems : mem_obj list;
+  mutable mems : mem_obj list;  (* reversed, as are the lists below *)
   mutable streams : stream_obj list;
   mutable ports : port list;
   mutable globals : global list;
@@ -22,14 +25,14 @@ let create name =
 (** [mem b name ~space ~ty ~size] declares a memory object and returns its
     name. *)
 let mem b name ~space ~ty ~size =
-  b.mems <- b.mems @ [ { mo_name = name; mo_space = space; mo_ty = ty; mo_size = size } ];
+  b.mems <- { mo_name = name; mo_space = space; mo_ty = ty; mo_size = size } :: b.mems;
   name
 
 (** [stream b name ~dir ~mem ~pattern] declares a stream object over
     memory object [mem]. *)
 let stream b name ~dir ~mem ~pattern =
   b.streams <-
-    b.streams @ [ { so_name = name; so_dir = dir; so_mem = mem; so_pattern = pattern } ];
+    { so_name = name; so_dir = dir; so_mem = mem; so_pattern = pattern } :: b.streams;
   name
 
 (** [port b ~fn ~port ~ty ~dir ~stream] binds parameter [port] of function
@@ -37,23 +40,21 @@ let stream b name ~dir ~mem ~pattern =
 let port b ~fn ~port:pt ~ty ~dir ?(space = Global) ?(pattern = Cont)
     ?(base_off = 0) ~stream () =
   b.ports <-
-    b.ports
-    @ [
-        {
-          pt_fun = fn;
-          pt_port = pt;
-          pt_space = space;
-          pt_ty = ty;
-          pt_dir = dir;
-          pt_pattern = pattern;
-          pt_base_off = base_off;
-          pt_stream = stream;
-        };
-      ]
+    {
+      pt_fun = fn;
+      pt_port = pt;
+      pt_space = space;
+      pt_ty = ty;
+      pt_dir = dir;
+      pt_pattern = pattern;
+      pt_base_off = base_off;
+      pt_stream = stream;
+    }
+    :: b.ports
 
 (** [global b name ~ty ~init] declares a design-global accumulator. *)
 let global b name ~ty ?(init = 0L) () =
-  b.globals <- b.globals @ [ { g_name = name; g_ty = ty; g_init = init } ];
+  b.globals <- { g_name = name; g_ty = ty; g_init = init } :: b.globals;
   name
 
 (** {2 Function bodies} *)
@@ -127,26 +128,26 @@ let func b name ~kind ~params f =
   let fb = { body = []; fresh = 0; params } in
   f fb;
   b.funcs <-
-    b.funcs
-    @ [ { fn_name = name; fn_params = params; fn_kind = kind; fn_body = List.rev fb.body } ];
+    { fn_name = name; fn_params = params; fn_kind = kind; fn_body = List.rev fb.body }
+    :: b.funcs;
   name
 
 (** [func_raw b name ~kind ~params body] defines a function from a ready
     instruction list. *)
 let func_raw b name ~kind ~params body =
   b.funcs <-
-    b.funcs @ [ { fn_name = name; fn_params = params; fn_kind = kind; fn_body = body } ];
+    { fn_name = name; fn_params = params; fn_kind = kind; fn_body = body } :: b.funcs;
   name
 
 (** [design b] extracts the finished design (unvalidated). *)
 let design b : design =
   {
     d_name = b.name;
-    d_mems = b.mems;
-    d_streams = b.streams;
-    d_ports = b.ports;
-    d_globals = b.globals;
-    d_funcs = b.funcs;
+    d_mems = List.rev b.mems;
+    d_streams = List.rev b.streams;
+    d_ports = List.rev b.ports;
+    d_globals = List.rev b.globals;
+    d_funcs = List.rev b.funcs;
   }
 
 (** [design_exn b] extracts and validates; raises on invalid IR. *)

@@ -315,37 +315,42 @@ let parse ?(name = "design") (src : string) : Ast.design =
         ("bytes", Tytra_telemetry.Span.Int (String.length src)) ]
   @@ fun () ->
   let lx = Lexer.of_string src in
-  let d = ref (Ast.empty_design name) in
-  let add_mem m = d := { !d with Ast.d_mems = !d.Ast.d_mems @ [ m ] } in
-  let add_stream s = d := { !d with Ast.d_streams = !d.Ast.d_streams @ [ s ] } in
-  let add_port p = d := { !d with Ast.d_ports = !d.Ast.d_ports @ [ p ] } in
-  let add_global g = d := { !d with Ast.d_globals = !d.Ast.d_globals @ [ g ] } in
-  let add_func f = d := { !d with Ast.d_funcs = !d.Ast.d_funcs @ [ f ] } in
+  (* one reversed list per declaration kind, put in order once at EOF *)
+  let mems = ref [] and streams = ref [] and ports = ref [] in
+  let globals = ref [] and funcs = ref [] in
+  let add l x = l := x :: !l in
   let rec go () =
     match Lexer.next lx with
     | Lexer.TEOF -> ()
     | Lexer.TIdent "define" ->
-        add_func (parse_fundef lx);
+        add funcs (parse_fundef lx);
         go ()
     | Lexer.TLocal n ->
         expect lx Lexer.TEq;
         (match expect_ident lx with
-        | "memobj" -> add_mem (parse_memdecl lx n)
-        | "stream" -> add_stream (parse_streamdecl lx n)
+        | "memobj" -> add mems (parse_memdecl lx n)
+        | "stream" -> add streams (parse_streamdecl lx n)
         | s -> err lx (Printf.sprintf "expected memobj/stream, found %S" s));
         go ()
     | Lexer.TGlobal n ->
         expect lx Lexer.TEq;
-        if String.contains n '.' then add_port (parse_port lx n)
+        if String.contains n '.' then add ports (parse_port lx n)
         else begin
           expect_keyword lx "global";
-          add_global (parse_globaldecl lx n)
+          add globals (parse_globaldecl lx n)
         end;
         go ()
     | t -> err lx ("expected declaration, found " ^ Lexer.token_to_string t)
   in
   go ();
-  !d
+  {
+    Ast.d_name = name;
+    d_mems = List.rev !mems;
+    d_streams = List.rev !streams;
+    d_ports = List.rev !ports;
+    d_globals = List.rev !globals;
+    d_funcs = List.rev !funcs;
+  }
 
 (** [parse_result ?name ?file src] is {!parse} with failures reported as
     a typed {!Error.t} instead of an exception — the entry point library

@@ -20,8 +20,9 @@
 open Ast
 
 (** A duplicate declaration found while indexing: [what] is the entity
-    class ("function", "memory object", …), [name] the colliding name. *)
-type dup = { dup_what : string; dup_name : string }
+    class ("function", "memory object", …), [name] the colliding name,
+    [pos] its index in the design's list of that class. *)
+type dup = { dup_what : string; dup_name : string; dup_pos : int }
 
 type t = {
   sy_design : design;
@@ -43,11 +44,11 @@ let of_design (d : design) : t =
   let dups = ref [] in
   let index what name_of xs =
     let tbl = Hashtbl.create (2 * List.length xs) in
-    List.iter
-      (fun x ->
+    List.iteri
+      (fun pos x ->
         let n = name_of x in
         if Hashtbl.mem tbl n then
-          dups := { dup_what = what; dup_name = n } :: !dups
+          dups := { dup_what = what; dup_name = n; dup_pos = pos } :: !dups
         else Hashtbl.add tbl n x)
       xs;
     tbl

@@ -32,9 +32,6 @@ let error_to_string e = Format.asprintf "%a" pp_error e
 
 let err errs loc fmt = Format.kasprintf (fun msg -> errs := { loc; msg } :: !errs) fmt
 
-module SS = Set.Make (String)
-module SM = Map.Make (String)
-
 (* Type of the value produced by an assignment with declared operand type
    [ty]. Comparisons produce Bool. *)
 let result_ty op ty =
@@ -51,7 +48,7 @@ let result_ty op ty =
 let check_operand errs loc (sy : Symtab.t) ~env ~expect (o : operand) =
   match o with
   | Var v -> (
-      match SM.find_opt v env with
+      match Hashtbl.find_opt env v with
       | None -> err errs loc "use of undefined local %%%s" v
       | Some t ->
           if not (Ty.equal t expect) then
@@ -80,25 +77,23 @@ let check_operand errs loc (sy : Symtab.t) ~env ~expect (o : operand) =
           (Ty.to_string expect)
 
 (* Body check of one function: SSA discipline, types, call wiring and
-   kind shape, in one walk. *)
+   kind shape, in one walk. The SSA environment only grows along the
+   body, so one mutable table per function holds it. *)
 let check_func errs (sy : Symtab.t) (f : func) =
   let loc = "@" ^ f.fn_name in
-  let seen_params = Hashtbl.create (2 * List.length f.fn_params) in
+  let params = Hashtbl.create (2 * List.length f.fn_params) in
+  let env = Hashtbl.create (2 * (List.length f.fn_params + 8)) in
   List.iter
     (fun (n, t) ->
-      if Hashtbl.mem seen_params n then
+      if Hashtbl.mem params n then
         err errs loc "duplicate %s %S" "parameter" n
-      else Hashtbl.add seen_params n ();
+      else Hashtbl.add params n ();
+      Hashtbl.replace env n t;
       if not (Ty.valid t) then
         err errs loc "parameter %%%s has invalid type %s" n (Ty.to_string t))
     f.fn_params;
-  let env0 =
-    List.fold_left (fun m (n, t) -> SM.add n t m) SM.empty f.fn_params
-  in
-  let param_set = SS.of_list (List.map fst f.fn_params) in
-  let _ =
-    List.fold_left
-      (fun env i ->
+  List.iter
+    (fun i ->
         (* kind-specific body shape, checked at the instruction *)
         (match (f.fn_kind, i) with
         | Par, Call _ -> ()
@@ -116,13 +111,13 @@ let check_func errs (sy : Symtab.t) (f : func) =
         | Offset { dst; ty; src; off = _ } ->
             if f.fn_kind = Comb then
               err errs loc "offset %%%s not allowed in comb function" dst;
-            if SM.mem dst env then err errs loc "local %%%s reassigned (SSA)" dst;
+            if Hashtbl.mem env dst then err errs loc "local %%%s reassigned (SSA)" dst;
             (match src with
-            | Var v when SS.mem v param_set -> ()
+            | Var v when Hashtbl.mem params v -> ()
             | Var v -> err errs loc "offset source %%%s must be a stream parameter" v
             | _ -> err errs loc "offset source must be a stream parameter");
             check_operand errs loc sy ~env ~expect:ty src;
-            SM.add dst ty env
+            Hashtbl.replace env dst ty
         | Assign { dst; ty; op; args } ->
             if not (Ty.valid ty) then
               err errs loc "instruction at invalid type %s" (Ty.to_string ty);
@@ -144,26 +139,21 @@ let check_func errs (sy : Symtab.t) (f : func) =
             let rty = result_ty op ty in
             (match dst with
             | Dlocal n ->
-                if SM.mem n env then err errs loc "local %%%s reassigned (SSA)" n;
-                SM.add n rty env
+                if Hashtbl.mem env n then err errs loc "local %%%s reassigned (SSA)" n;
+                Hashtbl.replace env n rty
             | Dglobal g -> (
                 match Symtab.find_global sy g with
-                | None ->
-                    err errs loc "assignment to undeclared global @%s" g;
-                    env
+                | None -> err errs loc "assignment to undeclared global @%s" g
                 | Some gl ->
                     if not (Ty.equal gl.g_ty rty) then
                       err errs loc
                         "reduction into @%s: type %s does not match global %s" g
-                        (Ty.to_string rty) (Ty.to_string gl.g_ty);
-                    env))
+                        (Ty.to_string rty) (Ty.to_string gl.g_ty)))
         | Call { callee; args; kind; rets } -> (
             (if f.fn_kind = Comb then
                err errs loc "call not allowed in comb function");
             match Symtab.find_func sy callee with
-            | None ->
-                err errs loc "call to undefined function @%s" callee;
-                env
+            | None -> err errs loc "call to undefined function @%s" callee
             | Some g ->
                 if g.fn_kind <> kind then
                   err errs loc
@@ -179,26 +169,20 @@ let check_func errs (sy : Symtab.t) (f : func) =
                     args g.fn_params;
                 (* returning calls: bind the callee's out_* streams *)
                 let outs = Symtab.func_outputs sy g in
-                if List.length rets > List.length outs then begin
+                if List.length rets > List.length outs then
                   err errs loc
                     "call to @%s binds %d results but the callee streams %d \
                      outputs"
-                    callee (List.length rets) (List.length outs);
-                  env
-                end
+                    callee (List.length rets) (List.length outs)
                 else
-                  List.fold_left2
-                    (fun env r (_, rty) ->
-                      if SM.mem r env then begin
-                        err errs loc "local %%%s reassigned (SSA)" r;
-                        env
-                      end
-                      else SM.add r rty env)
-                    env rets
+                  List.iter2
+                    (fun r (_, rty) ->
+                      if Hashtbl.mem env r then
+                        err errs loc "local %%%s reassigned (SSA)" r
+                      else Hashtbl.add env r rty)
+                    rets
                     (List.filteri (fun i _ -> i < List.length rets) outs)))
-      env0 f.fn_body
-  in
-  ()
+    f.fn_body
 
 (* Detect call-graph cycles reachable from any function, O(1) callee
    resolution. *)
@@ -241,27 +225,38 @@ let dedup_errors (es : error list) : error list =
 let check_indexed ?(skip_body = fun _ -> false) (d : design) : error list =
   let sy = Symtab.of_design d in
   let errs = ref [] in
-  (* --- Manage-IR, in .tirl source order: mems, streams, ports --- *)
-  let dup_guard what =
-    let seen = Hashtbl.create 16 in
-    fun loc n ->
-      if Hashtbl.mem seen n then err errs loc "duplicate %s %S" what n
-      else Hashtbl.add seen n ()
+  (* [report_dups what loc i n] reports the [i]th declaration of class
+     [what], named [n], if the index recorded it as a duplicate *)
+  let report_dups what =
+    let q =
+      ref
+        (List.filter_map
+           (fun (u : Symtab.dup) ->
+             if u.dup_what = what then Some u.dup_pos else None)
+           (Symtab.duplicates sy))
+    in
+    fun loc i n ->
+      match !q with
+      | j :: tl when j = i ->
+          q := tl;
+          err errs loc "duplicate %s %S" what n
+      | _ -> ()
   in
-  let mem_dup = dup_guard "memory object" in
-  List.iter
-    (fun m ->
+  (* --- Manage-IR, in .tirl source order: mems, streams, ports --- *)
+  let mem_dup = report_dups "memory object" in
+  List.iteri
+    (fun i m ->
       let loc = "%" ^ m.mo_name in
-      mem_dup "manage" m.mo_name;
+      mem_dup "manage" i m.mo_name;
       if m.mo_size <= 0 then err errs loc "memory object size must be positive";
       if not (Ty.valid m.mo_ty) then
         err errs loc "invalid element type %s" (Ty.to_string m.mo_ty))
     d.d_mems;
-  let stream_dup = dup_guard "stream object" in
-  List.iter
-    (fun s ->
+  let stream_dup = report_dups "stream object" in
+  List.iteri
+    (fun i s ->
       let loc = "%" ^ s.so_name in
-      stream_dup "manage" s.so_name;
+      stream_dup "manage" i s.so_name;
       (match Symtab.find_mem sy s.so_mem with
       | None ->
           err errs loc "stream references unknown memory object %%%s" s.so_mem
@@ -271,40 +266,44 @@ let check_indexed ?(skip_body = fun _ -> false) (d : design) : error list =
           err errs loc "stride must be positive, got %d" k
       | _ -> ())
     d.d_streams;
-  let port_dup = dup_guard "port" in
+  (* ports are not indexed by name, so they keep their own duplicate
+     table; a port's location is only printed when it has an error *)
+  let ports_seen = Hashtbl.create (List.length d.d_ports) in
+  let port_err p = err errs (Printf.sprintf "@%s.%s" p.pt_fun p.pt_port) in
   List.iter
     (fun p ->
-      let loc = Printf.sprintf "@%s.%s" p.pt_fun p.pt_port in
-      port_dup "manage" (p.pt_fun ^ "." ^ p.pt_port);
+      if Hashtbl.mem ports_seen (p.pt_fun, p.pt_port) then
+        err errs "manage" "duplicate %s %S" "port" (p.pt_fun ^ "." ^ p.pt_port)
+      else Hashtbl.add ports_seen (p.pt_fun, p.pt_port) ();
       (match Symtab.find_stream sy p.pt_stream with
-      | None -> err errs loc "port references unknown stream object %%%s" p.pt_stream
+      | None -> port_err p "port references unknown stream object %%%s" p.pt_stream
       | Some s ->
           if s.so_dir <> p.pt_dir then
-            err errs loc "port direction %s conflicts with stream %%%s (%s)"
+            port_err p "port direction %s conflicts with stream %%%s (%s)"
               (dir_to_string p.pt_dir) s.so_name (dir_to_string s.so_dir);
           (match Symtab.find_mem sy s.so_mem with
           | Some m when not (Ty.equal m.mo_ty p.pt_ty) ->
-              err errs loc "port type %s does not match memory %%%s element type %s"
+              port_err p "port type %s does not match memory %%%s element type %s"
                 (Ty.to_string p.pt_ty) m.mo_name (Ty.to_string m.mo_ty)
           | _ -> ()));
       match Symtab.find_func sy p.pt_fun with
-      | None -> err errs loc "port on unknown function @%s" p.pt_fun
+      | None -> port_err p "port on unknown function @%s" p.pt_fun
       | Some f -> (
           match Symtab.param_ty sy f p.pt_port with
           | None ->
-              err errs loc "function @%s has no parameter %%%s" p.pt_fun p.pt_port
+              port_err p "function @%s has no parameter %%%s" p.pt_fun p.pt_port
           | Some t ->
               if not (Ty.equal t p.pt_ty) then
-                err errs loc "port type %s does not match parameter type %s"
+                port_err p "port type %s does not match parameter type %s"
                   (Ty.to_string p.pt_ty) (Ty.to_string t)))
     d.d_ports;
-  let global_dup = dup_guard "global" in
-  List.iter (fun g -> global_dup "manage" g.g_name) d.d_globals;
+  let global_dup = report_dups "global" in
+  List.iteri (fun i g -> global_dup "manage" i g.g_name) d.d_globals;
   (* --- Compute-IR, declaration order --- *)
-  let func_dup = dup_guard "function" in
-  List.iter
-    (fun f ->
-      func_dup "design" f.fn_name;
+  let func_dup = report_dups "function" in
+  List.iteri
+    (fun i f ->
+      func_dup "design" i f.fn_name;
       if not (skip_body f) then check_func errs sy f)
     d.d_funcs;
   (* --- design level --- *)
@@ -338,10 +337,9 @@ let check_delta ~(trusted : string list) (d : design) : error list =
       [ ("design", Tytra_telemetry.Span.Str d.d_name);
         ("delta", Tytra_telemetry.Span.Bool true) ]
   @@ fun () ->
-  let trusted_set = SS.of_list trusted in
   let skipped = ref 0 in
   let skip_body (f : func) =
-    let s = SS.mem f.fn_name trusted_set in
+    let s = List.mem f.fn_name trusted in
     if s then incr skipped;
     s
   in

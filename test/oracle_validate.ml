@@ -8,8 +8,8 @@ open Ast
 
 let err = Validate.err
 
-module SS = Validate.SS
-module SM = Validate.SM
+module SS = Set.Make (String)
+module SM = Map.Make (String)
 
 let result_ty = Validate.result_ty
 

@@ -256,6 +256,36 @@ let test_pruning_equivalence () =
           Tytra_cost.Throughput.FormC ])
     kernels
 
+(* A variant that ties the incumbent's EKIT must survive pruning: its
+   bound, summed along another floating-point path than its EKIT, could
+   land a few ULPs below it. The fronts must agree as ordered variant
+   lists, equal-(area, EKIT) duplicates included, over the largest
+   spaces the benchmark sweeps. At sor side 16 (ui18) on the Virtex-7 in
+   form C, par64-vec4-pipe ties par32-vec8-pipe. *)
+let test_pruned_front_keeps_ties () =
+  let p = prog () in
+  List.iter
+    (fun device ->
+      List.iter
+        (fun form ->
+          let config =
+            { cfg with device; form; nki = 100; max_lanes = 64; max_vec = 8 }
+          in
+          let front prune =
+            List.map
+              (fun q -> Transform.to_string q.Dse.dp_variant)
+              (Dse.pareto
+                 (Dse.explore_sweep ~config:{ config with prune } p).Dse.sw_points)
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "sor/16/%s/%s front"
+               device.Tytra_device.Device.dev_name
+               (Tytra_cost.Throughput.form_to_string form))
+            (front false) (front true))
+        [ Tytra_cost.Throughput.FormA; Tytra_cost.Throughput.FormB;
+          Tytra_cost.Throughput.FormC ])
+    Tytra_device.Device.all
+
 (* best/pareto of a pruned sweep must not depend on the pool width,
    even though the survivor set may. *)
 let test_pruned_selection_jobs_invariant () =
@@ -410,6 +440,8 @@ let suite =
       test_cache_key_sensitivity;
     Alcotest.test_case "pruning == exhaustive" `Quick
       test_pruning_equivalence;
+    Alcotest.test_case "pruned front keeps tied variants" `Quick
+      test_pruned_front_keeps_ties;
     Alcotest.test_case "pruned selection jobs-invariant" `Quick
       test_pruned_selection_jobs_invariant;
     Alcotest.test_case "bounds admissible" `Quick test_bounds_admissible;

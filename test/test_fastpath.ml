@@ -31,6 +31,9 @@ let kernels () =
 
 let variants p = Transform.enumerate ~max_lanes:8 ~max_vec:4 p
 
+(* the widest space a DSE sweep builds: up to 512 PEs *)
+let wide_variants p = Transform.enumerate ~max_lanes:64 ~max_vec:8 p
+
 (* ---- derived-variant equivalence ---- *)
 
 let test_derive_prints_identically () =
@@ -45,7 +48,7 @@ let test_derive_prints_identically () =
             (Printf.sprintf "%s %s derived == lowered" name
                (Transform.to_string v))
             full fast)
-        (variants p))
+        (wide_variants p))
     (kernels ())
 
 let test_derive_validates_clean () =

@@ -200,10 +200,34 @@ let test_srad_div_dominates_aluts () =
   Alcotest.(check bool) "ALUTs reflect dividers" true
     (u.Tytra_device.Resources.aluts > 800)
 
+(* At a float type the kernel's integer constants lower to float
+   immediates, so every variant validates, survives a print/parse round
+   trip and costs. *)
+let test_srad_fp32_lowers () =
+  let p = Tytra_kernels.Srad.program ~ty:(Ty.Float 32) ~rows:16 ~cols:16 () in
+  List.iter
+    (fun v ->
+      let name = Transform.to_string v in
+      let d = Lower.lower p v in
+      Alcotest.(check int) (name ^ " validates") 0 (List.length (Validate.check d));
+      let text = Pprint.design_to_string d in
+      let d' = Parser.parse ~name:d.Ast.d_name text in
+      Alcotest.(check int) (name ^ " re-parsed validates") 0
+        (List.length (Validate.check d'));
+      Alcotest.(check string) (name ^ " round trip") text (Pprint.design_to_string d');
+      let ekit =
+        (Tytra_cost.Report.evaluate d').Tytra_cost.Report.rp_breakdown
+          .Tytra_cost.Throughput.bd_ekit
+      in
+      Alcotest.(check bool) (name ^ " costs") true (Float.is_finite ekit && ekit > 0.0))
+    [ Transform.Seq; Transform.Pipe; Transform.ParPipe 4 ]
+
 let suite =
   suite
   @ [
       Alcotest.test_case "srad structure" `Quick test_srad_structure;
+      Alcotest.test_case "srad fp32 lowers, validates and costs" `Quick
+        test_srad_fp32_lowers;
       Alcotest.test_case "srad dense reference" `Quick test_srad_reference;
       Alcotest.test_case "srad variants correct" `Quick
         test_srad_variants_correct;

@@ -26,6 +26,7 @@ let () =
       ("resilience", Test_resilience.suite);
       ("fuzz", Test_fuzz.suite);
       ("fastpath", Test_fastpath.suite);
+      ("linearity", Test_linear.suite);
       ("streambench", Test_streambench.suite);
       ("robustness", Test_robustness.suite);
       ("integration", Test_integration.suite);
