@@ -8,7 +8,11 @@
     the shared PE once. It runs through {!Tytra_exec.Cache} and publishes
     hit/miss counters under [cost.stage_cache.resource]. The Table-I
     extraction and the EKIT expression are recomputed on every call:
-    keying them (a digest of the whole design) cost more than they do. *)
+    keying them (a digest of the whole design) cost more than they do.
+
+    Every stage runs on one {!Tytra_ir.Symtab} index and one
+    classification of the configuration tree, both taken once per
+    evaluation by {!evaluate_sym} (DESIGN.md §10.6). *)
 
 (** A complete cost-model evaluation of one design variant. *)
 type t = {
@@ -31,12 +35,13 @@ let clear_stage_caches () = Resource_model.clear_pe_cache ()
 (* Evaluation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** [evaluate ?device ?calib ?form ?nki d] — run the complete cost model
-    on design [d]: parse-derived parameters, resource accumulation,
-    throughput and wall analysis. This is the fast path the estimator
-    speed claim (§VI-A) is about. *)
-let evaluate ?(device = Tytra_device.Device.stratixv_gsd8) ?calib
-    ?(form = Throughput.FormB) ?(nki = 1) (d : Tytra_ir.Ast.design) : t =
+(** [evaluate_sym ?device ?calib ?form ?nki sy] — run the complete cost
+    model on the indexed design: parse-derived parameters, resource
+    accumulation, throughput and wall analysis. This is the fast path
+    the estimator speed claim (§VI-A) is about. *)
+let evaluate_sym ?(device = Tytra_device.Device.stratixv_gsd8) ?calib
+    ?(form = Throughput.FormB) ?(nki = 1) (sy : Tytra_ir.Symtab.t) : t =
+  let d = Tytra_ir.Symtab.design sy in
   Tytra_telemetry.Span.with_ ~name:"cost.evaluate"
     ~attrs:
       [ ("design", Tytra_telemetry.Span.Str d.Tytra_ir.Ast.d_name);
@@ -45,12 +50,13 @@ let evaluate ?(device = Tytra_device.Device.stratixv_gsd8) ?calib
         ("nki", Tytra_telemetry.Span.Int nki) ]
   @@ fun () ->
   Tytra_telemetry.Metrics.incr "cost.evaluations";
-  let est = Resource_model.estimate ~device d in
+  let summary = Tytra_ir.Config_tree.classify_sym sy in
+  let est = Resource_model.estimate_sym ~device sy summary in
   let inputs, breakdown =
     Tytra_telemetry.Span.with_ ~name:"cost.throughput" (fun () ->
         let inputs =
-          Throughput.inputs_of_design ~device ?calib ~nki
-            ~fmax_mhz:est.Resource_model.est_fmax_mhz d
+          Throughput.inputs_of_design_sym ~device ?calib ~nki
+            ~fmax_mhz:est.Resource_model.est_fmax_mhz sy summary
         in
         (inputs, Throughput.ekit form inputs))
   in
@@ -69,6 +75,11 @@ let evaluate ?(device = Tytra_device.Device.stratixv_gsd8) ?calib
     rp_utilization =
       Tytra_device.Resources.utilization device est.Resource_model.est_usage;
   }
+
+(** [evaluate ?device ?calib ?form ?nki d] — {!evaluate_sym} on a fresh
+    index of [d]. *)
+let evaluate ?device ?calib ?form ?nki (d : Tytra_ir.Ast.design) : t =
+  evaluate_sym ?device ?calib ?form ?nki (Tytra_ir.Symtab.of_design d)
 
 let pp fmt (r : t) =
   Format.fprintf fmt "=== cost model: %s on %s ===@\n" r.rp_design r.rp_device;

@@ -6,8 +6,8 @@
     memoization cache — so the parallel DSE pool may run any number of
     evaluations concurrently.
 
-    Per-function resource costing is memoized (see [report.ml]), with
-    hit/miss telemetry under [cost.stage_cache.resource]; Table-I
+    Per-function resource costing is memoized (see [resource_model.ml]),
+    with hit/miss telemetry under [cost.stage_cache.resource]; Table-I
     parameter extraction and the EKIT expression are recomputed on every
     call. *)
 
@@ -23,6 +23,21 @@ type t = {
   rp_utilization : Tytra_device.Resources.utilization;
 }
 
+val evaluate_sym :
+  ?device:Tytra_device.Device.t ->
+  ?calib:Tytra_device.Bandwidth.calib ->
+  ?form:Throughput.form ->
+  ?nki:int ->
+  Tytra_ir.Symtab.t ->
+  t
+(** [evaluate_sym ?device ?calib ?form ?nki sy] — run the complete cost
+    model on the indexed design: parse-derived parameters, resource
+    accumulation, throughput and wall analysis. This is the fast path
+    the estimator speed claim (§VI-A) is about. Every stage shares the
+    index [sy] and one classification of the configuration tree; the
+    DSE passes the index its variant was validated on (DESIGN.md
+    §10.6). *)
+
 val evaluate :
   ?device:Tytra_device.Device.t ->
   ?calib:Tytra_device.Bandwidth.calib ->
@@ -30,10 +45,8 @@ val evaluate :
   ?nki:int ->
   Tytra_ir.Ast.design ->
   t
-(** [evaluate ?device ?calib ?form ?nki d] — run the complete cost model
-    on design [d]: parse-derived parameters, resource accumulation,
-    throughput and wall analysis. This is the fast path the estimator
-    speed claim (§VI-A) is about. *)
+(** [evaluate ?device ?calib ?form ?nki d] — {!evaluate_sym} on a fresh
+    index of [d]. *)
 
 val stage_cache_stats : unit -> (string * Tytra_exec.Cache.stats) list
 (** Hit/miss/eviction statistics of every cost-model stage cache, as

@@ -204,28 +204,30 @@ let clear_pe_cache () =
   Tytra_exec.Cache.clear pe_cache;
   Tytra_exec.Cache.reset_stats pe_cache
 
-(** [estimate ?device ?cal d] — resource estimate for the whole design:
-    every PE instance, its offset windows and delay lines, per-stream
-    control logic, and top-level glue; plus the utilization-derated clock
-    estimate. *)
-let estimate ?(device = Tytra_device.Device.stratixv_gsd8)
-    ?(cal = default_calibration) (d : Ast.design) : estimate =
+(** [estimate_sym ?device ?cal sy summary] — resource estimate for the
+    whole indexed design, whose configuration tree classifies as
+    [summary]: every PE instance, its offset windows and delay lines,
+    per-stream control logic, and top-level glue; plus the
+    utilization-derated clock estimate. *)
+let estimate_sym ?(device = Tytra_device.Device.stratixv_gsd8)
+    ?(cal = default_calibration) (sy : Symtab.t)
+    (summary : Config_tree.summary) : estimate =
+  let d = Symtab.design sy in
   Tytra_telemetry.Span.with_ ~name:"cost.resource_model"
     ~attrs:
       [ ("design", Tytra_telemetry.Span.Str d.Ast.d_name);
         ("device", Tytra_telemetry.Span.Str device.Tytra_device.Device.dev_name) ]
   @@ fun () ->
-  let summary = Config_tree.classify d in
   (* replicated lanes instantiate one PE function many times *)
-  let costed = Hashtbl.create 4 in
+  let costed = Symtab.Tbl.create 4 in
   let pe_usages =
     List.filter_map
       (fun n ->
-        match Hashtbl.find_opt costed n with
+        match Symtab.Tbl.find_opt costed n with
         | Some u -> u
         | None ->
-            let u = Option.map (pe_usage ~cal d) (Ast.find_func d n) in
-            Hashtbl.add costed n u;
+            let u = Option.map (pe_usage ~cal d) (Symtab.find_func sy n) in
+            Symtab.Tbl.add costed n u;
             u)
       summary.Config_tree.cs_pes
   in
@@ -267,6 +269,12 @@ let estimate ?(device = Tytra_device.Device.stratixv_gsd8)
     est_device = device.Tytra_device.Device.dev_name;
     est_design = d.Ast.d_name;
   }
+
+(** [estimate ?device ?cal d] — {!estimate_sym} on a fresh index of [d]
+    and its classification. *)
+let estimate ?device ?cal (d : Ast.design) : estimate =
+  let sy = Symtab.of_design d in
+  estimate_sym ?device ?cal sy (Config_tree.classify_sym sy)
 
 (** [calibrate_div synth] — regenerate the division quadratic from three
     synthesis points, exactly as the paper does for Fig 9: [synth w]

@@ -139,22 +139,24 @@ let cpki (form : form) (i : inputs) : float =
   let b = ekit form i in
   (b.bd_total_s -. b.bd_host_s) *. i.fd_hz
 
-(** [inputs_of_design] — assemble the EKIT inputs from the IR-derived
-    parameters, the device description and the empirical bandwidth
-    calibration (paper Fig 2: IR + target description + device-specific
-    costing parameters → estimates). *)
-let inputs_of_design ?(device = Tytra_device.Device.stratixv_gsd8)
+(** [inputs_of_design_sym ... sy summary] — assemble the EKIT inputs
+    from the IR-derived parameters of the indexed design (whose
+    configuration tree classifies as [summary]), the device description
+    and the empirical bandwidth calibration (paper Fig 2: IR + target
+    description + device-specific costing parameters → estimates). *)
+let inputs_of_design_sym ?(device = Tytra_device.Device.stratixv_gsd8)
     ?(calib : Tytra_device.Bandwidth.calib option) ?(nki = 1)
-    ?(fmax_mhz : float option) ?(reconfig_s = 0.0)
-    (d : Tytra_ir.Ast.design) : inputs =
+    ?(fmax_mhz : float option) ?(reconfig_s = 0.0) (sy : Tytra_ir.Symtab.t)
+    (summary : Tytra_ir.Config_tree.summary) : inputs =
   let open Tytra_ir in
-  let p = Analysis.params d in
+  let d = Symtab.design sy in
+  let p = Analysis.params_sym sy summary in
   let calib =
     match calib with
     | Some c -> c
     | None -> Tytra_device.Bandwidth.default_for device
   in
-  let total_bytes = Analysis.bytes_per_ndrange d in
+  let total_bytes = Analysis.bytes_per_ndrange_sym sy in
   let bytes_per_tuple =
     if p.Analysis.ngs = 0 then 0.0
     else float_of_int total_bytes /. float_of_int p.Analysis.ngs
@@ -182,8 +184,8 @@ let inputs_of_design ?(device = Tytra_device.Device.stratixv_gsd8)
     | None -> device.Tytra_device.Device.fmax_base_mhz
   in
   let off_bytes =
-    (* width of the offset-bearing stream's elements; approximate with the
-       widest input port *)
+    (* width of the offset-bearing stream's elements; approximated by the
+       widest port of the design, outputs included, and at least 4 bytes *)
     List.fold_left
       (fun acc (pt : Ast.port) ->
         Float.max acc (float_of_int ((Ty.width pt.Ast.pt_ty + 7) / 8)))
@@ -206,3 +208,11 @@ let inputs_of_design ?(device = Tytra_device.Device.stratixv_gsd8)
     rho_g;
     reconfig_s;
   }
+
+(** [inputs_of_design ... d] — {!inputs_of_design_sym} on a fresh index
+    of [d] and its classification. *)
+let inputs_of_design ?device ?calib ?nki ?fmax_mhz ?reconfig_s
+    (d : Tytra_ir.Ast.design) : inputs =
+  let sy = Tytra_ir.Symtab.of_design d in
+  inputs_of_design_sym ?device ?calib ?nki ?fmax_mhz ?reconfig_s sy
+    (Tytra_ir.Config_tree.classify_sym sy)

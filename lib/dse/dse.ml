@@ -139,11 +139,12 @@ let template_for ~prog_key (prog : Expr.program) : Lower.template =
     ~key:(Tytra_exec.Cache.digest_key [ prog_key; "lower-template" ])
     (fun () -> Lower.template prog)
 
-(* Lower one variant by deriving it from the program's template. *)
+(* Lower one variant by deriving it from the program's template; the
+   index it was validated on is what the point is costed on. *)
 let lower_point ~prog_key prog v =
-  let d = Lower.derive (template_for ~prog_key prog) v in
+  let sy = Lower.derive_sym (template_for ~prog_key prog) v in
   Tytra_telemetry.Metrics.incr "dse.points_derived";
-  d
+  sy
 
 let point_key ~(config : config) ~prog_key v =
   Tytra_exec.Cache.digest_key
@@ -170,14 +171,16 @@ let eval_point ~(config : config) ~prog_key prog v =
       ]
   @@ fun () ->
   let computed = ref false in
+  (* the index lives only while its point is evaluated: the point and
+     the cache keep the design and its report *)
   let compute () =
     computed := true;
-    let d = lower_point ~prog_key prog v in
+    let sy = lower_point ~prog_key prog v in
     let report =
-      Tytra_cost.Report.evaluate ~device:config.device ?calib:config.calib
-        ~form:config.form ~nki:config.nki d
+      Tytra_cost.Report.evaluate_sym ~device:config.device ?calib:config.calib
+        ~form:config.form ~nki:config.nki sy
     in
-    (d, report)
+    (Tytra_ir.Symtab.design sy, report)
   in
   (* Flight-recorder / event-log detail is gated separately from plain
      metrics: with neither armed, this adds two ref cells and a bool. *)

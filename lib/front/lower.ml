@@ -18,7 +18,7 @@
 
 open Tytra_ir
 
-let lane_name base i = Printf.sprintf "%s%d" base i
+let lane_name base i = base ^ Int.to_string i
 
 (* compile an expression to SSA, returning its operand; [cse] memoizes
    structurally equal subexpressions so shared terms (e.g. [reltmp] used
@@ -158,8 +158,10 @@ let build_variant ~(pattern : Ast.pattern)
     (fun (r : Expr.reduction) ->
       ignore (Builder.global b r.Expr.r_name ~ty ~init:r.Expr.r_init ()))
     k.Expr.k_reductions;
-  (* per-PE memory objects, stream objects and ports *)
+  (* per-PE memory objects, stream objects and ports; each PE's input
+     names are built here once and reused by every wiring function *)
   let main_params = ref [] in
+  let lane_params = Array.make pes [] in
   let lane_args = Array.make pes [] in
   for i = 0 to pes - 1 do
     let mk_port s dir =
@@ -179,9 +181,17 @@ let build_variant ~(pattern : Ast.pattern)
       (fun (o : Expr.output) ->
         ignore (mk_port ("o_" ^ o.Expr.o_name) Ast.OStream))
       k.Expr.k_outputs;
+    lane_params.(i) <- List.map (fun s -> (s, ty)) ins;
     lane_args.(i) <- List.map (fun s -> Ast.Var s) ins
   done;
   let main_params = List.rev !main_params in
+  (* the scalar parameters a wiring function takes and passes on *)
+  let scalar_params = List.map (fun (p', _) -> (p', ty)) k.Expr.k_params in
+  let scalar_args = List.map (fun (p', _) -> Ast.Var p') k.Expr.k_params in
+  (* input parameters of the first [n] PEs, then the scalars *)
+  let pe_params n =
+    List.concat (List.init n (Array.get lane_params)) @ scalar_params
+  in
   let emit_f0 () =
     match f0 with
     | `Emit ->
@@ -208,21 +218,10 @@ let build_variant ~(pattern : Ast.pattern)
   | Transform.ParPipe l ->
       emit_f0 ();
       (* @f1 takes every lane's input streams *)
-      let f1_params =
-        List.concat
-          (List.init l (fun i ->
-               List.map
-                 (fun s -> (lane_name s i, ty))
-                 k.Expr.k_inputs))
-        @ List.map (fun (p', _) -> (p', ty)) k.Expr.k_params
-      in
       ignore
-        (Builder.func b "f1" ~kind:Ast.Par ~params:f1_params (fun fb ->
+        (Builder.func b "f1" ~kind:Ast.Par ~params:(pe_params l) (fun fb ->
              for i = 0 to l - 1 do
-               Builder.call fb "f0"
-                 (List.map (fun s -> Ast.Var (lane_name s i)) k.Expr.k_inputs
-                 @ List.map (fun (p', _) -> Ast.Var p') k.Expr.k_params)
-                 Ast.Pipe
+               Builder.call fb "f0" (lane_args.(i) @ scalar_args) Ast.Pipe
              done));
       ignore
         (Builder.func b "main" ~kind:Ast.Seq ~params:main_params (fun fb ->
@@ -233,37 +232,22 @@ let build_variant ~(pattern : Ast.pattern)
                Ast.Par))
   | Transform.ParVecPipe (l, dv) ->
       emit_f0 ();
-      (* @flane bundles the dv vector PEs of one lane *)
-      let flane_params =
-        List.concat
-          (List.init dv (fun j ->
-               List.map (fun s -> (lane_name s j, ty)) k.Expr.k_inputs))
-        @ List.map (fun (p', _) -> (p', ty)) k.Expr.k_params
-      in
+      (* @flane bundles the dv vector PEs of one lane; its parameters are
+         named after the first lane's PEs *)
       ignore
-        (Builder.func b "flane" ~kind:Ast.Par ~params:flane_params (fun fb ->
+        (Builder.func b "flane" ~kind:Ast.Par ~params:(pe_params dv)
+           (fun fb ->
              for j = 0 to dv - 1 do
-               Builder.call fb "f0"
-                 (List.map (fun s -> Ast.Var (lane_name s j)) k.Expr.k_inputs
-                 @ List.map (fun (p', _) -> Ast.Var p') k.Expr.k_params)
-                 Ast.Pipe
+               Builder.call fb "f0" (lane_args.(j) @ scalar_args) Ast.Pipe
              done));
-      let f1_params =
-        List.concat
-          (List.init (l * dv) (fun i ->
-               List.map (fun s -> (lane_name s i, ty)) k.Expr.k_inputs))
-        @ List.map (fun (p', _) -> (p', ty)) k.Expr.k_params
-      in
       ignore
-        (Builder.func b "f1" ~kind:Ast.Par ~params:f1_params (fun fb ->
+        (Builder.func b "f1" ~kind:Ast.Par ~params:(pe_params (l * dv))
+           (fun fb ->
              for i = 0 to l - 1 do
                Builder.call fb "flane"
                  (List.concat
-                    (List.init dv (fun j ->
-                         List.map
-                           (fun s -> Ast.Var (lane_name s ((i * dv) + j)))
-                           k.Expr.k_inputs))
-                 @ List.map (fun (p', _) -> Ast.Var p') k.Expr.k_params)
+                    (List.init dv (fun j -> lane_args.((i * dv) + j)))
+                 @ scalar_args)
                  Ast.Par
              done));
       ignore
@@ -292,7 +276,10 @@ let lower ?(pattern = Ast.Cont) (p : Expr.program) (v : Transform.variant) :
     the [Pipe] variant once; [derive] then builds each further variant
     around the template's PE body — physically shared, so it
     pretty-prints byte-identically to [lower]'s output — and re-validates
-    only the per-variant delta via {!Validate.check_delta}. *)
+    only the per-variant delta via {!Validate.check_delta_sym}. The
+    {!Symtab} index that validation runs on is returned by
+    {!derive_sym}, so the DSE costs the variant on it too (DESIGN.md
+    §10.6). *)
 
 type template = {
   tpl_program : Expr.program;
@@ -310,25 +297,37 @@ let template ?(pattern = Ast.Cont) (p : Expr.program) : template =
     tpl_f0_body = (Ast.find_func_exn d "f0").Ast.fn_body;
   }
 
-(** [derive tpl v] — build the design for variant [v] of the template's
-    program, reusing the pre-validated PE body and checking only the
-    per-variant delta (memory objects, streams, ports, wiring calls).
-    [Seq] variants inline scalar parameters into a different body shape,
-    so they fall back to a full {!lower}. Raises [Invalid_argument] like
-    {!lower} if the delta is invalid. *)
+(** [derive_sym tpl v] — build the design for variant [v] of the
+    template's program, index it once, and validate it on that index,
+    reusing the pre-validated PE body and checking only the per-variant
+    delta (memory objects, streams, ports, wiring calls). [Seq] variants
+    inline scalar parameters into a different body shape, so they are
+    emitted and checked in full, as {!lower} does. Raises
+    [Invalid_argument] like {!lower} if the design is invalid; returns
+    the index. *)
+let derive_sym (tpl : template) (v : Transform.variant) : Symtab.t =
+  Tytra_telemetry.Span.with_ ~name:"front.derive" @@ fun () ->
+  let pattern = tpl.tpl_pattern and p = tpl.tpl_program in
+  let sy, errors =
+    match v with
+    | Transform.Seq ->
+        let sy = Symtab.of_design (build_variant ~pattern ~f0:`Emit p v) in
+        (sy, Validate.check_sym sy)
+    | _ ->
+        let sy =
+          Symtab.of_design
+            (build_variant ~pattern ~f0:(`Raw tpl.tpl_f0_body) p v)
+        in
+        (sy, Validate.check_delta_sym ~trusted:[ "f0" ] sy)
+  in
+  match errors with
+  | [] -> sy
+  | errs ->
+      invalid_arg
+        (Printf.sprintf "invalid TyTra-IR design %s:\n%s"
+           (Symtab.design sy).Ast.d_name
+           (String.concat "\n" (List.map Validate.error_to_string errs)))
+
+(** [derive tpl v] — the design {!derive_sym} builds and validates. *)
 let derive (tpl : template) (v : Transform.variant) : Ast.design =
-  match v with
-  | Transform.Seq -> lower ~pattern:tpl.tpl_pattern tpl.tpl_program v
-  | _ ->
-      let d =
-        build_variant ~pattern:tpl.tpl_pattern ~f0:(`Raw tpl.tpl_f0_body)
-          tpl.tpl_program v
-      in
-      (match Validate.check_delta ~trusted:[ "f0" ] d with
-      | [] -> ()
-      | errs ->
-          invalid_arg
-            (Printf.sprintf "invalid TyTra-IR design %s:\n%s" d.Ast.d_name
-               (String.concat "\n"
-                  (List.map Validate.error_to_string errs))));
-      d
+  Symtab.design (derive_sym tpl v)

@@ -5,11 +5,13 @@
     pipeline-depth input to [KPD] are obtained by "Parsing IR", exactly as
     the paper's Table I prescribes.
 
-    Internally every analysis runs over a {!Symtab} index: [params]
-    builds the index and classifies the configuration tree once, then
-    derives all parameters with O(1) lookups (DESIGN.md §10). The
-    design-based entry points below each build a fresh index and are kept
-    for callers that analyse a single function in isolation. *)
+    Every analysis runs over a {!Symtab} index with O(1) lookups
+    (DESIGN.md §10). [params_sym] takes the index and the configuration
+    tree's classification from its caller, so the cost model
+    ([Tytra_cost.Report]) indexes and classifies a design once for all
+    of its stages, and a DSE variant reuses the index its derivation
+    was validated on (§10.6). Each design-taking entry point below is a
+    wrapper that builds a fresh index of its design. *)
 
 open Ast
 
@@ -187,7 +189,8 @@ let ngs_sym (sy : Symtab.t) (summary : Config_tree.summary) : int =
       let sizes = List.map (port_mem_size_sym sy) relevant in
       (* sum of the largest [lanes] sizes approximates Σ elems/lane *)
       let rec drop n l = if n <= 0 then l else drop (n - 1) (List.tl l) in
-      List.fold_left ( + ) 0 (drop (nrel - lanes) (List.sort compare sizes))
+      List.fold_left ( + ) 0
+        (drop (nrel - lanes) (List.sort Int.compare sizes))
     end
     else
       List.fold_left (fun acc p -> max acc (port_mem_size_sym sy p)) 0 relevant
@@ -212,33 +215,46 @@ let nwpt_sym (d : design) (summary : Config_tree.summary) : int * int =
 let nwpt (d : design) : int * int =
   nwpt_sym d (Config_tree.classify d)
 
-(** [params d] — all IR-derived Table I parameters for design [d].
-    One index build, one configuration-tree classification, one pass per
-    parameter family. *)
-let params (d : design) : params =
+(** [params_sym sy summary] — all IR-derived Table I parameters for the
+    indexed design, whose configuration tree classifies as [summary].
+    One pass per parameter family. *)
+let params_sym (sy : Symtab.t) (summary : Config_tree.summary) : params =
+  let d = Symtab.design sy in
   Tytra_telemetry.Span.with_ ~name:"ir.analysis"
     ~attrs:[ ("design", Tytra_telemetry.Span.Str d.d_name) ]
   @@ fun () ->
-  let sy = Symtab.of_design d in
-  let summary = Config_tree.classify_sym sy in
   let pes = summary.cs_pes in
-  let pe_funcs = List.map (Symtab.find_func_exn sy) pes in
+  (* each distinct PE function once, in first-use order: a replicated
+     variant instantiates one function hundreds of times *)
+  let distinct =
+    let seen = Symtab.Tbl.create 4 in
+    List.filter_map
+      (fun n ->
+        if Symtab.Tbl.mem seen n then None
+        else begin
+          Symtab.Tbl.add seen n ();
+          Some (Symtab.find_func_exn sy n)
+        end)
+      pes
+  in
   let ni =
-    match pe_funcs with
+    match pes with
     | [] -> (
         match Symtab.find_func sy "main" with
         | Some f -> ni_sym sy f
         | None -> 0)
-    | fs ->
+    | _ ->
         (* instructions per lane: coarse-grained lanes are a serial
            composition of PEs, so one lane's NI sums its stage PEs *)
         let lanes = max 1 (summary.Config_tree.cs_knl * summary.Config_tree.cs_dv) in
-        let per_lane = max 1 (List.length fs / lanes) in
-        List.fold_left (fun acc f -> acc + ni_sym sy f) 0 (take per_lane fs)
+        let per_lane = max 1 (List.length pes / lanes) in
+        List.fold_left
+          (fun acc n -> acc + ni_sym sy (Symtab.find_func_exn sy n))
+          0 (take per_lane pes)
   in
   let noff =
     List.fold_left (fun acc f -> max acc (noff_sym sy f)) 0
-      (match pe_funcs with
+      (match distinct with
       | [] -> Option.to_list (Symtab.find_func sy "main")
       | l -> l)
   in
@@ -261,6 +277,12 @@ let params (d : design) : params =
     out_words = out_w;
   }
 
+(** [params d] — {!params_sym} on a fresh index of [d] and its
+    classification. *)
+let params (d : design) : params =
+  let sy = Symtab.of_design d in
+  params_sym sy (Config_tree.classify_sym sy)
+
 (** Dominant access pattern among the design's global-memory streams (used
     to pick the sustained-bandwidth scaling factor). Returns the "worst"
     pattern present: random ≺ strided ≺ contiguous. *)
@@ -275,12 +297,16 @@ let dominant_pattern (d : design) : pattern =
     Cont d.d_streams
 
 (** Total bytes moved between global memory and the device per execution
-    of the whole index space (both directions). *)
-let bytes_per_ndrange (d : design) : int =
-  let sy = Symtab.of_design d in
+    of the whole index space (both directions), for an indexed design. *)
+let bytes_per_ndrange_sym (sy : Symtab.t) : int =
   List.fold_left
     (fun acc p ->
       let words = port_mem_size_sym sy p in
       let bytes_per_word = (Ty.width p.pt_ty + 7) / 8 in
       acc + (words * bytes_per_word))
-    0 d.d_ports
+    0 (Symtab.design sy).d_ports
+
+(** [bytes_per_ndrange d] — {!bytes_per_ndrange_sym} on a fresh index of
+    [d]. *)
+let bytes_per_ndrange (d : design) : int =
+  bytes_per_ndrange_sym (Symtab.of_design d)

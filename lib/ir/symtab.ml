@@ -10,14 +10,22 @@
     [Symtab.of_design] builds hashtable-backed symbol tables for the
     design's functions, memory objects, streams and globals in one
     traversal, plus per-function port groups, memoized parameter tables
-    and memoized streamed-output signatures. {!Validate.check} and
-    {!Analysis} run on this index with O(1) lookups.
+    and memoized streamed-output signatures. {!Validate},
+    {!Config_tree}, {!Analysis} and the cost model
+    ([Tytra_cost.Resource_model], [Tytra_cost.Throughput],
+    [Tytra_cost.Report]) run on this index with O(1) lookups. A derived
+    DSE variant is indexed once, by [Tytra_front.Lower.derive_sym], and
+    validated and costed on that one index (DESIGN.md §10.6).
 
     Name collisions are recorded (first declaration wins, matching the
     [List.find_opt] semantics of the plain-AST lookups) so the validator
     can report duplicates without a separate pass. *)
 
 open Ast
+
+(* every table is keyed on a name: a monomorphic string table hashes and
+   compares without the polymorphic primitives *)
+module Tbl = Hashtbl.Make (String)
 
 (** A duplicate declaration found while indexing: [what] is the entity
     class ("function", "memory object", …), [name] the colliding name,
@@ -26,16 +34,16 @@ type dup = { dup_what : string; dup_name : string; dup_pos : int }
 
 type t = {
   sy_design : design;
-  sy_funcs : (string, func) Hashtbl.t;
-  sy_mems : (string, mem_obj) Hashtbl.t;
-  sy_streams : (string, stream_obj) Hashtbl.t;
-  sy_globals : (string, global) Hashtbl.t;
-  sy_ports : (string, port list) Hashtbl.t;
+  sy_funcs : func Tbl.t;
+  sy_mems : mem_obj Tbl.t;
+  sy_streams : stream_obj Tbl.t;
+  sy_globals : global Tbl.t;
+  sy_ports : port list Tbl.t;
       (** ports grouped by function, declaration order *)
   sy_dups : dup list;  (** duplicate declarations, design order *)
   (* memoized derived facts, filled on first use *)
-  sy_params : (string, (string, Ty.t) Hashtbl.t) Hashtbl.t;
-  sy_outputs : (string, (string * Ty.t) list) Hashtbl.t;
+  sy_params : Ty.t Tbl.t Tbl.t;
+  sy_outputs : (string * Ty.t) list Tbl.t;
 }
 
 let design t = t.sy_design
@@ -43,13 +51,13 @@ let design t = t.sy_design
 let of_design (d : design) : t =
   let dups = ref [] in
   let index what name_of xs =
-    let tbl = Hashtbl.create (2 * List.length xs) in
+    let tbl = Tbl.create (2 * List.length xs) in
     List.iteri
       (fun pos x ->
         let n = name_of x in
-        if Hashtbl.mem tbl n then
+        if Tbl.mem tbl n then
           dups := { dup_what = what; dup_name = n; dup_pos = pos } :: !dups
-        else Hashtbl.add tbl n x)
+        else Tbl.add tbl n x)
       xs;
     tbl
   in
@@ -57,14 +65,14 @@ let of_design (d : design) : t =
   let mems = index "memory object" (fun m -> m.mo_name) d.d_mems in
   let streams = index "stream object" (fun s -> s.so_name) d.d_streams in
   let globals = index "global" (fun g -> g.g_name) d.d_globals in
-  let ports = Hashtbl.create 64 in
+  let ports = Tbl.create 64 in
   (* group per function preserving declaration order *)
   List.iter
     (fun p ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt ports p.pt_fun) in
-      Hashtbl.replace ports p.pt_fun (p :: prev))
+      let prev = Option.value ~default:[] (Tbl.find_opt ports p.pt_fun) in
+      Tbl.replace ports p.pt_fun (p :: prev))
     d.d_ports;
-  Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) ports;
+  Tbl.filter_map_inplace (fun _ l -> Some (List.rev l)) ports;
   {
     sy_design = d;
     sy_funcs = funcs;
@@ -73,16 +81,16 @@ let of_design (d : design) : t =
     sy_globals = globals;
     sy_ports = ports;
     sy_dups = List.rev !dups;
-    sy_params = Hashtbl.create 16;
-    sy_outputs = Hashtbl.create 16;
+    sy_params = Tbl.create 16;
+    sy_outputs = Tbl.create 16;
   }
 
 (** {2 O(1) lookups} *)
 
-let find_func t name = Hashtbl.find_opt t.sy_funcs name
-let find_mem t name = Hashtbl.find_opt t.sy_mems name
-let find_stream t name = Hashtbl.find_opt t.sy_streams name
-let find_global t name = Hashtbl.find_opt t.sy_globals name
+let find_func t name = Tbl.find_opt t.sy_funcs name
+let find_mem t name = Tbl.find_opt t.sy_mems name
+let find_stream t name = Tbl.find_opt t.sy_streams name
+let find_global t name = Tbl.find_opt t.sy_globals name
 
 let find_func_exn t name =
   match find_func t name with
@@ -94,7 +102,7 @@ let find_func_exn t name =
 
 (** Ports declared for function [fname], declaration order. *)
 let ports_of t fname =
-  Option.value ~default:[] (Hashtbl.find_opt t.sy_ports fname)
+  Option.value ~default:[] (Tbl.find_opt t.sy_ports fname)
 
 let duplicates t = t.sy_dups
 
@@ -103,26 +111,25 @@ let duplicates t = t.sy_dups
     is O(n), not O(n²). *)
 let param_ty t (f : func) (p : string) : Ty.t option =
   let tbl =
-    match Hashtbl.find_opt t.sy_params f.fn_name with
+    match Tbl.find_opt t.sy_params f.fn_name with
     | Some tbl -> tbl
     | None ->
-        let tbl = Hashtbl.create (2 * List.length f.fn_params) in
+        let tbl = Tbl.create (2 * List.length f.fn_params) in
         List.iter
-          (fun (n, ty) ->
-            if not (Hashtbl.mem tbl n) then Hashtbl.add tbl n ty)
+          (fun (n, ty) -> if not (Tbl.mem tbl n) then Tbl.add tbl n ty)
           f.fn_params;
-        Hashtbl.replace t.sy_params f.fn_name tbl;
+        Tbl.replace t.sy_params f.fn_name tbl;
         tbl
   in
-  Hashtbl.find_opt tbl p
+  Tbl.find_opt tbl p
 
 (** Streamed outputs of [f] (see {!Ast.func_outputs}), memoized — a
     replicated design resolves the shared PE's outputs once per design
     instead of once per call site. *)
 let func_outputs t (f : func) : (string * Ty.t) list =
-  match Hashtbl.find_opt t.sy_outputs f.fn_name with
+  match Tbl.find_opt t.sy_outputs f.fn_name with
   | Some outs -> outs
   | None ->
       let outs = Ast.func_outputs f in
-      Hashtbl.replace t.sy_outputs f.fn_name outs;
+      Tbl.replace t.sy_outputs f.fn_name outs;
       outs

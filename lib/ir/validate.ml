@@ -14,14 +14,16 @@
       match callee declarations;
     - an acyclic call graph rooted at [@main].
 
-    {!check} is one traversal in source order over a {!Symtab} index
-    with O(1) lookups; errors come back in source order with identical
-    (loc, msg) pairs deduplicated (DESIGN.md §10).
+    {!check_sym} is one traversal in source order over a {!Symtab}
+    index with O(1) lookups; errors come back in source order with
+    identical (loc, msg) pairs deduplicated (DESIGN.md §10). {!check}
+    indexes a design and runs it.
 
-    {!check_delta} is the derived-variant entry point: it validates a
-    design whose processing-element bodies are already-validated
-    templates ({!Tytra_front.Lower.derive}), re-checking only the
-    per-variant delta — Manage-IR, top-level wiring and call sites. *)
+    {!check_delta_sym} is the derived-variant entry point: it validates
+    a design whose processing-element bodies are already-validated
+    templates ([Tytra_front.Lower.derive_sym]), re-checking only the
+    per-variant delta — Manage-IR, top-level wiring and call sites — on
+    the index the cost model then reuses (DESIGN.md §10.6). *)
 
 open Ast
 
@@ -43,14 +45,21 @@ let result_ty op ty =
 (* One pass over the Symtab index, errors in source order              *)
 (* ------------------------------------------------------------------ *)
 
+module Tbl = Symtab.Tbl
+
+(* An entry of a function's SSA table. A name declared as a parameter
+   stays a valid offset source even after a local reassigns it (an SSA
+   error of its own); the entry's type is the latest definition's. *)
+type binding = Param of Ty.t | Local of Ty.t
+
 (* Operand check against the indexed globals; [env] is the per-function
-   SSA environment. *)
+   SSA table. *)
 let check_operand errs loc (sy : Symtab.t) ~env ~expect (o : operand) =
   match o with
   | Var v -> (
-      match Hashtbl.find_opt env v with
+      match Tbl.find_opt env v with
       | None -> err errs loc "use of undefined local %%%s" v
-      | Some t ->
+      | Some (Param t | Local t) ->
           if not (Ty.equal t expect) then
             err errs loc "operand %%%s has type %s, expected %s" v
               (Ty.to_string t) (Ty.to_string expect))
@@ -78,20 +87,30 @@ let check_operand errs loc (sy : Symtab.t) ~env ~expect (o : operand) =
 
 (* Body check of one function: SSA discipline, types, call wiring and
    kind shape, in one walk. The SSA environment only grows along the
-   body, so one mutable table per function holds it. *)
+   body, so one mutable table per function holds it, parameters
+   included. *)
 let check_func errs (sy : Symtab.t) (f : func) =
   let loc = "@" ^ f.fn_name in
-  let params = Hashtbl.create (2 * List.length f.fn_params) in
-  let env = Hashtbl.create (2 * (List.length f.fn_params + 8)) in
+  let env = Tbl.create (2 * (List.length f.fn_params + 8)) in
+  (* parameters come first, so a name already in [env] is a duplicate
+     parameter; the later declaration's type wins *)
   List.iter
     (fun (n, t) ->
-      if Hashtbl.mem params n then
-        err errs loc "duplicate %s %S" "parameter" n
-      else Hashtbl.add params n ();
-      Hashtbl.replace env n t;
+      if Tbl.mem env n then err errs loc "duplicate %s %S" "parameter" n;
+      Tbl.replace env n (Param t);
       if not (Ty.valid t) then
         err errs loc "parameter %%%s has invalid type %s" n (Ty.to_string t))
     f.fn_params;
+  let reassigned n =
+    if Tbl.mem env n then err errs loc "local %%%s reassigned (SSA)" n
+  in
+  (* (re)define [n] at [ty], keeping a parameter's tag *)
+  let define n ty =
+    Tbl.replace env n
+      (match Tbl.find_opt env n with
+      | Some (Param _) -> Param ty
+      | Some (Local _) | None -> Local ty)
+  in
   List.iter
     (fun i ->
         (* kind-specific body shape, checked at the instruction *)
@@ -111,13 +130,16 @@ let check_func errs (sy : Symtab.t) (f : func) =
         | Offset { dst; ty; src; off = _ } ->
             if f.fn_kind = Comb then
               err errs loc "offset %%%s not allowed in comb function" dst;
-            if Hashtbl.mem env dst then err errs loc "local %%%s reassigned (SSA)" dst;
+            reassigned dst;
             (match src with
-            | Var v when Hashtbl.mem params v -> ()
-            | Var v -> err errs loc "offset source %%%s must be a stream parameter" v
+            | Var v -> (
+                match Tbl.find_opt env v with
+                | Some (Param _) -> ()
+                | Some (Local _) | None ->
+                    err errs loc "offset source %%%s must be a stream parameter" v)
             | _ -> err errs loc "offset source must be a stream parameter");
             check_operand errs loc sy ~env ~expect:ty src;
-            Hashtbl.replace env dst ty
+            define dst ty
         | Assign { dst; ty; op; args } ->
             if not (Ty.valid ty) then
               err errs loc "instruction at invalid type %s" (Ty.to_string ty);
@@ -139,8 +161,8 @@ let check_func errs (sy : Symtab.t) (f : func) =
             let rty = result_ty op ty in
             (match dst with
             | Dlocal n ->
-                if Hashtbl.mem env n then err errs loc "local %%%s reassigned (SSA)" n;
-                Hashtbl.replace env n rty
+                reassigned n;
+                define n rty
             | Dglobal g -> (
                 match Symtab.find_global sy g with
                 | None -> err errs loc "assignment to undeclared global @%s" g
@@ -177,9 +199,9 @@ let check_func errs (sy : Symtab.t) (f : func) =
                 else
                   List.iter2
                     (fun r (_, rty) ->
-                      if Hashtbl.mem env r then
+                      if Tbl.mem env r then
                         err errs loc "local %%%s reassigned (SSA)" r
-                      else Hashtbl.add env r rty)
+                      else Tbl.add env r (Local rty))
                     rets
                     (List.filteri (fun i _ -> i < List.length rets) outs)))
     f.fn_body
@@ -187,21 +209,21 @@ let check_func errs (sy : Symtab.t) (f : func) =
 (* Detect call-graph cycles reachable from any function, O(1) callee
    resolution. *)
 let check_recursion errs (sy : Symtab.t) =
-  let color = Hashtbl.create 16 in
+  let color = Tbl.create 16 in
   (* 0 = white, 1 = grey, 2 = black *)
   let rec visit name =
-    match Hashtbl.find_opt color name with
+    match Tbl.find_opt color name with
     | Some 1 -> err errs ("@" ^ name) "recursive call cycle through @%s" name
     | Some 2 -> ()
     | _ -> (
-        Hashtbl.replace color name 1;
+        Tbl.replace color name 1;
         (match Symtab.find_func sy name with
         | None -> ()
         | Some f ->
             List.iter
               (function Call { callee; _ } -> visit callee | _ -> ())
               f.fn_body);
-        Hashtbl.replace color name 2)
+        Tbl.replace color name 2)
   in
   List.iter (fun f -> visit f.fn_name) (Symtab.design sy).d_funcs
 
@@ -222,8 +244,8 @@ let dedup_errors (es : error list) : error list =
 (* The single source-order pass. [skip_body f] suppresses the
    per-instruction body walk of function [f] (derived variants whose PE
    bodies come from an already-validated template). *)
-let check_indexed ?(skip_body = fun _ -> false) (d : design) : error list =
-  let sy = Symtab.of_design d in
+let check_indexed ~skip_body (sy : Symtab.t) : error list =
+  let d = Symtab.design sy in
   let errs = ref [] in
   (* [report_dups what loc i n] reports the [i]th declaration of class
      [what], named [n], if the index recorded it as a duplicate *)
@@ -317,24 +339,28 @@ let check_indexed ?(skip_body = fun _ -> false) (d : design) : error list =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** [check d] validates [d], returning all errors found (empty on
-    success), in source order with identical (loc, msg) pairs
-    deduplicated. *)
-let check (d : design) : error list =
+(** [check_sym sy] validates the indexed design, returning all errors
+    found (empty on success), in source order with identical (loc, msg)
+    pairs deduplicated. *)
+let check_sym (sy : Symtab.t) : error list =
   Tytra_telemetry.Span.with_ ~name:"ir.validate"
-    ~attrs:[ ("design", Tytra_telemetry.Span.Str d.d_name) ]
-  @@ fun () -> check_indexed d
+    ~attrs:[ ("design", Tytra_telemetry.Span.Str (Symtab.design sy).d_name) ]
+  @@ fun () -> check_indexed ~skip_body:(fun _ -> false) sy
 
-(** [check_delta ~trusted d] — validate [d] skipping the per-instruction
-    body walk of the functions named in [trusted] (their bodies are
-    shared with an already-validated template design, physically or
-    structurally). Everything else — Manage-IR, wiring functions, call
-    sites into trusted functions, the call graph — is checked in full.
-    Counts one [ir.validate.fast_hits] per skipped body. *)
-let check_delta ~(trusted : string list) (d : design) : error list =
+(** [check d] — {!check_sym} on a fresh index of [d]. *)
+let check (d : design) : error list = check_sym (Symtab.of_design d)
+
+(** [check_delta_sym ~trusted sy] — validate the indexed design skipping
+    the per-instruction body walk of the functions named in [trusted]
+    (their bodies are shared with an already-validated template design,
+    physically or structurally). Everything else — Manage-IR, wiring
+    functions, call sites into trusted functions, the call graph — is
+    checked in full. Counts one [ir.validate.fast_hits] per skipped
+    body. *)
+let check_delta_sym ~(trusted : string list) (sy : Symtab.t) : error list =
   Tytra_telemetry.Span.with_ ~name:"ir.validate"
     ~attrs:
-      [ ("design", Tytra_telemetry.Span.Str d.d_name);
+      [ ("design", Tytra_telemetry.Span.Str (Symtab.design sy).d_name);
         ("delta", Tytra_telemetry.Span.Bool true) ]
   @@ fun () ->
   let skipped = ref 0 in
@@ -343,11 +369,16 @@ let check_delta ~(trusted : string list) (d : design) : error list =
     if s then incr skipped;
     s
   in
-  let errors = check_indexed ~skip_body d in
+  let errors = check_indexed ~skip_body sy in
   if !skipped > 0 then
     Tytra_telemetry.Metrics.add "ir.validate.fast_hits"
       (float_of_int !skipped);
   errors
+
+(** [check_delta ~trusted d] — {!check_delta_sym} on a fresh index of
+    [d]. *)
+let check_delta ~trusted (d : design) : error list =
+  check_delta_sym ~trusted (Symtab.of_design d)
 
 (** [check_exn d] raises [Invalid_argument] with a report if [d] is
     invalid; otherwise returns [d] (handy for pipelining). *)

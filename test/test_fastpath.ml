@@ -140,6 +140,84 @@ let test_validator_agrees_on_broken () =
                 (fun s -> { s with Ast.so_mem = "nosuch" })
                 d.Ast.d_streams;
           });
+    ];
+  (* edge cases of the per-function SSA table: the ordered error list is
+     pinned as well as the oracle's set *)
+  let ui18 = Ty.UInt 18 in
+  let on_f0 g d =
+    {
+      d with
+      Ast.d_funcs =
+        List.map
+          (fun f -> if f.Ast.fn_name = "f0" then g f else f)
+          d.Ast.d_funcs;
+    }
+  in
+  List.iter
+    (fun (label, broken, expected) ->
+      check_agree label broken;
+      Alcotest.(check (list string))
+        (label ^ ": ordered errors")
+        expected
+        (List.map Validate.error_to_string (Validate.check broken)))
+    [
+      (* the later declaration's type wins for the body's uses *)
+      ( "duplicate parameter",
+        on_f0
+          (fun f ->
+            {
+              f with
+              Ast.fn_params = f.Ast.fn_params @ [ ("rhs", Ty.UInt 32) ];
+            })
+          d,
+        [ "@f0: duplicate parameter \"rhs\"";
+          "@f0: operand %rhs has type ui32, expected ui18";
+          "@f1: call to @f0 with 10 arguments, expected 11" ] );
+      (* a parameter stays an offset source after a local reassigns it;
+         the operand takes the local's type *)
+      ( "local reassigns a stream parameter",
+        on_f0
+          (fun f ->
+            {
+              f with
+              Ast.fn_body =
+                Ast.Assign
+                  { dst = Ast.Dlocal "p"; ty = ui18; op = Ast.CmpLt;
+                    args = [ Ast.Var "p"; Ast.Imm 1L ] }
+                :: Ast.Offset
+                     { dst = "pp"; ty = ui18; src = Ast.Var "p"; off = 2 }
+                :: f.Ast.fn_body;
+            })
+          d,
+        [ "@f0: local %p reassigned (SSA)";
+          "@f0: operand %p has type bool, expected ui18" ] );
+      (* parameters are per function, not per function name *)
+      ( "two functions named f0",
+        {
+          d with
+          Ast.d_funcs =
+            d.Ast.d_funcs
+            @ [
+                {
+                  Ast.fn_name = "f0";
+                  fn_params = [ ("q", ui18) ];
+                  fn_kind = Ast.Pipe;
+                  fn_body =
+                    [
+                      Ast.Offset
+                        { dst = "q1"; ty = ui18; src = Ast.Var "q"; off = 1 };
+                      Ast.Offset
+                        { dst = "p1"; ty = ui18; src = Ast.Var "p"; off = 1 };
+                      Ast.Assign
+                        { dst = Ast.Dlocal "out_q"; ty = ui18; op = Ast.Mov;
+                          args = [ Ast.Var "q1" ] };
+                    ];
+                };
+              ];
+        },
+        [ "design: duplicate function \"f0\"";
+          "@f0: offset source %p must be a stream parameter";
+          "@f0: use of undefined local %p" ] );
     ]
 
 let test_errors_in_source_order () =
@@ -267,20 +345,24 @@ let test_annealer_no_drift () =
 
 (* ---- DSE selections equal a from-scratch lowering of every variant ---- *)
 
+(* the printed report carries Fmax, utilization, walls and balance, so
+   a sweep that costs each point on the index its derivation built must
+   match Report.evaluate on the from-scratch design field for field *)
 let signature pts =
   List.map
     (fun p ->
       ( Transform.to_string p.Tytra_dse.Dse.dp_variant,
         Tytra_dse.Dse.ekit p,
         Tytra_dse.Dse.area p,
-        Pprint.design_to_string p.Tytra_dse.Dse.dp_design ))
+        Pprint.design_to_string p.Tytra_dse.Dse.dp_design,
+        Tytra_cost.Report.to_string p.Tytra_dse.Dse.dp_report ))
     pts
 
 let test_dse_selections_identical () =
   let p = Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 () in
   let config =
     { Tytra_dse.Dse.default_config with
-      max_lanes = 8; use_cache = false; prune = false }
+      max_lanes = 8; max_vec = 4; use_cache = false; prune = false }
   in
   Tytra_dse.Dse.clear_cache ();
   let swept = Tytra_dse.Dse.explore ~config p in
@@ -302,6 +384,13 @@ let test_dse_selections_identical () =
     ( Option.map (fun b -> signature [ b ]) (Tytra_dse.Dse.best pts),
       signature (Tytra_dse.Dse.pareto pts) )
   in
+  Alcotest.(check bool) "vectorised variants swept" true
+    (List.exists
+       (fun p ->
+         match p.Tytra_dse.Dse.dp_variant with
+         | Transform.ParVecPipe _ -> true
+         | _ -> false)
+       swept);
   Alcotest.(check bool) "every point identical" true
     (signature swept = signature lowered);
   let best_swept, pareto_swept = selections swept in
