@@ -870,15 +870,14 @@ let e10 () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* E12: batched, sharded serving                                       *)
+(* E12: sharded serving                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Phase 1 runs in-process and is deterministic (exact batch counters,
-   byte-identity gauge). Phase 2 spawns real `tybec serve` processes —
-   single-process vs 2- and 4-shard fronts, batched vs unbatched — and
-   drives them over HTTP in closed and open loop; it is gated behind
-   finding the CLI binary and publishes bench.e12.http_measured so the
-   perf guard knows whether the throughput figures exist. *)
+(* Spawns real `tybec serve` processes — a single-process front and 2-
+   and 4-shard fronts — and drives them over HTTP in closed and open
+   loop. Gated behind finding the CLI binary; publishes
+   bench.e12.http_measured so the perf guard knows whether the
+   throughput figures exist. *)
 
 let e12_http_post ?(meth = "POST") sockaddr path body =
   let fd = Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0 in
@@ -952,7 +951,7 @@ let e12_wait_ready sockaddr ~timeout_s =
   go ()
 
 let e12 () =
-  hr "E12: batched, sharded serving - batch amortization + multi-shard front";
+  hr "E12: sharded serving";
   let device = Tytra_device.Device.stratixv_gsd8 in
   let sor_src =
     Tytra_ir.Pprint.design_to_string
@@ -964,8 +963,7 @@ let e12 () =
       (Lower.lower (Tytra_kernels.Hotspot.program ~rows:32 ~cols:32 ())
          Transform.Pipe)
   in
-  (* four distinct request shapes; the batch workload interleaves four
-     copies so every batch of 16 carries exactly 12 dedupable repeats *)
+  (* four distinct request shapes, sent round-robin by every client *)
   let mix =
     [
       Engine.Check { source = Engine.Inline sor_src };
@@ -982,49 +980,8 @@ let e12 () =
           form = Tytra_cost.Throughput.FormB; nki = 10; optimize = false };
     ]
   in
-  let batches = 4 in
-  let workload = List.concat (List.init batches (fun _ -> mix)) in
-  (* 16 items per dispatched batch: the whole workload replayed once *)
-  let batch_workload = List.concat (List.init batches (fun _ -> workload)) in
-  let seq_engine = Engine.create Engine.default_config in
-  let seq_of reqs =
-    List.map
-      (fun req ->
-        match Engine.submit seq_engine req with
-        | Ok r -> r.Engine.rs_text
-        | Error e -> failwith ("E12 sequential: " ^ Engine.error_message e))
-      reqs
-  in
-  ignore (seq_of workload) (* prewarm parse + stage cache *);
-  let reference, seq_s = time_s (fun () -> seq_of batch_workload) in
-  let batch_engine = Engine.create Engine.default_config in
-  ignore
-    (Engine.submit_batch batch_engine (List.map Engine.batch_item workload));
-  let batched, batch_s =
-    time_s (fun () ->
-        List.concat
-          (List.init batches (fun _ ->
-               Engine.submit_batch batch_engine
-                 (List.map Engine.batch_item workload))))
-  in
-  let batch_texts =
-    List.map
-      (function
-        | Ok r -> r.Engine.rs_text
-        | Error e -> failwith ("E12 batch: " ^ Engine.error_message e))
-      batched
-  in
-  let identical = batch_texts = reference in
-  Format.printf
-    "in-process: %d warm requests, sequential %.1f ms vs batched %.1f ms \
-     (16 per dispatch, 12/16 deduped in-batch); responses byte-identical: \
-     %b@."
-    (List.length batch_workload) (seq_s *. 1e3) (batch_s *. 1e3) identical;
-  Tytra_telemetry.Metrics.set "bench.e12.batch_identical"
-    (if identical then 1.0 else 0.0);
   Tytra_telemetry.Metrics.set "bench.e12.cores"
     (float_of_int (Tytra_exec.Pool.default_jobs ()));
-  (* ---- phase 2: real servers over HTTP ---- *)
   let tybec =
     let guess =
       Filename.concat
@@ -1042,19 +999,17 @@ let e12 () =
   | Some exe ->
       let wire_mix = List.map Tytra_engine.Protocol.encode_request mix in
       let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-      let run_config ~shards ~batched =
+      let run_config ~shards =
         let port = e12_free_port () in
         let addr = Printf.sprintf "127.0.0.1:%d" port in
         let sockaddr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
         let args =
           [ exe; "serve"; "--addr"; addr; "--workers"; "2"; "--queue-cap";
             "64"; "--jobs"; "1" ]
-          @ (if shards > 1 then
-               [ "--shards"; string_of_int shards; "--admin-addr";
-                 Printf.sprintf "127.0.0.1:%d" (e12_free_port ()) ]
-             else [])
           @
-          if batched then [ "--batch-window-ms"; "0.2"; "--batch-max"; "16" ]
+          if shards > 1 then
+            [ "--shards"; string_of_int shards; "--admin-addr";
+              Printf.sprintf "127.0.0.1:%d" (e12_free_port ()) ]
           else []
         in
         let pid =
@@ -1075,8 +1030,8 @@ let e12 () =
               List.map (fun w -> snd (e12_http_post sockaddr "/v1/submit" w))
                 wire_mix
             in
-            (* closed loop: 8 client domains — enough concurrency for the
-               batch window to actually coalesce arrivals per shard *)
+            (* closed loop: 8 client domains, enough to keep every shard
+               of a 4-shard front busy *)
             let clients = 8 and per_client = 12 in
             let client () =
               List.init per_client (fun i ->
@@ -1119,14 +1074,9 @@ let e12 () =
               ( canonical, req_s, p50, p99,
                 percentile open_lats 50, percentile open_lats 99 )
       in
-      let configs =
-        [ (1, false); (1, true); (2, false); (2, true); (4, false); (4, true) ]
-      in
+      let configs = [ 1; 2; 4 ] in
       let results =
-        List.map
-          (fun (shards, batched) ->
-            ((shards, batched), run_config ~shards ~batched))
-          configs
+        List.map (fun shards -> (shards, run_config ~shards)) configs
       in
       Unix.close devnull;
       let measured =
@@ -1157,17 +1107,13 @@ let e12 () =
             identical
       | [] -> ());
       Format.printf
-        " shards batch |   req/s   p50(ms)  p99(ms) | open p50  open p99@.";
+        " shards |   req/s   p50(ms)  p99(ms) | open p50  open p99@.";
       List.iter
-        (fun ((shards, batched), (_, req_s, p50, p99, op50, op99)) ->
-          Format.printf "   %d    %-5s | %7.0f  %7.3f  %7.3f | %7.3f  %7.3f@."
-            shards
-            (if batched then "on" else "off")
-            req_s (p50 *. 1e3) (p99 *. 1e3) (op50 *. 1e3) (op99 *. 1e3);
-          let prefix =
-            Printf.sprintf "bench.e12.shards%d.%s" shards
-              (if batched then "batched" else "unbatched")
-          in
+        (fun (shards, (_, req_s, p50, p99, op50, op99)) ->
+          Format.printf "   %d    | %7.0f  %7.3f  %7.3f | %7.3f  %7.3f@."
+            shards req_s (p50 *. 1e3) (p99 *. 1e3) (op50 *. 1e3)
+            (op99 *. 1e3);
+          let prefix = Printf.sprintf "bench.e12.shards%d" shards in
           List.iter
             (fun (k, v) -> Tytra_telemetry.Metrics.set (prefix ^ "." ^ k) v)
             [

@@ -775,23 +775,6 @@ let serve_cmd =
              admin address aggregates /metrics, /metrics.json and \
              /healthz across them.")
   in
-  let batch_window_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "batch-window-ms" ] ~docv:"MS"
-          ~doc:
-            "Enable request batching: hold arriving check/cost/synth/sim \
-             requests up to MS milliseconds (or --batch-max requests) and \
-             evaluate the window in one pool dispatch, deduplicating \
-             identical requests. Overrides \\$(b,TYTRA_BATCH) \
-             (\"off\", \"WINDOW\" or \"WINDOW:MAX\").")
-  in
-  let batch_max_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "batch-max" ] ~docv:"N"
-          ~doc:"Max requests per batch window (default 16).")
-  in
   let admin_addr_arg =
     Arg.(
       value & opt (some string) None
@@ -824,8 +807,8 @@ let serve_cmd =
           ~doc:
             "Default evaluation budget for requests that carry no \
              deadline_ms of their own: the request is answered with a \
-             typed deadline_exceeded / timeout error instead of running \
-             unboundedly. A request's own deadline_ms always wins.")
+             typed timeout error instead of running unboundedly. A \
+             request's own deadline_ms always wins.")
   in
   let cache_journal_arg =
     Arg.(
@@ -847,9 +830,8 @@ let serve_cmd =
              before the supervisor marks it dead; 5s of healthy uptime \
              resets the count.")
   in
-  let run () addr workers queue_cap jobs shards batch_window_ms batch_max
-      admin_addr shard_child shard_admin deadline_default_ms cache_journal
-      restart_budget =
+  let run () addr workers queue_cap jobs shards admin_addr shard_child
+      shard_admin deadline_default_ms cache_journal restart_budget =
     guarded @@ fun () ->
     traced "serve" @@ fun () ->
     let jobs = if jobs = 0 then Tytra_exec.Pool.default_jobs () else jobs in
@@ -865,15 +847,13 @@ let serve_cmd =
             | Tytra_engine.Shards.Child_reuseport -> (true, None)
             | Tytra_engine.Shards.Child_fd fd -> (false, Some fd)
           in
-          Tytra_engine.Daemon.run ~config ~workers ~queue_cap
-            ?batch_window_ms ?batch_max ~reuseport ?listen_fd
-            ?admin_addr:shard_admin ?deadline_default_ms ?cache_journal
-            ~addr ()
+          Tytra_engine.Daemon.run ~config ~workers ~queue_cap ~reuseport
+            ?listen_fd ?admin_addr:shard_admin ?deadline_default_ms
+            ?cache_journal ~addr ()
       | None ->
           if shards <= 1 then
-            Tytra_engine.Daemon.run ~config ~workers ~queue_cap
-              ?batch_window_ms ?batch_max ?admin_addr ?deadline_default_ms
-              ?cache_journal ~addr ()
+            Tytra_engine.Daemon.run ~config ~workers ~queue_cap ?admin_addr
+              ?deadline_default_ms ?cache_journal ~addr ()
           else begin
             let is_unix =
               String.length addr > 5 && String.sub addr 0 5 = "unix:"
@@ -910,12 +890,6 @@ let serve_cmd =
                    "--queue-cap"; string_of_int queue_cap;
                    "--jobs"; string_of_int jobs;
                  ]
-                @ (match batch_window_ms with
-                  | Some w -> [ "--batch-window-ms"; string_of_float w ]
-                  | None -> [])
-                @ (match batch_max with
-                  | Some m -> [ "--batch-max"; string_of_int m ]
-                  | None -> [])
                 @ (match deadline_default_ms with
                   | Some d ->
                       [ "--deadline-default-ms"; string_of_float d ]
@@ -949,14 +923,14 @@ let serve_cmd =
          "Serve the cost model as a long-lived daemon: POST /v1/submit \
           speaks the versioned JSON protocol (DESIGN.md §13); /metrics and \
           /healthz answer on the same port. --shards N scales to a \
-          multi-process front, --batch-window-ms batches request \
-          evaluation, and \"stream\":true on an explore answers JSONL \
-          progress frames (DESIGN.md §15). SIGTERM drains gracefully.")
+          multi-process front, and \"stream\":true on an explore \
+          answers JSONL progress frames (DESIGN.md §15). SIGTERM drains \
+          gracefully.")
     Term.(
       const run $ observability_term $ addr_arg $ workers_arg $ queue_cap_arg
-      $ jobs_arg $ shards_arg $ batch_window_arg $ batch_max_arg
-      $ admin_addr_arg $ shard_child_arg $ shard_admin_arg
-      $ deadline_default_arg $ cache_journal_arg $ restart_budget_arg)
+      $ jobs_arg $ shards_arg $ admin_addr_arg $ shard_child_arg
+      $ shard_admin_arg $ deadline_default_arg $ cache_journal_arg
+      $ restart_budget_arg)
 
 (* ---- import (legacy front ends) ---- *)
 

@@ -8,22 +8,16 @@
     is the server's bounded worker queue: when it is full, connections
     are answered [429] without touching the engine.
 
-    Two serving upgrades ride on the same routes (DESIGN.md §15):
-
-    - {b Batching} — when enabled ([TYTRA_BATCH] / [--batch-window-ms])
-      the batchable ops (check/cost/synth/sim) go through a {!Batcher}
-      instead of calling {!Engine.submit} directly, so concurrent
-      requests coalesce into one pool dispatch and identical requests
-      in one window collapse to one evaluation.
-    - {b Streamed progress} — a [POST /v1/submit] whose body carries
-      ["stream":true] on an [explore] is answered as JSONL progress
-      frames followed by one result frame (protocol minor 1), written
-      incrementally as the sweep advances.
+    Every decoded request goes straight to {!Engine.submit}. A
+    [POST /v1/submit] whose body carries ["stream":true] on an
+    [explore] is answered as JSONL progress frames followed by one
+    result frame (protocol minor 1), written incrementally as the sweep
+    advances (DESIGN.md §15).
 
     {!run} blocks until SIGTERM/SIGINT, then drains gracefully: the
     listener stops accepting, every request already accepted is
-    answered, the batcher flushes, the workers join, and the accounting
-    line is printed — whereupon the CLI exits 0. *)
+    answered, the workers join, and the accounting line is printed —
+    whereupon the CLI exits 0. *)
 
 module Serve = Tytra_telemetry.Serve
 
@@ -34,41 +28,6 @@ let json_response status body =
     rs_body = body ^ "\n";
   }
 
-(* [TYTRA_BATCH]: "off"/"0"/"" disables, "W" = window in ms, "W:M" =
-   window + max batch size. *)
-let parse_batch_spec s : (float * int) option =
-  match String.lowercase_ascii (String.trim s) with
-  | "" | "0" | "off" | "no" | "false" -> None
-  | spec -> (
-      match String.split_on_char ':' spec with
-      | [ w ] -> (
-          match float_of_string_opt w with
-          | Some w when w >= 0.0 -> Some (w, 16)
-          | _ -> None)
-      | [ w; m ] -> (
-          match (float_of_string_opt w, int_of_string_opt m) with
-          | Some w, Some m when w >= 0.0 && m >= 1 -> Some (w, m)
-          | _ -> None)
-      | _ -> None)
-
-(* CLI flags beat the environment; either source enables batching. *)
-let resolve_batch ?window_ms ?max_size () : (float * int) option =
-  let env =
-    Option.bind (Sys.getenv_opt "TYTRA_BATCH") parse_batch_spec
-  in
-  let window =
-    match window_ms with Some w -> Some w | None -> Option.map fst env
-  in
-  match window with
-  | None -> None
-  | Some w ->
-      let m =
-        match max_size with
-        | Some m -> m
-        | None -> ( match env with Some (_, m) -> m | None -> 16)
-      in
-      Some (Float.max 0.0 w, max 1 m)
-
 (* The request's own deadline always wins; [--deadline-default-ms] only
    fills in for frames that carry none, so old clients get a budget
    without resending anything. *)
@@ -76,22 +35,6 @@ let effective_deadline ?default_deadline_s (d : Protocol.decoded_request) =
   match d.Protocol.dq_deadline_s with
   | Some _ as s -> s
   | None -> default_deadline_s
-
-let submit_via ?batcher ?default_deadline_s eng
-    (d : Protocol.decoded_request) =
-  let deadline_s = effective_deadline ?default_deadline_s d in
-  let batchable =
-    (* explores fan out on the pool themselves; batching them serializes
-       their inner parallelism for no dedup benefit *)
-    match d.Protocol.dq_request with Engine.Explore _ -> false | _ -> true
-  in
-  match batcher with
-  | Some b when batchable ->
-      Batcher.submit ?deadline_s ~retries:d.Protocol.dq_retries b
-        d.Protocol.dq_request
-  | _ ->
-      Engine.submit ?deadline_s ~retries:d.Protocol.dq_retries eng
-        d.Protocol.dq_request
 
 (* Wire-level failures — the server gave up before (or instead of)
    reaching the engine — rendered as typed protocol errors, so a client
@@ -110,8 +53,8 @@ let wire_error (status : int) : Serve.response option =
     (fun e -> json_response status (Protocol.encode_error e))
     err
 
-let handler ?batcher ?default_deadline_s (eng : Engine.t)
-    (rq : Serve.request) : Serve.response option =
+let handler ?default_deadline_s (eng : Engine.t) (rq : Serve.request) :
+    Serve.response option =
   match (rq.Serve.rq_meth, rq.Serve.rq_path) with
   | "POST", "/v1/submit" ->
       Some
@@ -120,7 +63,11 @@ let handler ?batcher ?default_deadline_s (eng : Engine.t)
             (json_response (Protocol.http_status err)
                (Protocol.encode_error err))
         | Ok d -> (
-            match submit_via ?batcher ?default_deadline_s eng d with
+            match
+              Engine.submit
+                ?deadline_s:(effective_deadline ?default_deadline_s d)
+                ~retries:d.Protocol.dq_retries eng d.Protocol.dq_request
+            with
             | Ok resp ->
                 json_response 200
                   (Protocol.encode_response
@@ -140,7 +87,7 @@ let handler ?batcher ?default_deadline_s (eng : Engine.t)
 (* Streaming is consulted before the handler: only a well-formed
    [explore] with ["stream":true] streams; every other body (including
    undecodable ones) falls through to the plain handler and its error
-   rendering. Streamed requests bypass the batcher by construction. *)
+   rendering. *)
 let streamer ?default_deadline_s (eng : Engine.t) (rq : Serve.request) :
     Serve.stream option =
   match (rq.Serve.rq_meth, rq.Serve.rq_path) with
@@ -173,8 +120,8 @@ let streamer ?default_deadline_s (eng : Engine.t) (rq : Serve.request) :
   | _ -> None
 
 let run ?(config = Engine.default_config) ?(workers = 4) ?(queue_cap = 64)
-    ?batch_window_ms ?batch_max ?(reuseport = false) ?listen_fd ?admin_addr
-    ?deadline_default_ms ?cache_journal ~addr () =
+    ?(reuseport = false) ?listen_fd ?admin_addr ?deadline_default_ms
+    ?cache_journal ~addr () =
   (* the service exists to be scraped: metrics are always live here *)
   Tytra_telemetry.Control.set_enabled true;
   let config =
@@ -186,14 +133,9 @@ let run ?(config = Engine.default_config) ?(workers = 4) ?(queue_cap = 64)
     Option.map (fun ms -> Float.max 0.0 ms /. 1000.0) deadline_default_ms
   in
   let eng = Engine.create config in
-  let batcher =
-    Option.map
-      (fun (w, m) -> Batcher.create ~window_ms:w ~max_size:m eng)
-      (resolve_batch ?window_ms:batch_window_ms ?max_size:batch_max ())
-  in
   let sv =
     Serve.start
-      ~handler:(handler ?batcher ?default_deadline_s eng)
+      ~handler:(handler ?default_deadline_s eng)
       ~streamer:(streamer ?default_deadline_s eng)
       ~error_responder:wire_error ~workers ~queue_cap ~reuseport ?listen_fd
       ~addr ()
@@ -202,13 +144,8 @@ let run ?(config = Engine.default_config) ?(workers = 4) ?(queue_cap = 64)
      second (usually unix-socket) server, so the parent aggregator can
      scrape each shard even though they share the public port *)
   let admin = Option.map (fun a -> Serve.start ~addr:a ()) admin_addr in
-  Printf.eprintf "tybec: engine serving on %s (workers %d, queue %d%s)\n%!"
-    (Serve.bound_addr sv) workers queue_cap
-    (match batcher with
-    | None -> ""
-    | Some b ->
-        Printf.sprintf ", batch %gms/%d" (Batcher.window_ms b)
-          (Batcher.max_size b));
+  Printf.eprintf "tybec: engine serving on %s (workers %d, queue %d)\n%!"
+    (Serve.bound_addr sv) workers queue_cap;
   let stopping = Atomic.make false in
   let on_stop = Sys.Signal_handle (fun _ -> Atomic.set stopping true) in
   Sys.set_signal Sys.sigterm on_stop;
@@ -217,10 +154,7 @@ let run ?(config = Engine.default_config) ?(workers = 4) ?(queue_cap = 64)
     try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
   prerr_endline "tybec: drain: stopped accepting, answering in-flight requests";
-  (* order matters: stop admitting first, then flush the batcher so the
-     final window answers everything the server already accepted *)
   Serve.stop sv;
-  Option.iter Batcher.stop batcher;
   Option.iter Serve.stop admin;
   Printf.eprintf "tybec: served %d requests (%d rejected)\n%!"
     (Serve.requests_served sv)

@@ -1,21 +1,16 @@
 (** [tybec serve] — the cost model as a long-lived service.
 
     Public interface of [Tytra_engine.Daemon]. See [daemon.ml] for the
-    route table, batching/streaming behavior and drain contract. *)
+    route table, streaming behavior and drain contract. *)
 
 val handler :
-  ?batcher:Batcher.t ->
-  ?default_deadline_s:float ->
-  Engine.t ->
-  Tytra_telemetry.Serve.handler
-(** The route table: [POST /v1/submit] (the {!Protocol} codec),
-    [GET /v1/protocol]; everything else falls through to the built-in
-    metrics routes. With [batcher], the batchable ops
-    (check/cost/synth/sim) are submitted through it instead of
-    {!Engine.submit}. [default_deadline_s] is applied to requests that
-    carry no deadline of their own (the frame's own [deadline_ms]
-    always wins). Exposed so tests can mount an engine on an
-    ephemeral-port server directly. *)
+  ?default_deadline_s:float -> Engine.t -> Tytra_telemetry.Serve.handler
+(** The route table: [POST /v1/submit] (the {!Protocol} codec, answered
+    by {!Engine.submit}), [GET /v1/protocol]; everything else falls
+    through to the built-in metrics routes. [default_deadline_s] is
+    applied to requests that carry no deadline of their own (the
+    frame's own [deadline_ms] always wins). Exposed so tests can mount
+    an engine on an ephemeral-port server directly. *)
 
 val streamer :
   ?default_deadline_s:float -> Engine.t -> Tytra_telemetry.Serve.streamer
@@ -33,17 +28,10 @@ val wire_error : int -> Tytra_telemetry.Serve.response option
     client ever reads off the socket is protocol JSON. Unknown statuses
     return [None] (plain-text fallback). *)
 
-val parse_batch_spec : string -> (float * int) option
-(** Parse a [TYTRA_BATCH] value: ["off"]/["0"]/[""] → [None],
-    ["W"] → window of W ms with the default max size (16),
-    ["W:M"] → window + max batch size. Malformed specs read as off. *)
-
 val run :
   ?config:Engine.config ->
   ?workers:int ->
   ?queue_cap:int ->
-  ?batch_window_ms:float ->
-  ?batch_max:int ->
   ?reuseport:bool ->
   ?listen_fd:Unix.file_descr ->
   ?admin_addr:string ->
@@ -52,16 +40,13 @@ val run :
   addr:string ->
   unit ->
   unit
-(** [run ?config ?workers ?queue_cap ?batch_window_ms ?batch_max
-    ?reuseport ?listen_fd ?admin_addr ?deadline_default_ms
-    ?cache_journal ~addr ()] — create an engine, serve it on [addr]
-    ([HOST:PORT], [:PORT], [PORT] or [unix:PATH]) with [workers]
-    domains and a bounded queue of [queue_cap] connections (full queue
-    ⇒ typed 429), and block until SIGTERM/SIGINT.
+(** [run ?config ?workers ?queue_cap ?reuseport ?listen_fd ?admin_addr
+    ?deadline_default_ms ?cache_journal ~addr ()] — create an engine,
+    serve it on [addr] ([HOST:PORT], [:PORT], [PORT] or [unix:PATH])
+    with [workers] domains and a bounded queue of [queue_cap]
+    connections (full queue ⇒ typed 429), and block until
+    SIGTERM/SIGINT.
 
-    Batching is enabled when [batch_window_ms] is given or the
-    [TYTRA_BATCH] environment variable holds a non-off spec (flags beat
-    the environment; [batch_max] defaults to the spec's or 16).
     [reuseport]/[listen_fd] pass through to {!Tytra_telemetry.Serve.start}
     for multi-shard fronts ({!Shards}); [admin_addr] additionally serves
     the plain metrics routes on a second address (each shard's private
@@ -75,5 +60,5 @@ val run :
     ([--cache-journal], DESIGN.md §16).
 
     On signal: graceful drain — stop accepting, answer everything in
-    flight, flush the batcher, join, print the served/rejected
-    accounting. Returns normally so the CLI exits 0. *)
+    flight, join, print the served/rejected accounting. Returns
+    normally so the CLI exits 0. *)

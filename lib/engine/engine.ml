@@ -141,10 +141,6 @@ type error =
   | Parse_error of string      (** source unreadable or not TyTra-IR *)
   | Validation_error of string (** parsed but statically invalid *)
   | Timeout_error of float     (** request-level cooperative deadline expired *)
-  | Deadline_exceeded of float
-      (** deadline budget exhausted {e before} evaluation started
-          (batch-window admission, queue expiry) — the request was
-          never run, so retrying with a larger budget is safe *)
   | Request_too_large of int   (** request body exceeded the wire cap (bytes) *)
   | Internal_error of string   (** an exception escaped the evaluation *)
   | Overloaded                 (** serve-side admission control shed this request *)
@@ -154,15 +150,12 @@ type error =
 let exit_code = function
   | Bad_request _ | Parse_error _ | Request_too_large _ -> 2
   | Validation_error _ -> 3
-  | Timeout_error _ | Deadline_exceeded _ | Internal_error _ | Overloaded -> 1
+  | Timeout_error _ | Internal_error _ | Overloaded -> 1
 
 let error_message = function
   | Bad_request m | Parse_error m | Validation_error m | Internal_error m -> m
   | Timeout_error allotted ->
       Printf.sprintf "request deadline exceeded (%g s)" allotted
-  | Deadline_exceeded budget ->
-      Printf.sprintf
-        "deadline budget (%g s) exhausted before evaluation started" budget
   | Request_too_large cap ->
       Printf.sprintf "request body exceeds the %d-byte limit" cap
   | Overloaded -> "engine overloaded, retry later"
@@ -173,7 +166,6 @@ let error_kind = function
   | Parse_error _ -> "parse"
   | Validation_error _ -> "validation"
   | Timeout_error _ -> "timeout"
-  | Deadline_exceeded _ -> "deadline_exceeded"
   | Request_too_large _ -> "request_too_large"
   | Internal_error _ -> "internal"
   | Overloaded -> "overloaded"
@@ -572,7 +564,7 @@ let source_key = function
   | File path ->
       Option.map (fun text -> [ "file"; path; text ]) (read_file_opt path)
 
-let request_key ?(cache_explore = false) (req : request) : string option =
+let request_key ~cache_explore (req : request) : string option =
   let ( let* ) = Option.bind in
   match req with
   | Explore x ->
@@ -643,7 +635,7 @@ let dispatch_cached t ?on_progress req =
           | Error _ -> ());
           r)
 
-let run_one ?deadline_s ?(retries = 0) ?on_progress t req =
+let submit ?deadline_s ?(retries = 0) ?on_progress t req =
   Metrics.incr "engine.requests";
   Span.with_ ~name:"engine.submit"
     ~attrs:[ ("op", Span.Str (op_name req)) ]
@@ -674,76 +666,3 @@ let run_one ?deadline_s ?(retries = 0) ?on_progress t req =
         e
   in
   go 0
-
-let submit ?deadline_s ?retries ?on_progress t req =
-  run_one ?deadline_s ?retries ?on_progress t req
-
-(* ------------------------------------------------------------------ *)
-(* Batched submission                                                  *)
-(* ------------------------------------------------------------------ *)
-
-type batch_item = {
-  bi_request : request;
-  bi_deadline_s : float option;
-  bi_retries : int;
-}
-
-let batch_item ?deadline_s ?(retries = 0) req =
-  { bi_request = req; bi_deadline_s = deadline_s; bi_retries = retries }
-
-(* One pool dispatch for many requests. Items whose (request digest,
-   deadline, retries) triple coincides are deduplicated: the request
-   runs once and every duplicate shares its result — exactly what the
-   response cache would have answered for all but the first, minus the
-   race where identical in-flight requests each miss and each pay the
-   evaluation. Explore requests (and requests over unreadable files)
-   have no digest and are never coalesced. Error isolation is free:
-   [run_one] never raises, so [Pool.map]'s first-exception contract is
-   vacuous and a failing item cannot abort its batchmates. Nested
-   parallelism degrades safely: an [Explore] item fanning out on its own
-   pool inside a worker runs sequentially ([Pool.inside_worker]). *)
-let submit_batch t (items : batch_item list) : (response, error) result list =
-  match items with
-  | [] -> []
-  | _ ->
-      let n = List.length items in
-      Metrics.incr ~by:n "engine.batch.requests";
-      Metrics.incr "engine.batch.dispatches";
-      Metrics.observe "engine.batch.occupancy" (float_of_int n);
-      (* group: first-occurrence order; each group carries one
-         representative item, every item an index into the groups *)
-      let tbl = Hashtbl.create (2 * n) in
-      let reps = ref [] and ngroups = ref 0 in
-      let assign =
-        List.mapi
-          (fun i it ->
-            let key =
-              match request_key it.bi_request with
-              | None -> Printf.sprintf "unique:%d" i
-              | Some digest ->
-                  Printf.sprintf "digest:%s|deadline:%s|retries:%d" digest
-                    (match it.bi_deadline_s with
-                    | None -> "-"
-                    | Some d -> string_of_float d)
-                    it.bi_retries
-            in
-            match Hashtbl.find_opt tbl key with
-            | Some g -> g
-            | None ->
-                let g = !ngroups in
-                Hashtbl.add tbl key g;
-                incr ngroups;
-                reps := it :: !reps;
-                g)
-          items
-      in
-      Metrics.incr ~by:(n - !ngroups) "engine.batch.dedup_hits";
-      let results =
-        Pool.map t.pool
-          (fun it ->
-            run_one ?deadline_s:it.bi_deadline_s ~retries:it.bi_retries t
-              it.bi_request)
-          (List.rev !reps)
-        |> Array.of_list
-      in
-      List.map (fun g -> results.(g)) assign

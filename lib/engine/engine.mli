@@ -101,11 +101,7 @@ type error =
   | Parse_error of string
   | Validation_error of string
   | Timeout_error of float
-      (** the cooperative deadline expired {e during} evaluation *)
-  | Deadline_exceeded of float
-      (** the deadline budget was exhausted {e before} evaluation
-          started (batch-window admission, queue expiry): the request
-          never ran, retrying with a larger budget is safe *)
+      (** the request-level cooperative deadline expired *)
   | Request_too_large of int
       (** the request body exceeded the wire cap (bytes) *)
   | Internal_error of string
@@ -113,15 +109,14 @@ type error =
 
 val exit_code : error -> int
 (** The CLI contract: 2 for bad input/parse/oversize, 3 for validation,
-    1 for internal/timeout/deadline/overload. *)
+    1 for internal/timeout/overload. *)
 
 val error_message : error -> string
 
 val error_kind : error -> string
 (** Stable machine-readable discriminator (the wire ["error"] field):
     "bad_request", "parse", "validation", "timeout",
-    "deadline_exceeded", "request_too_large", "internal",
-    "overloaded". *)
+    "request_too_large", "internal", "overloaded". *)
 
 (** {2 Lifecycle} *)
 
@@ -179,33 +174,6 @@ val submit :
     parse/validation errors are deterministic and never retried);
     [on_progress] receives live sweep coverage for [Explore] requests.
     Never raises. *)
-
-(** {2 Batched submission} *)
-
-type batch_item = {
-  bi_request : request;
-  bi_deadline_s : float option;  (** per-request cooperative deadline *)
-  bi_retries : int;              (** per-request transient retry budget *)
-}
-
-val batch_item : ?deadline_s:float -> ?retries:int -> request -> batch_item
-(** [batch_item ?deadline_s ?retries req] — one slot of a batch, with
-    the same per-request knobs as {!submit} (retries default 0). *)
-
-val submit_batch : t -> batch_item list -> (response, error) result list
-(** [submit_batch t items] — run many requests in one pool dispatch,
-    answers in input order. Items whose full request digest {e and}
-    deadline/retries coincide are deduplicated within the batch: the
-    request runs once and every duplicate shares the result (so
-    [engine.requests] counts evaluations dispatched, not items
-    submitted). [Explore] items are never coalesced and may not batch
-    well (each fans out internally); the daemon keeps them out of
-    batches. Error isolation matches {!submit}: a failing item yields
-    its own [Error] and cannot abort its batchmates. Never raises.
-
-    Telemetry: [engine.batch.requests] (items), [engine.batch.dispatches]
-    (calls), [engine.batch.dedup_hits] (items − unique groups), and the
-    [engine.batch.occupancy] histogram (items per call). *)
 
 val load_design :
   t -> source -> (Tytra_ir.Ast.design, error) result

@@ -21,10 +21,12 @@
     Minor version 2 (additive): the ["deadline_ms"] request budget
     (preferred over the legacy ["deadline_s"] when both are present —
     millisecond wire precision matches what serving deadlines actually
-    are) and the ["deadline_exceeded"]/["request_too_large"] error
-    kinds. Old clients never send the field and decode the new error
-    objects through the same ["error"]/["exit_code"]/["message"] shape
-    as every other kind. *)
+    are) and the ["request_too_large"] error kind. Old clients never
+    send the field and decode the new error objects through the same
+    ["error"]/["exit_code"]/["message"] shape as every other kind.
+    Minor 2 also introduced a ["deadline_exceeded"] kind that is no
+    longer emitted: a spent budget answers ["timeout"], with the same
+    HTTP 504 and exit code 1. *)
 
 module J = Tytra_telemetry.Jsenc
 
@@ -355,7 +357,7 @@ let http_status = function
   | Engine.Bad_request _ -> 400
   | Engine.Request_too_large _ -> 413
   | Engine.Parse_error _ | Engine.Validation_error _ -> 422
-  | Engine.Timeout_error _ | Engine.Deadline_exceeded _ -> 504
+  | Engine.Timeout_error _ -> 504
   | Engine.Overloaded -> 429
   | Engine.Internal_error _ -> 500
 

@@ -12,9 +12,11 @@ val version_minor : int
 (** Additive revision within {!version}. Minor 1 added the ["stream"]
     request flag and the progress/result frame vocabulary; minor 2
     added the ["deadline_ms"] request budget and the
-    ["deadline_exceeded"]/["request_too_large"] error kinds. Decoders
-    never check it (additive changes are compatible by construction),
-    clients read it from [GET /v1/protocol] for capability discovery. *)
+    ["request_too_large"] error kind (its ["deadline_exceeded"] kind is
+    no longer emitted: a spent budget answers ["timeout"], with the
+    same HTTP 504 and exit code). Decoders never check it (additive
+    changes are compatible by construction), clients read it from
+    [GET /v1/protocol] for capability discovery. *)
 
 (** {2 Requests} *)
 
@@ -59,8 +61,7 @@ val encode_error : Engine.error -> string
 val http_status : Engine.error -> int
 (** HTTP status for an error reply: 400 bad request, 413 oversized
     body, 422 rejected design (parse/validation), 429 shed load, 504
-    deadline (expired mid-evaluation or exhausted before admission),
-    500 internal. *)
+    request deadline expired, 500 internal. *)
 
 (** What a client gets back from one exchange. *)
 type reply =

@@ -2,7 +2,7 @@
     [tybec serve --shards N].
 
     Public interface of [Tytra_engine.Shards]. Each shard is a full
-    {!Daemon} process (own engine, pool, caches, batcher); the parent
+    {!Daemon} process (own engine, pool and caches); the parent
     binds or brokers the shared listen socket, supervises the children
     (health probes, postmortem dumps, exponential-backoff restarts
     under a budget, SIGKILL of hung shards, a circuit breaker shedding

@@ -46,11 +46,11 @@ let jobs t = t.pool_jobs
 (* ------------------------------------------------------------------ *)
 
 (* Set while a domain is executing pool work. A [map] issued from inside
-   a worker (e.g. an explore sweep running within a batched engine
-   request) must not fan out again: the nested spawn would
-   oversubscribe the machine jobs-fold and, once pools hold queues or
-   other shared resources, deadlock against the dispatch that is waiting
-   on this very item. Nested maps therefore degrade to the sequential
+   a worker (a pooled item that runs a parallel sub-computation of its
+   own) must not fan out again: the nested spawn would oversubscribe
+   the machine jobs-fold and, once pools hold queues or other shared
+   resources, deadlock against the dispatch that is waiting on this
+   very item. Nested maps therefore degrade to the sequential
    short-circuit on the worker's own domain. *)
 let in_worker_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 

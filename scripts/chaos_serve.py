@@ -17,8 +17,8 @@ the supervisor's aggregated endpoint of a `--shards N` front):
               → typed 408 when the server's read deadline fires
   slowloris   headers dribbled byte-by-byte → typed 408, concurrently
   partial     valid bytes in tiny delayed writes → typed 200
-  deadline    deadline_ms=1 on a real evaluation → typed
-              deadline_exceeded / timeout, HTTP 504
+  deadline    deadline_ms=1 on a real evaluation → typed timeout,
+              HTTP 504 (or a typed ok when a warm cache hit wins)
   sigkill     SIGKILL a shard mid-streamed-explore (pid from the
               supervisor's /metrics.json): frames received up to the
               kill parse as JSON, the socket closes instead of hanging,
@@ -366,8 +366,8 @@ def phase_deadline(addr, verbose):
     obj = exchange(addr, http(cost_request(deadline_ms=1)), what="deadline")
     if obj is not None and obj.get("status") == "error":
         kind = obj.get("error")
-        if kind not in ("deadline_exceeded", "timeout"):
-            fail(f"deadline: expected deadline_exceeded/timeout, got {kind}")
+        if kind != "timeout":
+            fail(f"deadline: expected timeout, got {kind}")
     # a 1ms budget may still win the race on a warm cache hit — a typed
     # ok is acceptable, an untyped anything is not
     if verbose:

@@ -639,10 +639,23 @@ let test_serve_malformed_is_typed () =
       (Protocol.encode_request (cost_inline invalid))
   in
   Alcotest.(check int) "422" 422 (status_of raw);
-  match Protocol.decode_reply (body_of raw) with
+  (match Protocol.decode_reply (body_of raw) with
   | Ok (Protocol.Reply_error { re_kind; re_exit_code; _ }) ->
       Alcotest.(check string) "kind" "validation" re_kind;
       Alcotest.(check int) "exit code" 3 re_exit_code
+  | Ok _ -> Alcotest.fail "expected error reply"
+  | Error m -> Alcotest.failf "reply decode: %s" m);
+  (* a spent budget on a request this fresh server has never answered
+     runs into the engine's deadline: a typed 504 timeout *)
+  let raw =
+    http_request sa "POST" "/v1/submit"
+      (Protocol.encode_request ~deadline_ms:0.0 (cost_inline sor_inline))
+  in
+  Alcotest.(check int) "504" 504 (status_of raw);
+  match Protocol.decode_reply (body_of raw) with
+  | Ok (Protocol.Reply_error { re_kind; re_exit_code; _ }) ->
+      Alcotest.(check string) "kind" "timeout" re_kind;
+      Alcotest.(check int) "exit code" 1 re_exit_code
   | Ok _ -> Alcotest.fail "expected error reply"
   | Error m -> Alcotest.failf "reply decode: %s" m
 
@@ -745,150 +758,6 @@ let test_serve_drain_answers_inflight () =
     clients;
   Alcotest.(check int) "all three served" 3 (Serve.requests_served sv);
   Tytra_telemetry.Control.set_enabled false
-
-(* ------------------------------------------------------------------ *)
-(* Batching                                                            *)
-(* ------------------------------------------------------------------ *)
-
-module Batcher = Tytra_engine.Batcher
-
-let counter name =
-  Option.value ~default:0.0 (Tytra_telemetry.Metrics.counter_value name)
-
-let with_metrics f =
-  Tytra_telemetry.Control.set_enabled true;
-  Fun.protect ~finally:(fun () -> Tytra_telemetry.Control.set_enabled false) f
-
-(* A batch of five requests with three distinct digests: the batch path
-   must dedup the duplicates, dispatch once per group, and hand back
-   byte-identical results in submission order. *)
-let test_submit_batch_identity () =
-  with_metrics @@ fun () ->
-  let workload =
-    [
-      Engine.Check { source = Engine.Inline sor_inline };
-      cost_inline sor_inline;
-      cost_inline hotspot_inline;
-      cost_inline sor_inline;
-      Engine.Check { source = Engine.Inline sor_inline };
-    ]
-  in
-  let reference =
-    let eng = Engine.create Engine.default_config in
-    List.map
-      (fun req ->
-        match Engine.submit eng req with
-        | Ok r -> r.Engine.rs_text
-        | Error e -> Alcotest.failf "reference: %s" (Engine.error_message e))
-      workload
-  in
-  let eng = Engine.create Engine.default_config in
-  let requests0 = counter "engine.batch.requests" in
-  let dispatches0 = counter "engine.batch.dispatches" in
-  let dedup0 = counter "engine.batch.dedup_hits" in
-  let results = Engine.submit_batch eng (List.map Engine.batch_item workload) in
-  Alcotest.(check int) "one result per item" (List.length workload)
-    (List.length results);
-  List.iteri
-    (fun i r ->
-      match r with
-      | Ok resp ->
-          Alcotest.(check string)
-            (Printf.sprintf "item %d byte-identical to sequential" i)
-            (List.nth reference i) resp.Engine.rs_text
-      | Error e ->
-          Alcotest.failf "item %d failed: %s" i (Engine.error_message e))
-    results;
-  Alcotest.(check (float 0.)) "batch counted all items" 5.0
-    (counter "engine.batch.requests" -. requests0);
-  Alcotest.(check (float 0.)) "one dispatch" 1.0
-    (counter "engine.batch.dispatches" -. dispatches0);
-  Alcotest.(check (float 0.)) "two duplicates coalesced" 2.0
-    (counter "engine.batch.dedup_hits" -. dedup0);
-  (* a second identical batch is absorbed by the response cache: one
-     exact hit per dispatched group, nothing recomputed *)
-  let s0 = Engine.response_cache_stats eng in
-  let again = Engine.submit_batch eng (List.map Engine.batch_item workload) in
-  List.iteri
-    (fun i r ->
-      match r with
-      | Ok resp ->
-          Alcotest.(check string)
-            (Printf.sprintf "replayed item %d identical" i)
-            (List.nth reference i) resp.Engine.rs_text
-      | Error e ->
-          Alcotest.failf "replayed item %d failed: %s" i
-            (Engine.error_message e))
-    again;
-  let s1 = Engine.response_cache_stats eng in
-  Alcotest.(check int) "one response-cache hit per group" 3
-    (s1.Tytra_exec.Cache.st_hits - s0.Tytra_exec.Cache.st_hits);
-  Alcotest.(check int) "no new miss"
-    s0.Tytra_exec.Cache.st_misses s1.Tytra_exec.Cache.st_misses
-
-(* A poisoned item in the middle of a batch fails alone: its neighbours
-   still succeed, and positions are preserved. *)
-let test_submit_batch_error_isolation () =
-  let eng = Engine.create Engine.default_config in
-  let items =
-    [
-      Engine.batch_item (cost_inline sor_inline);
-      Engine.batch_item (cost_inline "this is not a design");
-      Engine.batch_item (cost_inline hotspot_inline);
-    ]
-  in
-  match Engine.submit_batch eng items with
-  | [ Ok _; Error (Engine.Parse_error _); Ok _ ] -> ()
-  | [ a; b; c ] ->
-      let show = function
-        | Ok _ -> "ok"
-        | Error e -> "error:" ^ Engine.error_kind e
-      in
-      Alcotest.failf "wrong shape: [%s; %s; %s]" (show a) (show b) (show c)
-  | l -> Alcotest.failf "expected 3 results, got %d" (List.length l)
-
-(* Four concurrent clients submitting the same request through the
-   batcher must coalesce into a single dispatch of a single group, and
-   a stopped batcher sheds deterministically. *)
-let test_batcher_coalesces () =
-  with_metrics @@ fun () ->
-  let eng = Engine.create Engine.default_config in
-  let b = Batcher.create ~window_ms:500.0 ~max_size:4 eng in
-  let dispatches0 = counter "engine.batch.dispatches" in
-  let dedup0 = counter "engine.batch.dedup_hits" in
-  let req = cost_inline sor_inline in
-  let clients =
-    List.init 4 (fun _ -> Domain.spawn (fun () -> Batcher.submit b req))
-  in
-  let results = List.map Domain.join clients in
-  let texts =
-    List.map
-      (function
-        | Ok r -> r.Engine.rs_text
-        | Error e -> Alcotest.failf "batched submit: %s" (Engine.error_message e))
-      results
-  in
-  (match texts with
-  | first :: rest ->
-      List.iter
-        (fun t -> Alcotest.(check string) "coalesced answers identical" first t)
-        rest
-  | [] -> Alcotest.fail "no results");
-  Alcotest.(check (float 0.)) "single dispatch for the burst" 1.0
-    (counter "engine.batch.dispatches" -. dispatches0);
-  Alcotest.(check (float 0.)) "three duplicates deduped" 3.0
-    (counter "engine.batch.dedup_hits" -. dedup0);
-  Batcher.stop b;
-  (* stop is idempotent and post-stop submissions are shed, not queued *)
-  Batcher.stop b;
-  let rejected0 = counter "engine.batch.rejected" in
-  (match Batcher.submit b req with
-  | Error Engine.Overloaded -> ()
-  | Error e ->
-      Alcotest.failf "expected overloaded, got %s" (Engine.error_kind e)
-  | Ok _ -> Alcotest.fail "stopped batcher accepted a request");
-  Alcotest.(check (float 0.)) "shed request counted" 1.0
-    (counter "engine.batch.rejected" -. rejected0)
 
 (* ------------------------------------------------------------------ *)
 (* Streamed progress over the wire                                     *)
@@ -1033,34 +902,6 @@ let test_response_cache_concurrent () =
     (s'.Tytra_exec.Cache.st_size <= 2)
 
 (* ------------------------------------------------------------------ *)
-(* Batch-window spec parsing                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_parse_batch_spec () =
-  let check spec expected =
-    let show = function
-      | None -> "off"
-      | Some (w, m) -> Printf.sprintf "%g:%d" w m
-    in
-    Alcotest.(check string)
-      (Printf.sprintf "spec %S" spec)
-      (show expected)
-      (show (Daemon.parse_batch_spec spec))
-  in
-  check "off" None;
-  check "0" None;
-  check "" None;
-  check "no" None;
-  check "false" None;
-  check "2" (Some (2.0, 16));
-  check "2.5" (Some (2.5, 16));
-  check "2:32" (Some (2.0, 32));
-  check "0.5:8" (Some (0.5, 8));
-  check "garbage" None;
-  check "-1" None;
-  check "2:0" None
-
-(* ------------------------------------------------------------------ *)
 (* Deadline propagation (protocol minor 2)                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1112,6 +953,12 @@ let deadline_fuzz_qcheck =
   QCheck.Test.make ~count:300 ~name:"deadline fields decode totally"
     QCheck.(pair (option (float_bound_exclusive 1e6)) (option (float_bound_exclusive 1e6)))
     (fun (s, ms) ->
+      (* the body carries each budget at 6 decimals, so the decoded
+         budget is compared with the value actually sent *)
+      let sent =
+        Option.map (fun v -> float_of_string (Printf.sprintf "%.6f" v))
+      in
+      let s = sent s and ms = sent ms in
       let field name = function
         | None -> ""
         | Some v -> Printf.sprintf {|,"%s":%.6f|} name v
@@ -1134,10 +981,10 @@ let deadline_fuzz_qcheck =
           | Some a, Some b -> Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 b
           | _ -> false))
 
-let test_new_error_kinds () =
+let test_timeout_oversize_kinds () =
   let cases =
     [
-      (Engine.Deadline_exceeded 0.25, "deadline_exceeded", 1, 504);
+      (Engine.Timeout_error 0.25, "timeout", 1, 504);
       (Engine.Request_too_large 8_388_608, "request_too_large", 2, 413);
     ]
   in
@@ -1153,87 +1000,6 @@ let test_new_error_kinds () =
       | Ok _ -> Alcotest.fail "expected an error reply"
       | Error m -> Alcotest.failf "decode_reply failed: %s" m)
     cases
-
-(* Admission: a budget no larger than the batch window can never be
-   answered in time and is refused up front, typed. *)
-let test_batcher_deadline_admission () =
-  with_metrics @@ fun () ->
-  let eng = Engine.create Engine.default_config in
-  let b = Batcher.create ~window_ms:50.0 ~max_size:4 eng in
-  Fun.protect
-    ~finally:(fun () -> Batcher.stop b)
-    (fun () ->
-      let rejected0 = counter "engine.batch.deadline_rejected" in
-      (match Batcher.submit ~deadline_s:0.01 b (cost_inline sor_inline) with
-      | Error (Engine.Deadline_exceeded budget) ->
-          Alcotest.(check (float 1e-9)) "typed budget" 0.01 budget
-      | Error e ->
-          Alcotest.failf "expected Deadline_exceeded, got %s"
-            (Engine.error_kind e)
-      | Ok _ -> Alcotest.fail "under-budget request was admitted");
-      Alcotest.(check (float 0.)) "rejection counted" 1.0
-        (counter "engine.batch.deadline_rejected" -. rejected0);
-      (* an ample budget sails through the same batcher *)
-      match Batcher.submit ~deadline_s:30.0 b (cost_inline sor_inline) with
-      | Ok _ -> ()
-      | Error e ->
-          Alcotest.failf "ample budget refused: %s" (Engine.error_message e))
-
-(* Queued expiry, deterministically: the dispatcher is pinned inside a
-   [submit_batch] evaluation that blocks opening a FIFO nobody writes
-   to; a request parked behind it expires while waiting and must be
-   answered with a typed [Deadline_exceeded] instead of being
-   evaluated late. *)
-let test_batcher_deadline_expiry () =
-  with_metrics @@ fun () ->
-  let fifo =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tytra-test-fifo-%d" (Unix.getpid ()))
-  in
-  (try Unix.unlink fifo with Unix.Unix_error _ -> ());
-  Unix.mkfifo fifo 0o600;
-  Fun.protect
-    ~finally:(fun () -> try Unix.unlink fifo with Unix.Unix_error _ -> ())
-    (fun () ->
-      let eng = Engine.create Engine.default_config in
-      let b = Batcher.create ~window_ms:0.0 ~max_size:1 eng in
-      let expired0 = counter "engine.batch.deadline_expired" in
-      (* the blocker: Check on the FIFO stalls its dispatch until we
-         feed the pipe *)
-      let blocker =
-        Domain.spawn (fun () ->
-            Batcher.submit b (Engine.Check { source = Engine.File fifo }))
-      in
-      (* wait until the dispatcher is actually stuck in the open() *)
-      Unix.sleepf 0.2;
-      let victim =
-        Domain.spawn (fun () ->
-            Batcher.submit ~deadline_s:0.05 b (cost_inline sor_inline))
-      in
-      (* let the victim's budget run out while it is parked *)
-      Unix.sleepf 0.3;
-      (* unblock the dispatcher: hold the FIFO open read+write for the
-         rest of the test so every engine open of it succeeds at once
-         (the engine may open the source more than once — digest and
-         parse) and each read sees an empty source, answered typed *)
-      let wfd = Unix.openfile fifo [ Unix.O_RDWR ] 0 in
-      let victim_result = Domain.join victim in
-      let blocker_result = Domain.join blocker in
-      Batcher.stop b;
-      Unix.close wfd;
-      (match victim_result with
-      | Error (Engine.Deadline_exceeded budget) ->
-          Alcotest.(check (float 1e-9)) "typed with its budget" 0.05 budget
-      | Error e ->
-          Alcotest.failf "expected Deadline_exceeded, got %s"
-            (Engine.error_kind e)
-      | Ok _ -> Alcotest.fail "expired request was evaluated anyway");
-      Alcotest.(check (float 0.)) "expiry counted" 1.0
-        (counter "engine.batch.deadline_expired" -. expired0);
-      (* the blocker itself must still get a typed answer, not a hang *)
-      match blocker_result with
-      | Ok _ | Error _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Crash-safe warm state: the response-cache journal                   *)
@@ -1403,28 +1169,17 @@ let suite =
       test_serve_backpressure;
     Alcotest.test_case "serve: drain answers in-flight requests" `Quick
       test_serve_drain_answers_inflight;
-    Alcotest.test_case "batch: dedup + byte-identity + exact counters" `Slow
-      test_submit_batch_identity;
-    Alcotest.test_case "batch: errors are isolated per item" `Quick
-      test_submit_batch_error_isolation;
-    Alcotest.test_case "batcher: concurrent burst coalesces to one dispatch"
-      `Slow test_batcher_coalesces;
     Alcotest.test_case "serve: streamed explore emits progress frames" `Slow
       test_serve_streamed_explore;
     Alcotest.test_case "serve: streaming is strictly opt-in" `Quick
       test_serve_stream_flag_opt_in;
     Alcotest.test_case "response cache: exact stats under a 4-domain storm"
       `Slow test_response_cache_concurrent;
-    Alcotest.test_case "TYTRA_BATCH spec parsing" `Quick test_parse_batch_spec;
     Alcotest.test_case "deadline_ms codec: precedence + back-compat" `Quick
       test_deadline_ms_codec;
     QCheck_alcotest.to_alcotest deadline_fuzz_qcheck;
-    Alcotest.test_case "deadline_exceeded/request_too_large are typed" `Quick
-      test_new_error_kinds;
-    Alcotest.test_case "batcher: hopeless budgets refused at admission" `Quick
-      test_batcher_deadline_admission;
-    Alcotest.test_case "batcher: queued requests expire typed" `Slow
-      test_batcher_deadline_expiry;
+    Alcotest.test_case "timeout/request_too_large are typed" `Quick
+      test_timeout_oversize_kinds;
     Alcotest.test_case "journal: append/load round-trip" `Quick
       test_journal_roundtrip;
     Alcotest.test_case "journal: torn tails and foreign files tolerated" `Quick
