@@ -15,7 +15,9 @@
       exposes. So
       {[ usage(pes) = usage(1) + (pes - 1) * per_lane(1) ]}
       holds {e exactly} under the model for ParPipe/ParVecPipe variants,
-      and [usage_lb] below is in fact the precise usage. It is still
+      and [usage_lb] below is in fact the precise usage: it comes from
+      {!Resource_model.replicate}, as the estimate of
+      {!Report.replicate} does. It is still
       only used as a lower bound ([b_fits = false] proves the real
       variant cannot fit) so the pruning argument never depends on
       exactness.
@@ -60,13 +62,12 @@ let of_baseline ~(device : Tytra_device.Device.t) ~(form : Throughput.form)
     ~(pes : int) (baseline : Report.t) : t =
   let est = baseline.Report.rp_estimate in
   let bd = baseline.Report.rp_breakdown in
-  let usage_lb =
-    Tytra_device.Resources.add est.Resource_model.est_usage
-      (Tytra_device.Resources.scale (pes - 1) est.Resource_model.est_per_lane)
-  in
+  (* the variant's own estimate, as {!Report.replicate} costs it *)
+  let replica = Resource_model.replicate ~device ~pes est in
+  let usage_lb = replica.Resource_model.est_usage in
   let util_lb = Tytra_device.Resources.max_utilization device usage_lb in
   let fits = Tytra_device.Resources.fits device usage_lb in
-  let fmax_ub = Tytra_device.Device.fmax_mhz device ~alut_util:util_lb in
+  let fmax_ub = replica.Resource_model.est_fmax_mhz in
   (* clock stretch vs the baseline: both fill and compute are expressed
      in baseline seconds, so scale them by f_baseline / f_ub ≥ 1 *)
   let ratio =
@@ -95,7 +96,11 @@ let of_baseline ~(device : Tytra_device.Device.t) ~(form : Throughput.form)
      roundings, than [Throughput.ekit] does for the variant, so a variant
      that ties the incumbent can get a bound a few ULPs below its own
      EKIT; [Dse] prunes on a strict [<], which would then drop it. A
-     relative 1e-9 margin keeps the bound above the rounding noise. *)
+     relative 1e-9 margin keeps the bound above the rounding noise.
+     [Report.replicate] gives the exact total, which differs from this
+     sum by up to about 2e-14 relative; the sum stays because the
+     pruner's decisions and the bounds [tybec explore] prints for pruned
+     candidates are made from it. *)
   let margin = 1.0 +. 1e-9 in
   {
     b_pes = pes;

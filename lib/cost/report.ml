@@ -12,13 +12,18 @@
 
     Every stage runs on one {!Tytra_ir.Symtab} index and one
     classification of the configuration tree, both taken once per
-    evaluation by {!evaluate_sym} (DESIGN.md §10.6). *)
+    evaluation by {!evaluate_sym} (DESIGN.md §10.6).
+
+    {!replicate} costs a replicated variant from its one-lane baseline's
+    report in closed form, with no design at all (DESIGN.md §9.1). *)
 
 (** A complete cost-model evaluation of one design variant. *)
 type t = {
   rp_design : string;
   rp_device : string;
   rp_estimate : Resource_model.estimate;
+  rp_inputs : Throughput.inputs;
+      (** the Table-I inputs [rp_breakdown] and [rp_walls] come from *)
   rp_breakdown : Throughput.breakdown;
   rp_walls : Limits.walls;
   rp_balance : Limits.balance_hint;
@@ -34,6 +39,21 @@ let clear_stage_caches () = Resource_model.clear_pe_cache ()
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
 (* ------------------------------------------------------------------ *)
+
+let assemble ~(device : Tytra_device.Device.t) ~name est inputs breakdown
+    walls balance =
+  {
+    rp_design = name;
+    rp_device = device.Tytra_device.Device.dev_name;
+    rp_estimate = est;
+    rp_inputs = inputs;
+    rp_breakdown = breakdown;
+    rp_walls = walls;
+    rp_balance = balance;
+    rp_valid = Tytra_device.Resources.fits device est.Resource_model.est_usage;
+    rp_utilization =
+      Tytra_device.Resources.utilization device est.Resource_model.est_usage;
+  }
 
 (** [evaluate_sym ?device ?calib ?form ?nki sy] — run the complete cost
     model on the indexed design: parse-derived parameters, resource
@@ -64,22 +84,46 @@ let evaluate_sym ?(device = Tytra_device.Device.stratixv_gsd8) ?calib
     Tytra_telemetry.Span.with_ ~name:"cost.limits" (fun () ->
         (Limits.walls ~device ~est ~inputs, Limits.balance_hint ~device ~est))
   in
-  {
-    rp_design = d.Tytra_ir.Ast.d_name;
-    rp_device = device.Tytra_device.Device.dev_name;
-    rp_estimate = est;
-    rp_breakdown = breakdown;
-    rp_walls = walls;
-    rp_balance = balance;
-    rp_valid = Tytra_device.Resources.fits device est.Resource_model.est_usage;
-    rp_utilization =
-      Tytra_device.Resources.utilization device est.Resource_model.est_usage;
-  }
+  assemble ~device ~name:d.Tytra_ir.Ast.d_name est inputs breakdown walls
+    balance
 
 (** [evaluate ?device ?calib ?form ?nki d] — {!evaluate_sym} on a fresh
     index of [d]. *)
 let evaluate ?device ?calib ?form ?nki (d : Tytra_ir.Ast.design) : t =
   evaluate_sym ?device ?calib ?form ?nki (Tytra_ir.Symtab.of_design d)
+
+(** [replicate ~device ~form ~name ~lanes ~vec baseline] — the report
+    of the variant that replicates [baseline]'s one-lane pipelined
+    design to [lanes] lanes of [vec] PEs each, named [name].
+
+    Replication adds identical PE instances and their streams, and
+    leaves every per-kernel-instance input of Table I as it was: NGS,
+    bytes per tuple, [Noff], KPD, the offset element width and the ρ
+    lookups, which take the instance's total traffic. Only KNL, DV and
+    the derated clock move. *)
+let replicate ~(device : Tytra_device.Device.t) ~form ~name ~lanes ~vec
+    (baseline : t) : t =
+  Tytra_telemetry.Span.with_ ~name:"cost.replicate" @@ fun () ->
+  Tytra_telemetry.Metrics.incr "cost.replications";
+  let est =
+    {
+      (Resource_model.replicate ~device ~pes:(lanes * vec)
+         baseline.rp_estimate)
+      with
+      Resource_model.est_design = name;
+    }
+  in
+  let inputs =
+    {
+      baseline.rp_inputs with
+      Throughput.knl = lanes;
+      dv = vec;
+      fd_hz = est.Resource_model.est_fmax_mhz *. 1e6;
+    }
+  in
+  assemble ~device ~name est inputs (Throughput.ekit form inputs)
+    (Limits.walls ~device ~est ~inputs)
+    (Limits.balance_hint ~device ~est)
 
 let pp fmt (r : t) =
   Format.fprintf fmt "=== cost model: %s on %s ===@\n" r.rp_design r.rp_device;

@@ -9,13 +9,21 @@
     Per-function resource costing is memoized (see [resource_model.ml]),
     with hit/miss telemetry under [cost.stage_cache.resource]; Table-I
     parameter extraction and the EKIT expression are recomputed on every
-    call. *)
+    call.
+
+    {!replicate} costs a replicated (ParPipe / ParVecPipe) variant from
+    its one-lane baseline's report in closed form, without its design;
+    the DSE costs every replicated point this way (DESIGN.md §9.1). *)
 
 (** A complete cost-model evaluation of one design variant. *)
 type t = {
   rp_design : string;
   rp_device : string;
   rp_estimate : Resource_model.estimate;
+  rp_inputs : Throughput.inputs;
+      (** the Table-I inputs (paper Table I) that [rp_breakdown] and
+          [rp_walls] were computed from; {!replicate} starts from a
+          baseline's. Not printed by {!pp}. *)
   rp_breakdown : Throughput.breakdown;
   rp_walls : Limits.walls;
   rp_balance : Limits.balance_hint;
@@ -47,6 +55,28 @@ val evaluate :
   t
 (** [evaluate ?device ?calib ?form ?nki d] — {!evaluate_sym} on a fresh
     index of [d]. *)
+
+val replicate :
+  device:Tytra_device.Device.t ->
+  form:Throughput.form ->
+  name:string ->
+  lanes:int ->
+  vec:int ->
+  t ->
+  t
+(** [replicate ~device ~form ~name ~lanes ~vec baseline] — the report of
+    the variant with [lanes] lanes of [vec] PEs each, named [name]
+    (callers take it from [Tytra_front.Lower.design_name]), computed
+    from [baseline], the full report of the same program's [Pipe]
+    variant on the same [device], calibration, [form] and nki.
+
+    Replication adds identical PE instances and leaves every
+    per-kernel-instance figure of Table I unchanged, so the estimate is
+    {!Resource_model.replicate} of the baseline's and the Table-I inputs
+    are [baseline.rp_inputs] with KNL, DV and the derated clock
+    replaced. The result equals {!evaluate_sym} on the replicated
+    design field for field, floats bit-equal, and prints the same.
+    Counts [cost.replications], under a [cost.replicate] span. *)
 
 val stage_cache_stats : unit -> (string * Tytra_exec.Cache.stats) list
 (** Hit/miss/eviction statistics of every cost-model stage cache, as

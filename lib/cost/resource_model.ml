@@ -204,6 +204,11 @@ let clear_pe_cache () =
   Tytra_exec.Cache.clear pe_cache;
   Tytra_exec.Cache.reset_stats pe_cache
 
+(* the utilization-derated clock of a design using [usage] *)
+let fmax_at ~device usage =
+  Tytra_device.Device.fmax_mhz device
+    ~alut_util:(Tytra_device.Resources.max_utilization device usage)
+
 (** [estimate_sym ?device ?cal sy summary] — resource estimate for the
     whole indexed design, whose configuration tree classifies as
     [summary]: every PE instance, its offset windows and delay lines,
@@ -260,15 +265,28 @@ let estimate_sym ?(device = Tytra_device.Device.stratixv_gsd8)
           }
     | [] -> Tytra_device.Resources.zero
   in
-  let util = Tytra_device.Resources.max_utilization device usage in
-  let fmax = Tytra_device.Device.fmax_mhz device ~alut_util:util in
   {
     est_usage = usage;
-    est_fmax_mhz = fmax;
+    est_fmax_mhz = fmax_at ~device usage;
     est_per_lane = per_lane;
     est_device = device.Tytra_device.Device.dev_name;
     est_design = d.Ast.d_name;
   }
+
+(** [replicate ~device ~pes est] — the estimate of the design that
+    replicates the one-lane design of [est] (on the same [device]) to
+    [pes] PE instances: each further instance adds one PE and its
+    streams' control, [usage(1) + (pes - 1) · per_lane(1)], and the
+    clock derates at the new utilization. {!estimate_sym} on the
+    replicated design gives the same figures (DESIGN.md §9.1). The
+    design name stays [est]'s. *)
+let replicate ~(device : Tytra_device.Device.t) ~(pes : int) (est : estimate)
+    : estimate =
+  let usage =
+    Tytra_device.Resources.add est.est_usage
+      (Tytra_device.Resources.scale (pes - 1) est.est_per_lane)
+  in
+  { est with est_usage = usage; est_fmax_mhz = fmax_at ~device usage }
 
 (** [estimate ?device ?cal d] — {!estimate_sym} on a fresh index of [d]
     and its classification. *)

@@ -22,7 +22,12 @@
     fed to a sweep it does not belong to. *)
 
 let magic = "TYTRA-CKPT"
-let version = 1
+
+(* Bump whenever the layout of a marshalled payload changes: a payload
+   unmarshalled at another layout reads out of bounds instead of failing.
+   2: DSE points' reports carry their Table-I inputs
+   ([Report.rp_inputs]). *)
+let version = 2
 
 (** [save ~path ~kind ~meta v] — atomically write [v] as a checkpoint:
     marshal to a sibling temp file, then [Sys.rename] over [path], so a

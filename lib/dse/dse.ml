@@ -3,6 +3,16 @@
     variants" of paper Fig 1, with the selection policy of §VI-A: as many
     lanes as the resources allow, or until the IO bandwidth saturates.
 
+    The paper's estimator analyses the IR of one pipelined lane. Seq and
+    Pipe are costed that way, in full on the index of their derived
+    design. A replicated variant (ParPipe, ParVecPipe) is derived and
+    validated too, so every point carries its design, but it is costed
+    in closed form from its config's Pipe report
+    ({!Tytra_cost.Report.replicate}, DESIGN.md §9.1): replication adds
+    identical PE instances and leaves every per-kernel-instance figure
+    as it was. The Pipe report is evaluated once per config and shared
+    by all its replicated points.
+
     The evaluation loop runs through {!Tytra_exec}: points fan out over a
     Domain pool ([config.jobs]) and every (program, variant, device,
     calibration, form, nki) evaluation is memoized in a process-wide LRU
@@ -74,7 +84,7 @@ type config = {
     Aggregated over every config of a {!sweep_many} batch. *)
 and progress = {
   pr_space : int;      (** variants enumerated across all configs *)
-  pr_evaluated : int;  (** full evaluations completed so far *)
+  pr_evaluated : int;  (** points lowered and costed so far *)
   pr_pruned : int;     (** candidates skipped by bounds so far *)
   pr_failed : int;     (** candidates quarantined so far *)
   pr_restored : int;   (** points adopted from a checkpoint *)
@@ -140,11 +150,34 @@ let template_for ~prog_key (prog : Expr.program) : Lower.template =
     (fun () -> Lower.template prog)
 
 (* Lower one variant by deriving it from the program's template; the
-   index it was validated on is what the point is costed on. *)
+   index it was validated on is what Seq and Pipe are costed on. *)
 let lower_point ~prog_key prog v =
   let sy = Lower.derive_sym (template_for ~prog_key prog) v in
   Tytra_telemetry.Metrics.incr "dse.points_derived";
   sy
+
+(* The Pipe point of one sweep config, which every replicated point of
+   that config is costed from ({!Tytra_cost.Report.replicate}). It is
+   set once, under the lock, by whichever point needs it first — the
+   Pipe point itself or a replicated point that a wave runs before it —
+   so Pipe is evaluated in full once per config at any pool width and
+   in any wave order. A sweep that restores Pipe from a checkpoint
+   starts with it set. *)
+type baseline = {
+  bl_lock : Mutex.t;
+  mutable bl_point : (Tytra_ir.Ast.design * Tytra_cost.Report.t) option;
+}
+
+let new_baseline () = { bl_lock = Mutex.create (); bl_point = None }
+
+let baseline_point bl compute =
+  Mutex.protect bl.bl_lock (fun () ->
+      match bl.bl_point with
+      | Some dr -> dr
+      | None ->
+          let dr = compute () in
+          bl.bl_point <- Some dr;
+          dr)
 
 let point_key ~(config : config) ~prog_key v =
   Tytra_exec.Cache.digest_key
@@ -159,8 +192,11 @@ let point_key ~(config : config) ~prog_key v =
 
 (* Evaluate one variant under a per-point span: lane count, form and the
    resulting EKIT become trace attributes, so a sweep reads as a row of
-   "dse.point" slices in Perfetto (one lane per pool domain). *)
-let eval_point ~(config : config) ~prog_key prog v =
+   "dse.point" slices in Perfetto (one lane per pool domain). Seq and
+   Pipe are costed in full on the index their derivation built; a
+   replicated variant is derived and validated too, but costed in
+   closed form from the config's Pipe report in [baseline]. *)
+let eval_point ~(config : config) ~prog_key ~baseline prog v =
   Tytra_telemetry.Span.with_ ~name:"dse.point"
     ~attrs:
       [ ("variant", Tytra_telemetry.Span.Str (Transform.to_string v));
@@ -171,9 +207,15 @@ let eval_point ~(config : config) ~prog_key prog v =
       ]
   @@ fun () ->
   let computed = ref false in
+  let through_cache v compute =
+    if config.use_cache then
+      Tytra_exec.Cache.find_or_add cache ~key:(point_key ~config ~prog_key v)
+        compute
+    else compute ()
+  in
   (* the index lives only while its point is evaluated: the point and
      the cache keep the design and its report *)
-  let compute () =
+  let evaluate v () =
     computed := true;
     let sy = lower_point ~prog_key prog v in
     let report =
@@ -182,15 +224,27 @@ let eval_point ~(config : config) ~prog_key prog v =
     in
     (Tytra_ir.Symtab.design sy, report)
   in
+  let pipe () =
+    baseline_point baseline (fun () ->
+        through_cache Transform.Pipe (evaluate Transform.Pipe))
+  in
   (* Flight-recorder / event-log detail is gated separately from plain
      metrics: with neither armed, this adds two ref cells and a bool. *)
   let observe = Flightrec.is_enabled () || Tytra_telemetry.Events.active () in
   let t0 = if observe then Tytra_telemetry.Clock.now_ns () else 0L in
   let d, report =
-    if config.use_cache then
-      Tytra_exec.Cache.find_or_add cache ~key:(point_key ~config ~prog_key v)
-        compute
-    else compute ()
+    match v with
+    | Transform.Seq -> through_cache v (evaluate v)
+    | Transform.Pipe -> pipe ()
+    | Transform.ParPipe _ | Transform.ParVecPipe _ ->
+        through_cache v (fun () ->
+            computed := true;
+            let d = Tytra_ir.Symtab.design (lower_point ~prog_key prog v) in
+            ( d,
+              Tytra_cost.Report.replicate ~device:config.device
+                ~form:config.form ~name:(Lower.design_name prog v)
+                ~lanes:(Transform.lanes v) ~vec:(Transform.vec v)
+                (snd (pipe ())) ))
   in
   let p = { dp_variant = v; dp_design = d; dp_report = report } in
   Tytra_telemetry.Metrics.incr "dse.points_evaluated";
@@ -239,7 +293,7 @@ type bounded = {
 
 type sweep_stats = {
   ss_space : int;             (** variants enumerated *)
-  ss_evaluated : int;         (** full lower + cost evaluations performed *)
+  ss_evaluated : int;         (** points lowered and costed *)
   ss_pruned_resource : int;   (** skipped: could not fit *)
   ss_pruned_incumbent : int;  (** skipped: could not beat the incumbent *)
   ss_restored : int;          (** taken from a resume checkpoint, not evaluated *)
@@ -285,6 +339,7 @@ type sweep = {
 type sweep_state = {
   st_config : config;
   st_prog_key : string;
+  st_baseline : baseline;
   st_space : int;
   mutable st_done : (int * point) list;       (* (enumeration index, point) *)
   mutable st_bounded : (int * bounded) list;
@@ -351,7 +406,10 @@ let eval_wave ~pool prog (items : (sweep_state * int * Transform.variant) list)
     =
   Tytra_exec.Pool.map pool
     (fun (st, idx, v) ->
-      (st, idx, eval_point ~config:st.st_config ~prog_key:st.st_prog_key prog v))
+      ( st,
+        idx,
+        eval_point ~config:st.st_config ~prog_key:st.st_prog_key
+          ~baseline:st.st_baseline prog v ))
     items
   |> List.iter (fun (st, idx, p) ->
          st.st_done <- (idx, p) :: st.st_done;
@@ -368,7 +426,8 @@ let eval_wave_resilient ~pool ~retry ~deadline_s ~fail_fast prog
       (fun (st, idx, v) ->
         ( st,
           idx,
-          eval_point ~config:st.st_config ~prog_key:st.st_prog_key prog v ))
+          eval_point ~config:st.st_config ~prog_key:st.st_prog_key
+            ~baseline:st.st_baseline prog v ))
       items
   in
   List.iter2
@@ -490,6 +549,7 @@ let sweep_many ~pool ?(restore = []) (configs : config list)
           {
             st_config = config;
             st_prog_key = prog_key;
+            st_baseline = new_baseline ();
             st_space = List.length variants;
             st_done = [];
             st_bounded = [];
@@ -511,6 +571,9 @@ let sweep_many ~pool ?(restore = []) (configs : config list)
                  with
                  | None -> true
                  | Some p ->
+                     if v = Transform.Pipe then
+                       st.st_baseline.bl_point <-
+                         Some (p.dp_design, p.dp_report);
                      st.st_done <- (i, p) :: st.st_done;
                      st.st_restored <- st.st_restored + 1;
                      update_incumbent st p;
@@ -876,7 +939,8 @@ let guided ?(config = default_config) (prog : Expr.program) : point list =
         ("max_lanes", Tytra_telemetry.Span.Int config.max_lanes) ]
   @@ fun () ->
   let prog_key = program_digest prog in
-  let eval = eval_point ~config ~prog_key prog in
+  (* the trace starts at Pipe, which sets the baseline of the rest *)
+  let eval = eval_point ~config ~prog_key ~baseline:(new_baseline ()) prog in
   let applicable l = Transform.applicable prog (Transform.ParPipe l) in
   let rec go acc lanes =
     let v = if lanes = 1 then Transform.Pipe else Transform.ParPipe lanes in

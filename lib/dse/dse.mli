@@ -5,6 +5,13 @@
     memoizes (program, variant, device, calibration, form, nki) points in
     a process-wide {!Tytra_exec.Cache}.
 
+    Every point is lowered (derived from the program's template and
+    validated). Seq and Pipe are costed in full by the IR estimator;
+    ParPipe and ParVecPipe points are costed in closed form from the
+    config's Pipe report by {!Tytra_cost.Report.replicate}, which gives
+    the same report field for field. Pipe is evaluated once per config
+    and shared by its replicated points.
+
     With [config.prune] on (the default) the sweep skips full lowering
     for candidates whose {!Tytra_cost.Bounds} prove they cannot fit the
     device or cannot beat an already-evaluated incumbent. Pruning is
@@ -66,7 +73,7 @@ type config = {
     every config. *)
 and progress = {
   pr_space : int;      (** variants enumerated across all configs *)
-  pr_evaluated : int;  (** full evaluations completed so far *)
+  pr_evaluated : int;  (** points lowered and costed so far *)
   pr_pruned : int;     (** candidates skipped by bounds so far *)
   pr_failed : int;     (** candidates quarantined so far *)
   pr_restored : int;   (** points adopted from a checkpoint *)
@@ -96,7 +103,7 @@ type bounded = {
 
 type sweep_stats = {
   ss_space : int;             (** variants enumerated *)
-  ss_evaluated : int;         (** full lower + cost evaluations performed *)
+  ss_evaluated : int;         (** points lowered and costed *)
   ss_pruned_resource : int;   (** skipped: could not fit *)
   ss_pruned_incumbent : int;  (** skipped: could not beat the incumbent *)
   ss_restored : int;          (** taken from a resume checkpoint, not evaluated *)

@@ -126,6 +126,13 @@ let kernel_params (k : Expr.kernel) : (string * Ty.t) list =
   List.map (fun s -> (s, k.Expr.k_ty)) k.Expr.k_inputs
   @ List.map (fun (p, _) -> (p, k.Expr.k_ty)) k.Expr.k_params
 
+(** [design_name p v] — the name of the design {!lower} and {!derive}
+    build for variant [v] of [p]. The DSE passes it to
+    [Tytra_cost.Report.replicate], which costs a variant without its
+    design. *)
+let design_name (p : Expr.program) (v : Transform.variant) : string =
+  Printf.sprintf "%s_%s" p.Expr.p_kernel.Expr.k_name (Transform.to_string v)
+
 (* Shared construction for [lower] and [derive]: build the (unvalidated)
    design for variant [v]. [f0] selects the PE-body source: [`Emit]
    compiles the kernel datapath, [`Raw body] installs an instruction list
@@ -149,10 +156,7 @@ let build_variant ~(pattern : Ast.pattern)
   (* single-PE variants keep the paper's unsuffixed stream names
      ([@main.p]); replicated variants suffix per lane ([@main.p0]…) *)
   let lane_name base i = if pes = 1 then base else lane_name base i in
-  let b =
-    Builder.create
-      (Printf.sprintf "%s_%s" k.Expr.k_name (Transform.to_string v))
-  in
+  let b = Builder.create (design_name p v) in
   (* globals for reductions *)
   List.iter
     (fun (r : Expr.reduction) ->

@@ -64,11 +64,16 @@ let rec equal a b =
   | Vect (n, x), Vect (m, y) -> n = m && equal x y
   | _ -> false
 
-(** The divisors of [n] — the legal lane counts for reshaping a vector of
-    length [n] (the axis the paper's Fig 15 sweeps). *)
+(** The divisors of [n] in ascending order — the legal lane counts for
+    reshaping a vector of length [n] (the axis the paper's Fig 15
+    sweeps). Trial division up to √n: each divisor [d ≤ √n] pairs with
+    [n / d ≥ √n], so [small] collects the lower half in descending
+    order and [large] the upper half in ascending order. *)
 let divisors (n : int) : int list =
-  let rec go d acc =
-    if d > n then List.rev acc
-    else go (d + 1) (if n mod d = 0 then d :: acc else acc)
+  let rec go d small large =
+    if d * d > n then List.rev_append small large
+    else if n mod d <> 0 then go (d + 1) small large
+    else if d * d = n then go (d + 1) (d :: small) large
+    else go (d + 1) (d :: small) ((n / d) :: large)
   in
-  go 1 []
+  go 1 [] []

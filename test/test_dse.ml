@@ -307,30 +307,28 @@ let test_pruned_selection_jobs_invariant () =
         (fun q -> (q.Dse.dp_variant, q.Dse.dp_report))
         (Dse.pareto sj.Dse.sw_points))
 
-(* Bounds admissibility on real evaluations: the resource lower bound
-   never exceeds the variant's actual usage (componentwise), the clock
-   upper bound its actual clock, nor the EKIT upper bound its actual
-   EKIT. *)
+(* Bounds admissibility against the full IR path: the resource lower
+   bound never exceeds the variant's actual usage (componentwise), the
+   clock upper bound its actual clock, nor the EKIT upper bound its
+   actual EKIT. The DSE's own replicated reports come from the same
+   closed form as the bounds, so "actual" is the oracle of
+   test_replicate.ml: the derived design, costed in full. *)
 let test_bounds_admissible () =
   List.iter
     (fun (name, mk) ->
       let p = mk () in
       let config = { cfg with nki = 100; max_lanes = 8 } in
-      let pts = Dse.explore ~config:{ config with prune = false } p in
-      let baseline =
-        List.find (fun q -> q.Dse.dp_variant = Transform.Pipe) pts
-      in
+      let device = config.Dse.device and form = config.Dse.form in
+      let tpl = Lower.template p in
+      let full = Test_replicate.full_report ~device ~form ~nki:config.Dse.nki tpl in
+      let baseline = full Transform.Pipe in
       List.iter
-        (fun q ->
-          let pes = Transform.pes q.Dse.dp_variant in
+        (fun v ->
+          let pes = Transform.pes v in
           if pes >= 2 then begin
-            let b =
-              Tytra_cost.Bounds.of_baseline ~device:config.Dse.device
-                ~form:config.Dse.form ~pes baseline.Dse.dp_report
-            in
-            let est =
-              q.Dse.dp_report.Tytra_cost.Report.rp_estimate
-            in
+            let actual = full v in
+            let b = Tytra_cost.Bounds.of_baseline ~device ~form ~pes baseline in
+            let est = actual.Tytra_cost.Report.rp_estimate in
             let u = est.Tytra_cost.Resource_model.est_usage in
             let lb = b.Tytra_cost.Bounds.b_usage_lb in
             let open Tytra_device.Resources in
@@ -345,12 +343,62 @@ let test_bounds_admissible () =
               (b.Tytra_cost.Bounds.b_fmax_ub_mhz
                >= est.Tytra_cost.Resource_model.est_fmax_mhz -. 1e-9);
             Alcotest.(check bool) (label "ekit ub") true
-              (b.Tytra_cost.Bounds.b_ekit_ub >= Dse.ekit q -. 1e-9);
+              (b.Tytra_cost.Bounds.b_ekit_ub
+               >= actual.Tytra_cost.Report.rp_breakdown
+                    .Tytra_cost.Throughput.bd_ekit
+                  -. 1e-9);
             Alcotest.(check bool) (label "fits bound") true
-              ((not (Dse.valid q)) || b.Tytra_cost.Bounds.b_fits)
+              ((not actual.Tytra_cost.Report.rp_valid)
+              || b.Tytra_cost.Bounds.b_fits)
           end)
-        pts)
+        (Transform.enumerate ~max_lanes:config.Dse.max_lanes
+           ~max_vec:config.Dse.max_vec p))
     kernels
+
+(* ---- the per-config Pipe baseline ---- *)
+
+let counter name =
+  Option.value ~default:0.0 (Tytra_telemetry.Metrics.counter_value name)
+
+(* An uncached exhaustive sweep costs Seq and Pipe in full, once each,
+   and every replicated point in closed form from that one Pipe report,
+   whatever the pool width; the points do not depend on it either. *)
+let test_baseline_evaluated_once () =
+  let p = prog () in
+  Tytra_telemetry.Control.with_enabled true @@ fun () ->
+  let sweep jobs =
+    let e0 = counter "cost.evaluations"
+    and r0 = counter "cost.replications"
+    and n0 = counter "dse.points_evaluated" in
+    let sw =
+      Dse.explore_sweep
+        ~config:
+          { cfg with nki = 100; max_lanes = 64; max_vec = 8; jobs;
+            use_cache = false; prune = false }
+        p
+    in
+    let label what = Printf.sprintf "jobs=%d: %s" jobs what in
+    let space = sw.Dse.sw_stats.Dse.ss_space in
+    Alcotest.(check (float 0.0)) (label "cost.evaluations = Seq + Pipe") 2.0
+      (counter "cost.evaluations" -. e0);
+    Alcotest.(check (float 0.0))
+      (label "cost.replications = space - 2")
+      (float_of_int (space - 2))
+      (counter "cost.replications" -. r0);
+    Alcotest.(check (float 0.0))
+      (label "evaluations + replications = points evaluated")
+      (counter "dse.points_evaluated" -. n0)
+      (float_of_int space);
+    sw.Dse.sw_points
+  in
+  let one = sweep 1 in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d points == jobs=1 points" jobs)
+        true
+        (same_points one (sweep jobs)))
+    (List.sort_uniq compare [ 2; test_jobs ])
 
 (* ---- O(n log n) pareto vs the reference-by-definition filter ---- *)
 
@@ -445,6 +493,8 @@ let suite =
     Alcotest.test_case "pruned selection jobs-invariant" `Quick
       test_pruned_selection_jobs_invariant;
     Alcotest.test_case "bounds admissible" `Quick test_bounds_admissible;
+    Alcotest.test_case "Pipe baseline evaluated once per config" `Quick
+      test_baseline_evaluated_once;
     Alcotest.test_case "pareto matches reference" `Quick
       test_pareto_matches_reference;
   ]

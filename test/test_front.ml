@@ -31,6 +31,33 @@ let test_divisors () =
   Alcotest.(check (list int)) "divisors 12" [ 1; 2; 3; 4; 6; 12 ]
     (Vtype.divisors 12)
 
+(* [Vtype.divisors] pairs divisors up to √n; the O(n) filter it replaced
+   is the oracle, over every n up to 20000 (squares and primes included)
+   and at the index-space sizes the DSE sweeps: sides 16 to 96, in two
+   and three dimensions. *)
+let test_divisors_oracle () =
+  let naive n =
+    let rec go d acc =
+      if d = 0 then acc else go (d - 1) (if n mod d = 0 then d :: acc else acc)
+    in
+    go n []
+  in
+  let check n =
+    if Vtype.divisors n <> naive n then
+      Alcotest.failf "divisors %d: [%s], expected [%s]" n
+        (String.concat "; " (List.map string_of_int (Vtype.divisors n)))
+        (String.concat "; " (List.map string_of_int (naive n)))
+  in
+  for n = 1 to 20000 do
+    check n
+  done;
+  List.iter
+    (fun side ->
+      check (side * side);
+      check (side * side * side))
+    [ 16; 32; 48; 64; 80; 96 ];
+  Alcotest.(check (list int)) "divisors 0" [] (Vtype.divisors 0)
+
 let test_enumerate () =
   let p = Tytra_kernels.Sor.program ~im:4 ~jm:2 ~km:2 () in
   let vs = Transform.enumerate ~max_lanes:8 p in
@@ -173,6 +200,8 @@ let suite =
     Alcotest.test_case "reshape_to" `Quick test_vtype_reshape;
     Alcotest.test_case "size preservation" `Quick test_vtype_size_preservation;
     Alcotest.test_case "divisors" `Quick test_divisors;
+    Alcotest.test_case "divisors equal the O(n) filter" `Quick
+      test_divisors_oracle;
     Alcotest.test_case "variant enumeration" `Quick test_enumerate;
     Alcotest.test_case "vectorized enumeration" `Quick test_enumerate_vec;
     Alcotest.test_case "lane bounds" `Quick test_lane_bounds;

@@ -368,6 +368,41 @@ let test_sweep_checkpoint_and_resume () =
   | Error _ -> ());
   Sys.remove path
 
+let contains s substr =
+  let n = String.length substr in
+  let rec find i =
+    i + n <= String.length s && (String.sub s i n = substr || find (i + 1))
+  in
+  find 0
+
+(* A DSE checkpoint holds marshalled points, so one written for another
+   point layout (a previous build's [Report.t]) must be refused by its
+   header before the payload is read: the version line says "1". *)
+let test_checkpoint_old_version_refused () =
+  let p = prog () in
+  let path = tmp_path "tytra_test_dse_ckpt_v1.bin" in
+  let config = cfg ~prune:false () in
+  Dse.save_checkpoint ~path config p (Dse.explore ~config p);
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let nl = String.index s '\n' in
+  let header = String.sub s 0 nl in
+  (match String.split_on_char ' ' header with
+  | [ "TYTRA-CKPT"; _; kind ] ->
+      let oc = open_out_bin path in
+      output_string oc ("TYTRA-CKPT 1 " ^ kind);
+      output_string oc (String.sub s nl (String.length s - nl));
+      close_out oc
+  | _ -> Alcotest.failf "unexpected checkpoint header %S" header);
+  (match Dse.load_checkpoint ~path config p with
+  | Ok _ -> Alcotest.fail "version-1 checkpoint accepted"
+  | Error m ->
+      Alcotest.(check bool)
+        (Printf.sprintf "format-version error (%s)" m)
+        true (contains m "format version 1"));
+  Sys.remove path
+
 let test_sweep_stats_accounting () =
   let p = prog () in
   let sw = Dse.explore_sweep ~config:(cfg ()) p in
@@ -413,4 +448,6 @@ let suite =
       test_sweep_checkpoint_and_resume;
     Alcotest.test_case "sweep stats accounting" `Quick
       test_sweep_stats_accounting;
+    Alcotest.test_case "checkpoint of an older format refused" `Quick
+      test_checkpoint_old_version_refused;
   ]
