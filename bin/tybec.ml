@@ -742,9 +742,12 @@ let serve_cmd =
   in
   let workers_arg =
     Arg.(
-      value & opt int 4
+      value
+      & opt int (Tytra_engine.Daemon.default_workers ())
       & info [ "workers" ] ~docv:"N"
-          ~doc:"Worker domains answering requests concurrently.")
+          ~doc:
+            "Worker domains answering requests concurrently (default: one \
+             per core, at most 4).")
   in
   let queue_cap_arg =
     Arg.(

@@ -119,9 +119,11 @@ let streamer ?default_deadline_s (eng : Engine.t) (rq : Serve.request) :
       | _ -> None)
   | _ -> None
 
-let run ?(config = Engine.default_config) ?(workers = 4) ?(queue_cap = 64)
-    ?(reuseport = false) ?listen_fd ?admin_addr ?deadline_default_ms
-    ?cache_journal ~addr () =
+let default_workers () = min 4 (Domain.recommended_domain_count ())
+
+let run ?(config = Engine.default_config) ?(workers = default_workers ())
+    ?(queue_cap = 64) ?(reuseport = false) ?listen_fd ?admin_addr
+    ?deadline_default_ms ?cache_journal ~addr () =
   (* the service exists to be scraped: metrics are always live here *)
   Tytra_telemetry.Control.set_enabled true;
   let config =

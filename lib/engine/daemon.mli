@@ -28,6 +28,14 @@ val wire_error : int -> Tytra_telemetry.Serve.response option
     client ever reads off the socket is protocol JSON. Unknown statuses
     return [None] (plain-text fallback). *)
 
+val default_workers : unit -> int
+(** Request domains {!run} (and [tybec serve --workers]) uses when not
+    told: one per core, at most 4 —
+    [min 4 (Domain.recommended_domain_count ())]. More domains than
+    cores make every stop-the-world minor collection wait for
+    descheduled peers, and each domain's minor heap adds to the
+    resident set (DESIGN.md §13.3). *)
+
 val run :
   ?config:Engine.config ->
   ?workers:int ->
@@ -43,9 +51,9 @@ val run :
 (** [run ?config ?workers ?queue_cap ?reuseport ?listen_fd ?admin_addr
     ?deadline_default_ms ?cache_journal ~addr ()] — create an engine,
     serve it on [addr] ([HOST:PORT], [:PORT], [PORT] or [unix:PATH])
-    with [workers] domains and a bounded queue of [queue_cap]
-    connections (full queue ⇒ typed 429), and block until
-    SIGTERM/SIGINT.
+    with [workers] request domains (default {!default_workers}) and a
+    bounded queue of [queue_cap] connections (full queue ⇒ typed 429),
+    and block until SIGTERM/SIGINT.
 
     [reuseport]/[listen_fd] pass through to {!Tytra_telemetry.Serve.start}
     for multi-shard fronts ({!Shards}); [admin_addr] additionally serves

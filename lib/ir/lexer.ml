@@ -4,7 +4,9 @@
     Local names are [%ident], design-level names are [@ident] (dots
     allowed, for qualified port names like [@main.p]). Metadata tokens are
     introduced by [!] and may be bare identifiers, integers, or quoted
-    strings ([!"CONT"], as in the paper's Fig 12). *)
+    strings ([!"CONT"], as in the paper's Fig 12).
+
+    Tokens are produced on demand (see lexer.mli). *)
 
 type token =
   | TIdent of string          (* keywords and type names *)
@@ -32,7 +34,13 @@ let token_to_string = function
 
 exception Lex_error of string * int  (** message, line *)
 
-type t = { toks : (token * int) array; mutable pos : int }
+type t = {
+  src : string;
+  mutable pos : int;       (* first byte not yet scanned *)
+  mutable lnum : int;      (* line of [pos] *)
+  mutable tok : token;     (* lookahead *)
+  mutable tok_line : int;  (* line the lookahead starts on *)
+}
 
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
@@ -40,134 +48,138 @@ let is_ident_start c =
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
-(** [tokenize src] lexes the whole of [src], returning tokens paired with
-    their 1-based line number. Raises {!Lex_error} on invalid input. *)
-let tokenize (src : string) : (token * int) array =
-  let n = String.length src in
-  let toks = ref [] in
-  let line = ref 1 in
-  let i = ref 0 in
-  let push t = toks := (t, !line) :: !toks in
-  let peek k = if !i + k < n then Some src.[!i + k] else None in
-  let read_while pred =
-    let start = !i in
-    while !i < n && pred src.[!i] do incr i done;
-    String.sub src start (!i - start)
+let fail lx msg = raise (Lex_error (msg, lx.lnum))
+
+(* byte [i] of [src] exists and is [c] / is a decimal digit *)
+let char_at src i c = i < String.length src && String.unsafe_get src i = c
+let digit_at src i = i < String.length src && is_digit (String.unsafe_get src i)
+
+let rec skip_ident src i =
+  if i < String.length src && is_ident_char (String.unsafe_get src i) then
+    skip_ident src (i + 1)
+  else i
+
+let rec skip_global src i =
+  if i < String.length src
+     && (let c = String.unsafe_get src i in is_ident_char c || c = '.')
+  then skip_global src (i + 1)
+  else i
+
+let rec skip_digits src i = if digit_at src i then skip_digits src (i + 1) else i
+
+let rec skip_line src i =
+  if i < String.length src && String.unsafe_get src i <> '\n' then
+    skip_line src (i + 1)
+  else i
+
+(* The value of the decimal digits [src.[i..j-1]], or -1 past max_int. *)
+let rec int_of_digits src i j acc =
+  if i = j then acc
+  else
+    let d = Char.code (String.unsafe_get src i) - Char.code '0' in
+    if acc > (max_int - d) / 10 then -1
+    else int_of_digits src (i + 1) j ((acc * 10) + d)
+
+let set lx tok stop =
+  lx.tok <- tok;
+  lx.tok_line <- lx.lnum;
+  lx.pos <- stop
+
+(* A number starting at [start] (after any sign):
+   digits ('.' digits)? (('e'|'E') sign? digits)? — a token is a float
+   iff it contains a fractional part or an exponent. *)
+let scan_number lx ~neg start =
+  let src = lx.src in
+  let int_end = skip_digits src start in
+  let has_dot = char_at src int_end '.' && digit_at src (int_end + 1) in
+  let frac_end = if has_dot then skip_digits src (int_end + 1) else int_end in
+  (* index of the exponent's first digit, or -1 without an exponent *)
+  let exp_digits =
+    let e = frac_end in
+    if not (char_at src e 'e' || char_at src e 'E') then -1
+    else if digit_at src (e + 1) then e + 1
+    else if (char_at src (e + 1) '+' || char_at src (e + 1) '-')
+            && digit_at src (e + 2)
+    then e + 2
+    else -1
   in
-  let read_number ~neg =
-    (* digits ('.' digits)? (('e'|'E') sign? digits)? — a token is a float
-       iff it contains a fractional part or an exponent. *)
-    let intpart = read_while is_digit in
-    let has_dot =
-      peek 0 = Some '.' && (match peek 1 with Some c -> is_digit c | None -> false)
+  if has_dot || exp_digits >= 0 then begin
+    let stop = if exp_digits >= 0 then skip_digits src exp_digits else frac_end in
+    (* the span always converts (overflow saturates to infinity, which
+       is fine for a literal); the [None] arm keeps the lexer total *)
+    let v =
+      match float_of_string_opt (String.sub src start (stop - start)) with
+      | Some v -> v
+      | None -> fail lx "invalid numeric literal"
     in
-    let frac =
-      if has_dot then begin
-        incr i;
-        "." ^ read_while is_digit
-      end
-      else ""
-    in
-    let has_exp =
-      (peek 0 = Some 'e' || peek 0 = Some 'E')
-      && (match peek 1 with
-         | Some c when is_digit c -> true
-         | Some ('+' | '-') ->
-             (match peek 2 with Some c -> is_digit c | None -> false)
-         | _ -> false)
-    in
-    let ex =
-      if has_exp then begin
-        incr i;
-        let sign =
-          if peek 0 = Some '-' || peek 0 = Some '+' then begin
-            let c = src.[!i] in
-            incr i;
-            String.make 1 c
-          end
-          else ""
+    set lx (TFloat (if neg then -.v else v)) stop
+  end
+  else
+    (* literals past max_int must surface as a lex error, not wrap *)
+    let v = int_of_digits src start int_end 0 in
+    if v < 0 then fail lx "integer literal out of range";
+    set lx (TInt (if neg then -v else v)) int_end
+
+(* Scan the token at [lx.pos] into the lookahead. *)
+let rec scan lx =
+  let src = lx.src in
+  let i = lx.pos in
+  if i >= String.length src then set lx TEOF i
+  else
+    match String.unsafe_get src i with
+    | '\n' ->
+        lx.lnum <- lx.lnum + 1;
+        lx.pos <- i + 1;
+        scan lx
+    | ' ' | '\t' | '\r' ->
+        lx.pos <- i + 1;
+        scan lx
+    | ';' ->
+        lx.pos <- skip_line src i;
+        scan lx
+    | '(' -> set lx TLparen (i + 1)
+    | ')' -> set lx TRparen (i + 1)
+    | '{' -> set lx TLbrace (i + 1)
+    | '}' -> set lx TRbrace (i + 1)
+    | ',' -> set lx TComma (i + 1)
+    | '=' -> set lx TEq (i + 1)
+    | '!' -> set lx TBang (i + 1)
+    | '%' ->
+        let stop = skip_ident src (i + 1) in
+        if stop = i + 1 then fail lx "empty local name after %";
+        set lx (TLocal (String.sub src (i + 1) (stop - i - 1))) stop
+    | '@' ->
+        let stop = skip_global src (i + 1) in
+        if stop = i + 1 then fail lx "empty global name after @";
+        set lx (TGlobal (String.sub src (i + 1) (stop - i - 1))) stop
+    | '"' ->
+        let rec close j =
+          if j >= String.length src then fail lx "unterminated string"
+          else
+            match String.unsafe_get src j with
+            | '"' -> j
+            | '\n' -> fail lx "newline in string"
+            | _ -> close (j + 1)
         in
-        "e" ^ sign ^ read_while is_digit
-      end
-      else ""
-    in
-    if has_dot || has_exp then begin
-      (* [float_of_string] would crash on e.g. a bare "1e"; overflow
-         saturates to infinity, which is fine for a literal. *)
-      let v =
-        match float_of_string_opt (intpart ^ frac ^ ex) with
-        | Some v -> v
-        | None -> raise (Lex_error ("invalid numeric literal", !line))
-      in
-      push (TFloat (if neg then -.v else v))
-    end
-    else
-      (* [int_of_string] raises on literals past max_int — arbitrary
-         input must surface as a lex error, not a [Failure] crash. *)
-      let v =
-        match int_of_string_opt intpart with
-        | Some v -> v
-        | None -> raise (Lex_error ("integer literal out of range", !line))
-      in
-      push (TInt (if neg then -v else v))
-  in
-  while !i < n do
-    let c = src.[!i] in
-    if c = '\n' then (incr line; incr i)
-    else if c = ' ' || c = '\t' || c = '\r' then incr i
-    else if c = ';' then (while !i < n && src.[!i] <> '\n' do incr i done)
-    else if c = '(' then (push TLparen; incr i)
-    else if c = ')' then (push TRparen; incr i)
-    else if c = '{' then (push TLbrace; incr i)
-    else if c = '}' then (push TRbrace; incr i)
-    else if c = ',' then (push TComma; incr i)
-    else if c = '=' then (push TEq; incr i)
-    else if c = '!' then (push TBang; incr i)
-    else if c = '%' then begin
-      incr i;
-      let s = read_while is_ident_char in
-      if s = "" then raise (Lex_error ("empty local name after %", !line));
-      push (TLocal s)
-    end
-    else if c = '@' then begin
-      incr i;
-      let s = read_while (fun c -> is_ident_char c || c = '.') in
-      if s = "" then raise (Lex_error ("empty global name after @", !line));
-      push (TGlobal s)
-    end
-    else if c = '"' then begin
-      incr i;
-      let b = Buffer.create 16 in
-      let fin = ref false in
-      while not !fin do
-        if !i >= n then raise (Lex_error ("unterminated string", !line));
-        let c = src.[!i] in
-        if c = '"' then (fin := true; incr i)
-        else if c = '\n' then raise (Lex_error ("newline in string", !line))
-        else (Buffer.add_char b c; incr i)
-      done;
-      push (TString (Buffer.contents b))
-    end
-    else if is_digit c then read_number ~neg:false
-    else if (c = '-' || c = '+') && (match peek 1 with Some d -> is_digit d | None -> false)
-    then begin
-      incr i;
-      read_number ~neg:(c = '-')
-    end
-    else if is_ident_start c then begin
-      let s = read_while is_ident_char in
-      push (TIdent s)
-    end
-    else raise (Lex_error (Printf.sprintf "unexpected character %C" c, !line))
-  done;
-  push TEOF;
-  Array.of_list (List.rev !toks)
+        let j = close (i + 1) in
+        set lx (TString (String.sub src (i + 1) (j - i - 1))) (j + 1)
+    | '0' .. '9' -> scan_number lx ~neg:false i
+    | ('-' | '+') as c when digit_at src (i + 1) ->
+        scan_number lx ~neg:(c = '-') (i + 1)
+    | c when is_ident_start c ->
+        let stop = skip_ident src i in
+        set lx (TIdent (String.sub src i (stop - i))) stop
+    | c -> fail lx (Printf.sprintf "unexpected character %C" c)
 
-let of_string src = { toks = tokenize src; pos = 0 }
+let of_string src =
+  let lx = { src; pos = 0; lnum = 1; tok = TEOF; tok_line = 1 } in
+  scan lx;
+  lx
 
-let peek lx = fst lx.toks.(lx.pos)
-let line lx = snd lx.toks.(lx.pos)
+let peek lx = lx.tok
+let line lx = lx.tok_line
+
 let next lx =
-  let t = fst lx.toks.(lx.pos) in
-  if t <> TEOF then lx.pos <- lx.pos + 1;
+  let t = lx.tok in
+  (match t with TEOF -> () | _ -> scan lx);
   t

@@ -307,7 +307,9 @@ let parse_fundef lx : Ast.func =
   { fn_name = name; fn_params = params; fn_kind = kind; fn_body = body }
 
 (** [parse ~name src] parses a complete design from [src]. Raises
-    {!Parse_error} (and {!Lexer.Lex_error}) on malformed input. *)
+    {!Parse_error} (and {!Lexer.Lex_error}) on malformed input; when the
+    input has a lexical error, the first one is raised, whatever else is
+    wrong with it. *)
 let parse ?(name = "design") (src : string) : Ast.design =
   Tytra_telemetry.Span.with_ ~name:"ir.parse"
     ~attrs:
@@ -342,7 +344,18 @@ let parse ?(name = "design") (src : string) : Ast.design =
         go ()
     | t -> err lx ("expected declaration, found " ^ Lexer.token_to_string t)
   in
-  go ();
+  (* Tokens are lexed on demand, so a grammar failure can precede a
+     lexical error further on. The first lexical error in the input
+     wins: lex the rest, and re-raise the grammar's exception only if
+     the rest is clean. *)
+  (try go () with
+  | e when (match e with Lexer.Lex_error _ -> false | _ -> true) ->
+      let bt = Printexc.get_raw_backtrace () in
+      let rec drain () =
+        match Lexer.next lx with Lexer.TEOF -> () | _ -> drain ()
+      in
+      drain ();
+      Printexc.raise_with_backtrace e bt);
   {
     Ast.d_name = name;
     d_mems = List.rev !mems;

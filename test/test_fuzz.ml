@@ -43,51 +43,67 @@ let test_corpus () =
         | Error e -> Alcotest.failf "valid.tirl: %s" (Error.to_string e))
     files
 
+(* The three input generators, each with its seed; test_lexer draws
+   many more inputs from the same streams. *)
+
+let random_bytes_seed = [| 0x7177a5 |]
+
+let random_bytes st =
+  let len = Random.State.int st 400 in
+  String.init len (fun _ -> Char.chr (Random.State.int st 256))
+
+(* structurally plausible fragments reach deeper parser states than raw
+   bytes do *)
+let token_soup_seed = [| 0xbeef |]
+
+let soup_atoms =
+  [| "define"; "void"; "@main"; "@f"; "%x"; "%y"; "memobj"; "stream";
+     "istream"; "ostream"; "pattern"; "cont"; "strided"; "addrspace";
+     "global"; "size"; "init"; "call"; "add"; "mul"; "offset"; "mov";
+     "seq"; "pipe"; "par"; "ui18"; "ui32"; "("; ")"; "{"; "}"; ",";
+     "="; "!"; "!0"; "!\"CONT\""; "0"; "-1"; "+48"; "3.5"; "1e9";
+     "99999999999999999999"; "\"s\""; "\n"; ";comment\n" |]
+
+let token_soup st =
+  let n = 1 + Random.State.int st 60 in
+  String.concat " "
+    (List.init n (fun _ ->
+         soup_atoms.(Random.State.int st (Array.length soup_atoms))))
+
+(* flip 1-4 bytes of [base] *)
+let mutation_seed = [| 0x5eed |]
+
+let mutant st base =
+  let b = Bytes.of_string base in
+  let flips = 1 + Random.State.int st 4 in
+  for _ = 1 to flips do
+    Bytes.set b
+      (Random.State.int st (Bytes.length b))
+      (Char.chr (Random.State.int st 256))
+  done;
+  Bytes.to_string b
+
+let valid_design () = read_file (Filename.concat corpus_dir "valid.tirl")
+
 let test_random_bytes () =
-  let st = Random.State.make [| 0x7177a5 |] in
+  let st = Random.State.make random_bytes_seed in
   for i = 1 to 300 do
-    let len = Random.State.int st 400 in
-    let src =
-      String.init len (fun _ -> Char.chr (Random.State.int st 256))
-    in
-    never_raises ~what:(Printf.sprintf "random case %d" i) src
+    never_raises ~what:(Printf.sprintf "random case %d" i) (random_bytes st)
   done
 
 let test_token_soup () =
-  (* structurally plausible fragments reach deeper parser states than
-     raw bytes do *)
-  let atoms =
-    [| "define"; "void"; "@main"; "@f"; "%x"; "%y"; "memobj"; "stream";
-       "istream"; "ostream"; "pattern"; "cont"; "strided"; "addrspace";
-       "global"; "size"; "init"; "call"; "add"; "mul"; "offset"; "mov";
-       "seq"; "pipe"; "par"; "ui18"; "ui32"; "("; ")"; "{"; "}"; ",";
-       "="; "!"; "!0"; "!\"CONT\""; "0"; "-1"; "+48"; "3.5"; "1e9";
-       "99999999999999999999"; "\"s\""; "\n"; ";comment\n" |]
-  in
-  let st = Random.State.make [| 0xbeef |] in
+  let st = Random.State.make token_soup_seed in
   for i = 1 to 300 do
-    let n = 1 + Random.State.int st 60 in
-    let src =
-      String.concat " "
-        (List.init n (fun _ -> atoms.(Random.State.int st (Array.length atoms))))
-    in
-    never_raises ~what:(Printf.sprintf "token soup %d" i) src
+    never_raises ~what:(Printf.sprintf "token soup %d" i) (token_soup st)
   done
 
 let test_mutations () =
-  (* flip bytes of a valid design: every mutant must parse or fail
-     cleanly, never crash *)
-  let base = read_file (Filename.concat corpus_dir "valid.tirl") in
-  let st = Random.State.make [| 0x5eed |] in
+  (* every mutant of a valid design must parse or fail cleanly, never
+     crash *)
+  let base = valid_design () in
+  let st = Random.State.make mutation_seed in
   for i = 1 to 300 do
-    let b = Bytes.of_string base in
-    let flips = 1 + Random.State.int st 4 in
-    for _ = 1 to flips do
-      Bytes.set b
-        (Random.State.int st (Bytes.length b))
-        (Char.chr (Random.State.int st 256))
-    done;
-    never_raises ~what:(Printf.sprintf "mutant %d" i) (Bytes.to_string b)
+    never_raises ~what:(Printf.sprintf "mutant %d" i) (mutant st base)
   done
 
 let test_pathological_shapes () =

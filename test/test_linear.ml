@@ -41,18 +41,30 @@ let test_variant_words_per_pe () =
     ~small:(per_pe (Transform.ParPipe 8))
     ~large:(per_pe (Transform.ParVecPipe (64, 8)))
 
-let test_parse_words_per_line () =
-  let p = sor () in
-  let per_line v =
-    let src = Pprint.design_to_string (Lower.lower p v) in
-    let lines =
-      String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 src
-    in
-    minor_words (fun () -> Parser.parse src) /. float_of_int lines
+let parse_words_per_line v =
+  let src = Pprint.design_to_string (Lower.lower (sor ()) v) in
+  let lines =
+    String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 src
   in
+  minor_words (fun () -> Parser.parse src) /. float_of_int lines
+
+let test_parse_words_per_line () =
   check_ratio "Parser.parse, words per line"
-    ~small:(per_line Transform.Pipe)
-    ~large:(per_line (Transform.ParPipe 64))
+    ~small:(parse_words_per_line Transform.Pipe)
+    ~large:(parse_words_per_line (Transform.ParPipe 64))
+
+(* An absolute bound as well as the ratio. Parsing the 676-line SOR
+   ParPipe-64 design allocates 99.3 words a line with the on-demand
+   lexer; the tokenize-then-index lexer it replaced allocated 222.5. *)
+let parse_words_per_line_bound = 102.0
+
+let test_parse_words_bound () =
+  let w = parse_words_per_line (Transform.ParPipe 64) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Parser.parse on SOR ParPipe-64: %.1f words per line <= %.1f"
+       w parse_words_per_line_bound)
+    true
+    (w <= parse_words_per_line_bound)
 
 let suite =
   [
@@ -60,4 +72,6 @@ let suite =
       test_variant_words_per_pe;
     Alcotest.test_case "parse work linear in lines" `Quick
       test_parse_words_per_line;
+    Alcotest.test_case "parse words per line bounded" `Quick
+      test_parse_words_bound;
   ]

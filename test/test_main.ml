@@ -5,6 +5,7 @@ let () =
     [
       ("ty", Test_ty.suite);
       ("parser", Test_parser.suite);
+      ("lexer", Test_lexer.suite);
       ("validate", Test_validate.suite);
       ("analysis", Test_analysis.suite);
       ("interp", Test_interp.suite);

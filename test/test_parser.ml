@@ -150,28 +150,88 @@ let test_typed_errors () =
   | Error e -> Alcotest.failf "expected Invalid, got %s" (Error.to_string e)
   | Ok _ -> Alcotest.fail "expected a validation error"
 
+(* the (token, line) stream the on-demand lexer yields for [src] *)
+let lex_all src =
+  let lx = Lexer.of_string src in
+  let rec go acc =
+    let l = Lexer.line lx in
+    match Lexer.next lx with
+    | Lexer.TEOF -> List.rev ((Lexer.TEOF, l) :: acc)
+    | t -> go ((t, l) :: acc)
+  in
+  go []
+
 let test_lexer_tokens () =
-  let toks = Lexer.tokenize "%a = add ui18 %b, -3 ; comment\n@g(1.5)" in
-  let kinds = Array.to_list (Array.map fst toks) in
+  let toks = lex_all "%a = add ui18 %b, -3 ; comment\n@g(1.5)" in
   Alcotest.(check bool) "token stream" true
-    (kinds
+    (List.map fst toks
     = [ Lexer.TLocal "a"; Lexer.TEq; Lexer.TIdent "add"; Lexer.TIdent "ui18";
         Lexer.TLocal "b"; Lexer.TComma; Lexer.TInt (-3); Lexer.TGlobal "g";
-        Lexer.TLparen; Lexer.TFloat 1.5; Lexer.TRparen; Lexer.TEOF ])
+        Lexer.TLparen; Lexer.TFloat 1.5; Lexer.TRparen; Lexer.TEOF ]);
+  Alcotest.(check (list int)) "token lines"
+    [ 1; 1; 1; 1; 1; 1; 1; 2; 2; 2; 2; 2 ]
+    (List.map snd toks);
+  (* peek does not consume; next at EOF stays put *)
+  let lx = Lexer.of_string "x\n" in
+  Alcotest.(check bool) "peek" true (Lexer.peek lx = Lexer.TIdent "x");
+  Alcotest.(check bool) "next" true (Lexer.next lx = Lexer.TIdent "x");
+  for _ = 1 to 3 do
+    Alcotest.(check bool) "next at EOF" true (Lexer.next lx = Lexer.TEOF)
+  done;
+  Alcotest.(check int) "EOF line" 2 (Lexer.line lx)
 
 let test_lexer_floats () =
   let one s v =
-    match Array.to_list (Array.map fst (Lexer.tokenize s)) with
-    | [ Lexer.TFloat f; Lexer.TEOF ] ->
+    match lex_all s with
+    | [ (Lexer.TFloat f, 1); (Lexer.TEOF, 1) ] ->
         Alcotest.(check (float 1e-12)) s v f
     | other ->
         Alcotest.failf "%S lexed to %s" s
-          (String.concat " " (List.map Lexer.token_to_string other))
+          (String.concat " "
+             (List.map (fun (t, _) -> Lexer.token_to_string t) other))
   in
   one "1.5" 1.5;
   one "2.0e3" 2000.0;
   one "1e-3" 0.001;
+  one "1E3" 1000.0;
+  one "2.5e-3" 0.0025;
   one "-0.25" (-0.25)
+
+(* Tokens are lexed on demand, but the first lexical error in the input
+   still beats any parse error, as when the whole input was lexed up
+   front. *)
+let test_lex_error_precedence () =
+  let lex_error what src ~msg ~line =
+    match Parser.parse_result src with
+    | Error (Error.Lex { msg = m; loc }) ->
+        Alcotest.(check string) (what ^ ": message") msg m;
+        Alcotest.(check int) (what ^ ": line") line loc.loc_line
+    | Error e ->
+        Alcotest.failf "%s: expected a lex error, got %s" what
+          (Error.to_string e)
+    | Ok _ -> Alcotest.failf "%s: expected a lex error" what
+  in
+  (* the lookahead scan reaches the [$] of [foo $] before the grammar
+     rejects [foo]; in [foo bar $] only the drain does *)
+  lex_error "foo $" "foo $" ~msg:"unexpected character '$'" ~line:1;
+  lex_error "foo bar $" "foo bar $" ~msg:"unexpected character '$'" ~line:1;
+  (match Parser.parse_result "foo $" with
+  | Error e ->
+      Alcotest.(check string) "rendered" "1: lex error: unexpected character '$'"
+        (Error.to_string e)
+  | Ok _ -> Alcotest.fail "expected an error");
+  lex_error "bad declaration, then $"
+    "%m = memobj nowhere ui18 size 4\n\n$ ; two lines on"
+    ~msg:"unexpected character '$'" ~line:3;
+  lex_error "out-of-range integer after a parse error"
+    "define oops\n%x = add ui18 %y, 99999999999999999999"
+    ~msg:"integer literal out of range" ~line:2;
+  (* without a lexical error, the parse error stands *)
+  match Parser.parse_result "%m = memobj nowhere ui18 size 4\n\n%ok" with
+  | Error (Error.Parse { loc; _ }) ->
+      Alcotest.(check int) "parse error line" 1 loc.loc_line
+  | Error e -> Alcotest.failf "expected a parse error, got %s" (Error.to_string e)
+  | Ok _ -> Alcotest.fail "expected a parse error"
 
 (* property: printing any lowered kernel design re-parses equal *)
 let arb_small_shape =
@@ -211,6 +271,8 @@ let suite =
     Alcotest.test_case "error line numbers" `Quick test_error_line_numbers;
     Alcotest.test_case "lexer token stream" `Quick test_lexer_tokens;
     Alcotest.test_case "lexer float literals" `Quick test_lexer_floats;
+    Alcotest.test_case "first lexical error wins" `Quick
+      test_lex_error_precedence;
     QCheck_alcotest.to_alcotest prop_lowered_roundtrip;
   ]
 
