@@ -407,85 +407,16 @@ let e8 () =
     "(the bounds keep best/pareto provably exact while skipping most of the \
      64-lane space: replication beyond the bandwidth wall cannot beat the \
      incumbent, oversize lane counts cannot fit)@.";
-  (* --- resilience overhead on the clean path: measured, not asserted.
-     jobs = 1 keeps the measurement free of domain-scheduling jitter;
-     the retry wrapper and checkpoint writes cost the same per point
-     either way. --- *)
-  Format.printf
-    "@.resilience overhead (exhaustive sequential SOR sweep, no faults \
-     injected):@.";
-  let resilient_sweep extra =
-    Tytra_dse.Dse.clear_cache ();
-    Tytra_cost.Report.clear_stage_caches ();
-    time_s (fun () ->
-        Tytra_dse.Dse.explore_sweep
-          ~config:(extra { config with Tytra_dse.Dse.prune = false; jobs = 1 })
-          prog)
-  in
-  let ckpt_path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tytra_bench_e8_ckpt.%d" (Unix.getpid ()))
-  in
-  let clean = Fun.id in
-  let retrying c =
-    { c with Tytra_dse.Dse.max_attempts = 3; fail_fast = false }
-  in
-  let checkpointing c =
-    { (retrying c) with Tytra_dse.Dse.checkpoint = Some ckpt_path }
-  in
-  (* interleave the configurations across rounds (taking each one's best)
-     so machine drift hits all three equally *)
-  ignore (resilient_sweep clean);
-  let best = Array.make 3 infinity in
-  for _ = 1 to 3 do
-    List.iteri
-      (fun i extra -> best.(i) <- min best.(i) (snd (resilient_sweep extra)))
-      [ clean; retrying; checkpointing ]
-  done;
-  let t_clean = best.(0) and t_res = best.(1) and t_ckpt = best.(2) in
-  (* count the writes in a separate untimed run, with telemetry forced
-     on (the timed runs above must not pay for it) *)
-  let writes =
-    Tytra_telemetry.Control.with_enabled true (fun () ->
-        let before =
-          Option.value ~default:0.0
-            (Tytra_telemetry.Metrics.counter_value "dse.checkpoint.writes")
-        in
-        ignore (resilient_sweep checkpointing);
-        Option.value ~default:0.0
-          (Tytra_telemetry.Metrics.counter_value "dse.checkpoint.writes")
-        -. before)
-  in
-  (if Sys.file_exists ckpt_path then Sys.remove ckpt_path);
-  let pct extra = 100.0 *. (extra -. t_clean) /. Float.max 1e-9 t_clean in
-  let per_write_ms =
-    1000.0 *. (t_ckpt -. t_res) /. Float.max 1.0 writes
-  in
-  Format.printf
-    "  clean %.4f s | retries+quarantine %.4f s (%+.2f%%, target < 2%%) | + \
-     checkpoints %.4f s (%.0f writes, %.1f ms/write)@."
-    t_clean t_res (pct t_res) t_ckpt writes per_write_ms;
-  Format.printf
-    "  (a checkpoint write costs a fixed Marshal+rename; it amortizes below \
-     the 2%% target whenever a checkpoint interval evaluates for longer \
-     than ~50x the write, which any synthesis-grade sweep does)@.";
-  List.iter
-    (fun (k, v) -> Tytra_telemetry.Metrics.set ("bench.e8.resilience." ^ k) v)
-    [ ("clean_s", t_clean);
-      ("resilient_s", t_res);
-      ("checkpoint_s", t_ckpt);
-      ("overhead_pct", pct t_res);
-      ("checkpoint_write_ms", per_write_ms) ];
-  (* --- observability overhead on the same sweep: event log + flight
-     recorder + progress callback. Two numbers are reported:
+  (* --- observability overhead on an exhaustive sequential SOR sweep:
+     event log + progress callback. Two numbers are reported:
 
      (1) attributed overhead (the gated one): the instrumentation a live
          sweep adds per evaluated point — the two clock reads that time
-         the point, one flight-recorder note, one point_evaluated emit
-         into a real file sink — micro-timed over enough iterations to
-         resolve it, multiplied out over the sweep's space, divided by
-         the sweep's wall time. This prices exactly the added work and
-         is reproducible to sub-percent on any host.
+         the point and one point_evaluated emit into a real file sink —
+         micro-timed over enough iterations to resolve it, multiplied
+         out over the sweep's space, divided by the sweep's wall time.
+         This prices exactly the added work and is reproducible to
+         sub-percent on any host.
 
      (2) end-to-end on-vs-off minimum floors (sanity print, not gated):
          on a virtualized host this sweep's own wall time wanders by
@@ -500,7 +431,7 @@ let e8 () =
      than tty I/O; progress fires once per wave (not per point), so it
      contributes to (2) but is negligible in (1). --- *)
   Format.printf
-    "@.observability overhead (same sweep; events + flight recorder + \
+    "@.observability overhead (exhaustive sequential SOR sweep; events + \
      progress):@.";
   let events_path =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -513,18 +444,15 @@ let e8 () =
   let on_progress (p : Tytra_dse.Dse.progress) =
     Buffer.clear progress_buf;
     Buffer.add_string progress_buf
-      (Printf.sprintf "[explore] %d/%d points  pruned %d  failed %d"
+      (Printf.sprintf "[explore] %d/%d points  pruned %d"
          p.Tytra_dse.Dse.pr_evaluated p.Tytra_dse.Dse.pr_space
-         p.Tytra_dse.Dse.pr_pruned p.Tytra_dse.Dse.pr_failed)
+         p.Tytra_dse.Dse.pr_pruned)
   in
   let space_pts = ref 0 in
   let observed_sweep observed =
     Tytra_dse.Dse.clear_cache ();
     Tytra_cost.Report.clear_stage_caches ();
-    if observed then begin
-      if own_sink then Tytra_telemetry.Events.open_file events_path;
-      Tytra_dse.Flightrec.enable ()
-    end;
+    if observed && own_sink then Tytra_telemetry.Events.open_file events_path;
     let cfg =
       { config with
         Tytra_dse.Dse.prune = false; jobs = 1;
@@ -537,10 +465,7 @@ let e8 () =
     Option.iter
       (fun sw -> space_pts := sw.Tytra_dse.Dse.sw_stats.Tytra_dse.Dse.ss_space)
       !sw;
-    if observed then begin
-      if own_sink then Tytra_telemetry.Events.close ();
-      Tytra_dse.Flightrec.disable ()
-    end;
+    if observed && own_sink then Tytra_telemetry.Events.close ();
     t
   in
   ignore (observed_sweep false);
@@ -556,7 +481,6 @@ let e8 () =
   let t_off = amin offs and t_on = amin ons in
   (* attributed per-point cost: exactly what the sweep's hot loop adds
      per point when fully observed, against a real file sink *)
-  Tytra_dse.Flightrec.enable ();
   let iters = 20_000 in
   let per_point_sample () =
     if own_sink then Tytra_telemetry.Events.open_file events_path;
@@ -564,10 +488,6 @@ let e8 () =
       time_s (fun () ->
           for _ = 1 to iters do
             let t0 = Tytra_telemetry.Clock.now_ns () in
-            Tytra_dse.Flightrec.note ~variant:"par8-pipe"
-              (Tytra_dse.Flightrec.Evaluated
-                 { fo_ekit = 123.5; fo_valid = true; fo_cached = false;
-                   fo_dur_ns = 1_000L });
             let t1 = Tytra_telemetry.Clock.now_ns () in
             Tytra_telemetry.Events.emit
               (Tytra_telemetry.Events.Point_evaluated
@@ -582,7 +502,6 @@ let e8 () =
     min (per_point_sample ()) (min (per_point_sample ()) (per_point_sample ()))
   in
   if own_sink then Tytra_telemetry.Events.close ();
-  Tytra_dse.Flightrec.disable ();
   (if own_sink && Sys.file_exists events_path then Sys.remove events_path);
   let over_pct =
     100.0 *. per_point_s *. float_of_int !space_pts /. Float.max 1e-9 t_off

@@ -187,9 +187,9 @@ let observability_term =
       & info [ "events" ] ~docv:"FILE.jsonl"
           ~doc:
             "Append a structured event log to $(docv): one JSON object \
-             per line (sweep lifecycle, per-point outcomes, checkpoint \
-             writes, span open/close, counter deltas). Follows live with \
-             tail -f; schema documented in DESIGN.md §12.")
+             per line (sweep lifecycle, per-point outcomes, span \
+             open/close, counter deltas). Follows live with tail -f; \
+             schema documented in DESIGN.md §12.")
   in
   let metrics_json_arg =
     Arg.(
@@ -447,199 +447,36 @@ let explore_cmd =
              The selected variant and Pareto front are identical either \
              way; this flag exists for benchmarking and verification.")
   in
-  let retries_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Retry a failed point evaluation up to $(docv) times with \
-             exponential backoff before giving up on it.")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECS"
-          ~doc:
-            "Cooperative per-point deadline: an evaluation running past \
-             $(docv) seconds counts as failed (and is retried/quarantined \
-             per the other flags).")
-  in
-  let checkpoint_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "Periodically write the evaluated points to $(docv) \
-             (atomically), so an interrupted sweep can be restarted with \
-             $(b,--resume).")
-  in
-  let checkpoint_every_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:"Points evaluated between checkpoint writes.")
-  in
-  let resume_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "resume" ] ~docv:"FILE"
-          ~doc:
-            "Resume from a checkpoint written by $(b,--checkpoint): \
-             already-evaluated points are adopted without re-evaluation. \
-             The selected variant and Pareto front equal an uninterrupted \
-             run's.")
-  in
-  let best_effort_arg =
-    Arg.(
-      value & flag
-      & info [ "best-effort" ]
-          ~doc:
-            "Degraded mode: quarantine points that still fail after \
-             $(b,--retries) and report them, instead of aborting the \
-             sweep at the first failure (the $(b,--fail-fast) default).")
-  in
-  let fail_fast_arg =
-    (* The default; exists so scripts can spell the policy explicitly. *)
-    Arg.(
-      value & flag
-      & info [ "fail-fast" ]
-          ~doc:
-            "Abort the sweep at the first point that fails after its \
-             retries (this is the default; opposite of $(b,--best-effort)).")
-  in
-  let progress_arg =
-    Arg.(
-      value & flag
-      & info [ "progress" ]
-          ~doc:
-            "Render a live progress line on stderr while the sweep runs: \
-             points covered, points/sec, pruned %, cache hit % and ETA.")
-  in
-  let flight_record_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "flight-record" ] ~docv:"FILE.jsonl"
-          ~doc:
-            "Arm the DSE flight recorder: a bounded ring of recent \
-             per-point records, dumped to $(docv) on completion, on \
-             crash, and whenever the process receives $(b,SIGUSR1).")
-  in
-  let run () kernel size lanes device form nki jobs no_prune retries deadline
-      checkpoint checkpoint_every resume best_effort fail_fast progress
-      flight_record =
+  let run () kernel size lanes device form nki jobs no_prune =
     guarded @@ fun () ->
     traced "explore" @@ fun () ->
-    if best_effort && fail_fast then
-      exit_of
-        (fail exit_parse "--best-effort and --fail-fast are contradictory")
-    else begin
-      (* Flight recorder + SIGUSR1: dump-on-demand without stopping the
-         sweep (OCaml signal handlers run at safepoints, so the dump is
-         an ordinary consistent snapshot of the ring). *)
-      (match flight_record with
-      | Some path ->
-          Tytra_dse.Flightrec.enable ();
-          Sys.set_signal Sys.sigusr1
-            (Sys.Signal_handle
-               (fun _ ->
-                 Tytra_dse.Flightrec.dump path;
-                 Printf.eprintf "tybec: flight recorder dumped to %s\n%!"
-                   path))
-      | None -> ());
-      let on_progress =
-        if not progress then None
-        else begin
-          let t0 = Unix.gettimeofday () in
-          Some
-            (fun (pg : Tytra_dse.Dse.progress) ->
-              let covered =
-                pg.Tytra_dse.Dse.pr_evaluated + pg.Tytra_dse.Dse.pr_pruned
-                + pg.Tytra_dse.Dse.pr_failed + pg.Tytra_dse.Dse.pr_restored
-              in
-              let dt = Unix.gettimeofday () -. t0 in
-              let rate =
-                if dt > 0.0 then float_of_int covered /. dt else 0.0
-              in
-              let pct part =
-                if covered = 0 then 0.0
-                else 100.0 *. float_of_int part /. float_of_int covered
-              in
-              let cs = Tytra_dse.Dse.cache_stats () in
-              let lookups =
-                cs.Tytra_exec.Cache.st_hits + cs.Tytra_exec.Cache.st_misses
-              in
-              let hit_pct =
-                if lookups = 0 then 0.0
-                else
-                  100.0
-                  *. float_of_int cs.Tytra_exec.Cache.st_hits
-                  /. float_of_int lookups
-              in
-              let remaining = max 0 (pg.Tytra_dse.Dse.pr_space - covered) in
-              let eta =
-                if rate > 0.0 then float_of_int remaining /. rate else 0.0
-              in
-              Printf.eprintf
-                "\r[explore] %d/%d points  %.1f pts/s  pruned %.0f%%  \
-                 cache %.0f%%  eta %.1fs   %!"
-                covered pg.Tytra_dse.Dse.pr_space rate
-                (pct pg.Tytra_dse.Dse.pr_pruned)
-                hit_pct eta)
-        end
-      in
-      let dump_flight () =
-        match flight_record with
-        | Some path -> (
-            try
-              Tytra_dse.Flightrec.dump path;
-              Printf.eprintf "tybec: flight recorder dumped to %s\n%!" path
-            with Sys_error e ->
-              Printf.eprintf "tybec: cannot dump flight recorder: %s\n%!" e)
-        | None -> ()
-      in
-      let req =
-        Engine.Explore
-          {
-            Engine.x_kernel =
-              (match kernel with
-              | `Sor -> Engine.Sor
-              | `Hotspot -> Engine.Hotspot
-              | `Lavamd -> Engine.Lavamd
-              | `Srad -> Engine.Srad);
-            x_size = size; x_max_lanes = lanes; x_device = device;
-            x_form = form; x_nki = nki; x_jobs = jobs;
-            x_prune = not no_prune; x_retries = retries;
-            x_deadline_s = deadline; x_best_effort = best_effort;
-            x_checkpoint = checkpoint; x_checkpoint_every = checkpoint_every;
-            x_resume = resume; x_place_mode = None;
-          }
-      in
-      match Engine.submit ?on_progress (Lazy.force engine) req with
-      | Ok resp ->
-          if progress then prerr_newline ();
-          dump_flight ();
-          print_string resp.Engine.rs_text;
-          0
-      | Error e ->
-          (* crash (and fail-fast deadline-expiry) path: dump the ring
-             before reporting, as the pre-engine CLI did before the
-             exception escaped to [guarded] *)
-          (match e with Engine.Internal_error _ -> dump_flight () | _ -> ());
-          exit_of (Error (failure_of_engine_error e))
-    end
+    let req =
+      Engine.Explore
+        {
+          Engine.x_kernel =
+            (match kernel with
+            | `Sor -> Engine.Sor
+            | `Hotspot -> Engine.Hotspot
+            | `Lavamd -> Engine.Lavamd
+            | `Srad -> Engine.Srad);
+          x_size = size; x_max_lanes = lanes; x_device = device;
+          x_form = form; x_nki = nki; x_jobs = jobs;
+          x_prune = not no_prune; x_retries = 0; x_deadline_s = None;
+          x_best_effort = false; x_checkpoint = None; x_checkpoint_every = 32;
+          x_resume = None; x_place_mode = None;
+        }
+    in
+    match Engine.submit (Lazy.force engine) req with
+    | Ok resp ->
+        print_string resp.Engine.rs_text;
+        0
+    | Error e -> exit_of (Error (failure_of_engine_error e))
   in
   Cmd.v
     (Cmd.info "explore" ~doc:"Design-space exploration over a built-in kernel")
     Term.(
       const run $ observability_term $ kernel_arg $ size_arg $ lanes_arg
-      $ device_arg $ form_arg $ nki_arg $ jobs_arg $ no_prune_arg
-      $ retries_arg $ deadline_arg $ checkpoint_arg $ checkpoint_every_arg
-      $ resume_arg $ best_effort_arg $ fail_fast_arg $ progress_arg
-      $ flight_record_arg)
+      $ device_arg $ form_arg $ nki_arg $ jobs_arg $ no_prune_arg)
 
 (* ---- bw ---- *)
 

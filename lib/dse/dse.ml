@@ -64,20 +64,10 @@ type config = {
   jobs : int;                       (** evaluation-pool domains; 1 = seq *)
   use_cache : bool;                 (** memoize point evaluations *)
   prune : bool;                     (** bound-based pruning of the space *)
-  max_attempts : int;     (** attempts per point (1 = no retry) *)
-  retry_delay_s : float;  (** base backoff delay between attempts *)
-  deadline_s : float option;
-      (** cooperative per-point deadline; [None] = unbounded *)
-  fail_fast : bool;
-      (** [true]: first point failure (after retries) aborts the sweep;
-          [false]: failed points are quarantined into [sw_errors] *)
-  checkpoint : string option;
-      (** write a resumable checkpoint of the evaluated points here *)
-  checkpoint_every : int;  (** points evaluated between checkpoint writes *)
   on_progress : (progress -> unit) option;
       (** called on the sweep's driving domain after every evaluation
-          wave (and every checkpoint chunk) with cumulative coverage;
-          the [--progress] live line renders from this *)
+          wave with cumulative coverage; [tybec serve] streams it as
+          progress frames *)
 }
 
 (** Cumulative sweep coverage, as passed to [config.on_progress].
@@ -86,8 +76,6 @@ and progress = {
   pr_space : int;      (** variants enumerated across all configs *)
   pr_evaluated : int;  (** points lowered and costed so far *)
   pr_pruned : int;     (** candidates skipped by bounds so far *)
-  pr_failed : int;     (** candidates quarantined so far *)
-  pr_restored : int;   (** points adopted from a checkpoint *)
 }
 
 let default_config : config =
@@ -101,12 +89,6 @@ let default_config : config =
     jobs = 1;
     use_cache = true;
     prune = true;
-    max_attempts = 1;
-    retry_delay_s = 0.05;
-    deadline_s = None;
-    fail_fast = true;
-    checkpoint = None;
-    checkpoint_every = 32;
     on_progress = None;
   }
 
@@ -161,8 +143,7 @@ let lower_point ~prog_key prog v =
    set once, under the lock, by whichever point needs it first — the
    Pipe point itself or a replicated point that a wave runs before it —
    so Pipe is evaluated in full once per config at any pool width and
-   in any wave order. A sweep that restores Pipe from a checkpoint
-   starts with it set. *)
+   in any wave order. *)
 type baseline = {
   bl_lock : Mutex.t;
   mutable bl_point : (Tytra_ir.Ast.design * Tytra_cost.Report.t) option;
@@ -228,9 +209,9 @@ let eval_point ~(config : config) ~prog_key ~baseline prog v =
     baseline_point baseline (fun () ->
         through_cache Transform.Pipe (evaluate Transform.Pipe))
   in
-  (* Flight-recorder / event-log detail is gated separately from plain
-     metrics: with neither armed, this adds two ref cells and a bool. *)
-  let observe = Flightrec.is_enabled () || Tytra_telemetry.Events.active () in
+  (* Event-log detail is gated separately from plain metrics: without a
+     sink, this adds two ref cells and a bool. *)
+  let observe = Tytra_telemetry.Events.active () in
   let t0 = if observe then Tytra_telemetry.Clock.now_ns () else 0L in
   let d, report =
     match v with
@@ -253,21 +234,15 @@ let eval_point ~(config : config) ~prog_key ~baseline prog v =
     let dur_ns =
       Int64.max 0L (Int64.sub (Tytra_telemetry.Clock.now_ns ()) t0)
     in
-    let cached = config.use_cache && not !computed in
-    let variant = Transform.to_string v in
-    if Flightrec.is_enabled () then
-      Flightrec.note ~variant
-        (Flightrec.Evaluated
-           {
-             fo_ekit = ekit p;
-             fo_valid = valid p;
-             fo_cached = cached;
-             fo_dur_ns = dur_ns;
-           });
-    if Tytra_telemetry.Events.active () then
-      Tytra_telemetry.Events.emit
-        (Tytra_telemetry.Events.Point_evaluated
-           { variant; ekit = ekit p; valid = valid p; cached; dur_ns })
+    Tytra_telemetry.Events.emit
+      (Tytra_telemetry.Events.Point_evaluated
+         {
+           variant = Transform.to_string v;
+           ekit = ekit p;
+           valid = valid p;
+           cached = config.use_cache && not !computed;
+           dur_ns;
+         })
   end;
   p
 
@@ -296,40 +271,19 @@ type sweep_stats = {
   ss_evaluated : int;         (** points lowered and costed *)
   ss_pruned_resource : int;   (** skipped: could not fit *)
   ss_pruned_incumbent : int;  (** skipped: could not beat the incumbent *)
-  ss_restored : int;          (** taken from a resume checkpoint, not evaluated *)
-  ss_failed : int;            (** quarantined after exhausting retries *)
 }
 
-(* Restored/failed counts appear only when nonzero, so the stats line of
-   a clean, non-resumed sweep is byte-identical to what it always was. *)
 let pp_sweep_stats fmt s =
   Format.fprintf fmt "%d variants: %d evaluated, %d pruned (%d overflow, %d dominated)"
     s.ss_space s.ss_evaluated
     (s.ss_pruned_resource + s.ss_pruned_incumbent)
-    s.ss_pruned_resource s.ss_pruned_incumbent;
-  if s.ss_restored > 0 then Format.fprintf fmt ", %d restored" s.ss_restored;
-  if s.ss_failed > 0 then Format.fprintf fmt ", %d failed" s.ss_failed
+    s.ss_pruned_resource s.ss_pruned_incumbent
 
-(** A candidate whose evaluation failed after exhausting its retry
-    budget; quarantined so the rest of the sweep can proceed. *)
-type sweep_error = {
-  se_variant : Transform.variant;
-  se_error : Tytra_exec.Pool.task_error;
-}
-
-let pp_sweep_error fmt e =
-  Format.fprintf fmt "%-16s failed: %a"
-    (Transform.to_string e.se_variant)
-    Tytra_exec.Pool.pp_task_error e.se_error
-
-(** Result of one sweep: fully evaluated points, pruned candidates,
-    quarantined failures, and the evaluation accounting. *)
+(** Result of one sweep: fully evaluated points, pruned candidates and
+    the evaluation accounting. *)
 type sweep = {
   sw_points : point list;     (** evaluated points, enumeration order *)
   sw_bounded : bounded list;  (** pruned candidates, enumeration order *)
-  sw_errors : sweep_error list;
-      (** failed candidates, enumeration order; empty on the fail-fast
-          path (the first failure raises instead) *)
   sw_stats : sweep_stats;
 }
 
@@ -343,8 +297,6 @@ type sweep_state = {
   st_space : int;
   mutable st_done : (int * point) list;       (* (enumeration index, point) *)
   mutable st_bounded : (int * bounded) list;
-  mutable st_errors : (int * sweep_error) list;
-  mutable st_restored : int;                  (* of st_done, from a checkpoint *)
   mutable st_queue : (int * Transform.variant * Tytra_cost.Bounds.t) list;
       (* pending candidates, sorted by (ekit_ub desc, index asc) *)
   mutable st_incumbent : (float * int) option; (* (ekit, area) of best valid *)
@@ -377,19 +329,16 @@ let prunable st (b : Tytra_cost.Bounds.t) =
 
 let record_bounded st idx v b reason =
   Tytra_telemetry.Metrics.incr "dse.points_pruned";
-  if Flightrec.is_enabled () || Tytra_telemetry.Events.active () then begin
-    let variant = Transform.to_string v in
-    let why =
-      Printf.sprintf "%s (ekit_ub=%.6g, fits=%b)"
-        (prune_reason_to_string reason)
-        b.Tytra_cost.Bounds.b_ekit_ub b.Tytra_cost.Bounds.b_fits
-    in
-    if Flightrec.is_enabled () then
-      Flightrec.note ~variant (Flightrec.Pruned why);
-    if Tytra_telemetry.Events.active () then
-      Tytra_telemetry.Events.emit
-        (Tytra_telemetry.Events.Point_pruned { variant; reason = why })
-  end;
+  if Tytra_telemetry.Events.active () then
+    Tytra_telemetry.Events.emit
+      (Tytra_telemetry.Events.Point_pruned
+         {
+           variant = Transform.to_string v;
+           reason =
+             Printf.sprintf "%s (ekit_ub=%.6g, fits=%b)"
+               (prune_reason_to_string reason)
+               b.Tytra_cost.Bounds.b_ekit_ub b.Tytra_cost.Bounds.b_fits;
+         });
   st.st_bounded <-
     (idx, { bp_variant = v; bp_bounds = b; bp_reason = reason })
     :: st.st_bounded
@@ -415,96 +364,6 @@ let eval_wave ~pool prog (items : (sweep_state * int * Transform.variant) list)
          st.st_done <- (idx, p) :: st.st_done;
          update_incumbent st p)
 
-(* Resilient twin of [eval_wave]: every point runs under the retry /
-   deadline policy, and a failure — after its retry budget — either
-   aborts the sweep (fail-fast, re-raised with the original backtrace)
-   or is quarantined into the state's error list (best-effort). *)
-let eval_wave_resilient ~pool ~retry ~deadline_s ~fail_fast prog
-    (items : (sweep_state * int * Transform.variant) list) =
-  let outcomes =
-    Tytra_exec.Pool.map_result pool ~retry ?deadline_s
-      (fun (st, idx, v) ->
-        ( st,
-          idx,
-          eval_point ~config:st.st_config ~prog_key:st.st_prog_key
-            ~baseline:st.st_baseline prog v ))
-      items
-  in
-  List.iter2
-    (fun (st, idx, v) outcome ->
-      match outcome with
-      | Ok (_, _, p) ->
-          st.st_done <- (idx, p) :: st.st_done;
-          update_incumbent st p
-      | Error te ->
-          Tytra_telemetry.Metrics.incr "dse.points_failed";
-          Log.warn (fun m ->
-              m "point %s failed: %a" (Transform.to_string v)
-                Tytra_exec.Pool.pp_task_error te);
-          if Flightrec.is_enabled () || Tytra_telemetry.Events.active ()
-          then begin
-            let variant = Transform.to_string v in
-            let err =
-              Format.asprintf "%a" Tytra_exec.Pool.pp_task_error te
-            in
-            if Flightrec.is_enabled () then
-              Flightrec.note ~variant (Flightrec.Failed err);
-            if Tytra_telemetry.Events.active () then
-              Tytra_telemetry.Events.emit
-                (Tytra_telemetry.Events.Point_failed { variant; error = err })
-          end;
-          st.st_errors <-
-            (idx, { se_variant = v; se_error = te }) :: st.st_errors)
-    items outcomes;
-  if fail_fast then
-    match
-      List.find_map
-        (function Error te -> Some te | Ok _ -> None)
-        outcomes
-    with
-    | Some te ->
-        Printexc.raise_with_backtrace te.Tytra_exec.Pool.te_exn
-          te.Tytra_exec.Pool.te_backtrace
-    | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoints                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* What a checkpoint is compatible with: same program, same device /
-   calibration / form / nki and the same enumeration bounds. Execution
-   knobs (jobs, cache, prune, resilience) are deliberately excluded —
-   they change how a sweep runs, not what its points mean, so a
-   checkpoint written under one of them may resume under another. *)
-let checkpoint_meta (config : config) prog =
-  Tytra_exec.Cache.digest_key
-    [
-      program_digest prog;
-      config.device.Tytra_device.Device.dev_name;
-      calib_digest config.calib;
-      Tytra_cost.Throughput.form_to_string config.form;
-      string_of_int config.nki;
-      string_of_int config.max_lanes;
-      string_of_int config.max_vec;
-    ]
-
-let checkpoint_kind = "dse-sweep"
-
-let save_checkpoint ~path (config : config) prog (points : point list) =
-  Checkpoint.save ~path ~kind:checkpoint_kind
-    ~meta:(checkpoint_meta config prog)
-    points;
-  Tytra_telemetry.Metrics.incr "dse.checkpoint.writes";
-  if Tytra_telemetry.Events.active () then
-    Tytra_telemetry.Events.emit
-      (Tytra_telemetry.Events.Checkpoint_written
-         { path; points = List.length points })
-
-let load_checkpoint ~path (config : config) prog : (point list, string) result
-    =
-  Checkpoint.load ~path ~kind:checkpoint_kind
-    ~meta:(checkpoint_meta config prog)
-
 (** [sweep_many ~pool configs prog] — run one sweep of [prog] per config,
     interleaved on a single shared pool so a registry-wide device sweep
     saturates [Pool.jobs pool] domains even when each per-device space is
@@ -525,22 +384,15 @@ let load_checkpoint ~path (config : config) prog : (point list, string) result
     [best] and [pareto] over the survivors are invariant — equal to the
     exhaustive sweep's for every [jobs] value.
 
-    Resilience (retries, deadlines, best-effort quarantine) is governed
-    by the {e head} config: per-config policies make no sense on one
-    shared pool. [restore] pre-fills the head config's sweep with points
-    from a checkpoint (matched by variant; they are not re-evaluated and
-    count as [ss_restored]), and [checkpoint] on the head config — only
-    honoured for single-config sweeps — persists the evaluated points
-    every [checkpoint_every] evaluations. Restored points seed the
-    incumbent, and the pruning invariant above is indifferent to {e why}
-    an incumbent exists, so a resumed sweep keeps best/pareto equal to
-    an uninterrupted one. *)
-let sweep_many ~pool ?(restore = []) (configs : config list)
-    (prog : Expr.program) : sweep list =
+    Every wave runs through [eval_wave], so a point that raises aborts
+    the whole sweep with its exception. The {e head} config's
+    [on_progress], if any, hears cumulative coverage after every wave. *)
+let sweep_many ~pool (configs : config list) (prog : Expr.program) :
+    sweep list =
   let prog_key = program_digest prog in
   let states_with_variants =
-    List.mapi
-      (fun ci config ->
+    List.map
+      (fun config ->
         let variants =
           Transform.enumerate ~max_lanes:config.max_lanes
             ~max_vec:config.max_vec prog
@@ -553,44 +405,20 @@ let sweep_many ~pool ?(restore = []) (configs : config list)
             st_space = List.length variants;
             st_done = [];
             st_bounded = [];
-            st_errors = [];
-            st_restored = 0;
             st_queue = [];
             st_incumbent = None;
           }
         in
-        let indexed =
-          List.mapi (fun i v -> (i, v)) variants
-          |> List.filter (fun (i, v) ->
-                 (* Adopt checkpointed points (head config only) and
-                    drop them from every later phase. *)
-                 match
-                   if ci = 0 then
-                     List.find_opt (fun p -> p.dp_variant = v) restore
-                   else None
-                 with
-                 | None -> true
-                 | Some p ->
-                     if v = Transform.Pipe then
-                       st.st_baseline.bl_point <-
-                         Some (p.dp_design, p.dp_report);
-                     st.st_done <- (i, p) :: st.st_done;
-                     st.st_restored <- st.st_restored + 1;
-                     update_incumbent st p;
-                     if Flightrec.is_enabled () then
-                       Flightrec.note ~variant:(Transform.to_string v)
-                         Flightrec.Restored;
-                     false)
-        in
-        (st, indexed))
+        (st, List.mapi (fun i v -> (i, v)) variants))
       configs
   in
+  let states = List.map fst states_with_variants in
   (* The event log marks each config's sweep here, where the space is
      already enumerated — recomputing it just for the event would cost
      a full [Transform.enumerate] per sweep (~ms on large spaces). *)
   if Tytra_telemetry.Events.active () then
     List.iter
-      (fun (st, _) ->
+      (fun st ->
         Tytra_telemetry.Events.emit
           (Tytra_telemetry.Events.Sweep_started
              {
@@ -599,96 +427,28 @@ let sweep_many ~pool ?(restore = []) (configs : config list)
                jobs = st.st_config.jobs;
                prune = st.st_config.prune;
              }))
-      states_with_variants;
-  (* Resilience policy, from the head config. The legacy [eval_wave]
-     path is kept bit-for-bit for plain sweeps: it is the hot path the
-     bench baseline pins, and its first-exception semantics *is* the
-     fail-fast contract. *)
-  let head = List.hd configs in
+      states;
   (* Progress notification: cumulative coverage across every config,
-     reported on the driving domain after each wave/chunk. The policy
-     (like resilience below) comes from the head config. *)
+     reported on the driving domain after each wave. The callback comes
+     from the head config. *)
   let notify =
-    match head.on_progress with
+    match (List.hd configs).on_progress with
     | None -> fun () -> ()
     | Some f ->
-        let states = List.map fst states_with_variants in
         fun () ->
           f
             (List.fold_left
                (fun acc st ->
                  {
                    pr_space = acc.pr_space + st.st_space;
-                   pr_evaluated =
-                     acc.pr_evaluated
-                     + (List.length st.st_done - st.st_restored);
+                   pr_evaluated = acc.pr_evaluated + List.length st.st_done;
                    pr_pruned = acc.pr_pruned + List.length st.st_bounded;
-                   pr_failed = acc.pr_failed + List.length st.st_errors;
-                   pr_restored = acc.pr_restored + st.st_restored;
                  })
-               {
-                 pr_space = 0;
-                 pr_evaluated = 0;
-                 pr_pruned = 0;
-                 pr_failed = 0;
-                 pr_restored = 0;
-               }
+               { pr_space = 0; pr_evaluated = 0; pr_pruned = 0 }
                states)
   in
-  let resilient =
-    head.max_attempts > 1
-    || head.deadline_s <> None
-    || (not head.fail_fast)
-    || Tytra_exec.Faultgen.installed () <> None
-  in
   let run_wave items =
-    if not resilient then eval_wave ~pool prog items
-    else
-      let retry =
-        {
-          Tytra_exec.Pool.default_retry with
-          max_attempts = max 1 head.max_attempts;
-          base_delay_s = head.retry_delay_s;
-        }
-      in
-      eval_wave_resilient ~pool ~retry ~deadline_s:head.deadline_s
-        ~fail_fast:head.fail_fast prog items
-  in
-  (* Checkpointing splits waves into chunks of [checkpoint_every] (but
-     never narrower than the pool) and persists after each chunk — with
-     pruning off the whole space is a single wave, and the periodic
-     write is exactly what makes a SIGKILLed exhaustive sweep
-     resumable. *)
-  let ckpt =
-    match (configs, head.checkpoint) with
-    | [ _ ], Some path -> Some path
-    | _ -> None
-  in
-  let head_state = fst (List.hd states_with_variants) in
-  let write_ckpt path =
-    let pts =
-      List.sort (fun (i1, _) (i2, _) -> compare i1 i2) head_state.st_done
-      |> List.map snd
-    in
-    save_checkpoint ~path head prog pts
-  in
-  let run_wave items =
-    (match ckpt with
-    | None -> run_wave items
-    | Some path ->
-        let chunk_size =
-          max (max 1 head.checkpoint_every) (Tytra_exec.Pool.jobs pool)
-        in
-        let rec go = function
-          | [] -> ()
-          | items ->
-              let chunk, rest = take_n chunk_size items in
-              run_wave chunk;
-              write_ckpt path;
-              notify ();
-              go rest
-        in
-        go items);
+    eval_wave ~pool prog items;
     notify ()
   in
   (* Phase 1: baselines. Replication bounds derive from the Pipe report,
@@ -756,7 +516,6 @@ let sweep_many ~pool ?(restore = []) (configs : config list)
   in
   run_wave forced;
   (* Phase 3: incumbent-pruned waves. *)
-  let states = List.map fst states_with_variants in
   let rec rounds () =
     let active = List.filter (fun st -> st.st_queue <> []) states in
     if active <> [] then begin
@@ -781,30 +540,23 @@ let sweep_many ~pool ?(restore = []) (configs : config list)
     end
   in
   rounds ();
-  (* Final write so a completed sweep leaves a complete checkpoint on
-     disk (a resume of it restores every point and evaluates nothing). *)
-  Option.iter write_ckpt ckpt;
   let sweeps =
     List.map
       (fun st ->
       let by_index (i1, _) (i2, _) = compare i1 i2 in
       let bounded = List.sort by_index st.st_bounded |> List.map snd in
-      let errors = List.sort by_index st.st_errors |> List.map snd in
       let n_reason r =
         List.length (List.filter (fun b -> b.bp_reason = r) bounded)
       in
       {
         sw_points = List.sort by_index st.st_done |> List.map snd;
         sw_bounded = bounded;
-        sw_errors = errors;
         sw_stats =
           {
             ss_space = st.st_space;
-            ss_evaluated = List.length st.st_done - st.st_restored;
+            ss_evaluated = List.length st.st_done;
             ss_pruned_resource = n_reason Overflow;
             ss_pruned_incumbent = n_reason Dominated;
-            ss_restored = st.st_restored;
-            ss_failed = List.length errors;
           };
       })
       states
@@ -819,8 +571,6 @@ let sweep_many ~pool ?(restore = []) (configs : config list)
                pruned =
                  sw.sw_stats.ss_pruned_resource
                  + sw.sw_stats.ss_pruned_incumbent;
-               failed = sw.sw_stats.ss_failed;
-               restored = sw.sw_stats.ss_restored;
              }))
       sweeps;
   sweeps
@@ -829,13 +579,11 @@ let sweep_many ~pool ?(restore = []) (configs : config list)
 (* Exploration                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** [explore_sweep ?config ?restore prog] — sweep the reshaping design
-    space of [prog]: full reports for the surviving points plus the
-    bound records of every pruned candidate. [restore] (typically from
-    {!load_checkpoint}) pre-fills the sweep with already-evaluated
-    points, which are adopted without re-evaluation. *)
-let explore_sweep_in ~pool ?(config = default_config) ?restore
-    (prog : Expr.program) : sweep =
+(** [explore_sweep ?config prog] — sweep the reshaping design space of
+    [prog]: full reports for the surviving points plus the bound records
+    of every pruned candidate. *)
+let explore_sweep_in ~pool ?(config = default_config) (prog : Expr.program) :
+    sweep =
   Tytra_telemetry.Span.with_ ~name:"dse.explore"
     ~attrs:
       [ ("kernel", Tytra_telemetry.Span.Str prog.Expr.p_kernel.Expr.k_name);
@@ -847,7 +595,7 @@ let explore_sweep_in ~pool ?(config = default_config) ?restore
   (* sweep_started / sweep_finished events are emitted by [sweep_many],
      which has the enumerated space at hand. *)
   let sw =
-    match sweep_many ~pool ?restore [ config ] prog with
+    match sweep_many ~pool [ config ] prog with
     | [ sw ] -> sw
     | _ -> assert false
   in
@@ -857,10 +605,9 @@ let explore_sweep_in ~pool ?(config = default_config) ?restore
         pp_sweep_stats sw.sw_stats);
   sw
 
-let explore_sweep ?(config = default_config) ?restore (prog : Expr.program) :
-    sweep =
+let explore_sweep ?(config = default_config) (prog : Expr.program) : sweep =
   Tytra_exec.Pool.with_pool ~jobs:config.jobs (fun pool ->
-      explore_sweep_in ~pool ~config ?restore prog)
+      explore_sweep_in ~pool ~config prog)
 
 (** [explore ?config prog] — evaluated points of {!explore_sweep}, in
     enumeration order. With [config.prune] off this is the exhaustive

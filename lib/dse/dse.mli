@@ -50,22 +50,10 @@ type config = {
   jobs : int;                       (** evaluation-pool domains; 1 = seq *)
   use_cache : bool;                 (** memoize point evaluations *)
   prune : bool;                     (** bound-based pruning of the space *)
-  max_attempts : int;     (** attempts per point (1 = no retry) *)
-  retry_delay_s : float;  (** base backoff delay between attempts *)
-  deadline_s : float option;
-      (** cooperative per-point deadline; [None] = unbounded *)
-  fail_fast : bool;
-      (** [true]: first point failure (after retries) aborts the sweep
-          by re-raising it; [false]: failed points are quarantined into
-          [sw_errors] and the sweep completes degraded *)
-  checkpoint : string option;
-      (** write a resumable checkpoint of the evaluated points here
-          (single-config sweeps only; see {!save_checkpoint}) *)
-  checkpoint_every : int;  (** points evaluated between checkpoint writes *)
   on_progress : (progress -> unit) option;
       (** called on the sweep's driving domain after every evaluation
-          wave (and every checkpoint chunk) with cumulative coverage;
-          [tybec explore --progress] renders its live line from this *)
+          wave with cumulative coverage; [tybec serve] streams it to
+          clients that ask for progress frames *)
 }
 
 (** Cumulative sweep coverage, as passed to [config.on_progress]. In a
@@ -75,15 +63,12 @@ and progress = {
   pr_space : int;      (** variants enumerated across all configs *)
   pr_evaluated : int;  (** points lowered and costed so far *)
   pr_pruned : int;     (** candidates skipped by bounds so far *)
-  pr_failed : int;     (** candidates quarantined so far *)
-  pr_restored : int;   (** points adopted from a checkpoint *)
 }
 
 val default_config : config
 (** Stratix-V GSD8, device calibration, form B, [nki = 1],
     [max_lanes = 16], [max_vec = 1], [jobs = 1], caching and pruning
-    on; resilience off ([max_attempts = 1], no deadline, fail-fast, no
-    checkpoint). *)
+    on, no progress callback. *)
 
 (** {2 Sweeps} *)
 
@@ -106,55 +91,25 @@ type sweep_stats = {
   ss_evaluated : int;         (** points lowered and costed *)
   ss_pruned_resource : int;   (** skipped: could not fit *)
   ss_pruned_incumbent : int;  (** skipped: could not beat the incumbent *)
-  ss_restored : int;          (** taken from a resume checkpoint, not evaluated *)
-  ss_failed : int;            (** quarantined after exhausting retries *)
 }
 
 val pp_sweep_stats : Format.formatter -> sweep_stats -> unit
-(** Restored/failed counts are printed only when nonzero, so clean
-    sweeps render exactly as before. *)
 
-(** A candidate whose evaluation failed after exhausting its retry
-    budget; quarantined so the rest of the sweep could proceed. *)
-type sweep_error = {
-  se_variant : Tytra_front.Transform.variant;
-  se_error : Tytra_exec.Pool.task_error;
-}
-
-val pp_sweep_error : Format.formatter -> sweep_error -> unit
-
-(** Result of one sweep: fully evaluated points, pruned candidates,
-    quarantined failures, and the evaluation accounting. *)
+(** Result of one sweep: fully evaluated points, pruned candidates and
+    the evaluation accounting. *)
 type sweep = {
   sw_points : point list;     (** evaluated points, enumeration order *)
   sw_bounded : bounded list;  (** pruned candidates, enumeration order *)
-  sw_errors : sweep_error list;
-      (** failed candidates, enumeration order; empty on the fail-fast
-          path (the first failure raises instead) *)
   sw_stats : sweep_stats;
 }
 
-val explore_sweep :
-  ?config:config -> ?restore:point list -> Tytra_front.Expr.program -> sweep
-(** Sweep the whole variant space, pruning per [config.prune].
-
-    Resilience is governed by [config]: with [max_attempts > 1] failed
-    evaluations are retried with exponential backoff; [deadline_s] arms
-    a cooperative per-point deadline; with [fail_fast = false] the sweep
-    completes in degraded mode, quarantining failures into [sw_errors]
-    ([ss_failed], [dse.points_failed] telemetry). [config.checkpoint]
-    persists evaluated points periodically ({!save_checkpoint});
-    [restore] (typically from {!load_checkpoint}) adopts previously
-    evaluated points without re-evaluating them ([ss_restored]).
-    Restored points seed the pruning incumbent, so a resumed sweep's
-    {!best} and {!pareto} equal an uninterrupted run's. *)
+val explore_sweep : ?config:config -> Tytra_front.Expr.program -> sweep
+(** Sweep the whole variant space, pruning per [config.prune]. Each
+    evaluation wave is one {!Tytra_exec.Pool.map}: a point that raises
+    aborts the sweep with its exception. *)
 
 val explore_sweep_in :
-  pool:Tytra_exec.Pool.t ->
-  ?config:config ->
-  ?restore:point list ->
-  Tytra_front.Expr.program ->
-  sweep
+  pool:Tytra_exec.Pool.t -> ?config:config -> Tytra_front.Expr.program -> sweep
 (** {!explore_sweep} on a caller-owned pool instead of a fresh one — the
     long-lived engine ([tybec serve]) shares one pool across requests.
     The pool's width, not [config.jobs], governs the evaluation fan-out,
@@ -189,28 +144,6 @@ val explore_devices :
     pool, so the registry-wide sweep saturates [config.jobs] domains. *)
 
 val pp_point : Format.formatter -> point -> unit
-
-(** {2 Checkpoints}
-
-    Versioned, digest-validated sweep checkpoints ({!Checkpoint} is the
-    generic layer). The meta digest binds a checkpoint to its program,
-    device, calibration, form, nki and enumeration bounds — execution
-    knobs (jobs, cache, prune, resilience) are deliberately excluded, so
-    a checkpoint written under one of them may resume under another. *)
-
-val save_checkpoint :
-  path:string -> config -> Tytra_front.Expr.program -> point list -> unit
-(** Atomically write the points as a resume checkpoint for (config,
-    program); counts as [dse.checkpoint.writes] telemetry. *)
-
-val load_checkpoint :
-  path:string ->
-  config ->
-  Tytra_front.Expr.program ->
-  (point list, string) result
-(** Read a checkpoint back, validating that it belongs to (config,
-    program). Every failure — missing/corrupt/stale file — is an
-    [Error], never an exception. *)
 
 (** {2 Evaluation cache} *)
 

@@ -65,9 +65,11 @@ type explore_params = {
   x_nki : int;
   x_jobs : int;             (** evaluation domains; 0 = one per core *)
   x_prune : bool;
-  x_retries : int;          (** per-point retry budget *)
-  x_deadline_s : float option;  (** cooperative per-point deadline *)
-  x_best_effort : bool;     (** quarantine failed points, don't abort *)
+  (* Retired sweep-resilience fields: [submit] answers [Bad_request]
+     unless each is at its default (0, None, false, None, any, None). *)
+  x_retries : int;
+  x_deadline_s : float option;
+  x_best_effort : bool;
   x_checkpoint : string option;
   x_checkpoint_every : int;
   x_resume : string option;
@@ -124,6 +126,8 @@ type payload =
       xr_pruned : int;
       xr_failed : int;
       xr_restored : int;
+          (** both always 0: kept so the reply stays protocol v1 and a
+              journaled response keeps its marshalled layout *)
       xr_points : int;
       xr_pareto : int;
       xr_selected : string option;
@@ -443,25 +447,34 @@ let program_of = function
   | { x_kernel = Srad; x_size = s; _ } ->
       Tytra_kernels.Srad.program ~rows:s ~cols:s ()
 
+(* These fields ask for sweep resilience the engine does not offer: a
+   sweep lasts milliseconds and its points are deterministic, so a
+   retried point would fail again. A request that asks for one is told
+   so rather than silently ignored. *)
+let retired_explore_field x =
+  if x.x_retries <> 0 then Some "point_retries"
+  else if x.x_deadline_s <> None then Some "point_deadline_s"
+  else if x.x_best_effort then Some "best_effort"
+  else if x.x_checkpoint <> None then Some "checkpoint"
+  else if x.x_resume <> None then Some "resume"
+  else None
+
 let do_explore t ?on_progress (x : explore_params) =
   let module Dse = Tytra_dse.Dse in
+  let* () =
+    match retired_explore_field x with
+    | None -> Ok ()
+    | Some f ->
+        Error
+          (Bad_request
+             (Printf.sprintf "explore: %S is no longer supported" f))
+  in
   let prog = program_of x in
   let jobs = if x.x_jobs = 0 then Pool.default_jobs () else x.x_jobs in
   let config =
     { Dse.default_config with
       device = x.x_device; form = x.x_form; nki = x.x_nki;
-      max_lanes = x.x_max_lanes; jobs; prune = x.x_prune;
-      max_attempts = 1 + max 0 x.x_retries; deadline_s = x.x_deadline_s;
-      fail_fast = not x.x_best_effort; checkpoint = x.x_checkpoint;
-      checkpoint_every = x.x_checkpoint_every; on_progress }
-  in
-  let* restore, resumed =
-    match x.x_resume with
-    | None -> Ok (None, None)
-    | Some path -> (
-        match Dse.load_checkpoint ~path config prog with
-        | Ok pts -> Ok (Some pts, Some (List.length pts, path))
-        | Error m -> Error (Parse_error m))
+      max_lanes = x.x_max_lanes; jobs; prune = x.x_prune; on_progress }
   in
   (* Exploration shares the engine's persistent pool when the requested
      width matches; an explicit -j N gets its own width (the surviving
@@ -470,16 +483,12 @@ let do_explore t ?on_progress (x : explore_params) =
   let pool =
     if jobs = Pool.jobs t.pool then t.pool else Pool.create ~jobs ()
   in
-  let sw = Dse.explore_sweep_in ~pool ~config ?restore prog in
+  let sw = Dse.explore_sweep_in ~pool ~config prog in
   let pts = sw.Dse.sw_points in
   let front = Dse.pareto pts in
   let text, selected =
     Span.with_ ~name:"tybec.report" @@ fun () ->
     render (fun fmt ->
-        (match resumed with
-        | Some (n, path) ->
-            Format.fprintf fmt "resumed %d points from %s@." n path
-        | None -> ());
         List.iter (fun p -> Format.fprintf fmt "%a@." Dse.pp_point p) pts;
         List.iter
           (fun b ->
@@ -488,9 +497,6 @@ let do_explore t ?on_progress (x : explore_params) =
               (Dse.prune_reason_to_string b.Dse.bp_reason)
               Tytra_cost.Bounds.pp b.Dse.bp_bounds)
           sw.Dse.sw_bounded;
-        List.iter
-          (fun e -> Format.fprintf fmt "%a@." Dse.pp_sweep_error e)
-          sw.Dse.sw_errors;
         Format.fprintf fmt "sweep: %a@." Dse.pp_sweep_stats sw.Dse.sw_stats;
         Format.fprintf fmt "pareto front: %d of %d points@."
           (List.length front) (List.length pts);
@@ -513,8 +519,8 @@ let do_explore t ?on_progress (x : explore_params) =
             xr_space = st.Dse.ss_space;
             xr_evaluated = st.Dse.ss_evaluated;
             xr_pruned = st.Dse.ss_pruned_resource + st.Dse.ss_pruned_incumbent;
-            xr_failed = st.Dse.ss_failed;
-            xr_restored = st.Dse.ss_restored;
+            xr_failed = 0;
+            xr_restored = 0;
             xr_points = List.length pts;
             xr_pareto = List.length front;
             xr_selected = selected;
@@ -539,15 +545,13 @@ let dispatch t ?on_progress = function
    influence the response, the content behind every path parameter
    (source bytes, calibration bytes — a path alone is not a key; the
    path itself still participates because diagnostic names and design
-   names embed it). [None] means uncacheable: an Explore
-   with checkpoint/resume side effects, and a source or calib file that
-   cannot be read (keyless, falls through to the normal error path). A
-   {e pure} Explore — no checkpoint file, no resume — is cacheable like
-   any other request when [cache_explore] is set (the caller clears it
-   when an [on_progress] observer is attached, so streamed explores
-   always evaluate live and emit their frames). Only [Ok] responses are
-   inserted, so errors are re-derived (and re-rendered with current
-   file state) every time. *)
+   names embed it). [None] means uncacheable: a source or calib file
+   that cannot be read (keyless, falls through to the normal error
+   path), and an Explore when [cache_explore] is clear (the caller
+   clears it when an [on_progress] observer is attached, so streamed
+   explores always evaluate live and emit their frames). Only [Ok]
+   responses are inserted, so errors are re-derived (and re-rendered
+   with current file state) every time. *)
 
 let read_file_opt path =
   match
@@ -568,9 +572,7 @@ let request_key ~cache_explore (req : request) : string option =
   let ( let* ) = Option.bind in
   match req with
   | Explore x ->
-      if
-        (not cache_explore) || x.x_checkpoint <> None || x.x_resume <> None
-      then None
+      if not cache_explore then None
       else
         (* the surviving point set under pruning is jobs-dependent, so
            the resolved width keys *)
@@ -646,11 +648,7 @@ let submit ?deadline_s ?(retries = 0) ?on_progress t req =
           dispatch_cached t ?on_progress req)
     with
     | r -> r
-    | exception Task.Timeout allotted when deadline_s <> None ->
-        (* only the request-level deadline is reported as a timeout; a
-           per-point deadline escaping a fail-fast sweep keeps its
-           historical internal-error shape *)
-        Error (Timeout_error allotted)
+    | exception Task.Timeout allotted -> Error (Timeout_error allotted)
     | exception e -> Error (Internal_error (Printexc.to_string e))
   in
   let rec go n =

@@ -34,9 +34,11 @@ type explore_params = {
   x_nki : int;
   x_jobs : int;             (** evaluation domains; 0 = one per core *)
   x_prune : bool;
-  x_retries : int;          (** per-point retry budget *)
-  x_deadline_s : float option;  (** cooperative per-point deadline *)
-  x_best_effort : bool;     (** quarantine failed points, don't abort *)
+  (* Retired sweep-resilience fields: [submit] answers [Bad_request]
+     unless each is at its default (0, None, false, None, any, None). *)
+  x_retries : int;
+  x_deadline_s : float option;
+  x_best_effort : bool;
   x_checkpoint : string option;
   x_checkpoint_every : int;
   x_resume : string option;
@@ -86,6 +88,8 @@ type payload =
       xr_pruned : int;
       xr_failed : int;
       xr_restored : int;
+          (** both always 0: kept so the reply stays protocol v1 and a
+              journaled response keeps its marshalled layout *)
       xr_points : int;
       xr_pareto : int;
       xr_selected : string option;
@@ -127,9 +131,8 @@ type config = {
       (** entries in the full-request response cache: completed [Ok]
           responses keyed on a digest of the op, every parameter and
           the content behind every path parameter. Error responses are never
-          cached; an [Explore] is cached only when pure (no checkpoint
-          or resume side effects) and unobserved (no progress
-          callback). *)
+          cached; an [Explore] is cached only when unobserved (no
+          progress callback). *)
   cache_journal : string option;
       (** when set, every response-cache insertion is appended to this
           digest-validated JSONL file ({!Journal}) and {!create} replays
@@ -173,6 +176,8 @@ val submit :
     request on transient-class failures (internal errors and timeouts —
     parse/validation errors are deterministic and never retried);
     [on_progress] receives live sweep coverage for [Explore] requests.
+    An [Explore] that asks for point retries, a point deadline,
+    best-effort, a checkpoint or a resume is answered [Bad_request].
     Never raises. *)
 
 val load_design :

@@ -9,14 +9,13 @@
     its cache before serving ({!Engine.create} with
     [config.cache_journal]).
 
-    The discipline borrows from both persistence layers already in the
-    tree: like the {!Tytra_telemetry.Events} sink it is an append-only
-    JSONL stream flushed per record (a crash loses at most the line
-    being written), and like {!Tytra_dse.Checkpoint} every record is
-    versioned and digest-validated — a header line carries the magic and
-    format version, each entry carries an MD5 digest of its payload, and
-    the loader treats every malformed, truncated or digest-mismatched
-    line as data loss to skip, never a reason to raise.
+    Like the {!Tytra_telemetry.Events} sink it is an append-only JSONL
+    stream flushed per record (a crash loses at most the line being
+    written), and every record is versioned and digest-validated — a
+    header line carries the magic and format version, each entry carries
+    an MD5 digest of its payload, and the loader treats every malformed,
+    truncated or digest-mismatched line as data loss to skip, never a
+    reason to raise.
 
     Payloads are opaque bytes (hex-encoded on the wire, so the JSONL
     stays valid UTF-8); the engine marshals {!Engine.response} values

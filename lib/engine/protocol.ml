@@ -26,13 +26,22 @@
     ["error"]/["exit_code"]/["message"] shape as every other kind.
     Minor 2 also introduced a ["deadline_exceeded"] kind that is no
     longer emitted: a spent budget answers ["timeout"], with the same
-    HTTP 504 and exit code 1. *)
+    HTTP 504 and exit code 1.
+
+    Minor version 3 (no field added or removed): the sweep-resilience
+    members of an explore request — ["point_retries"],
+    ["point_deadline_s"], ["best_effort"], ["checkpoint"] and
+    ["resume"] — are still decoded, but any non-default value is
+    answered with a typed ["bad_request"] instead of being honoured;
+    ["checkpoint_every"] is read and ignored. The ["failed"] and
+    ["restored"] members of an explore reply and of a progress frame
+    are always 0. *)
 
 module J = Tytra_telemetry.Jsenc
 
 let version = 1
 
-let version_minor = 2
+let version_minor = 3
 
 (* ------------------------------------------------------------------ *)
 (* Field-level codecs                                                  *)
@@ -252,6 +261,8 @@ let decode_op j = function
       let* nki = int_member ~default:1 "nki" j in
       let* jobs = int_member ~default:1 "jobs" j in
       let* prune = bool_member ~default:true "prune" j in
+      (* retired since minor 3, still read so that [Engine.submit] can
+         refuse a client that asks for them *)
       let* retries = int_member ~default:0 "point_retries" j in
       let* deadline = float_opt_member "point_deadline_s" j in
       let* best_effort = bool_member ~default:false "best_effort" j in
@@ -431,8 +442,9 @@ let encode_progress ~op (p : Tytra_dse.Dse.progress) : string =
       int_field "space" p.Tytra_dse.Dse.pr_space;
       int_field "evaluated" p.Tytra_dse.Dse.pr_evaluated;
       int_field "pruned" p.Tytra_dse.Dse.pr_pruned;
-      int_field "failed" p.Tytra_dse.Dse.pr_failed;
-      int_field "restored" p.Tytra_dse.Dse.pr_restored ]
+      (* constant since minor 3; version-1 clients read both *)
+      int_field "failed" 0;
+      int_field "restored" 0 ]
 
 let encode_response_frame ~op (resp : Engine.response) : string =
   obj (response_fields ~op resp @ [ str_field "frame" "result" ])
@@ -445,8 +457,6 @@ type progress_frame = {
   pf_space : int;
   pf_evaluated : int;
   pf_pruned : int;
-  pf_failed : int;
-  pf_restored : int;
 }
 
 type frame = Frame_progress of progress_frame | Frame_result of reply
@@ -469,8 +479,6 @@ let decode_frame (line : string) : (frame, string) result =
                  pf_space = geti "space";
                  pf_evaluated = geti "evaluated";
                  pf_pruned = geti "pruned";
-                 pf_failed = geti "failed";
-                 pf_restored = geti "restored";
                })
       | Some "result" | None ->
           (* an unframed reply decodes as the result — one code path for

@@ -14,7 +14,10 @@ val version_minor : int
     added the ["deadline_ms"] request budget and the
     ["request_too_large"] error kind (its ["deadline_exceeded"] kind is
     no longer emitted: a spent budget answers ["timeout"], with the
-    same HTTP 504 and exit code). Decoders never check it (additive
+    same HTTP 504 and exit code). Minor 3 answers an explore that asks
+    for point retries, a point deadline, best-effort, a checkpoint or
+    a resume with a typed ["bad_request"], and its ["failed"] and
+    ["restored"] counts are always 0. Decoders never check it (additive
     changes are compatible by construction), clients read it from
     [GET /v1/protocol] for capability discovery. *)
 
@@ -89,7 +92,7 @@ val decode_reply : string -> (reply, string) result
 
 val encode_progress : op:string -> Tytra_dse.Dse.progress -> string
 (** [{"v":1,"frame":"progress","op":…,"space":…,"evaluated":…,
-    "pruned":…,"failed":…,"restored":…}] — one line per sweep wave. *)
+    "pruned":…,"failed":0,"restored":0}] — one line per sweep wave. *)
 
 val encode_response_frame : op:string -> Engine.response -> string
 (** {!encode_response} plus the ["frame":"result"] discriminator. *)
@@ -102,8 +105,6 @@ type progress_frame = {
   pf_space : int;
   pf_evaluated : int;
   pf_pruned : int;
-  pf_failed : int;
-  pf_restored : int;
 }
 
 type frame = Frame_progress of progress_frame | Frame_result of reply

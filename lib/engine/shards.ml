@@ -16,8 +16,8 @@
       executable ([create_process], never a bare [fork]: the parent
       runs domains, and a forked child would inherit their mutexes
       mid-flight). A crashed shard is reaped, postmortemed (crash
-      record + last metrics snapshot + flight recorder, as JSONL in the
-      run directory) and restarted under an exponential-backoff restart
+      record + last metrics snapshot, as JSONL in the run directory)
+      and restarted under an exponential-backoff restart
       budget ([shards.restarts], [shards.crashes]); a shard that is
       alive but stops answering health probes is SIGKILLed and treated
       as a crash ([shards.hung_kills]); when {e every} shard is down a
@@ -374,11 +374,11 @@ let describe_status = function
   | Unix.WSIGNALED n -> Printf.sprintf "killed by signal %d" n
   | Unix.WSTOPPED n -> Printf.sprintf "stopped by signal %d" n
 
-(* One JSONL file per crash in the run directory: the crash record, the
-   shard's last good /metrics.json scrape (its state died with it — this
-   snapshot is all that survives), and the supervisor's flight recorder
-   if one is armed. The run directory is deliberately left behind when
-   postmortems exist, so the evidence outlives the run. *)
+(* One JSONL file per crash in the run directory: the crash record and
+   the shard's last good /metrics.json scrape (its state died with it —
+   this snapshot is all that survives). The run directory is
+   deliberately left behind when postmortems exist, so the evidence
+   outlives the run. *)
 let postmortem t s ~pid ~status =
   let path =
     Filename.concat t.t_dir
@@ -394,14 +394,12 @@ let postmortem t s ~pid ~status =
           s.sh_index pid s.sh_restarts (describe_status status)
           (Unix.gettimeofday () -. s.sh_spawned);
         output_char oc '\n';
-        (match s.sh_last_metrics with
+        match s.sh_last_metrics with
         | Some m ->
             Printf.fprintf oc {|{"type":"last_metrics","shard":%d,"metrics":%s}|}
               s.sh_index (String.trim m);
             output_char oc '\n'
         | None -> ());
-        if Tytra_dse.Flightrec.is_enabled () then
-          output_string oc (Tytra_dse.Flightrec.to_jsonl ()));
     Some path
   with Sys_error _ -> None
 

@@ -50,8 +50,8 @@ val run :
     flags); the supervisor adds the socket-mode environment.
 
     Supervision (DESIGN.md §16): a crashed shard is postmortemed (crash
-    JSONL + last metrics snapshot + flight recorder into the run
-    directory, plus a typed [shard_crash] event) and restarted after an
+    JSONL + last metrics snapshot into the run directory, plus a typed
+    [shard_crash] event) and restarted after an
     exponential backoff (0.5 s doubling, 30 s cap); [restart_budget]
     (default 8) consecutive restarts without 5 s of proven stability
     marks the shard dead. A shard whose [/healthz] stops answering for

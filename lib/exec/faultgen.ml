@@ -1,138 +1,55 @@
-(** Deterministic fault injection for the execution layer.
+(** Deterministic crash injection for the execution layer.
 
-    Tests, CI and the bench harness need to drive every failure path of
-    the resilient pool — transient task failures, hung tasks, a process
-    killed mid-sweep — *reproducibly*. This module injects those faults
-    from a seeded schedule keyed by a global task index: the [n]-th task
-    submitted through {!Pool.map_result} observes the same fate in every
-    run with the same spec, regardless of which domain executes it or in
-    what order chunks are drained.
-
-    The harness is disabled unless a spec is installed — either
-    programmatically ({!install}, {!with_spec}) or via the
-    [TYTRA_FAULT_SPEC] environment variable, e.g.
-
-    {v TYTRA_FAULT_SPEC="seed=42,fail=0.1,timeout_at=3:11,delay_s=30" v}
-
-    Schedule semantics, applied by {!inject} at the top of every task
-    attempt:
-
-    - [crash_at=N] — task [N] SIGKILLs the whole process (simulating a
-      machine loss between checkpoints); unconditional, ignores retries.
-    - [timeout_at=I:J:…] — the listed tasks sleep [delay_s] seconds
-      cooperatively, so an armed deadline converts the delay into
-      {!Task.Timeout}.
-    - [fail_at=I:J:…] and [fail=P] — the listed tasks, plus a seeded
-      pseudo-random fraction [P] of all tasks, raise
-      {!Injected_failure}.
-    - Failures and timeouts fire only while [attempt <= fail_attempts]
-      (default 1): first attempts fail, retries succeed — which is what
-      lets CI assert that a fault-injected sweep converges to the clean
-      run's selection. *)
-
-exception Injected_failure of int
-(** [Injected_failure id] — the scheduled failure of task [id]. *)
-
-type spec = {
-  fs_seed : int;  (** seeds the pseudo-random failure selection *)
-  fs_fail : float;  (** fraction of tasks that fail, in [0, 1] *)
-  fs_fail_attempts : int;
-      (** inject failures/timeouts only while [attempt <= this] *)
-  fs_fail_at : int list;  (** explicit task ids that fail *)
-  fs_timeout_at : int list;  (** explicit task ids that hang *)
-  fs_delay_s : float;  (** how long a hung task sleeps *)
-  fs_crash_at : int option;  (** task id that SIGKILLs the process *)
-}
-
-let default =
-  {
-    fs_seed = 0;
-    fs_fail = 0.0;
-    fs_fail_attempts = 1;
-    fs_fail_at = [];
-    fs_timeout_at = [];
-    fs_delay_s = 30.0;
-    fs_crash_at = None;
-  }
-
-(* ---- spec parsing: "key=value,key=value"; lists are colon-separated *)
-
-let parse_int_list s =
-  String.split_on_char ':' s
-  |> List.filter (fun f -> f <> "")
-  |> List.map int_of_string
+    The chaos harness needs a process to die mid-request, reproducibly:
+    [TYTRA_FAULT_SPEC="crash_at=N"] makes the [N]-th task submitted
+    through {!Pool.map} (0-based, counted across the whole process)
+    SIGKILL the process before it runs. Ids are assigned at submission
+    time and in input order, so the same task dies in every run
+    regardless of which domain would have executed it. With no spec
+    installed, {!inject} is a no-op and the pool draws no ids. *)
 
 let parse s =
+  let fields =
+    String.split_on_char ',' s |> List.filter (fun f -> String.trim f <> "")
+  in
   try
-    let spec =
-      String.split_on_char ',' s
-      |> List.filter (fun f -> String.trim f <> "")
-      |> List.fold_left
-           (fun sp field ->
-             match String.index_opt field '=' with
-             | None -> failwith (Printf.sprintf "field %S has no '='" field)
-             | Some i ->
-                 let k = String.trim (String.sub field 0 i) in
-                 let v =
-                   String.trim
-                     (String.sub field (i + 1) (String.length field - i - 1))
-                 in
-                 (match k with
-                 | "seed" -> { sp with fs_seed = int_of_string v }
-                 | "fail" ->
-                     let p = float_of_string v in
-                     if p < 0.0 || p > 1.0 then
-                       failwith "fail must be in [0, 1]";
-                     { sp with fs_fail = p }
-                 | "fail_attempts" ->
-                     { sp with fs_fail_attempts = int_of_string v }
-                 | "fail_at" -> { sp with fs_fail_at = parse_int_list v }
-                 | "timeout_at" ->
-                     { sp with fs_timeout_at = parse_int_list v }
-                 | "delay_s" -> { sp with fs_delay_s = float_of_string v }
-                 | "crash_at" ->
-                     { sp with fs_crash_at = Some (int_of_string v) }
-                 | _ -> failwith (Printf.sprintf "unknown key %S" k)))
-           default
+    let crash_at =
+      List.fold_left
+        (fun _ field ->
+          match String.index_opt field '=' with
+          | None -> failwith (Printf.sprintf "field %S has no '='" field)
+          | Some i -> (
+              let k = String.trim (String.sub field 0 i) in
+              let v =
+                String.trim
+                  (String.sub field (i + 1) (String.length field - i - 1))
+              in
+              match k with
+              | "crash_at" -> Some (int_of_string v)
+              | _ -> failwith (Printf.sprintf "unknown key %S" k)))
+        None fields
     in
-    Ok spec
+    match crash_at with
+    | Some n -> Ok n
+    | None -> failwith "no crash_at"
   with
   | Failure msg -> Error (Printf.sprintf "bad fault spec %S: %s" s msg)
   | _ -> Error (Printf.sprintf "bad fault spec %S" s)
 
-let to_string sp =
-  let b = Buffer.create 64 in
-  let add fmt = Printf.ksprintf (fun s ->
-      if Buffer.length b > 0 then Buffer.add_char b ',';
-      Buffer.add_string b s) fmt in
-  if sp.fs_seed <> 0 then add "seed=%d" sp.fs_seed;
-  if sp.fs_fail > 0.0 then add "fail=%g" sp.fs_fail;
-  if sp.fs_fail_attempts <> 1 then add "fail_attempts=%d" sp.fs_fail_attempts;
-  if sp.fs_fail_at <> [] then
-    add "fail_at=%s"
-      (String.concat ":" (List.map string_of_int sp.fs_fail_at));
-  if sp.fs_timeout_at <> [] then
-    add "timeout_at=%s"
-      (String.concat ":" (List.map string_of_int sp.fs_timeout_at));
-  if sp.fs_delay_s <> default.fs_delay_s then add "delay_s=%g" sp.fs_delay_s;
-  Option.iter (fun n -> add "crash_at=%d" n) sp.fs_crash_at;
-  Buffer.contents b
+(* ---- installed crash id ---- *)
 
-(* ---- installed spec ---- *)
-
-let spec_ref : spec option ref =
+let spec_ref : int option ref =
   ref
     (match Sys.getenv_opt "TYTRA_FAULT_SPEC" with
     | None | Some "" -> None
     | Some s -> (
         match parse s with
-        | Ok sp -> Some sp
+        | Ok n -> Some n
         | Error msg ->
             prerr_endline ("warning: TYTRA_FAULT_SPEC ignored: " ^ msg);
             None))
 
 let installed () = !spec_ref
-let install sp = spec_ref := sp
 
 let with_spec sp f =
   let prev = !spec_ref in
@@ -148,31 +65,10 @@ let counter = Atomic.make 0
 let next_id () = Atomic.fetch_and_add counter 1
 let reset_counter () = Atomic.set counter 0
 
-(* Seeded hash-fraction selection: stable across runs and OCaml builds as
-   long as [Hashtbl.hash] is, and independent for each (seed, id). *)
-let selects ~seed ~id ~what fraction =
-  fraction > 0.0
-  && Hashtbl.hash (seed, id, what) mod 10_000
-     < int_of_float (fraction *. 10_000.0)
-
-let inject ~id ~attempt =
+let inject ~id =
   match !spec_ref with
-  | None -> ()
-  | Some sp ->
-      (match sp.fs_crash_at with
-      | Some n when n = id ->
-          (* Simulate losing the process between checkpoints. SIGKILL
-             (not exit) so no at_exit / finaliser can "clean up" — the
-             resume path must cope with whatever is on disk. *)
-          Unix.kill (Unix.getpid ()) Sys.sigkill
-      | _ -> ());
-      if attempt <= sp.fs_fail_attempts then begin
-        if List.mem id sp.fs_timeout_at then
-          (* Cooperative sleep: under an armed deadline this raises
-             Task.Timeout mid-delay; with no deadline it is just a slow
-             task. *)
-          Task.sleep sp.fs_delay_s;
-        if List.mem id sp.fs_fail_at
-           || selects ~seed:sp.fs_seed ~id ~what:"fail" sp.fs_fail
-        then raise (Injected_failure id)
-      end
+  | Some n when n = id ->
+      (* SIGKILL, not exit, so no at_exit handler or finaliser runs:
+         the process is lost exactly as in a machine failure. *)
+      Unix.kill (Unix.getpid ()) Sys.sigkill
+  | _ -> ()

@@ -1,52 +1,30 @@
-(** Deterministic fault injection for the execution layer.
+(** Deterministic crash injection for the execution layer.
 
-    Disabled unless a spec is installed (programmatically or via the
-    [TYTRA_FAULT_SPEC] environment variable). Schedules are seeded and
-    keyed by a global task index, so the [n]-th submitted task observes
-    the same fate in every run — see [faultgen.ml] for the schedule
-    semantics and the spec syntax. *)
+    Disabled unless a crash is installed (programmatically or via the
+    [TYTRA_FAULT_SPEC] environment variable, e.g. [crash_at=1]). Task ids
+    are drawn at submission time in input order, so the [N]-th task
+    submitted through {!Pool.map} dies in every run, whatever the pool
+    width — see [faultgen.ml]. *)
 
-exception Injected_failure of int
-(** [Injected_failure id] — the scheduled failure of task [id]. *)
+val parse : string -> (int, string) result
+(** Parse ["crash_at=N"] into [N]. Any other key, a field without ['='],
+    a non-integer value or a spec without [crash_at] is an error. *)
 
-type spec = {
-  fs_seed : int;  (** seeds the pseudo-random failure selection *)
-  fs_fail : float;  (** fraction of tasks that fail, in [0, 1] *)
-  fs_fail_attempts : int;
-      (** inject failures/timeouts only while [attempt <= this] *)
-  fs_fail_at : int list;  (** explicit task ids that fail *)
-  fs_timeout_at : int list;  (** explicit task ids that hang *)
-  fs_delay_s : float;  (** how long a hung task sleeps *)
-  fs_crash_at : int option;  (** task id that SIGKILLs the process *)
-}
+val installed : unit -> int option
+(** The id of the task that will crash the process, if any. *)
 
-val default : spec
-(** All-zeros spec: no faults even if installed. *)
-
-val parse : string -> (spec, string) result
-(** Parse ["seed=42,fail=0.1,fail_at=3:5,timeout_at=7,delay_s=30,crash_at=12"].
-    Lists are colon-separated; unknown keys and out-of-range values are
-    errors. *)
-
-val to_string : spec -> string
-(** Round-trips through {!parse} (modulo field order and defaults). *)
-
-val installed : unit -> spec option
-val install : spec option -> unit
-
-val with_spec : spec option -> (unit -> 'a) -> 'a
-(** Run with the given spec installed, restoring the previous one
-    afterwards (exception-safe). *)
+val with_spec : int option -> (unit -> 'a) -> 'a
+(** Run with the given crash id installed (or none), restoring the
+    previous one afterwards (exception-safe). *)
 
 val next_id : unit -> int
-(** Draw the next task id from the process-wide counter. The pool calls
-    this at submission time, before work fans out, so ids — and hence
-    the fault schedule — are independent of domain interleaving. *)
+(** Draw the next task id from the process-wide counter. {!Pool.map}
+    calls this at submission time, before work fans out, so ids — and
+    hence the crash — are independent of domain interleaving. *)
 
 val reset_counter : unit -> unit
 (** Restart ids at 0 (tests; lets one process replay a schedule). *)
 
-val inject : id:int -> attempt:int -> unit
-(** Apply the installed schedule to task [id] on its [attempt]-th try
-    (1-based): possibly SIGKILL the process, sleep, or raise
-    {!Injected_failure}. No-op when no spec is installed. *)
+val inject : id:int -> unit
+(** SIGKILL the process if [id] is the installed crash id; a no-op
+    otherwise. *)

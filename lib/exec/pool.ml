@@ -9,17 +9,11 @@
     pops the next chunk when it runs dry, which bounds the straggler
     penalty by one chunk rather than one block.
 
-    Two entry points share the machinery:
-
-    - [map] keeps exactly sequential-equivalent semantics: results in
-      input order, the first exception re-raised after all domains are
-      joined, [jobs = 1] short-circuiting to [List.map].
-    - [map_result] is the resilient variant: every item yields a
-      [('b, task_error) result], failed items never abort the map, and
-      each item runs under an optional cooperative deadline with a
-      bounded retry + exponential backoff policy. Timeouts are
-      *cooperative* (see {!Task}): a task observes its deadline at
-      [Task.check]/[Task.sleep] safepoints — domains cannot be killed.
+    [map] keeps exactly sequential-equivalent semantics: results in input
+    order, the first exception re-raised after all domains are joined,
+    [jobs = 1] short-circuiting to [List.map]. When a {!Faultgen} crash
+    is installed, every item draws its task id at submission, in input
+    order, and the item with the installed id kills the process.
 
     Shutdown is unconditional: workers are joined through {!join_all},
     which joins every domain even when an earlier join re-raises a task
@@ -59,54 +53,6 @@ let inside_worker () = Domain.DLS.get in_worker_key
 let as_worker f =
   Domain.DLS.set in_worker_key true;
   Fun.protect ~finally:(fun () -> Domain.DLS.set in_worker_key false) f
-
-(* ------------------------------------------------------------------ *)
-(* Errors and retry policy                                              *)
-(* ------------------------------------------------------------------ *)
-
-type task_error = {
-  te_exn : exn;
-  te_backtrace : Printexc.raw_backtrace;
-  te_attempts : int;
-  te_elapsed_s : float;
-  te_timed_out : bool;
-}
-
-let pp_task_error ppf te =
-  Format.fprintf ppf "%s after %d attempt%s (%.3f s)%s"
-    (Printexc.to_string te.te_exn)
-    te.te_attempts
-    (if te.te_attempts = 1 then "" else "s")
-    te.te_elapsed_s
-    (if te.te_timed_out then " [timed out]" else "")
-
-type retry = {
-  max_attempts : int;
-  base_delay_s : float;
-  max_delay_s : float;
-  jitter : float;
-}
-
-let no_retry =
-  { max_attempts = 1; base_delay_s = 0.0; max_delay_s = 0.0; jitter = 0.0 }
-
-let default_retry =
-  { max_attempts = 3; base_delay_s = 0.05; max_delay_s = 2.0; jitter = 0.5 }
-
-(* Exponential backoff with *deterministic* jitter: the jitter term is a
-   hash fraction of (item index, attempt), so concurrent retries still
-   decorrelate but a rerun of the same workload sleeps the exact same
-   schedule — which is what lets tests assert it via a virtual clock. *)
-let backoff_delay retry ~index ~attempt =
-  let exp_d = retry.base_delay_s *. (2.0 ** float_of_int (attempt - 1)) in
-  let d = Float.min retry.max_delay_s exp_d in
-  let j =
-    if retry.jitter <= 0.0 then 0.0
-    else
-      let h = Hashtbl.hash (index, attempt, "jitter") mod 1000 in
-      d *. retry.jitter *. (float_of_int h /. 1000.0)
-  in
-  d +. j
 
 (* ------------------------------------------------------------------ *)
 (* Work deque: index chunks [lo, hi), popped front-first under a lock.  *)
@@ -163,7 +109,7 @@ let join_all domains =
 (** Spawn [n] workers; if a spawn fails mid-fanout (resource limits),
     flip [abort] so already-running cooperative workers wind down, join
     them, and re-raise — never leaks the partial fleet. *)
-let spawn_all ?abort n worker =
+let spawn_all ~abort n worker =
   let rec go i acc =
     if i >= n then List.rev acc
     else
@@ -171,7 +117,7 @@ let spawn_all ?abort n worker =
       | d -> go (i + 1) (d :: acc)
       | exception e ->
           let bt = Printexc.get_raw_backtrace () in
-          Option.iter (fun a -> Atomic.set a true) abort;
+          Atomic.set abort true;
           (try join_all (List.rev acc) with _ -> ());
           Printexc.raise_with_backtrace e bt
   in
@@ -183,9 +129,9 @@ let spawn_all ?abort n worker =
 
 type 'b slot = Pending | Done of 'b
 
-(** [map t f xs] — [List.map f xs], fanned out over [jobs t] domains.
-    Order-preserving; re-raises the first worker exception. *)
-let map (t : t) (f : 'a -> 'b) (xs : 'a list) : 'b list =
+(* [List.map f xs], fanned out over [jobs t] domains. Order-preserving;
+   re-raises the first worker exception. *)
+let fan_out (t : t) (f : 'a -> 'b) (xs : 'a list) : 'b list =
   let n = List.length xs in
   (* Dispatch accounting is per call, published on the sequential
      short-circuit too: exec.pool.* must be a pure function of the
@@ -250,105 +196,20 @@ let map (t : t) (f : 'a -> 'b) (xs : 'a list) : 'b list =
                  invalid_arg "Pool.map: missing result")
   end
 
-(* ------------------------------------------------------------------ *)
-(* map_result: deadlines, retries, per-item errors                      *)
-(* ------------------------------------------------------------------ *)
-
-(** Run one item through the attempt loop: arm the deadline, let the
-    fault harness have its say, retry transient failures with backoff.
-    [index] is the item's position (keys the jitter); [id] its global
-    fault-schedule identity. *)
-let run_item ~retry ~deadline_s ~index ~id f x =
-  let start = Task.now () in
-  let rec go attempt =
-    match
-      Task.with_context ?deadline_s (fun () ->
-          Faultgen.inject ~id ~attempt;
-          let r = f x in
-          (* Post-hoc deadline check: a task that never polls still
-             reports as timed out when it finally returns late. *)
-          Task.check ();
-          r)
-    with
-    | r -> Ok r
-    | exception e -> (
-        let bt = Printexc.get_raw_backtrace () in
-        let timed_out = match e with Task.Timeout _ -> true | _ -> false in
-        if timed_out then Tytra_telemetry.Metrics.incr "exec.task.timeouts";
-        match e with
-        | Task.Cancelled ->
-            (* The surrounding map was aborted: report, never retry. *)
-            Tytra_telemetry.Metrics.incr "exec.task.failures";
-            Error
-              {
-                te_exn = e;
-                te_backtrace = bt;
-                te_attempts = attempt;
-                te_elapsed_s = Task.now () -. start;
-                te_timed_out = false;
-              }
-        | _ when attempt < retry.max_attempts ->
-            Tytra_telemetry.Metrics.incr "exec.task.retries";
-            Task.sleep (backoff_delay retry ~index ~attempt);
-            go (attempt + 1)
-        | _ ->
-            Tytra_telemetry.Metrics.incr "exec.task.failures";
-            Error
-              {
-                te_exn = e;
-                te_backtrace = bt;
-                te_attempts = attempt;
-                te_elapsed_s = Task.now () -. start;
-                te_timed_out = timed_out;
-              })
-  in
-  go 1
-
-(** [map_result t ?retry ?deadline_s f xs] — like [map], but resilient:
-    every item is attempted (no early abort), each under its own
-    cooperative deadline and retry budget, and the per-item outcome
-    comes back as a [result]. Order-preserving; never raises from task
-    failures. *)
-let map_result (t : t) ?(retry = no_retry) ?deadline_s (f : 'a -> 'b)
-    (xs : 'a list) : ('b, task_error) result list =
-  let n = List.length xs in
-  (* Fault-schedule ids are drawn here, at submission time and in input
-     order, so the schedule is independent of worker interleaving. *)
-  let ids = Array.make n 0 in
-  for i = 0 to n - 1 do
-    ids.(i) <- Faultgen.next_id ()
-  done;
-  let run i x = run_item ~retry ~deadline_s ~index:i ~id:ids.(i) f x in
-  let out =
-    if t.pool_jobs <= 1 || n <= 1 || inside_worker () then List.mapi run xs
-    else begin
-      let workers = min t.pool_jobs n in
-      let input = Array.of_list xs in
-      let results = Array.make n Pending in
-      let dq = deque_of ~n ~workers in
-      let worker () =
-        let rec drain () =
-          match deque_pop dq with
-          | None -> ()
-          | Some (lo, hi) ->
-              for i = lo to hi - 1 do
-                results.(i) <- Done (run i input.(i))
-              done;
-              drain ()
-        in
-        as_worker drain
-      in
-      let domains = spawn_all workers worker in
-      join_all domains;
-      Array.to_list results
-      |> List.map (function
-           | Done r -> r
-           | Pending -> invalid_arg "Pool.map_result: missing result")
-    end
-  in
-  Tytra_telemetry.Metrics.incr "exec.pool.maps";
-  Tytra_telemetry.Metrics.add "exec.pool.items" (float_of_int n);
-  out
+(** [map t f xs] — [List.map f xs], fanned out over [jobs t] domains.
+    Order-preserving; re-raises the first worker exception. *)
+let map (t : t) (f : 'a -> 'b) (xs : 'a list) : 'b list =
+  match Faultgen.installed () with
+  | None -> fan_out t f xs
+  | Some _ ->
+      (* Task ids are drawn here, at submission and in input order, so
+         the installed crash hits the same item at every pool width. *)
+      let tagged = List.map (fun x -> (Faultgen.next_id (), x)) xs in
+      fan_out t
+        (fun (id, x) ->
+          Faultgen.inject ~id;
+          f x)
+        tagged
 
 (** [with_pool ?jobs f] — scoped pool; today a pool holds no OS
     resources, but callers should not rely on that. *)

@@ -3,10 +3,8 @@
     Built for the DSE evaluation loop: work items are uneven (a 16-lane
     variant costs far more to lower than the baseline pipe), so items are
     fed to workers from a shared deque of small chunks rather than a
-    static partition. Two entry points: {!map} with exact sequential
-    semantics (first exception propagates), and the resilient
-    {!map_result} (per-item results, cooperative deadlines, bounded
-    retry). See the implementation notes in [pool.ml]. *)
+    static partition. {!map} has exact sequential semantics (first
+    exception propagates). See the implementation notes in [pool.ml]. *)
 
 type t
 
@@ -23,12 +21,12 @@ val jobs : t -> int
 (** Worker count this pool was created with. *)
 
 val inside_worker : unit -> bool
-(** [true] while the calling domain is executing pool work. A {!map} or
-    {!map_result} issued from inside a worker does not fan out again —
-    it degrades to the sequential short-circuit on the worker's own
-    domain, so nested dispatch (a parallel sub-computation running
-    within a pooled item) can never oversubscribe the machine or
-    deadlock against the dispatch waiting on that item. *)
+(** [true] while the calling domain is executing pool work. A {!map}
+    issued from inside a worker does not fan out again — it degrades to
+    the sequential short-circuit on the worker's own domain, so nested
+    dispatch (a parallel sub-computation running within a pooled item)
+    can never oversubscribe the machine or deadlock against the dispatch
+    waiting on that item. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map t f xs] — [List.map f xs] evaluated on [jobs t] domains.
@@ -39,58 +37,9 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
       joined (no orphaned domains); remaining work is abandoned
       promptly, and tasks that poll [Task.check] unwind early.
     - With [jobs t = 1] (or fewer than two items) this is exactly
-      [List.map f xs] on the calling domain. *)
-
-(** Why one task failed: the exception and backtrace of the {e last}
-    attempt, how many attempts were made, wall time across all of them,
-    and whether the final failure was a cooperative timeout. *)
-type task_error = {
-  te_exn : exn;
-  te_backtrace : Printexc.raw_backtrace;
-  te_attempts : int;
-  te_elapsed_s : float;
-  te_timed_out : bool;
-}
-
-val pp_task_error : Format.formatter -> task_error -> unit
-
-(** Bounded-retry policy: up to [max_attempts] tries per item, sleeping
-    [min max_delay_s (base_delay_s * 2^(attempt-1))] between tries plus
-    a deterministic jitter fraction ([jitter] of the delay, keyed by
-    item index and attempt — reruns sleep the same schedule). *)
-type retry = {
-  max_attempts : int;
-  base_delay_s : float;
-  max_delay_s : float;
-  jitter : float;
-}
-
-val no_retry : retry
-(** Single attempt, no backoff. *)
-
-val default_retry : retry
-(** 3 attempts, 50 ms base delay doubling to a 2 s cap, 50% jitter. *)
-
-val map_result :
-  t ->
-  ?retry:retry ->
-  ?deadline_s:float ->
-  ('a -> 'b) ->
-  'a list ->
-  ('b, task_error) result list
-(** [map_result t ?retry ?deadline_s f xs] — resilient map: every item
-    is attempted and its outcome returned in input order; a failed item
-    never aborts the others.
-
-    - [deadline_s] arms a {e cooperative} per-attempt deadline: [f]
-      observes it at [Task.check]/[Task.sleep] safepoints and a task
-      that never polls is flagged [Timeout] only when it returns.
-    - [retry] (default {!no_retry}) bounds attempts per item; anything
-      except [Task.Cancelled] is retried until the budget is spent.
-    - Telemetry: [exec.task.retries] / [exec.task.timeouts] /
-      [exec.task.failures].
-    - With [jobs t = 1] items run sequentially on the calling domain
-      under the same attempt loop. *)
+      [List.map f xs] on the calling domain.
+    - With a {!Faultgen} crash installed, each item draws its task id
+      here, in input order, before any work fans out. *)
 
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ?jobs f] — run [f] with a freshly created pool. *)

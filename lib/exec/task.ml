@@ -1,17 +1,10 @@
 (** Per-task execution context: cooperative deadlines and cancellation.
 
     OCaml domains cannot be killed from the outside, so a "timeout" here
-    is a *cooperative* contract: the pool arms a per-task deadline before
-    invoking the task body, and any code that wants to be interruptible
-    polls {!check} (directly, or transitively through {!sleep}). A task
-    that never polls runs to completion and is flagged as timed out only
-    when it returns — the deadline still bounds how long its *result* is
-    trusted, not how long the domain spins.
-
-    The wall clock and the sleeping primitive are injectable so that
-    retry/backoff behaviour is deterministic under test: a test installs
-    a virtual clock and a recording sleep, and the exact backoff schedule
-    becomes assertable without wall-clock waits. *)
+    is a *cooperative* contract: the caller arms a deadline before
+    invoking the task body ([tybec serve] does so per request), and any
+    code that wants to be interruptible polls {!check}. A task that
+    never polls runs to completion. *)
 
 exception Timeout of float
 (** [Timeout allotted_s] — the task ran past its cooperative deadline. *)
@@ -19,32 +12,8 @@ exception Timeout of float
 exception Cancelled
 (** The surrounding pool map was aborted; the task should unwind. *)
 
-(* ---- injectable clock and sleep ---- *)
-
-let clock_ref = ref Unix.gettimeofday
-let sleep_ref = ref (fun s -> if s > 0.0 then Unix.sleepf s)
-
-let now () = !clock_ref ()
-let set_clock f = clock_ref := f
-let set_sleep f = sleep_ref := f
-
-(** [with_hooks ?clock ?sleep f] — run [f] with the given clock/sleep
-    installed, restoring the previous hooks afterwards (test scaffolding;
-    exception-safe). *)
-let with_hooks ?clock ?sleep f =
-  let c0 = !clock_ref and s0 = !sleep_ref in
-  Option.iter (fun c -> clock_ref := c) clock;
-  Option.iter (fun s -> sleep_ref := s) sleep;
-  Fun.protect
-    ~finally:(fun () ->
-      clock_ref := c0;
-      sleep_ref := s0)
-    f
-
-(* ---- per-domain task context ---- *)
-
 type ctx = {
-  cx_deadline : float option;  (* absolute clock value *)
+  cx_deadline : float option;  (* absolute wall-clock time *)
   cx_allotted : float;         (* deadline_s as given, for the exception *)
   cx_abort : bool Atomic.t option;
 }
@@ -63,7 +32,7 @@ let check () =
       | Some a when Atomic.get a -> raise Cancelled
       | _ -> ());
       match cx.cx_deadline with
-      | Some dl when now () > dl -> raise (Timeout cx.cx_allotted)
+      | Some dl when Unix.gettimeofday () > dl -> raise (Timeout cx.cx_allotted)
       | _ -> ())
 
 (** [with_context ?deadline_s ?abort f] — run [f] with a task context
@@ -73,31 +42,10 @@ let with_context ?deadline_s ?abort f =
   let prev = Domain.DLS.get dls in
   let cx =
     {
-      cx_deadline = Option.map (fun d -> now () +. d) deadline_s;
+      cx_deadline = Option.map (fun d -> Unix.gettimeofday () +. d) deadline_s;
       cx_allotted = Option.value deadline_s ~default:Float.infinity;
       cx_abort = abort;
     }
   in
   Domain.DLS.set dls (Some cx);
   Fun.protect ~finally:(fun () -> Domain.DLS.set dls prev) f
-
-(* Poll granularity of the cooperative sleep: small enough that an
-   injected delay notices its deadline promptly, large enough not to
-   busy-wait. *)
-let sleep_quantum_s = 0.05
-
-(** [sleep d] — sleep for [d] seconds in deadline-polling increments:
-    raises {!Timeout}/{!Cancelled} promptly when a context says to stop
-    instead of sleeping through it. Uses the injectable sleep hook, so a
-    virtual-time test pays no wall-clock cost. *)
-let sleep d =
-  let deadline = now () +. d in
-  let rec go () =
-    check ();
-    let remaining = deadline -. now () in
-    if remaining > 0.0 then begin
-      !sleep_ref (Float.min sleep_quantum_s remaining);
-      go ()
-    end
-  in
-  go ()

@@ -1,26 +1,14 @@
-(** Cooperative per-task deadlines, cancellation, and injectable time.
+(** Cooperative per-task deadlines and cancellation.
 
     See [task.ml] for the cooperative contract: deadlines interrupt a
-    task only at {!check}/{!sleep} safepoints — OCaml domains cannot be
-    killed from the outside. *)
+    task only at {!check} safepoints — OCaml domains cannot be killed
+    from the outside. *)
 
 exception Timeout of float
 (** [Timeout allotted_s] — the task ran past its cooperative deadline. *)
 
 exception Cancelled
 (** The surrounding pool map was aborted; the task should unwind. *)
-
-val now : unit -> float
-(** Current time from the installed clock (default [Unix.gettimeofday]). *)
-
-val set_clock : (unit -> float) -> unit
-val set_sleep : (float -> unit) -> unit
-
-val with_hooks :
-  ?clock:(unit -> float) -> ?sleep:(float -> unit) -> (unit -> 'a) -> 'a
-(** Run with the given clock/sleep installed, restoring the previous
-    hooks afterwards. A virtual-time test installs a clock that a fake
-    sleep advances, making backoff schedules assertable without waiting. *)
 
 val check : unit -> unit
 (** Raise {!Cancelled} if the surrounding map was aborted, {!Timeout} if
@@ -31,7 +19,3 @@ val with_context :
   ?deadline_s:float -> ?abort:bool Atomic.t -> (unit -> 'a) -> 'a
 (** Arm a task context for the duration of the callback: {!check} inside
     it observes the deadline and the abort flag. Contexts nest. *)
-
-val sleep : float -> unit
-(** Deadline-polling sleep: raises {!Timeout}/{!Cancelled} promptly when
-    the context says to stop instead of sleeping through it. *)

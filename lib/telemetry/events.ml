@@ -2,11 +2,10 @@
 
     Where {!Span} answers "where did the time go" after the fact, the
     event log answers "what is happening right now": each significant
-    action (sweep lifecycle, per-point DSE outcomes, checkpoint writes,
-    span open/close, counter deltas) is appended as one self-contained
-    JSON object per line, so a `tail -f` or a log shipper can follow a
-    long sweep live and the file parses back losslessly through
-    {!decode_line}.
+    action (sweep lifecycle, per-point DSE outcomes, span open/close,
+    counter deltas) is appended as one self-contained JSON object per
+    line, so a `tail -f` or a log shipper can follow a long sweep live
+    and the file parses back losslessly through {!decode_line}.
 
     Concurrency: all domains share one sink behind a mutex; [r_seq] is a
     global sequence number assigned under that lock, so the file order is
@@ -14,9 +13,9 @@
     deterministic clock and get byte-stable logs.
 
     Cost: with no sink installed, {!emit} is one mutable-bool check.
-    Coarse events (sweep/point/checkpoint) flush the channel so external
-    observers see them promptly; high-rate events (span close, counter
-    deltas) ride the normal buffering.
+    Coarse events (sweep lifecycle, shard crashes) flush the channel so
+    external observers see them promptly; high-rate events (span close,
+    counter deltas) ride the normal buffering.
 
     Schema versioning policy (see DESIGN.md §12): every line carries
     [{"v":N}]. Additive field changes keep the version; renaming or
@@ -28,12 +27,9 @@ let schema_version = 1
 
 type event =
   | Sweep_started of { kernel : string; space : int; jobs : int; prune : bool }
-  | Sweep_finished of {
-      evaluated : int;
-      pruned : int;
-      failed : int;
-      restored : int;
-    }
+  | Sweep_finished of { evaluated : int; pruned : int }
+      (** encoded with constant ["failed":0,"restored":0] members, which
+          version-1 readers require *)
   | Point_evaluated of {
       variant : string;
       ekit : float;
@@ -42,8 +38,6 @@ type event =
       dur_ns : int64;
     }
   | Point_pruned of { variant : string; reason : string }
-  | Point_failed of { variant : string; error : string }
-  | Checkpoint_written of { path : string; points : int }
   | Span_open of { name : string; depth : int }
   | Span_close of { name : string; dur_ns : int64; error : string option }
   | Counter_delta of { name : string; delta : float }
@@ -137,12 +131,11 @@ let add_body b (e : event) : unit =
       add_kv_int b ",\"space\":" space;
       add_kv_int b ",\"jobs\":" jobs;
       add_kv_bool b ",\"prune\":" prune
-  | Sweep_finished { evaluated; pruned; failed; restored } ->
+  | Sweep_finished { evaluated; pruned } ->
       Buffer.add_string b "\"type\":\"sweep_finished\"";
       add_kv_int b ",\"evaluated\":" evaluated;
       add_kv_int b ",\"pruned\":" pruned;
-      add_kv_int b ",\"failed\":" failed;
-      add_kv_int b ",\"restored\":" restored
+      Buffer.add_string b ",\"failed\":0,\"restored\":0"
   | Point_evaluated { variant; ekit; valid; cached; dur_ns } ->
       Buffer.add_string b "\"type\":\"point_evaluated\"";
       add_kv_str b ",\"variant\":" variant;
@@ -155,14 +148,6 @@ let add_body b (e : event) : unit =
       Buffer.add_string b "\"type\":\"point_pruned\"";
       add_kv_str b ",\"variant\":" variant;
       add_kv_str b ",\"reason\":" reason
-  | Point_failed { variant; error } ->
-      Buffer.add_string b "\"type\":\"point_failed\"";
-      add_kv_str b ",\"variant\":" variant;
-      add_kv_str b ",\"error\":" error
-  | Checkpoint_written { path; points } ->
-      Buffer.add_string b "\"type\":\"checkpoint_written\"";
-      add_kv_str b ",\"path\":" path;
-      add_kv_int b ",\"points\":" points
   | Span_open { name; depth } ->
       Buffer.add_string b "\"type\":\"span_open\"";
       add_kv_str b ",\"name\":" name;
@@ -200,13 +185,10 @@ let encode (r : record) : string =
   Buffer.contents b
 
 (* Rare, coarse events flush so a tail -f (or a crash shortly after)
-   sees them; the per-point and per-span stream rides stdio buffering —
-   crash-time freshness for those is the flight recorder's job, and
-   [close] flushes everything. *)
+   sees them; the per-point and per-span stream rides stdio buffering,
+   and [close] flushes everything. *)
 let flush_worthy = function
-  | Sweep_started _ | Sweep_finished _ | Point_failed _
-  | Checkpoint_written _ | Shard_crash _ ->
-      true
+  | Sweep_started _ | Sweep_finished _ | Shard_crash _ -> true
   | Point_evaluated _ | Point_pruned _ | Span_open _ | Span_close _
   | Counter_delta _ ->
       false
@@ -281,9 +263,7 @@ let decode_event j : (event, string) result =
   | "sweep_finished" ->
       let* evaluated = req_int j "evaluated" in
       let* pruned = req_int j "pruned" in
-      let* failed = req_int j "failed" in
-      let* restored = req_int j "restored" in
-      Ok (Sweep_finished { evaluated; pruned; failed; restored })
+      Ok (Sweep_finished { evaluated; pruned })
   | "point_evaluated" ->
       let* variant = req_str j "variant" in
       let* ekit = req_num j "ekit" in
@@ -295,14 +275,6 @@ let decode_event j : (event, string) result =
       let* variant = req_str j "variant" in
       let* reason = req_str j "reason" in
       Ok (Point_pruned { variant; reason })
-  | "point_failed" ->
-      let* variant = req_str j "variant" in
-      let* error = req_str j "error" in
-      Ok (Point_failed { variant; error })
-  | "checkpoint_written" ->
-      let* path = req_str j "path" in
-      let* points = req_int j "points" in
-      Ok (Checkpoint_written { path; points })
   | "span_open" ->
       let* name = req_str j "name" in
       let* depth = req_int j "depth" in

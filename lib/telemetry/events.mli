@@ -1,8 +1,8 @@
 (** Structured event log: an append-only JSONL sink of typed records.
 
     Public interface of [Tytra_telemetry.Events]. Each significant action
-    (sweep lifecycle, per-point DSE outcomes, checkpoint writes, span
-    open/close, counter deltas) is appended as one self-contained JSON
+    (sweep lifecycle, per-point DSE outcomes, span open/close, counter
+    deltas) is appended as one self-contained JSON
     object per line; the file parses back losslessly through
     {!decode_line}. See [events.ml] for the concurrency and flushing
     contract.
@@ -18,12 +18,9 @@ val schema_version : int
 (** The typed event kinds, encoded one per line. *)
 type event =
   | Sweep_started of { kernel : string; space : int; jobs : int; prune : bool }
-  | Sweep_finished of {
-      evaluated : int;
-      pruned : int;
-      failed : int;
-      restored : int;
-    }
+  | Sweep_finished of { evaluated : int; pruned : int }
+      (** encoded with constant ["failed":0,"restored":0] members, which
+          version-1 readers require *)
   | Point_evaluated of {
       variant : string;
       ekit : float;
@@ -32,8 +29,6 @@ type event =
       dur_ns : int64;
     }
   | Point_pruned of { variant : string; reason : string }
-  | Point_failed of { variant : string; error : string }
-  | Checkpoint_written of { path : string; points : int }
   | Span_open of { name : string; depth : int }
   | Span_close of { name : string; dur_ns : int64; error : string option }
   | Counter_delta of { name : string; delta : float }

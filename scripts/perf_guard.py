@@ -46,10 +46,6 @@ WAIVERS = {
     ),
     "dse.cache.*": "same find_or_add race on the point-evaluation cache",
     "dse.template_cache.*": "same find_or_add race on the template cache",
-    "exec.task.*": (
-        "retry/deadline accounting depends on wall-clock timing, not "
-        "on the workload"
-    ),
     "engine.parse_cache.*": (
         "same find_or_add race on the engine's parse+validate cache "
         "under E10's concurrent clients"

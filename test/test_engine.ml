@@ -414,13 +414,50 @@ let test_typed_errors () =
    | Error e ->
        Alcotest.failf "expected validation error, got %s" (Engine.error_kind e)
    | Ok _ -> Alcotest.fail "invalid design was accepted");
-  match
-    Engine.submit eng
-      (Engine.Check { source = Engine.File "/nonexistent/x.tirl" })
-  with
+  (match
+     Engine.submit eng
+       (Engine.Check { source = Engine.File "/nonexistent/x.tirl" })
+   with
   | Error (Engine.Parse_error _) -> ()
   | Error e -> Alcotest.failf "expected io error, got %s" (Engine.error_kind e)
-  | Ok _ -> Alcotest.fail "nonexistent file was accepted"
+  | Ok _ -> Alcotest.fail "nonexistent file was accepted");
+  (* the retired sweep-resilience fields are refused, one at a time *)
+  let x =
+    {
+      Engine.x_kernel = Engine.Sor;
+      x_size = 8;
+      x_max_lanes = 4;
+      x_device = dev;
+      x_form = Tytra_cost.Throughput.FormB;
+      x_nki = 1;
+      x_jobs = 1;
+      x_prune = true;
+      x_retries = 0;
+      x_deadline_s = None;
+      x_best_effort = false;
+      x_checkpoint = None;
+      x_checkpoint_every = 32;
+      x_resume = None;
+      x_place_mode = None;
+    }
+  in
+  List.iter
+    (fun (name, x) ->
+      match Engine.submit eng (Engine.Explore x) with
+      | Error e ->
+          Alcotest.(check string) (name ^ " kind") "bad_request"
+            (Engine.error_kind e);
+          Alcotest.(check int) (name ^ " exit code") 2 (Engine.exit_code e);
+          Alcotest.(check int) (name ^ " HTTP status") 400
+            (Protocol.http_status e)
+      | Ok _ -> Alcotest.failf "explore with %s was accepted" name)
+    [
+      ("x_retries", { x with x_retries = 1 });
+      ("x_deadline_s", { x with x_deadline_s = Some 1.0 });
+      ("x_best_effort", { x with x_best_effort = true });
+      ("x_checkpoint", { x with x_checkpoint = Some "/tmp/tytra-ck" });
+      ("x_resume", { x with x_resume = Some "/tmp/tytra-ck" });
+    ]
 
 let test_request_deadline () =
   let eng = Engine.create Engine.default_config in
@@ -627,7 +664,10 @@ let test_serve_malformed_is_typed () =
           Alcotest.(check string) "typed kind" "bad_request" re_kind
       | Ok _ -> Alcotest.fail "expected error reply"
       | Error m -> Alcotest.failf "reply decode: %s" m)
-    [ ""; "not json"; "{\"v\":9,\"op\":\"check\"}"; "{\"v\":1}" ];
+    [ ""; "not json"; "{\"v\":9,\"op\":\"check\"}"; "{\"v\":1}";
+      (* a retired explore field is refused, not silently ignored *)
+      "{\"v\":1,\"op\":\"explore\",\"kernel\":\"sor\",\"size\":8,\
+       \"max_lanes\":4,\"checkpoint\":\"/tmp/tytra-ck\"}" ];
   (* a design that fails validation is a 422 with the library message *)
   let invalid =
     "%m = memobj global ui18 size 8\n\
