@@ -114,6 +114,10 @@ let emit_kernel_body ?(inline_params = false) (k : Expr.kernel)
         [ v; Ast.Glob r.Expr.r_name ])
     k.Expr.k_reductions
 
+(* the scalar parameters a wiring function passes on *)
+let scalar_args (k : Expr.kernel) : Ast.operand list =
+  List.map (fun (p, _) -> Ast.Var p) k.Expr.k_params
+
 (* scalar parameter operands at the call site *)
 let param_args (k : Expr.kernel) : Ast.operand list =
   List.map
@@ -133,14 +137,91 @@ let kernel_params (k : Expr.kernel) : (string * Ty.t) list =
 let design_name (p : Expr.program) (v : Transform.variant) : string =
   Printf.sprintf "%s_%s" p.Expr.p_kernel.Expr.k_name (Transform.to_string v)
 
+(* The Manage-IR and wiring of one PE lane, identical in every variant
+   of a program that has the lane: its stream and port records, the
+   names they carry, its [@main] parameters, and its PE input
+   parameters and operands. Only the memory objects depend on the
+   variant (each PE streams [n / pes] points); they are named by the
+   streams' [so_mem]. *)
+type lane = {
+  ln_streams : Ast.stream_obj list;
+  ln_ports : Ast.port list;
+  ln_main_params : (string * Ty.t) list;
+      (** one per port: input streams, then [o_]-prefixed outputs *)
+  ln_params : (string * Ty.t) list;  (** the input streams *)
+  ln_args : Ast.operand list;  (** the input streams as operands *)
+  ln_call : Ast.instr;  (** [call @f0] on the lane's inputs and the scalars *)
+}
+
+(* [make_lane ~pattern k name] builds a lane whose port on stream [s] is
+   named [name s]. Output ports are prefixed [o_] to avoid colliding
+   with the PE's [out_*] SSA locals when the datapath lives in @main
+   (Seq). *)
+let make_lane ~pattern (k : Expr.kernel) (name : string -> string) : lane =
+  let ty = k.Expr.k_ty in
+  let ports =
+    List.map (fun s -> (name s, Ast.IStream)) k.Expr.k_inputs
+    @ List.map
+        (fun (o : Expr.output) -> (name ("o_" ^ o.Expr.o_name), Ast.OStream))
+        k.Expr.k_outputs
+  in
+  let streams =
+    List.map
+      (fun (pname, dir) ->
+        { Ast.so_name = "s_" ^ pname; so_dir = dir; so_mem = "m_" ^ pname;
+          so_pattern = pattern })
+      ports
+  in
+  let main_params = List.map (fun (pname, _) -> (pname, ty)) ports in
+  let n_in = List.length k.Expr.k_inputs in
+  let params = List.filteri (fun i _ -> i < n_in) main_params in
+  let args = List.map (fun (s, _) -> Ast.Var s) params in
+  {
+    ln_streams = streams;
+    ln_ports =
+      List.map2
+        (fun (pname, dir) s ->
+          { Ast.pt_fun = "main"; pt_port = pname; pt_space = Ast.Global;
+            pt_ty = ty; pt_dir = dir; pt_pattern = pattern; pt_base_off = 0;
+            pt_stream = s.Ast.so_name })
+        ports streams;
+    ln_main_params = main_params;
+    ln_params = params;
+    ln_args = args;
+    ln_call =
+      Ast.Call
+        { callee = "f0"; args = args @ scalar_args k; kind = Ast.Pipe;
+          rets = [] };
+  }
+
+(* The lanes of a variant with [pes] PEs, built afresh: single-PE
+   variants keep the paper's unsuffixed stream names ([@main.p]);
+   replicated variants suffix per lane ([@main.p0]…). *)
+let fresh_lanes ~pattern (k : Expr.kernel) pes : lane array =
+  if pes = 1 then [| make_lane ~pattern k Fun.id |]
+  else Array.init pes (fun i -> make_lane ~pattern k (fun s -> lane_name s i))
+
+(* [gather lanes lo hi f tail] — [tail] with lanes [lo .. hi - 1]
+   prepended in order, each by [f lane rest] *)
+let gather (lanes : lane array) lo hi (f : lane -> 'a list -> 'a list)
+    (tail : 'a list) : 'a list =
+  let acc = ref tail in
+  for i = hi - 1 downto lo do
+    acc := f lanes.(i) !acc
+  done;
+  !acc
+
 (* Shared construction for [lower] and [derive]: build the (unvalidated)
-   design for variant [v]. [f0] selects the PE-body source: [`Emit]
-   compiles the kernel datapath, [`Raw body] installs an instruction list
-   taken from an already-validated template — physically shared, so the
-   derived design pretty-prints byte-identically to a full lowering. *)
-let build_variant ~(pattern : Ast.pattern)
-    ~(f0 : [ `Emit | `Raw of Ast.instr list ]) (p : Expr.program)
-    (v : Transform.variant) : Ast.design =
+   design for variant [v]. [f0] selects the PE function: [`Emit]
+   compiles the kernel datapath, [`Shared f] installs one taken from an
+   already-validated template. [lanes pes] supplies the Manage-IR and
+   wiring of [pes] PEs; a derived design shares them, like [f0], with
+   every other variant of its template, so it pretty-prints
+   byte-identically to a full lowering. Per variant, only the memory
+   objects, the list spines and the wiring functions are allocated. *)
+let build_variant ~(f0 : [ `Emit | `Shared of Ast.func ])
+    ~(lanes : int -> lane array) (p : Expr.program) (v : Transform.variant) :
+    Ast.design =
   (match Expr.check_kernel p.Expr.p_kernel with
   | Ok () -> ()
   | Error e -> invalid_arg ("Lower.lower: invalid kernel: " ^ e));
@@ -150,119 +231,89 @@ let build_variant ~(pattern : Ast.pattern)
          (Transform.to_string v) (Expr.points p));
   let k = p.Expr.p_kernel in
   let ty = k.Expr.k_ty in
-  let n = Expr.points p in
   let pes = Transform.pes v in
-  let chunk = n / pes in
-  (* single-PE variants keep the paper's unsuffixed stream names
-     ([@main.p]); replicated variants suffix per lane ([@main.p0]…) *)
-  let lane_name base i = if pes = 1 then base else lane_name base i in
-  let b = Builder.create (design_name p v) in
-  (* globals for reductions *)
-  List.iter
-    (fun (r : Expr.reduction) ->
-      ignore (Builder.global b r.Expr.r_name ~ty ~init:r.Expr.r_init ()))
-    k.Expr.k_reductions;
-  (* per-PE memory objects, stream objects and ports; each PE's input
-     names are built here once and reused by every wiring function *)
-  let main_params = ref [] in
-  let lane_params = Array.make pes [] in
-  let lane_args = Array.make pes [] in
-  for i = 0 to pes - 1 do
-    let mk_port s dir =
-      let pname = lane_name s i in
-      let mem =
-        Builder.mem b ("m_" ^ pname) ~space:Ast.Global ~ty ~size:chunk
-      in
-      let str = Builder.stream b ("s_" ^ pname) ~dir ~mem ~pattern in
-      Builder.port b ~fn:"main" ~port:pname ~ty ~dir ~pattern ~stream:str ();
-      main_params := (pname, ty) :: !main_params;
-      pname
-    in
-    let ins = List.map (fun s -> mk_port s Ast.IStream) k.Expr.k_inputs in
-    (* output ports are prefixed [o_] to avoid colliding with the PE's
-       [out_*] SSA locals when the datapath lives in @main (Seq) *)
-    List.iter
-      (fun (o : Expr.output) ->
-        ignore (mk_port ("o_" ^ o.Expr.o_name) Ast.OStream))
-      k.Expr.k_outputs;
-    lane_params.(i) <- List.map (fun s -> (s, ty)) ins;
-    lane_args.(i) <- List.map (fun s -> Ast.Var s) ins
-  done;
-  let main_params = List.rev !main_params in
+  let chunk = Expr.points p / pes in
+  let lanes = lanes pes in
+  (* the memory object behind stream [s] *)
+  let mem (s : Ast.stream_obj) rest =
+    { Ast.mo_name = s.so_mem; mo_space = Ast.Global; mo_ty = ty;
+      mo_size = chunk }
+    :: rest
+  in
+  let mems =
+    gather lanes 0 pes
+      (fun ln rest -> List.fold_right mem ln.ln_streams rest)
+      []
+  in
+  let main_params =
+    gather lanes 0 pes (fun ln rest -> ln.ln_main_params @ rest) []
+  in
   (* the scalar parameters a wiring function takes and passes on *)
   let scalar_params = List.map (fun (p', _) -> (p', ty)) k.Expr.k_params in
-  let scalar_args = List.map (fun (p', _) -> Ast.Var p') k.Expr.k_params in
+  let scalar_args = scalar_args k in
   (* input parameters of the first [n] PEs, then the scalars *)
   let pe_params n =
-    List.concat (List.init n (Array.get lane_params)) @ scalar_params
+    gather lanes 0 n (fun ln rest -> ln.ln_params @ rest) scalar_params
   in
-  let emit_f0 () =
+  (* input operands of PEs [lo .. hi - 1], then [tail] *)
+  let pe_args lo hi tail =
+    gather lanes lo hi (fun ln rest -> ln.ln_args @ rest) tail
+  in
+  let func name kind params body =
+    { Ast.fn_name = name; fn_params = params; fn_kind = kind; fn_body = body }
+  in
+  let call callee args kind = Ast.Call { callee; args; kind; rets = [] } in
+  let main body = func "main" Ast.Seq main_params body in
+  (* @main calls [callee] on every PE's inputs and the scalar immediates *)
+  let main_calls callee kind =
+    main [ call callee (pe_args 0 pes (param_args k)) kind ]
+  in
+  let f0 () =
     match f0 with
     | `Emit ->
-        ignore
-          (Builder.func b "f0" ~kind:Ast.Pipe ~params:(kernel_params k)
-             (fun fb -> emit_kernel_body k fb))
-    | `Raw body ->
-        ignore
-          (Builder.func_raw b "f0" ~kind:Ast.Pipe ~params:(kernel_params k)
-             body)
+        let params = kernel_params k in
+        func "f0" Ast.Pipe params (Builder.body ~params (emit_kernel_body k))
+    | `Shared f -> f
   in
-  (* the PE function *)
-  (match v with
-  | Transform.Seq ->
-      (* datapath directly in a sequential @main *)
-      ignore
-        (Builder.func b "main" ~kind:Ast.Seq ~params:main_params
-           (fun fb -> emit_kernel_body ~inline_params:true k fb))
-  | Transform.Pipe ->
-      emit_f0 ();
-      ignore
-        (Builder.func b "main" ~kind:Ast.Seq ~params:main_params (fun fb ->
-             Builder.call fb "f0" (lane_args.(0) @ param_args k) Ast.Pipe))
-  | Transform.ParPipe l ->
-      emit_f0 ();
-      (* @f1 takes every lane's input streams *)
-      ignore
-        (Builder.func b "f1" ~kind:Ast.Par ~params:(pe_params l) (fun fb ->
-             for i = 0 to l - 1 do
-               Builder.call fb "f0" (lane_args.(i) @ scalar_args) Ast.Pipe
-             done));
-      ignore
-        (Builder.func b "main" ~kind:Ast.Seq ~params:main_params (fun fb ->
-             Builder.call fb "f1"
-               (List.concat
-                  (List.init l (fun i -> lane_args.(i)))
-               @ param_args k)
-               Ast.Par))
-  | Transform.ParVecPipe (l, dv) ->
-      emit_f0 ();
-      (* @flane bundles the dv vector PEs of one lane; its parameters are
-         named after the first lane's PEs *)
-      ignore
-        (Builder.func b "flane" ~kind:Ast.Par ~params:(pe_params dv)
-           (fun fb ->
-             for j = 0 to dv - 1 do
-               Builder.call fb "f0" (lane_args.(j) @ scalar_args) Ast.Pipe
-             done));
-      ignore
-        (Builder.func b "f1" ~kind:Ast.Par ~params:(pe_params (l * dv))
-           (fun fb ->
-             for i = 0 to l - 1 do
-               Builder.call fb "flane"
-                 (List.concat
-                    (List.init dv (fun j -> lane_args.((i * dv) + j)))
-                 @ scalar_args)
-                 Ast.Par
-             done));
-      ignore
-        (Builder.func b "main" ~kind:Ast.Seq ~params:main_params (fun fb ->
-             Builder.call fb "f1"
-               (List.concat (List.init (l * dv) (fun i -> lane_args.(i)))
-               @ param_args k)
-               Ast.Par)));
-  (* Seq variant needs scalar params on main's call-free body; give the
-     ports-only main its parameter list including scalars *)
-  Builder.design b
+  let funcs =
+    match v with
+    | Transform.Seq ->
+        (* datapath directly in a sequential @main *)
+        [ main
+            (Builder.body ~params:main_params
+               (emit_kernel_body ~inline_params:true k)) ]
+    | Transform.Pipe -> [ f0 (); main_calls "f0" Ast.Pipe ]
+    | Transform.ParPipe l ->
+        (* @f1 takes every lane's input streams *)
+        [ f0 ();
+          func "f1" Ast.Par (pe_params l)
+            (List.init l (fun i -> lanes.(i).ln_call));
+          main_calls "f1" Ast.Par ]
+    | Transform.ParVecPipe (l, dv) ->
+        (* @flane bundles the dv vector PEs of one lane; its parameters
+           are named after the first lane's PEs *)
+        [ f0 ();
+          func "flane" Ast.Par (pe_params dv)
+            (List.init dv (fun j -> lanes.(j).ln_call));
+          func "f1" Ast.Par (pe_params (l * dv))
+            (List.init l (fun i ->
+                 call "flane"
+                   (pe_args (i * dv) ((i + 1) * dv) scalar_args)
+                   Ast.Par));
+          main_calls "f1" Ast.Par ]
+  in
+  {
+    Ast.d_name = design_name p v;
+    d_mems = mems;
+    d_streams = gather lanes 0 pes (fun ln rest -> ln.ln_streams @ rest) [];
+    d_ports = gather lanes 0 pes (fun ln rest -> ln.ln_ports @ rest) [];
+    d_globals =
+      List.map
+        (fun (r : Expr.reduction) ->
+          { Ast.g_name = r.Expr.r_name; g_ty = ty; g_init = r.Expr.r_init })
+        k.Expr.k_reductions;
+    d_funcs = funcs;
+  }
 
 (** [lower ?pattern p v] — build the validated IR design for variant [v]
     of program [p]. [pattern] is the global-memory access pattern of the
@@ -270,57 +321,85 @@ let build_variant ~(pattern : Ast.pattern)
     contiguous slices). *)
 let lower ?(pattern = Ast.Cont) (p : Expr.program) (v : Transform.variant) :
     Ast.design =
-  Validate.check_exn (build_variant ~pattern ~f0:`Emit p v)
+  Validate.check_exn
+    (build_variant ~f0:`Emit ~lanes:(fresh_lanes ~pattern p.Expr.p_kernel) p v)
 
 (** {2 Derived variants (DESIGN.md §10)}
 
     Every replicated variant of one program shares the same PE function
-    [@f0]; only the Manage-IR and the wiring functions ([@f1], [@flane],
-    [@main]) differ per lane count. [template] lowers and fully validates
-    the [Pipe] variant once; [derive] then builds each further variant
-    around the template's PE body — physically shared, so it
-    pretty-prints byte-identically to [lower]'s output — and re-validates
-    only the per-variant delta via {!Validate.check_delta_sym}. The
-    {!Symtab} index that validation runs on is returned by
-    {!derive_sym}, so the DSE costs the variant on it too (DESIGN.md
-    §10.6). *)
+    [@f0], and lane [i] has the same streams, ports and parameters in
+    every variant that has it; only the memory objects and the wiring
+    functions ([@f1], [@flane], [@main]) differ per lane count.
+    [template] lowers and fully validates the [Pipe] variant once;
+    [derive] then builds each further variant around the template's PE
+    function and lanes — physically shared, so it pretty-prints
+    byte-identically to [lower]'s output — and re-validates only the
+    per-variant delta via {!Validate.check_delta_sym}. The {!Symtab}
+    index that validation runs on is returned by {!derive_sym}, so the
+    DSE costs the variant on it too (DESIGN.md §10.6). *)
 
 type template = {
   tpl_program : Expr.program;
   tpl_pattern : Ast.pattern;
-  tpl_f0_body : Ast.instr list;  (** validated PE body, shared by reference *)
+  tpl_f0 : Ast.func;  (** validated PE function, shared by reference *)
+  tpl_lanes : lane array Atomic.t;
+      (** suffixed lanes [0 .. n - 1], grown on demand; a published lane
+          is never replaced, so every variant shares it *)
 }
 
 (** [template ?pattern p] — lower the [Pipe] variant of [p] in full
-    (including validation) and capture the PE body for reuse. *)
+    (including validation) and capture the PE function for reuse. *)
 let template ?(pattern = Ast.Cont) (p : Expr.program) : template =
   let d = lower ~pattern p Transform.Pipe in
   {
     tpl_program = p;
     tpl_pattern = pattern;
-    tpl_f0_body = (Ast.find_func_exn d "f0").Ast.fn_body;
+    tpl_f0 = Ast.find_func_exn d "f0";
+    tpl_lanes = Atomic.make [||];
   }
+
+(* The template's first [pes] lanes, interned. Pool domains derive from
+   one template at once, so a grown array is published by
+   compare-and-set; a domain that loses the race retries on the array
+   it finds, so a published lane is never replaced. *)
+let rec interned_lanes tpl pes : lane array =
+  let cur = Atomic.get tpl.tpl_lanes in
+  let n = Array.length cur in
+  if n >= pes then cur
+  else begin
+    let k = tpl.tpl_program.Expr.p_kernel and pattern = tpl.tpl_pattern in
+    let grown =
+      Array.init pes (fun i ->
+          if i < n then cur.(i)
+          else make_lane ~pattern k (fun s -> lane_name s i))
+    in
+    if Atomic.compare_and_set tpl.tpl_lanes cur grown then grown
+    else interned_lanes tpl pes
+  end
 
 (** [derive_sym tpl v] — build the design for variant [v] of the
     template's program, index it once, and validate it on that index,
-    reusing the pre-validated PE body and checking only the per-variant
-    delta (memory objects, streams, ports, wiring calls). [Seq] variants
-    inline scalar parameters into a different body shape, so they are
-    emitted and checked in full, as {!lower} does. Raises
-    [Invalid_argument] like {!lower} if the design is invalid; returns
-    the index. *)
+    reusing the pre-validated PE function and checking only the
+    per-variant delta (memory objects, streams, ports, wiring calls).
+    [Seq] variants inline scalar parameters into a different body
+    shape, so they are emitted and checked in full, as {!lower} does.
+    Raises [Invalid_argument] like {!lower} if the design is invalid;
+    returns the index. *)
 let derive_sym (tpl : template) (v : Transform.variant) : Symtab.t =
   Tytra_telemetry.Span.with_ ~name:"front.derive" @@ fun () ->
-  let pattern = tpl.tpl_pattern and p = tpl.tpl_program in
+  let p = tpl.tpl_program in
+  let lanes pes =
+    if pes = 1 then fresh_lanes ~pattern:tpl.tpl_pattern p.Expr.p_kernel 1
+    else interned_lanes tpl pes
+  in
   let sy, errors =
     match v with
     | Transform.Seq ->
-        let sy = Symtab.of_design (build_variant ~pattern ~f0:`Emit p v) in
+        let sy = Symtab.of_design (build_variant ~f0:`Emit ~lanes p v) in
         (sy, Validate.check_sym sy)
     | _ ->
         let sy =
-          Symtab.of_design
-            (build_variant ~pattern ~f0:(`Raw tpl.tpl_f0_body) p v)
+          Symtab.of_design (build_variant ~f0:(`Shared tpl.tpl_f0) ~lanes p v)
         in
         (sy, Validate.check_delta_sym ~trusted:[ "f0" ] sy)
   in

@@ -160,10 +160,9 @@ let io_ports (d : design) =
 
 (* Size in elements of the memory object backing port [p]. *)
 let port_mem_size_sym (sy : Symtab.t) (p : port) =
-  match Symtab.find_stream sy p.pt_stream with
-  | None -> 0
-  | Some s -> (
-      match Symtab.find_mem sy s.so_mem with Some m -> m.mo_size | None -> 0)
+  match Symtab.get_mem sy (Symtab.get_stream sy p.pt_stream).so_mem with
+  | m -> m.mo_size
+  | exception Not_found -> 0
 
 let port_mem_size (d : design) (p : port) =
   port_mem_size_sym (Symtab.of_design d) p

@@ -122,15 +122,12 @@ let sub fb ty a c = ins fb Sub ty [ a; c ]
 let mul fb ty a c = ins fb Mul ty [ a; c ]
 let div fb ty a c = ins fb Div ty [ a; c ]
 
-(** [func b name ~kind ~params f] defines function [@name]; [f] receives a
-    function-body builder. Returns the function name. *)
-let func b name ~kind ~params f =
+(** [body ~params f] — the instructions [f] emits into a fresh
+    function-body builder over [params], in emission order. *)
+let body ~params f =
   let fb = { body = []; fresh = 0; params } in
   f fb;
-  b.funcs <-
-    { fn_name = name; fn_params = params; fn_kind = kind; fn_body = List.rev fb.body }
-    :: b.funcs;
-  name
+  List.rev fb.body
 
 (** [func_raw b name ~kind ~params body] defines a function from a ready
     instruction list. *)
@@ -138,6 +135,11 @@ let func_raw b name ~kind ~params body =
   b.funcs <-
     { fn_name = name; fn_params = params; fn_kind = kind; fn_body = body } :: b.funcs;
   name
+
+(** [func b name ~kind ~params f] defines function [@name]; [f] receives a
+    function-body builder. Returns the function name. *)
+let func b name ~kind ~params f =
+  func_raw b name ~kind ~params (body ~params f)
 
 (** [design b] extracts the finished design (unvalidated). *)
 let design b : design =

@@ -9,8 +9,8 @@
 
     [Symtab.of_design] builds hashtable-backed symbol tables for the
     design's functions, memory objects, streams and globals in one
-    traversal, plus per-function port groups, memoized parameter tables
-    and memoized streamed-output signatures. {!Validate},
+    traversal, plus memoized parameter tables and memoized
+    streamed-output signatures. {!Validate},
     {!Config_tree}, {!Analysis} and the cost model
     ([Tytra_cost.Resource_model], [Tytra_cost.Throughput],
     [Tytra_cost.Report]) run on this index with O(1) lookups. A derived
@@ -38,8 +38,6 @@ type t = {
   sy_mems : mem_obj Tbl.t;
   sy_streams : stream_obj Tbl.t;
   sy_globals : global Tbl.t;
-  sy_ports : port list Tbl.t;
-      (** ports grouped by function, declaration order *)
   sy_dups : dup list;  (** duplicate declarations, design order *)
   (* memoized derived facts, filled on first use *)
   sy_params : Ty.t Tbl.t Tbl.t;
@@ -65,21 +63,12 @@ let of_design (d : design) : t =
   let mems = index "memory object" (fun m -> m.mo_name) d.d_mems in
   let streams = index "stream object" (fun s -> s.so_name) d.d_streams in
   let globals = index "global" (fun g -> g.g_name) d.d_globals in
-  let ports = Tbl.create 64 in
-  (* group per function preserving declaration order *)
-  List.iter
-    (fun p ->
-      let prev = Option.value ~default:[] (Tbl.find_opt ports p.pt_fun) in
-      Tbl.replace ports p.pt_fun (p :: prev))
-    d.d_ports;
-  Tbl.filter_map_inplace (fun _ l -> Some (List.rev l)) ports;
   {
     sy_design = d;
     sy_funcs = funcs;
     sy_mems = mems;
     sy_streams = streams;
     sy_globals = globals;
-    sy_ports = ports;
     sy_dups = List.rev !dups;
     sy_params = Tbl.create 16;
     sy_outputs = Tbl.create 16;
@@ -88,9 +77,14 @@ let of_design (d : design) : t =
 (** {2 O(1) lookups} *)
 
 let find_func t name = Tbl.find_opt t.sy_funcs name
-let find_mem t name = Tbl.find_opt t.sy_mems name
-let find_stream t name = Tbl.find_opt t.sy_streams name
-let find_global t name = Tbl.find_opt t.sy_globals name
+
+(** Lookups raising [Not_found] on a miss: the validator's
+    per-declaration loops use these, so a hit is not boxed in an
+    option. *)
+let get_func t name = Tbl.find t.sy_funcs name
+let get_mem t name = Tbl.find t.sy_mems name
+let get_stream t name = Tbl.find t.sy_streams name
+let get_global t name = Tbl.find t.sy_globals name
 
 let find_func_exn t name =
   match find_func t name with
@@ -100,28 +94,21 @@ let find_func_exn t name =
         (Printf.sprintf "no function @%s in design %s" name
            t.sy_design.d_name)
 
-(** Ports declared for function [fname], declaration order. *)
-let ports_of t fname =
-  Option.value ~default:[] (Tbl.find_opt t.sy_ports fname)
-
 let duplicates t = t.sy_dups
 
-(** Type of parameter [p] of function [f]; memoized hashtable per
-    function, so resolving [n] ports against an [n]-parameter [@main]
-    is O(n), not O(n²). *)
-let param_ty t (f : func) (p : string) : Ty.t option =
-  let tbl =
-    match Tbl.find_opt t.sy_params f.fn_name with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Tbl.create (2 * List.length f.fn_params) in
-        List.iter
-          (fun (n, ty) -> if not (Tbl.mem tbl n) then Tbl.add tbl n ty)
-          f.fn_params;
-        Tbl.replace t.sy_params f.fn_name tbl;
-        tbl
-  in
-  Tbl.find_opt tbl p
+(** The types of function [f]'s parameters by name (the first
+    declaration of a name wins); memoized per function, so resolving
+    [n] ports against an [n]-parameter [@main] is O(n), not O(n²). *)
+let params t (f : func) : Ty.t Tbl.t =
+  match Tbl.find t.sy_params f.fn_name with
+  | tbl -> tbl
+  | exception Not_found ->
+      let tbl = Tbl.create (2 * List.length f.fn_params) in
+      List.iter
+        (fun (n, ty) -> if not (Tbl.mem tbl n) then Tbl.add tbl n ty)
+        f.fn_params;
+      Tbl.replace t.sy_params f.fn_name tbl;
+      tbl
 
 (** Streamed outputs of [f] (see {!Ast.func_outputs}), memoized — a
     replicated design resolves the shared PE's outputs once per design

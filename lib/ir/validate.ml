@@ -57,16 +57,16 @@ type binding = Param of Ty.t | Local of Ty.t
 let check_operand errs loc (sy : Symtab.t) ~env ~expect (o : operand) =
   match o with
   | Var v -> (
-      match Tbl.find_opt env v with
-      | None -> err errs loc "use of undefined local %%%s" v
-      | Some (Param t | Local t) ->
+      match Tbl.find env v with
+      | exception Not_found -> err errs loc "use of undefined local %%%s" v
+      | Param t | Local t ->
           if not (Ty.equal t expect) then
             err errs loc "operand %%%s has type %s, expected %s" v
               (Ty.to_string t) (Ty.to_string expect))
   | Glob g -> (
-      match Symtab.find_global sy g with
-      | None -> err errs loc "use of undeclared global @%s" g
-      | Some gl ->
+      match Symtab.get_global sy g with
+      | exception Not_found -> err errs loc "use of undeclared global @%s" g
+      | gl ->
           if not (Ty.equal gl.g_ty expect) then
             err errs loc "global @%s has type %s, expected %s" g
               (Ty.to_string gl.g_ty) (Ty.to_string expect))
@@ -93,11 +93,14 @@ let check_func errs (sy : Symtab.t) (f : func) =
   let loc = "@" ^ f.fn_name in
   let env = Tbl.create (2 * (List.length f.fn_params + 8)) in
   (* parameters come first, so a name already in [env] is a duplicate
-     parameter; the later declaration's type wins *)
+     parameter (the table does not grow); the later declaration's type
+     wins *)
   List.iter
     (fun (n, t) ->
-      if Tbl.mem env n then err errs loc "duplicate %s %S" "parameter" n;
+      let defined = Tbl.length env in
       Tbl.replace env n (Param t);
+      if Tbl.length env = defined then
+        err errs loc "duplicate %s %S" "parameter" n;
       if not (Ty.valid t) then
         err errs loc "parameter %%%s has invalid type %s" n (Ty.to_string t))
     f.fn_params;
@@ -107,9 +110,9 @@ let check_func errs (sy : Symtab.t) (f : func) =
   (* (re)define [n] at [ty], keeping a parameter's tag *)
   let define n ty =
     Tbl.replace env n
-      (match Tbl.find_opt env n with
-      | Some (Param _) -> Param ty
-      | Some (Local _) | None -> Local ty)
+      (match Tbl.find env n with
+      | Param _ -> Param ty
+      | Local _ | (exception Not_found) -> Local ty)
   in
   List.iter
     (fun i ->
@@ -133,9 +136,9 @@ let check_func errs (sy : Symtab.t) (f : func) =
             reassigned dst;
             (match src with
             | Var v -> (
-                match Tbl.find_opt env v with
-                | Some (Param _) -> ()
-                | Some (Local _) | None ->
+                match Tbl.find env v with
+                | Param _ -> ()
+                | Local _ | (exception Not_found) ->
                     err errs loc "offset source %%%s must be a stream parameter" v)
             | _ -> err errs loc "offset source must be a stream parameter");
             check_operand errs loc sy ~env ~expect:ty src;
@@ -164,9 +167,10 @@ let check_func errs (sy : Symtab.t) (f : func) =
                 reassigned n;
                 define n rty
             | Dglobal g -> (
-                match Symtab.find_global sy g with
-                | None -> err errs loc "assignment to undeclared global @%s" g
-                | Some gl ->
+                match Symtab.get_global sy g with
+                | exception Not_found ->
+                    err errs loc "assignment to undeclared global @%s" g
+                | gl ->
                     if not (Ty.equal gl.g_ty rty) then
                       err errs loc
                         "reduction into @%s: type %s does not match global %s" g
@@ -174,9 +178,10 @@ let check_func errs (sy : Symtab.t) (f : func) =
         | Call { callee; args; kind; rets } -> (
             (if f.fn_kind = Comb then
                err errs loc "call not allowed in comb function");
-            match Symtab.find_func sy callee with
-            | None -> err errs loc "call to undefined function @%s" callee
-            | Some g ->
+            match Symtab.get_func sy callee with
+            | exception Not_found ->
+                err errs loc "call to undefined function @%s" callee
+            | g ->
                 if g.fn_kind <> kind then
                   err errs loc
                     "call-site kind %s does not match @%s's declared kind %s"
@@ -212,14 +217,14 @@ let check_recursion errs (sy : Symtab.t) =
   let color = Tbl.create 16 in
   (* 0 = white, 1 = grey, 2 = black *)
   let rec visit name =
-    match Tbl.find_opt color name with
-    | Some 1 -> err errs ("@" ^ name) "recursive call cycle through @%s" name
-    | Some 2 -> ()
-    | _ -> (
+    match Tbl.find color name with
+    | 1 -> err errs ("@" ^ name) "recursive call cycle through @%s" name
+    | _ -> ()
+    | exception Not_found -> (
         Tbl.replace color name 1;
-        (match Symtab.find_func sy name with
-        | None -> ()
-        | Some f ->
+        (match Symtab.get_func sy name with
+        | exception Not_found -> ()
+        | f ->
             List.iter
               (function Call { callee; _ } -> visit callee | _ -> ())
               f.fn_body);
@@ -241,97 +246,133 @@ let dedup_errors (es : error list) : error list =
       end)
     es
 
+(* The port pass's view of one function: its parameter table ([None]
+   if the design has no such function) and the names of its ports so
+   far. *)
+type port_owner = { po_params : Ty.t Tbl.t option; po_ports : unit Tbl.t }
+
+(* A location for a port's error, built only when it has one. *)
+let port_err errs p = err errs (Printf.sprintf "@%s.%s" p.pt_fun p.pt_port)
+
 (* The single source-order pass. [skip_body f] suppresses the
    per-instruction body walk of function [f] (derived variants whose PE
    bodies come from an already-validated template). *)
 let check_indexed ~skip_body (sy : Symtab.t) : error list =
   let d = Symtab.design sy in
   let errs = ref [] in
-  (* [report_dups what loc i n] reports the [i]th declaration of class
-     [what], named [n], if the index recorded it as a duplicate *)
+  (* [report_dups what loc i] reports the [i]th declaration of class
+     [what] if the index recorded it as a duplicate *)
   let report_dups what =
     let q =
       ref
-        (List.filter_map
-           (fun (u : Symtab.dup) ->
-             if u.dup_what = what then Some u.dup_pos else None)
+        (List.filter
+           (fun (u : Symtab.dup) -> u.dup_what = what)
            (Symtab.duplicates sy))
     in
-    fun loc i n ->
+    fun loc i ->
       match !q with
-      | j :: tl when j = i ->
+      | u :: tl when u.dup_pos = i ->
           q := tl;
-          err errs loc "duplicate %s %S" what n
+          err errs loc "duplicate %s %S" what u.dup_name
       | _ -> ()
   in
-  (* --- Manage-IR, in .tirl source order: mems, streams, ports --- *)
+  (* --- Manage-IR, in .tirl source order: mems, streams, ports. On a
+     valid design a declaration allocates nothing but a port's entry in
+     the duplicate table: a location is built only for an error, and no
+     lookup boxes its result. --- *)
   let mem_dup = report_dups "memory object" in
   List.iteri
     (fun i m ->
-      let loc = "%" ^ m.mo_name in
-      mem_dup "manage" i m.mo_name;
-      if m.mo_size <= 0 then err errs loc "memory object size must be positive";
+      mem_dup "manage" i;
+      if m.mo_size <= 0 then
+        err errs ("%" ^ m.mo_name) "memory object size must be positive";
       if not (Ty.valid m.mo_ty) then
-        err errs loc "invalid element type %s" (Ty.to_string m.mo_ty))
+        err errs ("%" ^ m.mo_name) "invalid element type %s"
+          (Ty.to_string m.mo_ty))
     d.d_mems;
   let stream_dup = report_dups "stream object" in
   List.iteri
     (fun i s ->
-      let loc = "%" ^ s.so_name in
-      stream_dup "manage" i s.so_name;
-      (match Symtab.find_mem sy s.so_mem with
-      | None ->
-          err errs loc "stream references unknown memory object %%%s" s.so_mem
-      | Some _ -> ());
+      stream_dup "manage" i;
+      (match Symtab.get_mem sy s.so_mem with
+      | _ -> ()
+      | exception Not_found ->
+          err errs ("%" ^ s.so_name)
+            "stream references unknown memory object %%%s" s.so_mem);
       match s.so_pattern with
       | Strided k when k <= 0 ->
-          err errs loc "stride must be positive, got %d" k
+          err errs ("%" ^ s.so_name) "stride must be positive, got %d" k
       | _ -> ())
     d.d_streams;
-  (* ports are not indexed by name, so they keep their own duplicate
-     table; a port's location is only printed when it has an error *)
-  let ports_seen = Hashtbl.create (List.length d.d_ports) in
-  let port_err p = err errs (Printf.sprintf "@%s.%s" p.pt_fun p.pt_port) in
+  (* Ports are not indexed by name, so they keep their own duplicate
+     table, one per function, next to the function's parameter table:
+     the ports of one function share its lookups. A port's location is
+     only printed when it has an error. *)
+  let owners = Tbl.create 4 in
+  let n_ports = List.length d.d_ports in
+  let owner name =
+    match Tbl.find owners name with
+    | o -> o
+    | exception Not_found ->
+        let o =
+          {
+            po_params =
+              (match Symtab.get_func sy name with
+              | f -> Some (Symtab.params sy f)
+              | exception Not_found -> None);
+            po_ports = Tbl.create n_ports;
+          }
+        in
+        Tbl.add owners name o;
+        o
+  in
   List.iter
     (fun p ->
-      if Hashtbl.mem ports_seen (p.pt_fun, p.pt_port) then
-        err errs "manage" "duplicate %s %S" "port" (p.pt_fun ^ "." ^ p.pt_port)
-      else Hashtbl.add ports_seen (p.pt_fun, p.pt_port) ();
-      (match Symtab.find_stream sy p.pt_stream with
-      | None -> port_err p "port references unknown stream object %%%s" p.pt_stream
-      | Some s ->
+      let o = owner p.pt_fun in
+      let seen = Tbl.length o.po_ports in
+      Tbl.replace o.po_ports p.pt_port ();
+      if Tbl.length o.po_ports = seen then
+        err errs "manage" "duplicate %s %S" "port" (p.pt_fun ^ "." ^ p.pt_port);
+      (match Symtab.get_stream sy p.pt_stream with
+      | exception Not_found ->
+          port_err errs p "port references unknown stream object %%%s"
+            p.pt_stream
+      | s -> (
           if s.so_dir <> p.pt_dir then
-            port_err p "port direction %s conflicts with stream %%%s (%s)"
+            port_err errs p "port direction %s conflicts with stream %%%s (%s)"
               (dir_to_string p.pt_dir) s.so_name (dir_to_string s.so_dir);
-          (match Symtab.find_mem sy s.so_mem with
-          | Some m when not (Ty.equal m.mo_ty p.pt_ty) ->
-              port_err p "port type %s does not match memory %%%s element type %s"
-                (Ty.to_string p.pt_ty) m.mo_name (Ty.to_string m.mo_ty)
-          | _ -> ()));
-      match Symtab.find_func sy p.pt_fun with
-      | None -> port_err p "port on unknown function @%s" p.pt_fun
-      | Some f -> (
-          match Symtab.param_ty sy f p.pt_port with
-          | None ->
-              port_err p "function @%s has no parameter %%%s" p.pt_fun p.pt_port
-          | Some t ->
+          match Symtab.get_mem sy s.so_mem with
+          | m ->
+              if not (Ty.equal m.mo_ty p.pt_ty) then
+                port_err errs p
+                  "port type %s does not match memory %%%s element type %s"
+                  (Ty.to_string p.pt_ty) m.mo_name (Ty.to_string m.mo_ty)
+          | exception Not_found -> ()));
+      match o.po_params with
+      | None -> port_err errs p "port on unknown function @%s" p.pt_fun
+      | Some params -> (
+          match Tbl.find params p.pt_port with
+          | exception Not_found ->
+              port_err errs p "function @%s has no parameter %%%s" p.pt_fun
+                p.pt_port
+          | t ->
               if not (Ty.equal t p.pt_ty) then
-                port_err p "port type %s does not match parameter type %s"
+                port_err errs p "port type %s does not match parameter type %s"
                   (Ty.to_string p.pt_ty) (Ty.to_string t)))
     d.d_ports;
   let global_dup = report_dups "global" in
-  List.iteri (fun i g -> global_dup "manage" i g.g_name) d.d_globals;
+  List.iteri (fun i _ -> global_dup "manage" i) d.d_globals;
   (* --- Compute-IR, declaration order --- *)
   let func_dup = report_dups "function" in
   List.iteri
     (fun i f ->
-      func_dup "design" i f.fn_name;
+      func_dup "design" i;
       if not (skip_body f) then check_func errs sy f)
     d.d_funcs;
   (* --- design level --- *)
-  (match Symtab.find_func sy "main" with
-  | None -> err errs "design" "no @main function"
-  | Some _ -> ());
+  (match Symtab.get_func sy "main" with
+  | _ -> ()
+  | exception Not_found -> err errs "design" "no @main function");
   check_recursion errs sy;
   dedup_errors (List.rev !errs)
 

@@ -108,7 +108,9 @@ let same_points (a : Dse.point list) (b : Dse.point list) =
   && List.for_all2
        (fun p q ->
          p.Dse.dp_variant = q.Dse.dp_variant
-         && p.Dse.dp_report = q.Dse.dp_report)
+         && p.Dse.dp_report = q.Dse.dp_report
+         && Tytra_ir.Pprint.design_to_string p.Dse.dp_design
+            = Tytra_ir.Pprint.design_to_string q.Dse.dp_design)
        a b
 
 let test_parallel_equals_sequential () =

@@ -2,8 +2,10 @@
    the slower twins they replaced, which live in this directory as
    oracles:
 
-   - derived variants (Lower.template / Lower.derive) pretty-print
-     byte-identically to a full Lower.lower and validate clean;
+   - Lower.lower and derived variants (Lower.template / Lower.derive)
+     pretty-print byte-identically to the Builder-based Oracle_lower,
+     also when domains derive from one template at once, and validate
+     clean;
    - the indexed one-pass validator agrees with the multi-pass
      Oracle_validate on valid and broken designs, reports errors in
      source order, and deduplicates identical (loc, msg) pairs;
@@ -34,22 +36,93 @@ let variants p = Transform.enumerate ~max_lanes:8 ~max_vec:4 p
 (* the widest space a DSE sweep builds: up to 512 PEs *)
 let wide_variants p = Transform.enumerate ~max_lanes:64 ~max_vec:8 p
 
-(* ---- derived-variant equivalence ---- *)
+(* ---- lowering and derived-variant equivalence ---- *)
 
+(* the kernels at each element type the DSE benchmark sweeps *)
+let typed_kernels () =
+  List.concat_map
+    (fun ty ->
+      List.map
+        (fun (name, p) -> (name ^ " " ^ Ty.to_string ty, p))
+        [
+          ("sor", Tytra_kernels.Sor.program ~ty ~im:16 ~jm:16 ~km:16 ());
+          ("hotspot", Tytra_kernels.Hotspot.program ~ty ~rows:16 ~cols:16 ());
+          ("lavamd", Tytra_kernels.Lavamd.program ~ty ~boxes:16 ());
+          ("srad", Tytra_kernels.Srad.program ~ty ~rows:16 ~cols:16 ());
+        ])
+    [ Ty.UInt 18; Ty.UInt 32; Ty.Float 32 ]
+
+(* a seeded Fisher-Yates shuffle *)
+let shuffle seed xs =
+  let a = Array.of_list xs in
+  let st = Random.State.make [| seed |] in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+(* Derivation runs in a shuffled order, so a template's lanes grow out
+   of order. *)
 let test_derive_prints_identically () =
-  List.iter
-    (fun (name, p) ->
+  List.iteri
+    (fun seed (name, p) ->
       let tpl = Lower.template p in
       List.iter
         (fun v ->
-          let full = Pprint.design_to_string (Lower.lower p v) in
-          let fast = Pprint.design_to_string (Lower.derive tpl v) in
-          Alcotest.(check string)
-            (Printf.sprintf "%s %s derived == lowered" name
-               (Transform.to_string v))
-            full fast)
-        (wide_variants p))
-    (kernels ())
+          let oracle =
+            Pprint.design_to_string (Oracle_lower.build_variant p v)
+          in
+          let check what d =
+            Alcotest.(check string)
+              (Printf.sprintf "%s %s %s == oracle" name (Transform.to_string v)
+                 what)
+              oracle (Pprint.design_to_string d)
+          in
+          check "lowered" (Lower.lower p v);
+          check "derived" (Lower.derive tpl v))
+        (shuffle seed (wide_variants p)))
+    (typed_kernels ())
+
+(* Four domains derive every wide variant of one template, each in its
+   own order, so lanes are interned while other domains read them. Each
+   design must print as a sequential derivation's does, and every
+   replicated design must share lane 0's port record: a published lane
+   is never replaced. *)
+let test_derive_concurrent () =
+  let p = Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 () in
+  let vs = wide_variants p in
+  let sequential =
+    let tpl = Lower.template p in
+    List.map (fun v -> (v, Pprint.design_to_string (Lower.derive tpl v))) vs
+  in
+  let tpl = Lower.template p in
+  let derived =
+    List.concat_map Domain.join
+      (List.init 4 (fun seed ->
+           Domain.spawn (fun () ->
+               List.map (fun v -> (v, Lower.derive tpl v)) (shuffle seed vs))))
+  in
+  List.iter
+    (fun (v, d) ->
+      Alcotest.(check string)
+        (Transform.to_string v ^ " derived concurrently == sequentially")
+        (List.assoc v sequential) (Pprint.design_to_string d))
+    derived;
+  let lane0 = ref None in
+  List.iter
+    (fun (v, d) ->
+      if Transform.pes v > 1 then
+        let port = List.hd d.Ast.d_ports in
+        match !lane0 with
+        | None -> lane0 := Some port
+        | Some p0 ->
+            Alcotest.(check bool)
+              (Transform.to_string v ^ " shares lane 0's port record")
+              true (p0 == port))
+    derived
 
 let test_derive_validates_clean () =
   List.iter
@@ -191,6 +264,22 @@ let test_validator_agrees_on_broken () =
           d,
         [ "@f0: local %p reassigned (SSA)";
           "@f0: operand %p has type bool, expected ui18" ] );
+      (* the port pass keeps one duplicate table per function, also
+         when the ports of two functions interleave; a port on a
+         missing function is reported once per (loc, msg) *)
+      ( "duplicate ports across functions",
+        (let p0 = List.hd d.Ast.d_ports in
+         {
+           d with
+           Ast.d_ports =
+             d.Ast.d_ports
+             @ [ { p0 with Ast.pt_fun = "f1" }; p0;
+                 { p0 with Ast.pt_fun = "nosuch" };
+                 { p0 with Ast.pt_fun = "nosuch" } ];
+         }),
+        [ "manage: duplicate port \"main.p0\"";
+          "@nosuch.p0: port on unknown function @nosuch";
+          "manage: duplicate port \"nosuch.p0\"" ] );
       (* parameters are per function, not per function name *)
       ( "two functions named f0",
         {
@@ -423,6 +512,8 @@ let suite =
   [
     Alcotest.test_case "derived variants pretty-print identically" `Quick
       test_derive_prints_identically;
+    Alcotest.test_case "concurrent derivation shares lanes" `Quick
+      test_derive_concurrent;
     Alcotest.test_case "derived variants validate clean" `Quick
       test_derive_validates_clean;
     Alcotest.test_case "delta validation catches broken wiring" `Quick

@@ -66,10 +66,35 @@ let test_parse_words_bound () =
     true
     (w <= parse_words_per_line_bound)
 
+(* An absolute bound on deriving SOR ParVecPipe (64, 8) from a template
+   whose lanes are already interned, as they are for every variant of a
+   sweep no wider than one derived before it. Interning each lane's
+   streams, ports, names and parameters in the template, validating the
+   Manage-IR without a location string or option box per declaration,
+   and dropping the index's unused per-function port groups took
+   Lower.derive from 460.9 to 154.0 words per PE. *)
+let derive_words_per_pe_bound = 161.0
+
+let test_derive_words_bound () =
+  let tpl = Lower.template (sor ()) in
+  let v = Transform.ParVecPipe (64, 8) in
+  ignore (Lower.derive tpl v);
+  let w =
+    minor_words (fun () -> Lower.derive tpl v)
+    /. float_of_int (Transform.pes v)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "Lower.derive on SOR %s: %.1f words per PE <= %.1f"
+       (Transform.to_string v) w derive_words_per_pe_bound)
+    true
+    (w <= derive_words_per_pe_bound)
+
 let suite =
   [
     Alcotest.test_case "variant work linear in PEs" `Quick
       test_variant_words_per_pe;
+    Alcotest.test_case "derive words per PE bounded" `Quick
+      test_derive_words_bound;
     Alcotest.test_case "parse work linear in lines" `Quick
       test_parse_words_per_line;
     Alcotest.test_case "parse words per line bounded" `Quick
