@@ -231,7 +231,11 @@ let estimate_sym ?(device = Tytra_device.Device.stratixv_gsd8)
         match Symtab.Tbl.find_opt costed n with
         | Some u -> u
         | None ->
-            let u = Option.map (pe_usage ~cal d) (Symtab.find_func sy n) in
+            let u =
+              match Symtab.get_func sy n with
+              | f -> Some (pe_usage ~cal d f)
+              | exception Not_found -> None
+            in
             Symtab.Tbl.add costed n u;
             u)
       summary.Config_tree.cs_pes

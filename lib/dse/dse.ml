@@ -105,8 +105,12 @@ let cache : (Tytra_ir.Ast.design * Tytra_cost.Report.t) Tytra_exec.Cache.t =
 (* Pre-validated lowering templates, one per program digest: the shared
    PE body is compiled and fully validated once per sweep; every
    replicated variant of the same program is then derived from it and
-   only its wiring delta re-checked. Templates are small (one instruction
-   list), so a handful of entries covers any realistic sweep mix. *)
+   only its wiring delta re-checked. A template keeps the interned lanes
+   of the widest variant derived from it, and they stay alive as long
+   as it is cached: 100-330 words (0.8-2.7 KB) a lane for the four
+   kernels, 174 for SOR. A 512-lane SOR template (max_lanes 64 x
+   max_vec 8) holds 0.7 MB, so 64 such templates hold about 45 MB; a
+   larger max_lanes grows this in proportion to the widest variant. *)
 let template_cache : Tytra_front.Lower.template Tytra_exec.Cache.t =
   Tytra_exec.Cache.create ~metrics_prefix:"dse.template_cache" ~capacity:64 ()
 

@@ -67,14 +67,14 @@ let pe_depth_sym (sy : Symtab.t) (f : func) : int =
             in
             (max maxd fin, env)
         | Call { callee; _ } -> (
-            match Symtab.find_func sy callee with
-            | Some g when g.fn_kind = Comb || g.fn_kind = Pipe ->
+            match Symtab.get_func sy callee with
+            | g when g.fn_kind = Comb || g.fn_kind = Pipe ->
                 (* a called sub-pipeline or combinatorial block adds its
                    own depth in series *)
                 let sub, _ = depth_of g SM.empty in
                 let sub = if g.fn_kind = Comb then max 1 sub else sub in
                 (maxd + sub, env)
-            | _ -> (maxd, env)))
+            | _ | (exception Not_found) -> (maxd, env)))
       (0, env) f.fn_body
   in
   fst (depth_of f SM.empty)
@@ -92,9 +92,9 @@ let kpd_sym (sy : Symtab.t) (summary : Config_tree.summary) : int =
   match summary.cs_pes with
   | [] -> (
       (* sequential config: depth of main itself *)
-      match Symtab.find_func sy "main" with
-      | Some f -> pe_depth_sym sy f
-      | None -> 0)
+      match Symtab.get_func sy "main" with
+      | f -> pe_depth_sym sy f
+      | exception Not_found -> 0)
   | pes ->
       (* depth of one lane = sum over that lane's serial PEs; as variants
          replicate a single lane structure, group PEs per lane *)
@@ -122,9 +122,9 @@ let rec ni_sym (sy : Symtab.t) (f : func) : int =
       | Assign _ -> acc + 1
       | Offset _ -> acc
       | Call { callee; _ } -> (
-          match Symtab.find_func sy callee with
-          | Some g -> acc + ni_sym sy g
-          | None -> acc))
+          match Symtab.get_func sy callee with
+          | g -> acc + ni_sym sy g
+          | exception Not_found -> acc))
     0 f.fn_body
 
 (** Number of datapath instructions in one processing element of [d]. *)
@@ -138,9 +138,9 @@ let rec noff_sym (sy : Symtab.t) (f : func) : int =
       match i with
       | Offset { off; _ } -> max acc (abs off)
       | Call { callee; _ } -> (
-          match Symtab.find_func sy callee with
-          | Some g -> max acc (noff_sym sy g)
-          | None -> acc)
+          match Symtab.get_func sy callee with
+          | g -> max acc (noff_sym sy g)
+          | exception Not_found -> acc)
       | _ -> acc)
     0 f.fn_body
 
@@ -239,9 +239,9 @@ let params_sym (sy : Symtab.t) (summary : Config_tree.summary) : params =
   let ni =
     match pes with
     | [] -> (
-        match Symtab.find_func sy "main" with
-        | Some f -> ni_sym sy f
-        | None -> 0)
+        match Symtab.get_func sy "main" with
+        | f -> ni_sym sy f
+        | exception Not_found -> 0)
     | _ ->
         (* instructions per lane: coarse-grained lanes are a serial
            composition of PEs, so one lane's NI sums its stage PEs *)
@@ -254,7 +254,10 @@ let params_sym (sy : Symtab.t) (summary : Config_tree.summary) : params =
   let noff =
     List.fold_left (fun acc f -> max acc (noff_sym sy f)) 0
       (match distinct with
-      | [] -> Option.to_list (Symtab.find_func sy "main")
+      | [] -> (
+          match Symtab.get_func sy "main" with
+          | f -> [ f ]
+          | exception Not_found -> [])
       | l -> l)
   in
   let nto =

@@ -76,20 +76,19 @@ let of_design (d : design) : t =
 
 (** {2 O(1) lookups} *)
 
-let find_func t name = Tbl.find_opt t.sy_funcs name
-
-(** Lookups raising [Not_found] on a miss: the validator's
-    per-declaration loops use these, so a hit is not boxed in an
+(** Lookups raising [Not_found] on a miss, so a hit is not boxed in an
     option. *)
 let get_func t name = Tbl.find t.sy_funcs name
 let get_mem t name = Tbl.find t.sy_mems name
 let get_stream t name = Tbl.find t.sy_streams name
 let get_global t name = Tbl.find t.sy_globals name
 
+(** [get_func], raising [Invalid_argument] naming the function and the
+    design on a miss. *)
 let find_func_exn t name =
-  match find_func t name with
-  | Some f -> f
-  | None ->
+  match get_func t name with
+  | f -> f
+  | exception Not_found ->
       invalid_arg
         (Printf.sprintf "no function @%s in design %s" name
            t.sy_design.d_name)

@@ -307,9 +307,11 @@ let check_indexed ~skip_body (sy : Symtab.t) : error list =
   (* Ports are not indexed by name, so they keep their own duplicate
      table, one per function, next to the function's parameter table:
      the ports of one function share its lookups. A port's location is
-     only printed when it has an error. *)
+     only printed when it has an error. The first function a port names
+     ([@main] in every derived design) gets a table sized for all the
+     ports; any other starts small and grows, so a design whose ports
+     name many functions still costs work linear in its ports. *)
   let owners = Tbl.create 4 in
-  let n_ports = List.length d.d_ports in
   let owner name =
     match Tbl.find owners name with
     | o -> o
@@ -320,7 +322,9 @@ let check_indexed ~skip_body (sy : Symtab.t) : error list =
               (match Symtab.get_func sy name with
               | f -> Some (Symtab.params sy f)
               | exception Not_found -> None);
-            po_ports = Tbl.create n_ports;
+            po_ports =
+              Tbl.create
+                (if Tbl.length owners = 0 then List.length d.d_ports else 16);
           }
         in
         Tbl.add owners name o;

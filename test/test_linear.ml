@@ -89,12 +89,75 @@ let test_derive_words_bound () =
     true
     (w <= derive_words_per_pe_bound)
 
+(* Every word a call allocates, on the minor heap or directly on the
+   major heap: a large table's bucket array is allocated on the major
+   heap, so [minor_words] alone does not see it. The major counters are
+   read after a minor collection, which brings them up to date. *)
+let allocated_words f =
+  let direct_major () =
+    Gc.minor ();
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let m0 = direct_major () in
+  let w = minor_words f in
+  w +. direct_major () -. m0
+
+(* A design whose [n] ports each name a different function that does
+   not exist, as a [.tirl] body sent to [tybec serve] may: validating
+   it reports one error per port. *)
+let unknown_function_ports n =
+  let ty = Ty.UInt 32 in
+  {
+    Ast.d_name = "ports";
+    d_mems =
+      [ { Ast.mo_name = "m"; mo_space = Ast.Global; mo_ty = ty; mo_size = 16 } ];
+    d_streams =
+      [ { Ast.so_name = "s"; so_dir = Ast.IStream; so_mem = "m";
+          so_pattern = Ast.Cont } ];
+    d_ports =
+      List.init n (fun i ->
+          { Ast.pt_fun = "u" ^ Int.to_string i; pt_port = "p";
+            pt_space = Ast.Global; pt_ty = ty; pt_dir = Ast.IStream;
+            pt_pattern = Ast.Cont; pt_base_off = 0; pt_stream = "s" });
+    d_globals = [];
+    d_funcs =
+      [ { Ast.fn_name = "main"; fn_params = []; fn_kind = Ast.Seq;
+          fn_body = [] } ];
+  }
+
+let validate_words_per_port n =
+  let d = unknown_function_ports n in
+  allocated_words (fun () -> Validate.check d) /. float_of_int n
+
+(* Validating 4096 ports on 4096 unknown functions allocates 398 words
+   a port, nearly all of it the error each port reports. When every
+   function's port-duplicate table was sized for all the design's
+   ports, it allocated 4477 words a port, and the cost per port grew
+   with the port count. *)
+let validate_words_per_port_bound = 418.0
+
+let test_validate_words_per_port () =
+  let w = validate_words_per_port 4096 in
+  check_ratio "Validate.check, ports on distinct unknown functions, words \
+               per port"
+    ~small:(validate_words_per_port 512) ~large:w;
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "Validate.check on 4096 ports of unknown functions: %.1f words per \
+        port <= %.1f"
+       w validate_words_per_port_bound)
+    true
+    (w <= validate_words_per_port_bound)
+
 let suite =
   [
     Alcotest.test_case "variant work linear in PEs" `Quick
       test_variant_words_per_pe;
     Alcotest.test_case "derive words per PE bounded" `Quick
       test_derive_words_bound;
+    Alcotest.test_case "validate work linear in ports" `Quick
+      test_validate_words_per_port;
     Alcotest.test_case "parse work linear in lines" `Quick
       test_parse_words_per_line;
     Alcotest.test_case "parse words per line bounded" `Quick
