@@ -269,10 +269,8 @@ let e5 () =
     (* prune off: E5 measures the pool's scaling on the full evaluation
        load; E8 measures what pruning removes from it *)
     { Tytra_dse.Dse.default_config with
-      max_lanes = 64; max_vec = 8; nki = 100; jobs; use_cache = false;
-      prune = false }
+      max_lanes = 64; max_vec = 8; nki = 100; jobs; prune = false }
   in
-  Tytra_dse.Dse.clear_cache ();
   let pts, t1 =
     time_s (fun () -> Tytra_dse.Dse.explore ~config:(config 1) sweep_prog)
   in
@@ -285,31 +283,7 @@ let e5 () =
     (List.length pts)
     (Domain.recommended_domain_count ())
     t1 jobs tn
-    (t1 /. Float.max 1e-9 tn);
-  (* memoized repeat: an identical sweep is served from the cache *)
-  Tytra_dse.Dse.clear_cache ();
-  let cached = { (config jobs) with Tytra_dse.Dse.use_cache = true } in
-  let _, cold =
-    time_s (fun () -> Tytra_dse.Dse.explore ~config:cached sweep_prog)
-  in
-  let before = Tytra_dse.Dse.cache_stats () in
-  let _, warm =
-    time_s (fun () -> Tytra_dse.Dse.explore ~config:cached sweep_prog)
-  in
-  let s = Tytra_dse.Dse.cache_stats () in
-  let warm_hits = s.Tytra_exec.Cache.st_hits - before.Tytra_exec.Cache.st_hits in
-  let warm_misses =
-    s.Tytra_exec.Cache.st_misses - before.Tytra_exec.Cache.st_misses
-  in
-  Format.printf
-    "memoized repeat: cold %.3f s, warm %.4f s (%.0fx); warm sweep %d hits / \
-     %d misses (hit rate %.0f%%)@."
-    cold warm
-    (cold /. Float.max 1e-9 warm)
-    warm_hits warm_misses
-    (100.0
-    *. float_of_int warm_hits
-    /. Float.max 1.0 (float_of_int (warm_hits + warm_misses)))
+    (t1 /. Float.max 1e-9 tn)
 
 (* ------------------------------------------------------------------ *)
 (* E8: bound-based DSE pruning - exhaustive vs pruned sweep            *)
@@ -333,13 +307,9 @@ let e8 () =
   let config =
     (* the E5 sweep space: 64 lanes with vectorization variants *)
     { Tytra_dse.Dse.default_config with
-      max_lanes = 64; max_vec = 8; nki = 100; jobs; use_cache = false }
+      max_lanes = 64; max_vec = 8; nki = 100; jobs }
   in
-  (* cold caches for every run so the comparison is evaluation work, not
-     memoization *)
-  let cold_sweep prune prog =
-    Tytra_dse.Dse.clear_cache ();
-    Tytra_cost.Report.clear_stage_caches ();
+  let sweep prune prog =
     time_s (fun () ->
         Tytra_dse.Dse.explore_sweep
           ~config:{ config with Tytra_dse.Dse.prune } prog)
@@ -349,8 +319,8 @@ let e8 () =
      evals | same best@.";
   List.iter
     (fun (name, prog) ->
-      let ex, t_ex = cold_sweep false prog in
-      let pr, t_pr = cold_sweep true prog in
+      let ex, t_ex = sweep false prog in
+      let pr, t_pr = sweep true prog in
       let exs = ex.Tytra_dse.Dse.sw_stats
       and prs = pr.Tytra_dse.Dse.sw_stats in
       let vname p =
@@ -384,25 +354,6 @@ let e8 () =
       Tytra_telemetry.Metrics.set
         (Printf.sprintf "bench.e8.%s.pruned_s" name) t_pr)
     kernels;
-  (* stage-cache effect: the same pruned SOR sweep, warm per-PE cache *)
-  let prog = List.assoc "sor" kernels in
-  let _, cold = cold_sweep true prog in
-  let _, warm =
-    time_s (fun () -> Tytra_dse.Dse.explore_sweep ~config prog)
-  in
-  Format.printf
-    "@.staged cost memoization (pruned SOR sweep): cold %.4f s, warm %.4f \
-     s@."
-    cold warm;
-  List.iter
-    (fun (name, s) ->
-      let total = s.Tytra_exec.Cache.st_hits + s.Tytra_exec.Cache.st_misses in
-      Format.printf "  %-28s %6d hits / %6d lookups (%.0f%%)@." name
-        s.Tytra_exec.Cache.st_hits total
-        (100.0
-        *. float_of_int s.Tytra_exec.Cache.st_hits
-        /. Float.max 1.0 (float_of_int total)))
-    (Tytra_cost.Report.stage_cache_stats ());
   Format.printf
     "(the bounds keep best/pareto provably exact while skipping most of the \
      64-lane space: replication beyond the bandwidth wall cannot beat the \
@@ -448,10 +399,9 @@ let e8 () =
          p.Tytra_dse.Dse.pr_evaluated p.Tytra_dse.Dse.pr_space
          p.Tytra_dse.Dse.pr_pruned)
   in
+  let prog = List.assoc "sor" kernels in
   let space_pts = ref 0 in
   let observed_sweep observed =
-    Tytra_dse.Dse.clear_cache ();
-    Tytra_cost.Report.clear_stage_caches ();
     if observed && own_sink then Tytra_telemetry.Events.open_file events_path;
     let cfg =
       { config with
@@ -492,7 +442,7 @@ let e8 () =
             Tytra_telemetry.Events.emit
               (Tytra_telemetry.Events.Point_evaluated
                  { variant = "par8-pipe"; ekit = 123.5; valid = true;
-                   cached = false; dur_ns = Int64.sub t1 t0 })
+                   dur_ns = Int64.sub t1 t0 })
           done)
     in
     t /. float_of_int iters
@@ -652,9 +602,9 @@ let e10 () =
     | Ok _ -> ()
     | Error e -> failwith ("E10 request " ^ label ^ ": " ^ Engine.error_message e)
   in
-  (* prewarm sequentially: fills the parse cache and the process-global
-     stage cache, so the measured phases see steady-state traffic (and
-     the cache counters stay a pure function of the request counts) *)
+  (* prewarm sequentially: fills the engine's parse and response caches,
+     so the measured phases see steady-state traffic (and the cache
+     counters stay a pure function of the request counts) *)
   List.iter submit_ok mix;
   let warm0 = Engine.parse_cache_stats eng in
   (* sequential phase: per-request latency percentiles *)
@@ -748,15 +698,13 @@ let e10 () =
         percentile runs 50
     | None ->
         (* no CLI binary next to the bench executable: approximate a
-           cold process with a fresh engine over cleared caches (this
-           under-counts exec+runtime-startup cost, so the printed ratio
-           is a floor) *)
+           cold process with a fresh engine (this under-counts
+           exec+runtime-startup cost, so the printed ratio is a floor) *)
         Format.printf
           "  (tybec.exe not found; cold figure is in-process cold-cache, a \
            floor on the true ratio)@.";
         let runs =
           Array.init 7 (fun _ ->
-              Tytra_cost.Report.clear_stage_caches ();
               let cold_eng = Engine.create Engine.default_config in
               snd
                 (time_s (fun () ->
@@ -924,7 +872,7 @@ let e12 () =
         let sockaddr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
         let args =
           [ exe; "serve"; "--addr"; addr; "--workers"; "2"; "--queue-cap";
-            "64"; "--jobs"; "1" ]
+            "64" ]
           @
           if shards > 1 then
             [ "--shards"; string_of_int shards; "--admin-addr";

@@ -595,14 +595,6 @@ let serve_cmd =
              workers. A full queue answers 429 immediately instead of \
              building unbounded backlog.")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Evaluation-pool domains the engine keeps for exploration \
-             requests (0 = one per core).")
-  in
   let shards_arg =
     Arg.(
       value & opt int 1
@@ -670,13 +662,11 @@ let serve_cmd =
              before the supervisor marks it dead; 5s of healthy uptime \
              resets the count.")
   in
-  let run () addr workers queue_cap jobs shards admin_addr shard_child
+  let run () addr workers queue_cap shards admin_addr shard_child
       shard_admin deadline_default_ms cache_journal restart_budget =
     guarded @@ fun () ->
     traced "serve" @@ fun () ->
-    let jobs = if jobs = 0 then Tytra_exec.Pool.default_jobs () else jobs in
     let workers = max 1 workers and queue_cap = max 1 queue_cap in
-    let config = { Engine.default_config with jobs } in
     match
       match shard_child with
       | Some _ ->
@@ -687,12 +677,12 @@ let serve_cmd =
             | Tytra_engine.Shards.Child_reuseport -> (true, None)
             | Tytra_engine.Shards.Child_fd fd -> (false, Some fd)
           in
-          Tytra_engine.Daemon.run ~config ~workers ~queue_cap ~reuseport
+          Tytra_engine.Daemon.run ~workers ~queue_cap ~reuseport
             ?listen_fd ?admin_addr:shard_admin ?deadline_default_ms
             ?cache_journal ~addr ()
       | None ->
           if shards <= 1 then
-            Tytra_engine.Daemon.run ~config ~workers ~queue_cap ?admin_addr
+            Tytra_engine.Daemon.run ~workers ~queue_cap ?admin_addr
               ?deadline_default_ms ?cache_journal ~addr ()
           else begin
             let is_unix =
@@ -728,7 +718,6 @@ let serve_cmd =
                    "--addr"; addr;
                    "--workers"; string_of_int workers;
                    "--queue-cap"; string_of_int queue_cap;
-                   "--jobs"; string_of_int jobs;
                  ]
                 @ (match deadline_default_ms with
                   | Some d ->
@@ -768,7 +757,7 @@ let serve_cmd =
           gracefully.")
     Term.(
       const run $ observability_term $ addr_arg $ workers_arg $ queue_cap_arg
-      $ jobs_arg $ shards_arg $ admin_addr_arg $ shard_child_arg
+      $ shards_arg $ admin_addr_arg $ shard_child_arg
       $ shard_admin_arg $ deadline_default_arg $ cache_journal_arg
       $ restart_budget_arg)
 

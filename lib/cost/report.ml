@@ -1,14 +1,10 @@
 (** One-call evaluation of a design variant: the "Resource estimates /
     Perf' estimate" outputs of the cost-model use-case (paper Fig 2).
 
-    Evaluation runs one memoized stage: per-function resource costing
-    inside {!Resource_model.estimate}, keyed by a structural digest of
-    the IR function + calibration (see [resource_model.ml]) and looked
-    up once per distinct PE function of a design, so a lane sweep costs
-    the shared PE once. It runs through {!Tytra_exec.Cache} and publishes
-    hit/miss counters under [cost.stage_cache.resource]. The Table-I
-    extraction and the EKIT expression are recomputed on every call:
-    keying them (a digest of the whole design) cost more than they do.
+    Evaluation keeps no state between calls: every stage is recomputed
+    on every call. Within one design, {!Resource_model.estimate_sym}
+    costs each distinct PE function once and reuses it for every
+    instance.
 
     Every stage runs on one {!Tytra_ir.Symtab} index and one
     classification of the configuration tree, both taken once per
@@ -30,11 +26,6 @@ type t = {
   rp_valid : bool;     (** fits on the device *)
   rp_utilization : Tytra_device.Resources.utilization;
 }
-
-let stage_cache_stats () =
-  [ ("cost.stage_cache.resource", Resource_model.pe_cache_stats ()) ]
-
-let clear_stage_caches () = Resource_model.clear_pe_cache ()
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
@@ -141,3 +132,8 @@ let pp fmt (r : t) =
           r.rp_balance.Limits.bh_headroom))
 
 let to_string r = Format.asprintf "%a" pp r
+
+(* Evaluation keeps no stage caches. [benchmark/] still calls these two;
+   ROADMAP item 7 deletes them with the next benchmark change. *)
+let stage_cache_stats () : (string * Tytra_exec.Cache.stats) list = []
+let clear_stage_caches () = ()

@@ -1,15 +1,11 @@
 (** One-call evaluation of a design variant: the "Resource estimates /
     Perf' estimate" outputs of the cost-model use-case (paper Fig 2).
 
-    Public interface of [Tytra_cost.Report]. [evaluate] is observably
-    pure and re-entrant — its only shared state is a domain-safe
-    memoization cache — so the parallel DSE pool may run any number of
-    evaluations concurrently.
-
-    Per-function resource costing is memoized (see [resource_model.ml]),
-    with hit/miss telemetry under [cost.stage_cache.resource]; Table-I
-    parameter extraction and the EKIT expression are recomputed on every
-    call.
+    Public interface of [Tytra_cost.Report]. [evaluate] is pure and
+    re-entrant — it keeps no state between calls — so the parallel DSE
+    pool may run any number of evaluations concurrently. Within one
+    design, each distinct PE function is costed once and reused for
+    every instance.
 
     {!replicate} costs a replicated (ParPipe / ParVecPipe) variant from
     its one-lane baseline's report in closed form, without its design;
@@ -78,14 +74,13 @@ val replicate :
     design field for field, floats bit-equal, and prints the same.
     Counts [cost.replications], under a [cost.replicate] span. *)
 
-val stage_cache_stats : unit -> (string * Tytra_exec.Cache.stats) list
-(** Hit/miss/eviction statistics of every cost-model stage cache, as
-    [(metrics-prefix, stats)] pairs. The one stage cache is
-    [cost.stage_cache.resource] (per-PE resource costing). *)
-
-val clear_stage_caches : unit -> unit
-(** Drop all stage caches and reset their statistics. Benchmarks call
-    this between runs to measure cold-start costs honestly. *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+val stage_cache_stats : unit -> (string * Tytra_exec.Cache.stats) list
+(** Always [[]]: evaluation keeps no stage caches. *)
+
+val clear_stage_caches : unit -> unit
+(** Does nothing. [stage_cache_stats] and this are kept only because
+    [benchmark/] calls them; ROADMAP item 7 deletes both with the next
+    benchmark change. *)

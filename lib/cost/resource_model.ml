@@ -134,8 +134,8 @@ let pp_estimate fmt e =
     Tytra_device.Resources.pp e.est_usage e.est_fmax_mhz
 
 (* usage of a single PE function: datapath + delay lines + windows *)
-let pe_usage_uncached ?(cal = default_calibration) (d : Ast.design)
-    (f : Ast.func) : Tytra_device.Resources.usage =
+let pe_usage ?(cal = default_calibration) (d : Ast.design) (f : Ast.func) :
+    Tytra_device.Resources.usage =
   let aluts = ref 0 and regs = ref 0 and dsps = ref 0 in
   List.iter
     (fun (i : Ast.instr) ->
@@ -172,38 +172,6 @@ let pe_usage_uncached ?(cal = default_calibration) (d : Ast.design)
     dsps = !dsps;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Stage cache: per-function resource costing                          *)
-(* ------------------------------------------------------------------ *)
-
-(* [pe_usage] is a pure function of the PE's body and the calibration:
-   scheduling ignores the surrounding design and the offset windows are
-   derived from the function alone. Memoizing on a structural digest of
-   (function, calibration) makes a lane sweep cost each distinct PE once
-   — an L-lane variant re-uses the baseline's @f0 costing, so only the
-   lane-dependent parts (stream control, glue, walls) are recomputed per
-   variant. {!estimate} looks each distinct PE function up once per
-   design, so the digest is not re-taken for every instance. *)
-let pe_cache : Tytra_device.Resources.usage Tytra_exec.Cache.t =
-  Tytra_exec.Cache.create ~metrics_prefix:"cost.stage_cache.resource"
-    ~capacity:1024 ()
-
-let pe_usage ?(cal = default_calibration) (d : Ast.design) (f : Ast.func) :
-    Tytra_device.Resources.usage =
-  let key =
-    Tytra_exec.Cache.digest_key
-      [ "pe-usage"; Tytra_exec.Cache.digest_marshal f;
-        Tytra_exec.Cache.digest_marshal cal ]
-  in
-  Tytra_exec.Cache.find_or_add pe_cache ~key (fun () ->
-      pe_usage_uncached ~cal d f)
-
-let pe_cache_stats () = Tytra_exec.Cache.stats pe_cache
-
-let clear_pe_cache () =
-  Tytra_exec.Cache.clear pe_cache;
-  Tytra_exec.Cache.reset_stats pe_cache
-
 (* the utilization-derated clock of a design using [usage] *)
 let fmax_at ~device usage =
   Tytra_device.Device.fmax_mhz device
@@ -223,7 +191,8 @@ let estimate_sym ?(device = Tytra_device.Device.stratixv_gsd8)
       [ ("design", Tytra_telemetry.Span.Str d.Ast.d_name);
         ("device", Tytra_telemetry.Span.Str device.Tytra_device.Device.dev_name) ]
   @@ fun () ->
-  (* replicated lanes instantiate one PE function many times *)
+  (* replicated lanes instantiate one PE function many times: each
+     distinct function is costed once per design *)
   let costed = Symtab.Tbl.create 4 in
   let pe_usages =
     List.filter_map

@@ -13,11 +13,10 @@
     as it was. The Pipe report is evaluated once per config and shared
     by all its replicated points.
 
-    The evaluation loop runs through {!Tytra_exec}: points fan out over a
-    Domain pool ([config.jobs]) and every (program, variant, device,
-    calibration, form, nki) evaluation is memoized in a process-wide LRU
-    cache, so repeated sweeps — guided search, cross-device exploration,
-    the bench harness — cost one lowering per distinct point.
+    Points fan out over a {!Tytra_exec.Pool} of [config.jobs] domains.
+    A sweep keeps no state between calls: it builds its program's
+    lowering template once, on the driving domain, and every point is
+    derived from it and costed afresh.
 
     With [config.prune] on (the default), the sweep does not even lower
     most of the space: after evaluating the cheap baselines (Seq, Pipe)
@@ -62,7 +61,6 @@ type config = {
   max_lanes : int;                  (** lane-count bound of the space *)
   max_vec : int;                    (** vectorization bound of the space *)
   jobs : int;                       (** evaluation-pool domains; 1 = seq *)
-  use_cache : bool;                 (** memoize point evaluations *)
   prune : bool;                     (** bound-based pruning of the space *)
   on_progress : (progress -> unit) option;
       (** called on the sweep's driving domain after every evaluation
@@ -87,58 +85,18 @@ let default_config : config =
     max_lanes = 16;
     max_vec = 1;
     jobs = 1;
-    use_cache = true;
     prune = true;
     on_progress = None;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Memoized point evaluation                                           *)
+(* Point evaluation                                                    *)
 (* ------------------------------------------------------------------ *)
-
-(* Lower + cost results are pure functions of the content key below, so
-   one process-wide cache serves every entry point. 4096 entries hold a
-   full 16-lane × 3-form × all-device sweep several times over. *)
-let cache : (Tytra_ir.Ast.design * Tytra_cost.Report.t) Tytra_exec.Cache.t =
-  Tytra_exec.Cache.create ~metrics_prefix:"dse.cache" ~capacity:4096 ()
-
-(* Pre-validated lowering templates, one per program digest: the shared
-   PE body is compiled and fully validated once per sweep; every
-   replicated variant of the same program is then derived from it and
-   only its wiring delta re-checked. A template keeps the interned lanes
-   of the widest variant derived from it, and they stay alive as long
-   as it is cached: 100-330 words (0.8-2.7 KB) a lane for the four
-   kernels, 174 for SOR. A 512-lane SOR template (max_lanes 64 x
-   max_vec 8) holds 0.7 MB, so 64 such templates hold about 45 MB; a
-   larger max_lanes grows this in proportion to the widest variant. *)
-let template_cache : Tytra_front.Lower.template Tytra_exec.Cache.t =
-  Tytra_exec.Cache.create ~metrics_prefix:"dse.template_cache" ~capacity:64 ()
-
-let cache_stats () = Tytra_exec.Cache.stats cache
-let cache_hit_rate () = Tytra_exec.Cache.hit_rate cache
-let clear_cache () =
-  Tytra_exec.Cache.clear cache;
-  Tytra_exec.Cache.reset_stats cache;
-  Tytra_exec.Cache.clear template_cache;
-  Tytra_exec.Cache.reset_stats template_cache
-
-(* Expr programs and calibrations are pure data, so a digest of their
-   marshalled bytes is a sound content key. *)
-let program_digest (prog : Expr.program) = Tytra_exec.Cache.digest_marshal prog
-
-let calib_digest = function
-  | None -> "device-default"
-  | Some c -> Tytra_exec.Cache.digest_marshal c
-
-let template_for ~prog_key (prog : Expr.program) : Lower.template =
-  Tytra_exec.Cache.find_or_add template_cache
-    ~key:(Tytra_exec.Cache.digest_key [ prog_key; "lower-template" ])
-    (fun () -> Lower.template prog)
 
 (* Lower one variant by deriving it from the program's template; the
    index it was validated on is what Seq and Pipe are costed on. *)
-let lower_point ~prog_key prog v =
-  let sy = Lower.derive_sym (template_for ~prog_key prog) v in
+let lower_point template v =
+  let sy = Lower.derive_sym template v in
   Tytra_telemetry.Metrics.incr "dse.points_derived";
   sy
 
@@ -164,24 +122,13 @@ let baseline_point bl compute =
           bl.bl_point <- Some dr;
           dr)
 
-let point_key ~(config : config) ~prog_key v =
-  Tytra_exec.Cache.digest_key
-    [
-      prog_key;
-      Transform.to_string v;
-      config.device.Tytra_device.Device.dev_name;
-      calib_digest config.calib;
-      Tytra_cost.Throughput.form_to_string config.form;
-      string_of_int config.nki;
-    ]
-
 (* Evaluate one variant under a per-point span: lane count, form and the
    resulting EKIT become trace attributes, so a sweep reads as a row of
    "dse.point" slices in Perfetto (one lane per pool domain). Seq and
    Pipe are costed in full on the index their derivation built; a
    replicated variant is derived and validated too, but costed in
    closed form from the config's Pipe report in [baseline]. *)
-let eval_point ~(config : config) ~prog_key ~baseline prog v =
+let eval_point ~(config : config) ~template ~baseline prog v =
   Tytra_telemetry.Span.with_ ~name:"dse.point"
     ~attrs:
       [ ("variant", Tytra_telemetry.Span.Str (Transform.to_string v));
@@ -191,18 +138,10 @@ let eval_point ~(config : config) ~prog_key ~baseline prog v =
            (Tytra_cost.Throughput.form_to_string config.form));
       ]
   @@ fun () ->
-  let computed = ref false in
-  let through_cache v compute =
-    if config.use_cache then
-      Tytra_exec.Cache.find_or_add cache ~key:(point_key ~config ~prog_key v)
-        compute
-    else compute ()
-  in
-  (* the index lives only while its point is evaluated: the point and
-     the cache keep the design and its report *)
-  let evaluate v () =
-    computed := true;
-    let sy = lower_point ~prog_key prog v in
+  (* the index lives only while its point is evaluated: the point keeps
+     the design and its report *)
+  let evaluate v =
+    let sy = lower_point template v in
     let report =
       Tytra_cost.Report.evaluate_sym ~device:config.device ?calib:config.calib
         ~form:config.form ~nki:config.nki sy
@@ -210,8 +149,7 @@ let eval_point ~(config : config) ~prog_key ~baseline prog v =
     (Tytra_ir.Symtab.design sy, report)
   in
   let pipe () =
-    baseline_point baseline (fun () ->
-        through_cache Transform.Pipe (evaluate Transform.Pipe))
+    baseline_point baseline (fun () -> evaluate Transform.Pipe)
   in
   (* Event-log detail is gated separately from plain metrics: without a
      sink, this adds two ref cells and a bool. *)
@@ -219,17 +157,14 @@ let eval_point ~(config : config) ~prog_key ~baseline prog v =
   let t0 = if observe then Tytra_telemetry.Clock.now_ns () else 0L in
   let d, report =
     match v with
-    | Transform.Seq -> through_cache v (evaluate v)
+    | Transform.Seq -> evaluate v
     | Transform.Pipe -> pipe ()
     | Transform.ParPipe _ | Transform.ParVecPipe _ ->
-        through_cache v (fun () ->
-            computed := true;
-            let d = Tytra_ir.Symtab.design (lower_point ~prog_key prog v) in
-            ( d,
-              Tytra_cost.Report.replicate ~device:config.device
-                ~form:config.form ~name:(Lower.design_name prog v)
-                ~lanes:(Transform.lanes v) ~vec:(Transform.vec v)
-                (snd (pipe ())) ))
+        let d = Tytra_ir.Symtab.design (lower_point template v) in
+        ( d,
+          Tytra_cost.Report.replicate ~device:config.device ~form:config.form
+            ~name:(Lower.design_name prog v) ~lanes:(Transform.lanes v)
+            ~vec:(Transform.vec v) (snd (pipe ())) )
   in
   let p = { dp_variant = v; dp_design = d; dp_report = report } in
   Tytra_telemetry.Metrics.incr "dse.points_evaluated";
@@ -244,7 +179,6 @@ let eval_point ~(config : config) ~prog_key ~baseline prog v =
            variant = Transform.to_string v;
            ekit = ekit p;
            valid = valid p;
-           cached = config.use_cache && not !computed;
            dur_ns;
          })
   end;
@@ -296,7 +230,6 @@ type sweep = {
    pure [eval_point]. *)
 type sweep_state = {
   st_config : config;
-  st_prog_key : string;
   st_baseline : baseline;
   st_space : int;
   mutable st_done : (int * point) list;       (* (enumeration index, point) *)
@@ -355,14 +288,14 @@ let rec take_n n = function
 
 (* Evaluate a combined wave of (state, index, variant) items on the
    shared pool; results land back in each state's accumulator. *)
-let eval_wave ~pool prog (items : (sweep_state * int * Transform.variant) list)
-    =
+let eval_wave ~pool ~template prog
+    (items : (sweep_state * int * Transform.variant) list) =
   Tytra_exec.Pool.map pool
     (fun (st, idx, v) ->
       ( st,
         idx,
-        eval_point ~config:st.st_config ~prog_key:st.st_prog_key
-          ~baseline:st.st_baseline prog v ))
+        eval_point ~config:st.st_config ~template ~baseline:st.st_baseline
+          prog v ))
     items
   |> List.iter (fun (st, idx, p) ->
          st.st_done <- (idx, p) :: st.st_done;
@@ -390,194 +323,200 @@ let eval_wave ~pool prog (items : (sweep_state * int * Transform.variant) list)
 
     Every wave runs through [eval_wave], so a point that raises aborts
     the whole sweep with its exception. The {e head} config's
-    [on_progress], if any, hears cumulative coverage after every wave. *)
+    [on_progress], if any, hears cumulative coverage after every wave.
+    The program's {!Lower.template} is built once, on the calling
+    domain, and every config derives its points from it. No configs, no
+    sweeps. *)
 let sweep_many ~pool (configs : config list) (prog : Expr.program) :
     sweep list =
-  let prog_key = program_digest prog in
-  let states_with_variants =
-    List.map
-      (fun config ->
-        let variants =
-          Transform.enumerate ~max_lanes:config.max_lanes
-            ~max_vec:config.max_vec prog
-        in
-        let st =
-          {
-            st_config = config;
-            st_prog_key = prog_key;
-            st_baseline = new_baseline ();
-            st_space = List.length variants;
-            st_done = [];
-            st_bounded = [];
-            st_queue = [];
-            st_incumbent = None;
-          }
-        in
-        (st, List.mapi (fun i v -> (i, v)) variants))
-      configs
-  in
-  let states = List.map fst states_with_variants in
-  (* The event log marks each config's sweep here, where the space is
-     already enumerated — recomputing it just for the event would cost
-     a full [Transform.enumerate] per sweep (~ms on large spaces). *)
-  if Tytra_telemetry.Events.active () then
-    List.iter
-      (fun st ->
-        Tytra_telemetry.Events.emit
-          (Tytra_telemetry.Events.Sweep_started
-             {
-               kernel = prog.Expr.p_kernel.Expr.k_name;
-               space = st.st_space;
-               jobs = st.st_config.jobs;
-               prune = st.st_config.prune;
-             }))
-      states;
-  (* Progress notification: cumulative coverage across every config,
-     reported on the driving domain after each wave. The callback comes
-     from the head config. *)
-  let notify =
-    match (List.hd configs).on_progress with
-    | None -> fun () -> ()
-    | Some f ->
-        fun () ->
-          f
-            (List.fold_left
-               (fun acc st ->
-                 {
-                   pr_space = acc.pr_space + st.st_space;
-                   pr_evaluated = acc.pr_evaluated + List.length st.st_done;
-                   pr_pruned = acc.pr_pruned + List.length st.st_bounded;
-                 })
-               { pr_space = 0; pr_evaluated = 0; pr_pruned = 0 }
-               states)
-  in
-  let run_wave items =
-    eval_wave ~pool prog items;
-    notify ()
-  in
-  (* Phase 1: baselines. Replication bounds derive from the Pipe report,
-     so Seq and Pipe (pes < 2) are always evaluated in full; with
-     pruning off the whole space is a "baseline". *)
-  let baseline_items =
-    List.concat_map
-      (fun (st, indexed) ->
-        List.filter_map
-          (fun (i, v) ->
-            if (not st.st_config.prune) || Transform.pes v < 2 then
-              Some (st, i, v)
-            else None)
-          indexed)
-      states_with_variants
-  in
-  run_wave baseline_items;
-  (* Phase 2: bounds. *)
-  let forced =
-    List.concat_map
-      (fun (st, indexed) ->
-        if not st.st_config.prune then []
-        else
-          let candidates =
-            List.filter (fun (_, v) -> Transform.pes v >= 2) indexed
-          in
-          let pipe =
-            List.find_map
-              (fun (_, p) ->
-                if p.dp_variant = Transform.Pipe then Some p.dp_report
-                else None)
-              st.st_done
-          in
-          match pipe with
-          | None ->
-              (* No Pipe baseline in the space (cannot happen with the
-                 current enumerator): fall back to exhaustive. *)
-              List.map (fun (i, v) -> (st, i, v)) candidates
-          | Some baseline ->
-              let queue =
-                List.filter_map
-                  (fun (i, v) ->
-                    let b =
-                      Tytra_cost.Bounds.of_baseline ~device:st.st_config.device
-                        ~form:st.st_config.form ~pes:(Transform.pes v) baseline
-                    in
-                    if not b.Tytra_cost.Bounds.b_fits then begin
-                      record_bounded st i v b Overflow;
-                      None
-                    end
-                    else Some (i, v, b))
-                  candidates
-              in
-              st.st_queue <-
-                List.sort
-                  (fun (i1, _, b1) (i2, _, b2) ->
-                    let c =
-                      compare b2.Tytra_cost.Bounds.b_ekit_ub
-                        b1.Tytra_cost.Bounds.b_ekit_ub
-                    in
-                    if c <> 0 then c else compare i1 i2)
-                  queue;
-              [])
-      states_with_variants
-  in
-  run_wave forced;
-  (* Phase 3: incumbent-pruned waves. *)
-  let rec rounds () =
-    let active = List.filter (fun st -> st.st_queue <> []) states in
-    if active <> [] then begin
-      let quota =
-        max 1 (Tytra_exec.Pool.jobs pool / List.length active)
-      in
-      let wave =
-        List.concat_map
-          (fun st ->
-            let pruned, rest =
-              List.partition (fun (_, _, b) -> prunable st b) st.st_queue
+  match configs with
+  | [] -> []
+  | head :: _ ->
+      let template = Lower.template prog in
+      let states_with_variants =
+        List.map
+          (fun config ->
+            let variants =
+              Transform.enumerate ~max_lanes:config.max_lanes
+                ~max_vec:config.max_vec prog
             in
-            List.iter (fun (i, v, b) -> record_bounded st i v b Dominated)
-              pruned;
-            let take, keep = take_n quota rest in
-            st.st_queue <- keep;
-            List.map (fun (i, v, _) -> (st, i, v)) take)
-          active
+            let st =
+              {
+                st_config = config;
+                st_baseline = new_baseline ();
+                st_space = List.length variants;
+                st_done = [];
+                st_bounded = [];
+                st_queue = [];
+                st_incumbent = None;
+              }
+            in
+            (st, List.mapi (fun i v -> (i, v)) variants))
+          configs
       in
-      run_wave wave;
-      rounds ()
-    end
-  in
-  rounds ();
-  let sweeps =
-    List.map
-      (fun st ->
-      let by_index (i1, _) (i2, _) = compare i1 i2 in
-      let bounded = List.sort by_index st.st_bounded |> List.map snd in
-      let n_reason r =
-        List.length (List.filter (fun b -> b.bp_reason = r) bounded)
+      let states = List.map fst states_with_variants in
+      (* The event log marks each config's sweep here, where the space is
+         already enumerated — recomputing it just for the event would cost
+         a full [Transform.enumerate] per sweep (~ms on large spaces). *)
+      if Tytra_telemetry.Events.active () then
+        List.iter
+          (fun st ->
+            Tytra_telemetry.Events.emit
+              (Tytra_telemetry.Events.Sweep_started
+                 {
+                   kernel = prog.Expr.p_kernel.Expr.k_name;
+                   space = st.st_space;
+                   jobs = st.st_config.jobs;
+                   prune = st.st_config.prune;
+                 }))
+          states;
+      (* Progress notification: cumulative coverage across every config,
+         reported on the driving domain after each wave. The callback comes
+         from the head config. *)
+      let notify =
+        match head.on_progress with
+        | None -> fun () -> ()
+        | Some f ->
+            fun () ->
+              f
+                (List.fold_left
+                   (fun acc st ->
+                     {
+                       pr_space = acc.pr_space + st.st_space;
+                       pr_evaluated = acc.pr_evaluated + List.length st.st_done;
+                       pr_pruned = acc.pr_pruned + List.length st.st_bounded;
+                     })
+                   { pr_space = 0; pr_evaluated = 0; pr_pruned = 0 }
+                   states)
       in
-      {
-        sw_points = List.sort by_index st.st_done |> List.map snd;
-        sw_bounded = bounded;
-        sw_stats =
+      let run_wave items =
+        eval_wave ~pool ~template prog items;
+        notify ()
+      in
+      (* Phase 1: baselines. Replication bounds derive from the Pipe report,
+         so Seq and Pipe (pes < 2) are always evaluated in full; with
+         pruning off the whole space is a "baseline". *)
+      let baseline_items =
+        List.concat_map
+          (fun (st, indexed) ->
+            List.filter_map
+              (fun (i, v) ->
+                if (not st.st_config.prune) || Transform.pes v < 2 then
+                  Some (st, i, v)
+                else None)
+              indexed)
+          states_with_variants
+      in
+      run_wave baseline_items;
+      (* Phase 2: bounds. *)
+      let forced =
+        List.concat_map
+          (fun (st, indexed) ->
+            if not st.st_config.prune then []
+            else
+              let candidates =
+                List.filter (fun (_, v) -> Transform.pes v >= 2) indexed
+              in
+              let pipe =
+                List.find_map
+                  (fun (_, p) ->
+                    if p.dp_variant = Transform.Pipe then Some p.dp_report
+                    else None)
+                  st.st_done
+              in
+              match pipe with
+              | None ->
+                  (* No Pipe baseline in the space (cannot happen with the
+                     current enumerator): fall back to exhaustive. *)
+                  List.map (fun (i, v) -> (st, i, v)) candidates
+              | Some baseline ->
+                  let queue =
+                    List.filter_map
+                      (fun (i, v) ->
+                        let b =
+                          Tytra_cost.Bounds.of_baseline
+                            ~device:st.st_config.device ~form:st.st_config.form
+                            ~pes:(Transform.pes v) baseline
+                        in
+                        if not b.Tytra_cost.Bounds.b_fits then begin
+                          record_bounded st i v b Overflow;
+                          None
+                        end
+                        else Some (i, v, b))
+                      candidates
+                  in
+                  st.st_queue <-
+                    List.sort
+                      (fun (i1, _, b1) (i2, _, b2) ->
+                        let c =
+                          compare b2.Tytra_cost.Bounds.b_ekit_ub
+                            b1.Tytra_cost.Bounds.b_ekit_ub
+                        in
+                        if c <> 0 then c else compare i1 i2)
+                      queue;
+                  [])
+          states_with_variants
+      in
+      run_wave forced;
+      (* Phase 3: incumbent-pruned waves. *)
+      let rec rounds () =
+        let active = List.filter (fun st -> st.st_queue <> []) states in
+        if active <> [] then begin
+          let quota =
+            max 1 (Tytra_exec.Pool.jobs pool / List.length active)
+          in
+          let wave =
+            List.concat_map
+              (fun st ->
+                let pruned, rest =
+                  List.partition (fun (_, _, b) -> prunable st b) st.st_queue
+                in
+                List.iter (fun (i, v, b) -> record_bounded st i v b Dominated)
+                  pruned;
+                let take, keep = take_n quota rest in
+                st.st_queue <- keep;
+                List.map (fun (i, v, _) -> (st, i, v)) take)
+              active
+          in
+          run_wave wave;
+          rounds ()
+        end
+      in
+      rounds ();
+      let sweeps =
+        List.map
+          (fun st ->
+          let by_index (i1, _) (i2, _) = compare i1 i2 in
+          let bounded = List.sort by_index st.st_bounded |> List.map snd in
+          let n_reason r =
+            List.length (List.filter (fun b -> b.bp_reason = r) bounded)
+          in
           {
-            ss_space = st.st_space;
-            ss_evaluated = List.length st.st_done;
-            ss_pruned_resource = n_reason Overflow;
-            ss_pruned_incumbent = n_reason Dominated;
-          };
-      })
-      states
-  in
-  if Tytra_telemetry.Events.active () then
-    List.iter
-      (fun sw ->
-        Tytra_telemetry.Events.emit
-          (Tytra_telemetry.Events.Sweep_finished
-             {
-               evaluated = sw.sw_stats.ss_evaluated;
-               pruned =
-                 sw.sw_stats.ss_pruned_resource
-                 + sw.sw_stats.ss_pruned_incumbent;
-             }))
-      sweeps;
-  sweeps
+            sw_points = List.sort by_index st.st_done |> List.map snd;
+            sw_bounded = bounded;
+            sw_stats =
+              {
+                ss_space = st.st_space;
+                ss_evaluated = List.length st.st_done;
+                ss_pruned_resource = n_reason Overflow;
+                ss_pruned_incumbent = n_reason Dominated;
+              };
+          })
+          states
+      in
+      if Tytra_telemetry.Events.active () then
+        List.iter
+          (fun sw ->
+            Tytra_telemetry.Events.emit
+              (Tytra_telemetry.Events.Sweep_finished
+                 {
+                   evaluated = sw.sw_stats.ss_evaluated;
+                   pruned =
+                     sw.sw_stats.ss_pruned_resource
+                     + sw.sw_stats.ss_pruned_incumbent;
+                 }))
+          sweeps;
+      sweeps
 
 (* ------------------------------------------------------------------ *)
 (* Exploration                                                         *)
@@ -586,8 +525,7 @@ let sweep_many ~pool (configs : config list) (prog : Expr.program) :
 (** [explore_sweep ?config prog] — sweep the reshaping design space of
     [prog]: full reports for the surviving points plus the bound records
     of every pruned candidate. *)
-let explore_sweep_in ~pool ?(config = default_config) (prog : Expr.program) :
-    sweep =
+let explore_sweep ?(config = default_config) (prog : Expr.program) : sweep =
   Tytra_telemetry.Span.with_ ~name:"dse.explore"
     ~attrs:
       [ ("kernel", Tytra_telemetry.Span.Str prog.Expr.p_kernel.Expr.k_name);
@@ -599,7 +537,10 @@ let explore_sweep_in ~pool ?(config = default_config) (prog : Expr.program) :
   (* sweep_started / sweep_finished events are emitted by [sweep_many],
      which has the enumerated space at hand. *)
   let sw =
-    match sweep_many ~pool [ config ] prog with
+    match
+      Tytra_exec.Pool.with_pool ~jobs:config.jobs (fun pool ->
+          sweep_many ~pool [ config ] prog)
+    with
     | [ sw ] -> sw
     | _ -> assert false
   in
@@ -608,10 +549,6 @@ let explore_sweep_in ~pool ?(config = default_config) (prog : Expr.program) :
         prog.Expr.p_kernel.Expr.k_name config.max_lanes config.jobs
         pp_sweep_stats sw.sw_stats);
   sw
-
-let explore_sweep ?(config = default_config) (prog : Expr.program) : sweep =
-  Tytra_exec.Pool.with_pool ~jobs:config.jobs (fun pool ->
-      explore_sweep_in ~pool ~config prog)
 
 (** [explore ?config prog] — evaluated points of {!explore_sweep}, in
     enumeration order. With [config.prune] off this is the exhaustive
@@ -681,17 +618,17 @@ let pareto (points : point list) : point list =
     while compute-limited and the next variant still fits; stop at a
     bandwidth wall (more lanes cannot help) or the resource wall. Returns
     the visited points in order — a trace of the feedback loop. The loop
-    is inherently sequential, but revisited points (e.g. after a prior
-    [explore] of the same program) come from the cache. *)
+    is inherently sequential; it builds the program's template once and
+    derives every visited point from it. *)
 let guided ?(config = default_config) (prog : Expr.program) : point list =
   Tytra_telemetry.Span.with_ ~name:"dse.guided"
     ~attrs:
       [ ("kernel", Tytra_telemetry.Span.Str prog.Expr.p_kernel.Expr.k_name);
         ("max_lanes", Tytra_telemetry.Span.Int config.max_lanes) ]
   @@ fun () ->
-  let prog_key = program_digest prog in
+  let template = Lower.template prog in
   (* the trace starts at Pipe, which sets the baseline of the rest *)
-  let eval = eval_point ~config ~prog_key ~baseline:(new_baseline ()) prog in
+  let eval = eval_point ~config ~template ~baseline:(new_baseline ()) prog in
   let applicable l = Transform.applicable prog (Transform.ParPipe l) in
   let rec go acc lanes =
     let v = if lanes = 1 then Transform.Pipe else Transform.ParPipe lanes in
@@ -757,3 +694,8 @@ let pp_point fmt (p : point) =
     (if valid p then "fits " else "OVER ")
     (Tytra_cost.Throughput.limiter_to_string
        p.dp_report.Tytra_cost.Report.rp_breakdown.Tytra_cost.Throughput.bd_limiter)
+
+(* A sweep holds no state to clear. [benchmark/] still calls this
+   between sweeps; ROADMAP item 7 deletes it with the next benchmark
+   change. *)
+let clear_cache () = ()

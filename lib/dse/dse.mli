@@ -1,9 +1,9 @@
 (** Design-space exploration over the reshaping variant space.
 
     Public interface of [Tytra_dse.Dse]. A sweep is parameterized by one
-    {!config} value; evaluation fans out over a {!Tytra_exec.Pool} and
-    memoizes (program, variant, device, calibration, form, nki) points in
-    a process-wide {!Tytra_exec.Cache}.
+    {!config} value, and evaluation fans out over a {!Tytra_exec.Pool}.
+    A sweep keeps no state between calls: two identical sweeps do the
+    same work and return the same points.
 
     Every point is lowered (derived from the program's template and
     validated). Seq and Pipe are costed in full by the IR estimator;
@@ -48,7 +48,6 @@ type config = {
   max_lanes : int;                  (** lane-count bound of the space *)
   max_vec : int;                    (** vectorization bound of the space *)
   jobs : int;                       (** evaluation-pool domains; 1 = seq *)
-  use_cache : bool;                 (** memoize point evaluations *)
   prune : bool;                     (** bound-based pruning of the space *)
   on_progress : (progress -> unit) option;
       (** called on the sweep's driving domain after every evaluation
@@ -67,8 +66,8 @@ and progress = {
 
 val default_config : config
 (** Stratix-V GSD8, device calibration, form B, [nki = 1],
-    [max_lanes = 16], [max_vec = 1], [jobs = 1], caching and pruning
-    on, no progress callback. *)
+    [max_lanes = 16], [max_vec = 1], [jobs = 1], pruning on, no
+    progress callback. *)
 
 (** {2 Sweeps} *)
 
@@ -108,14 +107,6 @@ val explore_sweep : ?config:config -> Tytra_front.Expr.program -> sweep
     evaluation wave is one {!Tytra_exec.Pool.map}: a point that raises
     aborts the sweep with its exception. *)
 
-val explore_sweep_in :
-  pool:Tytra_exec.Pool.t -> ?config:config -> Tytra_front.Expr.program -> sweep
-(** {!explore_sweep} on a caller-owned pool instead of a fresh one — the
-    long-lived engine ([tybec serve]) shares one pool across requests.
-    The pool's width, not [config.jobs], governs the evaluation fan-out,
-    so pass a pool of exactly [config.jobs] domains to reproduce
-    {!explore_sweep} results under pruning. *)
-
 val explore : ?config:config -> Tytra_front.Expr.program -> point list
 (** Evaluated points of {!explore_sweep}, in enumeration order. With
     [config.prune = false] this is the exhaustive sweep, identical for
@@ -141,13 +132,12 @@ val explore_devices :
   * (Tytra_device.Device.t * point) option
 (** Per-device sweeps ([config.device] is overridden by each element of
     [devices]) plus the overall winner. All devices share one evaluation
-    pool, so the registry-wide sweep saturates [config.jobs] domains. *)
+    pool, so the registry-wide sweep saturates [config.jobs] domains.
+    No devices give [([], None)]. *)
 
 val pp_point : Format.formatter -> point -> unit
 
-(** {2 Evaluation cache} *)
-
-val cache_stats : unit -> Tytra_exec.Cache.stats
-val cache_hit_rate : unit -> float
 val clear_cache : unit -> unit
-(** Drop all memoized evaluations and reset the cache statistics. *)
+(** Does nothing: a sweep holds no state to clear. Kept only because
+    [benchmark/] calls it; ROADMAP item 7 deletes it with the next
+    benchmark change. *)

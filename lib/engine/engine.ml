@@ -6,11 +6,10 @@
     left nothing for a long-lived service to hold on to. This module
     extracts the lifecycle behind a typed API:
 
-    - {!create} builds an engine holding the shared caches (a
-      content-addressed parse+validate cache here; the cost-model stage
-      caches and the DSE template/point caches are process-global and
-      warm up behind it) and a persistent {!Tytra_exec.Pool} for
-      exploration requests.
+    - {!create} builds an engine holding its two caches: a
+      content-addressed parse+validate cache and a full-request
+      response cache. Nothing below the engine keeps state between
+      requests.
     - {!submit} runs one typed {!request} to a typed {!response} or
       {!error}. Requests never raise: parse and validation failures,
       deadline expiry and escaped exceptions all come back as typed
@@ -179,7 +178,6 @@ let error_kind = function
 (* ------------------------------------------------------------------ *)
 
 type config = {
-  jobs : int;  (** persistent evaluation-pool width for exploration *)
   parse_cache_capacity : int;
       (** entries in the content-addressed parse+validate cache *)
   response_cache_capacity : int;
@@ -190,12 +188,11 @@ type config = {
 }
 
 let default_config =
-  { jobs = 1; parse_cache_capacity = 64; response_cache_capacity = 128;
+  { parse_cache_capacity = 64; response_cache_capacity = 128;
     cache_journal = None }
 
 type t = {
   cfg : config;
-  pool : Pool.t;
   parse_cache : (Ast.design, Tytra_ir.Error.t) result Cache.t;
   response_cache : response Cache.t;
   journal : Journal.t option;
@@ -250,7 +247,6 @@ let create cfg =
   in
   {
     cfg;
-    pool = Pool.create ~jobs:(max 1 cfg.jobs) ();
     parse_cache =
       Cache.create ~metrics_prefix:"engine.parse_cache"
         ~capacity:(max 1 cfg.parse_cache_capacity) ();
@@ -459,7 +455,7 @@ let retired_explore_field x =
   else if x.x_resume <> None then Some "resume"
   else None
 
-let do_explore t ?on_progress (x : explore_params) =
+let do_explore ?on_progress (x : explore_params) =
   let module Dse = Tytra_dse.Dse in
   let* () =
     match retired_explore_field x with
@@ -469,6 +465,14 @@ let do_explore t ?on_progress (x : explore_params) =
           (Bad_request
              (Printf.sprintf "explore: %S is no longer supported" f))
   in
+  let* () =
+    if x.x_size >= 1 then Ok ()
+    else
+      Error
+        (Bad_request
+           (Printf.sprintf "explore: \"size\" must be at least 1, got %d"
+              x.x_size))
+  in
   let prog = program_of x in
   let jobs = if x.x_jobs = 0 then Pool.default_jobs () else x.x_jobs in
   let config =
@@ -476,14 +480,7 @@ let do_explore t ?on_progress (x : explore_params) =
       device = x.x_device; form = x.x_form; nki = x.x_nki;
       max_lanes = x.x_max_lanes; jobs; prune = x.x_prune; on_progress }
   in
-  (* Exploration shares the engine's persistent pool when the requested
-     width matches; an explicit -j N gets its own width (the surviving
-     point set under pruning is jobs-dependent, so the width must honor
-     the request exactly). *)
-  let pool =
-    if jobs = Pool.jobs t.pool then t.pool else Pool.create ~jobs ()
-  in
-  let sw = Dse.explore_sweep_in ~pool ~config prog in
+  let sw = Dse.explore_sweep ~config prog in
   let pts = sw.Dse.sw_points in
   let front = Dse.pareto pts in
   let text, selected =
@@ -535,7 +532,7 @@ let dispatch t ?on_progress = function
       do_synth t ~source ~device ~effort ~optimize
   | Sim { source; device; form; nki; optimize } ->
       do_sim t ~source ~device ~form ~nki ~optimize
-  | Explore x -> do_explore t ?on_progress x
+  | Explore x -> do_explore ?on_progress x
 
 (* ------------------------------------------------------------------ *)
 (* Response cache                                                      *)

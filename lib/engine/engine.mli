@@ -3,11 +3,11 @@
 
     Public interface of [Tytra_engine.Engine]. {!create} an engine once,
     {!submit} any number of typed requests against it: the engine holds
-    the shared warm state (content-addressed parse+validate cache, a
-    persistent evaluation pool; the cost-model stage caches and DSE
-    caches are process-global and warm up behind it), so a long-lived
-    process answers repeat requests at cache speed. The CLI adapters and
-    [tybec serve] are both thin layers over this module.
+    the warm state (a content-addressed parse+validate cache and a
+    full-request response cache; nothing below the engine keeps state
+    between requests), so a long-lived process answers repeat requests
+    at cache speed. The CLI adapters and [tybec serve] are both thin
+    layers over this module.
 
     [submit] never raises: every failure mode is a typed {!error} with a
     stable {!exit_code} mapping matching the documented CLI contract.
@@ -27,7 +27,9 @@ val kernel_of_string : string -> kernel option
 
 type explore_params = {
   x_kernel : kernel;
-  x_size : int;             (** grid side (sor/hotspot/srad) or boxes *)
+  x_size : int;
+      (** grid side (sor/hotspot/srad) or boxes; [submit] answers
+          [Bad_request] below 1 *)
   x_max_lanes : int;
   x_device : Tytra_device.Device.t;
   x_form : Tytra_cost.Throughput.form;
@@ -125,7 +127,6 @@ val error_kind : error -> string
 (** {2 Lifecycle} *)
 
 type config = {
-  jobs : int;  (** persistent evaluation-pool width for exploration *)
   parse_cache_capacity : int;
   response_cache_capacity : int;
       (** entries in the full-request response cache: completed [Ok]
@@ -141,11 +142,10 @@ type config = {
 }
 
 val default_config : config
-(** [jobs = 1], 64 parse-cache entries, 128 response-cache entries, no
-    journal. *)
+(** 64 parse-cache entries, 128 response-cache entries, no journal. *)
 
 type t
-(** A running engine: configuration, persistent pool and caches. *)
+(** A running engine: configuration and caches. *)
 
 val create : config -> t
 

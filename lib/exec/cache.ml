@@ -1,11 +1,12 @@
-(** Content-keyed memoization cache for cost evaluations.
+(** Content-keyed memoization cache.
 
-    Repeated sweeps — guided search revisiting lane counts, cross-device
-    exploration, the E1–E7 bench harness — re-lower and re-cost identical
-    (program, variant, device, calibration, form, nki) points from
-    scratch. Each evaluation is pure, so its result is a function of a
-    content digest of those inputs: this module is the bounded LRU that
-    makes the second sweep free.
+    The engine keeps its two caches here: the parse+validate cache, keyed
+    by a digest of the source bytes, and the full-request response cache
+    ([Tytra_engine.Engine]). Each cached value is a pure function of a
+    content digest of its inputs, so a hit answers exactly what a fresh
+    computation would. The DSE and the cost model keep no cache: an
+    estimate costs tens of microseconds, and a digest of its inputs
+    about half of that.
 
     Domain-safe: every access takes the cache mutex. The value thunk of
     {!find_or_add} runs *outside* the lock, so a slow evaluation never

@@ -1,7 +1,7 @@
 (** Bounded, domain-safe LRU cache keyed by content digests.
 
-    Memoizes pure evaluations (lower + cost of one design point) across
-    repeated sweeps. See [cache.ml] for the concurrency contract. *)
+    Holds the engine's parse+validate and response caches; nothing below
+    the engine caches. See [cache.ml] for the concurrency contract. *)
 
 type 'v t
 

@@ -34,9 +34,10 @@ type event =
       variant : string;
       ekit : float;
       valid : bool;
-      cached : bool;
       dur_ns : int64;
     }
+      (** encoded with a constant ["cached":false] member, which
+          version-1 readers require *)
   | Point_pruned of { variant : string; reason : string }
   | Span_open of { name : string; depth : int }
   | Span_close of { name : string; dur_ns : int64; error : string option }
@@ -136,13 +137,13 @@ let add_body b (e : event) : unit =
       add_kv_int b ",\"evaluated\":" evaluated;
       add_kv_int b ",\"pruned\":" pruned;
       Buffer.add_string b ",\"failed\":0,\"restored\":0"
-  | Point_evaluated { variant; ekit; valid; cached; dur_ns } ->
+  | Point_evaluated { variant; ekit; valid; dur_ns } ->
       Buffer.add_string b "\"type\":\"point_evaluated\"";
       add_kv_str b ",\"variant\":" variant;
       Buffer.add_string b ",\"ekit\":";
       Buffer.add_string b (Jsenc.json_num ekit);
       add_kv_bool b ",\"valid\":" valid;
-      add_kv_bool b ",\"cached\":" cached;
+      Buffer.add_string b ",\"cached\":false";
       add_kv_i64 b ",\"dur_ns\":" dur_ns
   | Point_pruned { variant; reason } ->
       Buffer.add_string b "\"type\":\"point_pruned\"";
@@ -268,9 +269,8 @@ let decode_event j : (event, string) result =
       let* variant = req_str j "variant" in
       let* ekit = req_num j "ekit" in
       let* valid = req_bool j "valid" in
-      let* cached = req_bool j "cached" in
       let* dur_ns = req_i64 j "dur_ns" in
-      Ok (Point_evaluated { variant; ekit; valid; cached; dur_ns })
+      Ok (Point_evaluated { variant; ekit; valid; dur_ns })
   | "point_pruned" ->
       let* variant = req_str j "variant" in
       let* reason = req_str j "reason" in

@@ -25,9 +25,10 @@ type event =
       variant : string;
       ekit : float;
       valid : bool;
-      cached : bool;
       dur_ns : int64;
     }
+      (** encoded with a constant ["cached":false] member, which
+          version-1 readers require *)
   | Point_pruned of { variant : string; reason : string }
   | Span_open of { name : string; depth : int }
   | Span_close of { name : string; dur_ns : int64; error : string option }

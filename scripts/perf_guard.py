@@ -2,32 +2,19 @@
 """Perf-regression guard: compare a fresh `bench e5 e8 e10 e12 --json`
 export against the committed baseline (BENCH_dse.json).
 
-Two modes, selected by what the baseline records:
+Every counter in the baseline's versioned perf profile must match the
+current run EXACTLY: missing, added, or changed counters all fail.
+Work counters are deterministic at a fixed --jobs level (waves are
+synchronous and Pool.map is order-preserving), so any drift means the
+exploration itself changed, not the machine. Counters whose value is
+genuinely racy at jobs > 1 carry named waivers (see WAIVERS). Span
+times are not gated; the span *name set* is, so a phase appearing or
+disappearing is caught without any timing sensitivity. The E8 pruning
+gauges must match exactly, and when E12's HTTP shard sweep ran, its
+responses must be identical across fronts and the 4-shard front must
+clear a throughput floor.
 
-- EXACT mode (baseline has a "perf_profile" section): every counter in
-  the versioned perf profile must match the current run EXACTLY —
-  missing, added, or changed counters all fail. Work counters are
-  deterministic at a fixed --jobs level (waves are synchronous and
-  Pool.map is order-preserving), so any drift means the exploration
-  itself changed, not the machine. Counters whose value is genuinely
-  racy at jobs > 1 carry named waivers (see WAIVERS); --waive PATTERN
-  adds more. Wall-clock ratio gating is OFF by default in this mode
-  (pass --ratio to re-enable it); the span *name set* is still checked,
-  so a phase appearing or disappearing is caught without any timing
-  sensitivity.
-
-- LEGACY mode (no perf_profile in the baseline): the original checks —
-  a fixed list of exact work counters, exact E8 pruning gauges, and
-  span totals ratio-gated at 3x (CI machines are noisy, so only flag a
-  span whose total grew past the gate over a baseline total worth
-  measuring).
-
-Whenever ratio gating is active (legacy mode, or --ratio in EXACT
-mode), placement spans (sim.techmap.place*) are held to a tighter <=2x
-gate: placement work counters are exact, so its wall time tracks the
-machine far more reproducibly than the sweep-shaped spans around it.
-
-Usage: perf_guard.py BASELINE.json CURRENT.json [--ratio R] [--waive PAT]
+Usage: perf_guard.py BASELINE.json CURRENT.json
 Exit code 0 when clean, 1 with a report on stderr otherwise.
 """
 
@@ -36,19 +23,13 @@ import json
 import re
 import sys
 
-# Built-in waivers for EXACT mode: counters whose value is not a pure
-# function of the workload at jobs > 1, with the reason on record.
+# Counters whose value is not a pure function of the workload at
+# jobs > 1, with the reason on record.
 WAIVERS = {
-    "cost.stage_cache.*": (
-        "hit/miss split races at jobs > 1: Cache.find_or_add computes "
-        "outside the lock, so concurrent misses on one key are counted "
-        "differently run to run"
-    ),
-    "dse.cache.*": "same find_or_add race on the point-evaluation cache",
-    "dse.template_cache.*": "same find_or_add race on the template cache",
     "engine.parse_cache.*": (
-        "same find_or_add race on the engine's parse+validate cache "
-        "under E10's concurrent clients"
+        "hit/miss split races under E10's concurrent clients: "
+        "Cache.find_or_add computes outside the lock, so concurrent "
+        "misses on one key are counted differently run to run"
     ),
     "engine.retries": (
         "only incremented on transient-class failures, which depend on "
@@ -60,19 +41,6 @@ WAIVERS = {
         "count a miss"
     ),
 }
-
-# Counters that must match the baseline exactly in LEGACY mode. (In
-# EXACT mode the whole registry is gated, these included.)
-EXACT_COUNTERS = [
-    "dse.points_evaluated",
-    "dse.points_pruned",
-    "dse.points_derived",
-    "cost.evaluations",
-    "sim.techmap.runs",
-    "sim.cyclesim.runs",
-    "sim.techmap.anneal.moves",
-    "sim.techmap.anneal.delta_evals",
-]
 
 # Integer-valued E8 gauges recording the pruning outcome per kernel.
 EXACT_GAUGE_RE = re.compile(
@@ -100,51 +68,26 @@ E12_HTTP_IDENTITY = {
 E12_THROUGHPUT_TARGET = 3.0
 E12_THROUGHPUT_PER_CORE = 0.35
 
-# Placement spans are gated at <=2x even when the general gate is
-# looser: their work counters are exact, so wall time per unit of work
-# is stable.
-PLACEMENT_SPAN_PAT = "sim.techmap.place*"
-PLACEMENT_RATIO = 2.0
-
-# Ignore spans whose baseline total is below this when ratio-gating:
-# sub-50ms totals are dominated by scheduler noise.
-MIN_GATED_NS = 50_000_000
-
 
 def load(path):
     with open(path) as f:
         return json.load(f)
 
 
-def waived(name, waivers):
-    return any(fnmatch.fnmatchcase(name, pat) for pat in waivers)
+def waived(name):
+    return any(fnmatch.fnmatchcase(name, pat) for pat in WAIVERS)
 
 
-def check_spans(base, cur, ratio, failures):
-    """Span name-set check, plus ratio gating when a gate is given."""
-    base_spans = {s["name"]: s for s in base.get("spans", [])}
-    cur_spans = {s["name"]: s for s in cur.get("spans", [])}
-    missing = sorted(set(base_spans) - set(cur_spans))
-    added = sorted(set(cur_spans) - set(base_spans))
+def check_spans(base, cur, failures):
+    """The span name set must match the baseline's."""
+    base_spans = {s["name"] for s in base.get("spans", [])}
+    cur_spans = {s["name"] for s in cur.get("spans", [])}
+    missing = sorted(base_spans - cur_spans)
+    added = sorted(cur_spans - base_spans)
     if missing:
         failures.append(f"spans missing vs baseline: {', '.join(missing)}")
     if added:
         failures.append(f"spans not in baseline: {', '.join(added)}")
-    if ratio is not None:
-        for name, bs in sorted(base_spans.items()):
-            cs = cur_spans.get(name)
-            if cs is None or bs["total_ns"] < MIN_GATED_NS:
-                continue
-            gate = ratio
-            if fnmatch.fnmatchcase(name, PLACEMENT_SPAN_PAT):
-                gate = min(ratio, PLACEMENT_RATIO)
-            r = cs["total_ns"] / bs["total_ns"]
-            if r > gate:
-                failures.append(
-                    f"span {name}: total {cs['total_ns']/1e9:.3f}s is "
-                    f"{r:.2f}x the baseline {bs['total_ns']/1e9:.3f}s "
-                    f"(gate {gate:.1f}x)"
-                )
     return len(base_spans)
 
 
@@ -197,8 +140,8 @@ def check_e12_serving(cur_gauges, failures):
     return n
 
 
-def check_profile_exact(base, cur, waivers, failures):
-    """EXACT mode: the whole counter registry, waivers aside."""
+def check_profile_exact(base, cur, failures):
+    """The whole counter registry, waivers aside."""
     bp, cp = base["perf_profile"], cur.get("perf_profile")
     if cp is None:
         failures.append(
@@ -213,7 +156,7 @@ def check_profile_exact(base, cur, waivers, failures):
     bc, cc = bp.get("counters", {}), cp.get("counters", {})
     n_checked = n_waived = 0
     for key in sorted(set(bc) | set(cc)):
-        if waived(key, waivers):
+        if waived(key):
             n_waived += 1
             continue
         n_checked += 1
@@ -230,49 +173,15 @@ def check_profile_exact(base, cur, waivers, failures):
     return n_checked, n_waived
 
 
-def check_counters_legacy(base, cur, failures):
-    base_counters = base.get("metrics", {}).get("counters", {})
-    cur_counters = cur.get("metrics", {}).get("counters", {})
-    for key in EXACT_COUNTERS:
-        b, c = base_counters.get(key), cur_counters.get(key)
-        if b != c:
-            failures.append(f"counter {key}: baseline {b}, current {c}")
-    return len(EXACT_COUNTERS)
-
-
 def main():
-    paths = []
-    ratio = None
-    waivers = dict(WAIVERS)
-    argv = sys.argv[1:]
-    i = 0
-    while i < len(argv):
-        a = argv[i]
-        if a == "--ratio":
-            ratio = float(argv[i + 1])
-            i += 2
-        elif a == "--waive":
-            waivers[argv[i + 1]] = "waived on the command line"
-            i += 2
-        elif a.startswith("--"):
-            sys.exit(f"unknown option {a}\n\n{__doc__}")
-        else:
-            paths.append(a)
-            i += 1
-    if len(paths) != 2:
+    if len(sys.argv) != 3:
         sys.exit(__doc__)
-    base, cur = load(paths[0]), load(paths[1])
+    base, cur = load(sys.argv[1]), load(sys.argv[2])
+    if "perf_profile" not in base:
+        sys.exit(f"baseline {sys.argv[1]} has no perf_profile section")
     failures = []
-
-    exact_mode = "perf_profile" in base
-    if exact_mode:
-        n_spans = check_spans(base, cur, ratio, failures)
-        n_checked, n_waived = check_profile_exact(base, cur, waivers, failures)
-    else:
-        n_spans = check_spans(base, cur, 3.0 if ratio is None else ratio,
-                              failures)
-        n_checked = check_counters_legacy(base, cur, failures)
-        n_waived = 0
+    n_spans = check_spans(base, cur, failures)
+    n_checked, n_waived = check_profile_exact(base, cur, failures)
     n_gauges = check_gauges(base, cur, failures)
 
     if failures:
@@ -280,20 +189,10 @@ def main():
         for f in failures:
             print(f"  - {f}", file=sys.stderr)
         sys.exit(1)
-    if exact_mode:
-        gating = "off" if ratio is None else f"{ratio:.1f}x"
-        print(
-            f"perf guard OK (exact mode): {n_checked} counters exact "
-            f"({n_waived} waived), {n_gauges} E8 gauges exact, "
-            f"{n_spans} span names pinned, ratio gating {gating}, "
-            f"equivalence flags green"
-        )
-    else:
-        print(
-            f"perf guard OK (legacy mode): {n_spans} spans ratio-gated "
-            f"(placement at <=2x), {n_checked} work counters exact, "
-            f"{n_gauges} E8 gauges exact, equivalence flags green"
-        )
+    print(
+        f"perf guard OK: {n_checked} counters exact ({n_waived} waived), "
+        f"{n_gauges} E8/E12 gauge checks, {n_spans} span names pinned"
+    )
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 (* DSE tests: exploration coverage, selection, Pareto front, guided
-   search, parallel/sequential equivalence, the evaluation cache, and
-   the bound-based pruner (admissibility + exactness vs the exhaustive
-   sweep). *)
+   search, parallel/sequential equivalence, sweeps that keep no state
+   between calls, and the bound-based pruner (admissibility + exactness
+   vs the exhaustive sweep). *)
 
 open Tytra_dse
 open Tytra_front
@@ -115,70 +115,58 @@ let same_points (a : Dse.point list) (b : Dse.point list) =
 
 let test_parallel_equals_sequential () =
   let p = prog () in
-  (* fresh cache so hits cannot mask an ordering bug in the pool; prune
-     off because the raw survivor set is jobs-sensitive by design *)
-  Dse.clear_cache ();
+  (* prune off because the raw survivor set is jobs-sensitive by design *)
   let seq =
-    Dse.explore
-      ~config:{ cfg with nki = 100; jobs = 1; use_cache = false; prune = false }
-      p
+    Dse.explore ~config:{ cfg with nki = 100; jobs = 1; prune = false } p
   in
   List.iter
     (fun jobs ->
-      Dse.clear_cache ();
       let par =
-        Dse.explore
-          ~config:{ cfg with nki = 100; jobs; use_cache = false; prune = false }
-          p
+        Dse.explore ~config:{ cfg with nki = 100; jobs; prune = false } p
       in
       Alcotest.(check bool)
         (Printf.sprintf "jobs=%d == sequential" jobs)
         true (same_points seq par))
     [ 1; test_jobs ]
 
-let test_cached_sweep_equals_uncached () =
-  let p = prog () in
-  Dse.clear_cache ();
-  let cold = Dse.explore ~config:{ cfg with nki = 100 } p in
-  let warm = Dse.explore ~config:{ cfg with nki = 100 } p in
-  Alcotest.(check bool) "warm == cold" true (same_points cold warm)
+let counter name =
+  Option.value ~default:0.0 (Tytra_telemetry.Metrics.counter_value name)
 
-let test_repeat_sweep_hits_cache () =
+(* Two identical sweeps in one process print the same points and do the
+   same work: nothing the first leaves behind serves the second. *)
+let test_sweep_keeps_no_state () =
   let p = prog () in
-  Dse.clear_cache ();
   Tytra_telemetry.Control.with_enabled true @@ fun () ->
-  Tytra_telemetry.Metrics.reset ();
-  let config = { cfg with nki = 100; jobs = test_jobs } in
-  let pts = Dse.explore ~config p in
-  let s1 = Dse.cache_stats () in
-  let _ = Dse.explore ~config p in
-  let s2 = Dse.cache_stats () in
-  let new_hits = s2.Tytra_exec.Cache.st_hits - s1.Tytra_exec.Cache.st_hits in
-  let n = List.length pts in
-  Alcotest.(check bool) "second sweep >90% cached" true
-    (float_of_int new_hits > 0.9 *. float_of_int n);
-  (* and the counters are published through the telemetry registry *)
-  match Tytra_telemetry.Metrics.counter_value "dse.cache.hits" with
-  | Some h -> Alcotest.(check bool) "telemetry hits counter" true (h > 0.0)
-  | None -> Alcotest.fail "dse.cache.hits not registered"
+  let sweep () =
+    let d0 = counter "dse.points_derived"
+    and e0 = counter "cost.evaluations" in
+    let pts =
+      Dse.explore
+        ~config:{ cfg with nki = 100; jobs = test_jobs; prune = false }
+        p
+    in
+    (pts, counter "dse.points_derived" -. d0, counter "cost.evaluations" -. e0)
+  in
+  let first, derived1, evals1 = sweep () in
+  let second, derived2, evals2 = sweep () in
+  let printed pts = List.map (Format.asprintf "%a" Dse.pp_point) pts in
+  Alcotest.(check (list string)) "identical printed points" (printed first)
+    (printed second);
+  Alcotest.(check bool) "identical points" true (same_points first second);
+  Alcotest.(check (float 0.0)) "every point derived"
+    (float_of_int (List.length first)) derived1;
+  Alcotest.(check (float 0.0)) "same dse.points_derived" derived1 derived2;
+  Alcotest.(check (float 0.0)) "same cost.evaluations" evals1 evals2
 
-let test_cache_key_sensitivity () =
-  (* a different form / nki / device must not serve a stale report *)
+(* A different form or nki changes what a sweep reports. *)
+let test_nki_and_form_change_ekits () =
   let p = prog () in
-  Dse.clear_cache ();
   let ek config = List.map Dse.ekit (Dse.explore ~config p) in
   let base = ek { cfg with nki = 100 } in
   let other_nki = ek { cfg with nki = 1 } in
   let other_form = ek { cfg with nki = 100; form = Tytra_cost.Throughput.FormA } in
   Alcotest.(check bool) "nki changes the evaluation" true (base <> other_nki);
-  Alcotest.(check bool) "form changes the evaluation" true (base <> other_form);
-  (* identical parameters do hit *)
-  let s1 = Dse.cache_stats () in
-  let again = ek { cfg with nki = 100 } in
-  let s2 = Dse.cache_stats () in
-  Alcotest.(check bool) "same-config sweep cached" true
-    (s2.Tytra_exec.Cache.st_hits > s1.Tytra_exec.Cache.st_hits);
-  Alcotest.(check bool) "cached results identical" true (base = again)
+  Alcotest.(check bool) "form changes the evaluation" true (base <> other_form)
 
 (* ---- bound-based pruning ---- *)
 
@@ -293,10 +281,7 @@ let test_pruned_front_keeps_ties () =
 let test_pruned_selection_jobs_invariant () =
   let p = prog () in
   let sweep jobs =
-    Dse.clear_cache ();
-    Dse.explore_sweep
-      ~config:{ cfg with nki = 100; max_lanes = 16; jobs; use_cache = false }
-      p
+    Dse.explore_sweep ~config:{ cfg with nki = 100; max_lanes = 16; jobs } p
   in
   let s1 = sweep 1 and sj = sweep test_jobs in
   Alcotest.(check bool) "best invariant" true
@@ -359,10 +344,7 @@ let test_bounds_admissible () =
 
 (* ---- the per-config Pipe baseline ---- *)
 
-let counter name =
-  Option.value ~default:0.0 (Tytra_telemetry.Metrics.counter_value name)
-
-(* An uncached exhaustive sweep costs Seq and Pipe in full, once each,
+(* An exhaustive sweep costs Seq and Pipe in full, once each,
    and every replicated point in closed form from that one Pipe report,
    whatever the pool width; the points do not depend on it either. *)
 let test_baseline_evaluated_once () =
@@ -376,7 +358,7 @@ let test_baseline_evaluated_once () =
       Dse.explore_sweep
         ~config:
           { cfg with nki = 100; max_lanes = 64; max_vec = 8; jobs;
-            use_cache = false; prune = false }
+            prune = false }
         p
     in
     let label what = Printf.sprintf "jobs=%d: %s" jobs what in
@@ -482,12 +464,10 @@ let suite =
       test_explore_respects_divisibility;
     Alcotest.test_case "parallel == sequential" `Quick
       test_parallel_equals_sequential;
-    Alcotest.test_case "cached sweep == uncached" `Quick
-      test_cached_sweep_equals_uncached;
-    Alcotest.test_case "repeat sweep hits cache" `Quick
-      test_repeat_sweep_hits_cache;
-    Alcotest.test_case "cache key sensitivity" `Quick
-      test_cache_key_sensitivity;
+    Alcotest.test_case "sweeps keep no state between calls" `Quick
+      test_sweep_keeps_no_state;
+    Alcotest.test_case "nki and form change sweep EKITs" `Quick
+      test_nki_and_form_change_ekits;
     Alcotest.test_case "pruning == exhaustive" `Quick
       test_pruning_equivalence;
     Alcotest.test_case "pruned front keeps tied variants" `Quick
@@ -503,6 +483,9 @@ let suite =
 
 let test_explore_devices () =
   let p = Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 () in
+  (match Dse.explore_devices ~config:cfg ~devices:[] p with
+  | [], None -> ()
+  | _ -> Alcotest.fail "no devices must give no sweeps and no winner");
   let per_device, best =
     Dse.explore_devices
       ~config:{ cfg with nki = 100; max_lanes = 4; jobs = test_jobs } p

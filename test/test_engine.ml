@@ -421,7 +421,8 @@ let test_typed_errors () =
   | Error (Engine.Parse_error _) -> ()
   | Error e -> Alcotest.failf "expected io error, got %s" (Engine.error_kind e)
   | Ok _ -> Alcotest.fail "nonexistent file was accepted");
-  (* the retired sweep-resilience fields are refused, one at a time *)
+  (* the retired sweep-resilience fields and a size below 1 are
+     refused, one at a time *)
   let x =
     {
       Engine.x_kernel = Engine.Sor;
@@ -457,7 +458,13 @@ let test_typed_errors () =
       ("x_best_effort", { x with x_best_effort = true });
       ("x_checkpoint", { x with x_checkpoint = Some "/tmp/tytra-ck" });
       ("x_resume", { x with x_resume = Some "/tmp/tytra-ck" });
-    ]
+      ("x_size", { x with x_size = 0 });
+    ];
+  match Engine.submit eng (Engine.Explore { x with x_size = -3 }) with
+  | Error e ->
+      Alcotest.(check string) "size message names the field"
+        "explore: \"size\" must be at least 1, got -3" (Engine.error_message e)
+  | Ok _ -> Alcotest.fail "explore with size -3 was accepted"
 
 let test_request_deadline () =
   let eng = Engine.create Engine.default_config in
@@ -667,7 +674,10 @@ let test_serve_malformed_is_typed () =
     [ ""; "not json"; "{\"v\":9,\"op\":\"check\"}"; "{\"v\":1}";
       (* a retired explore field is refused, not silently ignored *)
       "{\"v\":1,\"op\":\"explore\",\"kernel\":\"sor\",\"size\":8,\
-       \"max_lanes\":4,\"checkpoint\":\"/tmp/tytra-ck\"}" ];
+       \"max_lanes\":4,\"checkpoint\":\"/tmp/tytra-ck\"}";
+      (* so is an explore with no grid to sweep *)
+      "{\"v\":1,\"op\":\"explore\",\"kernel\":\"sor\",\"size\":0,\
+       \"max_lanes\":4}" ];
   (* a design that fails validation is a 422 with the library message *)
   let invalid =
     "%m = memobj global ui18 size 8\n\

@@ -451,9 +451,8 @@ let test_dse_selections_identical () =
   let p = Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 () in
   let config =
     { Tytra_dse.Dse.default_config with
-      max_lanes = 8; max_vec = 4; use_cache = false; prune = false }
+      max_lanes = 8; max_vec = 4; prune = false }
   in
-  Tytra_dse.Dse.clear_cache ();
   let swept = Tytra_dse.Dse.explore ~config p in
   let lowered =
     List.map
@@ -491,7 +490,7 @@ let test_dse_selections_identical () =
 let test_derive_counts () =
   let p = Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 () in
   let config =
-    { Tytra_dse.Dse.default_config with max_lanes = 8; use_cache = false }
+    { Tytra_dse.Dse.default_config with max_lanes = 8 }
   in
   Tytra_telemetry.Control.set_enabled true;
   Fun.protect ~finally:(fun () -> Tytra_telemetry.Control.set_enabled false)
@@ -500,7 +499,6 @@ let test_derive_counts () =
     Option.value ~default:0.0
       (Tytra_telemetry.Metrics.counter_value "dse.points_derived")
   in
-  Tytra_dse.Dse.clear_cache ();
   ignore (Tytra_dse.Dse.explore ~config p);
   let after =
     Option.value ~default:0.0

@@ -28,7 +28,6 @@ let test_variant_words_per_pe () =
   let p = sor () in
   let tpl = Lower.template p in
   let per_pe v =
-    Tytra_cost.Report.clear_stage_caches ();
     let w =
       minor_words (fun () ->
           let d = Lower.derive tpl v in

@@ -21,8 +21,7 @@ let all_event_kinds : Events.event list =
   [
     Sweep_started { kernel = "sor"; space = 26; jobs = 4; prune = true };
     Point_evaluated
-      { variant = "par8-pipe"; ekit = 123.5; valid = true; cached = false;
-        dur_ns = 42_000L };
+      { variant = "par8-pipe"; ekit = 123.5; valid = true; dur_ns = 42_000L };
     Point_pruned
       { variant = "par64-pipe"; reason = "overflow (ekit_ub=1.5, fits=false)" };
     Span_open { name = "dse.sweep"; depth = 0 };
@@ -335,10 +334,9 @@ let test_explore_integration () =
   let prog = Tytra_kernels.Sor.program ~im:8 ~jm:8 ~km:8 () in
   let config =
     { Tytra_dse.Dse.default_config with
-      max_lanes = 8; jobs = 1; use_cache = false;
+      max_lanes = 8; jobs = 1;
       on_progress = Some (fun p -> last_progress := Some p) }
   in
-  Tytra_dse.Dse.clear_cache ();
   let sw = Tytra_dse.Dse.explore_sweep ~config prog in
   Events.close ();
   let st = sw.Tytra_dse.Dse.sw_stats in
@@ -393,6 +391,16 @@ let test_explore_integration () =
   in
   Alcotest.(check int) "one point_evaluated per evaluation"
     st.Tytra_dse.Dse.ss_evaluated n_point_events;
+  (* ... and each keeps the constant cached member version-1 readers
+     require *)
+  Alcotest.(check int) "point_evaluated keeps \"cached\":false"
+    n_point_events
+    (List.length
+       (List.filter
+          (fun l ->
+            contains ~needle:"\"type\":\"point_evaluated\"" l
+            && contains ~needle:"\"cached\":false," l)
+          (String.split_on_char '\n' log)));
   match !last_progress with
   | None -> Alcotest.fail "on_progress never fired"
   | Some p ->

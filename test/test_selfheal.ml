@@ -211,7 +211,7 @@ let test_sigkill_mid_explore () =
         Unix.create_process tybec
           [|
             tybec; "serve"; "--addr"; addr; "--admin-addr"; admin_addr;
-            "--shards"; "2"; "--jobs"; "1"; "--workers"; "2";
+            "--shards"; "2"; "--workers"; "2";
             "--cache-journal"; journal;
           |]
           Unix.stdin Unix.stdout log_fd
