@@ -812,19 +812,24 @@ let import_cmd =
           if lanes <= 1 then Tytra_front.Transform.Pipe
           else Tytra_front.Transform.ParPipe lanes
         in
-        if not (Tytra_front.Transform.applicable prog v) then
-          fail exit_validation
-            "%d lanes do not divide the %d-point index space" lanes
-            (Tytra_front.Expr.points prog)
-        else begin
-          let d = Tytra_front.Lower.lower prog v in
-          (match out with
-          | Some path ->
-              Tytra_ir.Pprint.write_file path d;
-              Format.printf "wrote %s@." path
-          | None -> Format.printf "%a@." Tytra_ir.Pprint.pp_design d);
-          Ok ()
-        end
+        match
+          ( Tytra_front.Transform.reshaped_type prog v,
+            Tytra_front.Transform.lane_clash prog
+              (Tytra_front.Transform.pes v) )
+        with
+        | Error _, _ ->
+            fail exit_validation
+              "%d lanes do not divide the %d-point index space" lanes
+              (Tytra_front.Expr.points prog)
+        | Ok _, Some why -> fail exit_validation "%d lanes: %s" lanes why
+        | Ok _, None ->
+            let d = Tytra_front.Lower.lower prog v in
+            (match out with
+            | Some path ->
+                Tytra_ir.Pprint.write_file path d;
+                Format.printf "wrote %s@." path
+            | None -> Format.printf "%a@." Tytra_ir.Pprint.pp_design d);
+            Ok ()
       with
       | Tytra_front.Fortran.Error (m, l) -> fail exit_parse "%s:%d: %s" src l m
       | Invalid_argument m -> fail exit_parse "%s" m

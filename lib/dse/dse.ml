@@ -11,7 +11,11 @@
     ({!Tytra_cost.Report.replicate}, DESIGN.md §9.1): replication adds
     identical PE instances and leaves every per-kernel-instance figure
     as it was. The Pipe report is evaluated once per config and shared
-    by all its replicated points.
+    by all its replicated points. Its design comes from
+    {!Lower.derive}: the first variant of each PE count is validated in
+    full, and every later one of that count is built around the first's
+    Manage-IR and [@main] and validated on its own wiring only
+    (DESIGN.md §10.2), with no full index built.
 
     Points fan out over a {!Tytra_exec.Pool} of [config.jobs] domains.
     A sweep keeps no state between calls: it builds its program's
@@ -93,12 +97,10 @@ let default_config : config =
 (* Point evaluation                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Lower one variant by deriving it from the program's template; the
-   index it was validated on is what Seq and Pipe are costed on. *)
-let lower_point template v =
-  let sy = Lower.derive_sym template v in
+(* Count one variant derived from the program's template. *)
+let derived x =
   Tytra_telemetry.Metrics.incr "dse.points_derived";
-  sy
+  x
 
 (* The Pipe point of one sweep config, which every replicated point of
    that config is costed from ({!Tytra_cost.Report.replicate}). It is
@@ -125,9 +127,11 @@ let baseline_point bl compute =
 (* Evaluate one variant under a per-point span: lane count, form and the
    resulting EKIT become trace attributes, so a sweep reads as a row of
    "dse.point" slices in Perfetto (one lane per pool domain). Seq and
-   Pipe are costed in full on the index their derivation built; a
-   replicated variant is derived and validated too, but costed in
-   closed form from the config's Pipe report in [baseline]. *)
+   Pipe are costed in full on the index their derivation built
+   ([Lower.derive_sym]). A replicated variant is derived and validated
+   too, by [Lower.derive], which builds no full index for it when its
+   PE count has a shell; it is costed in closed form from the config's
+   Pipe report in [baseline]. *)
 let eval_point ~(config : config) ~template ~baseline prog v =
   Tytra_telemetry.Span.with_ ~name:"dse.point"
     ~attrs:
@@ -141,7 +145,7 @@ let eval_point ~(config : config) ~template ~baseline prog v =
   (* the index lives only while its point is evaluated: the point keeps
      the design and its report *)
   let evaluate v =
-    let sy = lower_point template v in
+    let sy = derived (Lower.derive_sym template v) in
     let report =
       Tytra_cost.Report.evaluate_sym ~device:config.device ?calib:config.calib
         ~form:config.form ~nki:config.nki sy
@@ -160,7 +164,7 @@ let eval_point ~(config : config) ~template ~baseline prog v =
     | Transform.Seq -> evaluate v
     | Transform.Pipe -> pipe ()
     | Transform.ParPipe _ | Transform.ParVecPipe _ ->
-        let d = Tytra_ir.Symtab.design (lower_point template v) in
+        let d = derived (Lower.derive template v) in
         ( d,
           Tytra_cost.Report.replicate ~device:config.device ~form:config.form
             ~name:(Lower.design_name prog v) ~lanes:(Transform.lanes v)

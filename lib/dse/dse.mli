@@ -10,7 +10,11 @@
     ParPipe and ParVecPipe points are costed in closed form from the
     config's Pipe report by {!Tytra_cost.Report.replicate}, which gives
     the same report field for field. Pipe is evaluated once per config
-    and shared by its replicated points.
+    and shared by its replicated points. A replicated point's design
+    comes from [Tytra_front.Lower.derive]: the first point of each PE
+    count is validated in full, and every later one shares its memory
+    objects, streams, ports and [@main] and is validated on its own
+    wiring, with the full check's verdict (DESIGN.md §10.2).
 
     With [config.prune] on (the default) the sweep skips full lowering
     for candidates whose {!Tytra_cost.Bounds} prove they cannot fit the

@@ -54,13 +54,6 @@ let create ?metrics_prefix ~capacity () =
     evictions = 0;
   }
 
-let capacity t = t.capacity
-let length t =
-  Mutex.lock t.mutex;
-  let n = Hashtbl.length t.table in
-  Mutex.unlock t.mutex;
-  n
-
 (* ---- intrusive list plumbing (call with the mutex held) ---- *)
 
 let unlink t nd =
@@ -142,20 +135,6 @@ let find_or_add t ~key f =
       add t ~key v;
       v
 
-let clear t =
-  Mutex.lock t.mutex;
-  Hashtbl.reset t.table;
-  t.front <- None;
-  t.back <- None;
-  Mutex.unlock t.mutex
-
-let reset_stats t =
-  Mutex.lock t.mutex;
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0;
-  Mutex.unlock t.mutex
-
 let stats t =
   Mutex.lock t.mutex;
   let s =
@@ -168,11 +147,6 @@ let stats t =
   in
   Mutex.unlock t.mutex;
   s
-
-let hit_rate t =
-  let s = stats t in
-  let total = s.st_hits + s.st_misses in
-  if total = 0 then 0.0 else float_of_int s.st_hits /. float_of_int total
 
 (** [digest_marshal v] — content digest of a pure-data value via its
     marshalled bytes. Sound as a cache key exactly when [v] contains no

@@ -12,9 +12,6 @@ val create : ?metrics_prefix:string -> capacity:int -> unit -> 'v t
     hit/miss/eviction counts are also published as telemetry counters
     [<prefix>.hits], [<prefix>.misses], [<prefix>.evictions]. *)
 
-val capacity : 'v t -> int
-val length : 'v t -> int
-
 val find : 'v t -> key:string -> 'v option
 (** Lookup; counts a hit or a miss and refreshes LRU order on hit. *)
 
@@ -26,9 +23,6 @@ val find_or_add : 'v t -> key:string -> (unit -> 'v) -> 'v
     inserting [f ()] on a miss. [f] runs outside the cache lock; under
     a concurrent miss on the same key [f] may run more than once. *)
 
-val clear : 'v t -> unit
-(** Drop all entries (statistics are kept; see {!reset_stats}). *)
-
 type stats = {
   st_hits : int;
   st_misses : int;
@@ -37,10 +31,7 @@ type stats = {
 }
 
 val stats : 'v t -> stats
-val reset_stats : 'v t -> unit
-
-val hit_rate : 'v t -> float
-(** hits / (hits + misses), or 0 before any lookup. *)
+(** Counts since creation; [st_size] is the number of entries held. *)
 
 val digest_key : string list -> string
 (** Collision-resistant hex digest of a list of key components

@@ -196,7 +196,7 @@ let lower (c : t) (v : Transform.variant) : Tytra_ir.Ast.design =
   (* per-lane streams, ports on main *)
   let main_params = ref [] in
   let lane_top_args = Array.make lanes [] in
-  let lane_name base i = if lanes = 1 then base else Printf.sprintf "%s%d" base i in
+  let lane_name base i = if lanes = 1 then base else Transform.lane_name base i in
   for l = 0 to lanes - 1 do
     let mk_port s dir =
       let pname = lane_name s l in

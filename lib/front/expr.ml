@@ -34,6 +34,11 @@ let cf f = ConstF f
 (** A named output stream computed by the kernel. *)
 type output = { o_name : string; o_expr : expr }
 
+(** [output_port o] — the name of output [o]'s port in a lowered design,
+    prefixed [o_] so that it does not collide with the PE's [out_*] SSA
+    local when the datapath lives in [@main] ([Seq]). *)
+let output_port (o : output) = "o_" ^ o.o_name
+
 (** A reduction into a design-global accumulator (the paper's
     [@sorErrAcc]). *)
 type reduction = { r_name : string; r_op : Ast.op; r_expr : expr; r_init : int64 }
@@ -112,8 +117,9 @@ let op_count (k : kernel) : int =
        k.k_reductions)
     k.k_outputs
 
-(** Validate a kernel: all referenced streams/params declared, operator
-    arities respected by construction. *)
+(** Validate a kernel: all referenced streams/params declared, no input
+    named like an output's port ({!output_port}), operator arities
+    respected by construction. *)
 let check_kernel (k : kernel) : (unit, string) result =
   let declared = k.k_inputs in
   let params = List.map fst k.k_params in
@@ -132,6 +138,14 @@ let check_kernel (k : kernel) : (unit, string) result =
   in
   List.iter (fun o -> visit o.o_expr) k.k_outputs;
   List.iter (fun r -> visit r.r_expr) k.k_reductions;
+  List.iter
+    (fun o ->
+      if List.mem (output_port o) declared then
+        bad :=
+          Some
+            (Printf.sprintf "input stream %S has the port name of output %S"
+               (output_port o) o.o_name))
+    k.k_outputs;
   if k.k_outputs = [] && k.k_reductions = [] then
     bad := Some "kernel has no outputs and no reductions";
   match !bad with None -> Ok () | Some e -> Error e

@@ -18,8 +18,6 @@
 
 open Tytra_ir
 
-let lane_name base i = base ^ Int.to_string i
-
 (* compile an expression to SSA, returning its operand; [cse] memoizes
    structurally equal subexpressions so shared terms (e.g. [reltmp] used
    by both the output and the error reduction) are computed once, as the
@@ -154,15 +152,13 @@ type lane = {
 }
 
 (* [make_lane ~pattern k name] builds a lane whose port on stream [s] is
-   named [name s]. Output ports are prefixed [o_] to avoid colliding
-   with the PE's [out_*] SSA locals when the datapath lives in @main
-   (Seq). *)
+   named [name s]; an output's port is {!Expr.output_port}. *)
 let make_lane ~pattern (k : Expr.kernel) (name : string -> string) : lane =
   let ty = k.Expr.k_ty in
   let ports =
     List.map (fun s -> (name s, Ast.IStream)) k.Expr.k_inputs
     @ List.map
-        (fun (o : Expr.output) -> (name ("o_" ^ o.Expr.o_name), Ast.OStream))
+        (fun o -> (name (Expr.output_port o), Ast.OStream))
         k.Expr.k_outputs
   in
   let streams =
@@ -199,7 +195,9 @@ let make_lane ~pattern (k : Expr.kernel) (name : string -> string) : lane =
    replicated variants suffix per lane ([@main.p0]…). *)
 let fresh_lanes ~pattern (k : Expr.kernel) pes : lane array =
   if pes = 1 then [| make_lane ~pattern k Fun.id |]
-  else Array.init pes (fun i -> make_lane ~pattern k (fun s -> lane_name s i))
+  else
+    Array.init pes (fun i ->
+        make_lane ~pattern k (fun s -> Transform.lane_name s i))
 
 (* [gather lanes lo hi f tail] — [tail] with lanes [lo .. hi - 1]
    prepended in order, each by [f lane rest] *)
@@ -210,6 +208,59 @@ let gather (lanes : lane array) lo hi (f : lane -> 'a list -> 'a list)
     acc := f lanes.(i) !acc
   done;
   !acc
+
+let func name kind params body =
+  { Ast.fn_name = name; fn_params = params; fn_kind = kind; fn_body = body }
+
+let call callee args kind = Ast.Call { callee; args; kind; rets = [] }
+
+(* input parameters of lanes [0 .. n - 1], then the scalars a wiring
+   function takes and passes on *)
+let pe_params (k : Expr.kernel) (lanes : lane array) n =
+  gather lanes 0 n
+    (fun ln rest -> ln.ln_params @ rest)
+    (List.map (fun (p', _) -> (p', k.Expr.k_ty)) k.Expr.k_params)
+
+(* input operands of lanes [lo .. hi - 1], then [tail] *)
+let pe_args (lanes : lane array) lo hi tail =
+  gather lanes lo hi (fun ln rest -> ln.ln_args @ rest) tail
+
+(* The wiring functions of replicated variant [v] over [lanes]: [@flane]
+   (ParVecPipe only), then [@f1], whose parameters [f1_params] are
+   every lane's inputs and the scalars ([pe_params k lanes pes]), the
+   same list for every variant with [pes] PEs. *)
+let wiring (k : Expr.kernel) (lanes : lane array) ~f1_params
+    (v : Transform.variant) : Ast.func list =
+  match v with
+  | Transform.Seq | Transform.Pipe -> []
+  | Transform.ParPipe l ->
+      (* @f1 takes every lane's input streams *)
+      [ func "f1" Ast.Par f1_params (List.init l (fun i -> lanes.(i).ln_call)) ]
+  | Transform.ParVecPipe (l, dv) ->
+      (* @flane bundles the dv vector PEs of one lane; its parameters
+         are named after the first lane's PEs *)
+      let scalar_args = scalar_args k in
+      [ func "flane" Ast.Par (pe_params k lanes dv)
+          (List.init dv (fun j -> lanes.(j).ln_call));
+        func "f1" Ast.Par f1_params
+          (List.init l (fun i ->
+               call "flane"
+                 (pe_args lanes (i * dv) ((i + 1) * dv) scalar_args)
+                 Ast.Par)) ]
+
+(* Raise [Invalid_argument] unless [p]'s kernel is well formed and [v]
+   is applicable to it. *)
+let check_variant (p : Expr.program) (v : Transform.variant) =
+  (match Expr.check_kernel p.Expr.p_kernel with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Lower.lower: invalid kernel: " ^ e));
+  if not (Transform.applicable p v) then
+    invalid_arg
+      (Printf.sprintf "Lower.lower: variant %s not applicable (size %d)%s"
+         (Transform.to_string v) (Expr.points p)
+         (match Transform.lane_clash p (Transform.pes v) with
+         | Some why -> ": " ^ why
+         | None -> ""))
 
 (* Shared construction for [lower] and [derive]: build the (unvalidated)
    design for variant [v]. [f0] selects the PE function: [`Emit]
@@ -222,13 +273,7 @@ let gather (lanes : lane array) lo hi (f : lane -> 'a list -> 'a list)
 let build_variant ~(f0 : [ `Emit | `Shared of Ast.func ])
     ~(lanes : int -> lane array) (p : Expr.program) (v : Transform.variant) :
     Ast.design =
-  (match Expr.check_kernel p.Expr.p_kernel with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Lower.lower: invalid kernel: " ^ e));
-  if not (Transform.applicable p v) then
-    invalid_arg
-      (Printf.sprintf "Lower.lower: variant %s not applicable (size %d)"
-         (Transform.to_string v) (Expr.points p));
+  check_variant p v;
   let k = p.Expr.p_kernel in
   let ty = k.Expr.k_ty in
   let pes = Transform.pes v in
@@ -248,25 +293,10 @@ let build_variant ~(f0 : [ `Emit | `Shared of Ast.func ])
   let main_params =
     gather lanes 0 pes (fun ln rest -> ln.ln_main_params @ rest) []
   in
-  (* the scalar parameters a wiring function takes and passes on *)
-  let scalar_params = List.map (fun (p', _) -> (p', ty)) k.Expr.k_params in
-  let scalar_args = scalar_args k in
-  (* input parameters of the first [n] PEs, then the scalars *)
-  let pe_params n =
-    gather lanes 0 n (fun ln rest -> ln.ln_params @ rest) scalar_params
-  in
-  (* input operands of PEs [lo .. hi - 1], then [tail] *)
-  let pe_args lo hi tail =
-    gather lanes lo hi (fun ln rest -> ln.ln_args @ rest) tail
-  in
-  let func name kind params body =
-    { Ast.fn_name = name; fn_params = params; fn_kind = kind; fn_body = body }
-  in
-  let call callee args kind = Ast.Call { callee; args; kind; rets = [] } in
   let main body = func "main" Ast.Seq main_params body in
   (* @main calls [callee] on every PE's inputs and the scalar immediates *)
   let main_calls callee kind =
-    main [ call callee (pe_args 0 pes (param_args k)) kind ]
+    main [ call callee (pe_args lanes 0 pes (param_args k)) kind ]
   in
   let f0 () =
     match f0 with
@@ -283,24 +313,9 @@ let build_variant ~(f0 : [ `Emit | `Shared of Ast.func ])
             (Builder.body ~params:main_params
                (emit_kernel_body ~inline_params:true k)) ]
     | Transform.Pipe -> [ f0 (); main_calls "f0" Ast.Pipe ]
-    | Transform.ParPipe l ->
-        (* @f1 takes every lane's input streams *)
-        [ f0 ();
-          func "f1" Ast.Par (pe_params l)
-            (List.init l (fun i -> lanes.(i).ln_call));
-          main_calls "f1" Ast.Par ]
-    | Transform.ParVecPipe (l, dv) ->
-        (* @flane bundles the dv vector PEs of one lane; its parameters
-           are named after the first lane's PEs *)
-        [ f0 ();
-          func "flane" Ast.Par (pe_params dv)
-            (List.init dv (fun j -> lanes.(j).ln_call));
-          func "f1" Ast.Par (pe_params (l * dv))
-            (List.init l (fun i ->
-                 call "flane"
-                   (pe_args (i * dv) ((i + 1) * dv) scalar_args)
-                   Ast.Par));
-          main_calls "f1" Ast.Par ]
+    | Transform.ParPipe _ | Transform.ParVecPipe _ ->
+        (f0 () :: wiring k lanes ~f1_params:(pe_params k lanes pes) v)
+        @ [ main_calls "f1" Ast.Par ]
   in
   {
     Ast.d_name = design_name p v;
@@ -336,7 +351,23 @@ let lower ?(pattern = Ast.Cont) (p : Expr.program) (v : Transform.variant) :
     byte-identically to [lower]'s output — and re-validates only the
     per-variant delta via {!Validate.check_delta_sym}. The {!Symtab}
     index that validation runs on is returned by {!derive_sym}, so the
-    DSE costs the variant on it too (DESIGN.md §10.6). *)
+    DSE costs Seq and Pipe on it too (DESIGN.md §10.6).
+
+    {b Shells.} The replicated variants with the same PE count P
+    ([ParPipe P] and every [ParVecPipe (l, dv)] with [l * dv = P]) also
+    share their memory objects, streams, ports, globals, [@main] and
+    [@f1]'s parameter list: they differ only in [@f1]'s body and
+    [@flane]. The first [derive] of P validates its whole design and
+    publishes it as P's shell. Every later [derive] of P takes those
+    parts from the shell, physically, builds its own [@f1] body and
+    [@flane], and validates only them, with [@f0] and [@main] trusted.
+    That gives the full check's verdict: every port names [@main], so
+    the Manage-IR checks read nothing but the shared declarations and
+    [@main]'s parameters, and [@main]'s one call was checked against
+    [@f1]'s kind and parameter list, which the shell fixes. Function
+    names, the globals and the call graph are checked again. On any
+    error the derive runs the full check, so its error text is the full
+    check's. *)
 
 type template = {
   tpl_program : Expr.program;
@@ -345,6 +376,10 @@ type template = {
   tpl_lanes : lane array Atomic.t;
       (** suffixed lanes [0 .. n - 1], grown on demand; a published lane
           is never replaced, so every variant shares it *)
+  tpl_shells : (int * Ast.design) list Atomic.t;
+      (** per PE count, the shell: the first replicated design of that
+          count, published once it validated in full and never
+          replaced *)
 }
 
 (** [template ?pattern p] — lower the [Pipe] variant of [p] in full
@@ -356,6 +391,7 @@ let template ?(pattern = Ast.Cont) (p : Expr.program) : template =
     tpl_pattern = pattern;
     tpl_f0 = Ast.find_func_exn d "f0";
     tpl_lanes = Atomic.make [||];
+    tpl_shells = Atomic.make [];
   }
 
 (* The template's first [pes] lanes, interned. Pool domains derive from
@@ -371,38 +407,15 @@ let rec interned_lanes tpl pes : lane array =
     let grown =
       Array.init pes (fun i ->
           if i < n then cur.(i)
-          else make_lane ~pattern k (fun s -> lane_name s i))
+          else make_lane ~pattern k (fun s -> Transform.lane_name s i))
     in
     if Atomic.compare_and_set tpl.tpl_lanes cur grown then grown
     else interned_lanes tpl pes
   end
 
-(** [derive_sym tpl v] — build the design for variant [v] of the
-    template's program, index it once, and validate it on that index,
-    reusing the pre-validated PE function and checking only the
-    per-variant delta (memory objects, streams, ports, wiring calls).
-    [Seq] variants inline scalar parameters into a different body
-    shape, so they are emitted and checked in full, as {!lower} does.
-    Raises [Invalid_argument] like {!lower} if the design is invalid;
-    returns the index. *)
-let derive_sym (tpl : template) (v : Transform.variant) : Symtab.t =
-  Tytra_telemetry.Span.with_ ~name:"front.derive" @@ fun () ->
-  let p = tpl.tpl_program in
-  let lanes pes =
-    if pes = 1 then fresh_lanes ~pattern:tpl.tpl_pattern p.Expr.p_kernel 1
-    else interned_lanes tpl pes
-  in
-  let sy, errors =
-    match v with
-    | Transform.Seq ->
-        let sy = Symtab.of_design (build_variant ~f0:`Emit ~lanes p v) in
-        (sy, Validate.check_sym sy)
-    | _ ->
-        let sy =
-          Symtab.of_design (build_variant ~f0:(`Shared tpl.tpl_f0) ~lanes p v)
-        in
-        (sy, Validate.check_delta_sym ~trusted:[ "f0" ] sy)
-  in
+(* [sy] if [errors] is empty; otherwise raise [Invalid_argument] with
+   them, as {!Validate.check_exn} does *)
+let validated (sy : Symtab.t) (errors : Validate.error list) : Symtab.t =
   match errors with
   | [] -> sy
   | errs ->
@@ -411,6 +424,87 @@ let derive_sym (tpl : template) (v : Transform.variant) : Symtab.t =
            (Symtab.design sy).Ast.d_name
            (String.concat "\n" (List.map Validate.error_to_string errs)))
 
-(** [derive tpl v] — the design {!derive_sym} builds and validates. *)
+(** [derive_sym tpl v] — build the design for variant [v] of the
+    template's program, index it once, and validate it on that index,
+    reusing the pre-validated PE function and checking only the
+    per-variant delta (memory objects, streams, ports, wiring calls).
+    [Seq] variants inline scalar parameters into a different body
+    shape, so they are emitted and checked in full, as {!lower} does.
+    Raises [Invalid_argument] like {!lower} if the design is invalid;
+    returns the index. It neither reads nor publishes shells. *)
+let derive_sym (tpl : template) (v : Transform.variant) : Symtab.t =
+  Tytra_telemetry.Span.with_ ~name:"front.derive" @@ fun () ->
+  let p = tpl.tpl_program in
+  let lanes pes =
+    if pes = 1 then fresh_lanes ~pattern:tpl.tpl_pattern p.Expr.p_kernel 1
+    else interned_lanes tpl pes
+  in
+  match v with
+  | Transform.Seq ->
+      let sy = Symtab.of_design (build_variant ~f0:`Emit ~lanes p v) in
+      validated sy (Validate.check_sym sy)
+  | _ ->
+      let sy =
+        Symtab.of_design (build_variant ~f0:(`Shared tpl.tpl_f0) ~lanes p v)
+      in
+      validated sy (Validate.check_delta_sym ~trusted:[ "f0" ] sy)
+
+(* Publish [d], validated in full, as the shell of [pes] PEs unless
+   another domain published one first; by compare-and-set, like the
+   lanes. *)
+let rec publish_shell tpl pes (d : Ast.design) =
+  let cur = Atomic.get tpl.tpl_shells in
+  if
+    not
+      (List.mem_assoc pes cur
+      || Atomic.compare_and_set tpl.tpl_shells cur ((pes, d) :: cur))
+  then publish_shell tpl pes d
+
+(* A later derive of replicated variant [v], whose PE count has the
+   shell [sh]: the shell's memory objects, streams, ports, globals and
+   @main with this variant's @f1 body and @flane. Only the wiring is
+   validated, on an index of the functions and globals alone. *)
+let derive_from_shell tpl (sh : Ast.design) (v : Transform.variant) :
+    Ast.design =
+  Tytra_telemetry.Span.with_ ~name:"front.derive" @@ fun () ->
+  let p = tpl.tpl_program in
+  check_variant p v;
+  let f1_params = (Ast.find_func_exn sh "f1").Ast.fn_params in
+  let d =
+    {
+      sh with
+      Ast.d_name = design_name p v;
+      d_funcs =
+        (tpl.tpl_f0
+        :: wiring p.Expr.p_kernel
+             (interned_lanes tpl (Transform.pes v))
+             ~f1_params v)
+        @ [ Ast.find_func_exn sh "main" ];
+    }
+  in
+  let wiring_only = { d with Ast.d_mems = []; d_streams = []; d_ports = [] } in
+  match
+    Validate.check_delta_sym ~trusted:[ "f0"; "main" ]
+      (Symtab.of_design wiring_only)
+  with
+  | [] -> d
+  | _ ->
+      let sy = Symtab.of_design d in
+      Symtab.design (validated sy (Validate.check_delta_sym ~trusted:[ "f0" ] sy))
+
+(** [derive tpl v] — the design {!derive_sym} builds and validates. A
+    replicated variant whose PE count already has a shell is built from
+    it and validated on its wiring alone (see Shells above), with the
+    same result; otherwise the validated design becomes that count's
+    shell. *)
 let derive (tpl : template) (v : Transform.variant) : Ast.design =
-  Symtab.design (derive_sym tpl v)
+  match v with
+  | Transform.ParPipe _ | Transform.ParVecPipe _ -> (
+      let pes = Transform.pes v in
+      match List.assoc_opt pes (Atomic.get tpl.tpl_shells) with
+      | Some sh -> derive_from_shell tpl sh v
+      | None ->
+          let d = Symtab.design (derive_sym tpl v) in
+          publish_shell tpl pes d;
+          d)
+  | Transform.Seq | Transform.Pipe -> Symtab.design (derive_sym tpl v)

@@ -62,15 +62,85 @@ let reshaped_type (p : Expr.program) (v : variant) : (Vtype.t, string) result
                 (Vtype.reshape_to vv inner)
           | _ -> Error "unreachable")
 
-(** A variant is applicable to [p] iff its reshapes are size preserving. *)
+(** {2 Lane names} *)
+
+(** [lane_name port i] — the name lane [i] of a replicated variant gives
+    its copy of [port]: [p0], [p1], … Every per-lane name of a lowered
+    design derives from it: the port and [@main] parameter [p3], the
+    stream [s_p3] and the memory object [m_p3]. Single-PE variants keep
+    the unsuffixed port name. *)
+let lane_name port i = port ^ Int.to_string i
+
+(* [decimal b j i bound] — the value of [i] followed by the digits
+   [b.[j ..]], if they are all digits and it is at most [bound] *)
+let rec decimal b j i bound =
+  if j = String.length b then Some i
+  else
+    match b.[j] with
+    | '0' .. '9' as c ->
+        let i = (10 * i) + Char.code c - Char.code '0' in
+        if i > bound then None else decimal b (j + 1) i bound
+    | _ -> None
+
+(* [lane_index a b bound] — [Some i] if [b] is [lane_name a i] for some
+   [i <= bound] *)
+let lane_index a b bound =
+  let la = String.length a and lb = String.length b in
+  if lb > la && String.starts_with ~prefix:a b && (b.[la] <> '0' || lb = la + 1)
+  then decimal b la 0 bound
+  else None
+
+(** [lane_clash p pes] — [Some why] if two names in the design of a
+    variant of [p] with [pes] PEs coincide, [why] naming them.
+    - Two ports (inputs, and outputs as {!Expr.output_port} names them)
+      clash when port [b] is port [a] followed by a decimal [d] without a
+      leading zero: lane [10 d] of [a] is then lane 0 of [b], so the two
+      coincide exactly when [pes > 10 d] ([u] and [u1] from 11 PEs on).
+    - A scalar parameter is passed on unsuffixed beside every lane's
+      inputs, so it clashes with lane [i < pes] of an input it names.
+    Single-PE variants keep unsuffixed names, which
+    {!Expr.check_kernel} keeps apart. *)
+let lane_clash (p : Expr.program) (pes : int) : string option =
+  let k = p.Expr.p_kernel in
+  let port_clash a b =
+    match lane_index a b ((pes - 1) / 10) with
+    | Some d when d > 0 ->
+        Some
+          (Printf.sprintf
+             "lane %d of stream %s and lane 0 of stream %s are both named %s"
+             (10 * d) a b (lane_name a (10 * d)))
+    | _ -> None
+  in
+  let scalar_clash a (c, _) =
+    match lane_index a c (pes - 1) with
+    | Some i ->
+        Some
+          (Printf.sprintf
+             "lane %d of stream %s is named like the scalar parameter %s" i a
+             c)
+    | None -> None
+  in
+  if pes < 2 then None
+  else
+    let ports = k.Expr.k_inputs @ List.map Expr.output_port k.Expr.k_outputs in
+    match List.find_map (fun a -> List.find_map (port_clash a) ports) ports with
+    | Some why -> Some why
+    | None ->
+        List.find_map
+          (fun a -> List.find_map (scalar_clash a) k.Expr.k_params)
+          k.Expr.k_inputs
+
+(** A variant is applicable to [p] iff its reshapes are size preserving
+    and no two names of its design coincide ({!lane_clash}). *)
 let applicable (p : Expr.program) (v : variant) : bool =
-  match reshaped_type p v with Ok _ -> true | Error _ -> false
+  Result.is_ok (reshaped_type p v) && Option.is_none (lane_clash p (pes v))
 
 (** [enumerate ?max_lanes ?max_vec p] — the design space reachable with a
     single [reshapeTo] (lane replication) and optionally a second one
     (vectorization): the space that "grows very quickly even on the basis
     of a single basic reshape transformation" (paper §II). Only
-    size-preserving reshapes are generated. *)
+    applicable variants are generated: size-preserving reshapes whose
+    lane names do not clash. *)
 let enumerate ?(max_lanes = 16) ?(max_vec = 1) (p : Expr.program) :
     variant list =
   let n = Expr.points p in
@@ -80,7 +150,8 @@ let enumerate ?(max_lanes = 16) ?(max_vec = 1) (p : Expr.program) :
   let base = [ Seq; Pipe ] in
   let pars =
     List.filter_map
-      (fun l -> if l > 1 then Some (ParPipe l) else None)
+      (fun l ->
+        if l > 1 && applicable p (ParPipe l) then Some (ParPipe l) else None)
       lanes_opts
   in
   let vecs =

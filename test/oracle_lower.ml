@@ -17,7 +17,7 @@ let build_variant ?(pattern = Ast.Cont) (p : Expr.program)
   let chunk = n / pes in
   (* single-PE variants keep the paper's unsuffixed stream names
      ([@main.p]); replicated variants suffix per lane ([@main.p0]…) *)
-  let lane_name base i = if pes = 1 then base else Lower.lane_name base i in
+  let lane_name base i = if pes = 1 then base else Transform.lane_name base i in
   let b = Builder.create (Lower.design_name p v) in
   (* globals for reductions *)
   List.iter

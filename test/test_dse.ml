@@ -512,7 +512,36 @@ let test_explore_devices () =
       Alcotest.(check bool) "winner from the registry" true
         (List.memq dev Tytra_device.Device.all)
 
+(* Inputs u and u1 give lane 10 of u and lane 0 of u1 one name, u10, so
+   no variant of 11 or more PEs has a valid design. The exhaustive sweep
+   must skip those lane counts, as the pruned one does, and select what
+   it selects. *)
+let test_lane_clash_sweep () =
+  let p =
+    Fortran.parse ~name:"uu1" ~sizes:[ ("im", 16); ("jm", 16) ]
+      "do j = 1, jm\n  do i = 1, im\n    v(i,j) = u(i,j) + u1(i,j)\n  end do\nend do\n"
+  in
+  let config prune =
+    { cfg with nki = 100; max_lanes = 64; max_vec = 8; prune }
+  in
+  let exhaustive = Dse.explore ~config:(config false) p in
+  List.iter
+    (fun q ->
+      Alcotest.(check bool)
+        (Transform.to_string q.Dse.dp_variant ^ " has at most 10 PEs")
+        true
+        (Transform.pes q.Dse.dp_variant <= 10))
+    exhaustive;
+  let best pts =
+    Option.map (fun b -> Transform.to_string b.Dse.dp_variant) (Dse.best pts)
+  in
+  Alcotest.(check (option string)) "pruned and exhaustive select alike"
+    (best exhaustive)
+    (best (Dse.explore ~config:(config true) p))
+
 let suite =
   suite
   @ [ Alcotest.test_case "cross-device exploration" `Quick
-        test_explore_devices ]
+        test_explore_devices;
+      Alcotest.test_case "exhaustive sweep skips clashing lane names" `Quick
+        test_lane_clash_sweep ]

@@ -5,7 +5,9 @@
    - Lower.lower and derived variants (Lower.template / Lower.derive)
      pretty-print byte-identically to the Builder-based Oracle_lower,
      also when domains derive from one template at once, and validate
-     clean;
+     clean; so do variants built from a PE count's shell, in any
+     derivation order, and a broken wiring delta falls back to the full
+     check;
    - the indexed one-pass validator agrees with the multi-pass
      Oracle_validate on valid and broken designs, reports errors in
      source order, and deduplicates identical (loc, msg) pairs;
@@ -159,6 +161,111 @@ let test_derive_rejects_bad_delta () =
     (List.exists
        (fun e -> contains (Validate.error_to_string e) "unknown stream")
        (Validate.check_delta ~trusted:[ "f0" ] broken))
+
+(* ---- shells: equal-PE variants share one validated Manage-IR ---- *)
+
+(* Every variant of the four kernels up to 64 lanes x 8, derived on a
+   fresh template in enumeration order, in reverse and shuffled, so the
+   shell of each PE count comes from a different variant in each order.
+   Every design must print as Lower.lower's does and validate in full. *)
+let test_shell_derive_exact () =
+  List.iteri
+    (fun seed (name, p) ->
+      let vs = wide_variants p in
+      let lowered =
+        List.map (fun v -> (v, Pprint.design_to_string (Lower.lower p v))) vs
+      in
+      List.iter
+        (fun (order, vs) ->
+          let tpl = Lower.template p in
+          List.iter
+            (fun v ->
+              let d = Lower.derive tpl v in
+              let what =
+                Printf.sprintf "%s %s (%s order)" name (Transform.to_string v)
+                  order
+              in
+              Alcotest.(check string)
+                (what ^ " == lowered")
+                (List.assoc v lowered) (Pprint.design_to_string d);
+              Alcotest.(check (list string))
+                (what ^ " validates in full")
+                []
+                (List.map Validate.error_to_string (Validate.check d)))
+            vs)
+        [ ("enumeration", vs); ("reverse", List.rev vs);
+          ("shuffled", shuffle seed vs) ])
+    (kernels ())
+
+(* An exhaustive sweep of each kernel prints the same designs at jobs 1
+   and 4, where pool domains race to publish each PE count's shell. *)
+let test_shell_sweep_jobs_invariant () =
+  List.iter
+    (fun (name, p) ->
+      let designs jobs =
+        List.map
+          (fun q ->
+            ( Transform.to_string q.Tytra_dse.Dse.dp_variant,
+              Pprint.design_to_string q.Tytra_dse.Dse.dp_design ))
+          (Tytra_dse.Dse.explore
+             ~config:
+               { Tytra_dse.Dse.default_config with
+                 max_lanes = 64; max_vec = 8; nki = 100; prune = false; jobs }
+             p)
+      in
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": jobs 4 designs == jobs 1")
+        (designs 1) (designs 4))
+    (kernels ())
+
+let fast_hits () =
+  Option.value ~default:0.0
+    (Tytra_telemetry.Metrics.counter_value "ir.validate.fast_hits")
+
+(* A later derive of a PE count shares the first one's memory objects,
+   streams, ports, globals and @main, and validates only its wiring,
+   with @f0 and @main trusted. When that wiring is broken, it falls back
+   to the full check and reports exactly its errors. The wiring is
+   broken here by a template whose @f0 is declared par, so every call
+   to it has the wrong kind. *)
+let test_shell_shared_and_fallback () =
+  let p = Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 () in
+  let tpl = Lower.template p in
+  let first = Lower.derive tpl (Transform.ParPipe 8) in
+  Tytra_telemetry.Control.with_enabled true @@ fun () ->
+  let h0 = fast_hits () in
+  let later = Lower.derive tpl (Transform.ParVecPipe (4, 2)) in
+  Alcotest.(check (float 0.0)) "later derive makes one delta check" 1.0
+    (fast_hits () -. h0);
+  let shared what f =
+    Alcotest.(check bool) (what ^ " shared") true (f first == f later)
+  in
+  shared "memory objects" (fun d -> d.Ast.d_mems);
+  shared "streams" (fun d -> d.Ast.d_streams);
+  shared "ports" (fun d -> d.Ast.d_ports);
+  shared "globals" (fun d -> d.Ast.d_globals);
+  shared "@main" (fun d -> Ast.find_func_exn d "main");
+  shared "@f1 parameters" (fun d -> (Ast.find_func_exn d "f1").Ast.fn_params);
+  let par_f0 tpl =
+    { tpl with Lower.tpl_f0 = { tpl.Lower.tpl_f0 with Ast.fn_kind = Ast.Par } }
+  in
+  let error tpl =
+    match Lower.derive tpl (Transform.ParVecPipe (2, 4)) with
+    | _ -> Alcotest.fail "a par @f0 must not validate"
+    | exception Invalid_argument m -> m
+  in
+  let h1 = fast_hits () in
+  let via_shell = error (par_f0 tpl) in
+  let h2 = fast_hits () in
+  let full = error (par_f0 (Lower.template p)) in
+  let h3 = fast_hits () in
+  Alcotest.(check string) "fallback reports the full check's errors" full
+    via_shell;
+  Alcotest.(check bool) ("the error is the call-site kind: " ^ full) true
+    (contains full "call-site kind pipe does not match @f0's declared kind par");
+  Alcotest.(check (float 0.0)) "wiring check, then the full check" 2.0
+    (h2 -. h1);
+  Alcotest.(check (float 0.0)) "no shell: the full check only" 1.0 (h3 -. h2)
 
 (* ---- indexed validator vs the multi-pass oracle ---- *)
 
@@ -516,6 +623,12 @@ let suite =
       test_derive_validates_clean;
     Alcotest.test_case "delta validation catches broken wiring" `Quick
       test_derive_rejects_bad_delta;
+    Alcotest.test_case "shell derives print and validate as lowered" `Quick
+      test_shell_derive_exact;
+    Alcotest.test_case "shell sweep designs jobs-invariant" `Quick
+      test_shell_sweep_jobs_invariant;
+    Alcotest.test_case "shells shared, fallback to the full check" `Quick
+      test_shell_shared_and_fallback;
     Alcotest.test_case "validators agree on valid designs" `Quick
       test_validator_agrees_on_valid;
     Alcotest.test_case "validators agree on broken designs" `Quick

@@ -105,9 +105,99 @@ let test_check_kernel () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "undeclared input must fail");
   let empty = { bad with Expr.k_outputs = []; k_inputs = [ "x" ] } in
-  match Expr.check_kernel empty with
+  (match Expr.check_kernel empty with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "kernel with no outputs must fail"
+  | Ok () -> Alcotest.fail "kernel with no outputs must fail");
+  (* an input named like output y's port o_y would share its stream,
+     memory object and @main parameter at every lane count *)
+  let o_y =
+    {
+      bad with
+      Expr.k_inputs = [ "o_y" ];
+      k_outputs = [ { Expr.o_name = "y"; o_expr = Expr.input "o_y" } ];
+    }
+  in
+  match Expr.check_kernel o_y with
+  | Error e ->
+      Alcotest.(check string) "names the input and the output"
+        "input stream \"o_y\" has the port name of output \"y\"" e
+  | Ok () -> Alcotest.fail "an input named o_y beside an output y must fail"
+
+(* v = u + u1: lane 10 of u and lane 0 of u1 are both named u10, so no
+   variant of 11 or more PEs has a valid design *)
+let uu1 () =
+  Fortran.parse ~name:"uu1" ~sizes:[ ("im", 16); ("jm", 16) ]
+    "do j = 1, jm\n  do i = 1, im\n    v(i,j) = u(i,j) + u1(i,j)\n  end do\nend do\n"
+
+let test_lane_clash () =
+  let p = uu1 () in
+  Alcotest.(check (option string)) "no clash at 10 PEs" None
+    (Transform.lane_clash p 10);
+  Alcotest.(check (option string)) "u10 clashes from 11 PEs on"
+    (Some "lane 10 of stream u and lane 0 of stream u1 are both named u10")
+    (Transform.lane_clash p 11);
+  Alcotest.(check bool) "par8 applicable" true
+    (Transform.applicable p (Transform.ParPipe 8));
+  Alcotest.(check bool) "par16 refused" false
+    (Transform.applicable p (Transform.ParPipe 16));
+  Alcotest.(check bool) "par2-vec8 refused" false
+    (Transform.applicable p (Transform.ParVecPipe (2, 8)));
+  (* every enumerated variant lowers to a valid design *)
+  let vs = Transform.enumerate ~max_lanes:64 ~max_vec:8 p in
+  List.iter
+    (fun v ->
+      Alcotest.(check bool)
+        (Transform.to_string v ^ " below 11 PEs")
+        true
+        (Transform.pes v <= 10);
+      ignore (Lower.lower p v))
+    vs;
+  Alcotest.(check bool) "par8-vec1 space kept" true
+    (List.mem (Transform.ParPipe 8) vs);
+  (match Lower.lower p (Transform.ParPipe 16) with
+  | _ -> Alcotest.fail "par16 must not lower"
+  | exception Invalid_argument m ->
+      Alcotest.(check bool) ("lower names the clash: " ^ m) true
+        (String.ends_with ~suffix:"are both named u10" m));
+  (* a suffix that no lane index spells never clashes: u0 (lane 0 of u
+     is u0, but no lane of u0 is a lane of u), u01 (leading zero), u1x *)
+  List.iter
+    (fun other ->
+      let q =
+        {
+          p with
+          Expr.p_kernel =
+            {
+              p.Expr.p_kernel with
+              Expr.k_inputs = [ "u"; other ];
+              k_outputs =
+                [ { Expr.o_name = "v";
+                    o_expr = Expr.(input "u" +: input other) } ];
+            };
+        }
+      in
+      Alcotest.(check (option string)) (other ^ " never clashes") None
+        (Transform.lane_clash q 256))
+    [ "u0"; "u01"; "u1x" ];
+  (* a scalar parameter is passed on unsuffixed beside the lanes' inputs *)
+  let scalar =
+    {
+      p with
+      Expr.p_kernel =
+        {
+          p.Expr.p_kernel with
+          Expr.k_params = [ ("u3", 1L) ];
+          k_outputs =
+            [ { Expr.o_name = "v";
+                o_expr = Expr.(input "u" +: input "u1" +: param "u3") } ];
+        };
+    }
+  in
+  Alcotest.(check (option string)) "scalar u3 is free at 3 PEs" None
+    (Transform.lane_clash scalar 3);
+  Alcotest.(check (option string)) "scalar u3 is lane 3 of u"
+    (Some "lane 3 of stream u is named like the scalar parameter u3")
+    (Transform.lane_clash scalar 4)
 
 (* ---- the central correctness property ---- *)
 
@@ -207,6 +297,7 @@ let suite =
     Alcotest.test_case "lane bounds" `Quick test_lane_bounds;
     Alcotest.test_case "stencil offsets" `Quick test_stencil_offsets;
     Alcotest.test_case "kernel checking" `Quick test_check_kernel;
+    Alcotest.test_case "lane names never clash" `Quick test_lane_clash;
     Alcotest.test_case "CSE shares subterms" `Quick test_cse_shares_subterms;
     QCheck_alcotest.to_alcotest prop_variant_equals_baseline;
     QCheck_alcotest.to_alcotest prop_lowered_designs_validate;
