@@ -1503,6 +1503,7 @@ let () =
   in
   if json <> None || trace <> None || events <> None then begin
     Tytra_telemetry.Control.set_enabled true;
+    Tytra_telemetry.Span.set_keep (json <> None || trace <> None);
     Option.iter Tytra_telemetry.Events.open_file events;
     at_exit (fun () ->
         Option.iter

@@ -89,6 +89,8 @@ let setup_observability trace metrics verbose level events metrics_json
     trace <> None || metrics || events <> None || metrics_json <> None
     || metrics_addr <> None
   then Tytra_telemetry.Control.set_enabled true;
+  (* only the trace and the summary table read spans back *)
+  Tytra_telemetry.Span.set_keep (trace <> None || metrics);
   (match events with
   | Some path -> (
       match Tytra_telemetry.Events.open_file path with
@@ -832,6 +834,8 @@ let import_cmd =
             Ok ()
       with
       | Tytra_front.Fortran.Error (m, l) -> fail exit_parse "%s:%d: %s" src l m
+      | Tytra_front.Fortran.Invalid m ->
+          fail exit_validation "%s: elaborated kernel invalid: %s" src m
       | Invalid_argument m -> fail exit_parse "%s" m
     in
     exit_of result

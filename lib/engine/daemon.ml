@@ -8,11 +8,11 @@
     is the server's bounded worker queue: when it is full, connections
     are answered [429] without touching the engine.
 
-    Every decoded request goes straight to {!Engine.submit}. A
-    [POST /v1/submit] whose body carries ["stream":true] on an
-    [explore] is answered as JSONL progress frames followed by one
-    result frame (protocol minor 1), written incrementally as the sweep
-    advances (DESIGN.md §15).
+    Every request body is decoded once and goes straight to
+    {!Engine.submit}. A [POST /v1/submit] whose body carries
+    ["stream":true] on an [explore] is answered as JSONL progress frames
+    followed by one result frame (protocol minor 1), written
+    incrementally as the sweep advances (DESIGN.md §15).
 
     {!run} blocks until SIGTERM/SIGINT, then drains gracefully: the
     listener stops accepting, every request already accepted is
@@ -54,70 +54,56 @@ let wire_error (status : int) : Serve.response option =
     err
 
 let handler ?default_deadline_s (eng : Engine.t) (rq : Serve.request) :
-    Serve.response option =
+    Serve.reply option =
+  let submit ?on_progress (d : Protocol.decoded_request) =
+    Engine.submit
+      ?deadline_s:(effective_deadline ?default_deadline_s d)
+      ~retries:d.Protocol.dq_retries ?on_progress eng d.Protocol.dq_request
+  in
+  let error err =
+    json_response (Protocol.http_status err) (Protocol.encode_error err)
+  in
   match (rq.Serve.rq_meth, rq.Serve.rq_path) with
   | "POST", "/v1/submit" ->
       Some
         (match Protocol.decode_request rq.Serve.rq_body with
-        | Error err ->
-            (json_response (Protocol.http_status err)
-               (Protocol.encode_error err))
-        | Ok d -> (
-            match
-              Engine.submit
-                ?deadline_s:(effective_deadline ?default_deadline_s d)
-                ~retries:d.Protocol.dq_retries eng d.Protocol.dq_request
-            with
-            | Ok resp ->
-                json_response 200
-                  (Protocol.encode_response
-                     ~op:(Engine.op_name d.Protocol.dq_request)
-                     resp)
-            | Error err ->
-                json_response (Protocol.http_status err)
-                  (Protocol.encode_error err)))
+        | Error err -> Serve.Response (error err)
+        | Ok
+            ({ Protocol.dq_stream = true;
+               dq_request = Engine.Explore _ as req; _ } as d) ->
+            let op = Engine.op_name req in
+            Serve.Stream
+              {
+                Serve.st_status = 200;
+                st_content_type = "application/jsonl";
+                st_write =
+                  (fun write ->
+                    let on_progress p =
+                      write (Protocol.encode_progress ~op p ^ "\n")
+                    in
+                    write
+                      ((match submit ~on_progress d with
+                       | Ok resp -> Protocol.encode_response_frame ~op resp
+                       | Error err -> Protocol.encode_error_frame err)
+                      ^ "\n"));
+              }
+        | Ok d ->
+            Serve.Response
+              (match submit d with
+              | Ok resp ->
+                  json_response 200
+                    (Protocol.encode_response
+                       ~op:(Engine.op_name d.Protocol.dq_request)
+                       resp)
+              | Error err -> error err))
   | "GET", "/v1/protocol" ->
       Some
-        (json_response 200
-           (Printf.sprintf
-              {|{"v":%d,"minor":%d,"ops":["check","cost","synth","sim","explore"],"frames":["progress","result"]}|}
-              Protocol.version Protocol.version_minor))
+        (Serve.Response
+           (json_response 200
+              (Printf.sprintf
+                 {|{"v":%d,"minor":%d,"ops":["check","cost","synth","sim","explore"],"frames":["progress","result"]}|}
+                 Protocol.version Protocol.version_minor)))
   | _ -> None (* falls through to /metrics, /metrics.json, /healthz *)
-
-(* Streaming is consulted before the handler: only a well-formed
-   [explore] with ["stream":true] streams; every other body (including
-   undecodable ones) falls through to the plain handler and its error
-   rendering. *)
-let streamer ?default_deadline_s (eng : Engine.t) (rq : Serve.request) :
-    Serve.stream option =
-  match (rq.Serve.rq_meth, rq.Serve.rq_path) with
-  | "POST", "/v1/submit" -> (
-      match Protocol.decode_request rq.Serve.rq_body with
-      | Ok
-          ({ Protocol.dq_stream = true;
-             dq_request = Engine.Explore _ as req; _ } as d) ->
-          Some
-            {
-              Serve.st_status = 200;
-              st_content_type = "application/jsonl";
-              st_write =
-                (fun write ->
-                  let op = Engine.op_name req in
-                  let on_progress p =
-                    write (Protocol.encode_progress ~op p ^ "\n")
-                  in
-                  match
-                    Engine.submit
-                      ?deadline_s:(effective_deadline ?default_deadline_s d)
-                      ~retries:d.Protocol.dq_retries ~on_progress eng req
-                  with
-                  | Ok resp ->
-                      write (Protocol.encode_response_frame ~op resp ^ "\n")
-                  | Error err ->
-                      write (Protocol.encode_error_frame err ^ "\n"));
-            }
-      | _ -> None)
-  | _ -> None
 
 let default_workers () = min 4 (Domain.recommended_domain_count ())
 
@@ -138,7 +124,6 @@ let run ?(config = Engine.default_config) ?(workers = default_workers ())
   let sv =
     Serve.start
       ~handler:(handler ?default_deadline_s eng)
-      ~streamer:(streamer ?default_deadline_s eng)
       ~error_responder:wire_error ~workers ~queue_cap ~reuseport ?listen_fd
       ~addr ()
   in

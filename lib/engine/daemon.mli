@@ -7,18 +7,13 @@ val handler :
   ?default_deadline_s:float -> Engine.t -> Tytra_telemetry.Serve.handler
 (** The route table: [POST /v1/submit] (the {!Protocol} codec, answered
     by {!Engine.submit}), [GET /v1/protocol]; everything else falls
-    through to the built-in metrics routes. [default_deadline_s] is
-    applied to requests that carry no deadline of their own (the
-    frame's own [deadline_ms] always wins). Exposed so tests can mount
-    an engine on an ephemeral-port server directly. *)
-
-val streamer :
-  ?default_deadline_s:float -> Engine.t -> Tytra_telemetry.Serve.streamer
-(** Streamed-progress route: a [POST /v1/submit] whose body is a
-    well-formed [explore] with ["stream":true] is answered as JSONL —
-    one {!Protocol.encode_progress} frame per sweep wave, then one
-    result frame. Everything else returns [None] (falls through to
-    {!handler}). *)
+    through to the built-in metrics routes. A submit body is decoded
+    once: a well-formed [explore] with ["stream":true] is answered as a
+    stream of JSONL — one {!Protocol.encode_progress} frame per sweep
+    wave, then one result frame — and every other body as one response.
+    [default_deadline_s] is applied to requests that carry no deadline
+    of their own (the frame's own [deadline_ms] always wins). Exposed so
+    tests can mount an engine on an ephemeral-port server directly. *)
 
 val wire_error : int -> Tytra_telemetry.Serve.response option
 (** {!Tytra_telemetry.Serve.error_responder} used by {!run}: renders the

@@ -342,27 +342,22 @@ let health t =
   | down ->
       (503, Printf.sprintf "shards down: %s\n" (String.concat ", " down))
 
-let aggregator_handler t (rq : Serve.request) : Serve.response option =
+let aggregator_handler t (rq : Serve.request) : Serve.reply option =
+  let respond status content_type body =
+    Some
+      (Serve.Response
+         { Serve.rs_status = status; rs_content_type = content_type;
+           rs_body = body })
+  in
   match (rq.Serve.rq_meth, rq.Serve.rq_path) with
   | "GET", "/metrics" ->
-      Some
-        {
-          Serve.rs_status = 200;
-          rs_content_type = "text/plain; version=0.0.4; charset=utf-8";
-          rs_body = aggregate_metrics t;
-        }
+      respond 200 "text/plain; version=0.0.4; charset=utf-8"
+        (aggregate_metrics t)
   | "GET", "/metrics.json" ->
-      Some
-        {
-          Serve.rs_status = 200;
-          rs_content_type = "application/json";
-          rs_body = aggregate_metrics_json t ^ "\n";
-        }
+      respond 200 "application/json" (aggregate_metrics_json t ^ "\n")
   | "GET", "/healthz" ->
       let status, body = health t in
-      Some
-        { Serve.rs_status = status; rs_content_type = "text/plain";
-          rs_body = body }
+      respond status "text/plain" body
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -408,13 +403,14 @@ let postmortem t s ~pid ~status =
    untyped hang. The breaker takes over the work address and answers
    everything with a typed [overloaded] immediately, so clients fail
    fast and can back off. *)
-let breaker_handler (_ : Serve.request) : Serve.response option =
+let breaker_handler (_ : Serve.request) : Serve.reply option =
   Some
-    {
-      Serve.rs_status = 429;
-      rs_content_type = "application/json";
-      rs_body = Protocol.encode_error Engine.Overloaded ^ "\n";
-    }
+    (Serve.Response
+       {
+         Serve.rs_status = 429;
+         rs_content_type = "application/json";
+         rs_body = Protocol.encode_error Engine.Overloaded ^ "\n";
+       })
 
 let run ?(restart_budget = 8) ~shards:n ~addr ~admin_addr
     ~(child_argv : shard:int -> admin_addr:string -> string array) () =

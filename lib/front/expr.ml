@@ -118,8 +118,9 @@ let op_count (k : kernel) : int =
     k.k_outputs
 
 (** Validate a kernel: all referenced streams/params declared, no input
-    named like an output's port ({!output_port}), operator arities
-    respected by construction. *)
+    named like an output's port ({!output_port}), no input or scalar
+    named like the local that holds an output's value ([out_<name>]),
+    operator arities respected by construction. *)
 let check_kernel (k : kernel) : (unit, string) result =
   let declared = k.k_inputs in
   let params = List.map fst k.k_params in
@@ -144,7 +145,18 @@ let check_kernel (k : kernel) : (unit, string) result =
         bad :=
           Some
             (Printf.sprintf "input stream %S has the port name of output %S"
-               (output_port o) o.o_name))
+               (output_port o) o.o_name);
+      let local = "out_" ^ o.o_name in
+      if List.mem local declared then
+        bad :=
+          Some
+            (Printf.sprintf "input stream %S has the value name of output %S"
+               local o.o_name);
+      if List.mem local params then
+        bad :=
+          Some
+            (Printf.sprintf "scalar %S has the value name of output %S" local
+               o.o_name))
     k.k_outputs;
   if k.k_outputs = [] && k.k_reductions = [] then
     bad := Some "kernel has no outputs and no reductions";

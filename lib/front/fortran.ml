@@ -43,6 +43,10 @@
 
 exception Error of string * int
 
+(** The loop nest parsed, but the kernel it elaborates to fails
+    {!Expr.check_kernel}, whose message this carries. *)
+exception Invalid of string
+
 (* ------------------------------------------------------------------ *)
 (* Lexer                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -540,7 +544,7 @@ let elaborate ~(ty : Tytra_ir.Ty.t) ~(name : string)
   in
   (match Expr.check_kernel kernel with
   | Ok () -> ()
-  | Error e -> raise (Error ("elaborated kernel invalid: " ^ e, 0)));
+  | Error e -> raise (Invalid e));
   { Expr.p_kernel = kernel; p_shape = List.map snd el.el_dims }
 
 (** [parse ?ty ?name ~sizes src] — parse and elaborate a Fortran-style

@@ -248,12 +248,17 @@ let wiring (k : Expr.kernel) (lanes : lane array) ~f1_params
                  (pe_args lanes (i * dv) ((i + 1) * dv) scalar_args)
                  Ast.Par)) ]
 
-(* Raise [Invalid_argument] unless [p]'s kernel is well formed and [v]
-   is applicable to it. *)
-let check_variant (p : Expr.program) (v : Transform.variant) =
-  (match Expr.check_kernel p.Expr.p_kernel with
+(* Raise [Invalid_argument] unless [p]'s kernel is well formed. Only
+   {!lower} checks it: a template's kernel was checked when {!template}
+   lowered it, so a derived variant is checked by {!check_variant}
+   alone. *)
+let check_kernel (p : Expr.program) =
+  match Expr.check_kernel p.Expr.p_kernel with
   | Ok () -> ()
-  | Error e -> invalid_arg ("Lower.lower: invalid kernel: " ^ e));
+  | Error e -> invalid_arg ("Lower.lower: invalid kernel: " ^ e)
+
+(* Raise [Invalid_argument] unless [v] is applicable to [p]. *)
+let check_variant (p : Expr.program) (v : Transform.variant) =
   if not (Transform.applicable p v) then
     invalid_arg
       (Printf.sprintf "Lower.lower: variant %s not applicable (size %d)%s"
@@ -336,6 +341,7 @@ let build_variant ~(f0 : [ `Emit | `Shared of Ast.func ])
     contiguous slices). *)
 let lower ?(pattern = Ast.Cont) (p : Expr.program) (v : Transform.variant) :
     Ast.design =
+  check_kernel p;
   Validate.check_exn
     (build_variant ~f0:`Emit ~lanes:(fresh_lanes ~pattern p.Expr.p_kernel) p v)
 

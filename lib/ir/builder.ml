@@ -76,10 +76,19 @@ let param fb name =
   if List.mem_assoc name fb.params then Var name
   else invalid_arg (Printf.sprintf "Builder.param: no parameter %%%s" name)
 
-let fresh fb =
+(* [List.mem_assoc name params] with [String.equal]: it runs once per
+   temporary *)
+let rec binds name = function
+  | [] -> false
+  | (p, _) :: rest -> String.equal p name || binds name rest
+
+(* A temporary never takes a parameter's name: a kernel input called
+   [t0] is a parameter of [@f0]. *)
+let rec fresh fb =
   let n = fb.fresh in
   fb.fresh <- n + 1;
-  Printf.sprintf "t%d" n
+  let name = Printf.sprintf "t%d" n in
+  if binds name fb.params then fresh fb else name
 
 (** [offset fb ~ty src off] emits a stream-offset definition and returns
     the new stream operand. *)

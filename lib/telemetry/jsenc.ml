@@ -4,9 +4,9 @@
     every exporter (Chrome trace, metrics registry, event log, exposition
     endpoint) builds its output through the two encoders below, and the
     event-log round-trip decoder ({!Events.decode_line}) parses through
-    {!parse}. The parser handles the full JSON grammar but is tuned for
-    the small flat objects telemetry emits — one allocation-light pass,
-    no streaming. *)
+    {!parse}. The parser handles the full JSON grammar in one indexed
+    pass, no streaming; besides telemetry's small flat objects it
+    decodes every request body [tybec serve] receives. *)
 
 (** JSON string literal with proper escaping (OCaml's [%S] escapes
     control characters as decimal [\ddd], which JSON rejects). *)
@@ -51,133 +51,149 @@ type t =
 
 exception Bad of string
 
+(* The decoder indexes [s] directly: no option per character, and a
+   string without escapes is one [String.sub] of its span. Errors name
+   the offset where decoding stopped. *)
 let parse (s : string) : (t, string) result =
   let n = String.length s in
   let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
   let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
+  let at c = !pos < n && String.unsafe_get s !pos = c in
   let skip_ws () =
     while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+      !pos < n
+      && (match String.unsafe_get s !pos with
+         | ' ' | '\t' | '\n' | '\r' -> true
+         | _ -> false)
     do
-      advance ()
+      incr pos
     done
   in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
+    if at c then incr pos else fail (Printf.sprintf "expected '%c'" c)
   in
   let literal lit v =
     let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
+    let rec same i = i = l || (s.[!pos + i] = lit.[i] && same (i + 1)) in
+    if !pos + l <= n && same 0 then begin
       pos := !pos + l;
       v
     end
-    else fail (Printf.sprintf "expected %s" lit)
+    else fail ("expected " ^ lit)
   in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
+  (* first index at or after [i] holding a quote or a backslash, or [n] *)
+  let rec plain i =
+    if i < n && (match String.unsafe_get s i with '"' | '\\' -> false | _ -> true)
+    then plain (i + 1)
+    else i
+  in
+  (* the rest of a string whose first escape is at [i]; the raw span up
+     to the closing quote bounds its decoded length *)
+  let escaped start i =
+    let rec close j =
+      if j >= n then n
+      else match String.unsafe_get s j with
+        | '"' -> j
+        | '\\' -> close (j + 2)
+        | _ -> close (j + 1)
+    in
+    let b = Buffer.create (close i - start) in
+    Buffer.add_substring b s start (i - start);
+    pos := i;
+    let unescaped c =
+      incr pos;
+      Buffer.add_char b c
+    in
     let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some 'n' -> advance (); Buffer.add_char b '\n'; go ()
-          | Some 't' -> advance (); Buffer.add_char b '\t'; go ()
-          | Some 'r' -> advance (); Buffer.add_char b '\r'; go ()
-          | Some 'b' -> advance (); Buffer.add_char b '\b'; go ()
-          | Some 'f' -> advance (); Buffer.add_char b '\012'; go ()
-          | Some '/' -> advance (); Buffer.add_char b '/'; go ()
-          | Some '"' -> advance (); Buffer.add_char b '"'; go ()
-          | Some '\\' -> advance (); Buffer.add_char b '\\'; go ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              pos := !pos + 4;
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> fail "bad \\u escape"
-              in
-              (* telemetry only escapes control chars; keep it simple *)
-              if code < 0x80 then Buffer.add_char b (Char.chr code)
-              else Buffer.add_string b (Printf.sprintf "\\u%04x" code);
-              go ()
-          | _ -> fail "bad escape")
-      | Some c -> advance (); Buffer.add_char b c; go ()
+      let j = plain !pos in
+      Buffer.add_substring b s !pos (j - !pos);
+      pos := j;
+      if j >= n then fail "unterminated string"
+      else if s.[j] = '"' then incr pos
+      else begin
+        incr pos;
+        if !pos >= n then fail "bad escape";
+        (match s.[!pos] with
+        | 'n' -> unescaped '\n'
+        | 't' -> unescaped '\t'
+        | 'r' -> unescaped '\r'
+        | 'b' -> unescaped '\b'
+        | 'f' -> unescaped '\012'
+        | ('/' | '"' | '\\') as c -> unescaped c
+        | 'u' -> (
+            incr pos;
+            if !pos + 4 > n then fail "truncated \\u escape";
+            let hex = String.sub s !pos 4 in
+            pos := !pos + 4;
+            (* telemetry only escapes control chars; keep it simple *)
+            match int_of_string_opt ("0x" ^ hex) with
+            | None -> fail "bad \\u escape"
+            | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
+            | Some code -> Buffer.add_string b (Printf.sprintf "\\u%04x" code))
+        | _ -> fail "bad escape");
+        go ()
+      end
     in
     go ();
     Buffer.contents b
   in
+  let parse_string () =
+    expect '"';
+    let start = !pos in
+    let i = plain start in
+    if i < n && String.unsafe_get s i = '"' then begin
+      pos := i + 1;
+      String.sub s start (i - start)
+    end
+    else escaped start i
+  in
   let parse_number () =
     let start = !pos in
-    let numchar c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when numchar c -> true | _ -> false) do
-      advance ()
+    while
+      !pos < n
+      && (match String.unsafe_get s !pos with
+         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+         | _ -> false)
+    do
+      incr pos
     done;
-    let lit = String.sub s start (!pos - start) in
-    match float_of_string_opt lit with
+    match float_of_string_opt (String.sub s start (!pos - start)) with
     | Some f -> f
     | None -> fail "bad number"
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
+    if !pos >= n then fail "unexpected end of input";
+    match String.unsafe_get s !pos with
+    | '{' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some '}' then begin advance (); Obj [] end
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (k, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
-          in
-          members ();
-          Obj (List.rev !fields)
-        end
-    | Some '[' ->
-        advance ();
+        if at '}' then begin incr pos; Obj [] end else Obj (members [])
+    | '[' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some ']' then begin advance (); List [] end
-        else begin
-          let items = ref [] in
-          let rec elements () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elements ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements ();
-          List (List.rev !items)
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
+        if at ']' then begin incr pos; List [] end else List (elements [])
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ -> Num (parse_number ())
+  and members acc =
+    skip_ws ();
+    let k = parse_string () in
+    skip_ws ();
+    expect ':';
+    let acc = (k, parse_value ()) :: acc in
+    skip_ws ();
+    if at ',' then begin incr pos; members acc end
+    else if at '}' then begin incr pos; List.rev acc end
+    else fail "expected ',' or '}'"
+  and elements acc =
+    let acc = parse_value () :: acc in
+    skip_ws ();
+    if at ',' then begin incr pos; elements acc end
+    else if at ']' then begin incr pos; List.rev acc end
+    else fail "expected ',' or ']'"
   in
   match
     let v = parse_value () in

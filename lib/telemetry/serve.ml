@@ -48,8 +48,6 @@ type response = {
   rs_body : string;
 }
 
-type handler = request -> response option
-
 (** An incrementally-written response: the head is sent first (status +
     content type, no Content-Length — the body is delimited by the
     connection close), then [st_write] runs with a chunk writer that
@@ -61,8 +59,11 @@ type stream = {
   st_write : (string -> unit) -> unit;
 }
 
-type streamer = request -> stream option
-(** Consulted before the plain {!handler}; [None] falls through. *)
+type reply = Response of response | Stream of stream
+
+(* The one request hook: it answers a request whole or as a stream;
+   [None] falls through to the metrics routes. *)
+type handler = request -> reply option
 
 type error_responder = int -> response option
 (** Renders wire-level failures (400 malformed, 408 read timeout, 413
@@ -251,52 +252,39 @@ let error_response (error_responder : error_responder) status =
   | None -> text status (reason_of_status status ^ "\n")
   | exception _ -> text status (reason_of_status status ^ "\n")
 
-let handle_client ?(streamer : streamer = fun _ -> None)
-    ?(error_responder : error_responder = fun _ -> None) handler fd requests =
+let handle_client ~(error_responder : error_responder) (handler : handler) fd
+    requests =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      let count () =
-        Atomic.incr requests;
-        Metrics.incr "serve.requests"
-      in
-      match read_request fd with
+      (match read_request fd with
       | Error status ->
-          write_all fd (http_response (error_response error_responder status));
-          count ()
+          write_all fd (http_response (error_response error_responder status))
       | Ok rq -> (
-          match streamer rq with
-          | Some st ->
+          match
+            match handler rq with
+            | Some reply -> reply
+            | None -> Response (metrics_routes rq)
+          with
+          | Response r -> write_all fd (http_response r)
+          | Stream st -> (
               (* head first, then chunks as the producer emits them; a
                  peer that goes away mid-stream just loses bytes
                  (write_all swallows the error), the producer finishes
                  undisturbed *)
               write_all fd (http_stream_head st.st_status st.st_content_type);
-              (try st.st_write (fun chunk -> write_all fd chunk)
-               with e ->
-                 write_all fd
-                   ("{\"status\":\"error\",\"message\":"
-                   ^ Printf.sprintf "%S" (Printexc.to_string e)
-                   ^ "}\n"));
-              count ()
+              try st.st_write (fun chunk -> write_all fd chunk)
+              with e ->
+                write_all fd
+                  ("{\"status\":\"error\",\"message\":"
+                  ^ Printf.sprintf "%S" (Printexc.to_string e)
+                  ^ "}\n"))
           | exception e ->
               write_all fd
                 (http_response
-                   (text 500 ("internal error: " ^ Printexc.to_string e ^ "\n")));
-              count ()
-          | None ->
-              let resp =
-                match
-                  match handler rq with
-                  | Some r -> r
-                  | None -> metrics_routes rq
-                with
-                | r -> r
-                | exception e ->
-                    text 500 ("internal error: " ^ Printexc.to_string e ^ "\n")
-              in
-              write_all fd (http_response resp);
-              count ()))
+                   (text 500 ("internal error: " ^ Printexc.to_string e ^ "\n")))));
+      Atomic.incr requests;
+      Metrics.incr "serve.requests")
 
 (* --------------------------------------------------------------- *)
 (* Accept loop and worker handoff                                   *)
@@ -305,7 +293,7 @@ let handle_client ?(streamer : streamer = fun _ -> None)
 (* workers = 0: serve inline on the accept domain (the metrics-scrape
    configuration). workers > 0: enqueue for the worker domains, shedding
    load with a 429 when the bounded queue is full. *)
-let accept_loop fd stop handler ~streamer ~error_responder ~inline ~queue
+let accept_loop fd stop handler ~error_responder ~inline ~queue
     ~queue_cap ~mutex ~cond ~requests ~rejected =
   let rec go () =
     if not (Atomic.get stop) then begin
@@ -316,8 +304,7 @@ let accept_loop fd stop handler ~streamer ~error_responder ~inline ~queue
           | client, _ ->
               if inline then (
                 try
-                  handle_client ~streamer ~error_responder handler client
-                    requests
+                  handle_client ~error_responder handler client requests
                 with _ -> (
                   try Unix.close client with Unix.Unix_error _ -> ()))
               else begin
@@ -346,8 +333,8 @@ let accept_loop fd stop handler ~streamer ~error_responder ~inline ~queue
 (* Workers block on the condition until work or shutdown; on shutdown
    they drain whatever the accept loop already admitted (the graceful-
    drain contract: every accepted connection is answered). *)
-let worker_loop handler ~streamer ~error_responder ~stop ~queue ~mutex ~cond
-    ~requests =
+let worker_loop handler ~error_responder ~stop ~queue ~mutex ~cond ~requests
+    =
   let rec go () =
     Mutex.lock mutex;
     let rec await () =
@@ -364,7 +351,7 @@ let worker_loop handler ~streamer ~error_responder ~stop ~queue ~mutex ~cond
     match job with
     | None -> ()
     | Some client ->
-        (try handle_client ~streamer ~error_responder handler client requests
+        (try handle_client ~error_responder handler client requests
          with _ -> (try Unix.close client with Unix.Unix_error _ -> ()));
         go ()
   in
@@ -384,7 +371,6 @@ let parse_tcp_addr addr =
   | None -> ("127.0.0.1", int_of_string addr)
 
 let start ?(handler : handler = fun _ -> None)
-    ?(streamer : streamer = fun _ -> None)
     ?(error_responder : error_responder = fun _ -> None) ?(workers = 0)
     ?(queue_cap = 64) ?(reuseport = false) ?listen_fd ~addr () : server =
   let fd, bound, unix_path =
@@ -470,14 +456,14 @@ let start ?(handler : handler = fun _ -> None)
   let inline = workers <= 0 in
   let accept =
     Domain.spawn (fun () ->
-        accept_loop fd stop handler ~streamer ~error_responder ~inline ~queue
-          ~queue_cap ~mutex ~cond ~requests ~rejected)
+        accept_loop fd stop handler ~error_responder ~inline ~queue ~queue_cap
+          ~mutex ~cond ~requests ~rejected)
   in
   let worker_domains =
     List.init (max 0 workers) (fun _ ->
         Domain.spawn (fun () ->
-            worker_loop handler ~streamer ~error_responder ~stop ~queue ~mutex
-              ~cond ~requests))
+            worker_loop handler ~error_responder ~stop ~queue ~mutex ~cond
+              ~requests))
   in
   {
     sv_fd = fd;

@@ -15,17 +15,12 @@ type request = {
   rq_body : string;  (** request body ("" when absent) *)
 }
 
-(** What a {!handler} answers with. *)
+(** A whole response: status, content type and body. *)
 type response = {
   rs_status : int;  (** 200, 400, 404, 429, 500, ... *)
   rs_content_type : string;
   rs_body : string;
 }
-
-type handler = request -> response option
-(** [None] falls through to the built-in metrics routes (and their 404).
-    An exception from a handler is answered as a 500, never crashes a
-    worker. *)
 
 (** An incrementally-written response: the head goes out first (status +
     content type, {e no} Content-Length — the connection close delimits
@@ -38,10 +33,15 @@ type stream = {
   st_write : (string -> unit) -> unit;
 }
 
-type streamer = request -> stream option
-(** Consulted before the plain {!handler}; [None] falls through. An
-    exception raised before the head is written is answered as a 500;
-    after the head, an error line is appended and the stream closed. *)
+(** What a {!handler} answers with: a whole response, or a stream. *)
+type reply = Response of response | Stream of stream
+
+type handler = request -> reply option
+(** The one request hook. [None] falls through to the built-in metrics
+    routes (and their 404). An exception from a handler is answered as
+    a 500, never crashes a worker; one raised by a stream's [st_write]
+    after the head went out appends an error line and closes the
+    stream. *)
 
 type error_responder = int -> response option
 (** Renders wire-level failures into a custom response body. Consulted
@@ -62,7 +62,6 @@ type server
 
 val start :
   ?handler:handler ->
-  ?streamer:streamer ->
   ?error_responder:error_responder ->
   ?workers:int ->
   ?queue_cap:int ->
@@ -71,9 +70,9 @@ val start :
   addr:string ->
   unit ->
   server
-(** [start ?handler ?streamer ?error_responder ?workers ?queue_cap
-    ?reuseport ?listen_fd ~addr ()] — bind, listen and serve on
-    background domains. [addr] is
+(** [start ?handler ?error_responder ?workers ?queue_cap ?reuseport
+    ?listen_fd ~addr ()] — bind, listen and serve on background
+    domains. [addr] is
     [HOST:PORT], [:PORT], [PORT] (TCP; port 0 = ephemeral) or
     [unix:PATH]. Raises [Failure] on an unusable address.
 

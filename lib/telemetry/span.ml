@@ -12,6 +12,12 @@
     taxonomy. Attribute payloads are small typed values rendered into the
     Chrome-trace [args] object.
 
+    A completed span is kept for an exporter only when {!keep} is set:
+    a run sets it when it will export spans ([--trace], [--metrics],
+    bench's [--json]/[--trace]). Enabled telemetry without it still
+    times spans for the [--events] log, and keeps none of them, so a
+    daemon that serves only metrics holds no per-request state.
+
     Overhead when disabled: one mutable-bool check, no allocation. *)
 
 (** Typed span attribute values. *)
@@ -51,6 +57,10 @@ let dropped = ref 0
 let default_max_events = 1_000_000
 let max_events = ref default_max_events
 let set_max_events n = max_events := max 0 n
+
+(* Whether completed spans are kept at all; see the header. *)
+let keep = ref false
+let set_keep b = keep := b
 
 (* Open-span stack and nesting depth are *per-domain* state: workers of
    the parallel DSE pool each carry their own stack, so concurrent spans
@@ -117,10 +127,11 @@ let record ~name ~t0 ~t1 ~depth:d ~tid ~attrs =
 
 (** [with_ ?attrs ~name f] — run [f ()] inside a span called [name].
     Returns [f ()]'s value; re-raises its exceptions after recording the
-    span with an [error] attribute. When telemetry is disabled this is
-    exactly [f ()]. *)
+    span with an [error] attribute. When telemetry is disabled, or when
+    spans are neither kept nor logged, this is exactly [f ()]. *)
 let with_ ?(attrs : (string * attr) list = []) ~name f =
   if not !Control.enabled then f ()
+  else if not (!keep || Events.active ()) then f ()
   else begin
     let tid = (Domain.self () :> int) in
     let ds = Domain.DLS.get dls in
@@ -137,7 +148,7 @@ let with_ ?(attrs : (string * attr) list = []) ~name f =
     | v ->
         let t1 = Clock.now_ns () in
         leave ();
-        record ~name ~t0 ~t1 ~depth:d ~tid ~attrs;
+        if !keep then record ~name ~t0 ~t1 ~depth:d ~tid ~attrs;
         if Events.active () then
           Events.emit
             (Events.Span_close
@@ -146,8 +157,9 @@ let with_ ?(attrs : (string * attr) list = []) ~name f =
     | exception e ->
         let t1 = Clock.now_ns () in
         leave ();
-        record ~name ~t0 ~t1 ~depth:d ~tid
-          ~attrs:(("error", Str (Printexc.to_string e)) :: attrs);
+        if !keep then
+          record ~name ~t0 ~t1 ~depth:d ~tid
+            ~attrs:(("error", Str (Printexc.to_string e)) :: attrs);
         if Events.active () then
           Events.emit
             (Events.Span_close
@@ -157,14 +169,4 @@ let with_ ?(attrs : (string * attr) list = []) ~name f =
                  error = Some (Printexc.to_string e);
                });
         raise e
-  end
-
-(** [instant ?attrs name] — record a zero-duration marker event. *)
-let instant ?(attrs : (string * attr) list = []) name =
-  if !Control.enabled then begin
-    let t = Clock.now_ns () in
-    record ~name ~t0:t ~t1:t
-      ~depth:(Domain.DLS.get dls).ds_depth
-      ~tid:((Domain.self () :> int))
-      ~attrs
   end

@@ -1,0 +1,146 @@
+(* Differential oracle for [Jsenc.parse]: the original peek-per-character
+   decoder. It reads every character through an option, and builds
+   every string in a [Buffer] one character at a time. test_engine
+   checks that the indexed decoder returns the same value, or the same
+   error message at the same offset, on the protocol fuzz corpus and on
+   generated JSON. *)
+
+open Tytra_telemetry.Jsenc
+
+exception Bad of string
+
+let parse (s : string) : (t, string) result =
+  let n = String.length s in
+  let pos = ref 0 in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let advance () = incr pos in
+  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
+  let skip_ws () =
+    while
+      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+    do
+      advance ()
+    done
+  in
+  let expect c =
+    match peek () with
+    | Some c' when c' = c -> advance ()
+    | _ -> fail (Printf.sprintf "expected '%c'" c)
+  in
+  let literal lit v =
+    let l = String.length lit in
+    if !pos + l <= n && String.sub s !pos l = lit then begin
+      pos := !pos + l;
+      v
+    end
+    else fail (Printf.sprintf "expected %s" lit)
+  in
+  let parse_string () =
+    expect '"';
+    let b = Buffer.create 16 in
+    let rec go () =
+      match peek () with
+      | None -> fail "unterminated string"
+      | Some '"' -> advance ()
+      | Some '\\' -> (
+          advance ();
+          match peek () with
+          | Some 'n' -> advance (); Buffer.add_char b '\n'; go ()
+          | Some 't' -> advance (); Buffer.add_char b '\t'; go ()
+          | Some 'r' -> advance (); Buffer.add_char b '\r'; go ()
+          | Some 'b' -> advance (); Buffer.add_char b '\b'; go ()
+          | Some 'f' -> advance (); Buffer.add_char b '\012'; go ()
+          | Some '/' -> advance (); Buffer.add_char b '/'; go ()
+          | Some '"' -> advance (); Buffer.add_char b '"'; go ()
+          | Some '\\' -> advance (); Buffer.add_char b '\\'; go ()
+          | Some 'u' ->
+              advance ();
+              if !pos + 4 > n then fail "truncated \\u escape";
+              let hex = String.sub s !pos 4 in
+              pos := !pos + 4;
+              let code =
+                try int_of_string ("0x" ^ hex)
+                with _ -> fail "bad \\u escape"
+              in
+              if code < 0x80 then Buffer.add_char b (Char.chr code)
+              else Buffer.add_string b (Printf.sprintf "\\u%04x" code);
+              go ()
+          | _ -> fail "bad escape")
+      | Some c -> advance (); Buffer.add_char b c; go ()
+    in
+    go ();
+    Buffer.contents b
+  in
+  let parse_number () =
+    let start = !pos in
+    let numchar c =
+      match c with
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+      | _ -> false
+    in
+    while (match peek () with Some c when numchar c -> true | _ -> false) do
+      advance ()
+    done;
+    let lit = String.sub s start (!pos - start) in
+    match float_of_string_opt lit with
+    | Some f -> f
+    | None -> fail "bad number"
+  in
+  let rec parse_value () =
+    skip_ws ();
+    match peek () with
+    | Some '{' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some '}' then begin advance (); Obj [] end
+        else begin
+          let fields = ref [] in
+          let rec members () =
+            skip_ws ();
+            let k = parse_string () in
+            skip_ws ();
+            expect ':';
+            let v = parse_value () in
+            fields := (k, v) :: !fields;
+            skip_ws ();
+            match peek () with
+            | Some ',' -> advance (); members ()
+            | Some '}' -> advance ()
+            | _ -> fail "expected ',' or '}'"
+          in
+          members ();
+          Obj (List.rev !fields)
+        end
+    | Some '[' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some ']' then begin advance (); List [] end
+        else begin
+          let items = ref [] in
+          let rec elements () =
+            let v = parse_value () in
+            items := v :: !items;
+            skip_ws ();
+            match peek () with
+            | Some ',' -> advance (); elements ()
+            | Some ']' -> advance ()
+            | _ -> fail "expected ',' or ']'"
+          in
+          elements ();
+          List (List.rev !items)
+        end
+    | Some '"' -> Str (parse_string ())
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some 'n' -> literal "null" Null
+    | Some _ -> Num (parse_number ())
+    | None -> fail "unexpected end of input"
+  in
+  match
+    let v = parse_value () in
+    skip_ws ();
+    if !pos <> n then fail "trailing garbage";
+    v
+  with
+  | v -> Ok v
+  | exception Bad msg -> Error msg

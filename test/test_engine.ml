@@ -158,31 +158,32 @@ let expect_bad_request what body =
   | exception e ->
       Alcotest.failf "%s: decode raised %s" what (Printexc.to_string e)
 
+let malformed_bodies =
+  [
+    ("empty", "");
+    ("not json", "hunter2");
+    ("truncated", "{\"v\":1,");
+    ("null", "null");
+    ("array", "[1,2,3]");
+    ("no version", {|{"op":"check","source":{"path":"x"}}|});
+    ("future version", {|{"v":2,"op":"check","source":{"path":"x"}}|});
+    ("no op", {|{"v":1}|});
+    ("unknown op", {|{"v":1,"op":"transmogrify"}|});
+    ("no source", {|{"v":1,"op":"check"}|});
+    ("empty source", {|{"v":1,"op":"check","source":{}}|});
+    ( "both sources",
+      {|{"v":1,"op":"check","source":{"path":"x","inline":"y"}}|} );
+    ("bad device", {|{"v":1,"op":"cost","source":{"path":"x"},"device":"pdp11"}|});
+    ("bad form", {|{"v":1,"op":"cost","source":{"path":"x"},"form":"Z"}|});
+    ("bad nki type", {|{"v":1,"op":"cost","source":{"path":"x"},"nki":"many"}|});
+    ("fractional nki", {|{"v":1,"op":"cost","source":{"path":"x"},"nki":1.5}|});
+    ("bad kernel", {|{"v":1,"op":"explore","kernel":"mandelbrot"}|});
+    ("bad effort", {|{"v":1,"op":"synth","source":{"path":"x"},"effort":"heroic"}|});
+    ("binary", "\x00\x01\xff\xfe{\"v\":1}");
+  ]
+
 let test_malformed_requests () =
-  List.iter
-    (fun (what, body) -> expect_bad_request what body)
-    [
-      ("empty", "");
-      ("not json", "hunter2");
-      ("truncated", "{\"v\":1,");
-      ("null", "null");
-      ("array", "[1,2,3]");
-      ("no version", {|{"op":"check","source":{"path":"x"}}|});
-      ("future version", {|{"v":2,"op":"check","source":{"path":"x"}}|});
-      ("no op", {|{"v":1}|});
-      ("unknown op", {|{"v":1,"op":"transmogrify"}|});
-      ("no source", {|{"v":1,"op":"check"}|});
-      ("empty source", {|{"v":1,"op":"check","source":{}}|});
-      ( "both sources",
-        {|{"v":1,"op":"check","source":{"path":"x","inline":"y"}}|} );
-      ("bad device", {|{"v":1,"op":"cost","source":{"path":"x"},"device":"pdp11"}|});
-      ("bad form", {|{"v":1,"op":"cost","source":{"path":"x"},"form":"Z"}|});
-      ("bad nki type", {|{"v":1,"op":"cost","source":{"path":"x"},"nki":"many"}|});
-      ("fractional nki", {|{"v":1,"op":"cost","source":{"path":"x"},"nki":1.5}|});
-      ("bad kernel", {|{"v":1,"op":"explore","kernel":"mandelbrot"}|});
-      ("bad effort", {|{"v":1,"op":"synth","source":{"path":"x"},"effort":"heroic"}|});
-      ("binary", "\x00\x01\xff\xfe{\"v\":1}");
-    ]
+  List.iter (fun (what, body) -> expect_bad_request what body) malformed_bodies
 
 (* PR-5 fuzz posture extended to the request codec: the .tirl fuzz
    corpus (nasty non-JSON bytes) plus deterministic random bytes must
@@ -213,6 +214,116 @@ let codec_total_qcheck =
       match Protocol.decode_request s with
       | Ok _ | Error _ -> true
       | exception _ -> false)
+
+(* The indexed [Jsenc.parse] against the peek-per-character decoder it
+   replaced ([Oracle_jsenc]): the same value, or the same error message
+   at the same offset. *)
+module J = Tytra_telemetry.Jsenc
+
+let rec show_json = function
+  | J.Null -> "null"
+  | J.Bool b -> string_of_bool b
+  | J.Num f -> Printf.sprintf "%h" f
+  | J.Str s -> Printf.sprintf "%S" s
+  | J.List l -> "[" ^ String.concat "," (List.map show_json l) ^ "]"
+  | J.Obj fs ->
+      "{"
+      ^ String.concat ","
+          (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k (show_json v)) fs)
+      ^ "}"
+
+let show_parse = function Ok v -> "ok " ^ show_json v | Error m -> "error " ^ m
+
+let check_like_oracle what s =
+  Alcotest.(check string) what (show_parse (Oracle_jsenc.parse s))
+    (show_parse (J.parse s))
+
+let test_json_decoder_oracle () =
+  let corpus =
+    Sys.readdir corpus_dir |> Array.to_list |> List.sort compare
+    |> List.map (fun f -> (f, read_file (Filename.concat corpus_dir f)))
+  in
+  let wire =
+    List.map
+      (fun (name, req) -> (name, Protocol.encode_request ~deadline_ms:20.0 req))
+      (("hotspot", Engine.Check { source = Engine.Inline hotspot_inline })
+      :: requests_under_test)
+  in
+  List.iter (fun (what, s) -> check_like_oracle what s)
+    (corpus @ malformed_bodies @ wire);
+  (* every truncation of a request whose inline source is all escapes
+     and plain runs *)
+  let s = List.assoc "check" wire in
+  for k = 0 to String.length s - 1 do
+    check_like_oracle (Printf.sprintf "check request cut at %d" k)
+      (String.sub s 0 k)
+  done
+
+(* JSON text with escapes (valid and not), [\u], nesting, stray
+   whitespace and bad literals, cut short one time in three. *)
+let json_text_gen =
+  let open QCheck.Gen in
+  let piece =
+    frequency
+      [
+        (8, map (String.make 1) (char_range 'a' 'z'));
+        ( 2,
+          oneofl
+            [ {|\n|}; {|\t|}; {|\"|}; {|\\|}; {|\/|}; {|\b|}; {|\f|};
+              {|\r|}; {|\u0041|}; {|\u00e9|}; {|\u001F|}; {|\u1_2_|};
+              {|\u_123|}; {|\uzz|}; {|\x|}; {|\|}; "\"" ] );
+        (1, map (String.make 1) char);
+      ]
+  in
+  let str =
+    map (fun ps -> "\"" ^ String.concat "" ps ^ "\"") (list_size (int_bound 6) piece)
+  in
+  let atom =
+    frequency
+      [
+        ( 2,
+          oneofl
+            [ "0"; "-1"; "3.25"; "1e3"; "-2.5E-2"; "1e"; "--1"; "+4"; ".5";
+              "12345678901234567890"; "-"; "" ] );
+        (3, str);
+        (1, oneofl [ "true"; "false"; "null"; "tru"; "nul"; "fals" ]);
+      ]
+  in
+  let ws = oneofl [ ""; ""; ""; " "; "\n\t "; "\r" ] in
+  let spaced g = map3 (fun a v b -> a ^ v ^ b) ws g ws in
+  let value =
+    sized
+    @@ fix (fun self n ->
+           if n <= 1 then spaced atom
+           else
+             frequency
+               [
+                 (2, spaced atom);
+                 ( 1,
+                   map
+                     (fun l -> "[" ^ String.concat "," l ^ "]")
+                     (list_size (int_bound 4) (self (n / 3))) );
+                 ( 1,
+                   map
+                     (fun kvs ->
+                       "{"
+                       ^ String.concat ","
+                           (List.map (fun (k, v) -> k ^ ":" ^ v) kvs)
+                       ^ "}")
+                     (list_size (int_bound 4) (pair (spaced str) (self (n / 3)))) );
+               ])
+  in
+  value >>= fun s ->
+  frequency
+    [
+      (2, return s);
+      (1, map (fun k -> String.sub s 0 k) (int_bound (String.length s)));
+    ]
+
+let json_decoder_oracle_qcheck =
+  QCheck.Test.make ~count:2000 ~name:"JSON decoder agrees with its oracle"
+    (QCheck.make ~print:(Printf.sprintf "%S") json_text_gen)
+    (fun s -> show_parse (J.parse s) = show_parse (Oracle_jsenc.parse s))
 
 let test_reply_roundtrip () =
   let resp =
@@ -611,21 +722,14 @@ let status_of raw =
   | _ :: code :: _ -> int_of_string code
   | _ -> Alcotest.failf "unparseable status line in %S" raw
 
-let with_server ?(workers = 2) ?(queue_cap = 64) ?handler ?streamer f =
-  let was = Tytra_telemetry.Metrics.snapshot in
-  ignore was;
+let with_server ?(workers = 2) ?(queue_cap = 64) ?handler f =
   Tytra_telemetry.Control.set_enabled true;
-  let handler, streamer =
+  let handler =
     match handler with
-    | Some h -> (h, Option.value streamer ~default:(fun _ -> None))
-    | None ->
-        let eng = Engine.create Engine.default_config in
-        ( Daemon.handler eng,
-          Option.value streamer ~default:(Daemon.streamer eng) )
+    | Some h -> h
+    | None -> Daemon.handler (Engine.create Engine.default_config)
   in
-  let sv =
-    Serve.start ~handler ~streamer ~workers ~queue_cap ~addr:"127.0.0.1:0" ()
-  in
+  let sv = Serve.start ~handler ~workers ~queue_cap ~addr:"127.0.0.1:0" () in
   Fun.protect
     ~finally:(fun () ->
       Serve.stop sv;
@@ -657,6 +761,62 @@ let test_serve_submit_roundtrip () =
   Alcotest.(check int) "healthz" 200 (status_of health);
   let metrics = http_request sa "GET" "/metrics" "" in
   Alcotest.(check int) "metrics" 200 (status_of metrics)
+
+(* [tybec serve] turns telemetry on for /metrics and, without --trace or
+   --metrics, keeps no span: a request leaves nothing behind. Spans used
+   to be kept for every request, in a process-wide buffer of up to a
+   million events that no route reads. *)
+let test_serve_keeps_no_spans () =
+  let module Tel = Tytra_telemetry in
+  Tel.Export.reset_all ();
+  Fun.protect ~finally:(fun () ->
+      Tel.Span.set_keep false;
+      Tel.Export.reset_all ())
+  @@ fun () ->
+  with_server @@ fun sv ->
+  let sa = sockaddr_of sv in
+  (* 25 distinct requests, each sent twice: 25 response-cache misses *)
+  let bodies =
+    List.init 50 (fun i ->
+        Protocol.encode_request
+          (Engine.Cost
+             {
+               source = Engine.Inline sor_inline;
+               device = dev;
+               form = Tytra_cost.Throughput.FormB;
+               nki = 1 + (i mod 25);
+               optimize = false;
+               calib = None;
+             }))
+  in
+  let send_all () =
+    List.iter
+      (fun body ->
+        Alcotest.(check int) "cost answered" 200
+          (status_of (http_request sa "POST" "/v1/submit" body)))
+      bodies
+  in
+  let requests () =
+    Option.value ~default:0.0 (Tel.Metrics.counter_value "engine.requests")
+  in
+  send_all ();
+  Alcotest.(check int) "no span kept" 0 (List.length (Tel.Span.events ()));
+  Alcotest.(check int) "no span dropped" 0 (Tel.Span.dropped_events ());
+  Alcotest.(check bool) "/metrics reports no dropped span" true
+    (Test_observability.contains
+       ~needle:"\ntytra_telemetry_dropped_spans 0\n"
+       (body_of (http_request sa "GET" "/metrics" "")));
+  Alcotest.(check (float 0.)) "every request counted" 50.0 (requests ());
+  (* --trace keeps them *)
+  Tel.Span.set_keep true;
+  send_all ();
+  let submits =
+    List.filter
+      (fun (e : Tel.Span.event) -> e.Tel.Span.ev_name = "engine.submit")
+      (Tel.Span.events ())
+  in
+  Alcotest.(check int) "kept engine.submit spans" 50 (List.length submits);
+  Alcotest.(check (float 0.)) "every request counted" 100.0 (requests ())
 
 let test_serve_malformed_is_typed () =
   with_server @@ fun sv ->
@@ -724,7 +884,10 @@ let test_serve_backpressure () =
       Condition.wait gate_c gate_m
     done;
     Mutex.unlock gate_m;
-    Some { Serve.rs_status = 200; rs_content_type = "text/plain"; rs_body = "done\n" }
+    Some
+      (Serve.Response
+         { Serve.rs_status = 200; rs_content_type = "text/plain";
+           rs_body = "done\n" })
   in
   with_server ~workers:1 ~queue_cap:1 ~handler:gate_handler @@ fun sv ->
   let sa = sockaddr_of sv in
@@ -774,7 +937,10 @@ let test_serve_drain_answers_inflight () =
       Condition.wait gate_c gate_m
     done;
     Mutex.unlock gate_m;
-    Some { Serve.rs_status = 200; rs_content_type = "text/plain"; rs_body = "drained\n" }
+    Some
+      (Serve.Response
+         { Serve.rs_status = 200; rs_content_type = "text/plain";
+           rs_body = "drained\n" })
   in
   Tytra_telemetry.Control.set_enabled true;
   let sv =
@@ -1197,6 +1363,9 @@ let suite =
     Alcotest.test_case "request codec total on fuzz corpus" `Quick
       test_codec_fuzz_corpus;
     QCheck_alcotest.to_alcotest codec_total_qcheck;
+    Alcotest.test_case "JSON decoder = oracle on the fuzz corpus" `Quick
+      test_json_decoder_oracle;
+    QCheck_alcotest.to_alcotest json_decoder_oracle_qcheck;
     Alcotest.test_case "reply codec round-trips" `Quick test_reply_roundtrip;
     Alcotest.test_case "engine text = CLI stdout" `Slow test_text_matches_cli;
     Alcotest.test_case "parse cache warms repeat requests" `Quick
@@ -1213,6 +1382,8 @@ let suite =
       test_concurrent_mixed_clients;
     Alcotest.test_case "serve: submit round-trip + observability" `Quick
       test_serve_submit_roundtrip;
+    Alcotest.test_case "serve: a request keeps no span" `Quick
+      test_serve_keeps_no_spans;
     Alcotest.test_case "serve: malformed bodies are typed 400s" `Quick
       test_serve_malformed_is_typed;
     Alcotest.test_case "serve: full queue sheds 429" `Quick

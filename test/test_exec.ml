@@ -177,6 +177,9 @@ let test_metrics_parallel_increments () =
 let test_spans_parallel_record () =
   Tytra_telemetry.Control.with_enabled true @@ fun () ->
   Tytra_telemetry.Span.reset ();
+  Tytra_telemetry.Span.set_keep true;
+  Fun.protect ~finally:(fun () -> Tytra_telemetry.Span.set_keep false)
+  @@ fun () ->
   ignore
     (Pool.with_pool ~jobs:4 (fun p ->
          Pool.map p

@@ -200,6 +200,32 @@ end do
   let y = List.assoc "y" r.Eval.outputs in
   Alcotest.(check (float 1e-9)) "0.5 * 2.0" 1.0 (Int64.float_of_bits y.(0))
 
+(* Kernel names that collide with the names lowering generates: [@f0]'s
+   temporaries [t0], [t1], ... and the value [out_<o>] of output [o]. A
+   temporary skips a parameter's name, so an input [t0] lowers to a
+   valid design at every lane count; an input or scalar [out_y] beside
+   an output [y] (or an input [o_y], its port) is refused as an invalid
+   kernel, not as a parse error. *)
+let y_of name =
+  Printf.sprintf "do i = 1, n\n  y(i) = %s(i) + 1\nend do\n" name
+
+let test_generated_names () =
+  let p = Fortran.parse ~sizes:[ ("n", 16) ] (y_of "t0") in
+  List.iter
+    (fun v -> ignore (Lower.lower p v))
+    Transform.[ Seq; Pipe; ParPipe 2; ParPipe 4; ParVecPipe (2, 2) ];
+  let invalid what src =
+    match Fortran.parse ~sizes:[ ("n", 16) ] src with
+    | exception Fortran.Invalid _ -> ()
+    | exception Fortran.Error (m, _) ->
+        Alcotest.failf "%s: refused as a parse error: %s" what m
+    | _ -> Alcotest.failf "%s: accepted" what
+  in
+  invalid "input out_y" (y_of "out_y");
+  invalid "input o_y" (y_of "o_y");
+  invalid "scalar out_y"
+    "parameter out_y = 2\ndo i = 1, n\n  y(i) = out_y * x(i)\nend do\n"
+
 let suite =
   [
     Alcotest.test_case "parse SOR loop nest" `Quick test_parse_sor;
@@ -214,4 +240,6 @@ let suite =
     Alcotest.test_case "intrinsics" `Quick test_intrinsics;
     Alcotest.test_case "unsupported code rejected" `Quick test_rejections;
     Alcotest.test_case "float kernels" `Quick test_float_kernel;
+    Alcotest.test_case "names of generated locals" `Quick
+      test_generated_names;
   ]

@@ -117,11 +117,37 @@ let test_check_kernel () =
       k_outputs = [ { Expr.o_name = "y"; o_expr = Expr.input "o_y" } ];
     }
   in
-  match Expr.check_kernel o_y with
+  (match Expr.check_kernel o_y with
   | Error e ->
       Alcotest.(check string) "names the input and the output"
         "input stream \"o_y\" has the port name of output \"y\"" e
-  | Ok () -> Alcotest.fail "an input named o_y beside an output y must fail"
+  | Ok () -> Alcotest.fail "an input named o_y beside an output y must fail");
+  (* nor like the local out_y that holds output y's value in @f0 *)
+  let out_y =
+    {
+      o_y with
+      Expr.k_inputs = [ "out_y" ];
+      k_outputs = [ { Expr.o_name = "y"; o_expr = Expr.input "out_y" } ];
+    }
+  in
+  (match Expr.check_kernel out_y with
+  | Error e ->
+      Alcotest.(check string) "names the input and the output"
+        "input stream \"out_y\" has the value name of output \"y\"" e
+  | Ok () -> Alcotest.fail "an input named out_y beside an output y must fail");
+  match
+    Expr.check_kernel
+      {
+        o_y with
+        Expr.k_inputs = [ "x" ];
+        k_params = [ ("out_y", 2L) ];
+        k_outputs = [ { Expr.o_name = "y"; o_expr = Expr.input "x" } ];
+      }
+  with
+  | Error e ->
+      Alcotest.(check string) "names the scalar and the output"
+        "scalar \"out_y\" has the value name of output \"y\"" e
+  | Ok () -> Alcotest.fail "a scalar named out_y beside an output y must fail"
 
 (* v = u + u1: lane 10 of u and lane 0 of u1 are both named u10, so no
    variant of 11 or more PEs has a valid design *)

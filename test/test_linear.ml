@@ -172,6 +172,40 @@ let test_validate_words_per_port () =
     true
     (w <= validate_words_per_port_bound)
 
+(* A [cost] request carrying SOR 16^3 ParPipe-8 inline, as a client of
+   [tybec serve] sends it: about 5.8 KB, most of it one escaped string.
+   The indexed decoder allocates 0.06 words a byte on it: the escaped
+   source is built on the major heap, and what is left is the keys and
+   the few short values. The peek-per-character decoder it replaced
+   allocated 2.15 words a byte (an option per character read). *)
+let decode_words_per_byte_bound = 0.5
+
+let test_decode_words_per_byte () =
+  let text = Pprint.design_to_string (Lower.lower (sor ()) (Transform.ParPipe 8)) in
+  let body =
+    Tytra_engine.Protocol.encode_request
+      (Tytra_engine.Engine.Cost
+         {
+           source = Tytra_engine.Engine.Inline text;
+           device = Tytra_device.Device.stratixv_gsd8;
+           form = Tytra_cost.Throughput.FormB;
+           nki = 100;
+           optimize = false;
+           calib = None;
+         })
+  in
+  let w =
+    minor_words (fun () -> Tytra_engine.Protocol.decode_request body)
+    /. float_of_int (String.length body)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "Protocol.decode_request on a %d-byte inline cost request: %.2f \
+        words per byte <= %.1f"
+       (String.length body) w decode_words_per_byte_bound)
+    true
+    (w <= decode_words_per_byte_bound)
+
 let suite =
   [
     Alcotest.test_case "variant work linear in PEs" `Quick
@@ -186,4 +220,6 @@ let suite =
       test_parse_words_per_line;
     Alcotest.test_case "parse words per line bounded" `Quick
       test_parse_words_bound;
+    Alcotest.test_case "request decode words per byte bounded" `Quick
+      test_decode_words_per_byte;
   ]

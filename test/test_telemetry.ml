@@ -12,9 +12,11 @@ let with_fresh_telemetry f =
   Tel.Export.reset_all ();
   Tel.Clock.set_source (Tel.Clock.counting ~start:0L ~step:1000L ());
   Tel.Control.set_enabled true;
+  Tel.Span.set_keep true;
   Fun.protect
     ~finally:(fun () ->
       Tel.Control.set_enabled false;
+      Tel.Span.set_keep false;
       Tel.Clock.use_monotonic ();
       Tel.Export.reset_all ())
     f
