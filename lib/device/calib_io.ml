@@ -38,73 +38,76 @@ let save (path : string) (c : Bandwidth.calib) : unit =
       dump "strided" c.Bandwidth.strided;
       dump "random" c.Bandwidth.random)
 
-(** [load path] — read a calibration back. Returns [Error] with a
+(** [parse ~path text] — a calibration from [text], the contents of
+    file [path] (named in the warnings it logs). Returns [Error] with a
     line-numbered message on malformed input. *)
+let parse ~(path : string) (text : string) : (Bandwidth.calib, string) result =
+  (* the lines [input_line] would read: none in an empty text, and no
+     empty line after a final newline *)
+  let lines =
+    match List.rev (String.split_on_char '\n' text) with
+    | "" :: rest -> List.rev rest
+    | all -> List.rev all
+  in
+  let device = ref "" in
+  let cont = ref [] and strided = ref [] and random = ref [] in
+  let line lineno l =
+    let l = String.trim l in
+    if l = "" || l.[0] = '#' then None
+    else
+      match String.split_on_char ' ' l |> List.filter (fun s -> s <> "") with
+      | [ "device"; name ] ->
+          device := name;
+          None
+      | [ tag; bytes; bps ] -> (
+          match (float_of_string_opt bytes, float_of_string_opt bps) with
+          | Some b, Some s -> (
+              let pt = (b, s) in
+              match tag with
+              | "cont" -> cont := pt :: !cont; None
+              | "strided" -> strided := pt :: !strided; None
+              | "random" -> random := pt :: !random; None
+              | _ ->
+                  Some
+                    (Printf.sprintf "line %d: unknown pattern %S" lineno tag))
+          | _ -> Some (Printf.sprintf "line %d: malformed numbers" lineno))
+      | _ -> Some (Printf.sprintf "line %d: malformed line" lineno)
+  in
+  let rec body lineno = function
+    | [] -> None
+    | l :: rest -> (
+        match line lineno l with
+        | Some e -> Some e
+        | None -> body (lineno + 1) rest)
+  in
+  let err =
+    match lines with
+    | [] -> None
+    | first :: rest ->
+        if String.trim first <> magic then
+          Some "not a tytra calibration file (bad header)"
+        else body 2 rest
+  in
+  match err with
+  | Some e ->
+      Log.warn (fun m -> m "%s: %s" path e);
+      Error e
+  | None ->
+      if !cont = [] then begin
+        Log.warn (fun m -> m "%s: calibration has no contiguous points" path);
+        Error "calibration has no contiguous points"
+      end
+      else
+        Ok
+          (Bandwidth.make ~device:!device ~cont:(List.rev !cont)
+             ~strided:(List.rev !strided) ~random:(List.rev !random))
+
+(** [load path] — read a calibration back: {!parse} on the file's
+    contents, or [Error] with the message of a failed read. *)
 let load (path : string) : (Bandwidth.calib, string) result =
-  match open_in path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let device = ref "" in
-          let cont = ref [] and strided = ref [] and random = ref [] in
-          let err = ref None in
-          let lineno = ref 0 in
-          (try
-             let first = input_line ic in
-             incr lineno;
-             if String.trim first <> magic then
-               err := Some "not a tytra calibration file (bad header)";
-             while !err = None do
-               let l = input_line ic in
-               incr lineno;
-               let l = String.trim l in
-               if l = "" || (String.length l > 0 && l.[0] = '#') then ()
-               else
-                 match String.split_on_char ' ' l
-                       |> List.filter (fun s -> s <> "")
-                 with
-                 | [ "device"; name ] -> device := name
-                 | [ tag; bytes; bps ] -> (
-                     match
-                       (float_of_string_opt bytes, float_of_string_opt bps)
-                     with
-                     | Some b, Some s -> (
-                         let pt = (b, s) in
-                         match tag with
-                         | "cont" -> cont := pt :: !cont
-                         | "strided" -> strided := pt :: !strided
-                         | "random" -> random := pt :: !random
-                         | _ ->
-                             err :=
-                               Some
-                                 (Printf.sprintf "line %d: unknown pattern %S"
-                                    !lineno tag))
-                     | _ ->
-                         err :=
-                           Some
-                             (Printf.sprintf "line %d: malformed numbers"
-                                !lineno))
-                 | _ ->
-                     err :=
-                       Some (Printf.sprintf "line %d: malformed line" !lineno)
-             done
-           with End_of_file -> ());
-          match !err with
-          | Some e ->
-              Log.warn (fun m -> m "%s: %s" path e);
-              Error e
-          | None ->
-              if !cont = [] then begin
-                Log.warn (fun m ->
-                    m "%s: calibration has no contiguous points" path);
-                Error "calibration has no contiguous points"
-              end
-              else
-                Ok
-                  (Bandwidth.make ~device:!device ~cont:(List.rev !cont)
-                     ~strided:(List.rev !strided) ~random:(List.rev !random)))
+  | text -> parse ~path text
 
 let load_exn path =
   match load path with Ok c -> c | Error e -> invalid_arg ("Calib_io: " ^ e)

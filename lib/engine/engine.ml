@@ -267,31 +267,47 @@ let validate_design d =
   | [] -> Ok d
   | errs -> Error (Tytra_ir.Error.Invalid errs)
 
+(* The contents of file [path], or the message of the error reading it *)
+let read_file path : (string, string) result =
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | text -> Ok text
+  | exception Sys_error msg -> Error msg
+
+(* A source as a request uses it: a [File] read once, so the response
+   key, the parse-cache key and the answer come from the same bytes. *)
+type read_source =
+  | Read_inline of string
+  | Read_file of { path : string; bytes : (string, string) result }
+
+let read_source = function
+  | Inline text -> Read_inline text
+  | File path -> Read_file { path; bytes = read_file path }
+
 (* The cache key includes the diagnostic name alongside the bytes:
    located errors ("path:3: parse error ...") embed the path, so the
    same bytes under two names must not share an entry. *)
-let load_design_ir t (src : source) : (Ast.design, Tytra_ir.Error.t) result =
+let load_design_ir t (src : read_source) :
+    (Ast.design, Tytra_ir.Error.t) result =
   match src with
-  | Inline text ->
+  | Read_inline text ->
       let key = Cache.digest_key [ "inline"; text ] in
       Cache.find_or_add t.parse_cache ~key (fun () ->
           Result.bind (Tytra_ir.Parser.parse_result text) validate_design)
-  | File path -> (
-      match
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with
-      | exception Sys_error msg -> Error (Tytra_ir.Error.Io { path; msg })
-      | text ->
-          let key = Cache.digest_key [ "file"; path; text ] in
-          Cache.find_or_add t.parse_cache ~key (fun () ->
-              Result.bind
-                (Tytra_ir.Parser.parse_result
-                   ~name:(Filename.remove_extension (Filename.basename path))
-                   ~file:path text)
-                validate_design))
+  | Read_file { path; bytes = Error msg } ->
+      Error (Tytra_ir.Error.Io { path; msg })
+  | Read_file { path; bytes = Ok text } ->
+      let key = Cache.digest_key [ "file"; path; text ] in
+      Cache.find_or_add t.parse_cache ~key (fun () ->
+          Result.bind
+            (Tytra_ir.Parser.parse_result
+               ~name:(Filename.remove_extension (Filename.basename path))
+               ~file:path text)
+            validate_design)
 
 let error_of_ir (e : Tytra_ir.Error.t) =
   match e with
@@ -299,7 +315,8 @@ let error_of_ir (e : Tytra_ir.Error.t) =
   | Tytra_ir.Error.Lex _ | Tytra_ir.Error.Parse _ | Tytra_ir.Error.Io _ ->
       Parse_error (Tytra_ir.Error.to_string e)
 
-let load_design t src = Result.map_error error_of_ir (load_design_ir t src)
+let load t src = Result.map_error error_of_ir (load_design_ir t src)
+let load_design t src = load t (read_source src)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -330,7 +347,7 @@ let maybe_optimize opt d =
 let ( let* ) = Result.bind
 
 let do_check t ~source =
-  let* d = load_design t source in
+  let* d = load t source in
   let text, () =
     render (fun fmt ->
         Format.fprintf fmt "%s: valid TyTra-IR design (%d functions, %d streams)@."
@@ -353,16 +370,20 @@ let do_check t ~source =
           };
     }
 
+(* A calibration file as a request uses it: its path and its bytes, read
+   once, or the message of the error reading it. A file that cannot be
+   read or does not parse is an input error, same class as a bad .tirl. *)
 let load_calib = function
   | None -> Ok None
-  | Some f ->
-      (* a calibration file that does not parse is an input error, same
-         class as a bad .tirl *)
+  | Some (_, Error msg) -> Error (Parse_error msg)
+  | Some (path, Ok text) ->
       Result.map Option.some
-        (Result.map_error (fun m -> Parse_error m) (Tytra_device.Calib_io.load f))
+        (Result.map_error
+           (fun m -> Parse_error m)
+           (Tytra_device.Calib_io.parse ~path text))
 
 let do_cost t ~source ~device ~form ~nki ~optimize ~calib:calib_file =
-  let* d = load_design t source in
+  let* d = load t source in
   let* calib = load_calib calib_file in
   let d = maybe_optimize optimize d in
   let r = Tytra_cost.Report.evaluate ~device ?calib ~form ~nki d in
@@ -389,7 +410,7 @@ let do_cost t ~source ~device ~form ~nki ~optimize ~calib:calib_file =
     }
 
 let do_synth t ~source ~device ~effort ~optimize =
-  let* d = load_design t source in
+  let* d = load t source in
   let d = maybe_optimize optimize d in
   let t0 = Unix.gettimeofday () in
   let r = Tytra_sim.Techmap.run ~device ~effort d in
@@ -409,7 +430,7 @@ let do_synth t ~source ~device ~effort ~optimize =
     }
 
 let do_sim t ~source ~device ~form ~nki ~optimize =
-  let* d = load_design t source in
+  let* d = load t source in
   let sform =
     match form with
     | Tytra_cost.Throughput.FormA -> Tytra_sim.Cyclesim.A
@@ -524,16 +545,6 @@ let do_explore ?on_progress (x : explore_params) =
           };
     }
 
-let dispatch t ?on_progress = function
-  | Check { source } -> do_check t ~source
-  | Cost { source; device; form; nki; optimize; calib } ->
-      do_cost t ~source ~device ~form ~nki ~optimize ~calib
-  | Synth { source; device; effort; optimize } ->
-      do_synth t ~source ~device ~effort ~optimize
-  | Sim { source; device; form; nki; optimize } ->
-      do_sim t ~source ~device ~form ~nki ~optimize
-  | Explore x -> do_explore ?on_progress x
-
 (* ------------------------------------------------------------------ *)
 (* Response cache                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -544,71 +555,15 @@ let dispatch t ?on_progress = function
    path itself still participates because diagnostic names and design
    names embed it). [None] means uncacheable: a source or calib file
    that cannot be read (keyless, falls through to the normal error
-   path), and an Explore when [cache_explore] is clear (the caller
-   clears it when an [on_progress] observer is attached, so streamed
+   path), and an Explore when a progress observer is attached (streamed
    explores always evaluate live and emit their frames). Only [Ok]
    responses are inserted, so errors are re-derived (and re-rendered
    with current file state) every time. *)
 
-let read_file_opt path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | text -> Some text
-  | exception Sys_error _ -> None
-
 let source_key = function
-  | Inline text -> Some [ "inline"; text ]
-  | File path ->
-      Option.map (fun text -> [ "file"; path; text ]) (read_file_opt path)
-
-let request_key ~cache_explore (req : request) : string option =
-  let ( let* ) = Option.bind in
-  match req with
-  | Explore x ->
-      if not cache_explore then None
-      else
-        (* the surviving point set under pruning is jobs-dependent, so
-           the resolved width keys *)
-        let jobs = if x.x_jobs = 0 then Pool.default_jobs () else x.x_jobs in
-        Some
-          (Cache.digest_key
-             [ "explore";
-               Cache.digest_marshal
-                 { x with x_jobs = jobs; x_place_mode = None } ])
-  | Check { source } ->
-      let* src = source_key source in
-      Some (Cache.digest_key ("check" :: src))
-  | Cost { source; device; form; nki; optimize; calib } ->
-      let* src = source_key source in
-      let* calib_part =
-        match calib with
-        | None -> Some [ "nocalib" ]
-        | Some path ->
-            Option.map
-              (fun text -> [ "calib"; path; text ])
-              (read_file_opt path)
-      in
-      Some
-        (Cache.digest_key
-           (("cost" :: src)
-           @ calib_part
-           @ [ Cache.digest_marshal (device, form, nki, optimize) ]))
-  | Synth { source; device; effort; optimize } ->
-      let* src = source_key source in
-      Some
-        (Cache.digest_key
-           (("synth" :: src)
-           @ [ Cache.digest_marshal (device, effort, optimize) ]))
-  | Sim { source; device; form; nki; optimize } ->
-      let* src = source_key source in
-      Some
-        (Cache.digest_key
-           (("sim" :: src)
-           @ [ Cache.digest_marshal (device, form, nki, optimize) ]))
+  | Read_inline text -> Some [ "inline"; text ]
+  | Read_file { path; bytes = Ok text } -> Some [ "file"; path; text ]
+  | Read_file { bytes = Error _; _ } -> None
 
 let journal_insert t ~key rs =
   match t.journal with
@@ -617,22 +572,78 @@ let journal_insert t ~key rs =
       Journal.append j ~key ~payload:(Marshal.to_string rs []);
       Metrics.incr "engine.journal.appended"
 
-let dispatch_cached t ?on_progress req =
-  (* an attached progress observer pins the request to live evaluation:
-     a cache hit would answer correctly but silently skip every frame *)
-  match request_key ~cache_explore:(on_progress = None) req with
-  | None -> dispatch t ?on_progress req
+(* The response cached under [key], or [answer ()], cached under [key]
+   when it is [Ok]; a [None] key caches nothing. *)
+let cached t key answer =
+  match key with
+  | None -> answer ()
   | Some key -> (
       match Cache.find t.response_cache ~key with
       | Some rs -> Ok rs
       | None ->
-          let r = dispatch t ?on_progress req in
+          let r = answer () in
           (match r with
           | Ok rs ->
               Cache.add t.response_cache ~key rs;
               journal_insert t ~key rs
           | Error _ -> ());
           r)
+
+(* Answer [req] through the response cache. Each file the request names
+   is read once (once per attempt, when [submit] retries), here: the
+   response key, the parse-cache key and the answer all come from those
+   bytes, so a file rewritten meanwhile cannot cache one content's
+   answer under another's key. *)
+let dispatch_cached t ?on_progress (req : request) =
+  let ( let* ) = Option.bind in
+  let key op source params =
+    let* src = source_key source in
+    Some (Cache.digest_key ((op :: src) @ params))
+  in
+  match req with
+  | Explore x ->
+      (* an attached progress observer pins the request to live
+         evaluation: a cache hit would answer correctly but silently
+         skip every frame. The surviving point set under pruning is
+         jobs-dependent, so the resolved width keys. *)
+      let key =
+        if Option.is_some on_progress then None
+        else
+          let jobs = if x.x_jobs = 0 then Pool.default_jobs () else x.x_jobs in
+          Some
+            (Cache.digest_key
+               [ "explore";
+                 Cache.digest_marshal
+                   { x with x_jobs = jobs; x_place_mode = None } ])
+      in
+      cached t key (fun () -> do_explore ?on_progress x)
+  | Check { source } ->
+      let source = read_source source in
+      cached t (key "check" source []) (fun () -> do_check t ~source)
+  | Cost { source; device; form; nki; optimize; calib } ->
+      let source = read_source source in
+      let calib = Option.map (fun path -> (path, read_file path)) calib in
+      let calib_part =
+        match calib with
+        | None -> Some [ "nocalib" ]
+        | Some (path, Ok text) -> Some [ "calib"; path; text ]
+        | Some (_, Error _) -> None
+      in
+      cached t
+        (let* calib_part = calib_part in
+         key "cost" source
+           (calib_part @ [ Cache.digest_marshal (device, form, nki, optimize) ]))
+        (fun () -> do_cost t ~source ~device ~form ~nki ~optimize ~calib)
+  | Synth { source; device; effort; optimize } ->
+      let source = read_source source in
+      cached t
+        (key "synth" source [ Cache.digest_marshal (device, effort, optimize) ])
+        (fun () -> do_synth t ~source ~device ~effort ~optimize)
+  | Sim { source; device; form; nki; optimize } ->
+      let source = read_source source in
+      cached t
+        (key "sim" source [ Cache.digest_marshal (device, form, nki, optimize) ])
+        (fun () -> do_sim t ~source ~device ~form ~nki ~optimize)
 
 let submit ?deadline_s ?(retries = 0) ?on_progress t req =
   Metrics.incr "engine.requests";

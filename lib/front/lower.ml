@@ -268,22 +268,21 @@ let check_variant (p : Expr.program) (v : Transform.variant) =
          | None -> ""))
 
 (* Shared construction for [lower] and [derive]: build the (unvalidated)
-   design for variant [v]. [f0] selects the PE function: [`Emit]
-   compiles the kernel datapath, [`Shared f] installs one taken from an
-   already-validated template. [lanes pes] supplies the Manage-IR and
-   wiring of [pes] PEs; a derived design shares them, like [f0], with
-   every other variant of its template, so it pretty-prints
+   design for variant [v], which the caller has checked applicable. [f0]
+   selects the PE function: [`Emit] compiles the kernel datapath,
+   [`Shared f] installs one taken from an already-validated template.
+   [lanes] supplies the Manage-IR and wiring of the variant's PEs, one
+   lane each (more are ignored); a derived design shares them, like
+   [f0], with every other variant of its template, so it pretty-prints
    byte-identically to a full lowering. Per variant, only the memory
    objects, the list spines and the wiring functions are allocated. *)
 let build_variant ~(f0 : [ `Emit | `Shared of Ast.func ])
-    ~(lanes : int -> lane array) (p : Expr.program) (v : Transform.variant) :
+    ~(lanes : lane array) (p : Expr.program) (v : Transform.variant) :
     Ast.design =
-  check_variant p v;
   let k = p.Expr.p_kernel in
   let ty = k.Expr.k_ty in
   let pes = Transform.pes v in
   let chunk = Expr.points p / pes in
-  let lanes = lanes pes in
   (* the memory object behind stream [s] *)
   let mem (s : Ast.stream_obj) rest =
     { Ast.mo_name = s.so_mem; mo_space = Ast.Global; mo_ty = ty;
@@ -342,8 +341,11 @@ let build_variant ~(f0 : [ `Emit | `Shared of Ast.func ])
 let lower ?(pattern = Ast.Cont) (p : Expr.program) (v : Transform.variant) :
     Ast.design =
   check_kernel p;
+  check_variant p v;
   Validate.check_exn
-    (build_variant ~f0:`Emit ~lanes:(fresh_lanes ~pattern p.Expr.p_kernel) p v)
+    (build_variant ~f0:`Emit
+       ~lanes:(fresh_lanes ~pattern p.Expr.p_kernel (Transform.pes v))
+       p v)
 
 (** {2 Derived variants (DESIGN.md §10)}
 
@@ -359,33 +361,72 @@ let lower ?(pattern = Ast.Cont) (p : Expr.program) (v : Transform.variant) :
     index that validation runs on is returned by {!derive_sym}, so the
     DSE costs Seq and Pipe on it too (DESIGN.md §10.6).
 
+    {b Lane certificate.} A lane's Manage-IR is checked once per
+    template, when the template interns it ({!certify}): its ports name
+    [@main], each names the lane's stream at its own position with that
+    stream's direction at the kernel type, the lane's [@main]
+    parameters are its ports' names at that type, its strides are
+    positive, and its port, stream and memory-object names are new
+    across every lane certified before it. The first [derive] of a PE
+    count P checks the design it built against lanes [0 .. P - 1] by
+    position ({!conforms}), looking up no name, and validates only its
+    wiring. That gives the full check's verdict: the Manage-IR checks
+    read only the memory objects, streams, ports and [@main]'s
+    parameters, which the certificate and the position check cover
+    (DESIGN.md §10.2 says which covers what). The design then becomes
+    P's shell.
+
     {b Shells.} The replicated variants with the same PE count P
     ([ParPipe P] and every [ParVecPipe (l, dv)] with [l * dv = P]) also
     share their memory objects, streams, ports, globals, [@main] and
     [@f1]'s parameter list: they differ only in [@f1]'s body and
-    [@flane]. The first [derive] of P validates its whole design and
-    publishes it as P's shell. Every later [derive] of P takes those
-    parts from the shell, physically, builds its own [@f1] body and
-    [@flane], and validates only them, with [@f0] and [@main] trusted.
-    That gives the full check's verdict: every port names [@main], so
-    the Manage-IR checks read nothing but the shared declarations and
-    [@main]'s parameters, and [@main]'s one call was checked against
-    [@f1]'s kind and parameter list, which the shell fixes. Function
-    names, the globals and the call graph are checked again. On any
-    error the derive runs the full check, so its error text is the full
-    check's. *)
+    [@flane]. Every later [derive] of P takes those parts from the
+    shell, physically, builds its own [@f1] body and [@flane], and
+    validates only them, with [@f0] and [@main] trusted. That gives the
+    full check's verdict: every port names [@main], so the Manage-IR
+    checks read nothing but the shared declarations and [@main]'s
+    parameters, and [@main]'s one call was checked against [@f1]'s kind
+    and parameter list, which the shell fixes. Function names, the
+    globals and the call graph are checked again.
+
+    On any error, or a design the certificate does not cover, a derive
+    runs the full check, so its error text is the full check's. *)
+
+(** A template's interned lanes: a published value is never mutated,
+    and a published lane is never replaced, so every variant shares
+    it. *)
+type lanes = {
+  ls_lanes : lane array;  (** suffixed lanes [0 .. n - 1] *)
+  ls_certified : int;  (** lanes [0 .. ls_certified - 1] are certified *)
+}
+
+(** No lanes: a new template's. [{ no_lanes with ls_lanes }] holds
+    [ls_lanes] uncertified, to be certified on first use. *)
+let no_lanes = { ls_lanes = [||]; ls_certified = 0 }
+
+(** The names of a template's certified lanes' ports, streams and
+    memory objects, so a lane is certified only if its own are new.
+    Mutated only under [c_lock], which also serializes the growth of
+    the template's lanes. *)
+type certificate = {
+  c_lock : Mutex.t;
+  c_ports : unit Symtab.Tbl.t;
+  c_streams : unit Symtab.Tbl.t;
+  c_mems : unit Symtab.Tbl.t;
+}
 
 type template = {
   tpl_program : Expr.program;
   tpl_pattern : Ast.pattern;
   tpl_f0 : Ast.func;  (** validated PE function, shared by reference *)
-  tpl_lanes : lane array Atomic.t;
-      (** suffixed lanes [0 .. n - 1], grown on demand; a published lane
-          is never replaced, so every variant shares it *)
+  tpl_lanes : lanes Atomic.t;
+      (** grown and certified on demand; shared, like the certificate,
+          by the pool domains deriving from the template and by its
+          record copies *)
+  tpl_certificate : certificate;
   tpl_shells : (int * Ast.design) list Atomic.t;
       (** per PE count, the shell: the first replicated design of that
-          count, published once it validated in full and never
-          replaced *)
+          count, published once it validated and never replaced *)
 }
 
 (** [template ?pattern p] — lower the [Pipe] variant of [p] in full
@@ -396,28 +437,141 @@ let template ?(pattern = Ast.Cont) (p : Expr.program) : template =
     tpl_program = p;
     tpl_pattern = pattern;
     tpl_f0 = Ast.find_func_exn d "f0";
-    tpl_lanes = Atomic.make [||];
+    tpl_lanes = Atomic.make no_lanes;
+    tpl_certificate =
+      { c_lock = Mutex.create (); c_ports = Symtab.Tbl.create 64;
+        c_streams = Symtab.Tbl.create 64; c_mems = Symtab.Tbl.create 64 };
     tpl_shells = Atomic.make [];
   }
 
-(* The template's first [pes] lanes, interned. Pool domains derive from
-   one template at once, so a grown array is published by
-   compare-and-set; a domain that loses the race retries on the array
-   it finds, so a published lane is never replaced. *)
-let rec interned_lanes tpl pes : lane array =
+(* [fresh tbl name] — add [name] to [tbl]; whether it was new *)
+let fresh tbl name =
+  let n = Symtab.Tbl.length tbl in
+  Symtab.Tbl.replace tbl name ();
+  Symtab.Tbl.length tbl > n
+
+(* Whether lane [ln] holds the certificate at kernel type [ty] (module
+   comment above), adding its names to [c]'s. A lane that fails leaves
+   the names it added, so it fails again: certification stops at it. *)
+let certify_lane (c : certificate) ty (ln : lane) : bool =
+  let rec go (pts : Ast.port list) (sos : Ast.stream_obj list)
+      (mps : (string * Ty.t) list) =
+    match (pts, sos, mps) with
+    | [], [], [] -> true
+    | pt :: pts, so :: sos, (mp, mty) :: mps ->
+        String.equal pt.Ast.pt_fun "main"
+        && String.equal pt.pt_stream so.Ast.so_name
+        && pt.pt_dir = so.so_dir && Ty.equal pt.pt_ty ty
+        && String.equal mp pt.pt_port && Ty.equal mty ty
+        && (match so.so_pattern with
+           | Ast.Strided k -> k > 0
+           | Ast.Cont | Ast.Random -> true)
+        && fresh c.c_ports pt.pt_port
+        && fresh c.c_streams so.so_name
+        && fresh c.c_mems so.so_mem
+        && go pts sos mps
+    | _ -> false
+  in
+  go ln.ln_ports ln.ln_streams ln.ln_main_params
+
+(** [certify c ty lanes from] — the number of leading lanes of [lanes]
+    certified at kernel type [ty], certifying them in order from lane
+    [from], the first not yet certified, up to the first that fails. *)
+let certify (c : certificate) ty (lanes : lane array) from : int =
+  let rec go i =
+    if i < Array.length lanes && certify_lane c ty lanes.(i) then go (i + 1)
+    else i
+  in
+  if Ty.valid ty then go from else from
+
+(* The template's lanes, with at least [pes] interned and certified as
+   far as they hold the certificate. The pool domains deriving from one
+   template read the published value without a lock; growing it takes
+   the certificate's lock, so each lane is made and certified once. A
+   lane that fails the certificate is tried again on each call, which
+   stops at it. *)
+let template_lanes tpl pes : lanes =
+  let ready (ls : lanes) =
+    Array.length ls.ls_lanes >= pes && ls.ls_certified >= pes
+  in
   let cur = Atomic.get tpl.tpl_lanes in
-  let n = Array.length cur in
-  if n >= pes then cur
-  else begin
-    let k = tpl.tpl_program.Expr.p_kernel and pattern = tpl.tpl_pattern in
-    let grown =
-      Array.init pes (fun i ->
-          if i < n then cur.(i)
-          else make_lane ~pattern k (fun s -> Transform.lane_name s i))
-    in
-    if Atomic.compare_and_set tpl.tpl_lanes cur grown then grown
-    else interned_lanes tpl pes
-  end
+  if ready cur then cur
+  else
+    let c = tpl.tpl_certificate in
+    Mutex.protect c.c_lock @@ fun () ->
+    let cur = Atomic.get tpl.tpl_lanes in
+    if ready cur then cur
+    else begin
+      let k = tpl.tpl_program.Expr.p_kernel and pattern = tpl.tpl_pattern in
+      let n = Array.length cur.ls_lanes in
+      let lanes =
+        if n >= pes then cur.ls_lanes
+        else
+          Array.init pes (fun i ->
+              if i < n then cur.ls_lanes.(i)
+              else make_lane ~pattern k (fun s -> Transform.lane_name s i))
+      in
+      let next =
+        { ls_lanes = lanes;
+          ls_certified = certify c k.Expr.k_ty lanes cur.ls_certified }
+      in
+      Atomic.set tpl.tpl_lanes next;
+      next
+    end
+
+(* The template's first [pes] lanes, interned. *)
+let interned_lanes tpl pes : lane array = (template_lanes tpl pes).ls_lanes
+
+exception Mismatch
+
+(* the rest of [ys] after a prefix physically equal to [xs] *)
+let rec shared xs ys =
+  match (xs, ys) with
+  | [], ys -> ys
+  | x :: xs, y :: ys when x == y -> shared xs ys
+  | _ -> raise Mismatch
+
+(* the rest of [mems] after one memory object per stream of [sos]:
+   named by the stream's [so_mem], of [chunk] elements of type [ty] *)
+let rec backing ~ty ~chunk (sos : Ast.stream_obj list)
+    (mems : Ast.mem_obj list) =
+  match (sos, mems) with
+  | [], mems -> mems
+  | so :: sos, m :: mems
+    when String.equal m.Ast.mo_name so.Ast.so_mem && m.mo_size = chunk
+         && Ty.equal m.mo_ty ty ->
+      backing ~ty ~chunk sos mems
+  | _ -> raise Mismatch
+
+(** [conforms ls p d pes] — the position check: [d], a design for [pes]
+    PEs of [p], is made of certified lanes [0 .. pes - 1] of [ls]. Each
+    of its streams, ports and [@main] parameters is physically the
+    lane's at its position; each memory object is named by its stream's
+    [so_mem] and holds [points / pes > 0] elements of the kernel type;
+    and nothing is left over. No name is looked up. *)
+let conforms (ls : lanes) (p : Expr.program) (d : Ast.design) pes : bool =
+  let ty = p.Expr.p_kernel.Expr.k_ty and chunk = Expr.points p / pes in
+  let rec lanes i mems streams ports params =
+    if i = pes then
+      match (mems, streams, ports, params) with
+      | [], [], [], [] -> true
+      | _ -> false
+    else
+      let ln = ls.ls_lanes.(i) in
+      lanes (i + 1)
+        (backing ~ty ~chunk ln.ln_streams mems)
+        (shared ln.ln_streams streams)
+        (shared ln.ln_ports ports)
+        (shared ln.ln_main_params params)
+  in
+  pes <= ls.ls_certified && chunk > 0
+  &&
+  match Ast.find_func d "main" with
+  | None -> false
+  | Some main -> (
+      match lanes 0 d.Ast.d_mems d.d_streams d.d_ports main.Ast.fn_params with
+      | ok -> ok
+      | exception Mismatch -> false)
 
 (* [sy] if [errors] is empty; otherwise raise [Invalid_argument] with
    them, as {!Validate.check_exn} does *)
@@ -430,6 +584,18 @@ let validated (sy : Symtab.t) (errors : Validate.error list) : Symtab.t =
            (Symtab.design sy).Ast.d_name
            (String.concat "\n" (List.map Validate.error_to_string errs)))
 
+(* [d] after the full delta check, with [@f0] trusted *)
+let checked_in_full (d : Ast.design) : Ast.design =
+  let sy = Symtab.of_design d in
+  Symtab.design (validated sy (Validate.check_delta_sym ~trusted:[ "f0" ] sy))
+
+(* Whether [d]'s wiring validates on an index of its functions and
+   globals alone, with the functions named in [trusted] trusted. *)
+let wiring_valid ~trusted (d : Ast.design) : bool =
+  Validate.check_delta_sym ~trusted
+    (Symtab.of_design { d with Ast.d_mems = []; d_streams = []; d_ports = [] })
+  = []
+
 (** [derive_sym tpl v] — build the design for variant [v] of the
     template's program, index it once, and validate it on that index,
     reusing the pre-validated PE function and checking only the
@@ -437,11 +603,14 @@ let validated (sy : Symtab.t) (errors : Validate.error list) : Symtab.t =
     [Seq] variants inline scalar parameters into a different body
     shape, so they are emitted and checked in full, as {!lower} does.
     Raises [Invalid_argument] like {!lower} if the design is invalid;
-    returns the index. It neither reads nor publishes shells. *)
+    returns the index. It neither reads nor publishes shells, and
+    trusts no certificate. *)
 let derive_sym (tpl : template) (v : Transform.variant) : Symtab.t =
   Tytra_telemetry.Span.with_ ~name:"front.derive" @@ fun () ->
   let p = tpl.tpl_program in
-  let lanes pes =
+  check_variant p v;
+  let pes = Transform.pes v in
+  let lanes =
     if pes = 1 then fresh_lanes ~pattern:tpl.tpl_pattern p.Expr.p_kernel 1
     else interned_lanes tpl pes
   in
@@ -455,9 +624,21 @@ let derive_sym (tpl : template) (v : Transform.variant) : Symtab.t =
       in
       validated sy (Validate.check_delta_sym ~trusted:[ "f0" ] sy)
 
-(* Publish [d], validated in full, as the shell of [pes] PEs unless
-   another domain published one first; by compare-and-set, like the
-   lanes. *)
+(* The first derive of replicated variant [v]'s PE count: the design
+   built around the template's @f0 and certified lanes, its Manage-IR
+   checked by position and only its wiring validated. *)
+let derive_first tpl (v : Transform.variant) : Ast.design =
+  Tytra_telemetry.Span.with_ ~name:"front.derive" @@ fun () ->
+  let p = tpl.tpl_program in
+  check_variant p v;
+  let pes = Transform.pes v in
+  let ls = template_lanes tpl pes in
+  let d = build_variant ~f0:(`Shared tpl.tpl_f0) ~lanes:ls.ls_lanes p v in
+  if conforms ls p d pes && wiring_valid ~trusted:[ "f0" ] d then d
+  else checked_in_full d
+
+(* Publish [d], validated, as the shell of [pes] PEs unless another
+   domain published one first; by compare-and-set. *)
 let rec publish_shell tpl pes (d : Ast.design) =
   let cur = Atomic.get tpl.tpl_shells in
   if
@@ -488,21 +669,13 @@ let derive_from_shell tpl (sh : Ast.design) (v : Transform.variant) :
         @ [ Ast.find_func_exn sh "main" ];
     }
   in
-  let wiring_only = { d with Ast.d_mems = []; d_streams = []; d_ports = [] } in
-  match
-    Validate.check_delta_sym ~trusted:[ "f0"; "main" ]
-      (Symtab.of_design wiring_only)
-  with
-  | [] -> d
-  | _ ->
-      let sy = Symtab.of_design d in
-      Symtab.design (validated sy (Validate.check_delta_sym ~trusted:[ "f0" ] sy))
+  if wiring_valid ~trusted:[ "f0"; "main" ] d then d else checked_in_full d
 
-(** [derive tpl v] — the design {!derive_sym} builds and validates. A
-    replicated variant whose PE count already has a shell is built from
-    it and validated on its wiring alone (see Shells above), with the
-    same result; otherwise the validated design becomes that count's
-    shell. *)
+(** [derive tpl v] — the design {!derive_sym} builds and validates, with
+    the same result. A replicated variant is checked against the
+    template's lane certificate and validated on its wiring alone, and
+    becomes its PE count's shell; a later one of that count is built
+    from the shell (see Lane certificate and Shells above). *)
 let derive (tpl : template) (v : Transform.variant) : Ast.design =
   match v with
   | Transform.ParPipe _ | Transform.ParVecPipe _ -> (
@@ -510,7 +683,7 @@ let derive (tpl : template) (v : Transform.variant) : Ast.design =
       match List.assoc_opt pes (Atomic.get tpl.tpl_shells) with
       | Some sh -> derive_from_shell tpl sh v
       | None ->
-          let d = Symtab.design (derive_sym tpl v) in
+          let d = derive_first tpl v in
           publish_shell tpl pes d;
           d)
   | Transform.Seq | Transform.Pipe -> Symtab.design (derive_sym tpl v)

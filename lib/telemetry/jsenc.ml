@@ -6,7 +6,9 @@
     event-log round-trip decoder ({!Events.decode_line}) parses through
     {!parse}. The parser handles the full JSON grammar in one indexed
     pass, no streaming; besides telemetry's small flat objects it
-    decodes every request body [tybec serve] receives. *)
+    decodes every request body [tybec serve] receives. A [\u] escape
+    takes exactly four hex digits and decodes to UTF-8, a surrogate pair
+    to one code point; a lone surrogate is an error. *)
 
 (** JSON string literal with proper escaping (OCaml's [%S] escapes
     control characters as decimal [\ddd], which JSON rejects). *)
@@ -87,6 +89,23 @@ let parse (s : string) : (t, string) result =
     then plain (i + 1)
     else i
   in
+  (* the UTF-16 code unit spelled by the four hex digits at [pos], which
+     then moves past them *)
+  let hex4 () =
+    if !pos + 4 > n then fail "truncated \\u escape";
+    let digit i =
+      match String.unsafe_get s (!pos + i) with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> -1
+    in
+    let d0 = digit 0 and d1 = digit 1 and d2 = digit 2 and d3 = digit 3 in
+    pos := !pos + 4;
+    if d0 lor d1 lor d2 lor d3 < 0 then fail "bad \\u escape";
+    (d0 lsl 12) lor (d1 lsl 8) lor (d2 lsl 4) lor d3
+  in
+  let lone_surrogate = "lone surrogate in \\u escape" in
   (* the rest of a string whose first escape is at [i]; the raw span up
      to the closing quote bounds its decoded length *)
   let escaped start i =
@@ -120,16 +139,24 @@ let parse (s : string) : (t, string) result =
         | 'b' -> unescaped '\b'
         | 'f' -> unescaped '\012'
         | ('/' | '"' | '\\') as c -> unescaped c
-        | 'u' -> (
+        | 'u' ->
             incr pos;
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
-            (* telemetry only escapes control chars; keep it simple *)
-            match int_of_string_opt ("0x" ^ hex) with
-            | None -> fail "bad \\u escape"
-            | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
-            | Some code -> Buffer.add_string b (Printf.sprintf "\\u%04x" code))
+            let code = hex4 () in
+            if code < 0xD800 || code > 0xDFFF then
+              Buffer.add_utf_8_uchar b (Uchar.unsafe_of_int code)
+            else if
+              code < 0xDC00 && !pos + 1 < n && s.[!pos] = '\\'
+              && s.[!pos + 1] = 'u'
+            then begin
+              (* a high surrogate and its low one: one code point *)
+              pos := !pos + 2;
+              let low = hex4 () in
+              if low < 0xDC00 || low > 0xDFFF then fail lone_surrogate;
+              Buffer.add_utf_8_uchar b
+                (Uchar.unsafe_of_int
+                   (0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)))
+            end
+            else fail lone_surrogate
         | _ -> fail "bad escape");
         go ()
       end

@@ -1,6 +1,8 @@
 (* Differential oracle for [Jsenc.parse]: the original peek-per-character
    decoder. It reads every character through an option, and builds
-   every string in a [Buffer] one character at a time. test_engine
+   every string in a [Buffer] one character at a time. Its [\u] rule is
+   the decoder's: four hex digits to UTF-8, a surrogate pair to one code
+   point, a lone surrogate an error. test_engine
    checks that the indexed decoder returns the same value, or the same
    error message at the same offset, on the protocol fuzz corpus and on
    generated JSON. *)
@@ -35,6 +37,18 @@ let parse (s : string) : (t, string) result =
     end
     else fail (Printf.sprintf "expected %s" lit)
   in
+  (* a [\u] escape's four hex digits, read as one UTF-16 code unit *)
+  let unit16 () =
+    if !pos + 4 > n then fail "truncated \\u escape";
+    let hex = String.sub s !pos 4 in
+    pos := !pos + 4;
+    let is_hex = function
+      | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+      | _ -> false
+    in
+    if not (String.for_all is_hex hex) then fail "bad \\u escape";
+    int_of_string ("0x" ^ hex)
+  in
   let parse_string () =
     expect '"';
     let b = Buffer.create 16 in
@@ -55,15 +69,18 @@ let parse (s : string) : (t, string) result =
           | Some '\\' -> advance (); Buffer.add_char b '\\'; go ()
           | Some 'u' ->
               advance ();
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              pos := !pos + 4;
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> fail "bad \\u escape"
-              in
-              if code < 0x80 then Buffer.add_char b (Char.chr code)
-              else Buffer.add_string b (Printf.sprintf "\\u%04x" code);
+              let code = unit16 () in
+              let high = code >= 0xD800 && code <= 0xDBFF in
+              let low c = c >= 0xDC00 && c <= 0xDFFF in
+              if high && !pos + 2 <= n && String.sub s !pos 2 = "\\u" then begin
+                pos := !pos + 2;
+                let lo = unit16 () in
+                if not (low lo) then fail "lone surrogate in \\u escape";
+                let cp = 0x10000 + ((code - 0xD800) * 0x400) + (lo - 0xDC00) in
+                Buffer.add_utf_8_uchar b (Uchar.of_int cp)
+              end
+              else if high || low code then fail "lone surrogate in \\u escape"
+              else Buffer.add_utf_8_uchar b (Uchar.of_int code);
               go ()
           | _ -> fail "bad escape")
       | Some c -> advance (); Buffer.add_char b c; go ()

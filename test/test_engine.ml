@@ -271,7 +271,9 @@ let json_text_gen =
           oneofl
             [ {|\n|}; {|\t|}; {|\"|}; {|\\|}; {|\/|}; {|\b|}; {|\f|};
               {|\r|}; {|\u0041|}; {|\u00e9|}; {|\u001F|}; {|\u1_2_|};
-              {|\u_123|}; {|\uzz|}; {|\x|}; {|\|}; "\"" ] );
+              {|\u_123|}; {|\uzz|}; {|\u00_1|}; {|\ud83d\ude00|};
+              {|\uD834\uDD1E|}; {|\ud83d|}; {|\ude00|}; {|\x|}; {|\|};
+              "\"" ] );
         (1, map (String.make 1) char);
       ]
   in
@@ -324,6 +326,62 @@ let json_decoder_oracle_qcheck =
   QCheck.Test.make ~count:2000 ~name:"JSON decoder agrees with its oracle"
     (QCheck.make ~print:(Printf.sprintf "%S") json_text_gen)
     (fun s -> show_parse (J.parse s) = show_parse (Oracle_jsenc.parse s))
+
+(* [\u] escapes decode to UTF-8. Python's json.dumps escapes every
+   non-ASCII character, so a client's path café.tirl arrives as
+   caf\u00e9.tirl. A surrogate pair is one code point; a lone surrogate
+   and a non-hex digit make a request a bad_request. *)
+let test_json_unicode_escapes () =
+  let decodes what s expected =
+    Alcotest.(check string) what (show_parse (Ok (J.Str expected)))
+      (show_parse (J.parse s))
+  in
+  decodes "\\u00e9 is é" {|"caf\u00e9.tirl"|} "caf\xc3\xa9.tirl";
+  decodes "a surrogate pair is one code point" {|"\ud83d\ude00"|}
+    "\xf0\x9f\x98\x80";
+  let check_path path =
+    Printf.sprintf {|{"v":1,"op":"check","source":{"path":%s}}|} path
+  in
+  let refused what s =
+    (match J.parse s with
+    | Ok v -> Alcotest.failf "%s decoded to %s" what (show_json v)
+    | Error _ -> ());
+    match Protocol.decode_request (check_path s) with
+    | Error (Engine.Bad_request _) -> ()
+    | Error e -> Alcotest.failf "%s: %s" what (Engine.error_message e)
+    | Ok _ -> Alcotest.failf "%s: decoded" what
+  in
+  refused "a lone high surrogate" {|"\ud83d.tirl"|};
+  refused "a lone low surrogate" {|"\ude00"|};
+  refused "a high surrogate before a non-surrogate" {|"\ud83d\u0041"|};
+  refused "a non-hex digit" {|"\u00_1"|};
+  (* a check on café.tirl whose path is escaped as json.dumps escapes it *)
+  let json_chars s =
+    let q = J.json_string s in
+    String.sub q 1 (String.length q - 2)
+  in
+  let dir = Filename.get_temp_dir_name () in
+  let suffix = Printf.sprintf "-%d.tirl" (Unix.getpid ()) in
+  let path = Filename.concat dir "caf\xc3\xa9" ^ suffix in
+  Out_channel.with_open_bin path (fun oc -> output_string oc sor_inline);
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let body =
+    check_path
+      (Printf.sprintf {|"%s\u00e9%s"|}
+         (json_chars (Filename.concat dir "caf"))
+         (json_chars suffix))
+  in
+  match Protocol.decode_request body with
+  | Error e -> Alcotest.failf "decode: %s" (Engine.error_message e)
+  | Ok dq -> (
+      let eng = Engine.create Engine.default_config in
+      match Engine.submit eng dq.Protocol.dq_request with
+      | Ok r -> (
+          match r.Engine.rs_payload with
+          | Engine.Checked { ck_funcs; _ } ->
+              Alcotest.(check int) "café.tirl checks: @f0 and @main" 2 ck_funcs
+          | _ -> Alcotest.fail "check answered with another payload")
+      | Error e -> Alcotest.failf "check café.tirl: %s" (Engine.error_message e))
 
 let test_reply_roundtrip () =
   let resp =
@@ -416,16 +474,18 @@ let test_text_matches_cli () =
         ]
   | _ -> Alcotest.skip ()
 
-let cost_inline src =
+let cost_of source =
   Engine.Cost
     {
-      source = Engine.Inline src;
+      source;
       device = dev;
       form = Tytra_cost.Throughput.FormB;
       nki = 1;
       optimize = false;
       calib = None;
     }
+
+let cost_inline src = cost_of (Engine.Inline src)
 
 let test_parse_cache_warms () =
   let eng = Engine.create Engine.default_config in
@@ -466,6 +526,44 @@ let test_parse_cache_warms () =
   Alcotest.(check int) "new request over the same source hits"
     (s1.Tytra_exec.Cache.st_hits + 1)
     s2.Tytra_exec.Cache.st_hits
+
+(* The bytes this process has read, [rchar] in /proc/self/io *)
+let bytes_read () =
+  In_channel.with_open_bin "/proc/self/io" (fun ic ->
+      let rec find () =
+        match In_channel.input_line ic with
+        | None -> Alcotest.fail "/proc/self/io has no rchar line"
+        | Some l ->
+            if String.starts_with ~prefix:"rchar: " l then
+              int_of_string (String.sub l 7 (String.length l - 7))
+            else find ()
+      in
+      find ())
+
+(* A cost on a file source reads the file once: its response key, its
+   parse-cache key and its answer come from the same bytes, so the bytes
+   the process reads grow by one file length, not two. The design is
+   padded with 256 KiB of comment lines so the file dominates. *)
+let test_file_read_once () =
+  if not (Sys.file_exists "/proc/self/io") then Alcotest.skip ();
+  let path = Filename.temp_file "tytra-read-once" ".tirl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc sor_inline;
+      for _ = 1 to 4096 do
+        output_string oc (String.make 63 ';' ^ "\n")
+      done);
+  let length = (Unix.stat path).Unix.st_size in
+  let eng = Engine.create Engine.default_config in
+  let before = bytes_read () in
+  (match Engine.submit eng (cost_of (Engine.File path)) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "cost: %s" (Engine.error_message e));
+  let read = bytes_read () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "read %d bytes for a %d-byte file: once" read length)
+    true
+    (read >= length && read < length + (length / 2))
 
 let test_response_cache () =
   let eng = Engine.create Engine.default_config in
@@ -1372,6 +1470,10 @@ let suite =
       test_parse_cache_warms;
     Alcotest.test_case "response cache replays full requests" `Quick
       test_response_cache;
+    Alcotest.test_case "a request reads its file once" `Quick
+      test_file_read_once;
+    Alcotest.test_case "JSON \\u escapes decode to UTF-8" `Quick
+      test_json_unicode_escapes;
     Alcotest.test_case "typed errors carry CLI exit codes" `Quick
       test_typed_errors;
     Alcotest.test_case "request deadline is enforced" `Quick

@@ -6,7 +6,8 @@
      pretty-print byte-identically to the Builder-based Oracle_lower,
      also when domains derive from one template at once, and validate
      clean; so do variants built from a PE count's shell, in any
-     derivation order, and a broken wiring delta falls back to the full
+     derivation order, and a broken wiring delta, or a lane the
+     template's certificate does not cover, falls back to the full
      check;
    - the indexed one-pass validator agrees with the multi-pass
      Oracle_validate on valid and broken designs, reports errors in
@@ -164,10 +165,19 @@ let test_derive_rejects_bad_delta () =
 
 (* ---- shells: equal-PE variants share one validated Manage-IR ---- *)
 
-(* Every variant of the four kernels up to 64 lanes x 8, derived on a
-   fresh template in enumeration order, in reverse and shuffled, so the
-   shell of each PE count comes from a different variant in each order.
-   Every design must print as Lower.lower's does and validate in full. *)
+(* 24 programs of Gen.arb_program_variant's generator, from a fixed
+   seed: random kernels at random integer types, 8 to 64 points *)
+let generated_programs () =
+  List.mapi
+    (fun i (p, _) -> (Printf.sprintf "generated %d" i, p))
+    (QCheck.Gen.generate ~rand:(Random.State.make [| 23 |]) ~n:24
+       (QCheck.gen Gen.arb_program_variant))
+
+(* Every variant of the four kernels up to 64 lanes x 8, and of the
+   generated programs, derived on a fresh template in enumeration order,
+   in reverse and shuffled, so the shell of each PE count comes from a
+   different variant in each order. Every design must print as
+   Lower.lower's does and validate in full. *)
 let test_shell_derive_exact () =
   List.iteri
     (fun seed (name, p) ->
@@ -195,7 +205,7 @@ let test_shell_derive_exact () =
             vs)
         [ ("enumeration", vs); ("reverse", List.rev vs);
           ("shuffled", shuffle seed vs) ])
-    (kernels ())
+    (kernels () @ generated_programs ())
 
 (* An exhaustive sweep of each kernel prints the same designs at jobs 1
    and 4, where pool domains race to publish each PE count's shell. *)
@@ -224,7 +234,8 @@ let fast_hits () =
 
 (* A later derive of a PE count shares the first one's memory objects,
    streams, ports, globals and @main, and validates only its wiring,
-   with @f0 and @main trusted. When that wiring is broken, it falls back
+   with @f0 and @main trusted; a first derive validates only its wiring
+   too, with @f0 trusted. When that wiring is broken, either falls back
    to the full check and reports exactly its errors. The wiring is
    broken here by a template whose @f0 is declared par, so every call
    to it has the wrong kind. *)
@@ -265,7 +276,76 @@ let test_shell_shared_and_fallback () =
     (contains full "call-site kind pipe does not match @f0's declared kind par");
   Alcotest.(check (float 0.0)) "wiring check, then the full check" 2.0
     (h2 -. h1);
-  Alcotest.(check (float 0.0)) "no shell: the full check only" 1.0 (h3 -. h2)
+  Alcotest.(check (float 0.0)) "no shell: wiring check, then the full check"
+    2.0 (h3 -. h2)
+
+(* A template whose interned lanes were tampered with after they were
+   made: lanes 0 .. 7 of [p]'s template, uncertified, with [tamper]
+   applied to a copy of the array. *)
+let tampered_template p tamper =
+  let lanes = Array.copy (Lower.interned_lanes (Lower.template p) 8) in
+  tamper lanes;
+  { (Lower.template p) with
+    Lower.tpl_lanes =
+      Atomic.make { Lower.no_lanes with Lower.ls_lanes = lanes } }
+
+(* The first derive of a PE count trusts a lane only once the template
+   has certified it, and the design only where it is made of certified
+   lanes by position. Each tampered lane below is a Manage-IR error no
+   wiring check sees, so the derive must fall back to the full check
+   and raise exactly its error text. *)
+let test_tampered_lanes_full_check () =
+  let p = Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 () in
+  let v = Transform.ParPipe 4 in
+  let first_port (ln : Lower.lane) = List.hd ln.Lower.ln_ports in
+  let first_stream (ln : Lower.lane) = List.hd ln.Lower.ln_streams in
+  let with_port ln pt =
+    { ln with Lower.ln_ports = pt :: List.tl ln.Lower.ln_ports }
+  in
+  let cases =
+    [
+      ( "a port naming another lane's stream",
+        "port references unknown stream object",
+        fun (a : Lower.lane array) ->
+          a.(1) <-
+            with_port a.(1)
+              { (first_port a.(1)) with
+                Ast.pt_stream = (first_stream a.(7)).Ast.so_name } );
+      ( "a flipped direction",
+        "conflicts with stream",
+        fun a ->
+          let pt = first_port a.(2) in
+          a.(2) <-
+            with_port a.(2)
+              { pt with
+                Ast.pt_dir =
+                  (match pt.Ast.pt_dir with
+                  | Ast.IStream -> Ast.OStream
+                  | Ast.OStream -> Ast.IStream) } );
+      ( "a memory-object name a later lane reuses",
+        "duplicate memory object",
+        fun a ->
+          let so = first_stream a.(3) in
+          a.(3) <-
+            { (a.(3)) with
+              Lower.ln_streams =
+                { so with Ast.so_mem = (first_stream a.(1)).Ast.so_mem }
+                :: List.tl a.(3).Lower.ln_streams } );
+    ]
+  in
+  List.iter
+    (fun (what, expected, tamper) ->
+      let error derive =
+        match derive (tampered_template p tamper) v with
+        | _ -> Alcotest.failf "%s: the tampered derive must not validate" what
+        | exception Invalid_argument m -> m
+      in
+      let derived = error Lower.derive in
+      let full = error (fun tpl v -> Symtab.design (Lower.derive_sym tpl v)) in
+      Alcotest.(check bool) (what ^ ": " ^ full) true (contains full expected);
+      Alcotest.(check string) (what ^ ": the full check's error text") full
+        derived)
+    cases
 
 (* ---- indexed validator vs the multi-pass oracle ---- *)
 
@@ -629,6 +709,8 @@ let suite =
       test_shell_sweep_jobs_invariant;
     Alcotest.test_case "shells shared, fallback to the full check" `Quick
       test_shell_shared_and_fallback;
+    Alcotest.test_case "tampered lanes derive with the full check's errors"
+      `Quick test_tampered_lanes_full_check;
     Alcotest.test_case "validators agree on valid designs" `Quick
       test_validator_agrees_on_valid;
     Alcotest.test_case "validators agree on broken designs" `Quick

@@ -89,6 +89,27 @@ let test_derive_words_bound () =
     true
     (w <= derive_words_per_pe_bound)
 
+(* An absolute bound on the first derive of SOR ParVecPipe (64, 8)
+   through Lower.derive, on a template whose lanes are already interned
+   and certified: the design is checked against the certified lanes by
+   position, and only its wiring is indexed and validated. 106.4 words
+   per PE, against 154.0 for the full check Lower.derive_sym makes. *)
+let first_derive_words_per_pe_bound = 112.0
+
+let test_first_derive_words_bound () =
+  let tpl = Lower.template (sor ()) in
+  let v = Transform.ParVecPipe (64, 8) in
+  ignore (Lower.interned_lanes tpl (Transform.pes v));
+  let w =
+    minor_words (fun () -> Lower.derive tpl v)
+    /. float_of_int (Transform.pes v)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "first Lower.derive on SOR %s: %.1f words per PE <= %.1f"
+       (Transform.to_string v) w first_derive_words_per_pe_bound)
+    true
+    (w <= first_derive_words_per_pe_bound)
+
 (* An absolute bound on a later derive of a PE count: SOR ParPipe 64
    after ParVecPipe (8, 8), whose shell it is built from. It builds only
    @f1's body and validates only the wiring functions, on an index of
@@ -212,6 +233,8 @@ let suite =
       test_variant_words_per_pe;
     Alcotest.test_case "derive words per PE bounded" `Quick
       test_derive_words_bound;
+    Alcotest.test_case "first derive words per PE bounded" `Quick
+      test_first_derive_words_bound;
     Alcotest.test_case "shell derive words per PE bounded" `Quick
       test_shell_derive_words_bound;
     Alcotest.test_case "validate work linear in ports" `Quick
