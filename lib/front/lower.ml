@@ -128,6 +128,14 @@ let kernel_params (k : Expr.kernel) : (string * Ty.t) list =
   List.map (fun s -> (s, k.Expr.k_ty)) k.Expr.k_inputs
   @ List.map (fun (p, _) -> (p, k.Expr.k_ty)) k.Expr.k_params
 
+(* the globals the reductions accumulate into *)
+let kernel_globals (k : Expr.kernel) : Ast.global list =
+  List.map
+    (fun (r : Expr.reduction) ->
+      { Ast.g_name = r.Expr.r_name; g_ty = k.Expr.k_ty;
+        g_init = r.Expr.r_init })
+    k.Expr.k_reductions
+
 (** [design_name p v] — the name of the design {!lower} and {!derive}
     build for variant [v] of [p]. The DSE passes it to
     [Tytra_cost.Report.replicate], which costs a variant without its
@@ -272,11 +280,13 @@ let check_variant (p : Expr.program) (v : Transform.variant) =
    selects the PE function: [`Emit] compiles the kernel datapath,
    [`Shared f] installs one taken from an already-validated template.
    [lanes] supplies the Manage-IR and wiring of the variant's PEs, one
-   lane each (more are ignored); a derived design shares them, like
-   [f0], with every other variant of its template, so it pretty-prints
-   byte-identically to a full lowering. Per variant, only the memory
-   objects, the list spines and the wiring functions are allocated. *)
-let build_variant ~(f0 : [ `Emit | `Shared of Ast.func ])
+   lane each (more are ignored). [imms], the scalar immediates [@main]
+   passes, and [globals] are built afresh unless given. A derived design
+   shares all of these, like [f0], with every other variant of its
+   template, so it pretty-prints byte-identically to a full lowering.
+   Per variant, only the memory objects, the list spines and the wiring
+   functions are allocated. *)
+let build_variant ~(f0 : [ `Emit | `Shared of Ast.func ]) ?imms ?globals
     ~(lanes : lane array) (p : Expr.program) (v : Transform.variant) :
     Ast.design =
   let k = p.Expr.p_kernel in
@@ -300,7 +310,8 @@ let build_variant ~(f0 : [ `Emit | `Shared of Ast.func ])
   let main body = func "main" Ast.Seq main_params body in
   (* @main calls [callee] on every PE's inputs and the scalar immediates *)
   let main_calls callee kind =
-    main [ call callee (pe_args lanes 0 pes (param_args k)) kind ]
+    let imms = match imms with Some l -> l | None -> param_args k in
+    main [ call callee (pe_args lanes 0 pes imms) kind ]
   in
   let f0 () =
     match f0 with
@@ -327,10 +338,7 @@ let build_variant ~(f0 : [ `Emit | `Shared of Ast.func ])
     d_streams = gather lanes 0 pes (fun ln rest -> ln.ln_streams @ rest) [];
     d_ports = gather lanes 0 pes (fun ln rest -> ln.ln_ports @ rest) [];
     d_globals =
-      List.map
-        (fun (r : Expr.reduction) ->
-          { Ast.g_name = r.Expr.r_name; g_ty = ty; g_init = r.Expr.r_init })
-        k.Expr.k_reductions;
+      (match globals with Some l -> l | None -> kernel_globals k);
     d_funcs = funcs;
   }
 
@@ -356,38 +364,35 @@ let lower ?(pattern = Ast.Cont) (p : Expr.program) (v : Transform.variant) :
     [template] lowers and fully validates the [Pipe] variant once;
     [derive] then builds each further variant around the template's PE
     function and lanes — physically shared, so it pretty-prints
-    byte-identically to [lower]'s output — and re-validates only the
-    per-variant delta via {!Validate.check_delta_sym}. The {!Symtab}
-    index that validation runs on is returned by {!derive_sym}, so the
-    DSE costs Seq and Pipe on it too (DESIGN.md §10.6).
+    byte-identically to [lower]'s output. {!derive_sym} re-validates
+    only the per-variant delta via {!Validate.check_delta_sym}, and
+    returns the {!Symtab} index that validation runs on, so the DSE
+    costs Seq and Pipe on it too (DESIGN.md §10.6).
 
-    {b Lane certificate.} A lane's Manage-IR is checked once per
-    template, when the template interns it ({!certify}): its ports name
+    {b Lane certificate.} A lane is checked once per template, when the
+    template interns it ({!certify}). Its Manage-IR: its ports name
     [@main], each names the lane's stream at its own position with that
     stream's direction at the kernel type, the lane's [@main]
     parameters are its ports' names at that type, its strides are
-    positive, and its port, stream and memory-object names are new
-    across every lane certified before it. The first [derive] of a PE
-    count P checks the design it built against lanes [0 .. P - 1] by
-    position ({!conforms}), looking up no name, and validates only its
-    wiring. That gives the full check's verdict: the Manage-IR checks
-    read only the memory objects, streams, ports and [@main]'s
-    parameters, which the certificate and the position check cover
-    (DESIGN.md §10.2 says which covers what). The design then becomes
-    P's shell.
+    positive, its port names are new across the kernel's scalars and
+    every lane certified before it, and its stream and memory-object
+    names are [s_] and [m_] before its port's. Its wiring: its PE input
+    parameters are physically the input prefix of its [@main]
+    parameters, its input operands are [Var]s of their names, and its
+    call is [call @f0] on them and then the scalars as [Var]s, of kind
+    [pipe], binding no results. A replicated [derive] checks the design
+    it built against lanes [0 .. P - 1] and the template's validated
+    parts by position ({!conforms}), looking up no name, and validates
+    nothing else. That gives the full check's verdict (DESIGN.md §10.2
+    says which covers what).
 
     {b Shells.} The replicated variants with the same PE count P
     ([ParPipe P] and every [ParVecPipe (l, dv)] with [l * dv = P]) also
     share their memory objects, streams, ports, globals, [@main] and
     [@f1]'s parameter list: they differ only in [@f1]'s body and
-    [@flane]. Every later [derive] of P takes those parts from the
-    shell, physically, builds its own [@f1] body and [@flane], and
-    validates only them, with [@f0] and [@main] trusted. That gives the
-    full check's verdict: every port names [@main], so the Manage-IR
-    checks read nothing but the shared declarations and [@main]'s
-    parameters, and [@main]'s one call was checked against [@f1]'s kind
-    and parameter list, which the shell fixes. Function names, the
-    globals and the call graph are checked again.
+    [@flane]. The first [derive] of P builds its design, which becomes
+    P's shell; every later one takes those parts from the shell,
+    physically, and builds only its own [@f1] body and [@flane].
 
     On any error, or a design the certificate does not cover, a derive
     runs the full check, so its error text is the full check's. *)
@@ -404,21 +409,22 @@ type lanes = {
     [ls_lanes] uncertified, to be certified on first use. *)
 let no_lanes = { ls_lanes = [||]; ls_certified = 0 }
 
-(** The names of a template's certified lanes' ports, streams and
-    memory objects, so a lane is certified only if its own are new.
-    Mutated only under [c_lock], which also serializes the growth of
-    the template's lanes. *)
-type certificate = {
-  c_lock : Mutex.t;
-  c_ports : unit Symtab.Tbl.t;
-  c_streams : unit Symtab.Tbl.t;
-  c_mems : unit Symtab.Tbl.t;
-}
+(** The port names of a template's certified lanes, seeded with the
+    kernel's scalar names, so a lane is certified only if its own are
+    new: among [@main]'s parameters, and among [@f1]'s and [@flane]'s,
+    where the scalars follow the lanes' inputs. Mutated only under
+    [c_lock], which also serializes the growth of the template's
+    lanes. *)
+type certificate = { c_lock : Mutex.t; c_ports : unit Symtab.Tbl.t }
 
 type template = {
   tpl_program : Expr.program;
   tpl_pattern : Ast.pattern;
   tpl_f0 : Ast.func;  (** validated PE function, shared by reference *)
+  tpl_imms : Ast.operand list;
+      (** the scalar immediates [@main] passes, as the validated [Pipe]
+          design passes them *)
+  tpl_globals : Ast.global list;  (** the validated [Pipe] design's *)
   tpl_lanes : lanes Atomic.t;
       (** grown and certified on demand; shared, like the certificate,
           by the pool domains deriving from the template and by its
@@ -433,16 +439,56 @@ type template = {
     (including validation) and capture the PE function for reuse. *)
 let template ?(pattern = Ast.Cont) (p : Expr.program) : template =
   let d = lower ~pattern p Transform.Pipe in
+  let k = p.Expr.p_kernel in
+  let ports = Symtab.Tbl.create 64 in
+  List.iter (fun (s, _) -> Symtab.Tbl.replace ports s ()) k.Expr.k_params;
   {
     tpl_program = p;
     tpl_pattern = pattern;
     tpl_f0 = Ast.find_func_exn d "f0";
+    tpl_imms = param_args k;
+    tpl_globals = d.Ast.d_globals;
     tpl_lanes = Atomic.make no_lanes;
-    tpl_certificate =
-      { c_lock = Mutex.create (); c_ports = Symtab.Tbl.create 64;
-        c_streams = Symtab.Tbl.create 64; c_mems = Symtab.Tbl.create 64 };
+    tpl_certificate = { c_lock = Mutex.create (); c_ports = ports };
     tpl_shells = Atomic.make [];
   }
+
+(* ---- position checks: physical comparisons, no name looked up ---- *)
+
+exception Mismatch
+
+(* [f ()], or false if it raised [Mismatch] *)
+let holds f = match f () with ok -> ok | exception Mismatch -> false
+
+(* the rest of [ys] after a prefix physically equal to [xs] *)
+let rec shared xs ys =
+  match (xs, ys) with
+  | [], ys -> ys
+  | x :: xs, y :: ys when x == y -> shared xs ys
+  | _ -> raise Mismatch
+
+(* the rest of [ys] after its head, physically [x] *)
+let one x = function y :: ys when x == y -> ys | _ -> raise Mismatch
+
+(* [along lanes lo hi f ys] — the rest of [ys] after lanes [lo .. hi - 1]
+   took their parts of it in order, [f lane ys] being the rest after
+   [lane]'s: the walk that checks what {!gather} builds *)
+let along (lanes : lane array) lo hi f ys =
+  let rec go i ys = if i = hi then ys else go (i + 1) (f lanes.(i) ys) in
+  go lo ys
+
+(* [xs] and [ys] are as long, and [f] holds of each pair *)
+let all2 f xs ys = List.compare_lengths xs ys = 0 && List.for_all2 f xs ys
+
+(* [a] is [%name], for the parameter or scalar [(name, _)] *)
+let is_var (name, _) (a : Ast.operand) =
+  match a with Ast.Var v -> String.equal v name | _ -> false
+
+(* [s] is [c], '_', then [name], compared character by character *)
+let prefixed c name s =
+  String.length s = String.length name + 2
+  && s.[0] = c && s.[1] = '_'
+  && String.ends_with ~suffix:name s
 
 (* [fresh tbl name] — add [name] to [tbl]; whether it was new *)
 let fresh tbl name =
@@ -450,11 +496,13 @@ let fresh tbl name =
   Symtab.Tbl.replace tbl name ();
   Symtab.Tbl.length tbl > n
 
-(* Whether lane [ln] holds the certificate at kernel type [ty] (module
-   comment above), adding its names to [c]'s. A lane that fails leaves
-   the names it added, so it fails again: certification stops at it. *)
-let certify_lane (c : certificate) ty (ln : lane) : bool =
-  let rec go (pts : Ast.port list) (sos : Ast.stream_obj list)
+(* Whether lane [ln] holds the certificate for kernel [k] (module
+   comment above), adding its port names to [c]'s. A lane that fails
+   leaves the names it added, so it fails again: certification stops at
+   it. *)
+let certify_lane (c : certificate) (k : Expr.kernel) (ln : lane) : bool =
+  let ty = k.Expr.k_ty in
+  let rec manage (pts : Ast.port list) (sos : Ast.stream_obj list)
       (mps : (string * Ty.t) list) =
     match (pts, sos, mps) with
     | [], [], [] -> true
@@ -464,25 +512,37 @@ let certify_lane (c : certificate) ty (ln : lane) : bool =
         && pt.pt_dir = so.so_dir && Ty.equal pt.pt_ty ty
         && String.equal mp pt.pt_port && Ty.equal mty ty
         && (match so.so_pattern with
-           | Ast.Strided k -> k > 0
+           | Ast.Strided n -> n > 0
            | Ast.Cont | Ast.Random -> true)
+        && prefixed 's' pt.pt_port so.so_name
+        && prefixed 'm' pt.pt_port so.so_mem
         && fresh c.c_ports pt.pt_port
-        && fresh c.c_streams so.so_name
-        && fresh c.c_mems so.so_mem
-        && go pts sos mps
+        && manage pts sos mps
     | _ -> false
   in
-  go ln.ln_ports ln.ln_streams ln.ln_main_params
+  holds @@ fun () ->
+  (* the wiring first, which adds no name: one PE input per kernel
+     input, physically a [@main] parameter, passed as a [Var] of its
+     name and then the scalars' *)
+  let _outputs = shared ln.ln_params ln.ln_main_params in
+  List.compare_length_with ln.ln_params (List.length k.Expr.k_inputs) = 0
+  && all2 is_var ln.ln_params ln.ln_args
+  && (match ln.ln_call with
+     | Ast.Call { callee = "f0"; args; kind = Ast.Pipe; rets = [] } ->
+         all2 is_var k.Expr.k_params (shared ln.ln_args args)
+     | _ -> false)
+  && manage ln.ln_ports ln.ln_streams ln.ln_main_params
 
-(** [certify c ty lanes from] — the number of leading lanes of [lanes]
-    certified at kernel type [ty], certifying them in order from lane
-    [from], the first not yet certified, up to the first that fails. *)
-let certify (c : certificate) ty (lanes : lane array) from : int =
+(** [certify c k lanes from] — the number of leading lanes of [lanes]
+    certified for kernel [k], certifying them in order from lane [from],
+    the first not yet certified, up to the first that fails. *)
+let certify (c : certificate) (k : Expr.kernel) (lanes : lane array) from :
+    int =
   let rec go i =
-    if i < Array.length lanes && certify_lane c ty lanes.(i) then go (i + 1)
+    if i < Array.length lanes && certify_lane c k lanes.(i) then go (i + 1)
     else i
   in
-  if Ty.valid ty then go from else from
+  if Ty.valid k.Expr.k_ty then go from else from
 
 (* The template's lanes, with at least [pes] interned and certified as
    far as they hold the certificate. The pool domains deriving from one
@@ -512,8 +572,7 @@ let template_lanes tpl pes : lanes =
               else make_lane ~pattern k (fun s -> Transform.lane_name s i))
       in
       let next =
-        { ls_lanes = lanes;
-          ls_certified = certify c k.Expr.k_ty lanes cur.ls_certified }
+        { ls_lanes = lanes; ls_certified = certify c k lanes cur.ls_certified }
       in
       Atomic.set tpl.tpl_lanes next;
       next
@@ -521,15 +580,6 @@ let template_lanes tpl pes : lanes =
 
 (* The template's first [pes] lanes, interned. *)
 let interned_lanes tpl pes : lane array = (template_lanes tpl pes).ls_lanes
-
-exception Mismatch
-
-(* the rest of [ys] after a prefix physically equal to [xs] *)
-let rec shared xs ys =
-  match (xs, ys) with
-  | [], ys -> ys
-  | x :: xs, y :: ys when x == y -> shared xs ys
-  | _ -> raise Mismatch
 
 (* the rest of [mems] after one memory object per stream of [sos]:
    named by the stream's [so_mem], of [chunk] elements of type [ty] *)
@@ -543,35 +593,98 @@ let rec backing ~ty ~chunk (sos : Ast.stream_obj list)
       backing ~ty ~chunk sos mems
   | _ -> raise Mismatch
 
-(** [conforms ls p d pes] — the position check: [d], a design for [pes]
-    PEs of [p], is made of certified lanes [0 .. pes - 1] of [ls]. Each
-    of its streams, ports and [@main] parameters is physically the
-    lane's at its position; each memory object is named by its stream's
-    [so_mem] and holds [points / pes > 0] elements of the kernel type;
-    and nothing is left over. No name is looked up. *)
-let conforms (ls : lanes) (p : Expr.program) (d : Ast.design) pes : bool =
-  let ty = p.Expr.p_kernel.Expr.k_ty and chunk = Expr.points p / pes in
-  let rec lanes i mems streams ports params =
-    if i = pes then
-      match (mems, streams, ports, params) with
-      | [], [], [], [] -> true
-      | _ -> false
-    else
-      let ln = ls.ls_lanes.(i) in
-      lanes (i + 1)
-        (backing ~ty ~chunk ln.ln_streams mems)
-        (shared ln.ln_streams streams)
-        (shared ln.ln_ports ports)
-        (shared ln.ln_main_params params)
+(* Whether [f0] is a PE function the certified lanes call validly: named
+   [f0], [pipe], calling nothing (so the call graph stays acyclic), with
+   one parameter per input and scalar of [k], at the kernel type. *)
+let pe_function (k : Expr.kernel) (f0 : Ast.func) =
+  String.equal f0.Ast.fn_name "f0"
+  && f0.fn_kind = Ast.Pipe
+  && List.compare_length_with f0.fn_params
+       (List.length k.Expr.k_inputs + List.length k.Expr.k_params)
+     = 0
+  && List.for_all (fun (_, t) -> Ty.equal t k.Expr.k_ty) f0.fn_params
+  && List.for_all (function Ast.Call _ -> false | _ -> true) f0.fn_body
+
+(** [conforms tpl ls d v] — the position check: [d], a design for
+    replicated variant [v] with [pes] PEs, is made of the validated
+    parts of [tpl] and certified lanes [0 .. pes - 1] of [ls], in the
+    order {!build_variant} puts them:
+    - each of its streams, ports and [@main] parameters is physically
+      the lane's at its position; each memory object is named by its
+      stream's [so_mem] and holds [points / pes > 0] elements of the
+      kernel type;
+    - its globals are [tpl]'s, and its functions are [tpl]'s [@f0]
+      (see {!pe_function}), [@flane] for a [ParVecPipe (l, dv)], [@f1]
+      and [@main];
+    - [@flane] is [par] over lanes [0 .. dv - 1]'s inputs then the
+      scalars, and its body is their calls; [@f1] is [par] over every
+      lane's inputs then the scalars, and its body is the lanes' calls,
+      or [l] [par] calls to [@flane], each on its [dv] lanes' inputs
+      then the scalars as [Var]s;
+    - [@main] is [seq], and its body is one [par] call to [@f1] on
+      every lane's inputs then [tpl]'s scalar immediates.
+    Nothing is left over, and no name is looked up. *)
+let conforms tpl (ls : lanes) (d : Ast.design) (v : Transform.variant) :
+    bool =
+  let p = tpl.tpl_program in
+  let k = p.Expr.p_kernel and pes = Transform.pes v and lanes = ls.ls_lanes in
+  let ty = k.Expr.k_ty and chunk = Expr.points p / pes in
+  (* lanes [0 .. n - 1] take all of [ys], each its part by [f] *)
+  let all n f ys = along lanes 0 n f ys = [] in
+  (* the rest of [args] after lanes [lo .. hi - 1]'s inputs *)
+  let inputs lo hi args =
+    along lanes lo hi (fun ln a -> shared ln.ln_args a) args
+  in
+  (* [f] is the [par] function [name] over lanes [0 .. n - 1]'s inputs
+     then the scalars *)
+  let par name n (f : Ast.func) =
+    String.equal f.Ast.fn_name name
+    && f.fn_kind = Ast.Par
+    && all2
+         (fun (s, _) (q, t) -> String.equal s q && Ty.equal t ty)
+         k.Expr.k_params
+         (along lanes 0 n (fun ln ps -> shared ln.ln_params ps) f.fn_params)
+  in
+  (* [f]'s body is lanes [0 .. n - 1]'s calls *)
+  let calls n (f : Ast.func) =
+    all n (fun ln b -> one ln.ln_call b) f.fn_body
+  in
+  (* calls [i .. l - 1] to [@flane], call [i] on lanes
+     [i * dv .. (i + 1) * dv - 1]'s inputs then the scalars *)
+  let rec flane_calls i l dv = function
+    | [] -> i = l
+    | Ast.Call { callee = "flane"; args; kind = Ast.Par; rets = [] } :: body ->
+        all2 is_var k.Expr.k_params (inputs (i * dv) ((i + 1) * dv) args)
+        && flane_calls (i + 1) l dv body
+    | _ -> false
+  in
+  let main (f : Ast.func) =
+    String.equal f.Ast.fn_name "main"
+    && f.fn_kind = Ast.Seq
+    && all pes (fun ln ps -> shared ln.ln_main_params ps) f.fn_params
+    &&
+    match f.fn_body with
+    | [ Ast.Call { callee = "f1"; args; kind = Ast.Par; rets = [] } ] ->
+        shared tpl.tpl_imms (inputs 0 pes args) = []
+    | _ -> false
   in
   pes <= ls.ls_certified && chunk > 0
-  &&
-  match Ast.find_func d "main" with
-  | None -> false
-  | Some main -> (
-      match lanes 0 d.Ast.d_mems d.d_streams d.d_ports main.Ast.fn_params with
-      | ok -> ok
-      | exception Mismatch -> false)
+  && pe_function k tpl.tpl_f0
+  && d.Ast.d_globals == tpl.tpl_globals
+  && holds @@ fun () ->
+     all pes (fun ln ms -> backing ~ty ~chunk ln.ln_streams ms) d.d_mems
+     && all pes (fun ln ss -> shared ln.ln_streams ss) d.d_streams
+     && all pes (fun ln ps -> shared ln.ln_ports ps) d.d_ports
+     &&
+     match (v, d.d_funcs) with
+     | Transform.ParPipe l, [ f0; f1; m ] ->
+         f0 == tpl.tpl_f0 && par "f1" l f1 && calls l f1 && main m
+     | Transform.ParVecPipe (l, dv), [ f0; fl; f1; m ] ->
+         f0 == tpl.tpl_f0 && par "flane" dv fl && calls dv fl
+         && par "f1" pes f1
+         && flane_calls 0 l dv f1.fn_body
+         && main m
+     | _ -> false
 
 (* [sy] if [errors] is empty; otherwise raise [Invalid_argument] with
    them, as {!Validate.check_exn} does *)
@@ -588,13 +701,6 @@ let validated (sy : Symtab.t) (errors : Validate.error list) : Symtab.t =
 let checked_in_full (d : Ast.design) : Ast.design =
   let sy = Symtab.of_design d in
   Symtab.design (validated sy (Validate.check_delta_sym ~trusted:[ "f0" ] sy))
-
-(* Whether [d]'s wiring validates on an index of its functions and
-   globals alone, with the functions named in [trusted] trusted. *)
-let wiring_valid ~trusted (d : Ast.design) : bool =
-  Validate.check_delta_sym ~trusted
-    (Symtab.of_design { d with Ast.d_mems = []; d_streams = []; d_ports = [] })
-  = []
 
 (** [derive_sym tpl v] — build the design for variant [v] of the
     template's program, index it once, and validate it on that index,
@@ -624,19 +730,6 @@ let derive_sym (tpl : template) (v : Transform.variant) : Symtab.t =
       in
       validated sy (Validate.check_delta_sym ~trusted:[ "f0" ] sy)
 
-(* The first derive of replicated variant [v]'s PE count: the design
-   built around the template's @f0 and certified lanes, its Manage-IR
-   checked by position and only its wiring validated. *)
-let derive_first tpl (v : Transform.variant) : Ast.design =
-  Tytra_telemetry.Span.with_ ~name:"front.derive" @@ fun () ->
-  let p = tpl.tpl_program in
-  check_variant p v;
-  let pes = Transform.pes v in
-  let ls = template_lanes tpl pes in
-  let d = build_variant ~f0:(`Shared tpl.tpl_f0) ~lanes:ls.ls_lanes p v in
-  if conforms ls p d pes && wiring_valid ~trusted:[ "f0" ] d then d
-  else checked_in_full d
-
 (* Publish [d], validated, as the shell of [pes] PEs unless another
    domain published one first; by compare-and-set. *)
 let rec publish_shell tpl pes (d : Ast.design) =
@@ -647,43 +740,36 @@ let rec publish_shell tpl pes (d : Ast.design) =
       || Atomic.compare_and_set tpl.tpl_shells cur ((pes, d) :: cur))
   then publish_shell tpl pes d
 
-(* A later derive of replicated variant [v], whose PE count has the
-   shell [sh]: the shell's memory objects, streams, ports, globals and
-   @main with this variant's @f1 body and @flane. Only the wiring is
-   validated, on an index of the functions and globals alone. *)
-let derive_from_shell tpl (sh : Ast.design) (v : Transform.variant) :
-    Ast.design =
-  Tytra_telemetry.Span.with_ ~name:"front.derive" @@ fun () ->
-  let p = tpl.tpl_program in
-  check_variant p v;
-  let f1_params = (Ast.find_func_exn sh "f1").Ast.fn_params in
-  let d =
-    {
-      sh with
-      Ast.d_name = design_name p v;
-      d_funcs =
-        (tpl.tpl_f0
-        :: wiring p.Expr.p_kernel
-             (interned_lanes tpl (Transform.pes v))
-             ~f1_params v)
-        @ [ Ast.find_func_exn sh "main" ];
-    }
-  in
-  if wiring_valid ~trusted:[ "f0"; "main" ] d then d else checked_in_full d
-
 (** [derive tpl v] — the design {!derive_sym} builds and validates, with
-    the same result. A replicated variant is checked against the
-    template's lane certificate and validated on its wiring alone, and
-    becomes its PE count's shell; a later one of that count is built
-    from the shell (see Lane certificate and Shells above). *)
+    the same result. A replicated variant is built around the template's
+    validated parts and certified lanes, or, once its PE count has a
+    shell, around the shell's memory objects, streams, ports, globals
+    and [@main] with its own [@f1] body and [@flane]. Either way it is
+    checked by position, and the first of its PE count becomes that
+    count's shell (see Lane certificate and Shells above). *)
 let derive (tpl : template) (v : Transform.variant) : Ast.design =
   match v with
-  | Transform.ParPipe _ | Transform.ParVecPipe _ -> (
-      let pes = Transform.pes v in
-      match List.assoc_opt pes (Atomic.get tpl.tpl_shells) with
-      | Some sh -> derive_from_shell tpl sh v
-      | None ->
-          let d = derive_first tpl v in
-          publish_shell tpl pes d;
-          d)
+  | Transform.ParPipe _ | Transform.ParVecPipe _ ->
+      Tytra_telemetry.Span.with_ ~name:"front.derive" @@ fun () ->
+      let p = tpl.tpl_program and pes = Transform.pes v in
+      check_variant p v;
+      let ls = template_lanes tpl pes in
+      let d =
+        match List.assoc_opt pes (Atomic.get tpl.tpl_shells) with
+        | Some sh ->
+            let f1_params = (Ast.find_func_exn sh "f1").Ast.fn_params in
+            {
+              sh with
+              Ast.d_name = design_name p v;
+              d_funcs =
+                (tpl.tpl_f0 :: wiring p.Expr.p_kernel ls.ls_lanes ~f1_params v)
+                @ [ Ast.find_func_exn sh "main" ];
+            }
+        | None ->
+            build_variant ~f0:(`Shared tpl.tpl_f0) ~imms:tpl.tpl_imms
+              ~globals:tpl.tpl_globals ~lanes:ls.ls_lanes p v
+      in
+      let d = if conforms tpl ls d v then d else checked_in_full d in
+      publish_shell tpl pes d;
+      d
   | Transform.Seq | Transform.Pipe -> Symtab.design (derive_sym tpl v)

@@ -401,8 +401,9 @@ let check (d : design) : error list = check_sym (Symtab.of_design d)
     physically or structurally). Everything else — Manage-IR, wiring
     functions, call sites into trusted functions, the call graph — is
     checked in full. Counts one [ir.validate.fast_hits] per check that
-    skipped a body, however many it skipped, so the count of a sweep
-    does not depend on which derives trust [@main] as well as [@f0]. *)
+    skipped a body, however many it skipped. [Tytra_front.Lower.derive]
+    checks a replicated variant by position and calls this only when
+    that check fails, so a sweep counts one, its Pipe baseline's. *)
 let check_delta_sym ~(trusted : string list) (sy : Symtab.t) : error list =
   Tytra_telemetry.Span.with_ ~name:"ir.validate"
     ~attrs:

@@ -6,9 +6,9 @@
      pretty-print byte-identically to the Builder-based Oracle_lower,
      also when domains derive from one template at once, and validate
      clean; so do variants built from a PE count's shell, in any
-     derivation order, and a broken wiring delta, or a lane the
-     template's certificate does not cover, falls back to the full
-     check;
+     derivation order; every replicated derive is checked by position,
+     and a broken wiring delta, or a lane the template's certificate
+     does not cover, falls back to the full check;
    - the indexed one-pass validator agrees with the multi-pass
      Oracle_validate on valid and broken designs, reports errors in
      source order, and deduplicates identical (loc, msg) pairs;
@@ -232,13 +232,36 @@ let fast_hits () =
   Option.value ~default:0.0
     (Tytra_telemetry.Metrics.counter_value "ir.validate.fast_hits")
 
+(* Every replicated variant of the four kernels up to 64 lanes x 8, and
+   of the generated programs, derived on a fresh template in enumeration
+   order and in reverse, is checked by position: none makes a delta
+   check. A position check that rejected valid designs would still
+   give every verdict right, since it falls back to the full check, so
+   only the checks it makes, and the speed, show it. *)
+let test_replicated_derives_by_position () =
+  Tytra_telemetry.Control.with_enabled true @@ fun () ->
+  List.iter
+    (fun (name, p) ->
+      let vs = List.filter (fun v -> Transform.pes v > 1) (wide_variants p) in
+      List.iter
+        (fun (order, vs) ->
+          let tpl = Lower.template p in
+          let h0 = fast_hits () in
+          List.iter (fun v -> ignore (Lower.derive tpl v)) vs;
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%s (%s order): no delta check" name order)
+            0.0
+            (fast_hits () -. h0))
+        [ ("enumeration", vs); ("reverse", List.rev vs) ])
+    (kernels () @ generated_programs ())
+
 (* A later derive of a PE count shares the first one's memory objects,
-   streams, ports, globals and @main, and validates only its wiring,
-   with @f0 and @main trusted; a first derive validates only its wiring
-   too, with @f0 trusted. When that wiring is broken, either falls back
-   to the full check and reports exactly its errors. The wiring is
-   broken here by a template whose @f0 is declared par, so every call
-   to it has the wrong kind. *)
+   streams, ports, globals and @main, and builds only its @f1 body and
+   @flane; both derives are checked by position and make no delta
+   check. A design the position check rejects falls back to the full
+   check, which reports exactly its errors. The wiring is broken here by
+   a template whose @f0 is declared par, so every call to it has the
+   wrong kind. *)
 let test_shell_shared_and_fallback () =
   let p = Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 () in
   let tpl = Lower.template p in
@@ -246,7 +269,7 @@ let test_shell_shared_and_fallback () =
   Tytra_telemetry.Control.with_enabled true @@ fun () ->
   let h0 = fast_hits () in
   let later = Lower.derive tpl (Transform.ParVecPipe (4, 2)) in
-  Alcotest.(check (float 0.0)) "later derive makes one delta check" 1.0
+  Alcotest.(check (float 0.0)) "later derive makes no delta check" 0.0
     (fast_hits () -. h0);
   let shared what f =
     Alcotest.(check bool) (what ^ " shared") true (f first == f later)
@@ -274,10 +297,9 @@ let test_shell_shared_and_fallback () =
     via_shell;
   Alcotest.(check bool) ("the error is the call-site kind: " ^ full) true
     (contains full "call-site kind pipe does not match @f0's declared kind par");
-  Alcotest.(check (float 0.0)) "wiring check, then the full check" 2.0
-    (h2 -. h1);
-  Alcotest.(check (float 0.0)) "no shell: wiring check, then the full check"
-    2.0 (h3 -. h2)
+  Alcotest.(check (float 0.0)) "the full check alone" 1.0 (h2 -. h1);
+  Alcotest.(check (float 0.0)) "no shell: the full check alone" 1.0
+    (h3 -. h2)
 
 (* A template whose interned lanes were tampered with after they were
    made: lanes 0 .. 7 of [p]'s template, uncertified, with [tamper]
@@ -291,16 +313,27 @@ let tampered_template p tamper =
 
 (* The first derive of a PE count trusts a lane only once the template
    has certified it, and the design only where it is made of certified
-   lanes by position. Each tampered lane below is a Manage-IR error no
-   wiring check sees, so the derive must fall back to the full check
-   and raise exactly its error text. *)
+   lanes by position. Each tampered lane below makes the design invalid
+   (three in its Manage-IR, three in its wiring), so the derive must
+   fall back to the full check and raise exactly its error text. A lane
+   the certificate does not cover, but whose design is valid, falls
+   back too, and the derive returns the design the full check passed. *)
 let test_tampered_lanes_full_check () =
   let p = Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 () in
+  let k = p.Expr.p_kernel in
   let v = Transform.ParPipe 4 in
   let first_port (ln : Lower.lane) = List.hd ln.Lower.ln_ports in
   let first_stream (ln : Lower.lane) = List.hd ln.Lower.ln_streams in
   let with_port ln pt =
     { ln with Lower.ln_ports = pt :: List.tl ln.Lower.ln_ports }
+  in
+  (* [ln] whose call to @f0 has kind [kind] and passes [args] of the
+     arguments it passed *)
+  let with_call (ln : Lower.lane) kind args =
+    match ln.Lower.ln_call with
+    | Ast.Call c ->
+        { ln with Lower.ln_call = Ast.Call { c with kind; args = args c.args } }
+    | _ -> Alcotest.fail "a lane's call is a call"
   in
   let cases =
     [
@@ -331,6 +364,27 @@ let test_tampered_lanes_full_check () =
               Lower.ln_streams =
                 { so with Ast.so_mem = (first_stream a.(1)).Ast.so_mem }
                 :: List.tl a.(3).Lower.ln_streams } );
+      ( "a lane whose call has kind par",
+        "call-site kind par does not match @f0's declared kind pipe",
+        fun a -> a.(1) <- with_call a.(1) Ast.Par Fun.id );
+      ( "a lane port renamed to a scalar's name",
+        "@f1: duplicate parameter \"omega\"",
+        fun a ->
+          (* lane 2, its first input's port, stream and memory object
+             named after the scalar omega, consistently *)
+          a.(2) <-
+            Lower.make_lane ~pattern:Ast.Cont k (fun s ->
+                if s = List.hd k.Expr.k_inputs then "omega"
+                else Transform.lane_name s 2) );
+      ( "a lane argument naming a local that is not a parameter",
+        "use of undefined local %nosuch",
+        fun a ->
+          let ln = a.(3) in
+          let args = Ast.Var "nosuch" :: List.tl ln.Lower.ln_args in
+          let n = List.length args in
+          a.(3) <-
+            with_call { ln with Lower.ln_args = args } Ast.Pipe (fun passed ->
+                args @ List.filteri (fun i _ -> i >= n) passed) );
     ]
   in
   List.iter
@@ -345,7 +399,22 @@ let test_tampered_lanes_full_check () =
       Alcotest.(check bool) (what ^ ": " ^ full) true (contains full expected);
       Alcotest.(check string) (what ^ ": the full check's error text") full
         derived)
-    cases
+    cases;
+  (* lane 1 calls @f0 on lane 0's inputs: valid, but not lane 1's wiring *)
+  let tpl =
+    tampered_template p (fun a ->
+        a.(1) <- { (a.(1)) with Lower.ln_call = a.(0).Lower.ln_call })
+  in
+  let v = Transform.ParPipe 2 in
+  let full = Pprint.design_to_string (Symtab.design (Lower.derive_sym tpl v)) in
+  Tytra_telemetry.Control.with_enabled true @@ fun () ->
+  let h0 = fast_hits () in
+  let derived = Pprint.design_to_string (Lower.derive tpl v) in
+  Alcotest.(check (float 0.0)) "lane 1 on lane 0's inputs: the full check"
+    1.0
+    (fast_hits () -. h0);
+  Alcotest.(check string) "lane 1 on lane 0's inputs: the full check's design"
+    full derived
 
 (* ---- indexed validator vs the multi-pass oracle ---- *)
 
@@ -707,6 +776,8 @@ let suite =
       test_shell_derive_exact;
     Alcotest.test_case "shell sweep designs jobs-invariant" `Quick
       test_shell_sweep_jobs_invariant;
+    Alcotest.test_case "replicated derives checked by position" `Quick
+      test_replicated_derives_by_position;
     Alcotest.test_case "shells shared, fallback to the full check" `Quick
       test_shell_shared_and_fallback;
     Alcotest.test_case "tampered lanes derive with the full check's errors"
