@@ -12,10 +12,11 @@
     identical PE instances and leaves every per-kernel-instance figure
     as it was. The Pipe report is evaluated once per config and shared
     by all its replicated points. Its design comes from
-    {!Lower.derive}: the first variant of each PE count is validated in
-    full, and every later one of that count is built around the first's
-    Manage-IR and [@main] and validated on its own wiring only
-    (DESIGN.md §10.2), with no full index built.
+    {!Lower.derive}, built around the template's validated PE function
+    and certified lanes, or around its PE count's shell, and checked by
+    position (DESIGN.md §10.2): no replicated point builds an index or
+    runs a delta check unless that check fails. [eval_wave] interns the
+    lanes of a wave's widest variant before the wave fans out.
 
     Points fan out over a {!Tytra_exec.Pool} of [config.jobs] domains.
     A sweep keeps no state between calls: it builds its program's
@@ -128,10 +129,10 @@ let baseline_point bl compute =
    resulting EKIT become trace attributes, so a sweep reads as a row of
    "dse.point" slices in Perfetto (one lane per pool domain). Seq and
    Pipe are costed in full on the index their derivation built
-   ([Lower.derive_sym]). A replicated variant is derived and validated
-   too, by [Lower.derive], which builds no full index for it when its
-   PE count has a shell; it is costed in closed form from the config's
-   Pipe report in [baseline]. *)
+   ([Lower.derive_sym]). A replicated variant is derived too, by
+   [Lower.derive], which checks it by position against the template's
+   certified lanes and builds no index unless that check fails; it is
+   costed in closed form from the config's Pipe report in [baseline]. *)
 let eval_point ~(config : config) ~template ~baseline prog v =
   Tytra_telemetry.Span.with_ ~name:"dse.point"
     ~attrs:
@@ -291,9 +292,14 @@ let rec take_n n = function
   | l -> ([], l)
 
 (* Evaluate a combined wave of (state, index, variant) items on the
-   shared pool; results land back in each state's accumulator. *)
+   shared pool; results land back in each state's accumulator. The
+   calling domain first interns the lanes of the wave's widest variant,
+   so the template's lanes grow once a wave and no pool domain waits on
+   their lock. *)
 let eval_wave ~pool ~template prog
     (items : (sweep_state * int * Transform.variant) list) =
+  let pes = List.fold_left (fun m (_, _, v) -> max m (Transform.pes v)) 1 items in
+  if pes > 1 then ignore (Lower.template_lanes template pes);
   Tytra_exec.Pool.map pool
     (fun (st, idx, v) ->
       ( st,

@@ -11,10 +11,13 @@
     config's Pipe report by {!Tytra_cost.Report.replicate}, which gives
     the same report field for field. Pipe is evaluated once per config
     and shared by its replicated points. A replicated point's design
-    comes from [Tytra_front.Lower.derive]: the first point of each PE
-    count is validated in full, and every later one shares its memory
-    objects, streams, ports and [@main] and is validated on its own
-    wiring, with the full check's verdict (DESIGN.md §10.2).
+    comes from [Tytra_front.Lower.derive], built around the template's
+    validated PE function and certified lanes (the first point of each
+    PE count) or that count's shell (every later one), and checked
+    against them by position, with the full check's verdict (DESIGN.md
+    §10.2): it builds no index and runs no delta check unless that
+    check fails. Before each evaluation wave fans out, the sweep's
+    driving domain interns the lanes of the wave's widest variant.
 
     With [config.prune] on (the default) the sweep skips full lowering
     for candidates whose {!Tytra_cost.Bounds} prove they cannot fit the

@@ -346,6 +346,16 @@ let maybe_optimize opt d =
 
 let ( let* ) = Result.bind
 
+(* [Ok ()] if [v], the value of field [field] of an [op] request, is at
+   least 1; a kernel-instance count or a grid side below 1 has no
+   meaning, and the cost model would answer it anyway *)
+let at_least_one op field v =
+  if v >= 1 then Ok ()
+  else
+    Error
+      (Bad_request
+         (Printf.sprintf "%s: %S must be at least 1, got %d" op field v))
+
 let do_check t ~source =
   let* d = load t source in
   let text, () =
@@ -383,6 +393,7 @@ let load_calib = function
            (Tytra_device.Calib_io.parse ~path text))
 
 let do_cost t ~source ~device ~form ~nki ~optimize ~calib:calib_file =
+  let* () = at_least_one "cost" "nki" nki in
   let* d = load t source in
   let* calib = load_calib calib_file in
   let d = maybe_optimize optimize d in
@@ -430,6 +441,7 @@ let do_synth t ~source ~device ~effort ~optimize =
     }
 
 let do_sim t ~source ~device ~form ~nki ~optimize =
+  let* () = at_least_one "sim" "nki" nki in
   let* d = load t source in
   let sform =
     match form with
@@ -486,14 +498,8 @@ let do_explore ?on_progress (x : explore_params) =
           (Bad_request
              (Printf.sprintf "explore: %S is no longer supported" f))
   in
-  let* () =
-    if x.x_size >= 1 then Ok ()
-    else
-      Error
-        (Bad_request
-           (Printf.sprintf "explore: \"size\" must be at least 1, got %d"
-              x.x_size))
-  in
+  let* () = at_least_one "explore" "size" x.x_size in
+  let* () = at_least_one "explore" "nki" x.x_nki in
   let prog = program_of x in
   let jobs = if x.x_jobs = 0 then Pool.default_jobs () else x.x_jobs in
   let config =

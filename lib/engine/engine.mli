@@ -33,7 +33,7 @@ type explore_params = {
   x_max_lanes : int;
   x_device : Tytra_device.Device.t;
   x_form : Tytra_cost.Throughput.form;
-  x_nki : int;
+  x_nki : int;  (** kernel instances; [submit] answers [Bad_request] below 1 *)
   x_jobs : int;             (** evaluation domains; 0 = one per core *)
   x_prune : bool;
   (* Retired sweep-resilience fields: [submit] answers [Bad_request]
@@ -55,7 +55,7 @@ type request =
       source : source;
       device : Tytra_device.Device.t;
       form : Tytra_cost.Throughput.form;
-      nki : int;
+      nki : int;  (** kernel instances; [submit] answers [Bad_request] below 1 *)
       optimize : bool;
       calib : string option;
     }
@@ -69,7 +69,7 @@ type request =
       source : source;
       device : Tytra_device.Device.t;
       form : Tytra_cost.Throughput.form;
-      nki : int;
+      nki : int;  (** as for [Cost] *)
       optimize : bool;
     }
   | Explore of explore_params

@@ -159,53 +159,71 @@ type lane = {
   ln_call : Ast.instr;  (** [call @f0] on the lane's inputs and the scalars *)
 }
 
-(* [make_lane ~pattern k name] builds a lane whose port on stream [s] is
-   named [name s]; an output's port is {!Expr.output_port}. *)
-let make_lane ~pattern (k : Expr.kernel) (name : string -> string) : lane =
-  let ty = k.Expr.k_ty in
-  let ports =
-    List.map (fun s -> (name s, Ast.IStream)) k.Expr.k_inputs
-    @ List.map
-        (fun o -> (name (Expr.output_port o), Ast.OStream))
-        k.Expr.k_outputs
-  in
-  let streams =
-    List.map
-      (fun (pname, dir) ->
-        { Ast.so_name = "s_" ^ pname; so_dir = dir; so_mem = "m_" ^ pname;
-          so_pattern = pattern })
-      ports
-  in
-  let main_params = List.map (fun (pname, _) -> (pname, ty)) ports in
-  let n_in = List.length k.Expr.k_inputs in
-  let params = List.filteri (fun i _ -> i < n_in) main_params in
-  let args = List.map (fun (s, _) -> Ast.Var s) params in
+(* What every lane of a kernel is made from: the kernel type, the
+   streams' pattern, the port stems with their directions (the inputs,
+   then the outputs as {!Expr.output_port} names them), last first, and
+   the kernel's scalars as [Var]s, the tail that every lane's call
+   shares. *)
+type stems = {
+  st_ty : Ty.t;
+  st_pattern : Ast.pattern;
+  st_ports : (string * Ast.dir) list;  (** last port first *)
+  st_scalars : Ast.operand list;
+}
+
+let stems ~pattern (k : Expr.kernel) : stems =
   {
-    ln_streams = streams;
-    ln_ports =
-      List.map2
-        (fun (pname, dir) s ->
-          { Ast.pt_fun = "main"; pt_port = pname; pt_space = Ast.Global;
-            pt_ty = ty; pt_dir = dir; pt_pattern = pattern; pt_base_off = 0;
-            pt_stream = s.Ast.so_name })
-        ports streams;
-    ln_main_params = main_params;
-    ln_params = params;
-    ln_args = args;
-    ln_call =
-      Ast.Call
-        { callee = "f0"; args = args @ scalar_args k; kind = Ast.Pipe;
-          rets = [] };
+    st_ty = k.Expr.k_ty;
+    st_pattern = pattern;
+    st_ports =
+      List.rev
+        (List.map (fun s -> (s, Ast.IStream)) k.Expr.k_inputs
+        @ List.map (fun o -> (Expr.output_port o, Ast.OStream)) k.Expr.k_outputs);
+    st_scalars = scalar_args k;
   }
+
+(* [make_lane st suffix] builds the lane whose port on stem [s] is named
+   [s ^ suffix]: [Transform.lane_suffix i] for lane [i] of a replicated
+   variant, [""] for the one lane of a single-PE variant. Each port's
+   name, stream, port record and [@main] parameter are made in one pass
+   over the stems, consed in front of the later ports'. *)
+let make_lane (st : stems) suffix : lane =
+  let ty = st.st_ty and pattern = st.st_pattern in
+  let rec go ports sos pts mps params args =
+    match ports with
+    | [] ->
+        { ln_streams = sos; ln_ports = pts; ln_main_params = mps;
+          ln_params = params; ln_args = args;
+          ln_call =
+            Ast.Call
+              { callee = "f0"; args = args @ st.st_scalars; kind = Ast.Pipe;
+                rets = [] } }
+    | (stem, dir) :: ports -> (
+        let name = stem ^ suffix in
+        let so =
+          { Ast.so_name = "s_" ^ name; so_dir = dir; so_mem = "m_" ^ name;
+            so_pattern = pattern }
+        in
+        let pt =
+          { Ast.pt_fun = "main"; pt_port = name; pt_space = Ast.Global;
+            pt_ty = ty; pt_dir = dir; pt_pattern = pattern; pt_base_off = 0;
+            pt_stream = so.so_name }
+        in
+        let mp = (name, ty) in
+        match dir with
+        | Ast.IStream ->
+            go ports (so :: sos) (pt :: pts) (mp :: mps) (mp :: params)
+              (Ast.Var name :: args)
+        | Ast.OStream -> go ports (so :: sos) (pt :: pts) (mp :: mps) params args)
+  in
+  go st.st_ports [] [] [] [] []
 
 (* The lanes of a variant with [pes] PEs, built afresh: single-PE
    variants keep the paper's unsuffixed stream names ([@main.p]);
    replicated variants suffix per lane ([@main.p0]…). *)
-let fresh_lanes ~pattern (k : Expr.kernel) pes : lane array =
-  if pes = 1 then [| make_lane ~pattern k Fun.id |]
-  else
-    Array.init pes (fun i ->
-        make_lane ~pattern k (fun s -> Transform.lane_name s i))
+let fresh_lanes (st : stems) pes : lane array =
+  if pes = 1 then [| make_lane st "" |]
+  else Array.init pes (fun i -> make_lane st (Transform.lane_suffix i))
 
 (* [gather lanes lo hi f tail] — [tail] with lanes [lo .. hi - 1]
    prepended in order, each by [f lane rest] *)
@@ -352,7 +370,7 @@ let lower ?(pattern = Ast.Cont) (p : Expr.program) (v : Transform.variant) :
   check_variant p v;
   Validate.check_exn
     (build_variant ~f0:`Emit
-       ~lanes:(fresh_lanes ~pattern p.Expr.p_kernel (Transform.pes v))
+       ~lanes:(fresh_lanes (stems ~pattern p.Expr.p_kernel) (Transform.pes v))
        p v)
 
 (** {2 Derived variants (DESIGN.md §10)}
@@ -412,14 +430,14 @@ let no_lanes = { ls_lanes = [||]; ls_certified = 0 }
 (** The port names of a template's certified lanes, seeded with the
     kernel's scalar names, so a lane is certified only if its own are
     new: among [@main]'s parameters, and among [@f1]'s and [@flane]'s,
-    where the scalars follow the lanes' inputs. Mutated only under
-    [c_lock], which also serializes the growth of the template's
-    lanes. *)
-type certificate = { c_lock : Mutex.t; c_ports : unit Symtab.Tbl.t }
+    where the scalars follow the lanes' inputs. Replaced and mutated
+    only under [c_lock], which also serializes the growth of the
+    template's lanes. *)
+type certificate = { c_lock : Mutex.t; mutable c_ports : unit Symtab.Tbl.t }
 
 type template = {
   tpl_program : Expr.program;
-  tpl_pattern : Ast.pattern;
+  tpl_stems : stems;  (** what its lanes are made from *)
   tpl_f0 : Ast.func;  (** validated PE function, shared by reference *)
   tpl_imms : Ast.operand list;
       (** the scalar immediates [@main] passes, as the validated [Pipe]
@@ -440,11 +458,11 @@ type template = {
 let template ?(pattern = Ast.Cont) (p : Expr.program) : template =
   let d = lower ~pattern p Transform.Pipe in
   let k = p.Expr.p_kernel in
-  let ports = Symtab.Tbl.create 64 in
+  let ports = Symtab.Tbl.create (List.length k.Expr.k_params) in
   List.iter (fun (s, _) -> Symtab.Tbl.replace ports s ()) k.Expr.k_params;
   {
     tpl_program = p;
-    tpl_pattern = pattern;
+    tpl_stems = stems ~pattern k;
     tpl_f0 = Ast.find_func_exn d "f0";
     tpl_imms = param_args k;
     tpl_globals = d.Ast.d_globals;
@@ -484,11 +502,16 @@ let all2 f xs ys = List.compare_lengths xs ys = 0 && List.for_all2 f xs ys
 let is_var (name, _) (a : Ast.operand) =
   match a with Ast.Var v -> String.equal v name | _ -> false
 
+(* [name] from position [i] on is [s] from position [i + 2] on; unlike
+   [String.ends_with], it allocates no closure per call *)
+let rec equal_from name s i =
+  i = String.length name || (name.[i] = s.[i + 2] && equal_from name s (i + 1))
+
 (* [s] is [c], '_', then [name], compared character by character *)
 let prefixed c name s =
   String.length s = String.length name + 2
   && s.[0] = c && s.[1] = '_'
-  && String.ends_with ~suffix:name s
+  && equal_from name s 0
 
 (* [fresh tbl name] — add [name] to [tbl]; whether it was new *)
 let fresh tbl name =
@@ -496,42 +519,48 @@ let fresh tbl name =
   Symtab.Tbl.replace tbl name ();
   Symtab.Tbl.length tbl > n
 
+(* Whether a lane's ports [pts], streams [sos] and [@main] parameters
+   [mps] hold the Manage-IR part of the certificate at type [ty],
+   adding the port names to [c]'s *)
+let rec certify_manage (c : certificate) ty (pts : Ast.port list)
+    (sos : Ast.stream_obj list) (mps : (string * Ty.t) list) =
+  match (pts, sos, mps) with
+  | [], [], [] -> true
+  | pt :: pts, so :: sos, (mp, mty) :: mps ->
+      String.equal pt.Ast.pt_fun "main"
+      && String.equal pt.pt_stream so.Ast.so_name
+      && pt.pt_dir = so.so_dir && Ty.equal pt.pt_ty ty
+      && String.equal mp pt.pt_port && Ty.equal mty ty
+      && (match so.so_pattern with
+         | Ast.Strided n -> n > 0
+         | Ast.Cont | Ast.Random -> true)
+      && prefixed 's' pt.pt_port so.so_name
+      && prefixed 'm' pt.pt_port so.so_mem
+      && fresh c.c_ports pt.pt_port
+      && certify_manage c ty pts sos mps
+  | _ -> false
+
 (* Whether lane [ln] holds the certificate for kernel [k] (module
    comment above), adding its port names to [c]'s. A lane that fails
    leaves the names it added, so it fails again: certification stops at
    it. *)
 let certify_lane (c : certificate) (k : Expr.kernel) (ln : lane) : bool =
-  let ty = k.Expr.k_ty in
-  let rec manage (pts : Ast.port list) (sos : Ast.stream_obj list)
-      (mps : (string * Ty.t) list) =
-    match (pts, sos, mps) with
-    | [], [], [] -> true
-    | pt :: pts, so :: sos, (mp, mty) :: mps ->
-        String.equal pt.Ast.pt_fun "main"
-        && String.equal pt.pt_stream so.Ast.so_name
-        && pt.pt_dir = so.so_dir && Ty.equal pt.pt_ty ty
-        && String.equal mp pt.pt_port && Ty.equal mty ty
-        && (match so.so_pattern with
-           | Ast.Strided n -> n > 0
-           | Ast.Cont | Ast.Random -> true)
-        && prefixed 's' pt.pt_port so.so_name
-        && prefixed 'm' pt.pt_port so.so_mem
-        && fresh c.c_ports pt.pt_port
-        && manage pts sos mps
-    | _ -> false
-  in
-  holds @@ fun () ->
-  (* the wiring first, which adds no name: one PE input per kernel
-     input, physically a [@main] parameter, passed as a [Var] of its
-     name and then the scalars' *)
-  let _outputs = shared ln.ln_params ln.ln_main_params in
-  List.compare_length_with ln.ln_params (List.length k.Expr.k_inputs) = 0
-  && all2 is_var ln.ln_params ln.ln_args
-  && (match ln.ln_call with
-     | Ast.Call { callee = "f0"; args; kind = Ast.Pipe; rets = [] } ->
-         all2 is_var k.Expr.k_params (shared ln.ln_args args)
-     | _ -> false)
-  && manage ln.ln_ports ln.ln_streams ln.ln_main_params
+  match
+    (* the wiring first, which adds no name: one PE input per kernel
+       input, physically a [@main] parameter, passed as a [Var] of its
+       name and then the scalars' *)
+    let _outputs = shared ln.ln_params ln.ln_main_params in
+    List.compare_length_with ln.ln_params (List.length k.Expr.k_inputs) = 0
+    && all2 is_var ln.ln_params ln.ln_args
+    && (match ln.ln_call with
+       | Ast.Call { callee = "f0"; args; kind = Ast.Pipe; rets = [] } ->
+           all2 is_var k.Expr.k_params (shared ln.ln_args args)
+       | _ -> false)
+    && certify_manage c k.Expr.k_ty ln.ln_ports ln.ln_streams
+         ln.ln_main_params
+  with
+  | ok -> ok
+  | exception Mismatch -> false
 
 (** [certify c k lanes from] — the number of leading lanes of [lanes]
     certified for kernel [k], certifying them in order from lane [from],
@@ -543,6 +572,15 @@ let certify (c : certificate) (k : Expr.kernel) (lanes : lane array) from :
     else i
   in
   if Ty.valid k.Expr.k_ty then go from else from
+
+(* Replace [c]'s name table by one holding the same names with a bucket
+   for each of them and [more] others, so that certifying [more] ports
+   rehashes no name: a table rehashes every name it holds each time it
+   outgrows two names a bucket. *)
+let make_room (c : certificate) more =
+  let t = Symtab.Tbl.create (Symtab.Tbl.length c.c_ports + more) in
+  Symtab.Tbl.iter (fun name () -> Symtab.Tbl.add t name ()) c.c_ports;
+  c.c_ports <- t
 
 (* The template's lanes, with at least [pes] interned and certified as
    far as they hold the certificate. The pool domains deriving from one
@@ -562,17 +600,21 @@ let template_lanes tpl pes : lanes =
     let cur = Atomic.get tpl.tpl_lanes in
     if ready cur then cur
     else begin
-      let k = tpl.tpl_program.Expr.p_kernel and pattern = tpl.tpl_pattern in
+      let st = tpl.tpl_stems in
       let n = Array.length cur.ls_lanes in
       let lanes =
         if n >= pes then cur.ls_lanes
-        else
+        else begin
+          make_room c ((pes - cur.ls_certified) * List.length st.st_ports);
           Array.init pes (fun i ->
               if i < n then cur.ls_lanes.(i)
-              else make_lane ~pattern k (fun s -> Transform.lane_name s i))
+              else make_lane st (Transform.lane_suffix i))
+        end
       in
       let next =
-        { ls_lanes = lanes; ls_certified = certify c k lanes cur.ls_certified }
+        { ls_lanes = lanes;
+          ls_certified =
+            certify c tpl.tpl_program.Expr.p_kernel lanes cur.ls_certified }
       in
       Atomic.set tpl.tpl_lanes next;
       next
@@ -717,8 +759,7 @@ let derive_sym (tpl : template) (v : Transform.variant) : Symtab.t =
   check_variant p v;
   let pes = Transform.pes v in
   let lanes =
-    if pes = 1 then fresh_lanes ~pattern:tpl.tpl_pattern p.Expr.p_kernel 1
-    else interned_lanes tpl pes
+    if pes = 1 then fresh_lanes tpl.tpl_stems 1 else interned_lanes tpl pes
   in
   match v with
   | Transform.Seq ->

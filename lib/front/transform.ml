@@ -64,12 +64,16 @@ let reshaped_type (p : Expr.program) (v : variant) : (Vtype.t, string) result
 
 (** {2 Lane names} *)
 
+(** [lane_suffix i] — what lane [i] of a replicated variant appends to
+    every port name it copies: the decimal [i]. *)
+let lane_suffix i = Int.to_string i
+
 (** [lane_name port i] — the name lane [i] of a replicated variant gives
     its copy of [port]: [p0], [p1], … Every per-lane name of a lowered
     design derives from it: the port and [@main] parameter [p3], the
     stream [s_p3] and the memory object [m_p3]. Single-PE variants keep
     the unsuffixed port name. *)
-let lane_name port i = port ^ Int.to_string i
+let lane_name port i = port ^ lane_suffix i
 
 (* [decimal b j i bound] — the value of [i] followed by the digits
    [b.[j ..]], if they are all digits and it is at most [bound] *)

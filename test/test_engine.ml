@@ -630,8 +630,8 @@ let test_typed_errors () =
   | Error (Engine.Parse_error _) -> ()
   | Error e -> Alcotest.failf "expected io error, got %s" (Engine.error_kind e)
   | Ok _ -> Alcotest.fail "nonexistent file was accepted");
-  (* the retired sweep-resilience fields and a size below 1 are
-     refused, one at a time *)
+  (* the retired sweep-resilience fields, and a size or an nki below 1,
+     are refused, one at a time *)
   let x =
     {
       Engine.x_kernel = Engine.Sor;
@@ -651,29 +651,57 @@ let test_typed_errors () =
       x_place_mode = None;
     }
   in
+  let cost nki =
+    Engine.Cost
+      { source = Engine.Inline sor_inline; device = dev;
+        form = Tytra_cost.Throughput.FormB; nki; optimize = false;
+        calib = None }
+  in
+  let sim nki =
+    Engine.Sim
+      { source = Engine.Inline sor_inline; device = dev;
+        form = Tytra_cost.Throughput.FormB; nki; optimize = false }
+  in
   List.iter
-    (fun (name, x) ->
-      match Engine.submit eng (Engine.Explore x) with
+    (fun (name, req) ->
+      match Engine.submit eng req with
       | Error e ->
           Alcotest.(check string) (name ^ " kind") "bad_request"
             (Engine.error_kind e);
           Alcotest.(check int) (name ^ " exit code") 2 (Engine.exit_code e);
           Alcotest.(check int) (name ^ " HTTP status") 400
             (Protocol.http_status e)
-      | Ok _ -> Alcotest.failf "explore with %s was accepted" name)
+      | Ok _ -> Alcotest.failf "a request with %s was accepted" name)
     [
-      ("x_retries", { x with x_retries = 1 });
-      ("x_deadline_s", { x with x_deadline_s = Some 1.0 });
-      ("x_best_effort", { x with x_best_effort = true });
-      ("x_checkpoint", { x with x_checkpoint = Some "/tmp/tytra-ck" });
-      ("x_resume", { x with x_resume = Some "/tmp/tytra-ck" });
-      ("x_size", { x with x_size = 0 });
+      ("x_retries", Engine.Explore { x with x_retries = 1 });
+      ("x_deadline_s", Engine.Explore { x with x_deadline_s = Some 1.0 });
+      ("x_best_effort", Engine.Explore { x with x_best_effort = true });
+      ("x_checkpoint",
+       Engine.Explore { x with x_checkpoint = Some "/tmp/tytra-ck" });
+      ("x_resume", Engine.Explore { x with x_resume = Some "/tmp/tytra-ck" });
+      ("x_size", Engine.Explore { x with x_size = 0 });
+      ("x_nki 0", Engine.Explore { x with x_nki = 0 });
+      ("x_nki -5", Engine.Explore { x with x_nki = -5 });
+      ("cost nki 0", cost 0);
+      ("cost nki -5", cost (-5));
+      ("sim nki 0", sim 0);
+      ("sim nki -3", sim (-3));
     ];
-  match Engine.submit eng (Engine.Explore { x with x_size = -3 }) with
-  | Error e ->
-      Alcotest.(check string) "size message names the field"
-        "explore: \"size\" must be at least 1, got -3" (Engine.error_message e)
-  | Ok _ -> Alcotest.fail "explore with size -3 was accepted"
+  List.iter
+    (fun (req, message) ->
+      match Engine.submit eng req with
+      | Error e ->
+          Alcotest.(check string) "the message names the field" message
+            (Engine.error_message e)
+      | Ok _ -> Alcotest.failf "a request was accepted: %s" message)
+    [
+      (Engine.Explore { x with x_size = -3 },
+       "explore: \"size\" must be at least 1, got -3");
+      (Engine.Explore { x with x_nki = -5 },
+       "explore: \"nki\" must be at least 1, got -5");
+      (cost 0, "cost: \"nki\" must be at least 1, got 0");
+      (sim (-3), "sim: \"nki\" must be at least 1, got -3");
+    ]
 
 let test_request_deadline () =
   let eng = Engine.create Engine.default_config in

@@ -371,11 +371,14 @@ let test_tampered_lanes_full_check () =
         "@f1: duplicate parameter \"omega\"",
         fun a ->
           (* lane 2, its first input's port, stream and memory object
-             named after the scalar omega, consistently *)
+             named after the scalar omega, consistently: made unsuffixed
+             from a kernel whose first input is omega, so its other
+             ports are still new *)
           a.(2) <-
-            Lower.make_lane ~pattern:Ast.Cont k (fun s ->
-                if s = List.hd k.Expr.k_inputs then "omega"
-                else Transform.lane_name s 2) );
+            Lower.make_lane
+              (Lower.stems ~pattern:Ast.Cont
+                 { k with Expr.k_inputs = "omega" :: List.tl k.Expr.k_inputs })
+              "" );
       ( "a lane argument naming a local that is not a parameter",
         "use of undefined local %nosuch",
         fun a ->
