@@ -585,8 +585,10 @@ let serve_cmd =
       & opt int (Tytra_engine.Daemon.default_workers ())
       & info [ "workers" ] ~docv:"N"
           ~doc:
-            "Worker domains answering requests concurrently (default: one \
-             per core, at most 4).")
+            "Worker domains answering requests concurrently, beside the \
+             daemon's own domain, which accepts connections and reads \
+             requests (default: one per core but that one, at least 1, \
+             at most 4).")
   in
   let queue_cap_arg =
     Arg.(

@@ -51,8 +51,14 @@ let () =
       let d = best.Tytra_dse.Dse.dp_design in
       Format.printf "@.selected %s@."
         (Transform.to_string best.Tytra_dse.Dse.dp_variant);
+      let device = Tytra_device.Device.stratixv_gsd8 in
+      let inputs =
+        Tytra_cost.Report.base_clock_inputs ~device
+          (Tytra_cost.Report.evaluate ~device ~nki:1000 d)
+      in
       Format.printf "form selection:@.%a@." Tytra_cost.Formsel.pp
-        (Tytra_cost.Formsel.recommend ~nki:1000 d);
+        (Tytra_cost.Formsel.recommend ~device
+           ~footprint:(Tytra_ir.Analysis.bytes_per_ndrange d) inputs);
       Format.printf "@.roofline: %a@." Tytra_cost.Roofline.pp
-        (Tytra_cost.Roofline.of_design ~nki:1000 d)
+        (Tytra_cost.Roofline.of_inputs inputs)
   | None -> Format.printf "no valid variant@.")

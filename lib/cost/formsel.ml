@@ -85,12 +85,14 @@ let tiled_ekit (i : Throughput.inputs) ~(tiles : int) : Throughput.breakdown
        else Throughput.Host_bw);
   }
 
-(** [recommend ?device ?calib ~nki d] — evaluate forms A, B, C and tiled C
-    for design [d] and recommend the fastest feasible execution. *)
-let recommend ?(device = Tytra_device.Device.stratixv_gsd8) ?calib ~nki
-    (d : Tytra_ir.Ast.design) : recommendation =
-  let inputs = Throughput.inputs_of_design ~device ?calib ~nki d in
-  let footprint = Tytra_ir.Analysis.bytes_per_ndrange d in
+(** [recommend ~device ~footprint i] — evaluate forms A, B, C and tiled C
+    for a design whose Table-I inputs at the device's base clock are [i]
+    ({!Report.base_clock_inputs}) and whose NDRange moves [footprint]
+    bytes, at [i.nki] kernel instances, and recommend the fastest
+    feasible execution. *)
+let recommend ~(device : Tytra_device.Device.t) ~footprint
+    (inputs : Throughput.inputs) : recommendation =
+  let nki = inputs.Throughput.nki in
   let onchip =
     bram_data_fraction *. float_of_int device.Tytra_device.Device.bram_bits /. 8.0
   in

@@ -116,6 +116,9 @@ let replicate ~(device : Tytra_device.Device.t) ~form ~name ~lanes ~vec
     (Limits.walls ~device ~est ~inputs)
     (Limits.balance_hint ~device ~est)
 
+let base_clock_inputs ~(device : Tytra_device.Device.t) (r : t) =
+  { r.rp_inputs with Throughput.fd_hz = device.Tytra_device.Device.fmax_base_mhz *. 1e6 }
+
 let pp fmt (r : t) =
   Format.fprintf fmt "=== cost model: %s on %s ===@\n" r.rp_design r.rp_device;
   Format.fprintf fmt "resources: %a@\n" Resource_model.pp_estimate r.rp_estimate;
@@ -134,6 +137,6 @@ let pp fmt (r : t) =
 let to_string r = Format.asprintf "%a" pp r
 
 (* Evaluation keeps no stage caches. [benchmark/] still calls these two;
-   ROADMAP item 7 deletes them with the next benchmark change. *)
+   the ROADMAP item "Next benchmark change" deletes them. *)
 let stage_cache_stats () : (string * Tytra_exec.Cache.stats) list = []
 let clear_stage_caches () = ()

@@ -74,6 +74,12 @@ val replicate :
     design field for field, floats bit-equal, and prints the same.
     Counts [cost.replications], under a [cost.replicate] span. *)
 
+val base_clock_inputs : device:Tytra_device.Device.t -> t -> Throughput.inputs
+(** [base_clock_inputs ~device r] — [r.rp_inputs] at [device]'s base
+    clock instead of the estimated Fmax: the inputs {!Formsel.recommend}
+    and {!Roofline.of_inputs} take in [tybec cost], bit-equal to
+    {!Throughput.inputs_of_design} on the design without [fmax_mhz]. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
@@ -82,5 +88,5 @@ val stage_cache_stats : unit -> (string * Tytra_exec.Cache.stats) list
 
 val clear_stage_caches : unit -> unit
 (** Does nothing. [stage_cache_stats] and this are kept only because
-    [benchmark/] calls them; ROADMAP item 7 deletes both with the next
-    benchmark change. *)
+    [benchmark/] calls them; the ROADMAP item "Next benchmark change"
+    deletes both. *)

@@ -25,22 +25,20 @@ type t = {
   rf_bound : [ `Compute | `Gmem | `Host ];
 }
 
-(** [of_design ?device ?calib ?form ?nki d] — roofline point for [d].
-    With form B (the default), host bandwidth is amortized over [nki] and
-    usually not the binding roof; with form A it frequently is. *)
-let of_design ?(device = Tytra_device.Device.stratixv_gsd8) ?calib
-    ?(form = Throughput.FormB) ?(nki = 1) ?fmax_mhz (d : Tytra_ir.Ast.design)
-    : t =
-  let open Tytra_ir in
-  let p = Analysis.params d in
-  let inputs = Throughput.inputs_of_design ~device ?calib ~nki ?fmax_mhz d in
-  let ops_per_tuple = float_of_int (max 1 p.Analysis.ni) in
+(** [of_inputs ?form i] — roofline point of a design whose Table-I
+    inputs are [i], taken at the clock [i] carries (the device's base
+    clock in [tybec cost], {!Report.base_clock_inputs}). With form B
+    (the default), host bandwidth is amortized over [i.nki] and usually
+    not the binding roof; with form A it frequently is. *)
+let of_inputs ?(form = Throughput.FormB) (inputs : Throughput.inputs) : t =
+  let nki = inputs.Throughput.nki in
+  let ops_per_tuple = float_of_int (max 1 inputs.Throughput.ni) in
   let intensity =
     if inputs.Throughput.bytes_per_tuple > 0.0 then
       ops_per_tuple /. inputs.Throughput.bytes_per_tuple
     else infinity
   in
-  let lanes = float_of_int (max 1 (p.Analysis.knl * p.Analysis.dv)) in
+  let lanes = float_of_int (max 1 (inputs.Throughput.knl * inputs.Throughput.dv)) in
   let compute =
     ops_per_tuple *. inputs.Throughput.fd_hz *. lanes
     /. Float.max 1.0 inputs.Throughput.cpt

@@ -37,6 +37,10 @@ type inputs = {
   kpd : int;            (** kernel pipeline depth, cycles *)
   fd_hz : float;        (** operating frequency *)
   cpt : float;          (** cycles per tuple per lane (NTO·NI collapsed) *)
+  ni : int;
+      (** datapath instructions per lane: the roofline's operations per
+          tuple ({!Roofline}); the EKIT expressions see it only through
+          [cpt] *)
   knl : int;            (** parallel kernel lanes *)
   dv : int;             (** vectorization degree per lane *)
   hpb : float;          (** host peak bandwidth, bytes/s *)
@@ -200,6 +204,7 @@ let inputs_of_design_sym ?(device = Tytra_device.Device.stratixv_gsd8)
     kpd = p.Analysis.kpd;
     fd_hz = fd_mhz *. 1e6;
     cpt = float_of_int (max 1 p.Analysis.nto);
+    ni = p.Analysis.ni;
     knl = p.Analysis.knl;
     dv = p.Analysis.dv;
     hpb = device.Tytra_device.Device.hpb;

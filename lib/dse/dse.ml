@@ -706,6 +706,6 @@ let pp_point fmt (p : point) =
        p.dp_report.Tytra_cost.Report.rp_breakdown.Tytra_cost.Throughput.bd_limiter)
 
 (* A sweep holds no state to clear. [benchmark/] still calls this
-   between sweeps; ROADMAP item 7 deletes it with the next benchmark
-   change. *)
+   between sweeps; the ROADMAP item "Next benchmark change" deletes
+   it. *)
 let clear_cache () = ()

@@ -146,5 +146,5 @@ val pp_point : Format.formatter -> point -> unit
 
 val clear_cache : unit -> unit
 (** Does nothing: a sweep holds no state to clear. Kept only because
-    [benchmark/] calls it; ROADMAP item 7 deletes it with the next
-    benchmark change. *)
+    [benchmark/] calls it; the ROADMAP item "Next benchmark change"
+    deletes it. *)

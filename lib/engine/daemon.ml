@@ -14,7 +14,9 @@
     followed by one result frame (protocol minor 1), written
     incrementally as the sweep advances (DESIGN.md §15).
 
-    {!run} blocks until SIGTERM/SIGINT, then drains gracefully: the
+    {!run} serves on the calling domain, which runs the server's one
+    loop (accept, read, answer wire errors) while the workers answer
+    requests, until SIGTERM/SIGINT; then it drains gracefully: the
     listener stops accepting, every request already accepted is
     answered, the workers join, and the accounting line is printed —
     whereupon the CLI exits 0. *)
@@ -105,7 +107,11 @@ let handler ?default_deadline_s (eng : Engine.t) (rq : Serve.request) :
                  Protocol.version Protocol.version_minor)))
   | _ -> None (* falls through to /metrics, /metrics.json, /healthz *)
 
-let default_workers () = min 4 (Domain.recommended_domain_count ())
+(* The serving loop runs on the daemon's own domain, so it counts
+   against the cores: one worker per remaining core, at least one, at
+   most 4 (DESIGN.md §13.3). *)
+let default_workers () =
+  max 1 (min 4 (Domain.recommended_domain_count () - 1))
 
 let run ?(config = Engine.default_config) ?(workers = default_workers ())
     ?(queue_cap = 64) ?(reuseport = false) ?listen_fd ?admin_addr
@@ -121,28 +127,36 @@ let run ?(config = Engine.default_config) ?(workers = default_workers ())
     Option.map (fun ms -> Float.max 0.0 ms /. 1000.0) deadline_default_ms
   in
   let eng = Engine.create config in
-  let sv =
-    Serve.start
-      ~handler:(handler ?default_deadline_s eng)
-      ~error_responder:wire_error ~workers ~queue_cap ~reuseport ?listen_fd
-      ~addr ()
+  let stopping = Atomic.make false in
+  (* the drain line goes straight to the descriptor: the handler may run
+     on any domain, in the middle of whatever it was printing *)
+  let on_stop =
+    Sys.Signal_handle
+      (fun _ ->
+        if not (Atomic.exchange stopping true) then
+          let m = "tybec: drain: stopped accepting, answering in-flight requests\n" in
+          ignore (Unix.write_substring Unix.stderr m 0 (String.length m)))
   in
+  Sys.set_signal Sys.sigterm on_stop;
+  Sys.set_signal Sys.sigint on_stop;
   (* a shard's private observability endpoint: plain metrics routes on a
      second (usually unix-socket) server, so the parent aggregator can
      scrape each shard even though they share the public port *)
-  let admin = Option.map (fun a -> Serve.start ~addr:a ()) admin_addr in
-  Printf.eprintf "tybec: engine serving on %s (workers %d, queue %d)\n%!"
-    (Serve.bound_addr sv) workers queue_cap;
-  let stopping = Atomic.make false in
-  let on_stop = Sys.Signal_handle (fun _ -> Atomic.set stopping true) in
-  Sys.set_signal Sys.sigterm on_stop;
-  Sys.set_signal Sys.sigint on_stop;
-  while not (Atomic.get stopping) do
-    try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  prerr_endline "tybec: drain: stopped accepting, answering in-flight requests";
-  Serve.stop sv;
-  Option.iter Serve.stop admin;
+  let admin = ref None in
+  let sv =
+    Fun.protect
+      ~finally:(fun () -> Option.iter Serve.stop !admin)
+      (fun () ->
+        Serve.run
+          ~handler:(handler ?default_deadline_s eng)
+          ~error_responder:wire_error ~workers ~queue_cap ~reuseport
+          ?listen_fd ~stop:stopping ~addr
+          ~on_listen:(fun sv ->
+            admin := Option.map (fun a -> Serve.start ~addr:a ()) admin_addr;
+            Printf.eprintf "tybec: engine serving on %s (workers %d, queue %d)\n%!"
+              (Serve.bound_addr sv) workers queue_cap)
+          ())
+  in
   Printf.eprintf "tybec: served %d requests (%d rejected)\n%!"
     (Serve.requests_served sv)
     (Serve.requests_rejected sv)

@@ -25,11 +25,12 @@ val wire_error : int -> Tytra_telemetry.Serve.response option
 
 val default_workers : unit -> int
 (** Request domains {!run} (and [tybec serve --workers]) uses when not
-    told: one per core, at most 4 —
-    [min 4 (Domain.recommended_domain_count ())]. More domains than
-    cores make every stop-the-world minor collection wait for
-    descheduled peers, and each domain's minor heap adds to the
-    resident set (DESIGN.md §13.3). *)
+    told: one per core but the one the serving loop runs on, at least
+    1, at most 4 — [max 1 (min 4 (Domain.recommended_domain_count () -
+    1))]; 1 on two cores. More domains than cores make every
+    stop-the-world minor collection wait for descheduled peers, and
+    each domain's minor heap adds to the resident set (DESIGN.md
+    §13.3). *)
 
 val run :
   ?config:Engine.config ->
@@ -44,13 +45,15 @@ val run :
   unit ->
   unit
 (** [run ?config ?workers ?queue_cap ?reuseport ?listen_fd ?admin_addr
-    ?deadline_default_ms ?cache_journal ~addr ()] — create an engine,
+    ?deadline_default_ms ?cache_journal ~addr ()] — create an engine and
     serve it on [addr] ([HOST:PORT], [:PORT], [PORT] or [unix:PATH])
-    with [workers] request domains (default {!default_workers}) and a
-    bounded queue of [queue_cap] connections (full queue ⇒ typed 429),
-    and block until SIGTERM/SIGINT.
+    until SIGTERM/SIGINT. The calling domain runs the server's loop
+    ({!Tytra_telemetry.Serve.run}): it accepts, reads every request and
+    answers wire errors, and hands complete requests to [workers]
+    request domains (default {!default_workers}) through a bounded
+    queue of [queue_cap] requests (full queue ⇒ typed 429).
 
-    [reuseport]/[listen_fd] pass through to {!Tytra_telemetry.Serve.start}
+    [reuseport]/[listen_fd] pass through to {!Tytra_telemetry.Serve.run}
     for multi-shard fronts ({!Shards}); [admin_addr] additionally serves
     the plain metrics routes on a second address (each shard's private
     scrape endpoint).

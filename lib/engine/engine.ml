@@ -397,16 +397,23 @@ let do_cost t ~source ~device ~form ~nki ~optimize ~calib:calib_file =
   let* d = load t source in
   let* calib = load_calib calib_file in
   let d = maybe_optimize optimize d in
-  let r = Tytra_cost.Report.evaluate ~device ?calib ~form ~nki d in
+  (* one index and one classification for the whole answer: the form
+     selection and the roofline read the report's Table-I inputs, at the
+     base clock *)
+  let sy = Tytra_ir.Symtab.of_design d in
+  let r = Tytra_cost.Report.evaluate_sym ~device ?calib ~form ~nki sy in
   Task.check ();
+  let base = Tytra_cost.Report.base_clock_inputs ~device r in
   let text, () =
     Span.with_ ~name:"tybec.report" @@ fun () ->
     render (fun fmt ->
         Format.fprintf fmt "%a@." Tytra_cost.Report.pp r;
         Format.fprintf fmt "form selection:@.%a@." Tytra_cost.Formsel.pp
-          (Tytra_cost.Formsel.recommend ~device ?calib ~nki d);
+          (Tytra_cost.Formsel.recommend ~device
+             ~footprint:(Tytra_ir.Analysis.bytes_per_ndrange_sym sy)
+             base);
         Format.fprintf fmt "@.roofline: %a@." Tytra_cost.Roofline.pp
-          (Tytra_cost.Roofline.of_design ~device ?calib ~form ~nki d))
+          (Tytra_cost.Roofline.of_inputs ~form base))
   in
   Ok
     {

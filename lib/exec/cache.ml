@@ -27,11 +27,15 @@ type ('v) node = {
   mutable nd_next : 'v node option;  (* towards the back *)
 }
 
+(* The telemetry counters a cache with a [metrics_prefix] publishes,
+   named once at creation, not on every lookup. *)
+type names = { n_hits : string; n_misses : string; n_evictions : string }
+
 type 'v t = {
   mutex : Mutex.t;
   table : (string, 'v node) Hashtbl.t;
   capacity : int;
-  metrics_prefix : string option;
+  names : names option;
   mutable front : 'v node option;
   mutable back : 'v node option;
   mutable hits : int;
@@ -46,7 +50,12 @@ let create ?metrics_prefix ~capacity () =
     mutex = Mutex.create ();
     table = Hashtbl.create (max 16 (min capacity 4096));
     capacity = max 1 capacity;
-    metrics_prefix;
+    names =
+      Option.map
+        (fun p ->
+          { n_hits = p ^ ".hits"; n_misses = p ^ ".misses";
+            n_evictions = p ^ ".evictions" })
+        metrics_prefix;
     front = None;
     back = None;
     hits = 0;
@@ -85,17 +94,15 @@ let evict_lru t =
       unlink t nd;
       Hashtbl.remove t.table nd.nd_key;
       t.evictions <- t.evictions + 1;
-      Option.iter
-        (fun p -> Tytra_telemetry.Metrics.incr (p ^ ".evictions"))
-        t.metrics_prefix
+      Option.iter (fun n -> Tytra_telemetry.Metrics.incr n.n_evictions) t.names
 
 let count_hit t =
   t.hits <- t.hits + 1;
-  Option.iter (fun p -> Tytra_telemetry.Metrics.incr (p ^ ".hits")) t.metrics_prefix
+  Option.iter (fun n -> Tytra_telemetry.Metrics.incr n.n_hits) t.names
 
 let count_miss t =
   t.misses <- t.misses + 1;
-  Option.iter (fun p -> Tytra_telemetry.Metrics.incr (p ^ ".misses")) t.metrics_prefix
+  Option.iter (fun n -> Tytra_telemetry.Metrics.incr n.n_misses) t.names
 
 (* ---- public operations ---- *)
 

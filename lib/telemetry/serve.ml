@@ -19,22 +19,27 @@
     hold the registry mutex for the duration of the copy, exactly as any
     other reader.
 
-    Concurrency is chosen at {!start}:
+    One loop does all the socket work but writing answers. It accepts
+    every connection and reads each request with [Unix.select], under a
+    deadline per connection, so a slow client holds a slot in the select
+    set, never a worker. It answers the wire errors itself (400
+    malformed, 408 deadline passed, 413 body over the cap, 429 shed
+    load) and hands only complete requests on:
 
-    - [workers = 0] (the default): the accept loop serves one request at
-      a time on its own domain — all a scrape endpoint needs, and it
-      keeps the server trivially correct.
-    - [workers = n > 0]: the accept loop only accepts, handing each
-      connection to a bounded queue drained by [n] worker domains.
-      When the queue is full the connection is answered [429 Too Many
-      Requests] immediately from the accept domain (admission control:
+    - [workers = 0] (the default): the loop answers each request itself,
+      one at a time — all a scrape endpoint needs.
+    - [workers = n > 0]: complete requests go to a bounded queue drained
+      by [n] worker domains. When the queue is full the request is
+      answered [429 Too Many Requests] by the loop (admission control:
       the queue bounds memory and tail latency, the 429 sheds load).
 
-    {!stop} drains gracefully: the listening socket stops accepting,
-    every connection already accepted is answered, then the domains are
-    joined and the socket closed deterministically. The accept loop
-    polls a stop flag through [Unix.select], so {!stop} returns promptly
-    (≤ the poll interval + the in-flight work). *)
+    {!run} runs the loop on the calling domain until its stop flag is
+    set; {!start} runs it on a spawned domain and {!stop} sets the flag
+    and joins it. Either way the loop drains gracefully: it stops
+    accepting, finishes reading the connections it already accepted,
+    lets the workers answer every request handed to them, then joins
+    them and closes the socket. The loop polls the stop flag through
+    [Unix.select], so a stop takes effect within the poll interval. *)
 
 type request = {
   rq_meth : string;  (** "GET", "POST", ... (uppercased) *)
@@ -78,12 +83,7 @@ type server = {
   sv_stop : bool Atomic.t;
   sv_requests : int Atomic.t;
   sv_rejected : int Atomic.t;
-  sv_accept : unit Domain.t;
-  sv_workers : unit Domain.t list;
-  sv_queue : Unix.file_descr Queue.t;
-  sv_queue_cap : int;
-  sv_mutex : Mutex.t;
-  sv_cond : Condition.t;
+  sv_loop : unit Domain.t option;  (* the domain {!start} runs the loop on *)
 }
 
 let bound_addr t = t.sv_addr
@@ -91,7 +91,7 @@ let requests_served t = Atomic.get t.sv_requests
 let requests_rejected t = Atomic.get t.sv_rejected
 
 (* --------------------------------------------------------------- *)
-(* Request handling                                                 *)
+(* Responses                                                        *)
 (* --------------------------------------------------------------- *)
 
 let reason_of_status = function
@@ -105,17 +105,6 @@ let reason_of_status = function
   | 500 -> "500 Internal Server Error"
   | 503 -> "503 Service Unavailable"
   | c -> string_of_int c ^ " Status"
-
-let http_response { rs_status; rs_content_type; rs_body } =
-  Printf.sprintf
-    "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
-    (reason_of_status rs_status)
-    rs_content_type (String.length rs_body) rs_body
-
-(* Stream head: no Content-Length — the close delimits the body. *)
-let http_stream_head status content_type =
-  Printf.sprintf "HTTP/1.0 %s\r\nContent-Type: %s\r\nConnection: close\r\n\r\n"
-    (reason_of_status status) content_type
 
 let text status body = { rs_status = status; rs_content_type = "text/plain"; rs_body = body }
 
@@ -138,113 +127,36 @@ let metrics_routes (rq : request) : response =
   | "GET", "/healthz" -> text 200 "ok\n"
   | _ -> text 404 "not found\n"
 
-(* Hard caps: request heads stay small; bodies carry inline .tirl
-   sources, so they get room but not unbounded room. *)
-let max_head_bytes = 16_384
-let max_body_bytes = 8 * 1024 * 1024
-
-(* Read until [enough] says the buffer is complete, the peer closes, the
-   cap is hit or the deadline passes; slow clients get dropped rather
-   than wedging a worker. *)
-let read_until fd ~deadline ~cap ~enough b =
-  let buf = Bytes.create 4096 in
-  let rec go () =
-    if Buffer.length b > cap || enough (Buffer.contents b) then ()
-    else
-      let remaining = deadline -. Unix.gettimeofday () in
-      if remaining <= 0.0 then ()
-      else
-        match Unix.select [ fd ] [] [] remaining with
-        | [], _, _ -> ()
-        | _ -> (
-            match Unix.read fd buf 0 (Bytes.length buf) with
-            | 0 -> ()
-            | n ->
-                Buffer.add_subbytes b buf 0 n;
-                go ()
-            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINTR), _, _) ->
-                go ())
-  in
-  go ()
-
-let head_end s =
-  (* offset just past "\r\n\r\n", if the head is complete *)
-  let n = String.length s in
-  let rec find i =
-    if i + 3 >= n then None
-    else if
-      s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n'
-    then Some (i + 4)
-    else find (i + 1)
-  in
-  find 0
-
-let content_length head =
-  (* case-insensitive scan of the header lines *)
-  let lines = String.split_on_char '\n' head in
-  List.fold_left
-    (fun acc line ->
-      match acc with
-      | Some _ -> acc
-      | None -> (
-          match String.index_opt line ':' with
-          | None -> None
-          | Some i ->
-              let k = String.lowercase_ascii (String.trim (String.sub line 0 i)) in
-              if k <> "content-length" then None
-              else
-                int_of_string_opt
-                  (String.trim
-                     (String.sub line (i + 1) (String.length line - i - 1)))))
-    None lines
-
-(** Read one full request (head + Content-Length body) from [fd].
-    Returns [Error status] on malformed, oversize or timed-out input. *)
-let read_request fd : (request, int) result =
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let b = Buffer.create 512 in
-  read_until fd ~deadline ~cap:max_head_bytes
-    ~enough:(fun s -> head_end s <> None)
-    b;
-  let data = Buffer.contents b in
-  match head_end data with
-  | None -> Error (if String.length data = 0 then 408 else 400)
-  | Some body_off -> (
-      let head = String.sub data 0 body_off in
-      let want = Option.value ~default:0 (content_length head) in
-      if want < 0 || want > max_body_bytes then Error 413
-      else begin
-        read_until fd ~deadline ~cap:(body_off + want)
-          ~enough:(fun s -> String.length s >= body_off + want)
-          b;
-        let data = Buffer.contents b in
-        if String.length data < body_off + want then Error 400
-        else
-          match String.index_opt head '\r' with
-          | None -> Error 400
-          | Some eol -> (
-              let line = String.sub head 0 eol in
-              match String.split_on_char ' ' line with
-              | meth :: path :: _ ->
-                  Ok
-                    {
-                      rq_meth = String.uppercase_ascii meth;
-                      rq_path = path;
-                      rq_body = String.sub data body_off want;
-                    }
-              | _ -> Error 400)
-      end)
-
+(* A peer that went away loses the rest of its answer; nothing else
+   notices (SIGPIPE is ignored while a server runs). *)
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+  let n = String.length s in
   let rec go off =
     if off < n then
-      match Unix.write fd b off (n - off) with
+      match Unix.write_substring fd s off (n - off) with
       | w -> go (off + w)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
   try go 0 with Unix.Unix_error _ -> ()
+
+(* The head, then the body as it is: a response body is never copied
+   into a joined buffer. Closing the socket right after pushes the body
+   out at once, whatever Nagle's algorithm held back. *)
+let write_response fd r =
+  write_all fd
+    (String.concat ""
+       [ "HTTP/1.0 "; reason_of_status r.rs_status; "\r\nContent-Type: ";
+         r.rs_content_type; "\r\nContent-Length: ";
+         string_of_int (String.length r.rs_body);
+         "\r\nConnection: close\r\n\r\n" ]);
+  write_all fd r.rs_body
+
+(* Stream head: no Content-Length — the close delimits the body. *)
+let write_stream_head fd status content_type =
+  write_all fd
+    (String.concat ""
+       [ "HTTP/1.0 "; reason_of_status status; "\r\nContent-Type: ";
+         content_type; "\r\nConnection: close\r\n\r\n" ])
 
 let error_response (error_responder : error_responder) status =
   match error_responder status with
@@ -252,110 +164,368 @@ let error_response (error_responder : error_responder) status =
   | None -> text status (reason_of_status status ^ "\n")
   | exception _ -> text status (reason_of_status status ^ "\n")
 
-let handle_client ~(error_responder : error_responder) (handler : handler) fd
-    requests =
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      (match read_request fd with
-      | Error status ->
-          write_all fd (http_response (error_response error_responder status))
-      | Ok rq -> (
-          match
-            match handler rq with
-            | Some reply -> reply
-            | None -> Response (metrics_routes rq)
-          with
-          | Response r -> write_all fd (http_response r)
-          | Stream st -> (
-              (* head first, then chunks as the producer emits them; a
-                 peer that goes away mid-stream just loses bytes
-                 (write_all swallows the error), the producer finishes
-                 undisturbed *)
-              write_all fd (http_stream_head st.st_status st.st_content_type);
-              try st.st_write (fun chunk -> write_all fd chunk)
-              with e ->
-                write_all fd
-                  ("{\"status\":\"error\",\"message\":"
-                  ^ Printf.sprintf "%S" (Printexc.to_string e)
-                  ^ "}\n"))
-          | exception e ->
-              write_all fd
-                (http_response
-                   (text 500 ("internal error: " ^ Printexc.to_string e ^ "\n")))));
-      Atomic.incr requests;
-      Metrics.incr "serve.requests")
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* Answer one complete request on [fd] and close it; never raises. *)
+let answer (handler : handler) sv fd rq =
+  (try
+     match
+       match handler rq with
+       | Some reply -> reply
+       | None -> Response (metrics_routes rq)
+     with
+     | Response r -> write_response fd r
+     | Stream st -> (
+         (* head first, then chunks as the producer emits them; a peer
+            that goes away mid-stream just loses bytes (write_all
+            swallows the error), the producer finishes undisturbed *)
+         write_stream_head fd st.st_status st.st_content_type;
+         try st.st_write (fun chunk -> write_all fd chunk)
+         with e ->
+           write_all fd
+             ("{\"status\":\"error\",\"message\":"
+             ^ Printf.sprintf "%S" (Printexc.to_string e)
+             ^ "}\n"))
+     | exception e ->
+         write_response fd
+           (text 500 ("internal error: " ^ Printexc.to_string e ^ "\n"))
+   with _ -> ());
+  close_quietly fd;
+  Atomic.incr sv.sv_requests;
+  Metrics.incr "serve.requests"
+
+(* A wire error, answered by the loop: [error_responder]'s body for
+   [status], then close. *)
+let answer_error ~error_responder sv fd status =
+  (try write_response fd (error_response error_responder status) with _ -> ());
+  close_quietly fd;
+  Atomic.incr sv.sv_requests;
+  Metrics.incr "serve.requests"
+
+(* Admission control: a 429, counted as rejected, not as served. *)
+let shed ~error_responder sv fd =
+  Atomic.incr sv.sv_rejected;
+  Metrics.incr "serve.rejected";
+  (try write_response fd (error_response error_responder 429) with _ -> ());
+  close_quietly fd
 
 (* --------------------------------------------------------------- *)
-(* Accept loop and worker handoff                                   *)
+(* Reading a request                                                *)
 (* --------------------------------------------------------------- *)
 
-(* workers = 0: serve inline on the accept domain (the metrics-scrape
-   configuration). workers > 0: enqueue for the worker domains, shedding
-   load with a 429 when the bounded queue is full. *)
-let accept_loop fd stop handler ~error_responder ~inline ~queue
-    ~queue_cap ~mutex ~cond ~requests ~rejected =
+(* Hard caps: request heads stay small; bodies carry inline .tirl
+   sources, so they get room but not unbounded room. *)
+let max_head_bytes = 16_384
+let max_body_bytes = 8 * 1024 * 1024
+
+(* A connection must deliver its whole request within this long of
+   being accepted, or it is answered 408. *)
+let read_deadline_s = 10.0
+
+(* Connections the loop reads at once; while it reads this many, it
+   accepts no more, and the kernel's backlog holds the rest. *)
+let max_reading = 256
+
+(* One connection being read. Its head goes into [c_buf], which has room
+   for the largest head allowed, so a typical request arrives whole in
+   one read; once the head is in, [c_buf] is replaced by a buffer of
+   exactly the Content-Length, which the body is read into and which
+   becomes [rq_body] as it is. Each byte is read once and copied at most
+   once. *)
+type conn = {
+  c_fd : Unix.file_descr;
+  c_deadline : float;
+  mutable c_buf : Bytes.t;
+  mutable c_len : int;  (* bytes of [c_buf] filled *)
+  mutable c_line : (string * string) option;
+      (* method and path, once the head is in *)
+}
+
+type progress = Reading | Complete of request | Failed of int | Gone
+
+let new_conn fd ~now =
+  {
+    c_fd = fd;
+    c_deadline = now +. read_deadline_s;
+    (* too large for the minor heap: it adds nothing to the loop's *)
+    c_buf = Bytes.create max_head_bytes;
+    c_len = 0;
+    c_line = None;
+  }
+
+(* The offset just past the first "\r\n\r\n" of [b] that ends at or
+   after [from] + 4 and before [len], or -1. *)
+let head_end b ~from ~len =
+  let rec find i =
+    if i + 3 >= len then -1
+    else if
+      Bytes.get b (i + 3) = '\n'
+      && Bytes.get b (i + 2) = '\r'
+      && Bytes.get b (i + 1) = '\n'
+      && Bytes.get b i = '\r'
+    then i + 4
+    else find (i + 1)
+  in
+  find (max 0 from)
+
+(* The first Content-Length header line of [head] whose value parses,
+   compared case-insensitively; 0 when there is none. *)
+let content_length head =
+  let n = String.length head in
+  let rec line s =
+    if s >= n then 0
+    else
+      let t = Option.value ~default:n (String.index_from_opt head s '\n') in
+      match String.index_from_opt head s ':' with
+      | Some c
+        when c < t
+             && String.lowercase_ascii (String.trim (String.sub head s (c - s)))
+                = "content-length" -> (
+          match int_of_string_opt (String.trim (String.sub head (c + 1) (t - c - 1))) with
+          | Some v -> v
+          | None -> line (t + 1))
+      | _ -> line (t + 1)
+  in
+  line 0
+
+(* Method and path of the request line, the head's first line. *)
+let request_line head =
+  match String.index_opt head '\r' with
+  | None -> None
+  | Some eol -> (
+      match String.index_opt head ' ' with
+      | Some sp when sp < eol ->
+          let stop =
+            match String.index_from_opt head (sp + 1) ' ' with
+            | Some e when e < eol -> e
+            | _ -> eol
+          in
+          Some
+            ( String.uppercase_ascii (String.sub head 0 sp),
+              String.sub head (sp + 1) (stop - sp - 1) )
+      | _ -> None)
+
+let complete c =
+  match c.c_line with
+  | Some (meth, path) when c.c_len = Bytes.length c.c_buf ->
+      Complete
+        { rq_meth = meth; rq_path = path; rq_body = Bytes.unsafe_to_string c.c_buf }
+  | _ -> Reading
+
+(* The head is [c_buf]'s first [e] bytes: check it, then move the body
+   bytes already read into the body's own buffer. *)
+let start_body c e =
+  let head = Bytes.sub_string c.c_buf 0 e in
+  let want = content_length head in
+  if want < 0 || want > max_body_bytes then Failed 413
+  else
+    match request_line head with
+    | None -> Failed 400
+    | Some _ as line ->
+        let body = Bytes.create want in
+        let have = min want (c.c_len - e) in
+        Bytes.blit c.c_buf e body 0 have;
+        c.c_buf <- body;
+        c.c_len <- have;
+        c.c_line <- line;
+        complete c
+
+(* One read from a connection [Unix.select] found readable, so it does
+   not block. A peer that closes before its request is complete sent a
+   malformed one. *)
+let step c =
+  match Unix.read c.c_fd c.c_buf c.c_len (Bytes.length c.c_buf - c.c_len) with
+  | 0 -> Failed 400
+  | n -> (
+      let before = c.c_len in
+      c.c_len <- before + n;
+      match c.c_line with
+      | Some _ -> complete c
+      | None -> (
+          match head_end c.c_buf ~from:(before - 3) ~len:c.c_len with
+          | -1 -> if c.c_len >= max_head_bytes then Failed 400 else Reading
+          | e -> start_body c e))
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+    ->
+      Reading
+  | exception Unix.Unix_error _ -> Gone
+
+(** Read one full request (head + Content-Length body) from [fd] with
+    the loop's reader, blocking until it is complete, malformed or past
+    the read deadline. *)
+let read_request fd : (request, int) result =
+  let c = new_conn fd ~now:(Unix.gettimeofday ()) in
   let rec go () =
-    if not (Atomic.get stop) then begin
-      (match Unix.select [ fd ] [] [] 0.2 with
-      | [], _, _ -> ()
+    let remaining = c.c_deadline -. Unix.gettimeofday () in
+    if remaining <= 0.0 then Error 408
+    else
+      match Unix.select [ fd ] [] [] remaining with
+      | [], _, _ -> go ()
       | _ -> (
-          match Unix.accept ~cloexec:true fd with
-          | client, _ ->
-              if inline then (
-                try
-                  handle_client ~error_responder handler client requests
-                with _ -> (
-                  try Unix.close client with Unix.Unix_error _ -> ()))
-              else begin
-                Mutex.lock mutex;
-                let full = Queue.length queue >= queue_cap in
-                if not full then Queue.push client queue;
-                Mutex.unlock mutex;
-                if full then begin
-                  Atomic.incr rejected;
-                  Metrics.incr "serve.rejected";
-                  (try
-                     write_all client
-                       (http_response (error_response error_responder 429))
-                   with _ -> ());
-                  try Unix.close client with Unix.Unix_error _ -> ()
-                end
-                else Condition.signal cond
-              end
-          | exception Unix.Unix_error _ -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      go ()
-    end
+          match step c with
+          | Reading -> go ()
+          | Complete rq -> Ok rq
+          | Failed status -> Error status
+          | Gone -> Error 400)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
   in
   go ()
+
+(* --------------------------------------------------------------- *)
+(* The loop and its workers                                         *)
+(* --------------------------------------------------------------- *)
+
+(* Complete requests waiting for a worker. [q_closing] is set once the
+   loop will hand over no more. *)
+type queue = {
+  q_jobs : (Unix.file_descr * request) Queue.t;
+  q_mutex : Mutex.t;
+  q_cond : Condition.t;
+  mutable q_closing : bool;
+}
 
 (* Workers block on the condition until work or shutdown; on shutdown
-   they drain whatever the accept loop already admitted (the graceful-
+   they answer whatever the loop already handed over (the graceful-
    drain contract: every accepted connection is answered). *)
-let worker_loop handler ~error_responder ~stop ~queue ~mutex ~cond ~requests
-    =
-  let rec go () =
-    Mutex.lock mutex;
-    let rec await () =
-      if Queue.is_empty queue then
-        if Atomic.get stop then None
-        else begin
-          Condition.wait cond mutex;
-          await ()
-        end
-      else Some (Queue.pop queue)
-    in
-    let job = await () in
-    Mutex.unlock mutex;
+let worker q answer =
+  let rec next () =
+    Mutex.lock q.q_mutex;
+    while Queue.is_empty q.q_jobs && not q.q_closing do
+      Condition.wait q.q_cond q.q_mutex
+    done;
+    let job = Queue.take_opt q.q_jobs in
+    Mutex.unlock q.q_mutex;
     match job with
     | None -> ()
-    | Some client ->
-        (try handle_client ~error_responder handler client requests
-         with _ -> (try Unix.close client with Unix.Unix_error _ -> ()));
-        go ()
+    | Some (fd, rq) ->
+        answer fd rq;
+        next ()
   in
-  go ()
+  next ()
+
+(* [Unix.select] takes no descriptor past FD_SETSIZE. *)
+let watchable fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+
+let readable fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | [], _, _ -> false
+  | _ -> true
+  | exception Unix.Unix_error _ -> false
+
+(* How long the loop sleeps in [Unix.select] at most: the stop flag's
+   poll interval. *)
+let poll_s = 0.2
+
+let serve_loop ~handler ~error_responder ~workers ~queue_cap sv =
+  let answer = answer handler sv in
+  let q =
+    {
+      q_jobs = Queue.create ();
+      q_mutex = Mutex.create ();
+      q_cond = Condition.create ();
+      q_closing = false;
+    }
+  in
+  let domains =
+    List.init workers (fun _ -> Domain.spawn (fun () -> worker q answer))
+  in
+  let handoff fd rq =
+    if workers = 0 then answer fd rq
+    else begin
+      Mutex.lock q.q_mutex;
+      let full = Queue.length q.q_jobs >= queue_cap in
+      if not full then begin
+        Queue.push (fd, rq) q.q_jobs;
+        Condition.signal q.q_cond
+      end;
+      Mutex.unlock q.q_mutex;
+      if full then shed ~error_responder sv fd
+    end
+  in
+  (* [true] while [c] is still being read *)
+  let advance c =
+    match step c with
+    | Reading -> true
+    | Complete rq ->
+        handoff c.c_fd rq;
+        false
+    | Failed status ->
+        answer_error ~error_responder sv c.c_fd status;
+        false
+    | Gone ->
+        close_quietly c.c_fd;
+        false
+  in
+  let expire now c =
+    c.c_deadline > now
+    || begin
+         answer_error ~error_responder sv c.c_fd 408;
+         false
+       end
+  in
+  let rec accept_all now conns n =
+    if n >= max_reading then conns
+    else
+      match Unix.accept ~cloexec:true sv.sv_fd with
+      | fd, _ ->
+          (* a client sends its request as soon as it connects, so it is
+             often there already: read it now, not one select later *)
+          let c = new_conn fd ~now in
+          if (not (readable fd)) || advance c then
+            accept_all now (c :: conns) (n + 1)
+          else accept_all now conns n
+      | exception Unix.Unix_error _ -> conns
+  in
+  let rec loop conns =
+    let stopping = Atomic.get sv.sv_stop in
+    if not (stopping && conns = []) then begin
+      let now = Unix.gettimeofday () in
+      let timeout =
+        List.fold_left (fun t c -> Float.min t (c.c_deadline -. now)) poll_s conns
+      in
+      let fds = List.map (fun c -> c.c_fd) conns in
+      let accepting = (not stopping) && List.compare_length_with conns max_reading < 0 in
+      let fds = if accepting then sv.sv_fd :: fds else fds in
+      match Unix.select fds [] [] (Float.max 0.0 timeout) with
+      | ready, _, _ ->
+          let now = Unix.gettimeofday () in
+          let conns =
+            List.filter
+              (fun c -> (not (List.mem c.c_fd ready) || advance c) && expire now c)
+              conns
+          in
+          loop
+            (if accepting && List.mem sv.sv_fd ready then
+               accept_all now conns (List.length conns)
+             else conns)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop conns
+      | exception Unix.Unix_error (Unix.EINVAL, _, _) ->
+          (* a descriptor past FD_SETSIZE, as when thousands of queued
+             requests hold the lower ones: shed what select cannot watch *)
+          loop
+            (List.filter
+               (fun c ->
+                 watchable c.c_fd
+                 || begin
+                      shed ~error_responder sv c.c_fd;
+                      false
+                    end)
+               conns)
+    end
+  in
+  loop [];
+  Mutex.lock q.q_mutex;
+  q.q_closing <- true;
+  Condition.broadcast q.q_cond;
+  Mutex.unlock q.q_mutex;
+  List.iter Domain.join domains;
+  close_quietly sv.sv_fd;
+  Option.iter
+    (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ())
+    sv.sv_unix_path
 
 (* --------------------------------------------------------------- *)
 (* Lifecycle                                                        *)
@@ -370,17 +540,16 @@ let parse_tcp_addr addr =
       (host, int_of_string port)
   | None -> ("127.0.0.1", int_of_string addr)
 
-let start ?(handler : handler = fun _ -> None)
-    ?(error_responder : error_responder = fun _ -> None) ?(workers = 0)
-    ?(queue_cap = 64) ?(reuseport = false) ?listen_fd ~addr () : server =
+(* Bind and listen on [addr], or adopt [listen_fd]. The socket is
+   non-blocking, so the loop accepts until none is left, and several
+   shards may race on one inherited fd: select can report it readable
+   in every shard while only one accept succeeds. *)
+let listen ~queue_cap ~reuseport ?listen_fd ~stop ~addr () : server =
   let fd, bound, unix_path =
     match listen_fd with
     | Some fd ->
-        (* Inherited listening socket (multi-shard fallback mode): it is
-           already bound and listening; several shards may accept on the
-           same fd, so it must be non-blocking — select can report it
-           readable in every shard while only one accept succeeds. *)
-        Unix.set_nonblock fd;
+        (* inherited listening socket (multi-shard fallback mode): it
+           is already bound and listening *)
         let bound =
           match Unix.getsockname fd with
           | Unix.ADDR_INET (a, p) ->
@@ -447,51 +616,39 @@ let start ?(handler : handler = fun _ -> None)
     end
   in
   if listen_fd = None then Unix.listen fd (max 16 queue_cap);
-  let stop = Atomic.make false in
-  let requests = Atomic.make 0 in
-  let rejected = Atomic.make 0 in
-  let queue = Queue.create () in
-  let mutex = Mutex.create () in
-  let cond = Condition.create () in
-  let inline = workers <= 0 in
-  let accept =
-    Domain.spawn (fun () ->
-        accept_loop fd stop handler ~error_responder ~inline ~queue ~queue_cap
-          ~mutex ~cond ~requests ~rejected)
-  in
-  let worker_domains =
-    List.init (max 0 workers) (fun _ ->
-        Domain.spawn (fun () ->
-            worker_loop handler ~error_responder ~stop ~queue ~mutex ~cond
-              ~requests))
-  in
+  Unix.set_nonblock fd;
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   {
     sv_fd = fd;
     sv_addr = bound;
     sv_unix_path = unix_path;
     sv_stop = stop;
-    sv_requests = requests;
-    sv_rejected = rejected;
-    sv_accept = accept;
-    sv_workers = worker_domains;
-    sv_queue = queue;
-    sv_queue_cap = queue_cap;
-    sv_mutex = mutex;
-    sv_cond = cond;
+    sv_requests = Atomic.make 0;
+    sv_rejected = Atomic.make 0;
+    sv_loop = None;
   }
 
+let run ?(handler : handler = fun _ -> None)
+    ?(error_responder : error_responder = fun _ -> None) ?(workers = 0)
+    ?(queue_cap = 64) ?(reuseport = false) ?listen_fd
+    ?(on_listen = fun (_ : server) -> ()) ~stop ~addr () : server =
+  let sv = listen ~queue_cap ~reuseport ?listen_fd ~stop ~addr () in
+  on_listen sv;
+  serve_loop ~handler ~error_responder ~workers:(max 0 workers) ~queue_cap sv;
+  sv
+
+let start ?(handler : handler = fun _ -> None)
+    ?(error_responder : error_responder = fun _ -> None) ?(workers = 0)
+    ?(queue_cap = 64) ?(reuseport = false) ?listen_fd ~addr () : server =
+  let sv =
+    listen ~queue_cap ~reuseport ?listen_fd ~stop:(Atomic.make false) ~addr ()
+  in
+  let loop =
+    Domain.spawn (fun () ->
+        serve_loop ~handler ~error_responder ~workers:(max 0 workers)
+          ~queue_cap sv)
+  in
+  { sv with sv_loop = Some loop }
+
 let stop (t : server) : unit =
-  if not (Atomic.exchange t.sv_stop true) then begin
-    (* 1. stop admitting: join the accept loop, close the socket *)
-    Domain.join t.sv_accept;
-    (try Unix.close t.sv_fd with Unix.Unix_error _ -> ());
-    (* 2. drain: wake every worker; they answer whatever was already
-       accepted before exiting on the empty queue *)
-    Mutex.lock t.sv_mutex;
-    Condition.broadcast t.sv_cond;
-    Mutex.unlock t.sv_mutex;
-    List.iter Domain.join t.sv_workers;
-    match t.sv_unix_path with
-    | Some p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-    | None -> ()
-  end
+  if not (Atomic.exchange t.sv_stop true) then Option.iter Domain.join t.sv_loop

@@ -114,6 +114,7 @@ let base_inputs =
     kpd = 30;
     fd_hz = 200.0e6;
     cpt = 1.0;
+    ni = 1;
     knl = 1;
     dv = 1;
     hpb = 4.0e9;

@@ -474,6 +474,63 @@ let test_text_matches_cli () =
         ]
   | _ -> Alcotest.skip ()
 
+(* A [cost] request is costed once: one index, one classification, and
+   the form selection and roofline read the report's Table-I inputs at
+   the base clock. Its text is byte for byte what the three-call
+   composition it replaced printed (test/oracle_cost.ml): 4 kernels at
+   1, 2 and 4 lanes x 3 devices x 3 forms x nki {1, 100}. *)
+let test_cost_text_matches_oracle () =
+  let eng = Engine.create Engine.default_config in
+  let programs =
+    [ Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 ();
+      Tytra_kernels.Hotspot.program ~rows:16 ~cols:16 ();
+      Tytra_kernels.Lavamd.program ~boxes:16 ();
+      Tytra_kernels.Srad.program ~rows:16 ~cols:16 () ]
+  in
+  let variants =
+    Tytra_front.Transform.[ Pipe; ParPipe 2; ParPipe 4 ]
+  in
+  let compared = ref 0 in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun v ->
+          let text =
+            Tytra_ir.Pprint.design_to_string (Tytra_front.Lower.lower p v)
+          in
+          let d = Tytra_ir.Parser.parse text in
+          List.iter
+            (fun device ->
+              List.iter
+                (fun form ->
+                  List.iter
+                    (fun nki ->
+                      let want = Oracle_cost.cost_text ~device ~form ~nki d in
+                      match
+                        Engine.submit eng
+                          (Engine.Cost
+                             { source = Engine.Inline text; device; form; nki;
+                               optimize = false; calib = None })
+                      with
+                      | Ok r ->
+                          incr compared;
+                          Alcotest.(check string)
+                            (Printf.sprintf "%s on %s, form %s, nki %d"
+                               d.Tytra_ir.Ast.d_name
+                               device.Tytra_device.Device.dev_name
+                               (Tytra_cost.Throughput.form_to_string form)
+                               nki)
+                            want r.Engine.rs_text
+                      | Error e ->
+                          Alcotest.failf "cost failed: %s"
+                            (Engine.error_message e))
+                    [ 1; 100 ])
+                Tytra_cost.Throughput.[ FormA; FormB; FormC ])
+            Tytra_device.Device.all)
+        variants)
+    programs;
+  Alcotest.(check int) "texts compared" 216 !compared
+
 let cost_of source =
   Engine.Cost
     {
@@ -1101,6 +1158,78 @@ let test_serve_drain_answers_inflight () =
   Alcotest.(check int) "all three served" 3 (Serve.requests_served sv);
   Tytra_telemetry.Control.set_enabled false
 
+(* The serving loop reads a body in time linear in its size: one buffer
+   of the Content-Length, filled as the bytes arrive. A reader that
+   copied its whole buffer after every 4 KB read took 4.7 s over a
+   7.5 MiB body (1.2 s at 2 MiB). The body is a [check] of a design
+   behind a 7.5 MiB comment, which fails validation: a typed 422. *)
+let test_serve_large_body_is_linear () =
+  with_server @@ fun sv ->
+  let sa = sockaddr_of sv in
+  let source =
+    "; " ^ String.make (15 * 512 * 1024) 'x' ^ "\n"
+    ^ "%m = memobj global ui18 size 8\n\
+       define void @main (ui18 %p) seq { }\n\
+       @main.p = addrspace(1) ui18 !istream !cont !0 !nosuch\n"
+  in
+  let body =
+    Protocol.encode_request (Engine.Check { source = Engine.Inline source })
+  in
+  Alcotest.(check bool) "body under the cap" true
+    (String.length body <= Serve.max_body_bytes);
+  let t0 = Unix.gettimeofday () in
+  let raw = http_request sa "POST" "/v1/submit" body in
+  let took = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "422" 422 (status_of raw);
+  (match Protocol.decode_reply (body_of raw) with
+  | Ok (Protocol.Reply_error { re_kind; _ }) ->
+      Alcotest.(check string) "kind" "validation" re_kind
+  | Ok _ -> Alcotest.fail "expected error reply"
+  | Error m -> Alcotest.failf "reply decode: %s" m);
+  Alcotest.(check bool)
+    (Printf.sprintf "a %d-byte body answered in %.2f s, under 1 s"
+       (String.length body) took)
+    true (took < 1.0)
+
+(* A slow client holds a slot in the loop's select set, not a worker:
+   with one worker, a client dribbling its head a byte every 20 ms (1.7
+   s in all) does not hold up a request sent after it. A worker that
+   read its own connection sat in the slow one's read until its head
+   was complete. *)
+let test_serve_slow_client_holds_no_worker () =
+  with_server ~workers:1 @@ fun sv ->
+  let sa = sockaddr_of sv in
+  let head = "GET /healthz HTTP/1.0\r\nX-Pad: " ^ String.make 60 'a' ^ "\r\n\r\n" in
+  let slow =
+    Domain.spawn (fun () ->
+        let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            Unix.connect fd sa;
+            String.iter
+              (fun c ->
+                ignore (Unix.write_substring fd (String.make 1 c) 0 1);
+                Unix.sleepf 0.02)
+              head;
+            read_all fd))
+  in
+  (* the slow client is accepted first *)
+  Unix.sleepf 0.1;
+  let t0 = Unix.gettimeofday () in
+  let raw =
+    http_request sa "POST" "/v1/submit"
+      (Protocol.encode_request (Engine.Check { source = Engine.Inline sor_inline }))
+  in
+  let took = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "normal request answered" 200 (status_of raw);
+  Alcotest.(check bool)
+    (Printf.sprintf "answered in %.2f s beside a slow client, under 1 s" took)
+    true (took < 1.0);
+  let slow_raw = Domain.join slow in
+  Alcotest.(check int) "slow client answered too" 200 (status_of slow_raw);
+  Alcotest.(check string) "slow client's body" "ok\n" (body_of slow_raw)
+
 (* ------------------------------------------------------------------ *)
 (* Streamed progress over the wire                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1494,6 +1623,8 @@ let suite =
     QCheck_alcotest.to_alcotest json_decoder_oracle_qcheck;
     Alcotest.test_case "reply codec round-trips" `Quick test_reply_roundtrip;
     Alcotest.test_case "engine text = CLI stdout" `Slow test_text_matches_cli;
+    Alcotest.test_case "cost text = three-call oracle" `Quick
+      test_cost_text_matches_oracle;
     Alcotest.test_case "parse cache warms repeat requests" `Quick
       test_parse_cache_warms;
     Alcotest.test_case "response cache replays full requests" `Quick
@@ -1520,6 +1651,10 @@ let suite =
       test_serve_backpressure;
     Alcotest.test_case "serve: drain answers in-flight requests" `Quick
       test_serve_drain_answers_inflight;
+    Alcotest.test_case "serve: a 7.5 MiB body is read in linear time" `Quick
+      test_serve_large_body_is_linear;
+    Alcotest.test_case "serve: a slow client holds no worker" `Quick
+      test_serve_slow_client_holds_no_worker;
     Alcotest.test_case "serve: streamed explore emits progress frames" `Slow
       test_serve_streamed_explore;
     Alcotest.test_case "serve: streaming is strictly opt-in" `Quick

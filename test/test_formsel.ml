@@ -6,10 +6,24 @@ open Tytra_cost
 let lower_sor side v =
   Lower.lower (Tytra_kernels.Sor.program ~im:side ~jm:side ~km:side ()) v
 
+(* The production path, as [tybec cost] takes it: the report's Table-I
+   inputs at the base clock. *)
+let device = Tytra_device.Device.stratixv_gsd8
+
+let inputs ~nki d =
+  Report.base_clock_inputs ~device (Report.evaluate ~device ~nki d)
+
+let recommend ~nki d =
+  Formsel.recommend ~device
+    ~footprint:(Tytra_ir.Analysis.bytes_per_ndrange d)
+    (inputs ~nki d)
+
+let roofline ?form ~nki d = Roofline.of_inputs ?form (inputs ~nki d)
+
 let test_small_data_prefers_form_c () =
   (* 16^3 x 3 streams x 3 B ≈ 37 KB: fits on-chip easily *)
   let d = lower_sor 16 Transform.Pipe in
-  let r = Formsel.recommend ~nki:1000 d in
+  let r = recommend ~nki:1000 d in
   Alcotest.(check bool) "form C recommended" true
     (r.Formsel.fr_best.Formsel.fo_form = Throughput.FormC);
   Alcotest.(check int) "untiled" 1 r.Formsel.fr_best.Formsel.fo_tiles;
@@ -19,7 +33,7 @@ let test_medium_data_tiles () =
   (* 128^3 x 3 x 3 B ≈ 19 MB: too big for BRAM, fits DRAM, NKI large ->
      tiled form C must appear as an option *)
   let d = lower_sor 128 Transform.Pipe in
-  let r = Formsel.recommend ~nki:1000 d in
+  let r = recommend ~nki:1000 d in
   let tiled =
     List.find_opt (fun o -> o.Formsel.fo_tiles > 1) r.Formsel.fr_options
   in
@@ -39,13 +53,13 @@ let test_medium_data_tiles () =
 let test_no_tiling_without_reuse () =
   (* with NKI = 1 there is no reuse to amortize tile loads: no tiled option *)
   let d = lower_sor 128 Transform.Pipe in
-  let r = Formsel.recommend ~nki:1 d in
+  let r = recommend ~nki:1 d in
   Alcotest.(check bool) "no tiled option at nki=1" true
     (List.for_all (fun o -> o.Formsel.fo_tiles = 1) r.Formsel.fr_options)
 
 let test_ordering_invariant () =
   let d = lower_sor 64 Transform.Pipe in
-  let r = Formsel.recommend ~nki:100 d in
+  let r = recommend ~nki:100 d in
   let rec sorted = function
     | a :: (b :: _ as tl) ->
         a.Formsel.fo_ekit >= b.Formsel.fo_ekit && sorted tl
@@ -58,7 +72,7 @@ let test_ordering_invariant () =
 
 let test_form_b_beats_a_with_reuse () =
   let d = lower_sor 64 Transform.Pipe in
-  let r = Formsel.recommend ~nki:1000 d in
+  let r = recommend ~nki:1000 d in
   let find f =
     List.find (fun o -> o.Formsel.fo_form = f && o.Formsel.fo_tiles = 1)
       r.Formsel.fr_options
@@ -71,7 +85,7 @@ let test_form_b_beats_a_with_reuse () =
 
 let test_roofline_basics () =
   let d = lower_sor 32 Transform.Pipe in
-  let r = Roofline.of_design ~nki:100 d in
+  let r = roofline ~nki:100 d in
   Alcotest.(check bool) "intensity positive" true (r.Roofline.rf_intensity > 0.0);
   Alcotest.(check bool) "attainable <= compute ceiling" true
     (r.Roofline.rf_attainable <= r.Roofline.rf_compute_ceiling +. 1e-6);
@@ -79,8 +93,8 @@ let test_roofline_basics () =
     (r.Roofline.rf_attainable <= r.Roofline.rf_gmem_roof +. 1e-6)
 
 let test_roofline_lanes_move_compute_ceiling () =
-  let r1 = Roofline.of_design ~nki:100 (lower_sor 32 Transform.Pipe) in
-  let r4 = Roofline.of_design ~nki:100 (lower_sor 32 (Transform.ParPipe 4)) in
+  let r1 = roofline ~nki:100 (lower_sor 32 Transform.Pipe) in
+  let r4 = roofline ~nki:100 (lower_sor 32 (Transform.ParPipe 4)) in
   Alcotest.(check bool) "4 lanes ~4x compute ceiling" true
     (r4.Roofline.rf_compute_ceiling /. r1.Roofline.rf_compute_ceiling > 3.9);
   Alcotest.(check (float 1e-9)) "intensity invariant"
@@ -90,7 +104,7 @@ let test_roofline_crossover () =
   (* enough lanes push the variant from compute-bound to bandwidth-bound *)
   let prog = Tytra_kernels.Sor.program ~im:32 ~jm:32 ~km:32 () in
   let bound l =
-    (Roofline.of_design ~nki:100
+    (roofline ~nki:100
        (Lower.lower prog (if l = 1 then Transform.Pipe else Transform.ParPipe l)))
       .Roofline.rf_bound
   in
@@ -99,7 +113,7 @@ let test_roofline_crossover () =
 
 let test_roofline_form_c_ignores_bandwidth () =
   let d = lower_sor 16 (Transform.ParPipe 16) in
-  let r = Roofline.of_design ~form:Throughput.FormC ~nki:100 d in
+  let r = roofline ~form:Throughput.FormC ~nki:100 d in
   Alcotest.(check bool) "form C compute-bound" true (r.Roofline.rf_bound = `Compute);
   Alcotest.(check (float 1e-6)) "attainable = compute ceiling"
     r.Roofline.rf_compute_ceiling r.Roofline.rf_attainable

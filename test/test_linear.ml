@@ -269,6 +269,43 @@ let test_decode_words_per_byte () =
     true
     (w <= decode_words_per_byte_bound)
 
+(* Reading a request costs words linear in its bytes. The serving loop
+   reads a request's head into a buffer of the 16 KB head cap and its
+   body into one buffer of exactly the Content-Length, which becomes the
+   request's body: 0.125 words a byte for the body, and about 2,100
+   words for the head besides. The words are counted minor and direct major alike,
+   since a buffer over 256 words goes straight to the major heap. On a
+   7.5 MiB request that is 0.1255 words a byte; the reader before it,
+   which copied its growing buffer after every 4 KB read, allocated
+   120.7. *)
+let read_words_per_byte_bound = 0.15
+
+let test_read_words_per_byte () =
+  let body = String.make (15 * 512 * 1024) 'x' in
+  let req =
+    Printf.sprintf "POST /v1/submit HTTP/1.0\r\nContent-Length: %d\r\n\r\n%s"
+      (String.length body) body
+  in
+  let path = Filename.temp_file "tytra-request" ".http" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc req);
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let got = ref (Error 0) in
+  let w =
+    allocated_words (fun () -> got := Tytra_telemetry.Serve.read_request fd)
+    /. float_of_int (String.length req)
+  in
+  (match !got with
+  | Ok rq -> Alcotest.(check bool) "body read whole" true (rq.Tytra_telemetry.Serve.rq_body = body)
+  | Error status -> Alcotest.failf "read_request: status %d" status);
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "Serve.read_request on a %d-byte request: %.4f words per byte <= %.2f"
+       (String.length req) w read_words_per_byte_bound)
+    true
+    (w <= read_words_per_byte_bound)
+
 let suite =
   [
     Alcotest.test_case "variant work linear in PEs" `Quick
@@ -289,4 +326,6 @@ let suite =
       test_parse_words_bound;
     Alcotest.test_case "request decode words per byte bounded" `Quick
       test_decode_words_per_byte;
+    Alcotest.test_case "request read words per byte bounded" `Quick
+      test_read_words_per_byte;
   ]

@@ -322,6 +322,61 @@ let test_serve_bad_addr () =
       Tel.Serve.stop sv;
       Alcotest.fail "nonsense address must be rejected"
 
+(* The serving loop's reader on byte sequences (a file or a pipe stands
+   in for the peer; its end is the peer closing): what it accepts, and
+   the wire status it answers otherwise. *)
+let test_read_request_statuses () =
+  let read bytes =
+    let path = Filename.temp_file "tytra-request" ".http" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+    let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    Tel.Serve.read_request fd
+  in
+  let ok what bytes (meth, path, body) =
+    match read bytes with
+    | Ok rq ->
+        Alcotest.(check (triple string string string))
+          what (meth, path, body)
+          (rq.Tel.Serve.rq_meth, rq.Tel.Serve.rq_path, rq.Tel.Serve.rq_body)
+    | Error status -> Alcotest.failf "%s: status %d" what status
+  in
+  let fails what bytes status =
+    match read bytes with
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error s -> Alcotest.(check int) what status s
+  in
+  ok "no body" "GET /healthz HTTP/1.0\r\n\r\n" ("GET", "/healthz", "");
+  ok "header names in any case, bytes past the body ignored"
+    "post /v1/submit HTTP/1.0\r\ncontent-LENGTH: 5\r\n\r\nhelloEXTRA"
+    ("POST", "/v1/submit", "hello");
+  (* the head's end arrives split over two reads *)
+  let r, w = Unix.pipe ~cloexec:true () in
+  let write s = ignore (Unix.write_substring w s 0 (String.length s)) in
+  write "GET /x HTTP/1.0\r\nX-Pad: a\r\n\r";
+  let late =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.05;
+        write "\n";
+        Unix.close w)
+  in
+  let split = Tel.Serve.read_request r in
+  Domain.join late;
+  Unix.close r;
+  (match split with
+  | Ok rq ->
+      Alcotest.(check (pair string string))
+        "head end across reads" ("GET", "/x")
+        (rq.Tel.Serve.rq_meth, rq.Tel.Serve.rq_path)
+  | Error status -> Alcotest.failf "head end across reads: status %d" status);
+  fails "no request line" "garbage\r\n\r\n" 400;
+  fails "nothing sent" "" 400;
+  fails "body cut short" "POST / HTTP/1.0\r\nContent-Length: 10\r\n\r\nshort" 400;
+  fails "head over 16 KB" ("GET / HTTP/1.0\r\nX: " ^ String.make 20_000 'a') 400;
+  fails "body over the cap" "POST / HTTP/1.0\r\nContent-Length: 9999999999\r\n\r\n" 413;
+  fails "negative length" "POST / HTTP/1.0\r\nContent-Length: -1\r\n\r\n" 413
+
 (* ------------------------------------------------------------------ *)
 (* Integration with a real sweep                                       *)
 (* ------------------------------------------------------------------ *)
@@ -551,6 +606,8 @@ let suite =
       test_serve_unix_socket;
     Alcotest.test_case "snapshot server rejects bad addresses" `Quick
       test_serve_bad_addr;
+    Alcotest.test_case "request reader statuses" `Quick
+      test_read_request_statuses;
     Alcotest.test_case "sweep integration: events/progress" `Quick
       test_explore_integration;
     Alcotest.test_case "multi-domain stress over every exporter" `Quick
