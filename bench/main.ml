@@ -222,10 +222,6 @@ let time_s f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* --jobs N: width of the Domain pool used by the E5 parallel sweep
-   (0 = one per core). *)
-let jobs_flag = ref 1
-
 (* [per_call_s f] — seconds per call of [f], from a batch of calls that
    runs for at least 50 ms, so one timer step is a small fraction of it.
    Telemetry is off for the batch, so how many calls fit in it changes
@@ -275,30 +271,20 @@ let e5 () =
   Format.printf
     "paper: 0.3 s/variant for the estimator vs ~70 s for SDAccel estimates \
      (>200x)@.";
-  (* the estimator loop through the Domain pool: same sweep, N workers *)
-  let jobs =
-    if !jobs_flag = 0 then Tytra_exec.Pool.default_jobs () else !jobs_flag
-  in
+  (* the estimator in its loop: one whole sweep of a 64-lane space *)
   let sweep_prog = Tytra_kernels.Sor.program ~im:96 ~jm:96 ~km:96 () in
-  let config jobs =
-    (* prune off: E5 measures the pool's scaling on the full evaluation
-       load; E8 measures what pruning removes from it *)
+  let config =
+    (* prune off: E5 measures the full evaluation load; E8 measures what
+       pruning removes from it *)
     { Tytra_dse.Dse.default_config with
-      max_lanes = 64; max_vec = 8; nki = 100; jobs; prune = false }
+      max_lanes = 64; max_vec = 8; nki = 100; prune = false }
   in
-  let pts, t1 =
-    time_s (fun () -> Tytra_dse.Dse.explore ~config:(config 1) sweep_prog)
+  let pts, t =
+    time_s (fun () -> Tytra_dse.Dse.explore ~config sweep_prog)
   in
-  let _, tn =
-    time_s (fun () -> Tytra_dse.Dse.explore ~config:(config jobs) sweep_prog)
-  in
-  Format.printf
-    "parallel sweep (--jobs): %d points on %d core(s); jobs=1 %.3f s, \
-     jobs=%d %.3f s -> %.2fx@."
-    (List.length pts)
-    (Domain.recommended_domain_count ())
-    t1 jobs tn
-    (t1 /. Float.max 1e-9 tn)
+  Format.printf "exhaustive sweep: %d points in %.3f s (%.1f us/point)@."
+    (List.length pts) t
+    (1e6 *. t /. float_of_int (max 1 (List.length pts)))
 
 (* ------------------------------------------------------------------ *)
 (* E8: bound-based DSE pruning - exhaustive vs pruned sweep            *)
@@ -306,9 +292,6 @@ let e5 () =
 
 let e8 () =
   hr "E8: bound-based pruning - exhaustive vs pruned sweep, all kernels";
-  let jobs =
-    if !jobs_flag = 0 then Tytra_exec.Pool.default_jobs () else !jobs_flag
-  in
   let kernels =
     [
       ("sor",
@@ -322,7 +305,7 @@ let e8 () =
   let config =
     (* the E5 sweep space: 64 lanes with vectorization variants *)
     { Tytra_dse.Dse.default_config with
-      max_lanes = 64; max_vec = 8; nki = 100; jobs }
+      max_lanes = 64; max_vec = 8; nki = 100 }
   in
   let sweep prune prog =
     time_s (fun () ->
@@ -394,8 +377,8 @@ let e8 () =
 
      The progress line is formatted into a buffer, not written to the
      terminal, so the measurement prices the instrumentation rather
-     than tty I/O; progress fires once per wave (not per point), so it
-     contributes to (2) but is negligible in (1). --- *)
+     than tty I/O; an exhaustive sweep reports progress twice (not per
+     point), so it contributes to (2) but is negligible in (1). --- *)
   Format.printf
     "@.observability overhead (exhaustive sequential SOR sweep; events + \
      progress):@.";
@@ -420,7 +403,7 @@ let e8 () =
     if observed && own_sink then Tytra_telemetry.Events.open_file events_path;
     let cfg =
       { config with
-        Tytra_dse.Dse.prune = false; jobs = 1;
+        Tytra_dse.Dse.prune = false;
         on_progress = (if observed then Some on_progress else None) }
     in
     let sw = ref None in
@@ -633,8 +616,8 @@ let e10 () =
   Array.sort compare lats;
   let p50 = percentile lats 50 and p95 = percentile lats 95 in
   (* concurrent phase: 4 client domains replay the mix against the one
-     warm engine (fixed at 4 regardless of --jobs, so the work counters
-     are machine-independent) *)
+     warm engine (fixed at 4, so the work counters are
+     machine-independent) *)
   let clients = 4 and conc_reps = 5 in
   let (), wall =
     time_s (fun () ->
@@ -863,7 +846,7 @@ let e12 () =
     ]
   in
   Tytra_telemetry.Metrics.set "bench.e12.cores"
-    (float_of_int (Tytra_exec.Pool.default_jobs ()));
+    (float_of_int (Domain.recommended_domain_count ()));
   let tybec =
     let guess =
       Filename.concat
@@ -1484,11 +1467,6 @@ let parse_args args =
     | "--json" :: path :: tl -> json := Some path; go tl
     | "--trace" :: path :: tl -> trace := Some path; go tl
     | "--events" :: path :: tl -> events := Some path; go tl
-    | "--jobs" :: n :: tl ->
-        (match int_of_string_opt n with
-        | Some j when j >= 0 -> jobs_flag := j
-        | _ -> Format.eprintf "ignoring bad --jobs %S@." n);
-        go tl
     | a :: tl -> rest := a :: !rest; go tl
   in
   go args;

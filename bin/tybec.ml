@@ -431,14 +431,6 @@ let explore_cmd =
   let lanes_arg =
     Arg.(value & opt int 16 & info [ "max-lanes" ] ~doc:"Maximum lane count.")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Evaluate design points on $(docv) parallel domains (0 = one \
-             per core). Results are identical to the sequential sweep.")
-  in
   let no_prune_arg =
     Arg.(
       value & flag
@@ -449,7 +441,7 @@ let explore_cmd =
              The selected variant and Pareto front are identical either \
              way; this flag exists for benchmarking and verification.")
   in
-  let run () kernel size lanes device form nki jobs no_prune =
+  let run () kernel size lanes device form nki no_prune =
     guarded @@ fun () ->
     traced "explore" @@ fun () ->
     let req =
@@ -462,7 +454,7 @@ let explore_cmd =
             | `Lavamd -> Engine.Lavamd
             | `Srad -> Engine.Srad);
           x_size = size; x_max_lanes = lanes; x_device = device;
-          x_form = form; x_nki = nki; x_jobs = jobs;
+          x_form = form; x_nki = nki; x_jobs = 1;
           x_prune = not no_prune; x_retries = 0; x_deadline_s = None;
           x_best_effort = false; x_checkpoint = None; x_checkpoint_every = 32;
           x_resume = None; x_place_mode = None;
@@ -478,7 +470,7 @@ let explore_cmd =
     (Cmd.info "explore" ~doc:"Design-space exploration over a built-in kernel")
     Term.(
       const run $ observability_term $ kernel_arg $ size_arg $ lanes_arg
-      $ device_arg $ form_arg $ nki_arg $ jobs_arg $ no_prune_arg)
+      $ device_arg $ form_arg $ nki_arg $ no_prune_arg)
 
 (* ---- bw ---- *)
 

@@ -3,8 +3,8 @@
    Sweeps the number of kernel pipeline lanes for the SOR kernel (the
    reshapeTo transformation), prints the Fig 15-style table of resource
    utilization and throughput, shows where the communication and
-   computation walls fall for forms A and B, and emits the HDL of the
-   selected variant.
+   computation walls fall for forms A and B, prints what limits each lane
+   count, and emits the HDL of the selected variant.
 
    Run with:  dune exec examples/sor_exploration.exe
 *)
@@ -56,16 +56,20 @@ let () =
   Format.printf "balance hint: binding resource %s@."
     r1.Tytra_cost.Report.rp_balance.Tytra_cost.Limits.bh_binding;
 
-  (* guided search: follow the limiting parameter *)
-  Format.printf "@.guided search trace:@.";
-  let trace =
-    Tytra_dse.Dse.(guided
-      ~config:{ default_config with device; nki; max_lanes = 32 })
+  (* one exhaustive sweep: what limits each lane count *)
+  Format.printf "@.limiter at each lane count:@.";
+  let points =
+    Tytra_dse.Dse.(explore
+      ~config:{ default_config with device; nki; max_lanes = 32; prune = false })
       program
   in
-  List.iter (fun p -> Format.printf "  %a@." Tytra_dse.Dse.pp_point p) trace;
+  List.iter
+    (fun p ->
+      if p.Tytra_dse.Dse.dp_variant <> Transform.Seq then
+        Format.printf "  %a@." Tytra_dse.Dse.pp_point p)
+    points;
 
-  match Tytra_dse.Dse.best trace with
+  match Tytra_dse.Dse.best points with
   | None -> Format.printf "no valid variant@."
   | Some best ->
       Format.printf "@.selected: %s@."

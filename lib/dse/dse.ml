@@ -10,18 +10,18 @@
     in closed form from its config's Pipe report
     ({!Tytra_cost.Report.replicate}, DESIGN.md §9.1): replication adds
     identical PE instances and leaves every per-kernel-instance figure
-    as it was. The Pipe report is evaluated once per config and shared
+    as it was. The Pipe report is evaluated once per sweep and shared
     by all its replicated points. Its design comes from
     {!Lower.derive}, built around the template's validated PE function
     and certified lanes, or around its PE count's shell, and checked by
     position (DESIGN.md §10.2): no replicated point builds an index or
-    runs a delta check unless that check fails. [eval_wave] interns the
-    lanes of a wave's widest variant before the wave fans out.
+    runs a delta check unless that check fails.
 
-    Points fan out over a {!Tytra_exec.Pool} of [config.jobs] domains.
-    A sweep keeps no state between calls: it builds its program's
-    lowering template once, on the driving domain, and every point is
-    derived from it and costed afresh.
+    A sweep runs on its caller's domain, one point after another: a
+    whole 64-lane space costs a few milliseconds, less than fanning it
+    out over domains would. It keeps no state between calls: it builds
+    its program's lowering template once, and every point is derived
+    from it and costed afresh.
 
     With [config.prune] on (the default), the sweep does not even lower
     most of the space: after evaluating the cheap baselines (Seq, Pipe)
@@ -65,18 +65,19 @@ type config = {
   nki : int;                        (** kernel-instance repetitions *)
   max_lanes : int;                  (** lane-count bound of the space *)
   max_vec : int;                    (** vectorization bound of the space *)
-  jobs : int;                       (** evaluation-pool domains; 1 = seq *)
+  jobs : int;
+      (** ignored: every sweep runs on its caller's domain; kept only
+          because [benchmark/] sets it *)
   prune : bool;                     (** bound-based pruning of the space *)
   on_progress : (progress -> unit) option;
-      (** called on the sweep's driving domain after every evaluation
-          wave with cumulative coverage; [tybec serve] streams it as
-          progress frames *)
+      (** called after the baselines, after the bounds and after every
+          later point with cumulative coverage; [tybec serve] streams it
+          as progress frames *)
 }
 
-(** Cumulative sweep coverage, as passed to [config.on_progress].
-    Aggregated over every config of a {!sweep_many} batch. *)
+(** Cumulative sweep coverage, as passed to [config.on_progress]. *)
 and progress = {
-  pr_space : int;      (** variants enumerated across all configs *)
+  pr_space : int;      (** variants enumerated *)
   pr_evaluated : int;  (** points lowered and costed so far *)
   pr_pruned : int;     (** candidates skipped by bounds so far *)
 }
@@ -103,37 +104,25 @@ let derived x =
   Tytra_telemetry.Metrics.incr "dse.points_derived";
   x
 
-(* The Pipe point of one sweep config, which every replicated point of
-   that config is costed from ({!Tytra_cost.Report.replicate}). It is
-   set once, under the lock, by whichever point needs it first — the
-   Pipe point itself or a replicated point that a wave runs before it —
-   so Pipe is evaluated in full once per config at any pool width and
-   in any wave order. *)
-type baseline = {
-  bl_lock : Mutex.t;
-  mutable bl_point : (Tytra_ir.Ast.design * Tytra_cost.Report.t) option;
-}
-
-let new_baseline () = { bl_lock = Mutex.create (); bl_point = None }
-
-let baseline_point bl compute =
-  Mutex.protect bl.bl_lock (fun () ->
-      match bl.bl_point with
-      | Some dr -> dr
-      | None ->
-          let dr = compute () in
-          bl.bl_point <- Some dr;
-          dr)
+(* Seq or Pipe, costed in full on the index its derivation built
+   ([Lower.derive_sym]); the index lives only while the point is
+   evaluated: the point keeps the design and its report. *)
+let evaluate ~(config : config) template v =
+  let sy = derived (Lower.derive_sym template v) in
+  let report =
+    Tytra_cost.Report.evaluate_sym ~device:config.device ?calib:config.calib
+      ~form:config.form ~nki:config.nki sy
+  in
+  (Tytra_ir.Symtab.design sy, report)
 
 (* Evaluate one variant under a per-point span: lane count, form and the
    resulting EKIT become trace attributes, so a sweep reads as a row of
-   "dse.point" slices in Perfetto (one lane per pool domain). Seq and
-   Pipe are costed in full on the index their derivation built
-   ([Lower.derive_sym]). A replicated variant is derived too, by
+   "dse.point" slices in Perfetto. A replicated variant is derived by
    [Lower.derive], which checks it by position against the template's
    certified lanes and builds no index unless that check fails; it is
-   costed in closed form from the config's Pipe report in [baseline]. *)
-let eval_point ~(config : config) ~template ~baseline prog v =
+   costed in closed form from the sweep's Pipe point [pipe], which is
+   evaluated in full when first forced. *)
+let eval_point ~(config : config) ~template ~pipe prog v =
   Tytra_telemetry.Span.with_ ~name:"dse.point"
     ~attrs:
       [ ("variant", Tytra_telemetry.Span.Str (Transform.to_string v));
@@ -143,33 +132,20 @@ let eval_point ~(config : config) ~template ~baseline prog v =
            (Tytra_cost.Throughput.form_to_string config.form));
       ]
   @@ fun () ->
-  (* the index lives only while its point is evaluated: the point keeps
-     the design and its report *)
-  let evaluate v =
-    let sy = derived (Lower.derive_sym template v) in
-    let report =
-      Tytra_cost.Report.evaluate_sym ~device:config.device ?calib:config.calib
-        ~form:config.form ~nki:config.nki sy
-    in
-    (Tytra_ir.Symtab.design sy, report)
-  in
-  let pipe () =
-    baseline_point baseline (fun () -> evaluate Transform.Pipe)
-  in
   (* Event-log detail is gated separately from plain metrics: without a
      sink, this adds two ref cells and a bool. *)
   let observe = Tytra_telemetry.Events.active () in
   let t0 = if observe then Tytra_telemetry.Clock.now_ns () else 0L in
   let d, report =
     match v with
-    | Transform.Seq -> evaluate v
-    | Transform.Pipe -> pipe ()
+    | Transform.Seq -> evaluate ~config template v
+    | Transform.Pipe -> Lazy.force pipe
     | Transform.ParPipe _ | Transform.ParVecPipe _ ->
         let d = derived (Lower.derive template v) in
         ( d,
           Tytra_cost.Report.replicate ~device:config.device ~form:config.form
             ~name:(Lower.design_name prog v) ~lanes:(Transform.lanes v)
-            ~vec:(Transform.vec v) (snd (pipe ())) )
+            ~vec:(Transform.vec v) (snd (Lazy.force pipe)) )
   in
   let p = { dp_variant = v; dp_design = d; dp_report = report } in
   Tytra_telemetry.Metrics.incr "dse.points_evaluated";
@@ -230,28 +206,15 @@ type sweep = {
   sw_stats : sweep_stats;
 }
 
-(* Mutable per-config sweep state; driven by [sweep_many] below. All
-   mutation happens on the calling domain — worker domains only run the
-   pure [eval_point]. *)
-type sweep_state = {
-  st_config : config;
-  st_baseline : baseline;
-  st_space : int;
-  mutable st_done : (int * point) list;       (* (enumeration index, point) *)
-  mutable st_bounded : (int * bounded) list;
-  mutable st_queue : (int * Transform.variant * Tytra_cost.Bounds.t) list;
-      (* pending candidates, sorted by (ekit_ub desc, index asc) *)
-  mutable st_incumbent : (float * int) option; (* (ekit, area) of best valid *)
-}
-
-let update_incumbent st (p : point) =
-  if valid p then begin
+(* The (ekit, area) of the best valid point evaluated so far, once [p]
+   is counted: higher EKIT wins, then smaller area. *)
+let better_incumbent incumbent (p : point) =
+  if not (valid p) then incumbent
+  else
     let e = ekit p and a = area p in
-    match st.st_incumbent with
-    | None -> st.st_incumbent <- Some (e, a)
-    | Some (be, ba) ->
-        if e > be || (e = be && a < ba) then st.st_incumbent <- Some (e, a)
-  end
+    match incumbent with
+    | Some (be, ba) when not (e > be || (e = be && a < ba)) -> incumbent
+    | _ -> Some (e, a)
 
 (* The pruning invariant: a candidate may be skipped only when some
    *evaluated* valid point provably dominates it. [b.b_ekit_ub < be]
@@ -263,308 +226,190 @@ let update_incumbent st (p : point) =
    below a valid survivor's) nor on the [pareto] front (the incumbent
    dominates it), hence best/pareto over the survivors equal the
    exhaustive sweep's. *)
-let prunable st (b : Tytra_cost.Bounds.t) =
-  match st.st_incumbent with
+let prunable incumbent (b : Tytra_cost.Bounds.t) =
+  match incumbent with
   | None -> false
   | Some (be, ba) ->
       b.Tytra_cost.Bounds.b_ekit_ub < be && Tytra_cost.Bounds.area_lb b >= ba
 
-let record_bounded st idx v b reason =
-  Tytra_telemetry.Metrics.incr "dse.points_pruned";
-  if Tytra_telemetry.Events.active () then
-    Tytra_telemetry.Events.emit
-      (Tytra_telemetry.Events.Point_pruned
-         {
-           variant = Transform.to_string v;
-           reason =
-             Printf.sprintf "%s (ekit_ub=%.6g, fits=%b)"
-               (prune_reason_to_string reason)
-               b.Tytra_cost.Bounds.b_ekit_ub b.Tytra_cost.Bounds.b_fits;
-         });
-  st.st_bounded <-
-    (idx, { bp_variant = v; bp_bounds = b; bp_reason = reason })
-    :: st.st_bounded
-
-let rec take_n n = function
-  | x :: tl when n > 0 ->
-      let a, b = take_n (n - 1) tl in
-      (x :: a, b)
-  | l -> ([], l)
-
-(* Evaluate a combined wave of (state, index, variant) items on the
-   shared pool; results land back in each state's accumulator. The
-   calling domain first interns the lanes of the wave's widest variant,
-   so the template's lanes grow once a wave and no pool domain waits on
-   their lock. *)
-let eval_wave ~pool ~template prog
-    (items : (sweep_state * int * Transform.variant) list) =
-  let pes = List.fold_left (fun m (_, _, v) -> max m (Transform.pes v)) 1 items in
-  if pes > 1 then ignore (Lower.template_lanes template pes);
-  Tytra_exec.Pool.map pool
-    (fun (st, idx, v) ->
-      ( st,
-        idx,
-        eval_point ~config:st.st_config ~template ~baseline:st.st_baseline
-          prog v ))
-    items
-  |> List.iter (fun (st, idx, p) ->
-         st.st_done <- (idx, p) :: st.st_done;
-         update_incumbent st p)
-
-(** [sweep_many ~pool configs prog] — run one sweep of [prog] per config,
-    interleaved on a single shared pool so a registry-wide device sweep
-    saturates [Pool.jobs pool] domains even when each per-device space is
-    small. Phases:
-
-    + evaluate every config's baselines (Seq, Pipe — or the whole space
-      when that config has [prune = false]) in one combined pool map;
-    + derive {!Tytra_cost.Bounds} for each replicated candidate from its
-      config's Pipe report; candidates whose resource lower bound
-      overflows the device are recorded as {!Overflow} without lowering;
-    + rounds: each active config re-checks its pending candidates against
-      its current incumbent (recording {!Dominated} prunes), then
-      contributes its most-promising survivors (highest EKIT upper bound
-      first) to a combined wave of at most [Pool.jobs pool] evaluations.
-
-    For a fixed config the surviving *set* may depend on [jobs] (a wider
-    wave evaluates candidates a later incumbent would have pruned), but
-    [best] and [pareto] over the survivors are invariant — equal to the
-    exhaustive sweep's for every [jobs] value.
-
-    Every wave runs through [eval_wave], so a point that raises aborts
-    the whole sweep with its exception. The {e head} config's
-    [on_progress], if any, hears cumulative coverage after every wave.
-    The program's {!Lower.template} is built once, on the calling
-    domain, and every config derives its points from it. No configs, no
-    sweeps. *)
-let sweep_many ~pool (configs : config list) (prog : Expr.program) :
-    sweep list =
-  match configs with
-  | [] -> []
-  | head :: _ ->
-      let template = Lower.template prog in
-      let states_with_variants =
-        List.map
-          (fun config ->
-            let variants =
-              Transform.enumerate ~max_lanes:config.max_lanes
-                ~max_vec:config.max_vec prog
-            in
-            let st =
-              {
-                st_config = config;
-                st_baseline = new_baseline ();
-                st_space = List.length variants;
-                st_done = [];
-                st_bounded = [];
-                st_queue = [];
-                st_incumbent = None;
-              }
-            in
-            (st, List.mapi (fun i v -> (i, v)) variants))
-          configs
-      in
-      let states = List.map fst states_with_variants in
-      (* The event log marks each config's sweep here, where the space is
-         already enumerated — recomputing it just for the event would cost
-         a full [Transform.enumerate] per sweep (~ms on large spaces). *)
-      if Tytra_telemetry.Events.active () then
-        List.iter
-          (fun st ->
-            Tytra_telemetry.Events.emit
-              (Tytra_telemetry.Events.Sweep_started
-                 {
-                   kernel = prog.Expr.p_kernel.Expr.k_name;
-                   space = st.st_space;
-                   jobs = st.st_config.jobs;
-                   prune = st.st_config.prune;
-                 }))
-          states;
-      (* Progress notification: cumulative coverage across every config,
-         reported on the driving domain after each wave. The callback comes
-         from the head config. *)
-      let notify =
-        match head.on_progress with
-        | None -> fun () -> ()
-        | Some f ->
-            fun () ->
-              f
-                (List.fold_left
-                   (fun acc st ->
-                     {
-                       pr_space = acc.pr_space + st.st_space;
-                       pr_evaluated = acc.pr_evaluated + List.length st.st_done;
-                       pr_pruned = acc.pr_pruned + List.length st.st_bounded;
-                     })
-                   { pr_space = 0; pr_evaluated = 0; pr_pruned = 0 }
-                   states)
-      in
-      let run_wave items =
-        eval_wave ~pool ~template prog items;
-        notify ()
-      in
-      (* Phase 1: baselines. Replication bounds derive from the Pipe report,
-         so Seq and Pipe (pes < 2) are always evaluated in full; with
-         pruning off the whole space is a "baseline". *)
-      let baseline_items =
-        List.concat_map
-          (fun (st, indexed) ->
-            List.filter_map
-              (fun (i, v) ->
-                if (not st.st_config.prune) || Transform.pes v < 2 then
-                  Some (st, i, v)
-                else None)
-              indexed)
-          states_with_variants
-      in
-      run_wave baseline_items;
-      (* Phase 2: bounds. *)
-      let forced =
-        List.concat_map
-          (fun (st, indexed) ->
-            if not st.st_config.prune then []
-            else
-              let candidates =
-                List.filter (fun (_, v) -> Transform.pes v >= 2) indexed
-              in
-              let pipe =
-                List.find_map
-                  (fun (_, p) ->
-                    if p.dp_variant = Transform.Pipe then Some p.dp_report
-                    else None)
-                  st.st_done
-              in
-              match pipe with
-              | None ->
-                  (* No Pipe baseline in the space (cannot happen with the
-                     current enumerator): fall back to exhaustive. *)
-                  List.map (fun (i, v) -> (st, i, v)) candidates
-              | Some baseline ->
-                  let queue =
-                    List.filter_map
-                      (fun (i, v) ->
-                        let b =
-                          Tytra_cost.Bounds.of_baseline
-                            ~device:st.st_config.device ~form:st.st_config.form
-                            ~pes:(Transform.pes v) baseline
-                        in
-                        if not b.Tytra_cost.Bounds.b_fits then begin
-                          record_bounded st i v b Overflow;
-                          None
-                        end
-                        else Some (i, v, b))
-                      candidates
-                  in
-                  st.st_queue <-
-                    List.sort
-                      (fun (i1, _, b1) (i2, _, b2) ->
-                        let c =
-                          compare b2.Tytra_cost.Bounds.b_ekit_ub
-                            b1.Tytra_cost.Bounds.b_ekit_ub
-                        in
-                        if c <> 0 then c else compare i1 i2)
-                      queue;
-                  [])
-          states_with_variants
-      in
-      run_wave forced;
-      (* Phase 3: incumbent-pruned waves. *)
-      let rec rounds () =
-        let active = List.filter (fun st -> st.st_queue <> []) states in
-        if active <> [] then begin
-          let quota =
-            max 1 (Tytra_exec.Pool.jobs pool / List.length active)
-          in
-          let wave =
-            List.concat_map
-              (fun st ->
-                let pruned, rest =
-                  List.partition (fun (_, _, b) -> prunable st b) st.st_queue
-                in
-                List.iter (fun (i, v, b) -> record_bounded st i v b Dominated)
-                  pruned;
-                let take, keep = take_n quota rest in
-                st.st_queue <- keep;
-                List.map (fun (i, v, _) -> (st, i, v)) take)
-              active
-          in
-          run_wave wave;
-          rounds ()
-        end
-      in
-      rounds ();
-      let sweeps =
-        List.map
-          (fun st ->
-          let by_index (i1, _) (i2, _) = compare i1 i2 in
-          let bounded = List.sort by_index st.st_bounded |> List.map snd in
-          let n_reason r =
-            List.length (List.filter (fun b -> b.bp_reason = r) bounded)
-          in
-          {
-            sw_points = List.sort by_index st.st_done |> List.map snd;
-            sw_bounded = bounded;
-            sw_stats =
-              {
-                ss_space = st.st_space;
-                ss_evaluated = List.length st.st_done;
-                ss_pruned_resource = n_reason Overflow;
-                ss_pruned_incumbent = n_reason Dominated;
-              };
-          })
-          states
-      in
-      if Tytra_telemetry.Events.active () then
-        List.iter
-          (fun sw ->
-            Tytra_telemetry.Events.emit
-              (Tytra_telemetry.Events.Sweep_finished
-                 {
-                   evaluated = sw.sw_stats.ss_evaluated;
-                   pruned =
-                     sw.sw_stats.ss_pruned_resource
-                     + sw.sw_stats.ss_pruned_incumbent;
-                 }))
-          sweeps;
-      sweeps
+(* With a {!Tytra_exec.Faultgen} crash installed, each point draws its
+   task id just before it is evaluated, and the point holding the
+   installed id kills the process. *)
+let inject_fault () =
+  match Tytra_exec.Faultgen.installed () with
+  | None -> ()
+  | Some _ -> Tytra_exec.Faultgen.inject ~id:(Tytra_exec.Faultgen.next_id ())
 
 (* ------------------------------------------------------------------ *)
 (* Exploration                                                         *)
 (* ------------------------------------------------------------------ *)
 
 (** [explore_sweep ?config prog] — sweep the reshaping design space of
-    [prog]: full reports for the surviving points plus the bound records
-    of every pruned candidate. *)
+    [prog] on the calling domain: full reports for the surviving points
+    plus the bound records of every pruned candidate.
+
+    + Evaluate the baselines, Seq and Pipe, or with [prune] off the
+      whole space in enumeration order, after interning the lanes of
+      its widest variant once.
+    + Derive {!Tytra_cost.Bounds} for each replicated candidate from the
+      Pipe report; a candidate whose resource lower bound overflows the
+      device is recorded as {!Overflow} without lowering. The rest are
+      queued by EKIT upper bound, highest first, then by index.
+    + Rounds: record every queued candidate the incumbent now dominates
+      as {!Dominated}, then evaluate the head of the rest.
+
+    A point that raises aborts the sweep with its exception, and
+    {!Tytra_exec.Task.check} runs after every point, so a request
+    deadline interrupts a sweep between points. [config.on_progress]
+    hears cumulative coverage after the first two steps and after each
+    round. *)
 let explore_sweep ?(config = default_config) (prog : Expr.program) : sweep =
+  let kernel = prog.Expr.p_kernel.Expr.k_name in
   Tytra_telemetry.Span.with_ ~name:"dse.explore"
     ~attrs:
-      [ ("kernel", Tytra_telemetry.Span.Str prog.Expr.p_kernel.Expr.k_name);
+      [ ("kernel", Tytra_telemetry.Span.Str kernel);
         ("max_lanes", Tytra_telemetry.Span.Int config.max_lanes);
         ("max_vec", Tytra_telemetry.Span.Int config.max_vec);
-        ("jobs", Tytra_telemetry.Span.Int config.jobs);
         ("prune", Tytra_telemetry.Span.Str (string_of_bool config.prune)) ]
   @@ fun () ->
-  (* sweep_started / sweep_finished events are emitted by [sweep_many],
-     which has the enumerated space at hand. *)
-  let sw =
-    match
-      Tytra_exec.Pool.with_pool ~jobs:config.jobs (fun pool ->
-          sweep_many ~pool [ config ] prog)
-    with
-    | [ sw ] -> sw
-    | _ -> assert false
+  let template = Lower.template prog in
+  let variants =
+    Transform.enumerate ~max_lanes:config.max_lanes ~max_vec:config.max_vec
+      prog
   in
+  let space = List.length variants in
+  if Tytra_telemetry.Events.active () then
+    Tytra_telemetry.Events.emit
+      (Tytra_telemetry.Events.Sweep_started
+         { kernel; space; prune = config.prune });
+  let pipe = lazy (evaluate ~config template Transform.Pipe) in
+  (* (enumeration index, point) and (enumeration index, bounded), newest
+     first, and the (ekit, area) of the best valid point *)
+  let points = ref [] and bounded = ref [] and incumbent = ref None in
+  let notify () =
+    Option.iter
+      (fun f ->
+        f
+          {
+            pr_space = space;
+            pr_evaluated = List.length !points;
+            pr_pruned = List.length !bounded;
+          })
+      config.on_progress
+  in
+  let eval (i, v) =
+    inject_fault ();
+    let p = eval_point ~config ~template ~pipe prog v in
+    points := (i, p) :: !points;
+    incumbent := better_incumbent !incumbent p;
+    Tytra_exec.Task.check ()
+  in
+  let record i v b reason =
+    Tytra_telemetry.Metrics.incr "dse.points_pruned";
+    if Tytra_telemetry.Events.active () then
+      Tytra_telemetry.Events.emit
+        (Tytra_telemetry.Events.Point_pruned
+           {
+             variant = Transform.to_string v;
+             reason =
+               Printf.sprintf "%s (ekit_ub=%.6g, fits=%b)"
+                 (prune_reason_to_string reason)
+                 b.Tytra_cost.Bounds.b_ekit_ub b.Tytra_cost.Bounds.b_fits;
+           });
+    bounded :=
+      (i, { bp_variant = v; bp_bounds = b; bp_reason = reason }) :: !bounded
+  in
+  let indexed = List.mapi (fun i v -> (i, v)) variants in
+  (* Step 1: baselines. Replication bounds derive from the Pipe report,
+     so Seq and Pipe (pes < 2) are always evaluated in full; with
+     pruning off the whole space is a baseline. *)
+  let baselines, candidates =
+    if config.prune then
+      List.partition (fun (_, v) -> Transform.pes v < 2) indexed
+    else begin
+      let pes =
+        List.fold_left (fun m v -> max m (Transform.pes v)) 1 variants
+      in
+      if pes > 1 then ignore (Lower.template_lanes template pes);
+      (indexed, [])
+    end
+  in
+  List.iter eval baselines;
+  notify ();
+  (* Step 2: bounds. *)
+  let queue =
+    List.filter_map
+      (fun (i, v) ->
+        let b =
+          Tytra_cost.Bounds.of_baseline ~device:config.device
+            ~form:config.form ~pes:(Transform.pes v)
+            (snd (Lazy.force pipe))
+        in
+        if b.Tytra_cost.Bounds.b_fits then Some (i, v, b)
+        else begin
+          record i v b Overflow;
+          None
+        end)
+      candidates
+    |> List.sort (fun (i1, _, b1) (i2, _, b2) ->
+           let c =
+             compare b2.Tytra_cost.Bounds.b_ekit_ub
+               b1.Tytra_cost.Bounds.b_ekit_ub
+           in
+           if c <> 0 then c else compare i1 i2)
+  in
+  notify ();
+  (* Step 3: incumbent-pruned rounds. *)
+  let rec rounds queue =
+    if queue <> [] then begin
+      let dominated, rest =
+        List.partition (fun (_, _, b) -> prunable !incumbent b) queue
+      in
+      List.iter (fun (i, v, b) -> record i v b Dominated) dominated;
+      match rest with
+      | [] -> notify ()
+      | (i, v, _) :: rest ->
+          eval (i, v);
+          notify ();
+          rounds rest
+    end
+  in
+  rounds queue;
+  let by_index (i1, _) (i2, _) = compare i1 i2 in
+  let bounded = List.sort by_index !bounded |> List.map snd in
+  let n_reason r =
+    List.length (List.filter (fun b -> b.bp_reason = r) bounded)
+  in
+  let sw =
+    {
+      sw_points = List.sort by_index !points |> List.map snd;
+      sw_bounded = bounded;
+      sw_stats =
+        {
+          ss_space = space;
+          ss_evaluated = List.length !points;
+          ss_pruned_resource = n_reason Overflow;
+          ss_pruned_incumbent = n_reason Dominated;
+        };
+    }
+  in
+  let st = sw.sw_stats in
+  if Tytra_telemetry.Events.active () then
+    Tytra_telemetry.Events.emit
+      (Tytra_telemetry.Events.Sweep_finished
+         {
+           evaluated = st.ss_evaluated;
+           pruned = st.ss_pruned_resource + st.ss_pruned_incumbent;
+         });
   Log.info (fun m ->
-      m "explored %s (max_lanes %d, jobs %d): %a"
-        prog.Expr.p_kernel.Expr.k_name config.max_lanes config.jobs
-        pp_sweep_stats sw.sw_stats);
+      m "explored %s (max_lanes %d): %a" kernel config.max_lanes
+        pp_sweep_stats st);
   sw
 
 (** [explore ?config prog] — evaluated points of {!explore_sweep}, in
     enumeration order. With [config.prune] off this is the exhaustive
-    sweep (identical for every [jobs] value); with pruning on it returns
-    the survivors, whose {!best} and {!pareto} equal the exhaustive
-    sweep's. *)
+    sweep; with pruning on it returns the survivors, whose {!best} and
+    {!pareto} equal the exhaustive sweep's. *)
 let explore ?(config = default_config) (prog : Expr.program) : point list =
   (explore_sweep ~config prog).sw_points
 
@@ -622,80 +467,6 @@ let pareto (points : point list) : point list =
   Tytra_telemetry.Metrics.set "dse.pareto_front_size"
     (float_of_int (List.length front));
   front
-
-(** Guided search (the "targeted optimization" of paper §I): follow the
-    limiting parameter. Starting from the baseline pipe, double lanes
-    while compute-limited and the next variant still fits; stop at a
-    bandwidth wall (more lanes cannot help) or the resource wall. Returns
-    the visited points in order — a trace of the feedback loop. The loop
-    is inherently sequential; it builds the program's template once and
-    derives every visited point from it. *)
-let guided ?(config = default_config) (prog : Expr.program) : point list =
-  Tytra_telemetry.Span.with_ ~name:"dse.guided"
-    ~attrs:
-      [ ("kernel", Tytra_telemetry.Span.Str prog.Expr.p_kernel.Expr.k_name);
-        ("max_lanes", Tytra_telemetry.Span.Int config.max_lanes) ]
-  @@ fun () ->
-  let template = Lower.template prog in
-  (* the trace starts at Pipe, which sets the baseline of the rest *)
-  let eval = eval_point ~config ~template ~baseline:(new_baseline ()) prog in
-  let applicable l = Transform.applicable prog (Transform.ParPipe l) in
-  let rec go acc lanes =
-    let v = if lanes = 1 then Transform.Pipe else Transform.ParPipe lanes in
-    let p = eval v in
-    let acc = p :: acc in
-    let limited_by_compute =
-      p.dp_report.Tytra_cost.Report.rp_breakdown.Tytra_cost.Throughput.bd_limiter
-      = Tytra_cost.Throughput.Compute
-    in
-    let next = lanes * 2 in
-    if
-      limited_by_compute && valid p && next <= config.max_lanes
-      && applicable next
-    then go acc next
-    else List.rev acc
-  in
-  go [] 1
-
-(** Cross-device exploration: evaluate the variant space on every device
-    of [devices] (default: the whole registry) and return per-device
-    results plus the overall best (device, point) — "performance
-    portability" made concrete: the same high-level program, retargeted
-    by swapping the one-time device description and calibration. All
-    per-device sweeps are interleaved on one shared evaluation pool
-    ({!sweep_many}), so the registry-wide sweep saturates [config.jobs]
-    domains instead of running devices one after another. *)
-let explore_devices ?(config = default_config)
-    ?(devices = Tytra_device.Device.all) (prog : Expr.program) :
-    (Tytra_device.Device.t * point list) list
-    * (Tytra_device.Device.t * point) option =
-  Tytra_telemetry.Span.with_ ~name:"dse.explore_devices"
-    ~attrs:
-      [ ("kernel", Tytra_telemetry.Span.Str prog.Expr.p_kernel.Expr.k_name);
-        ("devices", Tytra_telemetry.Span.Int (List.length devices));
-        ("jobs", Tytra_telemetry.Span.Int config.jobs) ]
-  @@ fun () ->
-  let sweeps =
-    Tytra_exec.Pool.with_pool ~jobs:config.jobs (fun pool ->
-        sweep_many ~pool
-          (List.map (fun device -> { config with device }) devices)
-          prog)
-  in
-  let per_device =
-    List.map2 (fun device sw -> (device, sw.sw_points)) devices sweeps
-  in
-  let best_overall =
-    List.fold_left
-      (fun acc (device, pts) ->
-        match best pts with
-        | None -> acc
-        | Some b -> (
-            match acc with
-            | None -> Some (device, b)
-            | Some (_, prev) -> if ekit b > ekit prev then Some (device, b) else acc))
-      None per_device
-  in
-  (per_device, best_overall)
 
 let pp_point fmt (p : point) =
   Format.fprintf fmt "%-16s EKIT=%10.3g  %s  %s"

@@ -1,32 +1,30 @@
 (** Design-space exploration over the reshaping variant space.
 
     Public interface of [Tytra_dse.Dse]. A sweep is parameterized by one
-    {!config} value, and evaluation fans out over a {!Tytra_exec.Pool}.
-    A sweep keeps no state between calls: two identical sweeps do the
-    same work and return the same points.
+    {!config} value and runs on its caller's domain, one point after
+    another. A sweep keeps no state between calls: two identical sweeps
+    do the same work and return the same points.
 
     Every point is lowered (derived from the program's template and
     validated). Seq and Pipe are costed in full by the IR estimator;
     ParPipe and ParVecPipe points are costed in closed form from the
     config's Pipe report by {!Tytra_cost.Report.replicate}, which gives
-    the same report field for field. Pipe is evaluated once per config
+    the same report field for field. Pipe is evaluated once per sweep
     and shared by its replicated points. A replicated point's design
     comes from [Tytra_front.Lower.derive], built around the template's
     validated PE function and certified lanes (the first point of each
     PE count) or that count's shell (every later one), and checked
     against them by position, with the full check's verdict (DESIGN.md
     §10.2): it builds no index and runs no delta check unless that
-    check fails. Before each evaluation wave fans out, the sweep's
-    driving domain interns the lanes of the wave's widest variant.
+    check fails. An exhaustive sweep interns the lanes of its widest
+    variant once, before its first point.
 
     With [config.prune] on (the default) the sweep skips full lowering
     for candidates whose {!Tytra_cost.Bounds} prove they cannot fit the
     device or cannot beat an already-evaluated incumbent. Pruning is
     exact with respect to selection: {!best} and {!pareto} over the
     returned points equal those of the exhaustive ([prune = false])
-    sweep. The surviving point {e set} may vary with [config.jobs]
-    (wider evaluation waves see a later incumbent); tests that compare
-    raw point lists across [jobs] values should set [prune = false]. *)
+    sweep. *)
 
 (** One evaluated design point. *)
 type point = {
@@ -45,7 +43,7 @@ val area : point -> int
 (** ALUT usage of the point — the area axis of the Pareto front. *)
 
 (** Sweep parameters. Build one with record update on
-    {!default_config}: [{ default_config with jobs = 8; max_lanes = 32 }]. *)
+    {!default_config}: [{ default_config with max_lanes = 32 }]. *)
 type config = {
   device : Tytra_device.Device.t;   (** target FPGA platform *)
   calib : Tytra_device.Bandwidth.calib option;
@@ -54,19 +52,19 @@ type config = {
   nki : int;                        (** kernel-instance repetitions *)
   max_lanes : int;                  (** lane-count bound of the space *)
   max_vec : int;                    (** vectorization bound of the space *)
-  jobs : int;                       (** evaluation-pool domains; 1 = seq *)
+  jobs : int;
+      (** ignored: every sweep runs on its caller's domain; kept only
+          because [benchmark/] sets it *)
   prune : bool;                     (** bound-based pruning of the space *)
   on_progress : (progress -> unit) option;
-      (** called on the sweep's driving domain after every evaluation
-          wave with cumulative coverage; [tybec serve] streams it to
-          clients that ask for progress frames *)
+      (** called after the baselines, after the bounds and after every
+          later point with cumulative coverage; [tybec serve] streams it
+          to clients that ask for progress frames *)
 }
 
-(** Cumulative sweep coverage, as passed to [config.on_progress]. In a
-    multi-config batch ({!explore_devices}) the counts aggregate over
-    every config. *)
+(** Cumulative sweep coverage, as passed to [config.on_progress]. *)
 and progress = {
-  pr_space : int;      (** variants enumerated across all configs *)
+  pr_space : int;      (** variants enumerated *)
   pr_evaluated : int;  (** points lowered and costed so far *)
   pr_pruned : int;     (** candidates skipped by bounds so far *)
 }
@@ -110,14 +108,19 @@ type sweep = {
 }
 
 val explore_sweep : ?config:config -> Tytra_front.Expr.program -> sweep
-(** Sweep the whole variant space, pruning per [config.prune]. Each
-    evaluation wave is one {!Tytra_exec.Pool.map}: a point that raises
-    aborts the sweep with its exception. *)
+(** Sweep the whole variant space, pruning per [config.prune]: Seq and
+    Pipe first (with pruning off, the whole space in enumeration order),
+    then the bounded candidates one at a time by EKIT upper bound,
+    highest first, each after recording those the incumbent now
+    dominates. A point that raises aborts the sweep with its exception.
+    {!Tytra_exec.Task.check} runs after every point, so a request
+    deadline stops the sweep between points, and with a
+    {!Tytra_exec.Faultgen} crash installed each point draws one task id
+    just before it is evaluated. *)
 
 val explore : ?config:config -> Tytra_front.Expr.program -> point list
 (** Evaluated points of {!explore_sweep}, in enumeration order. With
-    [config.prune = false] this is the exhaustive sweep, identical for
-    every [config.jobs] value. *)
+    [config.prune = false] this is the exhaustive sweep. *)
 
 val best : point list -> point option
 (** Highest-EKIT point that fits the device, if any. *)
@@ -126,21 +129,6 @@ val pareto : point list -> point list
 (** The EKIT/ALUT Pareto front of the valid points, in input order.
     O(n log n) sort-and-scan; equal (area, EKIT) duplicates are all
     retained. *)
-
-val guided : ?config:config -> Tytra_front.Expr.program -> point list
-(** Follow-the-limiter search: double lanes while compute-limited and
-    fitting. Returns the visited points in order. *)
-
-val explore_devices :
-  ?config:config ->
-  ?devices:Tytra_device.Device.t list ->
-  Tytra_front.Expr.program ->
-  (Tytra_device.Device.t * point list) list
-  * (Tytra_device.Device.t * point) option
-(** Per-device sweeps ([config.device] is overridden by each element of
-    [devices]) plus the overall winner. All devices share one evaluation
-    pool, so the registry-wide sweep saturates [config.jobs] domains.
-    No devices give [([], None)]. *)
 
 val pp_point : Format.formatter -> point -> unit
 

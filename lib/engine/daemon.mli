@@ -10,7 +10,8 @@ val handler :
     through to the built-in metrics routes. A submit body is decoded
     once: a well-formed [explore] with ["stream":true] is answered as a
     stream of JSONL — one {!Protocol.encode_progress} frame per sweep
-    wave, then one result frame — and every other body as one response.
+    progress report, then one result frame — and every other body as
+    one response.
     [default_deadline_s] is applied to requests that carry no deadline
     of their own (the frame's own [deadline_ms] always wins). Exposed so
     tests can mount an engine on an ephemeral-port server directly. *)

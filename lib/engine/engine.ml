@@ -24,7 +24,6 @@
 module Ast = Tytra_ir.Ast
 module Cache = Tytra_exec.Cache
 module Task = Tytra_exec.Task
-module Pool = Tytra_exec.Pool
 module Span = Tytra_telemetry.Span
 module Metrics = Tytra_telemetry.Metrics
 
@@ -62,7 +61,10 @@ type explore_params = {
   x_device : Tytra_device.Device.t;
   x_form : Tytra_cost.Throughput.form;
   x_nki : int;
-  x_jobs : int;             (** evaluation domains; 0 = one per core *)
+  x_jobs : int;
+      (** ignored: every sweep runs on the domain that submits it; kept
+          only because [benchmark/] sets it, and not part of the cache
+          key *)
   x_prune : bool;
   (* Retired sweep-resilience fields: [submit] answers [Bad_request]
      unless each is at its default (0, None, false, None, any, None). *)
@@ -508,11 +510,10 @@ let do_explore ?on_progress (x : explore_params) =
   let* () = at_least_one "explore" "size" x.x_size in
   let* () = at_least_one "explore" "nki" x.x_nki in
   let prog = program_of x in
-  let jobs = if x.x_jobs = 0 then Pool.default_jobs () else x.x_jobs in
   let config =
     { Dse.default_config with
       device = x.x_device; form = x.x_form; nki = x.x_nki;
-      max_lanes = x.x_max_lanes; jobs; prune = x.x_prune; on_progress }
+      max_lanes = x.x_max_lanes; prune = x.x_prune; on_progress }
   in
   let sw = Dse.explore_sweep ~config prog in
   let pts = sw.Dse.sw_points in
@@ -617,17 +618,16 @@ let dispatch_cached t ?on_progress (req : request) =
   | Explore x ->
       (* an attached progress observer pins the request to live
          evaluation: a cache hit would answer correctly but silently
-         skip every frame. The surviving point set under pruning is
-         jobs-dependent, so the resolved width keys. *)
+         skip every frame. The ignored fields take one value in the
+         key, so requests that differ only there share an entry. *)
       let key =
         if Option.is_some on_progress then None
         else
-          let jobs = if x.x_jobs = 0 then Pool.default_jobs () else x.x_jobs in
           Some
             (Cache.digest_key
                [ "explore";
                  Cache.digest_marshal
-                   { x with x_jobs = jobs; x_place_mode = None } ])
+                   { x with x_jobs = 1; x_place_mode = None } ])
       in
       cached t key (fun () -> do_explore ?on_progress x)
   | Check { source } ->

@@ -34,7 +34,10 @@ type explore_params = {
   x_device : Tytra_device.Device.t;
   x_form : Tytra_cost.Throughput.form;
   x_nki : int;  (** kernel instances; [submit] answers [Bad_request] below 1 *)
-  x_jobs : int;             (** evaluation domains; 0 = one per core *)
+  x_jobs : int;
+      (** ignored: every sweep runs on the domain that submits it; kept
+          only because [benchmark/] sets it, and not part of the cache
+          key *)
   x_prune : bool;
   (* Retired sweep-resilience fields: [submit] answers [Bad_request]
      unless each is at its default (0, None, false, None, any, None). *)

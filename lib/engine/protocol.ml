@@ -35,13 +35,18 @@
     answered with a typed ["bad_request"] instead of being honoured;
     ["checkpoint_every"] is read and ignored. The ["failed"] and
     ["restored"] members of an explore reply and of a progress frame
-    are always 0. *)
+    are always 0.
+
+    Minor version 4 (no field added or removed): an explore request's
+    ["jobs"] is read and ignored, since every sweep runs on the domain
+    that answers it; requests that differ only in ["jobs"] get the same
+    answer, from one response-cache entry. *)
 
 module J = Tytra_telemetry.Jsenc
 
 let version = 1
 
-let version_minor = 3
+let version_minor = 4
 
 (* ------------------------------------------------------------------ *)
 (* Field-level codecs                                                  *)
@@ -259,6 +264,7 @@ let decode_op j = function
       let* device = decode_device j in
       let* form = decode_form j in
       let* nki = int_member ~default:1 "nki" j in
+      (* ignored since minor 4 *)
       let* jobs = int_member ~default:1 "jobs" j in
       let* prune = bool_member ~default:true "prune" j in
       (* retired since minor 3, still read so that [Engine.submit] can

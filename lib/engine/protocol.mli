@@ -17,7 +17,8 @@ val version_minor : int
     same HTTP 504 and exit code). Minor 3 answers an explore that asks
     for point retries, a point deadline, best-effort, a checkpoint or
     a resume with a typed ["bad_request"], and its ["failed"] and
-    ["restored"] counts are always 0. Decoders never check it (additive
+    ["restored"] counts are always 0. Minor 4 reads an explore's
+    ["jobs"] and ignores it. Decoders never check it (additive
     changes are compatible by construction), clients read it from
     [GET /v1/protocol] for capability discovery. *)
 
@@ -92,7 +93,8 @@ val decode_reply : string -> (reply, string) result
 
 val encode_progress : op:string -> Tytra_dse.Dse.progress -> string
 (** [{"v":1,"frame":"progress","op":…,"space":…,"evaluated":…,
-    "pruned":…,"failed":0,"restored":0}] — one line per sweep wave. *)
+    "pruned":…,"failed":0,"restored":0}] — one line per progress
+    report of the sweep ({!Tytra_dse.Dse.config}'s [on_progress]). *)
 
 val encode_response_frame : op:string -> Engine.response -> string
 (** {!encode_response} plus the ["frame":"result"] discriminator. *)

@@ -1,7 +1,7 @@
 (** Multi-process sharded serving: [tybec serve --shards N].
 
     One process per shard, each a {e full} {!Daemon} — its own engine,
-    pool and caches — so shards share nothing and scale until
+    workers and caches — so shards share nothing and scale until
     the machine runs out of cores. The parent never touches a request;
     it only supervises:
 

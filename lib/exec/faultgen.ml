@@ -1,12 +1,12 @@
 (** Deterministic crash injection for the execution layer.
 
     The chaos harness needs a process to die mid-request, reproducibly:
-    [TYTRA_FAULT_SPEC="crash_at=N"] makes the [N]-th task submitted
-    through {!Pool.map} (0-based, counted across the whole process)
-    SIGKILL the process before it runs. Ids are assigned at submission
-    time and in input order, so the same task dies in every run
-    regardless of which domain would have executed it. With no spec
-    installed, {!inject} is a no-op and the pool draws no ids. *)
+    [TYTRA_FAULT_SPEC="crash_at=N"] makes the [N]-th design point a
+    sweep evaluates (0-based, counted across the whole process) SIGKILL
+    the process before it runs. A sweep evaluates its points one after
+    another and draws each id just before the point, so the same point
+    dies in every run. With no spec installed, {!inject} is a no-op and
+    sweeps draw no ids. *)
 
 let parse s =
   let fields =
@@ -58,9 +58,8 @@ let with_spec sp f =
 
 (* ---- task identity ---- *)
 
-(* One process-wide counter so the schedule is stable across pools and
-   independent of domain interleaving: ids are assigned at submission
-   time, before any work fans out. *)
+(* One process-wide counter, so the schedule is stable across the sweeps
+   of one process. *)
 let counter = Atomic.make 0
 let next_id () = Atomic.fetch_and_add counter 1
 let reset_counter () = Atomic.set counter 0

@@ -1,10 +1,10 @@
 (** Deterministic crash injection for the execution layer.
 
     Disabled unless a crash is installed (programmatically or via the
-    [TYTRA_FAULT_SPEC] environment variable, e.g. [crash_at=1]). Task ids
-    are drawn at submission time in input order, so the [N]-th task
-    submitted through {!Pool.map} dies in every run, whatever the pool
-    width — see [faultgen.ml]. *)
+    [TYTRA_FAULT_SPEC] environment variable, e.g. [crash_at=1]). A sweep
+    draws one task id per design point, just before evaluating it, so
+    the [N]-th point evaluated in the process dies in every run — see
+    [faultgen.ml]. *)
 
 val parse : string -> (int, string) result
 (** Parse ["crash_at=N"] into [N]. Any other key, a field without ['='],
@@ -18,9 +18,8 @@ val with_spec : int option -> (unit -> 'a) -> 'a
     previous one afterwards (exception-safe). *)
 
 val next_id : unit -> int
-(** Draw the next task id from the process-wide counter. {!Pool.map}
-    calls this at submission time, before work fans out, so ids — and
-    hence the crash — are independent of domain interleaving. *)
+(** Draw the next task id from the process-wide counter. A sweep calls
+    this once per design point, only while a crash is installed. *)
 
 val reset_counter : unit -> unit
 (** Restart ids at 0 (tests; lets one process replay a schedule). *)

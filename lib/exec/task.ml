@@ -1,4 +1,4 @@
-(** Per-task execution context: cooperative deadlines and cancellation.
+(** Per-task execution context: cooperative deadlines.
 
     OCaml domains cannot be killed from the outside, so a "timeout" here
     is a *cooperative* contract: the caller arms a deadline before
@@ -9,42 +9,32 @@
 exception Timeout of float
 (** [Timeout allotted_s] — the task ran past its cooperative deadline. *)
 
-exception Cancelled
-(** The surrounding pool map was aborted; the task should unwind. *)
-
 type ctx = {
   cx_deadline : float option;  (* absolute wall-clock time *)
   cx_allotted : float;         (* deadline_s as given, for the exception *)
-  cx_abort : bool Atomic.t option;
 }
 
 let dls : ctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-(** [check ()] — raise {!Cancelled} if the surrounding map was aborted,
-    {!Timeout} if the current task's deadline has passed; a no-op outside
-    any task context. Long-running task bodies should call this at
-    convenient safepoints to honour deadlines and cancellation. *)
+(** [check ()] — raise {!Timeout} if the current task's deadline has
+    passed; a no-op outside any task context. Long-running task bodies
+    should call this at convenient safepoints to honour deadlines. *)
 let check () =
   match Domain.DLS.get dls with
-  | None -> ()
-  | Some cx -> (
-      (match cx.cx_abort with
-      | Some a when Atomic.get a -> raise Cancelled
-      | _ -> ());
-      match cx.cx_deadline with
-      | Some dl when Unix.gettimeofday () > dl -> raise (Timeout cx.cx_allotted)
-      | _ -> ())
+  | Some { cx_deadline = Some dl; cx_allotted }
+    when Unix.gettimeofday () > dl ->
+      raise (Timeout cx_allotted)
+  | _ -> ()
 
-(** [with_context ?deadline_s ?abort f] — run [f] with a task context
-    armed: {!check} inside [f] observes the deadline and the abort flag.
-    Contexts nest; the previous one is restored on exit. *)
-let with_context ?deadline_s ?abort f =
+(** [with_context ?deadline_s f] — run [f] with a task context armed:
+    {!check} inside [f] observes the deadline. Contexts nest; the
+    previous one is restored on exit. *)
+let with_context ?deadline_s f =
   let prev = Domain.DLS.get dls in
   let cx =
     {
       cx_deadline = Option.map (fun d -> Unix.gettimeofday () +. d) deadline_s;
       cx_allotted = Option.value deadline_s ~default:Float.infinity;
-      cx_abort = abort;
     }
   in
   Domain.DLS.set dls (Some cx);

@@ -1,4 +1,4 @@
-(** Cooperative per-task deadlines and cancellation.
+(** Cooperative per-task deadlines.
 
     See [task.ml] for the cooperative contract: deadlines interrupt a
     task only at {!check} safepoints — OCaml domains cannot be killed
@@ -7,15 +7,10 @@
 exception Timeout of float
 (** [Timeout allotted_s] — the task ran past its cooperative deadline. *)
 
-exception Cancelled
-(** The surrounding pool map was aborted; the task should unwind. *)
-
 val check : unit -> unit
-(** Raise {!Cancelled} if the surrounding map was aborted, {!Timeout} if
-    the current task's deadline passed; no-op outside a task context.
-    Long task bodies call this at safepoints. *)
+(** Raise {!Timeout} if the current task's deadline passed; no-op
+    outside a task context. Long task bodies call this at safepoints. *)
 
-val with_context :
-  ?deadline_s:float -> ?abort:bool Atomic.t -> (unit -> 'a) -> 'a
+val with_context : ?deadline_s:float -> (unit -> 'a) -> 'a
 (** Arm a task context for the duration of the callback: {!check} inside
-    it observes the deadline and the abort flag. Contexts nest. *)
+    it observes the deadline. Contexts nest. *)

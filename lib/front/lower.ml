@@ -445,8 +445,8 @@ type template = {
   tpl_globals : Ast.global list;  (** the validated [Pipe] design's *)
   tpl_lanes : lanes Atomic.t;
       (** grown and certified on demand; shared, like the certificate,
-          by the pool domains deriving from the template and by its
-          record copies *)
+          by the domains deriving from the template and by its record
+          copies *)
   tpl_certificate : certificate;
   tpl_shells : (int * Ast.design) list Atomic.t;
       (** per PE count, the shell: the first replicated design of that
@@ -583,8 +583,8 @@ let make_room (c : certificate) more =
   c.c_ports <- t
 
 (* The template's lanes, with at least [pes] interned and certified as
-   far as they hold the certificate. The pool domains deriving from one
-   template read the published value without a lock; growing it takes
+   far as they hold the certificate. Domains deriving from one template
+   read the published value without a lock; growing it takes
    the certificate's lock, so each lane is made and certified once. A
    lane that fails the certificate is tried again on each call, which
    stops at it. *)

@@ -26,7 +26,9 @@
 let schema_version = 1
 
 type event =
-  | Sweep_started of { kernel : string; space : int; jobs : int; prune : bool }
+  | Sweep_started of { kernel : string; space : int; prune : bool }
+      (** encoded with a constant ["jobs":1] member, which version-1
+          readers require *)
   | Sweep_finished of { evaluated : int; pruned : int }
       (** encoded with constant ["failed":0,"restored":0] members, which
           version-1 readers require *)
@@ -126,11 +128,11 @@ let add_kv_bool b k v =
 
 let add_body b (e : event) : unit =
   match e with
-  | Sweep_started { kernel; space; jobs; prune } ->
+  | Sweep_started { kernel; space; prune } ->
       Buffer.add_string b "\"type\":\"sweep_started\"";
       add_kv_str b ",\"kernel\":" kernel;
       add_kv_int b ",\"space\":" space;
-      add_kv_int b ",\"jobs\":" jobs;
+      Buffer.add_string b ",\"jobs\":1";
       add_kv_bool b ",\"prune\":" prune
   | Sweep_finished { evaluated; pruned } ->
       Buffer.add_string b "\"type\":\"sweep_finished\"";
@@ -258,9 +260,8 @@ let decode_event j : (event, string) result =
   | "sweep_started" ->
       let* kernel = req_str j "kernel" in
       let* space = req_int j "space" in
-      let* jobs = req_int j "jobs" in
       let* prune = req_bool j "prune" in
-      Ok (Sweep_started { kernel; space; jobs; prune })
+      Ok (Sweep_started { kernel; space; prune })
   | "sweep_finished" ->
       let* evaluated = req_int j "evaluated" in
       let* pruned = req_int j "pruned" in

@@ -17,7 +17,9 @@ val schema_version : int
 
 (** The typed event kinds, encoded one per line. *)
 type event =
-  | Sweep_started of { kernel : string; space : int; jobs : int; prune : bool }
+  | Sweep_started of { kernel : string; space : int; prune : bool }
+      (** encoded with a constant ["jobs":1] member, which version-1
+          readers require *)
   | Sweep_finished of { evaluated : int; pruned : int }
       (** encoded with constant ["failed":0,"restored":0] members, which
           version-1 readers require *)

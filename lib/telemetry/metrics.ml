@@ -6,8 +6,8 @@
     locally and publish aggregates once per run, so even enabled
     telemetry never adds per-iteration work on those paths.
 
-    Domain-safety: the registry is shared by all domains of the parallel
-    DSE pool ({!Tytra_exec.Pool}), so *every* access — mutations and
+    Domain-safety: the registry is shared by all domains of a process
+    (the serve loop and its workers), so *every* access — mutations and
     reads alike — takes the registry mutex. Reads work on a snapshot
     taken under the lock, then format/sort outside it, so dumps never
     observe a metric mid-update and never deadlock against a mutating

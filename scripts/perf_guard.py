@@ -4,15 +4,15 @@ export against the committed baseline (BENCH_dse.json).
 
 Every counter in the baseline's versioned perf profile must match the
 current run EXACTLY: missing, added, or changed counters all fail.
-Work counters are deterministic at a fixed --jobs level (waves are
-synchronous and Pool.map is order-preserving), so any drift means the
-exploration itself changed, not the machine. Counters whose value is
-genuinely racy at jobs > 1 carry named waivers (see WAIVERS). Span
-times are not gated; the span *name set* is, so a phase appearing or
-disappearing is caught without any timing sensitivity. The E8 pruning
-gauges must match exactly, and when E12's HTTP shard sweep ran, its
-responses must be identical across fronts and the 4-shard front must
-clear a throughput floor.
+A sweep evaluates its points one after another on one domain, so its
+work counters are deterministic and any drift means the exploration
+itself changed, not the machine. Counters whose value is genuinely
+racy under E10's concurrent clients carry named waivers (see
+WAIVERS). Span times are not gated; the span *name set* is, so a
+phase appearing or disappearing is caught without any timing
+sensitivity. The E8 pruning gauges must match exactly, and when E12's
+HTTP shard sweep ran, its responses must be identical across fronts
+and the 4-shard front must clear a throughput floor.
 
 Usage: perf_guard.py BASELINE.json CURRENT.json
 Exit code 0 when clean, 1 with a report on stderr otherwise.
@@ -23,8 +23,8 @@ import json
 import re
 import sys
 
-# Counters whose value is not a pure function of the workload at
-# jobs > 1, with the reason on record.
+# Counters whose value is not a pure function of the workload, with the
+# reason on record.
 WAIVERS = {
     "engine.parse_cache.*": (
         "hit/miss split races under E10's concurrent clients: "

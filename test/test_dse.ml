@@ -1,7 +1,7 @@
-(* DSE tests: exploration coverage, selection, Pareto front, guided
-   search, parallel/sequential equivalence, sweeps that keep no state
-   between calls, and the bound-based pruner (admissibility + exactness
-   vs the exhaustive sweep). *)
+(* DSE tests: exploration coverage, selection, Pareto front, sweeps that
+   keep no state between calls, and the bound-based pruner
+   (admissibility, exactness vs the exhaustive sweep, and its pinned
+   decisions on the E8 spaces). *)
 
 open Tytra_dse
 open Tytra_front
@@ -56,32 +56,6 @@ let test_pareto_front_property () =
         pts)
     front
 
-let test_guided_trace () =
-  let trace =
-    Dse.guided ~config:{ cfg with nki = 100; max_lanes = 16 } (prog ())
-  in
-  Alcotest.(check bool) "trace starts at pipe" true
-    ((List.hd trace).Dse.dp_variant = Transform.Pipe);
-  (* lanes double along the trace *)
-  let lanes =
-    List.map (fun p -> Transform.lanes p.Dse.dp_variant) trace
-  in
-  let rec doubling = function
-    | a :: (b :: _ as tl) -> b = 2 * a && doubling tl
-    | _ -> true
-  in
-  Alcotest.(check bool) "doubling lanes" true (doubling lanes);
-  (* the trace stops for a reason: wall hit, lanes exhausted, or oversize *)
-  let last = List.nth trace (List.length trace - 1) in
-  let stopped_reasonably =
-    Transform.lanes last.Dse.dp_variant >= 16
-    || last.Dse.dp_report.Tytra_cost.Report.rp_breakdown
-         .Tytra_cost.Throughput.bd_limiter
-       <> Tytra_cost.Throughput.Compute
-    || not (Dse.valid last)
-  in
-  Alcotest.(check bool) "stop condition" true stopped_reasonably
-
 let test_explore_respects_divisibility () =
   (* 10 points: lanes 3 not applicable, enumerate must skip it *)
   let p =
@@ -95,13 +69,7 @@ let test_explore_respects_divisibility () =
         (Transform.applicable p pt.Dse.dp_variant))
     pts
 
-(* ---- parallel evaluation and the memoization cache ---- *)
-
-(* CI exercises both pool widths: TYTRA_JOBS=1 and TYTRA_JOBS=4. *)
-let test_jobs =
-  match int_of_string_opt (try Sys.getenv "TYTRA_JOBS" with Not_found -> "") with
-  | Some j when j >= 1 -> j
-  | _ -> 4
+(* ---- sweeps keep no state ---- *)
 
 let same_points (a : Dse.point list) (b : Dse.point list) =
   List.length a = List.length b
@@ -112,22 +80,6 @@ let same_points (a : Dse.point list) (b : Dse.point list) =
          && Tytra_ir.Pprint.design_to_string p.Dse.dp_design
             = Tytra_ir.Pprint.design_to_string q.Dse.dp_design)
        a b
-
-let test_parallel_equals_sequential () =
-  let p = prog () in
-  (* prune off because the raw survivor set is jobs-sensitive by design *)
-  let seq =
-    Dse.explore ~config:{ cfg with nki = 100; jobs = 1; prune = false } p
-  in
-  List.iter
-    (fun jobs ->
-      let par =
-        Dse.explore ~config:{ cfg with nki = 100; jobs; prune = false } p
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d == sequential" jobs)
-        true (same_points seq par))
-    [ 1; test_jobs ]
 
 let counter name =
   Option.value ~default:0.0 (Tytra_telemetry.Metrics.counter_value name)
@@ -141,9 +93,7 @@ let test_sweep_keeps_no_state () =
     let d0 = counter "dse.points_derived"
     and e0 = counter "cost.evaluations" in
     let pts =
-      Dse.explore
-        ~config:{ cfg with nki = 100; jobs = test_jobs; prune = false }
-        p
+      Dse.explore ~config:{ cfg with nki = 100; prune = false } p
     in
     (pts, counter "dse.points_derived" -. d0, counter "cost.evaluations" -. e0)
   in
@@ -276,23 +226,45 @@ let test_pruned_front_keeps_ties () =
           Tytra_cost.Throughput.FormC ])
     Tytra_device.Device.all
 
-(* best/pareto of a pruned sweep must not depend on the pool width,
-   even though the survivor set may. *)
-let test_pruned_selection_jobs_invariant () =
-  let p = prog () in
-  let sweep jobs =
-    Dse.explore_sweep ~config:{ cfg with nki = 100; max_lanes = 16; jobs } p
-  in
-  let s1 = sweep 1 and sj = sweep test_jobs in
-  Alcotest.(check bool) "best invariant" true
-    (same_opt_point (Dse.best s1.Dse.sw_points) (Dse.best sj.Dse.sw_points));
-  Alcotest.(check bool) "pareto invariant" true
-    (List.map
-       (fun q -> (q.Dse.dp_variant, q.Dse.dp_report))
-       (Dse.pareto s1.Dse.sw_points)
-    = List.map
-        (fun q -> (q.Dse.dp_variant, q.Dse.dp_report))
-        (Dse.pareto sj.Dse.sw_points))
+(* The pruner's decisions on the E8 spaces (bench/main.ml: 64 lanes x
+   vec 8, nki 100, form B on the Stratix-V GSD8), pinned: how many
+   points each sweep evaluates, and how many candidates it skips as
+   overflowing or dominated. The selection must be the exhaustive
+   sweep's. *)
+let test_e8_pruned_outcome () =
+  List.iter
+    (fun (name, p, (space, evaluated, overflow, dominated)) ->
+      let config = { cfg with nki = 100; max_lanes = 64; max_vec = 8 } in
+      let pruned = Dse.explore_sweep ~config p in
+      let exhaustive =
+        Dse.explore_sweep ~config:{ config with prune = false } p
+      in
+      let s = pruned.Dse.sw_stats in
+      Alcotest.(check (list int))
+        (name ^ ": space/evaluated/overflow/dominated")
+        [ space; evaluated; overflow; dominated ]
+        [ s.Dse.ss_space; s.Dse.ss_evaluated; s.Dse.ss_pruned_resource;
+          s.Dse.ss_pruned_incumbent ];
+      Alcotest.(check bool) (name ^ ": best agrees") true
+        (same_opt_point
+           (Dse.best exhaustive.Dse.sw_points)
+           (Dse.best pruned.Dse.sw_points));
+      let front sw =
+        List.map
+          (fun q -> (q.Dse.dp_variant, q.Dse.dp_report))
+          (Dse.pareto sw.Dse.sw_points)
+      in
+      Alcotest.(check bool) (name ^ ": pareto agrees") true
+        (front exhaustive = front pruned))
+    [ ("sor",
+       Tytra_kernels.Sor.program ~ty:(Tytra_ir.Ty.Float 32) ~im:64 ~jm:64
+         ~km:64 (),
+       (26, 12, 6, 8));
+      ("hotspot", Tytra_kernels.Hotspot.program ~rows:64 ~cols:64 (),
+       (26, 3, 3, 20));
+      ("lavamd", Tytra_kernels.Lavamd.program ~boxes:64 (), (59, 3, 8, 48));
+      ("srad", Tytra_kernels.Srad.program ~rows:64 ~cols:64 (),
+       (26, 5, 3, 18)) ]
 
 (* Bounds admissibility against the full IR path: the resource lower
    bound never exceeds the variant's actual usage (componentwise), the
@@ -344,45 +316,30 @@ let test_bounds_admissible () =
 
 (* ---- the per-config Pipe baseline ---- *)
 
-(* An exhaustive sweep costs Seq and Pipe in full, once each,
-   and every replicated point in closed form from that one Pipe report,
-   whatever the pool width; the points do not depend on it either. *)
+(* An exhaustive sweep costs Seq and Pipe in full, once each, and every
+   replicated point in closed form from that one Pipe report. *)
 let test_baseline_evaluated_once () =
   let p = prog () in
   Tytra_telemetry.Control.with_enabled true @@ fun () ->
-  let sweep jobs =
-    let e0 = counter "cost.evaluations"
-    and r0 = counter "cost.replications"
-    and n0 = counter "dse.points_evaluated" in
-    let sw =
-      Dse.explore_sweep
-        ~config:
-          { cfg with nki = 100; max_lanes = 64; max_vec = 8; jobs;
-            prune = false }
-        p
-    in
-    let label what = Printf.sprintf "jobs=%d: %s" jobs what in
-    let space = sw.Dse.sw_stats.Dse.ss_space in
-    Alcotest.(check (float 0.0)) (label "cost.evaluations = Seq + Pipe") 2.0
-      (counter "cost.evaluations" -. e0);
-    Alcotest.(check (float 0.0))
-      (label "cost.replications = space - 2")
-      (float_of_int (space - 2))
-      (counter "cost.replications" -. r0);
-    Alcotest.(check (float 0.0))
-      (label "evaluations + replications = points evaluated")
-      (counter "dse.points_evaluated" -. n0)
-      (float_of_int space);
-    sw.Dse.sw_points
+  let e0 = counter "cost.evaluations"
+  and r0 = counter "cost.replications"
+  and n0 = counter "dse.points_evaluated" in
+  let sw =
+    Dse.explore_sweep
+      ~config:
+        { cfg with nki = 100; max_lanes = 64; max_vec = 8; prune = false }
+      p
   in
-  let one = sweep 1 in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d points == jobs=1 points" jobs)
-        true
-        (same_points one (sweep jobs)))
-    (List.sort_uniq compare [ 2; test_jobs ])
+  let space = sw.Dse.sw_stats.Dse.ss_space in
+  Alcotest.(check (float 0.0)) "cost.evaluations = Seq + Pipe" 2.0
+    (counter "cost.evaluations" -. e0);
+  Alcotest.(check (float 0.0)) "cost.replications = space - 2"
+    (float_of_int (space - 2))
+    (counter "cost.replications" -. r0);
+  Alcotest.(check (float 0.0))
+    "evaluations + replications = points evaluated"
+    (counter "dse.points_evaluated" -. n0)
+    (float_of_int space)
 
 (* ---- O(n log n) pareto vs the reference-by-definition filter ---- *)
 
@@ -459,11 +416,8 @@ let suite =
     Alcotest.test_case "best is valid max" `Quick test_best_is_valid_max;
     Alcotest.test_case "pipe beats seq" `Quick test_pipe_beats_seq;
     Alcotest.test_case "pareto front" `Quick test_pareto_front_property;
-    Alcotest.test_case "guided trace" `Quick test_guided_trace;
     Alcotest.test_case "divisibility respected" `Quick
       test_explore_respects_divisibility;
-    Alcotest.test_case "parallel == sequential" `Quick
-      test_parallel_equals_sequential;
     Alcotest.test_case "sweeps keep no state between calls" `Quick
       test_sweep_keeps_no_state;
     Alcotest.test_case "nki and form change sweep EKITs" `Quick
@@ -472,45 +426,14 @@ let suite =
       test_pruning_equivalence;
     Alcotest.test_case "pruned front keeps tied variants" `Quick
       test_pruned_front_keeps_ties;
-    Alcotest.test_case "pruned selection jobs-invariant" `Quick
-      test_pruned_selection_jobs_invariant;
+    Alcotest.test_case "E8 pruned outcome pinned" `Quick
+      test_e8_pruned_outcome;
     Alcotest.test_case "bounds admissible" `Quick test_bounds_admissible;
     Alcotest.test_case "Pipe baseline evaluated once per config" `Quick
       test_baseline_evaluated_once;
     Alcotest.test_case "pareto matches reference" `Quick
       test_pareto_matches_reference;
   ]
-
-let test_explore_devices () =
-  let p = Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 () in
-  (match Dse.explore_devices ~config:cfg ~devices:[] p with
-  | [], None -> ()
-  | _ -> Alcotest.fail "no devices must give no sweeps and no winner");
-  let per_device, best =
-    Dse.explore_devices
-      ~config:{ cfg with nki = 100; max_lanes = 4; jobs = test_jobs } p
-  in
-  Alcotest.(check int) "all devices explored"
-    (List.length Tytra_device.Device.all)
-    (List.length per_device);
-  List.iter
-    (fun (_, pts) ->
-      Alcotest.(check bool) "non-empty space" true (pts <> []))
-    per_device;
-  match best with
-  | None -> Alcotest.fail "expected an overall best"
-  | Some (dev, pt) ->
-      (* the winner is at least as good as every per-device best *)
-      List.iter
-        (fun (_, pts) ->
-          match Dse.best pts with
-          | Some b ->
-              Alcotest.(check bool) "global max" true
-                (Dse.ekit pt >= Dse.ekit b)
-          | None -> ())
-        per_device;
-      Alcotest.(check bool) "winner from the registry" true
-        (List.memq dev Tytra_device.Device.all)
 
 (* Inputs u and u1 give lane 10 of u and lane 0 of u1 one name, u10, so
    no variant of 11 or more PEs has a valid design. The exhaustive sweep
@@ -541,7 +464,5 @@ let test_lane_clash_sweep () =
 
 let suite =
   suite
-  @ [ Alcotest.test_case "cross-device exploration" `Quick
-        test_explore_devices;
-      Alcotest.test_case "exhaustive sweep skips clashing lane names" `Quick
+  @ [ Alcotest.test_case "exhaustive sweep skips clashing lane names" `Quick
         test_lane_clash_sweep ]

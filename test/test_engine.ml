@@ -662,6 +662,29 @@ let test_response_cache () =
   Alcotest.(check int) "error response not inserted"
     s2.Tytra_exec.Cache.st_size s3.Tytra_exec.Cache.st_size
 
+(* An explore's "jobs" is ignored, so two explores that differ only in
+   it are one request: the second is answered from the first's entry. *)
+let test_explore_jobs_share_entry () =
+  let eng = Engine.create Engine.default_config in
+  let explore jobs =
+    Engine.Explore
+      { Engine.x_kernel = Engine.Sor; x_size = 16; x_max_lanes = 64;
+        x_device = dev; x_form = Tytra_cost.Throughput.FormB; x_nki = 100;
+        x_jobs = jobs; x_prune = true; x_retries = 0; x_deadline_s = None;
+        x_best_effort = false; x_checkpoint = None; x_checkpoint_every = 32;
+        x_resume = None; x_place_mode = None }
+  in
+  let text jobs =
+    match Engine.submit eng (explore jobs) with
+    | Ok r -> r.Engine.rs_text
+    | Error e -> Alcotest.failf "jobs %d: %s" jobs (Engine.error_message e)
+  in
+  let one = text 1 in
+  Alcotest.(check string) "same answer" one (text 4);
+  let s = Engine.response_cache_stats eng in
+  Alcotest.(check (pair int int)) "1 miss, 1 hit" (1, 1)
+    (s.Tytra_exec.Cache.st_misses, s.Tytra_exec.Cache.st_hits)
+
 let test_typed_errors () =
   let eng = Engine.create Engine.default_config in
   (match Engine.submit eng (cost_inline "define void @f () wat { }") with
@@ -1629,6 +1652,8 @@ let suite =
       test_parse_cache_warms;
     Alcotest.test_case "response cache replays full requests" `Quick
       test_response_cache;
+    Alcotest.test_case "explores differing only in jobs share an entry"
+      `Quick test_explore_jobs_share_entry;
     Alcotest.test_case "a request reads its file once" `Quick
       test_file_read_once;
     Alcotest.test_case "JSON \\u escapes decode to UTF-8" `Quick

@@ -1,65 +1,21 @@
-(* Execution-engine tests: the Domain pool (ordering, exception
-   propagation, sequential equivalence) and the LRU evaluation cache
-   (hit/miss accounting, eviction, key construction), plus telemetry
-   domain-safety under parallel mutation. *)
+(* Execution-layer tests: the LRU evaluation cache (hit/miss
+   accounting, eviction, key construction) under one domain and under
+   several, plus telemetry domain-safety under parallel mutation. *)
 
 open Tytra_exec
 
-(* ---- pool ---- *)
-
-let test_pool_ordering () =
-  (* deliberately uneven work per item: stragglers must not reorder *)
-  let work i =
-    let acc = ref i in
-    for _ = 1 to (i mod 7) * 10_000 do
-      acc := (!acc * 31) mod 1_000_003
-    done;
-    (i, !acc)
+(* [par_map ~domains f xs] — [List.map f xs], with the items dealt
+   round-robin to [domains] domains so they race on shared state. *)
+let par_map ~domains f xs =
+  let input = Array.of_list xs in
+  let out = Array.make (Array.length input) None in
+  let worker d () =
+    Array.iteri
+      (fun i x -> if i mod domains = d then out.(i) <- Some (f x))
+      input
   in
-  let xs = List.init 200 Fun.id in
-  let expected = List.map work xs in
-  List.iter
-    (fun jobs ->
-      let got = Pool.with_pool ~jobs (fun p -> Pool.map p work xs) in
-      Alcotest.(check bool)
-        (Printf.sprintf "ordered at jobs=%d" jobs)
-        true (got = expected))
-    [ 1; 2; 4; 8 ]
-
-let test_pool_jobs1_is_sequential () =
-  (* jobs=1 must evaluate on the calling domain, in order *)
-  let seen = ref [] in
-  let f i = seen := i :: !seen; i * i in
-  let r = Pool.with_pool ~jobs:1 (fun p -> Pool.map p f [ 1; 2; 3; 4 ]) in
-  Alcotest.(check (list int)) "results" [ 1; 4; 9; 16 ] r;
-  Alcotest.(check (list int)) "evaluation order" [ 4; 3; 2; 1 ] !seen
-
-let test_pool_clamps_jobs () =
-  Alcotest.(check int) "jobs 0 -> 1" 1 (Pool.jobs (Pool.create ~jobs:0 ()));
-  Alcotest.(check int) "jobs -3 -> 1" 1 (Pool.jobs (Pool.create ~jobs:(-3) ()));
-  Alcotest.(check bool) "default >= 1" true (Pool.default_jobs () >= 1)
-
-let test_pool_exception_propagates () =
-  List.iter
-    (fun jobs ->
-      match
-        Pool.with_pool ~jobs (fun p ->
-            Pool.map p
-              (fun i -> if i = 37 then failwith "boom" else i)
-              (List.init 100 Fun.id))
-      with
-      | _ -> Alcotest.failf "jobs=%d: expected Failure" jobs
-      | exception Failure m ->
-          Alcotest.(check string)
-            (Printf.sprintf "jobs=%d propagates" jobs)
-            "boom" m)
-    [ 1; 4 ]
-
-let test_pool_empty_and_singleton () =
-  Alcotest.(check (list int)) "empty" []
-    (Pool.with_pool ~jobs:4 (fun p -> Pool.map p (fun x -> x) []));
-  Alcotest.(check (list int)) "singleton" [ 7 ]
-    (Pool.with_pool ~jobs:4 (fun p -> Pool.map p (fun x -> x + 1) [ 6 ]))
+  List.init domains (fun d -> Domain.spawn (worker d)) |> List.iter Domain.join;
+  Array.to_list (Array.map Option.get out)
 
 (* ---- cache ---- *)
 
@@ -101,12 +57,11 @@ let test_cache_concurrent_access () =
   let c = Cache.create ~capacity:64 () in
   let keys = List.init 32 string_of_int in
   let r =
-    Pool.with_pool ~jobs:8 (fun p ->
-        Pool.map p
-          (fun i ->
-            let key = List.nth keys (i mod 32) in
-            Cache.find_or_add c ~key (fun () -> int_of_string key))
-          (List.init 512 Fun.id))
+    par_map ~domains:8
+      (fun i ->
+        let key = List.nth keys (i mod 32) in
+        Cache.find_or_add c ~key (fun () -> int_of_string key))
+      (List.init 512 Fun.id)
   in
   Alcotest.(check bool) "values correct" true
     (List.for_all2 (fun i v -> v = i mod 32) (List.init 512 Fun.id) r);
@@ -119,12 +74,11 @@ let test_cache_concurrent_stats_consistent () =
   let c = Cache.create ~capacity:64 () in
   let lookups = 4 * 600 in
   ignore
-    (Pool.with_pool ~jobs:4 (fun p ->
-         Pool.map p
-           (fun i ->
-             let key = string_of_int ((i * 37) mod 128) in
-             Cache.find_or_add c ~key (fun () -> int_of_string key))
-           (List.init lookups Fun.id)));
+    (par_map ~domains:4
+       (fun i ->
+         let key = string_of_int ((i * 37) mod 128) in
+         Cache.find_or_add c ~key (fun () -> int_of_string key))
+       (List.init lookups Fun.id));
   let s = Cache.stats c in
   Alcotest.(check int) "hits + misses = lookups" lookups
     (s.Cache.st_hits + s.Cache.st_misses);
@@ -139,13 +93,12 @@ let test_cache_concurrent_no_torn_values () =
      halves disagree with each other or with the key *)
   let c = Cache.create ~capacity:32 () in
   let rs =
-    Pool.with_pool ~jobs:8 (fun p ->
-        Pool.map p
-          (fun i ->
-            let k = (i * 13) mod 80 in
-            let key = string_of_int k in
-            (k, Cache.find_or_add c ~key (fun () -> (k, k * k, key))))
-          (List.init 1600 Fun.id))
+    par_map ~domains:8
+      (fun i ->
+        let k = (i * 13) mod 80 in
+        let key = string_of_int k in
+        (k, Cache.find_or_add c ~key (fun () -> (k, k * k, key))))
+      (List.init 1600 Fun.id)
   in
   List.iter
     (fun (k, (k', sq, key)) ->
@@ -154,18 +107,17 @@ let test_cache_concurrent_no_torn_values () =
       Alcotest.(check string) "string field" (string_of_int k) key)
     rs
 
-(* ---- telemetry domain-safety under the pool ---- *)
+(* ---- telemetry domain-safety ---- *)
 
 let test_metrics_parallel_increments () =
   Tytra_telemetry.Control.with_enabled true @@ fun () ->
   Tytra_telemetry.Metrics.reset ();
   ignore
-    (Pool.with_pool ~jobs:8 (fun p ->
-         Pool.map p
-           (fun i ->
-             Tytra_telemetry.Metrics.incr "exec.test.count";
-             Tytra_telemetry.Metrics.observe "exec.test.obs" (float_of_int i))
-           (List.init 1000 Fun.id)));
+    (par_map ~domains:8
+       (fun i ->
+         Tytra_telemetry.Metrics.incr "exec.test.count";
+         Tytra_telemetry.Metrics.observe "exec.test.obs" (float_of_int i))
+       (List.init 1000 Fun.id));
   Alcotest.(check (option (float 0.0))) "no lost increments" (Some 1000.0)
     (Tytra_telemetry.Metrics.counter_value "exec.test.count");
   match Tytra_telemetry.Metrics.histogram_stats "exec.test.obs" with
@@ -181,12 +133,11 @@ let test_spans_parallel_record () =
   Fun.protect ~finally:(fun () -> Tytra_telemetry.Span.set_keep false)
   @@ fun () ->
   ignore
-    (Pool.with_pool ~jobs:4 (fun p ->
-         Pool.map p
-           (fun i ->
-             Tytra_telemetry.Span.with_ ~name:"exec.test.span" (fun () ->
-                 Tytra_telemetry.Span.with_ ~name:"exec.test.inner" (fun () -> i)))
-           (List.init 100 Fun.id)));
+    (par_map ~domains:4
+       (fun i ->
+         Tytra_telemetry.Span.with_ ~name:"exec.test.span" (fun () ->
+             Tytra_telemetry.Span.with_ ~name:"exec.test.inner" (fun () -> i)))
+       (List.init 100 Fun.id));
   let evs = Tytra_telemetry.Span.events () in
   Alcotest.(check int) "all spans recorded" 200 (List.length evs);
   (* inner spans carry depth 1 within their own domain's stack *)
@@ -198,13 +149,6 @@ let test_spans_parallel_record () =
 
 let suite =
   [
-    Alcotest.test_case "pool preserves order" `Quick test_pool_ordering;
-    Alcotest.test_case "pool jobs=1 sequential" `Quick
-      test_pool_jobs1_is_sequential;
-    Alcotest.test_case "pool clamps jobs" `Quick test_pool_clamps_jobs;
-    Alcotest.test_case "pool propagates exceptions" `Quick
-      test_pool_exception_propagates;
-    Alcotest.test_case "pool edge inputs" `Quick test_pool_empty_and_singleton;
     Alcotest.test_case "cache memoizes" `Quick test_cache_hit_and_memoization;
     Alcotest.test_case "cache LRU eviction" `Quick test_cache_lru_eviction;
     Alcotest.test_case "digest key boundaries" `Quick

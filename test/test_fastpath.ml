@@ -207,27 +207,6 @@ let test_shell_derive_exact () =
           ("shuffled", shuffle seed vs) ])
     (kernels () @ generated_programs ())
 
-(* An exhaustive sweep of each kernel prints the same designs at jobs 1
-   and 4, where pool domains race to publish each PE count's shell. *)
-let test_shell_sweep_jobs_invariant () =
-  List.iter
-    (fun (name, p) ->
-      let designs jobs =
-        List.map
-          (fun q ->
-            ( Transform.to_string q.Tytra_dse.Dse.dp_variant,
-              Pprint.design_to_string q.Tytra_dse.Dse.dp_design ))
-          (Tytra_dse.Dse.explore
-             ~config:
-               { Tytra_dse.Dse.default_config with
-                 max_lanes = 64; max_vec = 8; nki = 100; prune = false; jobs }
-             p)
-      in
-      Alcotest.(check (list (pair string string)))
-        (name ^ ": jobs 4 designs == jobs 1")
-        (designs 1) (designs 4))
-    (kernels ())
-
 let fast_hits () =
   Option.value ~default:0.0
     (Tytra_telemetry.Metrics.counter_value "ir.validate.fast_hits")
@@ -777,8 +756,6 @@ let suite =
       test_derive_rejects_bad_delta;
     Alcotest.test_case "shell derives print and validate as lowered" `Quick
       test_shell_derive_exact;
-    Alcotest.test_case "shell sweep designs jobs-invariant" `Quick
-      test_shell_sweep_jobs_invariant;
     Alcotest.test_case "replicated derives checked by position" `Quick
       test_replicated_derives_by_position;
     Alcotest.test_case "shells shared, fallback to the full check" `Quick

@@ -19,7 +19,7 @@ let with_obs f =
 
 let all_event_kinds : Events.event list =
   [
-    Sweep_started { kernel = "sor"; space = 26; jobs = 4; prune = true };
+    Sweep_started { kernel = "sor"; space = 26; prune = true };
     Point_evaluated
       { variant = "par8-pipe"; ekit = 123.5; valid = true; dur_ns = 42_000L };
     Point_pruned
@@ -389,7 +389,7 @@ let test_explore_integration () =
   let prog = Tytra_kernels.Sor.program ~im:8 ~jm:8 ~km:8 () in
   let config =
     { Tytra_dse.Dse.default_config with
-      max_lanes = 8; jobs = 1;
+      max_lanes = 8;
       on_progress = Some (fun p -> last_progress := Some p) }
   in
   let sw = Tytra_dse.Dse.explore_sweep ~config prog in
@@ -407,17 +407,23 @@ let test_explore_integration () =
   in
   (match
      find_map (function
-       | Events.Sweep_started { kernel; space; jobs; prune } ->
-           Some (kernel, space, jobs, prune)
+       | Events.Sweep_started { kernel; space; prune } ->
+           Some (kernel, space, prune)
        | _ -> None)
    with
-  | Some (kernel, space, jobs, prune) ->
+  | Some (kernel, space, prune) ->
       Alcotest.(check string) "sweep_started kernel" "sor" kernel;
       Alcotest.(check int) "sweep_started space" st.Tytra_dse.Dse.ss_space
         space;
-      Alcotest.(check int) "sweep_started jobs" 1 jobs;
       Alcotest.(check bool) "sweep_started prune" true prune
   | None -> Alcotest.fail "no sweep_started event");
+  (* version-1 readers still find the constant jobs member *)
+  Alcotest.(check bool) "sweep_started keeps jobs at 1" true
+    (List.exists
+       (fun l ->
+         contains ~needle:"\"type\":\"sweep_started\"" l
+         && contains ~needle:"\"jobs\":1," l)
+       (String.split_on_char '\n' log));
   (match
      find_map (function
        | Events.Sweep_finished { evaluated; pruned } -> Some (evaluated, pruned)

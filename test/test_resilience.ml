@@ -1,12 +1,12 @@
-(* The execution layer's failure model: cooperative deadlines and
-   cancellation (serve's request deadlines and Pool.map's abort), the
-   crash_at fault injection the chaos harness relies on — in-process and
-   through a real [tybec explore] — and the sweep's accounting. *)
+(* The execution layer's failure model: cooperative deadlines (serve's
+   request deadlines, down to a sweep's points), the crash_at fault
+   injection the chaos harness relies on — in-process and through a
+   real [tybec explore] — and the sweep's accounting. *)
 
 open Tytra_exec
 open Tytra_dse
 
-(* ---- Task: deadlines and cancellation ---- *)
+(* ---- Task: deadlines ---- *)
 
 let test_task_deadline () =
   (* no context: check is a no-op *)
@@ -21,14 +21,31 @@ let test_task_deadline () =
   (* context restored on exit: no deadline outside *)
   Task.check ()
 
-let test_task_abort () =
-  let abort = Atomic.make false in
-  Task.with_context ~abort (fun () ->
-      Task.check ();
-      Atomic.set abort true;
-      match Task.check () with
-      | () -> Alcotest.fail "expected Cancelled"
-      | exception Task.Cancelled -> ())
+(* A sweep checks the request deadline after every point: a spent
+   budget stops a cold explore with a typed timeout, as it stops a
+   cost. *)
+let test_explore_deadline () =
+  let module Engine = Tytra_engine.Engine in
+  let eng = Engine.create Engine.default_config in
+  let explore =
+    Engine.Explore
+      { Engine.x_kernel = Engine.Sor; x_size = 16; x_max_lanes = 64;
+        x_device = Tytra_device.Device.stratixv_gsd8;
+        x_form = Tytra_cost.Throughput.FormB; x_nki = 100; x_jobs = 1;
+        x_prune = false; x_retries = 0; x_deadline_s = None;
+        x_best_effort = false; x_checkpoint = None; x_checkpoint_every = 32;
+        x_resume = None; x_place_mode = None }
+  in
+  (match Engine.submit ~deadline_s:0.0 eng explore with
+  | Error (Engine.Timeout_error d) ->
+      Alcotest.(check (float 0.0)) "allotted" 0.0 d
+  | Ok _ -> Alcotest.fail "a spent deadline answered Ok"
+  | Error e -> Alcotest.failf "expected timeout, got %s" (Engine.error_kind e));
+  (* the timeout is not cached: the same request without a deadline
+     runs the sweep *)
+  match Engine.submit eng explore with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "no deadline: %s" (Engine.error_message e)
 
 (* ---- Faultgen ---- *)
 
@@ -47,18 +64,24 @@ let test_faultgen_parse () =
 let test_faultgen_disabled_and_counter () =
   Faultgen.with_spec None (fun () ->
       List.iter (fun id -> Faultgen.inject ~id) (List.init 10 Fun.id));
-  (* the pool draws one id per item, at submission, only while a crash
-     is installed *)
-  let pool = Pool.create ~jobs:2 () in
+  (* a sweep draws one id per point it evaluates, only while a crash is
+     installed *)
+  let sweep () =
+    List.map
+      (Format.asprintf "%a" Dse.pp_point)
+      (Dse.explore
+         ~config:{ Dse.default_config with max_lanes = 8; prune = false }
+         (Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 ()))
+  in
   Faultgen.reset_counter ();
-  ignore (Faultgen.with_spec None (fun () -> Pool.map pool succ [ 1; 2; 3 ]));
+  let clean = Faultgen.with_spec None sweep in
   Alcotest.(check int) "no ids drawn without a crash" 0 (Faultgen.next_id ());
   Faultgen.reset_counter ();
-  Alcotest.(check (list int))
-    "map unaffected by a crash id it never reaches" [ 2; 3; 4 ]
-    (Faultgen.with_spec (Some 1_000) (fun () ->
-         Pool.map pool succ [ 1; 2; 3 ]));
-  Alcotest.(check int) "one id per item" 3 (Faultgen.next_id ());
+  Alcotest.(check (list string))
+    "sweep unaffected by a crash id it never reaches" clean
+    (Faultgen.with_spec (Some 1_000) sweep);
+  Alcotest.(check int) "one id per point" (List.length clean)
+    (Faultgen.next_id ());
   Faultgen.reset_counter ();
   Alcotest.(check int) "ids restart" 0 (Faultgen.next_id ());
   Alcotest.(check int) "and advance" 1 (Faultgen.next_id ());
@@ -73,7 +96,7 @@ let tybec_exe () =
 (* Run [tybec explore] on a small exhaustive SOR space with
    TYTRA_FAULT_SPEC set to [spec] (unset without one); returns the exit
    status and stdout. *)
-let explore ~tybec ?spec ~jobs () =
+let explore ~tybec ?spec () =
   let env =
     Array.to_list (Unix.environment ())
     |> List.filter (fun kv ->
@@ -89,7 +112,7 @@ let explore ~tybec ?spec ~jobs () =
   let pid =
     Unix.create_process_env tybec
       [| tybec; "explore"; "--kernel"; "sor"; "--size"; "16";
-         "--max-lanes"; "8"; "--no-prune"; "--jobs"; string_of_int jobs |]
+         "--max-lanes"; "8"; "--no-prune" |]
       (Array.of_list env) Unix.stdin fd null
   in
   Unix.close fd;
@@ -107,73 +130,52 @@ let describe = function
   | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
   | Unix.WSTOPPED n -> Printf.sprintf "stopped by %d" n
 
-(* Task 1 is the sweep's Pipe point at every pool width: ids are drawn
-   at submission in input order, not by whichever domain runs it. *)
+(* Task 1 is the sweep's Pipe point: a sweep draws one id per point,
+   just before evaluating it, in its evaluation order. *)
 let test_crash_at_fires () =
   match tybec_exe () with
   | None -> Alcotest.skip ()
   | Some tybec ->
-      List.iter
-        (fun jobs ->
-          (match explore ~tybec ~spec:"crash_at=1" ~jobs () with
-          | Unix.WSIGNALED s, _ when s = Sys.sigkill -> ()
-          | st, _ ->
-              Alcotest.failf "jobs %d, crash_at=1: expected SIGKILL, got %s"
-                jobs (describe st));
-          let clean_st, clean = explore ~tybec ~jobs () in
-          let beyond_st, beyond =
-            explore ~tybec ~spec:"crash_at=1000" ~jobs ()
-          in
-          Alcotest.(check string) "clean run exits 0" "exit 0"
-            (describe clean_st);
-          Alcotest.(check string)
-            "crash_at beyond the space exits 0" "exit 0" (describe beyond_st);
-          Alcotest.(check bool) "clean run selects a variant" true
-            (List.exists
-               (String.starts_with ~prefix:"selected: ")
-               (String.split_on_char '\n' clean));
-          Alcotest.(check string)
-            (Printf.sprintf "jobs %d: stdout unchanged by an unreached crash"
-               jobs)
-            clean beyond)
-        [ 1; 2 ]
+      (match explore ~tybec ~spec:"crash_at=1" () with
+      | Unix.WSIGNALED s, _ when s = Sys.sigkill -> ()
+      | st, _ ->
+          Alcotest.failf "crash_at=1: expected SIGKILL, got %s" (describe st));
+      let clean_st, clean = explore ~tybec () in
+      let beyond_st, beyond = explore ~tybec ~spec:"crash_at=1000" () in
+      Alcotest.(check string) "clean run exits 0" "exit 0" (describe clean_st);
+      Alcotest.(check string)
+        "crash_at beyond the space exits 0" "exit 0" (describe beyond_st);
+      Alcotest.(check bool) "clean run selects a variant" true
+        (List.exists
+           (String.starts_with ~prefix:"selected: ")
+           (String.split_on_char '\n' clean));
+      Alcotest.(check string) "stdout unchanged by an unreached crash" clean
+        beyond
 
 (* ---- DSE accounting ---- *)
 
-let test_jobs =
-  match Sys.getenv_opt "TYTRA_JOBS" with
-  | Some s -> (try max 1 (int_of_string s) with _ -> 4)
-  | None -> 4
-
-(* Every sweep wave is one Pool.map, so a point that raises aborts the
-   sweep with its own exception, at any pool width. An empty bandwidth
-   calibration makes costing raise on the first point. *)
+(* A point that raises aborts the sweep with its own exception. An
+   empty bandwidth calibration makes costing raise on the first point. *)
 let test_sweep_fail_fast_raises () =
   let empty =
     Tytra_device.Bandwidth.make ~device:"empty" ~cont:[] ~strided:[]
       ~random:[]
   in
-  List.iter
-    (fun jobs ->
-      match
-        Dse.explore
-          ~config:
-            { Dse.default_config with
-              max_lanes = 8; jobs; calib = Some empty }
-          (Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 ())
-      with
-      | _ -> Alcotest.failf "jobs %d: expected the point's failure" jobs
-      | exception Invalid_argument m ->
-          Alcotest.(check string)
-            (Printf.sprintf "jobs %d: the point's own exception" jobs)
-            "Bandwidth.interp: empty calibration" m)
-    [ 1; test_jobs ]
+  match
+    Dse.explore
+      ~config:{ Dse.default_config with max_lanes = 8; calib = Some empty }
+      (Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 ())
+  with
+  | _ -> Alcotest.fail "expected the point's failure"
+  | exception Invalid_argument m ->
+      Alcotest.(check string) "the point's own exception"
+        "Bandwidth.interp: empty calibration" m
 
 let test_sweep_stats_accounting () =
   let p = Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 () in
   let sw =
     Dse.explore_sweep
-      ~config:{ Dse.default_config with max_lanes = 8; jobs = test_jobs }
+      ~config:{ Dse.default_config with max_lanes = 8 }
       p
   in
   let s = sw.Dse.sw_stats in
@@ -195,11 +197,12 @@ let test_sweep_stats_accounting () =
 let suite =
   [
     Alcotest.test_case "task deadline" `Quick test_task_deadline;
-    Alcotest.test_case "task abort" `Quick test_task_abort;
+    Alcotest.test_case "explore honours its deadline" `Quick
+      test_explore_deadline;
     Alcotest.test_case "faultgen spec parse" `Quick test_faultgen_parse;
     Alcotest.test_case "faultgen disabled + counter" `Quick
       test_faultgen_disabled_and_counter;
-    Alcotest.test_case "crash_at SIGKILLs at jobs 1 and 2" `Quick
+    Alcotest.test_case "crash_at SIGKILLs the Pipe point" `Quick
       test_crash_at_fires;
     Alcotest.test_case "sweep fail-fast raises" `Quick
       test_sweep_fail_fast_raises;
