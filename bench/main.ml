@@ -357,7 +357,7 @@ let e8 () =
      64-lane space: replication beyond the bandwidth wall cannot beat the \
      incumbent, oversize lane counts cannot fit)@.";
   (* --- observability overhead on an exhaustive sequential SOR sweep:
-     event log + progress callback. Two numbers are reported:
+     the event log. Two numbers are reported:
 
      (1) attributed overhead (the gated one): the instrumentation a live
          sweep adds per evaluated point — the two clock reads that time
@@ -373,15 +373,10 @@ let e8 () =
          ~0.1% effect — so a direct difference measures host drift, not
          instrumentation. The min over interleaved single-sweep samples
          is the most drift-resistant end-to-end summary and is printed
-         for cross-checking the attribution, nothing more.
-
-     The progress line is formatted into a buffer, not written to the
-     terminal, so the measurement prices the instrumentation rather
-     than tty I/O; an exhaustive sweep reports progress twice (not per
-     point), so it contributes to (2) but is negligible in (1). --- *)
+         for cross-checking the attribution, nothing more. --- *)
   Format.printf
-    "@.observability overhead (exhaustive sequential SOR sweep; events + \
-     progress):@.";
+    "@.observability overhead (exhaustive sequential SOR sweep; event \
+     log):@.";
   let events_path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "tytra_bench_e8_events.%d.jsonl" (Unix.getpid ()))
@@ -389,23 +384,11 @@ let e8 () =
   (* only install a private event sink if the harness-wide --events one
      is not already active (stealing it would truncate the user's file) *)
   let own_sink = not (Tytra_telemetry.Events.active ()) in
-  let progress_buf = Buffer.create 128 in
-  let on_progress (p : Tytra_dse.Dse.progress) =
-    Buffer.clear progress_buf;
-    Buffer.add_string progress_buf
-      (Printf.sprintf "[explore] %d/%d points  pruned %d"
-         p.Tytra_dse.Dse.pr_evaluated p.Tytra_dse.Dse.pr_space
-         p.Tytra_dse.Dse.pr_pruned)
-  in
   let prog = List.assoc "sor" kernels in
   let space_pts = ref 0 in
   let observed_sweep observed =
     if observed && own_sink then Tytra_telemetry.Events.open_file events_path;
-    let cfg =
-      { config with
-        Tytra_dse.Dse.prune = false;
-        on_progress = (if observed then Some on_progress else None) }
-    in
+    let cfg = { config with Tytra_dse.Dse.prune = false } in
     let sw = ref None in
     let _, t =
       time_s (fun () -> sw := Some (Tytra_dse.Dse.explore_sweep ~config:cfg prog))

@@ -746,10 +746,10 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Serve the cost model as a long-lived daemon: POST /v1/submit \
-          speaks the versioned JSON protocol (DESIGN.md §13); /metrics and \
-          /healthz answer on the same port. --shards N scales to a \
-          multi-process front, and \"stream\":true on an explore \
-          answers JSONL progress frames (DESIGN.md §15). SIGTERM drains \
+          speaks the versioned JSON protocol (DESIGN.md §13) and answers \
+          every request, explores included, with one JSON reply; /metrics \
+          and /healthz answer on the same port. --shards N scales to a \
+          multi-process front (DESIGN.md §15). SIGTERM drains \
           gracefully.")
     Term.(
       const run $ observability_term $ addr_arg $ workers_arg $ queue_cap_arg

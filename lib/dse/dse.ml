@@ -69,17 +69,6 @@ type config = {
       (** ignored: every sweep runs on its caller's domain; kept only
           because [benchmark/] sets it *)
   prune : bool;                     (** bound-based pruning of the space *)
-  on_progress : (progress -> unit) option;
-      (** called after the baselines, after the bounds and after every
-          later point with cumulative coverage; [tybec serve] streams it
-          as progress frames *)
-}
-
-(** Cumulative sweep coverage, as passed to [config.on_progress]. *)
-and progress = {
-  pr_space : int;      (** variants enumerated *)
-  pr_evaluated : int;  (** points lowered and costed so far *)
-  pr_pruned : int;     (** candidates skipped by bounds so far *)
 }
 
 let default_config : config =
@@ -92,7 +81,6 @@ let default_config : config =
     max_vec = 1;
     jobs = 1;
     prune = true;
-    on_progress = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -260,9 +248,7 @@ let inject_fault () =
 
     A point that raises aborts the sweep with its exception, and
     {!Tytra_exec.Task.check} runs after every point, so a request
-    deadline interrupts a sweep between points. [config.on_progress]
-    hears cumulative coverage after the first two steps and after each
-    round. *)
+    deadline interrupts a sweep between points. *)
 let explore_sweep ?(config = default_config) (prog : Expr.program) : sweep =
   let kernel = prog.Expr.p_kernel.Expr.k_name in
   Tytra_telemetry.Span.with_ ~name:"dse.explore"
@@ -286,17 +272,6 @@ let explore_sweep ?(config = default_config) (prog : Expr.program) : sweep =
   (* (enumeration index, point) and (enumeration index, bounded), newest
      first, and the (ekit, area) of the best valid point *)
   let points = ref [] and bounded = ref [] and incumbent = ref None in
-  let notify () =
-    Option.iter
-      (fun f ->
-        f
-          {
-            pr_space = space;
-            pr_evaluated = List.length !points;
-            pr_pruned = List.length !bounded;
-          })
-      config.on_progress
-  in
   let eval (i, v) =
     inject_fault ();
     let p = eval_point ~config ~template ~pipe prog v in
@@ -335,7 +310,6 @@ let explore_sweep ?(config = default_config) (prog : Expr.program) : sweep =
     end
   in
   List.iter eval baselines;
-  notify ();
   (* Step 2: bounds. *)
   let queue =
     List.filter_map
@@ -358,21 +332,17 @@ let explore_sweep ?(config = default_config) (prog : Expr.program) : sweep =
            in
            if c <> 0 then c else compare i1 i2)
   in
-  notify ();
   (* Step 3: incumbent-pruned rounds. *)
   let rec rounds queue =
-    if queue <> [] then begin
-      let dominated, rest =
-        List.partition (fun (_, _, b) -> prunable !incumbent b) queue
-      in
-      List.iter (fun (i, v, b) -> record i v b Dominated) dominated;
-      match rest with
-      | [] -> notify ()
-      | (i, v, _) :: rest ->
-          eval (i, v);
-          notify ();
-          rounds rest
-    end
+    let dominated, rest =
+      List.partition (fun (_, _, b) -> prunable !incumbent b) queue
+    in
+    List.iter (fun (i, v, b) -> record i v b Dominated) dominated;
+    match rest with
+    | [] -> ()
+    | (i, v, _) :: rest ->
+        eval (i, v);
+        rounds rest
   in
   rounds queue;
   let by_index (i1, _) (i2, _) = compare i1 i2 in

@@ -56,23 +56,11 @@ type config = {
       (** ignored: every sweep runs on its caller's domain; kept only
           because [benchmark/] sets it *)
   prune : bool;                     (** bound-based pruning of the space *)
-  on_progress : (progress -> unit) option;
-      (** called after the baselines, after the bounds and after every
-          later point with cumulative coverage; [tybec serve] streams it
-          to clients that ask for progress frames *)
-}
-
-(** Cumulative sweep coverage, as passed to [config.on_progress]. *)
-and progress = {
-  pr_space : int;      (** variants enumerated *)
-  pr_evaluated : int;  (** points lowered and costed so far *)
-  pr_pruned : int;     (** candidates skipped by bounds so far *)
 }
 
 val default_config : config
 (** Stratix-V GSD8, device calibration, form B, [nki = 1],
-    [max_lanes = 16], [max_vec = 1], [jobs = 1], pruning on, no
-    progress callback. *)
+    [max_lanes = 16], [max_vec = 1], [jobs = 1], pruning on. *)
 
 (** {2 Sweeps} *)
 

@@ -9,10 +9,9 @@
     are answered [429] without touching the engine.
 
     Every request body is decoded once and goes straight to
-    {!Engine.submit}. A [POST /v1/submit] whose body carries
-    ["stream":true] on an [explore] is answered as JSONL progress frames
-    followed by one result frame (protocol minor 1), written
-    incrementally as the sweep advances (DESIGN.md §15).
+    {!Engine.submit}, and every request is answered whole: one JSON
+    reply with its typed HTTP status. An explore takes a few
+    milliseconds, so there is no progress to stream (DESIGN.md §15.2).
 
     {!run} serves on the calling domain, which runs the server's one
     loop (accept, read, answer wire errors) while the workers answer
@@ -56,12 +55,7 @@ let wire_error (status : int) : Serve.response option =
     err
 
 let handler ?default_deadline_s (eng : Engine.t) (rq : Serve.request) :
-    Serve.reply option =
-  let submit ?on_progress (d : Protocol.decoded_request) =
-    Engine.submit
-      ?deadline_s:(effective_deadline ?default_deadline_s d)
-      ~retries:d.Protocol.dq_retries ?on_progress eng d.Protocol.dq_request
-  in
+    Serve.response option =
   let error err =
     json_response (Protocol.http_status err) (Protocol.encode_error err)
   in
@@ -69,42 +63,25 @@ let handler ?default_deadline_s (eng : Engine.t) (rq : Serve.request) :
   | "POST", "/v1/submit" ->
       Some
         (match Protocol.decode_request rq.Serve.rq_body with
-        | Error err -> Serve.Response (error err)
-        | Ok
-            ({ Protocol.dq_stream = true;
-               dq_request = Engine.Explore _ as req; _ } as d) ->
-            let op = Engine.op_name req in
-            Serve.Stream
-              {
-                Serve.st_status = 200;
-                st_content_type = "application/jsonl";
-                st_write =
-                  (fun write ->
-                    let on_progress p =
-                      write (Protocol.encode_progress ~op p ^ "\n")
-                    in
-                    write
-                      ((match submit ~on_progress d with
-                       | Ok resp -> Protocol.encode_response_frame ~op resp
-                       | Error err -> Protocol.encode_error_frame err)
-                      ^ "\n"));
-              }
-        | Ok d ->
-            Serve.Response
-              (match submit d with
-              | Ok resp ->
-                  json_response 200
-                    (Protocol.encode_response
-                       ~op:(Engine.op_name d.Protocol.dq_request)
-                       resp)
-              | Error err -> error err))
+        | Error err -> error err
+        | Ok d -> (
+            match
+              Engine.submit
+                ?deadline_s:(effective_deadline ?default_deadline_s d)
+                ~retries:d.Protocol.dq_retries eng d.Protocol.dq_request
+            with
+            | Ok resp ->
+                json_response 200
+                  (Protocol.encode_response
+                     ~op:(Engine.op_name d.Protocol.dq_request)
+                     resp)
+            | Error err -> error err))
   | "GET", "/v1/protocol" ->
       Some
-        (Serve.Response
-           (json_response 200
-              (Printf.sprintf
-                 {|{"v":%d,"minor":%d,"ops":["check","cost","synth","sim","explore"],"frames":["progress","result"]}|}
-                 Protocol.version Protocol.version_minor)))
+        (json_response 200
+           (Printf.sprintf
+              {|{"v":%d,"minor":%d,"ops":["check","cost","synth","sim","explore"],"frames":["result"]}|}
+              Protocol.version Protocol.version_minor))
   | _ -> None (* falls through to /metrics, /metrics.json, /healthz *)
 
 (* The serving loop runs on the daemon's own domain, so it counts

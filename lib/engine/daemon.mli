@@ -1,17 +1,15 @@
 (** [tybec serve] — the cost model as a long-lived service.
 
     Public interface of [Tytra_engine.Daemon]. See [daemon.ml] for the
-    route table, streaming behavior and drain contract. *)
+    route table and drain contract. *)
 
 val handler :
   ?default_deadline_s:float -> Engine.t -> Tytra_telemetry.Serve.handler
 (** The route table: [POST /v1/submit] (the {!Protocol} codec, answered
     by {!Engine.submit}), [GET /v1/protocol]; everything else falls
     through to the built-in metrics routes. A submit body is decoded
-    once: a well-formed [explore] with ["stream":true] is answered as a
-    stream of JSONL — one {!Protocol.encode_progress} frame per sweep
-    progress report, then one result frame — and every other body as
-    one response.
+    once and answered with one JSON reply, at the HTTP status
+    {!Protocol.http_status} gives its error, or 200.
     [default_deadline_s] is applied to requests that carry no deadline
     of their own (the frame's own [deadline_ms] always wins). Exposed so
     tests can mount an engine on an ephemeral-port server directly. *)

@@ -497,7 +497,7 @@ let retired_explore_field x =
   else if x.x_resume <> None then Some "resume"
   else None
 
-let do_explore ?on_progress (x : explore_params) =
+let do_explore (x : explore_params) =
   let module Dse = Tytra_dse.Dse in
   let* () =
     match retired_explore_field x with
@@ -510,10 +510,16 @@ let do_explore ?on_progress (x : explore_params) =
   let* () = at_least_one "explore" "size" x.x_size in
   let* () = at_least_one "explore" "nki" x.x_nki in
   let prog = program_of x in
+  let* _ =
+    Result.map_error
+      (fun e ->
+        Bad_request (Printf.sprintf "explore: \"size\" %d: %s" x.x_size e))
+      (Tytra_front.Expr.check_shape prog.Tytra_front.Expr.p_shape)
+  in
   let config =
     { Dse.default_config with
       device = x.x_device; form = x.x_form; nki = x.x_nki;
-      max_lanes = x.x_max_lanes; prune = x.x_prune; on_progress }
+      max_lanes = x.x_max_lanes; prune = x.x_prune }
   in
   let sw = Dse.explore_sweep ~config prog in
   let pts = sw.Dse.sw_points in
@@ -569,10 +575,8 @@ let do_explore ?on_progress (x : explore_params) =
    path itself still participates because diagnostic names and design
    names embed it). [None] means uncacheable: a source or calib file
    that cannot be read (keyless, falls through to the normal error
-   path), and an Explore when a progress observer is attached (streamed
-   explores always evaluate live and emit their frames). Only [Ok]
-   responses are inserted, so errors are re-derived (and re-rendered
-   with current file state) every time. *)
+   path). Only [Ok] responses are inserted, so errors are re-derived
+   (and re-rendered with current file state) every time. *)
 
 let source_key = function
   | Read_inline text -> Some [ "inline"; text ]
@@ -608,7 +612,7 @@ let cached t key answer =
    response key, the parse-cache key and the answer all come from those
    bytes, so a file rewritten meanwhile cannot cache one content's
    answer under another's key. *)
-let dispatch_cached t ?on_progress (req : request) =
+let dispatch_cached t (req : request) =
   let ( let* ) = Option.bind in
   let key op source params =
     let* src = source_key source in
@@ -616,20 +620,12 @@ let dispatch_cached t ?on_progress (req : request) =
   in
   match req with
   | Explore x ->
-      (* an attached progress observer pins the request to live
-         evaluation: a cache hit would answer correctly but silently
-         skip every frame. The ignored fields take one value in the
-         key, so requests that differ only there share an entry. *)
-      let key =
-        if Option.is_some on_progress then None
-        else
-          Some
-            (Cache.digest_key
-               [ "explore";
-                 Cache.digest_marshal
-                   { x with x_jobs = 1; x_place_mode = None } ])
-      in
-      cached t key (fun () -> do_explore ?on_progress x)
+      (* the ignored fields take one value in the key, so requests that
+         differ only there share an entry *)
+      let x = { x with x_jobs = 1; x_place_mode = None } in
+      cached t
+        (Some (Cache.digest_key [ "explore"; Cache.digest_marshal x ]))
+        (fun () -> do_explore x)
   | Check { source } ->
       let source = read_source source in
       cached t (key "check" source []) (fun () -> do_check t ~source)
@@ -658,7 +654,7 @@ let dispatch_cached t ?on_progress (req : request) =
         (key "sim" source [ Cache.digest_marshal (device, form, nki, optimize) ])
         (fun () -> do_sim t ~source ~device ~form ~nki ~optimize)
 
-let submit ?deadline_s ?(retries = 0) ?on_progress t req =
+let submit ?deadline_s ?(retries = 0) t req =
   Metrics.incr "engine.requests";
   Span.with_ ~name:"engine.submit"
     ~attrs:[ ("op", Span.Str (op_name req)) ]
@@ -666,7 +662,7 @@ let submit ?deadline_s ?(retries = 0) ?on_progress t req =
   let attempt () =
     match
       Task.with_context ?deadline_s (fun () ->
-          dispatch_cached t ?on_progress req)
+          dispatch_cached t req)
     with
     | r -> r
     | exception Task.Timeout allotted -> Error (Timeout_error allotted)

@@ -29,7 +29,8 @@ type explore_params = {
   x_kernel : kernel;
   x_size : int;
       (** grid side (sor/hotspot/srad) or boxes; [submit] answers
-          [Bad_request] below 1 *)
+          [Bad_request] below 1, or when the kernel's index space at
+          this size has more than [max_int] points *)
   x_max_lanes : int;
   x_device : Tytra_device.Device.t;
   x_form : Tytra_cost.Throughput.form;
@@ -135,8 +136,7 @@ type config = {
       (** entries in the full-request response cache: completed [Ok]
           responses keyed on a digest of the op, every parameter and
           the content behind every path parameter. Error responses are never
-          cached; an [Explore] is cached only when unobserved (no
-          progress callback). *)
+          cached. *)
   cache_journal : string option;
       (** when set, every response-cache insertion is appended to this
           digest-validated JSONL file ({!Journal}) and {!create} replays
@@ -167,18 +167,12 @@ val response_cache_stats : t -> Tytra_exec.Cache.stats
     time line reflect the first, uncached run). *)
 
 val submit :
-  ?deadline_s:float ->
-  ?retries:int ->
-  ?on_progress:(Tytra_dse.Dse.progress -> unit) ->
-  t ->
-  request ->
-  (response, error) result
-(** [submit ?deadline_s ?retries ?on_progress t req] — run one request
-    to completion. [deadline_s] arms a request-level cooperative
+  ?deadline_s:float -> ?retries:int -> t -> request -> (response, error) result
+(** [submit ?deadline_s ?retries t req] — run one request to completion
+    and answer it whole. [deadline_s] arms a request-level cooperative
     deadline ({!Tytra_exec.Task.with_context}); [retries] re-runs the
     request on transient-class failures (internal errors and timeouts —
-    parse/validation errors are deterministic and never retried);
-    [on_progress] receives live sweep coverage for [Explore] requests.
+    parse/validation errors are deterministic and never retried).
     An [Explore] that asks for point retries, a point deadline,
     best-effort, a checkpoint or a resume is answered [Bad_request].
     Never raises. *)

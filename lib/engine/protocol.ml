@@ -16,7 +16,8 @@
     request flag and the JSONL frame vocabulary for streamed explore
     progress — [{"frame":"progress",...}] lines followed by one final
     [{"frame":"result",...}] line that is a normal reply object plus
-    the discriminator.
+    the discriminator; a line with no ["frame"] member reads as the
+    result frame. Minor 5 retired the flag and the progress frames.
 
     Minor version 2 (additive): the ["deadline_ms"] request budget
     (preferred over the legacy ["deadline_s"] when both are present —
@@ -34,19 +35,29 @@
     ["resume"] — are still decoded, but any non-default value is
     answered with a typed ["bad_request"] instead of being honoured;
     ["checkpoint_every"] is read and ignored. The ["failed"] and
-    ["restored"] members of an explore reply and of a progress frame
-    are always 0.
+    ["restored"] members of an explore reply are always 0.
 
     Minor version 4 (no field added or removed): an explore request's
     ["jobs"] is read and ignored, since every sweep runs on the domain
     that answers it; requests that differ only in ["jobs"] get the same
-    answer, from one response-cache entry. *)
+    answer, from one response-cache entry.
+
+    Minor version 5 (no field added): every explore is answered in one
+    reply. ["stream"] is no longer decoded, so like any unknown member
+    it is ignored: a request with ["stream":true] gets the ordinary
+    reply, with its typed HTTP status, and shares the response cache
+    with the same request without it. No progress frame is written,
+    and a reply carries no ["frame"] member; a client that reads frames
+    by minor 1's rule reads the reply as its result frame.
+    [GET /v1/protocol] lists only the ["result"] frame. Minor 5 also
+    refuses an integer member beyond ±2{^53}, the range a JSON number
+    (a double) holds exactly, where it used to read a wrapped value. *)
 
 module J = Tytra_telemetry.Jsenc
 
 let version = 1
 
-let version_minor = 4
+let version_minor = 5
 
 (* ------------------------------------------------------------------ *)
 (* Field-level codecs                                                  *)
@@ -91,7 +102,7 @@ let opt f k = function None -> "" | Some v -> f k v
 (* Request encoding                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let encode_request ?deadline_s ?deadline_ms ?(retries = 0) ?(stream = false)
+let encode_request ?deadline_s ?deadline_ms ?(retries = 0)
     (req : Engine.request) : string =
   let envelope =
     [ int_field "v" version; str_field "op" (Engine.op_name req) ]
@@ -101,8 +112,7 @@ let encode_request ?deadline_s ?deadline_ms ?(retries = 0) ?(stream = false)
     @ (match deadline_ms with
       | None -> []
       | Some d -> [ num_field "deadline_ms" d ])
-    @ (if retries = 0 then [] else [ int_field "retries" retries ])
-    @ if stream then [ bool_field "stream" true ] else []
+    @ if retries = 0 then [] else [ int_field "retries" retries ]
   in
   let body =
     match req with
@@ -151,15 +161,19 @@ type decoded_request = {
   dq_request : Engine.request;
   dq_deadline_s : float option;  (** request-level deadline *)
   dq_retries : int;              (** request-level retry budget *)
-  dq_stream : bool;              (** client asked for progress frames *)
 }
 
 let bad fmt = Printf.ksprintf (fun m -> Error (Engine.Bad_request m)) fmt
 let ( let* ) = Result.bind
 
+(* A double holds every integer up to 2^53 exactly; past it, and past
+   [int]'s range, [int_of_float] would read another number. *)
+let max_wire_int = 9007199254740992.0
+
 let int_member ?default key j =
   match J.member key j with
-  | Some (J.Num f) when Float.is_integer f -> Ok (int_of_float f)
+  | Some (J.Num f) when Float.is_integer f && Float.abs f <= max_wire_int ->
+      Ok (int_of_float f)
   | Some _ -> bad "field %S must be an integer" key
   | None -> (
       match default with
@@ -314,8 +328,7 @@ let decode_request (body : string) : (decoded_request, Engine.error) result =
                     | None -> deadline_s
                   in
                   let* dq_retries = int_member ~default:0 "retries" j in
-                  let* dq_stream = bool_member ~default:false "stream" j in
-                  Ok { dq_request; dq_deadline_s; dq_retries; dq_stream }))
+                  Ok { dq_request; dq_deadline_s; dq_retries }))
       | _ -> bad "request must be a JSON object")
 
 (* ------------------------------------------------------------------ *)
@@ -347,25 +360,22 @@ let payload_fields = function
         | Some s -> str_field "selected" s
         | None -> Printf.sprintf "%s:null" (J.json_string "selected")) ]
 
-let response_fields ~op (resp : Engine.response) =
-  [ int_field "v" version;
-    str_field "status" "ok";
-    str_field "op" op;
-    str_field "text" resp.Engine.rs_text;
-    Printf.sprintf "%s:%s" (J.json_string "data")
-      (obj (payload_fields resp.Engine.rs_payload)) ]
-
-let error_fields (err : Engine.error) =
-  [ int_field "v" version;
-    str_field "status" "error";
-    str_field "error" (Engine.error_kind err);
-    int_field "exit_code" (Engine.exit_code err);
-    str_field "message" (Engine.error_message err) ]
-
 let encode_response ~op (resp : Engine.response) : string =
-  obj (response_fields ~op resp)
+  obj
+    [ int_field "v" version;
+      str_field "status" "ok";
+      str_field "op" op;
+      str_field "text" resp.Engine.rs_text;
+      Printf.sprintf "%s:%s" (J.json_string "data")
+        (obj (payload_fields resp.Engine.rs_payload)) ]
 
-let encode_error (err : Engine.error) : string = obj (error_fields err)
+let encode_error (err : Engine.error) : string =
+  obj
+    [ int_field "v" version;
+      str_field "status" "error";
+      str_field "error" (Engine.error_kind err);
+      int_field "exit_code" (Engine.exit_code err);
+      str_field "message" (Engine.error_message err) ]
 
 (** HTTP status for an error reply: wire-level rejections are 400,
     oversized bodies 413, rejected designs 422, deadline expiry 504,
@@ -430,64 +440,3 @@ let decode_reply (body : string) : (reply, string) result =
                      \"message\"")
           | Some s -> Error (Printf.sprintf "unknown status %S" s)
           | None -> Error "missing field \"status\""))
-
-(* ------------------------------------------------------------------ *)
-(* Streamed frames (minor version 1)                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* A streamed reply is JSONL: zero or more progress frames, then exactly
-   one result frame — a normal reply object plus the "frame":"result"
-   discriminator, so a client that ignores unknown fields and reads the
-   last line sees a v1 reply. *)
-
-let encode_progress ~op (p : Tytra_dse.Dse.progress) : string =
-  obj
-    [ int_field "v" version;
-      str_field "frame" "progress";
-      str_field "op" op;
-      int_field "space" p.Tytra_dse.Dse.pr_space;
-      int_field "evaluated" p.Tytra_dse.Dse.pr_evaluated;
-      int_field "pruned" p.Tytra_dse.Dse.pr_pruned;
-      (* constant since minor 3; version-1 clients read both *)
-      int_field "failed" 0;
-      int_field "restored" 0 ]
-
-let encode_response_frame ~op (resp : Engine.response) : string =
-  obj (response_fields ~op resp @ [ str_field "frame" "result" ])
-
-let encode_error_frame (err : Engine.error) : string =
-  obj (error_fields err @ [ str_field "frame" "result" ])
-
-type progress_frame = {
-  pf_op : string;
-  pf_space : int;
-  pf_evaluated : int;
-  pf_pruned : int;
-}
-
-type frame = Frame_progress of progress_frame | Frame_result of reply
-
-let decode_frame (line : string) : (frame, string) result =
-  match J.parse line with
-  | Error m -> Error ("invalid JSON: " ^ m)
-  | Ok j -> (
-      match J.str_member "frame" j with
-      | Some "progress" ->
-          let geti k =
-            match J.num_member k j with
-            | Some f -> int_of_float f
-            | None -> 0
-          in
-          Ok
-            (Frame_progress
-               {
-                 pf_op = Option.value ~default:"" (J.str_member "op" j);
-                 pf_space = geti "space";
-                 pf_evaluated = geti "evaluated";
-                 pf_pruned = geti "pruned";
-               })
-      | Some "result" | None ->
-          (* an unframed reply decodes as the result — one code path for
-             streamed and plain bodies *)
-          Result.map (fun r -> Frame_result r) (decode_reply line)
-      | Some s -> Error (Printf.sprintf "unknown frame kind %S" s))

@@ -9,34 +9,30 @@ val version : int
 (** Protocol version stamped into (and required of) every message. *)
 
 val version_minor : int
-(** Additive revision within {!version}. Minor 1 added the ["stream"]
-    request flag and the progress/result frame vocabulary; minor 2
-    added the ["deadline_ms"] request budget and the
-    ["request_too_large"] error kind (its ["deadline_exceeded"] kind is
-    no longer emitted: a spent budget answers ["timeout"], with the
-    same HTTP 504 and exit code). Minor 3 answers an explore that asks
-    for point retries, a point deadline, best-effort, a checkpoint or
-    a resume with a typed ["bad_request"], and its ["failed"] and
-    ["restored"] counts are always 0. Minor 4 reads an explore's
-    ["jobs"] and ignores it. Decoders never check it (additive
-    changes are compatible by construction), clients read it from
-    [GET /v1/protocol] for capability discovery. *)
+(** Revision within {!version}. Minor 1 added the ["stream"] request
+    flag and the progress/result frame vocabulary; minor 2 added the
+    ["deadline_ms"] request budget and the ["request_too_large"] error
+    kind (its ["deadline_exceeded"] kind is no longer emitted: a spent
+    budget answers ["timeout"], with the same HTTP 504 and exit code).
+    Minor 3 answers an explore that asks for point retries, a point
+    deadline, best-effort, a checkpoint or a resume with a typed
+    ["bad_request"], and its ["failed"] and ["restored"] counts are
+    always 0. Minor 4 reads an explore's ["jobs"] and ignores it.
+    Minor 5 answers every explore in one reply: ["stream"] is ignored
+    like any unknown member, no progress frame is written, and an
+    integer member beyond ±2{^53} is a ["bad_request"]. Decoders never
+    check it, clients read it from [GET /v1/protocol] for capability
+    discovery. *)
 
 (** {2 Requests} *)
 
 val encode_request :
-  ?deadline_s:float ->
-  ?deadline_ms:float ->
-  ?retries:int ->
-  ?stream:bool ->
-  Engine.request ->
+  ?deadline_s:float -> ?deadline_ms:float -> ?retries:int -> Engine.request ->
   string
 (** One JSON object for the request, including the envelope fields
     ([deadline_s]/[deadline_ms]/[retries] are the request-level budget
     passed to [Engine.submit]; omitted when absent/zero — when both
-    deadline spellings are given, decoders prefer [deadline_ms]).
-    [stream] (default false) asks the server to answer with JSONL
-    progress frames — meaningful for [explore] only. *)
+    deadline spellings are given, decoders prefer [deadline_ms]). *)
 
 (** A decoded request: the typed operation plus its envelope.
     [dq_deadline_s] is the unified budget — decoded from
@@ -45,13 +41,14 @@ type decoded_request = {
   dq_request : Engine.request;
   dq_deadline_s : float option;
   dq_retries : int;
-  dq_stream : bool;
 }
 
 val decode_request : string -> (decoded_request, Engine.error) result
 (** Inverse of {!encode_request}. Missing optional fields take the CLI
-    defaults (device, form B, nki 1, ...); unknown fields are ignored;
-    every malformed input is an [Engine.Bad_request]. *)
+    defaults (device, form B, nki 1, ...); unknown fields, ["stream"]
+    among them, are ignored; every malformed input is an
+    [Engine.Bad_request], an integer field that is fractional or beyond
+    ±2{^53} included. *)
 
 (** {2 Responses} *)
 
@@ -83,38 +80,6 @@ type reply =
 val decode_reply : string -> (reply, string) result
 (** Decode a response body (inverse of {!encode_response} and
     {!encode_error}). *)
-
-(** {2 Streamed frames} (minor version 1)
-
-    A streamed reply body is JSONL: zero or more progress frames
-    followed by exactly one result frame — a normal reply object plus a
-    ["frame":"result"] discriminator, so a version-1 client that reads
-    the last line and ignores unknown fields still sees a valid reply. *)
-
-val encode_progress : op:string -> Tytra_dse.Dse.progress -> string
-(** [{"v":1,"frame":"progress","op":…,"space":…,"evaluated":…,
-    "pruned":…,"failed":0,"restored":0}] — one line per progress
-    report of the sweep ({!Tytra_dse.Dse.config}'s [on_progress]). *)
-
-val encode_response_frame : op:string -> Engine.response -> string
-(** {!encode_response} plus the ["frame":"result"] discriminator. *)
-
-val encode_error_frame : Engine.error -> string
-(** {!encode_error} plus the ["frame":"result"] discriminator. *)
-
-type progress_frame = {
-  pf_op : string;
-  pf_space : int;
-  pf_evaluated : int;
-  pf_pruned : int;
-}
-
-type frame = Frame_progress of progress_frame | Frame_result of reply
-
-val decode_frame : string -> (frame, string) result
-(** Decode one JSONL line of a streamed reply. A line with no ["frame"]
-    field decodes as [Frame_result] (plain replies are result frames),
-    so clients use one decoder for streamed and unstreamed bodies. *)
 
 (** {2 Field codecs} (shared with tests) *)
 

@@ -342,12 +342,11 @@ let health t =
   | down ->
       (503, Printf.sprintf "shards down: %s\n" (String.concat ", " down))
 
-let aggregator_handler t (rq : Serve.request) : Serve.reply option =
+let aggregator_handler t (rq : Serve.request) : Serve.response option =
   let respond status content_type body =
     Some
-      (Serve.Response
-         { Serve.rs_status = status; rs_content_type = content_type;
-           rs_body = body })
+      { Serve.rs_status = status; rs_content_type = content_type;
+        rs_body = body }
   in
   match (rq.Serve.rq_meth, rq.Serve.rq_path) with
   | "GET", "/metrics" ->
@@ -403,14 +402,13 @@ let postmortem t s ~pid ~status =
    untyped hang. The breaker takes over the work address and answers
    everything with a typed [overloaded] immediately, so clients fail
    fast and can back off. *)
-let breaker_handler (_ : Serve.request) : Serve.reply option =
+let breaker_handler (_ : Serve.request) : Serve.response option =
   Some
-    (Serve.Response
-       {
-         Serve.rs_status = 429;
-         rs_content_type = "application/json";
-         rs_body = Protocol.encode_error Engine.Overloaded ^ "\n";
-       })
+    {
+      Serve.rs_status = 429;
+      rs_content_type = "application/json";
+      rs_body = Protocol.encode_error Engine.Overloaded ^ "\n";
+    }
 
 let run ?(restart_budget = 8) ~shards:n ~addr ~admin_addr
     ~(child_argv : shard:int -> admin_addr:string -> string array) () =

@@ -32,20 +32,25 @@ type t = {
   ch_shape : int list;
 }
 
-let points (c : t) = List.fold_left ( * ) 1 c.ch_shape
+let points (c : t) =
+  match Expr.check_shape c.ch_shape with
+  | Ok n -> n
+  | Error e -> invalid_arg ("Chain.points: " ^ e)
 
 (* external inputs of stage i: all inputs for stage 0; all but the first
    (chained) input for later stages *)
 let external_inputs_of i (k : Expr.kernel) =
   if i = 0 then k.Expr.k_inputs else List.tl k.Expr.k_inputs
 
-(** [make ~name ~shape stages] — validate and build a chain: ≥2 stages,
-    same element type throughout, single-output intermediate stages, and
-    no duplicate external stream names across stages. *)
+(** [make ~name ~shape stages] — validate and build a chain: an index
+    space {!Expr.check_shape} accepts, ≥2 stages, same element type
+    throughout, single-output intermediate stages, and no duplicate
+    external stream names across stages. *)
 let make ~name ~shape (stages : Expr.kernel list) : (t, string) result =
-  match stages with
-  | [] | [ _ ] -> Error "a chain needs at least two stages"
-  | first :: _ ->
+  match (Expr.check_shape shape, stages) with
+  | Error e, _ -> Error e
+  | Ok _, ([] | [ _ ]) -> Error "a chain needs at least two stages"
+  | Ok _, first :: _ ->
       let ty = first.Expr.k_ty in
       let rec check i = function
         | [] -> Ok ()

@@ -63,7 +63,37 @@ type program = {
   p_shape : int list;  (** index-space dimensions, e.g. [[im; jm; km]] *)
 }
 
-let points (p : program) : int = List.fold_left ( * ) 1 p.p_shape
+(* The product of [shape]'s sides times [n], or -1 once a side is below
+   1 or the product would pass [max_int]. *)
+let rec product n = function
+  | [] -> n
+  | side :: rest ->
+      if side >= 1 && n <= max_int / side then product (n * side) rest else -1
+
+(** [check_shape shape] — the number of points of an index space with
+    sides [shape], multiplied out with an overflow check: [Error] says
+    that a side is below 1 or that the product passes [max_int], which
+    a plain product would wrap into a wrong count. Every shape that
+    enters from outside (an explore's size, an imported loop nest's
+    bounds, a chain) is refused here before anything sizes a design
+    by it. *)
+let check_shape (shape : int list) : (int, string) result =
+  match product 1 shape with
+  | -1 ->
+      Error
+        (Printf.sprintf "index space %s %s"
+           (String.concat "x" (List.map string_of_int shape))
+           (if List.exists (fun side -> side < 1) shape then
+              "has a side below 1"
+            else Printf.sprintf "has more than %d points" max_int))
+  | n -> Ok n
+
+(** The number of points of [p]'s index space; raises [Invalid_argument]
+    on a shape {!check_shape} refuses. *)
+let points (p : program) : int =
+  match product 1 p.p_shape with
+  | -1 -> invalid_arg ("Expr.points: " ^ Result.get_error (check_shape p.p_shape))
+  | n -> n
 
 (** The vector type of the program's input tuple stream — what the type
     transformations of {!Transform} reshape. *)

@@ -43,8 +43,9 @@
 
 exception Error of string * int
 
-(** The loop nest parsed, but the kernel it elaborates to fails
-    {!Expr.check_kernel}, whose message this carries. *)
+(** The loop nest parsed, but its bounds give an index space that
+    {!Expr.check_shape} refuses, or the kernel it elaborates to fails
+    {!Expr.check_kernel}; this carries their message. *)
 exception Invalid of string
 
 (* ------------------------------------------------------------------ *)
@@ -510,6 +511,10 @@ let elab_stmt (el : elab) (s : stmt) : unit =
 let elaborate ~(ty : Tytra_ir.Ty.t) ~(name : string)
     ~(params : (string * int64) list) ~(dims : (string * int) list)
     ~(index_order : string list) (body : stmt list) : Expr.program =
+  let shape = List.map snd dims in
+  (match Expr.check_shape shape with
+  | Ok _ -> ()
+  | Error e -> raise (Invalid e));
   let rev = List.rev dims in
   let strides =
     let rec go acc stride = function
@@ -545,7 +550,7 @@ let elaborate ~(ty : Tytra_ir.Ty.t) ~(name : string)
   (match Expr.check_kernel kernel with
   | Ok () -> ()
   | Error e -> raise (Invalid e));
-  { Expr.p_kernel = kernel; p_shape = List.map snd el.el_dims }
+  { Expr.p_kernel = kernel; p_shape = shape }
 
 (** [parse ?ty ?name ~sizes src] — parse and elaborate a Fortran-style
     loop nest into a kernel program. [sizes] resolves symbolic loop

@@ -53,22 +53,9 @@ type response = {
   rs_body : string;
 }
 
-(** An incrementally-written response: the head is sent first (status +
-    content type, no Content-Length — the body is delimited by the
-    connection close), then [st_write] runs with a chunk writer that
-    pushes bytes to the peer immediately. Built for the JSONL progress
-    frames of streaming [explore] requests (DESIGN.md §15). *)
-type stream = {
-  st_status : int;
-  st_content_type : string;
-  st_write : (string -> unit) -> unit;
-}
-
-type reply = Response of response | Stream of stream
-
-(* The one request hook: it answers a request whole or as a stream;
-   [None] falls through to the metrics routes. *)
-type handler = request -> reply option
+(* The one request hook: it answers a request whole; [None] falls
+   through to the metrics routes. *)
+type handler = request -> response option
 
 type error_responder = int -> response option
 (** Renders wire-level failures (400 malformed, 408 read timeout, 413
@@ -101,9 +88,11 @@ let reason_of_status = function
   | 405 -> "405 Method Not Allowed"
   | 408 -> "408 Request Timeout"
   | 413 -> "413 Payload Too Large"
+  | 422 -> "422 Unprocessable Content"
   | 429 -> "429 Too Many Requests"
   | 500 -> "500 Internal Server Error"
   | 503 -> "503 Service Unavailable"
+  | 504 -> "504 Gateway Timeout"
   | c -> string_of_int c ^ " Status"
 
 let text status body = { rs_status = status; rs_content_type = "text/plain"; rs_body = body }
@@ -151,13 +140,6 @@ let write_response fd r =
          "\r\nConnection: close\r\n\r\n" ]);
   write_all fd r.rs_body
 
-(* Stream head: no Content-Length — the close delimits the body. *)
-let write_stream_head fd status content_type =
-  write_all fd
-    (String.concat ""
-       [ "HTTP/1.0 "; reason_of_status status; "\r\nContent-Type: ";
-         content_type; "\r\nConnection: close\r\n\r\n" ])
-
 let error_response (error_responder : error_responder) status =
   match error_responder status with
   | Some r -> r
@@ -169,26 +151,9 @@ let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 (* Answer one complete request on [fd] and close it; never raises. *)
 let answer (handler : handler) sv fd rq =
   (try
-     match
-       match handler rq with
-       | Some reply -> reply
-       | None -> Response (metrics_routes rq)
-     with
-     | Response r -> write_response fd r
-     | Stream st -> (
-         (* head first, then chunks as the producer emits them; a peer
-            that goes away mid-stream just loses bytes (write_all
-            swallows the error), the producer finishes undisturbed *)
-         write_stream_head fd st.st_status st.st_content_type;
-         try st.st_write (fun chunk -> write_all fd chunk)
-         with e ->
-           write_all fd
-             ("{\"status\":\"error\",\"message\":"
-             ^ Printf.sprintf "%S" (Printexc.to_string e)
-             ^ "}\n"))
-     | exception e ->
-         write_response fd
-           (text 500 ("internal error: " ^ Printexc.to_string e ^ "\n"))
+     write_response fd
+       (try match handler rq with Some r -> r | None -> metrics_routes rq
+        with e -> text 500 ("internal error: " ^ Printexc.to_string e ^ "\n"))
    with _ -> ());
   close_quietly fd;
   Atomic.incr sv.sv_requests;

@@ -22,26 +22,11 @@ type response = {
   rs_body : string;
 }
 
-(** An incrementally-written response: the head goes out first (status +
-    content type, {e no} Content-Length — the connection close delimits
-    the body), then [st_write] runs with a chunk writer that pushes
-    bytes to the peer immediately. Built for the JSONL progress frames
-    of streaming [explore] requests (DESIGN.md §15). *)
-type stream = {
-  st_status : int;
-  st_content_type : string;
-  st_write : (string -> unit) -> unit;
-}
-
-(** What a {!handler} answers with: a whole response, or a stream. *)
-type reply = Response of response | Stream of stream
-
-type handler = request -> reply option
-(** The one request hook. [None] falls through to the built-in metrics
-    routes (and their 404). An exception from a handler is answered as
-    a 500, never crashes a worker; one raised by a stream's [st_write]
-    after the head went out appends an error line and closes the
-    stream. *)
+type handler = request -> response option
+(** The one request hook: it answers a request whole, written with its
+    Content-Length, then the connection closes. [None] falls through to
+    the built-in metrics routes (and their 404). An exception from a
+    handler is answered as a 500, never crashes a worker. *)
 
 type error_responder = int -> response option
 (** Renders wire-level failures into a custom response body. Consulted

@@ -19,10 +19,11 @@ the supervisor's aggregated endpoint of a `--shards N` front):
   partial     valid bytes in tiny delayed writes → typed 200
   deadline    deadline_ms=1 on a real evaluation → typed timeout,
               HTTP 504 (or a typed ok when a warm cache hit wins)
-  sigkill     SIGKILL a shard mid-streamed-explore (pid from the
-              supervisor's /metrics.json): frames received up to the
-              kill parse as JSON, the socket closes instead of hanging,
-              and the supervisor restarts the shard
+  sigkill     a plain explore on shards started with
+              TYTRA_FAULT_SPEC=crash_at=N, whose shard SIGKILLs itself
+              inside the sweep: the socket closes instead of hanging,
+              what arrives is a whole typed reply or nothing, and the
+              supervisor restarts the shard
   journal     after the restart, the warmed request is served from the
               journaled response cache (engine.response_cache.hits > 0
               on the restarted shard with zero misses — needs the
@@ -214,7 +215,7 @@ def cost_request(nki=1, deadline_ms=None):
     return json.dumps(req).encode()
 
 
-def explore_request(stream=True, size=12, max_lanes=8):
+def explore_request(size=12, max_lanes=8):
     return json.dumps(
         {
             "v": 1,
@@ -223,8 +224,6 @@ def explore_request(stream=True, size=12, max_lanes=8):
             "size": size,
             "max_lanes": max_lanes,
             "nki": 1,
-            "jobs": 1,
-            "stream": stream,
         }
     ).encode()
 
@@ -422,70 +421,50 @@ def wait_for(pred, timeout_s, interval_s=0.3):
 
 
 def phase_sigkill(addr, admin, verbose):
-    import os
-    import signal
-
     shards = shard_states(admin)
     if not shards:
         fail("sigkill: cannot read shard states from the admin endpoint")
         return
-    # open a streamed explore, kill whichever shard answers it mid-stream
+    before = {s["pid"] for s in shards}
+    # A plain explore. Cost requests evaluate no design point, so under
+    # crash_at=1 this is the first explore its shard runs, and the shard
+    # SIGKILLs itself at the sweep's Pipe point, before it writes a byte
+    # of the reply: the socket must end, with nothing on it.
     acct("sent")
     what = "sigkill mid-explore"
     try:
         sock = socket.create_connection(parse_addr(addr), timeout=HANG_TIMEOUT_S)
         sock.settimeout(HANG_TIMEOUT_S)
-        sock.sendall(http(explore_request(stream=True, size=16, max_lanes=16)))
+        sock.sendall(http(explore_request(size=16, max_lanes=16)))
         sock.shutdown(socket.SHUT_WR)
-        # read until the stream head + at least one frame arrived, then
-        # kill every shard pid currently up: one of them owns this stream
-        raw = b""
-        while b"\r\n\r\n" not in raw or raw.count(b"\n") < 2:
-            chunk = sock.recv(4096)
-            if not chunk:
-                break
-            raw += chunk
-        victims = [s["pid"] for s in shards if s.get("state") == "up"]
-        for pid in victims:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except OSError:
-                pass
-        if verbose:
-            print(f"chaos: killed shard pid(s) {victims} mid-stream")
-        rest = recv_all(sock)  # must EOF promptly, not hang
+        raw = recv_all(sock)  # must EOF promptly, not hang
         sock.close()
-        raw += rest
     except socket.timeout:
         acct("hung")
-        fail(f"{what}: stream still open {HANG_TIMEOUT_S:.0f}s after SIGKILL")
+        fail(f"{what}: socket still open {HANG_TIMEOUT_S:.0f}s after the request")
         return
     except OSError:
-        acct("aborted_by_crash")
         raw = b""
-    if raw:
-        parsed = split_response(raw)
-        if parsed is None:
-            acct("aborted_by_crash")
-        else:
-            # every complete frame received before the kill must be JSON
-            lines = parsed[1].split(b"\n")
-            complete = lines[:-1] if lines and lines[-1] != b"" else lines
-            for line in complete:
-                if not line:
-                    continue
-                try:
-                    json.loads(line.decode())
-                except ValueError:
-                    fail(f"{what}: torn/non-JSON frame {line[:80]!r}")
-            acct("aborted_by_crash")
-    # supervisor must bring the shards back
-    recovered = wait_for(
-        lambda: all(s.get("state") == "up" for s in (shard_states(admin) or []))
-        and bool(shard_states(admin)),
-        timeout_s=30.0,
-    )
-    if not recovered:
+    crashed = raw == b""
+    if crashed:
+        acct("aborted_by_crash")
+        if verbose:
+            print("chaos: the explore's shard died inside the request")
+    else:
+        # a shard that did not crash answered whole; anything short of a
+        # typed reply is a torn one
+        classify(raw, what=what)
+    # the supervisor must bring the shards back, with a new pid for the
+    # one that died
+    def recovered():
+        now = shard_states(admin)
+        return (
+            bool(now)
+            and all(s.get("state") == "up" for s in now)
+            and (not crashed or any(s["pid"] not in before for s in now))
+        )
+
+    if not wait_for(recovered, timeout_s=30.0):
         fail("sigkill: shards did not return to state=up within 30s")
         return
     # and the front must answer typed again (the restarted shard or the

@@ -61,9 +61,18 @@ let test_make_checks () =
   | Ok _ -> Alcotest.fail "multi-output intermediate must fail");
   (* duplicate external stream name *)
   let dup = { threshold with k_inputs = [ "v"; "x" ] } in
-  match Chain.make ~name:"c" ~shape:[ 8 ] [ smooth; dup ] with
+  (match Chain.make ~name:"c" ~shape:[ 8 ] [ smooth; dup ] with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "duplicate external stream must fail"
+  | Ok _ -> Alcotest.fail "duplicate external stream must fail");
+  (* an index space an int cannot count, which used to wrap *)
+  let big = 2_700_000 in
+  match Chain.make ~name:"c" ~shape:[ big; big; big ] [ smooth; threshold ] with
+  | Error e ->
+      Alcotest.(check string) "the shape's message"
+        (Printf.sprintf
+           "index space 2700000x2700000x2700000 has more than %d points" max_int)
+        e
+  | Ok _ -> Alcotest.fail "an uncountable index space must fail"
 
 let test_eval_composes () =
   let c = chain () in

@@ -177,6 +177,11 @@ let malformed_bodies =
     ("bad form", {|{"v":1,"op":"cost","source":{"path":"x"},"form":"Z"}|});
     ("bad nki type", {|{"v":1,"op":"cost","source":{"path":"x"},"nki":"many"}|});
     ("fractional nki", {|{"v":1,"op":"cost","source":{"path":"x"},"nki":1.5}|});
+    (* past 2^53 a double no longer holds every integer, and past
+       [max_int] [int_of_float] wraps: -5e18 read as +4.2e18 *)
+    ("nki -5e18", {|{"v":1,"op":"explore","nki":-5e18}|});
+    ("size 1e19", {|{"v":1,"op":"explore","size":1e19}|});
+    ("nki 2^53 + 2", {|{"v":1,"op":"cost","source":{"path":"x"},"nki":9007199254740994}|});
     ("bad kernel", {|{"v":1,"op":"explore","kernel":"mandelbrot"}|});
     ("bad effort", {|{"v":1,"op":"synth","source":{"path":"x"},"effort":"heroic"}|});
     ("binary", "\x00\x01\xff\xfe{\"v\":1}");
@@ -474,6 +479,42 @@ let test_text_matches_cli () =
         ]
   | _ -> Alcotest.skip ()
 
+(* The CLI's side of the refusals of numbers that do not fit: an
+   explore whose size gives an index space an int cannot count is a bad
+   request (exit 2), an import whose loop bounds give one is an invalid
+   kernel (exit 3), and an nki past [max_int] is a command-line error.
+   Explores at these sizes used to exit 0 with a wrapped design or 1
+   with an internal error, and the import wrote the wrapped design. *)
+let test_cli_refuses_uncountable () =
+  match
+    ( tybec_exe (),
+      find_existing [ "../../../examples/ir/sor.f90"; "examples/ir/sor.f90" ] )
+  with
+  | Some tybec, Some f90 ->
+      let exit_of args =
+        let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+        let pid =
+          Unix.create_process tybec
+            (Array.of_list (tybec :: args))
+            Unix.stdin null null
+        in
+        Unix.close null;
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED n -> n
+        | _ -> -1
+      in
+      List.iter
+        (fun (code, args) ->
+          Alcotest.(check int) (String.concat " " args) code (exit_of args))
+        [
+          (2, [ "explore"; "--kernel"; "sor"; "--size"; "2700000" ]);
+          (2, [ "explore"; "--kernel"; "sor"; "--size"; "2097152" ]);
+          (124, [ "explore"; "--nki=-5000000000000000000" ]);
+          (3, [ "import"; f90; "--sizes"; "im=2700000,jm=2700000,km=2700000" ]);
+          (3, [ "import"; f90; "--sizes"; "im=-3,jm=4,km=4" ]);
+        ]
+  | _ -> Alcotest.skip ()
+
 (* A [cost] request is costed once: one index, one classification, and
    the form selection and roofline read the report's Table-I inputs at
    the base clock. Its text is byte for byte what the three-call
@@ -760,6 +801,10 @@ let test_typed_errors () =
        Engine.Explore { x with x_checkpoint = Some "/tmp/tytra-ck" });
       ("x_resume", Engine.Explore { x with x_resume = Some "/tmp/tytra-ck" });
       ("x_size", Engine.Explore { x with x_size = 0 });
+      (* sides whose cube an int cannot count: 2.7e6^3 wrapped to a
+         1.2e18-point space, 2^21 cubed to 0 points *)
+      ("x_size 2700000", Engine.Explore { x with x_size = 2_700_000 });
+      ("x_size 2097152", Engine.Explore { x with x_size = 2_097_152 });
       ("x_nki 0", Engine.Explore { x with x_nki = 0 });
       ("x_nki -5", Engine.Explore { x with x_nki = -5 });
       ("cost nki 0", cost 0);
@@ -777,6 +822,11 @@ let test_typed_errors () =
     [
       (Engine.Explore { x with x_size = -3 },
        "explore: \"size\" must be at least 1, got -3");
+      (Engine.Explore { x with x_size = 2_097_152 },
+       Printf.sprintf
+         "explore: \"size\" 2097152: index space 2097152x2097152x2097152 \
+          has more than %d points"
+         max_int);
       (Engine.Explore { x with x_nki = -5 },
        "explore: \"nki\" must be at least 1, got -5");
       (cost 0, "cost: \"nki\" must be at least 1, got 0");
@@ -1043,6 +1093,14 @@ let test_serve_malformed_is_typed () =
        \"max_lanes\":4,\"checkpoint\":\"/tmp/tytra-ck\"}";
       (* so is an explore with no grid to sweep *)
       "{\"v\":1,\"op\":\"explore\",\"kernel\":\"sor\",\"size\":0,\
+       \"max_lanes\":4}";
+      (* and numbers that do not fit: an nki past 2^53, and sizes whose
+         cube an int cannot count *)
+      "{\"v\":1,\"op\":\"explore\",\"kernel\":\"sor\",\"size\":8,\
+       \"max_lanes\":4,\"nki\":-5e18}";
+      "{\"v\":1,\"op\":\"explore\",\"kernel\":\"sor\",\"size\":2700000,\
+       \"max_lanes\":4}";
+      "{\"v\":1,\"op\":\"explore\",\"kernel\":\"sor\",\"size\":2097152,\
        \"max_lanes\":4}" ];
   (* a design that fails validation is a 422 with the library message *)
   let invalid =
@@ -1091,9 +1149,8 @@ let test_serve_backpressure () =
     done;
     Mutex.unlock gate_m;
     Some
-      (Serve.Response
-         { Serve.rs_status = 200; rs_content_type = "text/plain";
-           rs_body = "done\n" })
+      { Serve.rs_status = 200; rs_content_type = "text/plain";
+        rs_body = "done\n" }
   in
   with_server ~workers:1 ~queue_cap:1 ~handler:gate_handler @@ fun sv ->
   let sa = sockaddr_of sv in
@@ -1144,9 +1201,8 @@ let test_serve_drain_answers_inflight () =
     done;
     Mutex.unlock gate_m;
     Some
-      (Serve.Response
-         { Serve.rs_status = 200; rs_content_type = "text/plain";
-           rs_body = "drained\n" })
+      { Serve.rs_status = 200; rs_content_type = "text/plain";
+        rs_body = "drained\n" }
   in
   Tytra_telemetry.Control.set_enabled true;
   let sv =
@@ -1254,93 +1310,94 @@ let test_serve_slow_client_holds_no_worker () =
   Alcotest.(check string) "slow client's body" "ok\n" (body_of slow_raw)
 
 (* ------------------------------------------------------------------ *)
-(* Streamed progress over the wire                                     *)
+(* One reply per explore                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_serve_streamed_explore () =
-  let explore_req =
-    Engine.Explore
-      {
-        Engine.x_kernel = Engine.Sor;
-        x_size = 8;
-        x_max_lanes = 4;
-        x_device = dev;
-        x_form = Tytra_cost.Throughput.FormB;
-        x_nki = 1;
-        x_jobs = 1;
-        x_prune = false;
-        x_retries = 0;
-        x_deadline_s = None;
-        x_best_effort = false;
-        x_checkpoint = None;
-        x_checkpoint_every = 32;
-        x_resume = None;
-        x_place_mode = None;
-      }
-  in
-  let direct =
-    let eng = Engine.create Engine.default_config in
-    match Engine.submit eng explore_req with
-    | Ok r -> r.Engine.rs_text
-    | Error e -> Alcotest.failf "direct explore: %s" (Engine.error_message e)
-  in
-  with_server @@ fun sv ->
+(* ["stream":true] is an unknown member since protocol minor 5: an
+   explore that carries it gets the status and the bytes of the same
+   request without it, and shares its response-cache entry. It used to
+   be answered 200 with progress frames whatever the outcome, without
+   touching the cache. *)
+let test_serve_stream_member_ignored () =
+  let eng = Engine.create Engine.default_config in
+  with_server ~handler:(Daemon.handler eng) @@ fun sv ->
   let sa = sockaddr_of sv in
-  let raw =
-    http_request sa "POST" "/v1/submit"
-      (Protocol.encode_request ~stream:true explore_req)
+  let post body = http_request sa "POST" "/v1/submit" body in
+  let streamed body =
+    "{\"stream\":true," ^ String.sub body 1 (String.length body - 1)
   in
-  Alcotest.(check int) "streamed 200" 200 (status_of raw);
-  let frames =
-    body_of raw |> String.split_on_char '\n'
-    |> List.filter (fun l -> String.trim l <> "")
-    |> List.map (fun line ->
-           match Protocol.decode_frame line with
-           | Ok f -> f
-           | Error m -> Alcotest.failf "frame decode: %s in %S" m line)
+  let x =
+    {
+      Engine.x_kernel = Engine.Sor;
+      x_size = 8;
+      x_max_lanes = 4;
+      x_device = dev;
+      x_form = Tytra_cost.Throughput.FormB;
+      x_nki = 1;
+      x_jobs = 1;
+      x_prune = false;
+      x_retries = 0;
+      x_deadline_s = None;
+      x_best_effort = false;
+      x_checkpoint = None;
+      x_checkpoint_every = 32;
+      x_resume = None;
+      x_place_mode = None;
+    }
   in
-  let progress, results =
-    List.partition
-      (function Protocol.Frame_progress _ -> true | _ -> false)
-      frames
-  in
-  Alcotest.(check bool) "at least one progress frame" true
-    (List.length progress >= 1);
+  let good = Protocol.encode_request (Engine.Explore x) in
+  let first = post (streamed good) in
+  let again = post (streamed good) in
+  let st = Engine.response_cache_stats eng in
+  Alcotest.(check (pair int int)) "a repeated streamed explore: 1 miss, then 1 hit"
+    (1, 1) (st.Tytra_exec.Cache.st_misses, st.Tytra_exec.Cache.st_hits);
+  Alcotest.(check string) "the hit replays the miss" first again;
   List.iter
-    (function
-      | Protocol.Frame_progress p ->
-          Alcotest.(check string) "progress op" "explore" p.Protocol.pf_op;
-          Alcotest.(check bool) "evaluated within space" true
-            (p.Protocol.pf_evaluated <= p.Protocol.pf_space)
-      | _ -> ())
-    progress;
-  (match results with
-  | [ Protocol.Frame_result (Protocol.Reply_ok { rp_op; rp_text; _ }) ] ->
-      Alcotest.(check string) "result op" "explore" rp_op;
-      Alcotest.(check string) "streamed result = direct text" direct rp_text
-  | _ -> Alcotest.failf "expected exactly one ok result frame, got %d"
-           (List.length results));
-  (* the result frame is the last line of the stream *)
-  match List.rev frames with
-  | Protocol.Frame_result _ :: _ -> ()
-  | _ -> Alcotest.fail "stream did not end with the result frame"
+    (fun (what, status, body) ->
+      let plain = post body and streamed = post (streamed body) in
+      Alcotest.(check int) (what ^ " status") status (status_of plain);
+      Alcotest.(check string)
+        (what ^ ": the same status line, headers and body with \"stream\"")
+        plain streamed;
+      Alcotest.(check bool) (what ^ ": no frame member") false
+        (Test_observability.contains ~needle:"\"frame\"" streamed))
+    [
+      ("a good explore", 200, good);
+      ("nki 0", 400, Protocol.encode_request (Engine.Explore { x with x_nki = 0 }));
+      (* a size this server has not answered, so no cache hit beats the
+         spent budget *)
+      ( "deadline_ms 0",
+        504,
+        Protocol.encode_request ~deadline_ms:0.0
+          (Engine.Explore { x with x_size = 10 }) );
+    ]
 
-(* A non-streamed request through the same server must be unaffected by
-   the streaming path: plain framed JSON, no progress lines. *)
-let test_serve_stream_flag_opt_in () =
+(* Every status the protocol answers with goes out with its reason
+   phrase (RFC 9110 §15); 422 and 504 used to read "Status". *)
+let test_serve_reason_phrases () =
   with_server @@ fun sv ->
   let sa = sockaddr_of sv in
-  let req = Engine.Check { source = Engine.Inline sor_inline } in
-  let raw = http_request sa "POST" "/v1/submit" (Protocol.encode_request req) in
-  Alcotest.(check int) "200" 200 (status_of raw);
-  let body = String.trim (body_of raw) in
-  Alcotest.(check bool) "single-line body" true
-    (not (String.contains body '\n'));
-  match Protocol.decode_frame body with
-  | Ok (Protocol.Frame_result (Protocol.Reply_ok { rp_op; _ })) ->
-      Alcotest.(check string) "op" "check" rp_op
-  | Ok _ -> Alcotest.fail "expected a result frame"
-  | Error m -> Alcotest.failf "frame decode: %s" m
+  let status_line raw =
+    match String.index_opt raw '\r' with
+    | Some i -> String.sub raw 0 i
+    | None -> raw
+  in
+  let invalid =
+    "%m = memobj global ui18 size 8\n\
+     define void @main (ui18 %p) seq { }\n\
+     @main.p = addrspace(1) ui18 !istream !cont !0 !nosuch\n"
+  in
+  List.iter
+    (fun (line, body) ->
+      Alcotest.(check string) line line
+        (status_line (http_request sa "POST" "/v1/submit" body)))
+    [
+      ("HTTP/1.0 422 Unprocessable Content",
+       Protocol.encode_request (cost_inline invalid));
+      ("HTTP/1.0 504 Gateway Timeout",
+       Protocol.encode_request ~deadline_ms:0.0 (cost_inline sor_inline));
+      ("HTTP/1.0 400 Bad Request", "{\"v\":1}");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Response cache under concurrency                                    *)
@@ -1646,6 +1703,8 @@ let suite =
     QCheck_alcotest.to_alcotest json_decoder_oracle_qcheck;
     Alcotest.test_case "reply codec round-trips" `Quick test_reply_roundtrip;
     Alcotest.test_case "engine text = CLI stdout" `Slow test_text_matches_cli;
+    Alcotest.test_case "CLI refuses index spaces past max_int" `Quick
+      test_cli_refuses_uncountable;
     Alcotest.test_case "cost text = three-call oracle" `Quick
       test_cost_text_matches_oracle;
     Alcotest.test_case "parse cache warms repeat requests" `Quick
@@ -1680,10 +1739,10 @@ let suite =
       test_serve_large_body_is_linear;
     Alcotest.test_case "serve: a slow client holds no worker" `Quick
       test_serve_slow_client_holds_no_worker;
-    Alcotest.test_case "serve: streamed explore emits progress frames" `Slow
-      test_serve_streamed_explore;
-    Alcotest.test_case "serve: streaming is strictly opt-in" `Quick
-      test_serve_stream_flag_opt_in;
+    Alcotest.test_case "serve: \"stream\" changes no reply" `Quick
+      test_serve_stream_member_ignored;
+    Alcotest.test_case "serve: 422 and 504 carry reason phrases" `Quick
+      test_serve_reason_phrases;
     Alcotest.test_case "response cache: exact stats under a 4-domain storm"
       `Slow test_response_cache_concurrent;
     Alcotest.test_case "deadline_ms codec: precedence + back-compat" `Quick

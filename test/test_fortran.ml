@@ -226,6 +226,33 @@ let test_generated_names () =
   invalid "scalar out_y"
     "parameter out_y = 2\ndo i = 1, n\n  y(i) = out_y * x(i)\nend do\n"
 
+(* Loop bounds whose index space an [int] cannot count are an invalid
+   kernel, with the shape in the message. A product past [max_int] used
+   to wrap (2.7e6 cubed imported with memory objects of 1.2e18
+   elements), and a side below 1 reached lowering, or with two negative
+   sides imported. *)
+let test_shape_refused () =
+  let refused sizes expect =
+    match Fortran.parse ~sizes sor_src with
+    | exception Fortran.Invalid m ->
+        Alcotest.(check string) "the shape's message" expect m
+    | _ -> Alcotest.failf "accepted: %s" expect
+  in
+  let big = 2_700_000 in
+  refused
+    [ ("im", big); ("jm", big); ("km", big) ]
+    (Printf.sprintf
+       "index space 2700000x2700000x2700000 has more than %d points" max_int);
+  refused [ ("im", -3); ("jm", 4); ("km", 4) ]
+    "index space 4x4x-3 has a side below 1";
+  refused [ ("im", -3); ("jm", -4); ("km", 4) ]
+    "index space 4x-4x-3 has a side below 1";
+  (* the largest cube an int counts still imports *)
+  let side = 1_664_510 in
+  Alcotest.(check int) "1664510^3 points" (side * side * side)
+    (Expr.points
+       (Fortran.parse ~sizes:[ ("im", side); ("jm", side); ("km", side) ] sor_src))
+
 let suite =
   [
     Alcotest.test_case "parse SOR loop nest" `Quick test_parse_sor;
@@ -242,4 +269,6 @@ let suite =
     Alcotest.test_case "float kernels" `Quick test_float_kernel;
     Alcotest.test_case "names of generated locals" `Quick
       test_generated_names;
+    Alcotest.test_case "index spaces an int cannot count" `Quick
+      test_shape_refused;
   ]

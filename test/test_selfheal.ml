@@ -1,10 +1,12 @@
-(* Self-healing serve, end to end (DESIGN.md §16): SIGKILL both shards
-   of a live 2-shard daemon in the middle of a streamed explore and
-   assert the E10 contract: the interrupted stream ends cleanly (EOF,
-   never a hang; every complete frame parses), the supervisor restarts
-   the shards, and the restarted shard answers the pre-crash request
-   from its replayed response-cache journal — a HIT with zero misses,
-   byte-identical to the uninterrupted run. *)
+(* Self-healing serve, end to end (DESIGN.md §16): a 2-shard daemon
+   whose shards SIGKILL themselves at a fixed design point
+   (TYTRA_FAULT_SPEC=crash_at=N) loses the shard that takes an explore
+   in the middle of its sweep; the test SIGKILLs the other shard too.
+   It asserts the E10 contract: the interrupted request ends cleanly
+   (EOF or reset, never a hang) with no byte of a reply, the supervisor
+   restarts both shards, and the restarted shard answers the pre-crash
+   request from its replayed response-cache journal — a HIT with zero
+   misses, byte-identical to the uninterrupted run. *)
 
 module Engine = Tytra_engine.Engine
 module Protocol = Tytra_engine.Protocol
@@ -17,12 +19,12 @@ let tybec_exe () =
 
 let dev = Tytra_device.Device.stratixv_gsd8
 
-let explore_req ~size =
+let explore_req ~size ~max_lanes =
   Engine.Explore
     {
       Engine.x_kernel = Engine.Sor;
       x_size = size;
-      x_max_lanes = 4;
+      x_max_lanes = max_lanes;
       x_device = dev;
       x_form = Tytra_cost.Throughput.FormB;
       x_nki = 1;
@@ -207,14 +209,28 @@ let test_sigkill_mid_explore () =
       let log_fd =
         Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
       in
+      (* A sweep draws one task id per point, 0-based and counted per
+         process. The warm explore (SOR 8^3, 4 lanes) evaluates 4
+         points and the interrupted one (SOR 20^3, 16 lanes) 8, so a
+         crash at id 5 spares the warm explore and kills whichever
+         shard takes the interrupted one, whether it served the warm
+         explore first (ids 4-11) or not (ids 0-7). A restarted shard
+         that answers the warm explore as a miss (ids 0-3) survives. *)
+      let env =
+        Array.of_list
+          ("TYTRA_FAULT_SPEC=crash_at=5"
+          :: List.filter
+               (fun kv -> not (String.starts_with ~prefix:"TYTRA_FAULT_SPEC=" kv))
+               (Array.to_list (Unix.environment ())))
+      in
       let supervisor =
-        Unix.create_process tybec
+        Unix.create_process_env tybec
           [|
             tybec; "serve"; "--addr"; addr; "--admin-addr"; admin_addr;
             "--shards"; "2"; "--workers"; "2";
             "--cache-journal"; journal;
           |]
-          Unix.stdin Unix.stdout log_fd
+          env Unix.stdin Unix.stdout log_fd
       in
       Unix.close log_fd;
       Fun.protect
@@ -244,7 +260,9 @@ let test_sigkill_mid_explore () =
                  && List.for_all (fun v -> v.v_state = "up" && v.v_up) shards));
           (* the uninterrupted reference run: a cacheable explore,
              journaled by whichever shard serves it *)
-          let warm_body = Protocol.encode_request (explore_req ~size:8) in
+          let warm_body =
+            Protocol.encode_request (explore_req ~size:8 ~max_lanes:4)
+          in
           let reference =
             let raw =
               http ~timeout_s:60.0 ~what:"warm explore" port "POST"
@@ -260,80 +278,22 @@ let test_sigkill_mid_explore () =
             List.filter (fun v -> v.v_up) (scrape_shards admin_port)
           in
           Alcotest.(check int) "two shards to kill" 2 (List.length victims);
-          (* open a streamed explore and wait for the first frame *)
-          let sfd =
-            match connect_within ~timeout_s:5.0 port with
-            | Some fd -> fd
-            | None -> Alcotest.fail "stream connect timed out"
+          (* the shard that takes this explore dies in its sweep, at
+             task id 5: the request must END — EOF or reset, never a
+             hang — with no byte of a reply, which the shard never got
+             to write *)
+          let interrupted =
+            http ~timeout_s:15.0 ~what:"interrupted explore" port "POST"
+              "/v1/submit"
+              (Protocol.encode_request (explore_req ~size:20 ~max_lanes:16))
           in
-          Fun.protect
-            ~finally:(fun () ->
-              try Unix.close sfd with Unix.Unix_error _ -> ())
-            (fun () ->
-              let sbody =
-                Protocol.encode_request ~stream:true (explore_req ~size:20)
-              in
-              let sreq =
-                Printf.sprintf
-                  "POST /v1/submit HTTP/1.0\r\ncontent-length: %d\r\n\r\n%s"
-                  (String.length sbody) sbody
-              in
-              ignore (Unix.write_substring sfd sreq 0 (String.length sreq));
-              let buf = Bytes.create 8192 in
-              let acc = Buffer.create 4096 in
-              let saw_frame s =
-                match String.index_opt (body_of s) '\n' with
-                | Some _ -> true
-                | None -> false
-              in
-              let deadline = Unix.gettimeofday () +. 30.0 in
-              let rec until_frame () =
-                if saw_frame (Buffer.contents acc) then ()
-                else if Unix.gettimeofday () >= deadline then
-                  Alcotest.fail "no progress frame within 30s"
-                else
-                  match Unix.select [ sfd ] [] [] 1.0 with
-                  | [], _, _ -> until_frame ()
-                  | _ -> (
-                      match Unix.read sfd buf 0 (Bytes.length buf) with
-                      | 0 -> Alcotest.fail "stream ended before the kill"
-                      | n ->
-                          Buffer.add_subbytes acc buf 0 n;
-                          until_frame ())
-              in
-              until_frame ();
-              (* kill every shard mid-stream *)
-              List.iter
-                (fun v ->
-                  try Unix.kill v.v_pid Sys.sigkill
-                  with Unix.Unix_error _ -> ())
-                victims;
-              (* the stream must END — EOF or reset, never a hang *)
-              let tail =
-                read_all_within ~timeout_s:15.0
-                  ~what:"interrupted stream" sfd
-              in
-              Buffer.add_string acc tail;
-              (* every COMPLETE line of what we received must be a
-                 well-formed frame: the shard died, the wire stayed
-                 typed *)
-              let lines =
-                String.split_on_char '\n' (body_of (Buffer.contents acc))
-              in
-              let complete =
-                match List.rev lines with
-                | _partial :: rest -> List.rev rest
-                | [] -> []
-              in
-              List.iter
-                (fun line ->
-                  if String.trim line <> "" then
-                    match Protocol.decode_frame line with
-                    | Ok _ -> ()
-                    | Error m ->
-                        Alcotest.failf "corrupt frame after kill: %s in %S" m
-                          line)
-                complete);
+          Alcotest.(check string) "the shard died inside the request" ""
+            interrupted;
+          (* and the other shard goes too *)
+          List.iter
+            (fun v ->
+              try Unix.kill v.v_pid Sys.sigkill with Unix.Unix_error _ -> ())
+            victims;
           (* supervisor restarts both shards; the journaled shard
              replays its cache on the way up. Fresh pids distinguish a
              real restart from a stale scrape of the corpses. *)
