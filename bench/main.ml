@@ -454,78 +454,6 @@ let e8 () =
       ("overhead_pct", over_pct) ]
 
 (* ------------------------------------------------------------------ *)
-(* E9: parse+validate throughput (front-end speed microbench)          *)
-(* ------------------------------------------------------------------ *)
-
-let e9 () =
-  hr "E9: parse+validate throughput, lines/sec over kernels x lane counts";
-  let kernels =
-    [
-      ("sor",
-       Tytra_kernels.Sor.program ~ty:(Tytra_ir.Ty.Float 32) ~im:64 ~jm:64
-         ~km:64 ());
-      ("hotspot", Tytra_kernels.Hotspot.program ~rows:64 ~cols:64 ());
-      ("lavamd", Tytra_kernels.Lavamd.program ~boxes:64 ());
-      ("srad", Tytra_kernels.Srad.program ~rows:64 ~cols:64 ());
-    ]
-  in
-  let lanes = [ 1; 4; 16; 64 ] in
-  let reps = 5 in
-  Format.printf "kernel   | lanes |  lines | parse+validate | lines/sec@.";
-  let tot_lines = ref 0 and tot_t = ref 0.0 in
-  List.iter
-    (fun (name, prog) ->
-      List.iter
-        (fun l ->
-          let v =
-            if l = 1 then Transform.Pipe else Transform.ParPipe l
-          in
-          if Transform.applicable prog v then begin
-            let src =
-              Tytra_ir.Pprint.design_to_string (Lower.lower prog v)
-            in
-            let nlines =
-              String.fold_left
-                (fun acc c -> if c = '\n' then acc + 1 else acc)
-                0 src
-            in
-            (* warm once (symbol interning, minor heap), then measure *)
-            ignore (Tytra_ir.Validate.check (Tytra_ir.Parser.parse src));
-            let _, t =
-              time_s (fun () ->
-                  for _ = 1 to reps do
-                    let d = Tytra_ir.Parser.parse src in
-                    match Tytra_ir.Validate.check d with
-                    | [] -> ()
-                    | _ -> failwith "E9: kernel design failed validation"
-                  done)
-            in
-            let per = t /. float_of_int reps in
-            let lps = float_of_int nlines /. Float.max 1e-9 per in
-            tot_lines := !tot_lines + nlines;
-            tot_t := !tot_t +. per;
-            Format.printf "%-8s | %5d | %6d | %11.5f s | %9.0f@." name l
-              nlines per lps;
-            List.iter
-              (fun (k, x) ->
-                Tytra_telemetry.Metrics.set
-                  (Printf.sprintf "bench.e9.%s.l%d.%s" name l k)
-                  x)
-              [ ("lines", float_of_int nlines);
-                ("parse_validate_s", per);
-                ("lines_per_s", lps) ]
-          end)
-        lanes)
-    kernels;
-  Format.printf
-    "total: %d lines in %.4f s -> %.0f lines/sec aggregate@." !tot_lines
-    !tot_t
-    (float_of_int !tot_lines /. Float.max 1e-9 !tot_t);
-  Tytra_telemetry.Metrics.set "bench.e9.total_lines"
-    (float_of_int !tot_lines);
-  Tytra_telemetry.Metrics.set "bench.e9.total_s" !tot_t
-
-(* ------------------------------------------------------------------ *)
 (* E10: cost-model-as-a-service - warm engine vs one-shot CLI          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1429,7 +1357,7 @@ let speed () =
 (* ------------------------------------------------------------------ *)
 
 let all = [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
-            ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
+            ("e6", e6); ("e7", e7); ("e8", e8); ("e10", e10);
             ("e12", e12);
             ("a1", a1); ("a2", a2); ("a3", a3); ("a4", a4); ("a5", a5);
             ("a6", a6) ]

@@ -309,7 +309,7 @@ let decode_request (body : string) : (decoded_request, Engine.error) result =
       | J.Obj _ -> (
           match J.num_member "v" j with
           | None -> bad "missing protocol version \"v\""
-          | Some v when int_of_float v <> version ->
+          | Some v when v <> float_of_int version ->
               bad "unsupported protocol version %s (supported: %d)"
                 (J.json_num v) version
           | Some _ -> (
@@ -406,7 +406,7 @@ let decode_reply (body : string) : (reply, string) result =
   | Ok j -> (
       match J.num_member "v" j with
       | None -> Error "missing protocol version \"v\""
-      | Some v when int_of_float v <> version ->
+      | Some v when v <> float_of_int version ->
           Error
             (Printf.sprintf "unsupported protocol version %s" (J.json_num v))
       | Some _ -> (

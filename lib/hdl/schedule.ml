@@ -12,7 +12,11 @@
     {!Tytra_ir.Opinfo.latency} cycles later. Every producer→consumer edge
     whose consumer starts later than the producer finishes requires a
     delay line; consumers at different stages share one tapped line per
-    producer. *)
+    producer.
+
+    One walk over the body schedules it. Each named value's producer
+    sits in a string hashtable, and each read of it moves its last use
+    in place; the named values are sorted by name once, at the end. *)
 
 open Tytra_ir
 
@@ -34,12 +38,68 @@ type t = {
   sc_stage_regs : int;
       (** registers inside functional-unit output stages (bits) *)
   sc_values : (string * int) list;
-      (** availability cycle of every named value *)
+      (** availability cycle of every named value, by name in
+          descending order *)
 }
 
-module SM = Map.Make (String)
+(* A named value: the cycle it is ready at, its width, and the latest
+   cycle a consumer reads it at. *)
+type producer = { p_ready : int; p_width : int; mutable p_last_use : int }
 
-type producer = { p_ready : int; p_width : int; p_last_use : int }
+let declare producers name ~ready ~width =
+  Symtab.Tbl.replace producers name
+    { p_ready = ready; p_width = width; p_last_use = ready }
+
+(* The cycle at which all of [args] are available: the latest ready
+   cycle of their producers, 0 for anything else. *)
+let rec operands_ready producers at = function
+  | [] -> at
+  | Ast.Var v :: rest -> (
+      match Symtab.Tbl.find producers v with
+      | p -> operands_ready producers (Int.max at p.p_ready) rest
+      | exception Not_found -> operands_ready producers at rest)
+  | (Ast.Glob _ | Ast.Imm _ | Ast.ImmF _) :: rest ->
+      operands_ready producers at rest
+
+(* Record that [args] are read at cycle [at]. *)
+let rec use_operands producers at = function
+  | [] -> ()
+  | Ast.Var v :: rest ->
+      (match Symtab.Tbl.find producers v with
+      | p -> if at > p.p_last_use then p.p_last_use <- at
+      | exception Not_found -> ());
+      use_operands producers at rest
+  | (Ast.Glob _ | Ast.Imm _ | Ast.ImmF _) :: rest ->
+      use_operands producers at rest
+
+(* the width of an operation's result *)
+let result_width op ty =
+  match op with
+  | Ast.CmpEq | Ast.CmpNe | Ast.CmpLt | Ast.CmpLe | Ast.CmpGt | Ast.CmpGe -> 1
+  | _ -> Ty.width ty
+
+(* The slots of [body], reversed onto [acc], declaring each result. *)
+let rec schedule_body producers acc = function
+  | [] -> acc
+  | (Ast.Offset { dst; ty; _ } as i) :: rest ->
+      declare producers dst ~ready:0 ~width:(Ty.width ty);
+      schedule_body producers
+        ({ sl_instr = i; sl_start = 0; sl_finish = 0 } :: acc)
+        rest
+  | (Ast.Assign { dst; ty; op; args } as i) :: rest ->
+      (* the start is the latest operand's ready cycle; every operand is
+         then read at it *)
+      let start = operands_ready producers 0 args in
+      use_operands producers start args;
+      let fin = start + Opinfo.latency op ty in
+      (match dst with
+      | Ast.Dlocal n ->
+          declare producers n ~ready:fin ~width:(result_width op ty)
+      | Ast.Dglobal _ -> ());
+      schedule_body producers
+        ({ sl_instr = i; sl_start = start; sl_finish = fin } :: acc)
+        rest
+  | Ast.Call _ :: rest -> schedule_body producers acc rest
 
 (** [schedule_func d f] schedules the body of [f]. Only [Assign] and
     [Offset] instructions take part; [Call]s are scheduled by composition
@@ -47,70 +107,21 @@ type producer = { p_ready : int; p_width : int; p_last_use : int }
     buffering happens upstream of the datapath (offset buffers, costed
     separately). *)
 let schedule_func (_d : Ast.design) (f : Ast.func) : t =
-  let producers : producer SM.t ref = ref SM.empty in
-  let declare name ~ready ~width =
-    producers := SM.add name { p_ready = ready; p_width = width; p_last_use = ready } !producers
+  let producers =
+    Symtab.Tbl.create (List.length f.fn_params + List.length f.fn_body)
   in
   (* parameters and offsets available at cycle 0 *)
-  List.iter (fun (n, ty) -> declare n ~ready:0 ~width:(Ty.width ty)) f.fn_params;
-  let use name at =
-    match SM.find_opt name !producers with
-    | None -> 0
-    | Some p ->
-        producers :=
-          SM.add name { p with p_last_use = max p.p_last_use at } !producers;
-        p.p_ready
-  in
-  let ready_of at = function
-    | Ast.Var v -> use v at
-    | Ast.Glob _ | Ast.Imm _ | Ast.ImmF _ -> 0
-  in
-  let slots =
-    List.filter_map
-      (fun (i : Ast.instr) ->
-        match i with
-        | Ast.Offset { dst; ty; _ } ->
-            declare dst ~ready:0 ~width:(Ty.width ty);
-            Some { sl_instr = i; sl_start = 0; sl_finish = 0 }
-        | Ast.Assign { dst; ty; op; args } ->
-            (* two passes: first compute start from operand readiness,
-               then record last-use at that start cycle *)
-            let start =
-              List.fold_left
-                (fun a o ->
-                  max a
-                    (match o with
-                    | Ast.Var v -> (
-                        match SM.find_opt v !producers with
-                        | Some p -> p.p_ready
-                        | None -> 0)
-                    | _ -> 0))
-                0 args
-            in
-            List.iter (fun o -> ignore (ready_of start o)) args;
-            let fin = start + Opinfo.latency op ty in
-            let w =
-              match op with
-              | Ast.CmpEq | Ast.CmpNe | Ast.CmpLt | Ast.CmpLe | Ast.CmpGt
-              | Ast.CmpGe -> 1
-              | _ -> Ty.width ty
-            in
-            (match dst with
-            | Ast.Dlocal n -> declare n ~ready:fin ~width:w
-            | Ast.Dglobal _ -> ());
-            Some { sl_instr = i; sl_start = start; sl_finish = fin }
-        | Ast.Call _ -> None)
-      f.fn_body
-  in
-  let depth = List.fold_left (fun a s -> max a s.sl_finish) 0 slots in
+  List.iter
+    (fun (n, ty) -> declare producers n ~ready:0 ~width:(Ty.width ty))
+    f.fn_params;
+  let slots = List.rev (schedule_body producers [] f.fn_body) in
+  let depth = List.fold_left (fun a s -> Int.max a s.sl_finish) 0 slots in
   (* data delay lines: one tapped register chain per producer, long enough
      to reach its latest consumer *)
   let delay_regs =
-    SM.fold
-      (fun _ p acc ->
-        let span = max 0 (p.p_last_use - p.p_ready) in
-        acc + (span * p.p_width))
-      !producers 0
+    Symtab.Tbl.fold
+      (fun _ p acc -> acc + (Int.max 0 (p.p_last_use - p.p_ready) * p.p_width))
+      producers 0
   in
   (* functional-unit internal stage registers: latency × result width *)
   let stage_regs =
@@ -118,26 +129,26 @@ let schedule_func (_d : Ast.design) (f : Ast.func) : t =
       (fun acc s ->
         match s.sl_instr with
         | Ast.Assign { ty; op; _ } ->
-            let w =
-              match op with
-              | Ast.CmpEq | Ast.CmpNe | Ast.CmpLt | Ast.CmpLe | Ast.CmpGt
-              | Ast.CmpGe -> 1
-              | _ -> Ty.width ty
-            in
-            acc + (Opinfo.latency op ty * w)
+            acc + (Opinfo.latency op ty * result_width op ty)
         | _ -> acc)
       0 slots
   in
-  let values =
-    SM.fold (fun n p acc -> (n, p.p_ready) :: acc) !producers []
-  in
+  (* every named value's ready cycle, by name in descending order *)
+  let values = Array.make (Symtab.Tbl.length producers) ("", 0) in
+  ignore
+    (Symtab.Tbl.fold
+       (fun n p i ->
+         values.(i) <- (n, p.p_ready);
+         i + 1)
+       producers 0);
+  Array.stable_sort (fun (a, _) (b, _) -> String.compare b a) values;
   {
     sc_func = f.fn_name;
     sc_slots = slots;
     sc_depth = depth;
     sc_delay_regs = delay_regs;
     sc_stage_regs = stage_regs;
-    sc_values = values;
+    sc_values = Array.to_list values;
   }
 
 (** [schedule_lane d pes] — serial composition of the PEs forming one lane

@@ -31,8 +31,6 @@ type params = {
 }
 [@@deriving show { with_path = false }]
 
-module SM = Map.Make (String)
-
 (* the first [n] elements of a list *)
 let rec take n = function
   | x :: tl when n > 0 -> x :: take (n - 1) tl
@@ -40,44 +38,50 @@ let rec take n = function
 
 (** {2 Pipeline depth} *)
 
+(* The cycle at which all of [args] are available: the latest ready
+   cycle in [env] of their locals, 0 for anything else. *)
+let rec operands_ready env at = function
+  | [] -> at
+  | Var v :: rest -> (
+      match Symtab.Tbl.find env v with
+      | t -> operands_ready env (Int.max at t) rest
+      | exception Not_found -> operands_ready env at rest)
+  | (Glob _ | Imm _ | ImmF _) :: rest -> operands_ready env at rest
+
+(* The depth of [body] after [maxd], with [env] mapping each local
+   defined so far to the cycle its value is available at. *)
+let rec body_depth sy env maxd = function
+  | [] -> maxd
+  | Offset { dst; _ } :: rest ->
+      Symtab.Tbl.replace env dst 0;
+      body_depth sy env maxd rest
+  | Assign { dst; ty; op; args } :: rest ->
+      let fin = operands_ready env 0 args + Opinfo.latency op ty in
+      (match dst with
+      | Dlocal n -> Symtab.Tbl.replace env n fin
+      | Dglobal _ -> ());
+      body_depth sy env (Int.max maxd fin) rest
+  | Call { callee; _ } :: rest ->
+      let maxd =
+        match Symtab.get_func sy callee with
+        | g when g.fn_kind = Comb || g.fn_kind = Pipe ->
+            (* a called sub-pipeline or combinatorial block adds its
+               own depth in series *)
+            let sub = func_depth sy g in
+            maxd + if g.fn_kind = Comb then Int.max 1 sub else sub
+        | _ | (exception Not_found) -> maxd
+      in
+      body_depth sy env maxd rest
+
+and func_depth sy (f : func) =
+  body_depth sy (Symtab.Tbl.create (List.length f.fn_body)) 0 f.fn_body
+
 (* [pe_depth_sym sy f] — longest latency path through [f]'s SSA dataflow
    graph, each functional unit contributing {!Opinfo.latency} stages.
    Stream offsets contribute no datapath stages (their buffering is
    accounted separately by the [Noff / (GPB·rho)] term of the EKIT
    expressions). *)
-let pe_depth_sym (sy : Symtab.t) (f : func) : int =
-  let rec depth_of (f : func) (env : int SM.t) : int * int SM.t =
-    (* env maps names to the cycle at which their value is available *)
-    List.fold_left
-      (fun (maxd, env) i ->
-        match i with
-        | Offset { dst; _ } -> (maxd, SM.add dst 0 env)
-        | Assign { dst; ty; op; args } ->
-            let ready o =
-              match o with
-              | Var v -> ( match SM.find_opt v env with Some t -> t | None -> 0)
-              | Glob _ | Imm _ | ImmF _ -> 0
-            in
-            let start = List.fold_left (fun a o -> max a (ready o)) 0 args in
-            let fin = start + Opinfo.latency op ty in
-            let env =
-              match dst with
-              | Dlocal n -> SM.add n fin env
-              | Dglobal _ -> env
-            in
-            (max maxd fin, env)
-        | Call { callee; _ } -> (
-            match Symtab.get_func sy callee with
-            | g when g.fn_kind = Comb || g.fn_kind = Pipe ->
-                (* a called sub-pipeline or combinatorial block adds its
-                   own depth in series *)
-                let sub, _ = depth_of g SM.empty in
-                let sub = if g.fn_kind = Comb then max 1 sub else sub in
-                (maxd + sub, env)
-            | _ | (exception Not_found) -> (maxd, env)))
-      (0, env) f.fn_body
-  in
-  fst (depth_of f SM.empty)
+let pe_depth_sym (sy : Symtab.t) (f : func) : int = func_depth sy f
 
 (** [pe_depth d f] is the pipeline depth of a single processing element
     [f] of design [d]. *)

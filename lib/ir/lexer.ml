@@ -6,7 +6,10 @@
     introduced by [!] and may be bare identifiers, integers, or quoted
     strings ([!"CONT"], as in the paper's Fig 12).
 
-    Tokens are produced on demand (see lexer.mli). *)
+    Tokens are produced on demand (see lexer.mli). Every name the
+    grammar knows lexes to one token made at initialisation (see
+    [keywords]), so only [%]/[@] names, numbers, strings and unknown
+    names allocate. *)
 
 type token =
   | TIdent of string          (* keywords and type names *)
@@ -42,28 +45,38 @@ type t = {
   mutable tok_line : int;  (* line the lookahead starts on *)
 }
 
-let is_ident_start c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+(* Byte classes: bit 1 marks a byte that continues a name ([A-Za-z0-9_]),
+   bit 2 one that continues a global name (those and '.'). *)
+let byte_class =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> '\003'
+      | '.' -> '\002'
+      | _ -> '\000')
 
-let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
+let[@inline] in_class src i bit =
+  i < String.length src
+  && Char.code
+       (String.unsafe_get byte_class (Char.code (String.unsafe_get src i)))
+     land bit
+     <> 0
+
 let is_digit c = c >= '0' && c <= '9'
 
 let fail lx msg = raise (Lex_error (msg, lx.lnum))
 
 (* byte [i] of [src] exists and is [c] / is a decimal digit *)
-let char_at src i c = i < String.length src && String.unsafe_get src i = c
-let digit_at src i = i < String.length src && is_digit (String.unsafe_get src i)
+let[@inline] char_at src i c =
+  i < String.length src && String.unsafe_get src i = c
+
+let[@inline] digit_at src i =
+  i < String.length src && is_digit (String.unsafe_get src i)
 
 let rec skip_ident src i =
-  if i < String.length src && is_ident_char (String.unsafe_get src i) then
-    skip_ident src (i + 1)
-  else i
+  if in_class src i 1 then skip_ident src (i + 1) else i
 
 let rec skip_global src i =
-  if i < String.length src
-     && (let c = String.unsafe_get src i in is_ident_char c || c = '.')
-  then skip_global src (i + 1)
-  else i
+  if in_class src i 2 then skip_global src (i + 1) else i
 
 let rec skip_digits src i = if digit_at src i then skip_digits src (i + 1) else i
 
@@ -71,6 +84,74 @@ let rec skip_line src i =
   if i < String.length src && String.unsafe_get src i <> '\n' then
     skip_line src (i + 1)
   else i
+
+(* Every name the grammar knows, as the one token each occurrence
+   lexes to: keywords, parallelism kinds, address spaces, directions,
+   patterns, operations and every valid type name. The table is filled
+   here, at module initialisation, and only read after, so lexers on
+   any number of domains share it. It is open-addressed and under a
+   third full, so a lookup compares the name with about one entry. *)
+let keywords =
+  [ "define"; "void"; "call"; "pipe"; "par"; "seq"; "comb"; "memobj";
+    "stream"; "private"; "global"; "local"; "constant"; "istream";
+    "ostream"; "cont"; "random"; "strided"; "addrspace"; "size";
+    "pattern"; "init"; "offset"; "add"; "sub"; "mul"; "div"; "rem"; "and";
+    "or"; "xor"; "shl"; "shr"; "min"; "max"; "abs"; "neg"; "not"; "sqrt";
+    "cmpeq"; "cmpne"; "cmplt"; "cmple"; "cmpgt"; "cmpge"; "select"; "mov";
+    "bool"; "fp32"; "fp64" ]
+  @ List.concat
+      (List.init Ty.max_int_width (fun w ->
+           let w = string_of_int (w + 1) in
+           [ "ui" ^ w; "si" ^ w ]))
+
+let kw_mask = 1023
+let kw_names = Array.make (kw_mask + 1) ""
+let kw_tokens = Array.make (kw_mask + 1) TEOF
+
+(* A name's hash: [h * 31 + byte] over its bytes, from 0. [scan]
+   computes it as it finds the name's end. *)
+let hash_step h c = (h * 31) + Char.code c
+
+let rec hash_span src i stop h =
+  if i = stop then h
+  else hash_span src (i + 1) stop (hash_step h (String.unsafe_get src i))
+
+(* a multiplicative mix of the hash, so that names differing only in
+   their last digits spread over the table *)
+let slot_of_hash h = ((h * 0x9E3779B1) lsr 20) land kw_mask
+
+let rec same_span src i name k len =
+  k = len
+  || String.unsafe_get src (i + k) = String.unsafe_get name k
+     && same_span src i name (k + 1) len
+
+(* The slot of [src.[i..stop-1]], or the empty slot where it would go. *)
+let rec slot src i stop h =
+  let name = Array.unsafe_get kw_names h in
+  let len = stop - i in
+  if String.length name = 0
+     || (String.length name = len && same_span src i name 0 len)
+  then h
+  else slot src i stop ((h + 1) land kw_mask)
+
+let () =
+  (* a full table would make [slot] loop *)
+  assert (3 * List.length keywords < kw_mask + 1);
+  List.iter
+    (fun name ->
+      let len = String.length name in
+      let h = slot name 0 len (slot_of_hash (hash_span name 0 len 0)) in
+      kw_names.(h) <- name;
+      kw_tokens.(h) <- TIdent name)
+    keywords
+
+(* The token of the name [src.[i..stop-1]], whose hash is [hash]: the
+   table's own for a name it holds, a fresh [TIdent] for any other. *)
+let ident src i stop hash =
+  let h = slot src i stop (slot_of_hash hash) in
+  if String.length (Array.unsafe_get kw_names h) = 0 then
+    TIdent (String.sub src i (stop - i))
+  else Array.unsafe_get kw_tokens h
 
 (* The value of the decimal digits [src.[i..j-1]], or -1 past max_int. *)
 let rec int_of_digits src i j acc =
@@ -120,23 +201,35 @@ let scan_number lx ~neg start =
     if v < 0 then fail lx "integer literal out of range";
     set lx (TInt (if neg then -v else v)) int_end
 
+(* The first byte at or after [i] that is neither blank nor in a
+   comment, counting the newlines passed. *)
+let rec skip_blank lx src i =
+  if i >= String.length src then i
+  else
+    match String.unsafe_get src i with
+    | ' ' | '\t' | '\r' -> skip_blank lx src (i + 1)
+    | '\n' ->
+        lx.lnum <- lx.lnum + 1;
+        skip_blank lx src (i + 1)
+    | ';' -> skip_blank lx src (skip_line src i)
+    | _ -> i
+
+(* The closing quote of the string whose body starts at [j]. *)
+let rec string_end lx src j =
+  if j >= String.length src then fail lx "unterminated string"
+  else
+    match String.unsafe_get src j with
+    | '"' -> j
+    | '\n' -> fail lx "newline in string"
+    | _ -> string_end lx src (j + 1)
+
 (* Scan the token at [lx.pos] into the lookahead. *)
-let rec scan lx =
+let scan lx =
   let src = lx.src in
-  let i = lx.pos in
+  let i = skip_blank lx src lx.pos in
   if i >= String.length src then set lx TEOF i
   else
     match String.unsafe_get src i with
-    | '\n' ->
-        lx.lnum <- lx.lnum + 1;
-        lx.pos <- i + 1;
-        scan lx
-    | ' ' | '\t' | '\r' ->
-        lx.pos <- i + 1;
-        scan lx
-    | ';' ->
-        lx.pos <- skip_line src i;
-        scan lx
     | '(' -> set lx TLparen (i + 1)
     | ')' -> set lx TRparen (i + 1)
     | '{' -> set lx TLbrace (i + 1)
@@ -153,22 +246,19 @@ let rec scan lx =
         if stop = i + 1 then fail lx "empty global name after @";
         set lx (TGlobal (String.sub src (i + 1) (stop - i - 1))) stop
     | '"' ->
-        let rec close j =
-          if j >= String.length src then fail lx "unterminated string"
-          else
-            match String.unsafe_get src j with
-            | '"' -> j
-            | '\n' -> fail lx "newline in string"
-            | _ -> close (j + 1)
-        in
-        let j = close (i + 1) in
+        let j = string_end lx src (i + 1) in
         set lx (TString (String.sub src (i + 1) (j - i - 1))) (j + 1)
     | '0' .. '9' -> scan_number lx ~neg:false i
     | ('-' | '+') as c when digit_at src (i + 1) ->
         scan_number lx ~neg:(c = '-') (i + 1)
-    | c when is_ident_start c ->
-        let stop = skip_ident src i in
-        set lx (TIdent (String.sub src i (stop - i))) stop
+    | ('a' .. 'z' | 'A' .. 'Z' | '_') as c ->
+        (* find the name's end and hash it in one pass *)
+        let stop = ref (i + 1) and h = ref (hash_step 0 c) in
+        while in_class src !stop 1 do
+          h := hash_step !h (String.unsafe_get src !stop);
+          incr stop
+        done;
+        set lx (ident src i !stop !h) !stop
     | c -> fail lx (Printf.sprintf "unexpected character %C" c)
 
 let of_string src =

@@ -10,6 +10,10 @@
     created; {!Parser.parse} restores "the first lexical error wins" by
     lexing the rest of the input when its grammar fails. *)
 
+(** Every keyword, kind, address space, direction, pattern, operation
+    and valid type name lexes to one [TIdent] made when the module is
+    initialised, shared by all lexers on all domains; other names,
+    [%]/[@] names, numbers and strings are made per token. *)
 type token =
   | TIdent of string  (** keywords and type names *)
   | TLocal of string  (** [%name] *)

@@ -32,9 +32,11 @@ exception Parse_error of string * int
 
 let err lx msg = raise (Parse_error (msg, Lexer.line lx))
 
+(* Punctuation is a constant constructor, so [==] and [!=] compare
+   tokens with it exactly. *)
 let expect lx tok =
   let t = Lexer.next lx in
-  if t <> tok then
+  if t != tok then
     err lx
       (Printf.sprintf "expected %s but found %s" (Lexer.token_to_string tok)
          (Lexer.token_to_string t))
@@ -120,7 +122,72 @@ let parse_streamdecl lx name : Ast.stream_obj =
   let pat = parse_pattern lx in
   { so_name = name; so_dir = dir; so_mem = mem; so_pattern = pat }
 
-(* Port metadata: a sequence of !-items, commas optional. *)
+let duplicate lx what = err lx ("duplicate " ^ what ^ " metadata on port")
+
+(* The stride after [!strided]: [!INT] or [INT]. *)
+let parse_stride lx =
+  match Lexer.peek lx with
+  | Lexer.TBang ->
+      ignore (Lexer.next lx);
+      expect_int lx
+  | Lexer.TInt _ -> expect_int lx
+  | _ -> err lx "strided pattern needs a stride"
+
+(* A port's metadata, after its type: a sequence of !-items, commas
+   optional, each setting one of [dir], [pat], [off] and [str] at most
+   once. [pt] holds the port's other fields. At the first token that
+   starts no item, the port is complete. *)
+let rec port_meta lx (pt : Ast.port) dir pat off str : Ast.port =
+  match Lexer.peek lx with
+  | Lexer.TComma ->
+      ignore (Lexer.next lx);
+      port_meta lx pt dir pat off str
+  | Lexer.TBang -> (
+      ignore (Lexer.next lx);
+      match Lexer.next lx with
+      | Lexer.TInt i ->
+          if Option.is_some off then duplicate lx "base-offset";
+          port_meta lx pt dir pat (Some i) str
+      | Lexer.TString s | Lexer.TIdent s -> (
+          match String.lowercase_ascii s with
+          | "istream" -> port_dir lx pt Ast.IStream dir pat off str
+          | "ostream" -> port_dir lx pt Ast.OStream dir pat off str
+          | "cont" -> port_pattern lx pt Ast.Cont dir pat off str
+          | "random" -> port_pattern lx pt Ast.Random dir pat off str
+          | "strided" ->
+              let stride = parse_stride lx in
+              port_pattern lx pt (Ast.Strided stride) dir pat off str
+          | _ ->
+              if Option.is_some str then duplicate lx "stream";
+              port_meta lx pt dir pat off (Some s))
+      | t -> err lx ("bad port metadata " ^ Lexer.token_to_string t))
+  | _ ->
+      let stream =
+        match str with
+        | Some s -> s
+        | None -> err lx "port missing stream object name"
+      in
+      let dir =
+        match dir with
+        | Some d -> d
+        | None -> err lx "port missing direction (!istream/!ostream)"
+      in
+      {
+        pt with
+        pt_dir = dir;
+        pt_pattern = (match pat with Some p -> p | None -> Ast.Cont);
+        pt_base_off = (match off with Some o -> o | None -> 0);
+        pt_stream = stream;
+      }
+
+and port_dir lx pt d dir pat off str =
+  if Option.is_some dir then duplicate lx "direction";
+  port_meta lx pt (Some d) pat off str
+
+and port_pattern lx pt p dir pat off str =
+  if Option.is_some pat then duplicate lx "pattern";
+  port_meta lx pt dir (Some p) off str
+
 let parse_port lx qualified : Ast.port =
   let fn, port =
     match String.index_opt qualified '.' with
@@ -139,53 +206,11 @@ let parse_port lx qualified : Ast.port =
   in
   expect lx Lexer.TRparen;
   let ty = parse_ty lx in
-  let dir = ref None and pat = ref None and off = ref None and str = ref None in
-  let set r v what =
-    match !r with
-    | None -> r := Some v
-    | Some _ -> err lx ("duplicate " ^ what ^ " metadata on port")
-  in
-  let rec meta () =
-    match Lexer.peek lx with
-    | Lexer.TComma -> ignore (Lexer.next lx); meta ()
-    | Lexer.TBang ->
-        ignore (Lexer.next lx);
-        (match Lexer.next lx with
-        | Lexer.TInt i -> set off i "base-offset"
-        | Lexer.TString s | Lexer.TIdent s -> (
-            match String.lowercase_ascii s with
-            | "istream" -> set dir Ast.IStream "direction"
-            | "ostream" -> set dir Ast.OStream "direction"
-            | "cont" -> set pat Ast.Cont "pattern"
-            | "random" -> set pat Ast.Random "pattern"
-            | "strided" ->
-                (* stride follows as !INT or INT *)
-                let s =
-                  match Lexer.peek lx with
-                  | Lexer.TBang ->
-                      ignore (Lexer.next lx);
-                      expect_int lx
-                  | Lexer.TInt _ -> expect_int lx
-                  | _ -> err lx "strided pattern needs a stride"
-                in
-                set pat (Ast.Strided s) "pattern"
-            | _ -> set str s "stream")
-        | t -> err lx ("bad port metadata " ^ Lexer.token_to_string t));
-        meta ()
-    | _ -> ()
-  in
-  meta ();
-  let req what = function Some v -> v | None -> err lx ("port missing " ^ what) in
-  {
-    pt_fun = fn;
-    pt_port = port;
-    pt_space = space;
-    pt_ty = ty;
-    pt_dir = req "direction (!istream/!ostream)" !dir;
-    pt_pattern = (match !pat with Some p -> p | None -> Ast.Cont);
-    pt_base_off = (match !off with Some o -> o | None -> 0);
-    pt_stream = req "stream object name" !str;
-  }
+  port_meta lx
+    { pt_fun = fn; pt_port = port; pt_space = space; pt_ty = ty;
+      pt_dir = Ast.IStream; pt_pattern = Ast.Cont; pt_base_off = 0;
+      pt_stream = "" }
+    None None None None
 
 (* globaldecl, after "@name =" and keyword [global] consumed *)
 let parse_globaldecl lx name : Ast.global =
@@ -194,41 +219,54 @@ let parse_globaldecl lx name : Ast.global =
   let init = expect_int lx in
   { g_name = name; g_ty = ty; g_init = Int64.of_int init }
 
+(* the parameters after the first, reversed onto [acc] *)
+let rec params lx acc =
+  let ty = parse_ty lx in
+  let name = expect_local lx in
+  match Lexer.next lx with
+  | Lexer.TComma -> params lx ((name, ty) :: acc)
+  | Lexer.TRparen -> List.rev ((name, ty) :: acc)
+  | t ->
+      err lx
+        ("expected , or ) in parameter list, found " ^ Lexer.token_to_string t)
+
 let parse_params lx =
   expect lx Lexer.TLparen;
-  if Lexer.peek lx = Lexer.TRparen then (ignore (Lexer.next lx); [])
-  else begin
-    let rec go acc =
-      let ty = parse_ty lx in
-      let name = expect_local lx in
-      match Lexer.next lx with
-      | Lexer.TComma -> go ((name, ty) :: acc)
-      | Lexer.TRparen -> List.rev ((name, ty) :: acc)
-      | t -> err lx ("expected , or ) in parameter list, found "
-                     ^ Lexer.token_to_string t)
-    in
-    go []
-  end
+  if Lexer.peek lx == Lexer.TRparen then (ignore (Lexer.next lx); [])
+  else params lx []
 
-let parse_call ?(rets = []) lx : Ast.instr =
+let rec call_args lx acc =
+  let a = parse_operand lx in
+  match Lexer.next lx with
+  | Lexer.TComma -> call_args lx (a :: acc)
+  | Lexer.TRparen -> List.rev (a :: acc)
+  | t ->
+      err lx
+        ("expected , or ) in call arguments, found " ^ Lexer.token_to_string t)
+
+let parse_call lx rets : Ast.instr =
   let callee = expect_global lx in
   expect lx Lexer.TLparen;
   let args =
-    if Lexer.peek lx = Lexer.TRparen then (ignore (Lexer.next lx); [])
-    else begin
-      let rec go acc =
-        let a = parse_operand lx in
-        match Lexer.next lx with
-        | Lexer.TComma -> go (a :: acc)
-        | Lexer.TRparen -> List.rev (a :: acc)
-        | t -> err lx ("expected , or ) in call arguments, found "
-                       ^ Lexer.token_to_string t)
-      in
-      go []
-    end
+    if Lexer.peek lx == Lexer.TRparen then (ignore (Lexer.next lx); [])
+    else call_args lx []
   in
   let kind = parse_kind lx in
   Ast.Call { callee; args; kind; rets }
+
+(* The comma-separated operands of [op], reversed onto [acc], [n] of
+   them so far. Their number must be [op]'s arity. *)
+let rec operands lx opname op acc n =
+  let a = parse_operand lx in
+  if Lexer.peek lx == Lexer.TComma then begin
+    ignore (Lexer.next lx);
+    operands lx opname op (a :: acc) (n + 1)
+  end
+  else if n + 1 <> Ast.arity op then
+    err lx
+      (Printf.sprintf "%s expects %d operands, got %d" opname (Ast.arity op)
+         (n + 1))
+  else List.rev (a :: acc)
 
 let parse_assign lx (dst : Ast.dest) : Ast.instr =
   let opname = expect_ident lx in
@@ -246,46 +284,34 @@ let parse_assign lx (dst : Ast.dest) : Ast.instr =
     | None -> err lx (Printf.sprintf "unknown operation %S" opname)
     | Some op ->
         let ty = parse_ty lx in
-        let rec operands acc =
-          let a = parse_operand lx in
-          if Lexer.peek lx = Lexer.TComma then begin
-            ignore (Lexer.next lx);
-            operands (a :: acc)
-          end
-          else List.rev (a :: acc)
-        in
-        let args = operands [] in
-        if List.length args <> Ast.arity op then
-          err lx
-            (Printf.sprintf "%s expects %d operands, got %d" opname
-               (Ast.arity op) (List.length args));
+        let args = operands lx opname op [] 0 in
         Ast.Assign { dst; ty; op; args }
+
+(* the destinations after the first, reversed onto [acc]: one local for
+   an SSA assignment, a list for a returning call
+   ([%s1 = call @pipeA (...) pipe], coarse-pipeline plumbing) *)
+let rec dests lx acc =
+  if Lexer.peek lx == Lexer.TComma then begin
+    ignore (Lexer.next lx);
+    match Lexer.next lx with
+    | Lexer.TLocal d -> dests lx (d :: acc)
+    | t ->
+        err lx
+          ("expected %name in destination list, found "
+          ^ Lexer.token_to_string t)
+  end
+  else List.rev acc
 
 let parse_instr lx : Ast.instr =
   match Lexer.next lx with
-  | Lexer.TIdent "call" -> parse_call lx
+  | Lexer.TIdent "call" -> parse_call lx []
   | Lexer.TLocal d -> (
-      (* one or more comma-separated locals: single destination for an
-         SSA assignment, a destination list for a returning call
-         ([%s1 = call @pipeA (...) pipe], coarse-pipeline plumbing) *)
-      let rec dsts acc =
-        match Lexer.peek lx with
-        | Lexer.TComma -> (
-            ignore (Lexer.next lx);
-            match Lexer.next lx with
-            | Lexer.TLocal d' -> dsts (d' :: acc)
-            | t ->
-                err lx
-                  ("expected %name in destination list, found "
-                  ^ Lexer.token_to_string t))
-        | _ -> List.rev acc
-      in
-      let ds = dsts [ d ] in
+      let ds = dests lx [ d ] in
       expect lx Lexer.TEq;
       match (Lexer.peek lx, ds) with
       | Lexer.TIdent "call", _ ->
           ignore (Lexer.next lx);
-          parse_call ~rets:ds lx
+          parse_call lx ds
       | _, [ d ] -> parse_assign lx (Ast.Dlocal d)
       | _ -> err lx "multiple destinations are only allowed for call")
   | Lexer.TGlobal d ->
@@ -293,18 +319,60 @@ let parse_instr lx : Ast.instr =
       parse_assign lx (Ast.Dglobal d)
   | t -> err lx ("expected instruction, found " ^ Lexer.token_to_string t)
 
+(* the instructions up to the closing brace, reversed onto [acc] *)
+let rec body lx acc =
+  if Lexer.peek lx == Lexer.TRbrace then (ignore (Lexer.next lx); List.rev acc)
+  else body lx (parse_instr lx :: acc)
+
 let parse_fundef lx : Ast.func =
   expect_keyword lx "void";
   let name = expect_global lx in
   let params = parse_params lx in
   let kind = parse_kind lx in
   expect lx Lexer.TLbrace;
-  let rec body acc =
-    if Lexer.peek lx = Lexer.TRbrace then (ignore (Lexer.next lx); List.rev acc)
-    else body (parse_instr lx :: acc)
-  in
-  let body = body [] in
+  let body = body lx [] in
   { fn_name = name; fn_params = params; fn_kind = kind; fn_body = body }
+
+(* The declarations up to EOF, one reversed list per kind, put in order
+   once at the end. *)
+let rec decls lx name mems streams ports globals funcs : Ast.design =
+  match Lexer.next lx with
+  | Lexer.TEOF ->
+      {
+        Ast.d_name = name;
+        d_mems = List.rev mems;
+        d_streams = List.rev streams;
+        d_ports = List.rev ports;
+        d_globals = List.rev globals;
+        d_funcs = List.rev funcs;
+      }
+  | Lexer.TIdent "define" ->
+      let f = parse_fundef lx in
+      decls lx name mems streams ports globals (f :: funcs)
+  | Lexer.TLocal n -> (
+      expect lx Lexer.TEq;
+      match expect_ident lx with
+      | "memobj" ->
+          let m = parse_memdecl lx n in
+          decls lx name (m :: mems) streams ports globals funcs
+      | "stream" ->
+          let s = parse_streamdecl lx n in
+          decls lx name mems (s :: streams) ports globals funcs
+      | s -> err lx (Printf.sprintf "expected memobj/stream, found %S" s))
+  | Lexer.TGlobal n ->
+      expect lx Lexer.TEq;
+      if String.contains n '.' then
+        let p = parse_port lx n in
+        decls lx name mems streams (p :: ports) globals funcs
+      else begin
+        expect_keyword lx "global";
+        let g = parse_globaldecl lx n in
+        decls lx name mems streams ports (g :: globals) funcs
+      end
+  | t -> err lx ("expected declaration, found " ^ Lexer.token_to_string t)
+
+(* Lex the rest of the input, so that a lexical error in it is raised. *)
+let rec drain lx = if Lexer.next lx != Lexer.TEOF then drain lx
 
 (** [parse ~name src] parses a complete design from [src]. Raises
     {!Parse_error} (and {!Lexer.Lex_error}) on malformed input; when the
@@ -317,53 +385,15 @@ let parse ?(name = "design") (src : string) : Ast.design =
         ("bytes", Tytra_telemetry.Span.Int (String.length src)) ]
   @@ fun () ->
   let lx = Lexer.of_string src in
-  (* one reversed list per declaration kind, put in order once at EOF *)
-  let mems = ref [] and streams = ref [] and ports = ref [] in
-  let globals = ref [] and funcs = ref [] in
-  let add l x = l := x :: !l in
-  let rec go () =
-    match Lexer.next lx with
-    | Lexer.TEOF -> ()
-    | Lexer.TIdent "define" ->
-        add funcs (parse_fundef lx);
-        go ()
-    | Lexer.TLocal n ->
-        expect lx Lexer.TEq;
-        (match expect_ident lx with
-        | "memobj" -> add mems (parse_memdecl lx n)
-        | "stream" -> add streams (parse_streamdecl lx n)
-        | s -> err lx (Printf.sprintf "expected memobj/stream, found %S" s));
-        go ()
-    | Lexer.TGlobal n ->
-        expect lx Lexer.TEq;
-        if String.contains n '.' then add ports (parse_port lx n)
-        else begin
-          expect_keyword lx "global";
-          add globals (parse_globaldecl lx n)
-        end;
-        go ()
-    | t -> err lx ("expected declaration, found " ^ Lexer.token_to_string t)
-  in
   (* Tokens are lexed on demand, so a grammar failure can precede a
      lexical error further on. The first lexical error in the input
      wins: lex the rest, and re-raise the grammar's exception only if
      the rest is clean. *)
-  (try go () with
-  | e when (match e with Lexer.Lex_error _ -> false | _ -> true) ->
-      let bt = Printexc.get_raw_backtrace () in
-      let rec drain () =
-        match Lexer.next lx with Lexer.TEOF -> () | _ -> drain ()
-      in
-      drain ();
-      Printexc.raise_with_backtrace e bt);
-  {
-    Ast.d_name = name;
-    d_mems = List.rev !mems;
-    d_streams = List.rev !streams;
-    d_ports = List.rev !ports;
-    d_globals = List.rev !globals;
-    d_funcs = List.rev !funcs;
-  }
+  try decls lx name [] [] [] [] []
+  with e when (match e with Lexer.Lex_error _ -> false | _ -> true) ->
+    let bt = Printexc.get_raw_backtrace () in
+    drain lx;
+    Printexc.raise_with_backtrace e bt
 
 (** [parse_result ?name ?file src] is {!parse} with failures reported as
     a typed {!Error.t} instead of an exception — the entry point library

@@ -24,10 +24,13 @@ let is_integer = function UInt _ | SInt _ | Bool -> true | Float _ -> false
 let is_float = function Float _ -> true | _ -> false
 let is_signed = function SInt _ -> true | _ -> false
 
+(** The widest integer type's width. *)
+let max_int_width = 128
+
 (** [valid t] checks representability constraints: integer widths in
-    [1, 128]; float widths 32 or 64. *)
+    [1, max_int_width]; float widths 32 or 64. *)
 let valid = function
-  | UInt w | SInt w -> w >= 1 && w <= 128
+  | UInt w | SInt w -> w >= 1 && w <= max_int_width
   | Float w -> w = 32 || w = 64
   | Bool -> true
 
@@ -39,23 +42,45 @@ let to_string = function
   | Float w -> Printf.sprintf "fp%d" w
   | Bool -> "bool"
 
-(** [of_string s] parses the concrete syntax. Returns [Error _] on
-    malformed names or invalid widths. *)
+(* The value of the decimal digits [s.[i..]], or -1 if a byte there is
+   not a digit or the value passes [max_int]. *)
+let rec decimal s i acc =
+  if i = String.length s then acc
+  else
+    match String.unsafe_get s i with
+    | '0' .. '9' as c ->
+        let d = Char.code c - Char.code '0' in
+        if acc > (max_int - d) / 10 then -1
+        else decimal s (i + 1) ((acc * 10) + d)
+    | _ -> -1
+
+(** [of_string s] parses the concrete syntax: exactly the names
+    {!to_string} prints, so [ui0x12] and [ui018] are malformed. Returns
+    [Error _] on malformed names or invalid widths. *)
 let of_string s : (t, string) result =
-  let num pfx =
-    let n = String.length pfx in
-    match int_of_string_opt (String.sub s n (String.length s - n)) with
-    | Some w -> Ok w
-    | None -> Error (Printf.sprintf "malformed type %S" s)
-  in
-  let check t = if valid t then Ok t else Error ("invalid width in type " ^ s) in
-  if s = "bool" then Ok Bool
-  else if String.length s > 2 && String.sub s 0 2 = "ui" then
-    Result.bind (num "ui") (fun w -> check (UInt w))
-  else if String.length s > 2 && String.sub s 0 2 = "si" then
-    Result.bind (num "si") (fun w -> check (SInt w))
-  else if String.length s > 2 && String.sub s 0 2 = "fp" then
-    Result.bind (num "fp") (fun w -> check (Float w))
+  if
+    String.length s > 2
+    &&
+    match (String.unsafe_get s 0, String.unsafe_get s 1) with
+    | 'u', 'i' | 's', 'i' | 'f', 'p' -> true
+    | _ -> false
+  then
+    (* the width as [to_string] prints it: decimal digits, without a
+       sign, a base prefix, an underscore or a leading zero *)
+    let w =
+      if String.unsafe_get s 2 = '0' && String.length s > 3 then -1
+      else decimal s 2 0
+    in
+    if w < 0 then Error (Printf.sprintf "malformed type %S" s)
+    else
+      let t =
+        match String.unsafe_get s 0 with
+        | 'u' -> UInt w
+        | 's' -> SInt w
+        | _ -> Float w
+      in
+      if valid t then Ok t else Error ("invalid width in type " ^ s)
+  else if s = "bool" then Ok Bool
   else Error (Printf.sprintf "unknown type %S" s)
 
 let of_string_exn s =

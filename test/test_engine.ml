@@ -167,6 +167,10 @@ let malformed_bodies =
     ("array", "[1,2,3]");
     ("no version", {|{"op":"check","source":{"path":"x"}}|});
     ("future version", {|{"v":2,"op":"check","source":{"path":"x"}}|});
+    (* a version is compared as the number it is, not truncated *)
+    ("version 1.5", {|{"v":1.5,"op":"check","source":{"path":"x"}}|});
+    ("version 1.999", {|{"v":1.999,"op":"check","source":{"path":"x"}}|});
+    ("version 0.5", {|{"v":0.5,"op":"check","source":{"path":"x"}}|});
     ("no op", {|{"v":1}|});
     ("unknown op", {|{"v":1,"op":"transmogrify"}|});
     ("no source", {|{"v":1,"op":"check"}|});
@@ -188,7 +192,24 @@ let malformed_bodies =
   ]
 
 let test_malformed_requests () =
-  List.iter (fun (what, body) -> expect_bad_request what body) malformed_bodies
+  List.iter (fun (what, body) -> expect_bad_request what body) malformed_bodies;
+  (* a reply is held to the same version *)
+  let reply v =
+    Protocol.decode_reply
+      (Printf.sprintf {|{"v":%s,"status":"ok","op":"check","text":""}|} v)
+  in
+  List.iter
+    (fun v ->
+      match reply v with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "decode_reply refused version %s: %s" v m)
+    [ "1"; "1.0" ];
+  List.iter
+    (fun v ->
+      match reply v with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "decode_reply accepted version %s" v)
+    [ "1.5"; "1.999"; "2" ]
 
 (* PR-5 fuzz posture extended to the request codec: the .tirl fuzz
    corpus (nasty non-JSON bytes) plus deterministic random bytes must

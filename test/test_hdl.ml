@@ -224,9 +224,90 @@ let test_primitive_library_selection () =
   Alcotest.(check bool) "no divider when unused" true
     (count_substr lib "tytra_div_pipe" = 0)
 
+(* ---- the scheduler against its oracle ---- *)
+
+let same_schedule (a : Schedule.t) (b : Schedule.t) =
+  a.sc_func = b.sc_func
+  && List.equal
+       (fun (x : Schedule.slot) (y : Schedule.slot) ->
+         x.sl_instr == y.sl_instr && x.sl_start = y.sl_start
+         && x.sl_finish = y.sl_finish)
+       a.sc_slots b.sc_slots
+  && a.sc_depth = b.sc_depth
+  && a.sc_delay_regs = b.sc_delay_regs
+  && a.sc_stage_regs = b.sc_stage_regs
+  && a.sc_values = b.sc_values
+
+(* the names of the functions of [d] whose schedule or depth differs
+   from the oracle's, after counting them into [n] *)
+let schedule_diffs n what (d : Ast.design) =
+  let sy = Symtab.of_design d in
+  List.filter_map
+    (fun (f : Ast.func) ->
+      incr n;
+      if not
+           (same_schedule (Schedule.schedule_func d f)
+              (Oracle_schedule.schedule_func d f))
+      then Some (what ^ " @" ^ f.fn_name)
+      else if
+        Analysis.pe_depth_sym sy f <> Oracle_schedule.pe_depth_sym sy f
+      then Some (what ^ " @" ^ f.fn_name ^ " (depth)")
+      else None)
+    d.d_funcs
+
+(* every function of the four kernels at 1 to 64 lanes *)
+let test_schedule_oracle_kernels () =
+  let n = ref 0 in
+  let diffs =
+    List.concat_map
+      (fun (name, p) ->
+        List.concat_map
+          (fun lanes ->
+            let v =
+              if lanes = 1 then Tytra_front.Transform.Pipe
+              else Tytra_front.Transform.ParPipe lanes
+            in
+            if Tytra_front.Transform.applicable p v then
+              schedule_diffs n
+                (Printf.sprintf "%s x%d" name lanes)
+                (Tytra_front.Lower.lower p v)
+            else [])
+          [ 1; 2; 4; 8; 16; 32; 64 ])
+      [
+        ("sor", Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 ());
+        ("hotspot", Tytra_kernels.Hotspot.program ~rows:64 ~cols:64 ());
+        ("lavamd", Tytra_kernels.Lavamd.program ~boxes:16 ());
+        ("srad", Tytra_kernels.Srad.program ~rows:64 ~cols:64 ());
+      ]
+  in
+  Alcotest.(check (list string))
+    (Printf.sprintf "differences over %d functions" !n) [] diffs
+
+(* every function of 300 generated programs, each lowered to a variant
+   it admits *)
+let test_schedule_oracle_generated () =
+  let st = Random.State.make [| 0x5c4ed |] in
+  let n = ref 0 in
+  let diffs =
+    List.concat
+      (List.init 300 (fun i ->
+           let p = Gen.gen_program st in
+           let v = Gen.gen_applicable_variant p st in
+           schedule_diffs n
+             (Printf.sprintf "program %d (%s)" i
+                (Tytra_front.Transform.to_string v))
+             (Tytra_front.Lower.lower p v)))
+  in
+  Alcotest.(check (list string))
+    (Printf.sprintf "differences over %d functions" !n) [] diffs
+
 let suite =
   [
     Alcotest.test_case "schedule invariants" `Quick test_schedule_invariants;
+    Alcotest.test_case "oracle: schedule of the kernels" `Quick
+      test_schedule_oracle_kernels;
+    Alcotest.test_case "oracle: schedule of generated programs" `Quick
+      test_schedule_oracle_generated;
     Alcotest.test_case "latency respected" `Quick test_schedule_latency_respected;
     Alcotest.test_case "by_stage sorted" `Quick test_by_stage_sorted;
     Alcotest.test_case "lane composition" `Quick test_schedule_lane_composition;

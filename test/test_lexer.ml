@@ -1,11 +1,12 @@
 (* The on-demand lexer against its oracle, the original tokenize-then-index
-   lexer (oracle_lexer.ml). On every input the two must yield the same
-   (token, line) sequence or raise the same [Lex_error (msg, line)]; and
-   whenever the oracle raises, [Parser.parse_result] must report that
-   lexical error, as it did when the whole input was lexed before
-   parsing. The grammar functions read tokens only through
-   [Lexer.peek]/[next]/[line], so equal streams plus this rule give equal
-   parse outcomes. *)
+   lexer (oracle_lexer.ml), and the parser against its oracle, the
+   parser it replaced (oracle_parser.ml). On every input the two lexers
+   must yield the same (token, line) sequence or raise the same
+   [Lex_error (msg, line)]; whenever the oracle raises,
+   [Parser.parse_result] must report that lexical error, as it did when
+   the whole input was lexed before parsing; and [Parser.parse_result]
+   must return what the oracle parser returns: the same design, or the
+   same typed error with the same message and line. *)
 
 open Tytra_ir
 
@@ -43,6 +44,13 @@ let same_lex_outcome (o : lexed) src =
   | Ok _, Error (Error.Lex _) -> false
   | Ok _, _ -> true
 
+(* the parse outcome equals the oracle parser's *)
+let same_parse src =
+  match (Parser.parse_result src, Oracle_parser.parse_result src) with
+  | Ok d, Ok d' -> Ast.equal_design d d'
+  | Error e, Error e' -> e = e'
+  | _ -> false
+
 type tally = { mutable inputs : int; mutable lex_errors : int;
                mutable diffs : string list }
 
@@ -54,6 +62,7 @@ let compare_on t ~what src =
   (match o with Error _ -> t.lex_errors <- t.lex_errors + 1 | Ok _ -> ());
   if not (same_stream o (on_demand src) && same_lex_outcome o src) then
     t.diffs <- what :: t.diffs
+  else if not (same_parse src) then t.diffs <- (what ^ " (parse)") :: t.diffs
 
 let check_no_diffs name t =
   Alcotest.(check (list string))
@@ -152,8 +161,81 @@ let test_printed_kernels () =
     ];
   check_no_diffs "printed kernels" t
 
+(* one input per error the grammar raises, and a few that parse: each
+   message, its line and which of two errors wins must match the
+   oracle's *)
+let grammar_cases =
+  let port meta = "@main.p = addrspace(1) ui18 " ^ meta in
+  let fn body = "define void @f (ui18 %p) pipe {\n" ^ body ^ "\n}" in
+  [ port "!istream !cont !0 !s_p"; port "!ISTREAM, !\"CONT\", !4 !s";
+    port "!ostream !strided !8 !s"; port "!ostream !strided 8 !s";
+    port "!ostream !strided !s"; port "!cont"; port "!istream";
+    port "!s"; port "!istream !istream"; port "!cont !random";
+    port "!0 !1"; port "!s !t"; port "!istream !s !("; port "";
+    "@main.p = addrspace(7) ui18 !istream !s";
+    "@main.p = addrspace 1 ui18"; "@mainp = addrspace(1) ui18";
+    "@g = global ui18 init 0"; "@g = global ui18 init x";
+    "%m = memobj global ui18 size 0"; "%m = memobj foo ui18 size 1";
+    "%m = memobj global ui18 length 1"; "%s = stream sideways %m pattern cont";
+    "%s = stream istream %m pattern zigzag";
+    "%s = stream istream %m pattern strided 4"; "%x = thing"; "%x thing";
+    "define void @f (ui18 %a ui18 %b) pipe {}"; "define void @f () wobble {}";
+    "define void @f (ui18 %a,) pipe {}"; "define int @f () pipe {}";
+    fn "%a = add ui18 %p"; fn "%a = add ui18 %p, %p, %p";
+    fn "%a = frob ui18 %p"; fn "@g = offset ui18 %p, 1";
+    fn "%a = offset ui18 %p 1"; fn "%a, %b = add ui18 %p, %p";
+    fn "%a, %b = call @g (%p) pipe"; fn "call @g (%p %p) pipe";
+    fn "call @g () pipe"; fn "%a, 5 = call @g () pipe"; fn "5";
+    fn "%a = add ui0x12 %p, %p"; fn "%a = add ui18 %p, {";
+    "define void @f () pipe { %a = add ui18 %b, %c";
+    "5"; fn "%a = add ui18 %p, %p } $"; fn "%a = add ui18 } $";
+    fn "%a = add ui18 %p, 1.5e3\n%b = select bool %a, -2, +3" ]
+
+let test_grammar_cases () =
+  let t = tally () in
+  List.iter (fun src -> compare_on t ~what:(String.escaped src) src)
+    grammar_cases;
+  check_no_diffs "grammar cases" t
+
+(* Every name the grammar knows lexes to one token that every lexer
+   shares; any other name lexes to a fresh one. *)
+let test_keyword_tokens () =
+  let tok s = Lexer.peek (Lexer.of_string s) in
+  let types =
+    Ty.Bool :: Ty.Float 32 :: Ty.Float 64
+    :: List.concat_map
+         (fun w -> [ Ty.UInt w; Ty.SInt w ])
+         (List.init Ty.max_int_width succ)
+  in
+  let ops =
+    Ast.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr; Min; Max; Abs;
+          Neg; Not; Sqrt; CmpEq; CmpNe; CmpLt; CmpLe; CmpGt; CmpGe; Select;
+          Mov ]
+  in
+  let names =
+    [ "define"; "void"; "call"; "memobj"; "stream"; "addrspace"; "size";
+      "pattern"; "init"; "offset"; "cont"; "random"; "strided" ]
+    @ List.map Ast.kind_to_string Ast.[ Pipe; Par; Seq; Comb ]
+    @ List.map Ast.space_to_string Ast.[ Private; Global; Local; Constant ]
+    @ List.map Ast.dir_to_string Ast.[ IStream; OStream ]
+    @ List.map Ast.op_to_string ops
+    @ List.map Ty.to_string types
+  in
+  List.iter
+    (fun s ->
+      let t = tok s in
+      Alcotest.(check bool) (s ^ " lexes to itself") true (t = Lexer.TIdent s);
+      Alcotest.(check bool) (s ^ " is one shared token") true (t == tok s))
+    names;
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " is a fresh token") false (tok s == tok s))
+    [ "ui" ^ string_of_int (Ty.max_int_width + 1); "fp16"; "s_p"; "defin" ]
+
 let suite =
   [
+    Alcotest.test_case "keyword tokens are shared" `Quick test_keyword_tokens;
+    Alcotest.test_case "oracle: parser error paths" `Quick test_grammar_cases;
     Alcotest.test_case "oracle: corpus" `Quick test_corpus;
     Alcotest.test_case "oracle: fuzz generators" `Quick test_generators;
     Alcotest.test_case "oracle: number shapes" `Quick test_number_shapes;

@@ -26,7 +26,10 @@ let test_of_string_errors () =
       match Ty.of_string s with
       | Ok t -> Alcotest.failf "%S parsed to %s" s (Ty.to_string t)
       | Error _ -> ())
-    [ "ui"; "ui0"; "ui129"; "fp16"; "fp65"; "int32"; ""; "uixx"; "si" ]
+    [ "ui"; "ui0"; "ui129"; "fp16"; "fp65"; "int32"; ""; "uixx"; "si";
+      (* spellings int_of_string reads, which to_string never prints *)
+      "ui0x12"; "ui1_8"; "ui018"; "ui0b10010"; "ui0u18"; "si0o22"; "fp032";
+      "ui+18" ]
 
 let test_classify () =
   Alcotest.(check bool) "ui integer" true (Ty.is_integer (Ty.UInt 18));
