@@ -1,9 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md §4 for the experiment index).
 
-     dune exec bench/main.exe            # run E1–E7
+     dune exec bench/main.exe            # run E1–E8, E12 and A1–A6
      dune exec bench/main.exe -- e3 e6   # run selected experiments
-     dune exec bench/main.exe -- speed   # Bechamel micro-benchmarks (E5)
 
    Paper reference numbers are printed alongside the measured ones; the
    reproduction target is the *shape* (who wins, by what factor, where
@@ -454,198 +453,6 @@ let e8 () =
       ("overhead_pct", over_pct) ]
 
 (* ------------------------------------------------------------------ *)
-(* E10: cost-model-as-a-service - warm engine vs one-shot CLI          *)
-(* ------------------------------------------------------------------ *)
-
-module Engine = Tytra_engine.Engine
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  sorted.(min (n - 1) (n * p / 100))
-
-let e10 () =
-  hr "E10: cost-model-as-a-service - warm engine latency vs one-shot CLI";
-  let device = Tytra_device.Device.stratixv_gsd8 in
-  (* small instances: E10 measures request-lifecycle overhead, not
-     evaluation scaling (that is E5/E8) *)
-  let kernels =
-    [
-      ("sor", Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 ());
-      ("hotspot", Tytra_kernels.Hotspot.program ~rows:32 ~cols:32 ());
-      ("lavamd", Tytra_kernels.Lavamd.program ~boxes:8 ());
-      ("srad", Tytra_kernels.Srad.program ~rows:32 ~cols:32 ());
-    ]
-  in
-  let sources =
-    List.map
-      (fun (name, prog) ->
-        (name, Tytra_ir.Pprint.design_to_string (Lower.lower prog Transform.Pipe)))
-      kernels
-  in
-  (* the mixed traffic profile: per kernel one check, a cost in each
-     throughput form, and a cycle-accurate sim - 16 distinct requests *)
-  let mix =
-    List.concat_map
-      (fun (name, src) ->
-        let source = Engine.Inline src in
-        [
-          (name ^ "/check", Engine.Check { source });
-          ( name ^ "/costA",
-            Engine.Cost
-              { source; device; form = Tytra_cost.Throughput.FormA; nki = 10;
-                optimize = false; calib = None } );
-          ( name ^ "/costB",
-            Engine.Cost
-              { source; device; form = Tytra_cost.Throughput.FormB; nki = 10;
-                optimize = false; calib = None } );
-          ( name ^ "/sim",
-            Engine.Sim
-              { source; device; form = Tytra_cost.Throughput.FormB; nki = 10;
-                optimize = false } );
-        ])
-      sources
-  in
-  let eng = Engine.create Engine.default_config in
-  let submit_ok (label, req) =
-    match Engine.submit eng req with
-    | Ok _ -> ()
-    | Error e -> failwith ("E10 request " ^ label ^ ": " ^ Engine.error_message e)
-  in
-  (* prewarm sequentially: fills the engine's parse and response caches,
-     so the measured phases see steady-state traffic (and the cache
-     counters stay a pure function of the request counts) *)
-  List.iter submit_ok mix;
-  let warm0 = Engine.parse_cache_stats eng in
-  (* sequential phase: per-request latency percentiles *)
-  let seq_reps = 10 in
-  let lats =
-    Array.init (seq_reps * List.length mix) (fun i ->
-        let req = List.nth mix (i mod List.length mix) in
-        let (), dt = time_s (fun () -> submit_ok req) in
-        dt)
-  in
-  Array.sort compare lats;
-  let p50 = percentile lats 50 and p95 = percentile lats 95 in
-  (* concurrent phase: 4 client domains replay the mix against the one
-     warm engine (fixed at 4, so the work counters are
-     machine-independent) *)
-  let clients = 4 and conc_reps = 5 in
-  let (), wall =
-    time_s (fun () ->
-        List.init clients (fun _ ->
-            Domain.spawn (fun () ->
-                for _ = 1 to conc_reps do
-                  List.iter submit_ok mix
-                done))
-        |> List.iter Domain.join)
-  in
-  let conc_n = clients * conc_reps * List.length mix in
-  let req_s = float_of_int conc_n /. Float.max 1e-9 wall in
-  let warm1 = Engine.parse_cache_stats eng in
-  Format.printf
-    "mixed traffic (%d request kinds over 4 kernels: check + cost A/B + sim):@."
-    (List.length mix);
-  Format.printf
-    "  sequential: %d requests, p50 %.3f ms, p95 %.3f ms@."
-    (Array.length lats) (p50 *. 1e3) (p95 *. 1e3);
-  Format.printf
-    "  concurrent: %d clients x %d requests -> %.0f req/s sustained@." clients
-    (conc_reps * List.length mix) req_s;
-  Format.printf
-    "  parse cache over the measured phases: %d hits / %d misses (the warm \
-     engine re-parses nothing)@."
-    (warm1.Tytra_exec.Cache.st_hits - warm0.Tytra_exec.Cache.st_hits)
-    (warm1.Tytra_exec.Cache.st_misses - warm0.Tytra_exec.Cache.st_misses);
-  (* cold comparison: the same cost request as a one-shot tybec process
-     (fork + exec + parse + validate + evaluate + exit) vs the warm
-     engine answering it in-process *)
-  let sor_src = List.assoc "sor" sources in
-  let tirl_path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tytra_bench_e10.%d.tirl" (Unix.getpid ()))
-  in
-  let oc = open_out tirl_path in
-  output_string oc sor_src;
-  close_out oc;
-  let cost_req =
-    Engine.Cost
-      { source = Engine.File tirl_path; device;
-        form = Tytra_cost.Throughput.FormB; nki = 1; optimize = false;
-        calib = None }
-  in
-  submit_ok ("cold-compare/warm", cost_req);
-  let warm_reps = 40 in
-  let warm_lats =
-    Array.init warm_reps (fun _ ->
-        snd (time_s (fun () -> submit_ok ("cold-compare/warm", cost_req))))
-  in
-  Array.sort compare warm_lats;
-  let warm_p50 = percentile warm_lats 50 in
-  let tybec =
-    let guess =
-      Filename.concat
-        (Filename.dirname (Filename.dirname Sys.executable_name))
-        "bin/tybec.exe"
-    in
-    if Sys.file_exists guess then Some guess else None
-  in
-  let cold_p50 =
-    match tybec with
-    | Some exe ->
-        let cmd =
-          Printf.sprintf "%s cost %s > /dev/null 2>&1" (Filename.quote exe)
-            (Filename.quote tirl_path)
-        in
-        let runs =
-          Array.init 7 (fun _ ->
-              snd
-                (time_s (fun () ->
-                     if Sys.command cmd <> 0 then
-                       failwith "E10: cold tybec cost failed")))
-        in
-        Array.sort compare runs;
-        percentile runs 50
-    | None ->
-        (* no CLI binary next to the bench executable: approximate a
-           cold process with a fresh engine (this under-counts
-           exec+runtime-startup cost, so the printed ratio is a floor) *)
-        Format.printf
-          "  (tybec.exe not found; cold figure is in-process cold-cache, a \
-           floor on the true ratio)@.";
-        let runs =
-          Array.init 7 (fun _ ->
-              let cold_eng = Engine.create Engine.default_config in
-              snd
-                (time_s (fun () ->
-                     match Engine.submit cold_eng cost_req with
-                     | Ok _ -> ()
-                     | Error e -> failwith (Engine.error_message e))))
-        in
-        Array.sort compare runs;
-        percentile runs 50
-  in
-  Sys.remove tirl_path;
-  let speedup = cold_p50 /. Float.max 1e-9 warm_p50 in
-  Format.printf
-    "  cold one-shot `tybec cost` p50 %.2f ms vs warm engine p50 %.3f ms -> \
-     %.0fx (target >= 10x)@."
-    (cold_p50 *. 1e3) (warm_p50 *. 1e3) speedup;
-  List.iter
-    (fun (k, v) -> Tytra_telemetry.Metrics.set ("bench.e10." ^ k) v)
-    [
-      ("warm_p50_ms", p50 *. 1e3);
-      ("warm_p95_ms", p95 *. 1e3);
-      ("req_per_s", req_s);
-      ("cold_p50_ms", cold_p50 *. 1e3);
-      ("cold_vs_warm_p50_x", speedup);
-      ( "parse_cache_hits",
-        float_of_int (warm1.Tytra_exec.Cache.st_hits - warm0.Tytra_exec.Cache.st_hits) );
-      ( "parse_cache_misses",
-        float_of_int
-          (warm1.Tytra_exec.Cache.st_misses - warm0.Tytra_exec.Cache.st_misses) );
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* E12: sharded serving                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -654,6 +461,12 @@ let e10 () =
    loop. Gated behind finding the CLI binary; publishes
    bench.e12.http_measured so the perf guard knows whether the
    throughput figures exist. *)
+
+module Engine = Tytra_engine.Engine
+
+let percentile sorted p =
+  let n = Array.length sorted in
+  sorted.(min (n - 1) (n * p / 100))
 
 let e12_http_post ?(meth = "POST") sockaddr path body =
   let fd = Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0 in
@@ -1295,75 +1108,14 @@ let a6 () =
     e0
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks (rigorous timing for E5)                  *)
-(* ------------------------------------------------------------------ *)
-
-let speed () =
-  hr "Bechamel micro-benchmarks: per-stage latency of the fast path";
-  let open Bechamel in
-  let prog = Tytra_kernels.Sor.program ~im:32 ~jm:32 ~km:32 () in
-  let d4 = Lower.lower prog (Transform.ParPipe 4) in
-  let tirl = Tytra_ir.Pprint.design_to_string d4 in
-  let tests =
-    [
-      Test.make ~name:"parse .tirl"
-        (Staged.stage (fun () -> ignore (Tytra_ir.Parser.parse tirl)));
-      Test.make ~name:"validate"
-        (Staged.stage (fun () -> ignore (Tytra_ir.Validate.check d4)));
-      Test.make ~name:"analysis params"
-        (Staged.stage (fun () -> ignore (Tytra_ir.Analysis.params d4)));
-      Test.make ~name:"resource estimate"
-        (Staged.stage (fun () ->
-             ignore (Tytra_cost.Resource_model.estimate d4)));
-      Test.make ~name:"full cost report"
-        (Staged.stage (fun () -> ignore (Tytra_cost.Report.evaluate d4)));
-      Test.make ~name:"lower par4"
-        (Staged.stage (fun () ->
-             ignore (Lower.lower prog (Transform.ParPipe 4))));
-      Test.make ~name:"schedule PE"
-        (Staged.stage (fun () ->
-             let f = Tytra_ir.Ast.find_func_exn d4 "f0" in
-             ignore (Tytra_hdl.Schedule.schedule_func d4 f)));
-      Test.make ~name:"verilog emit"
-        (Staged.stage (fun () -> ignore (Tytra_hdl.Verilog.emit d4)));
-      Test.make ~name:"techmap fast"
-        (Staged.stage (fun () ->
-             ignore (Tytra_sim.Techmap.run ~effort:`Fast d4)));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  List.iter
-    (fun t ->
-      let results =
-        Benchmark.all cfg [ instance ]
-          (Test.make_grouped ~name:"g" ~fmt:"%s %s" [ t ])
-      in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] ->
-              Format.printf "  %-28s %12.1f ns/run@." name est
-          | _ -> Format.printf "  %-28s (no estimate)@." name)
-        analyzed)
-    tests
-
-(* ------------------------------------------------------------------ *)
 
 let all = [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
-            ("e6", e6); ("e7", e7); ("e8", e8); ("e10", e10);
-            ("e12", e12);
+            ("e6", e6); ("e7", e7); ("e8", e8); ("e12", e12);
             ("a1", a1); ("a2", a2); ("a3", a3); ("a4", a4); ("a5", a5);
             ("a6", a6) ]
 
 (* Telemetry options: --json FILE writes a machine-readable per-phase
-   report (spans + metrics + perf_profile), --trace FILE writes a
+   report (spans + metrics), --trace FILE writes a
    Chrome-trace timeline viewable in chrome://tracing or Perfetto, and
    --events FILE writes the structured event log (JSONL, schema v1).
    Each experiment runs under a "bench.<name>" root span, so the
@@ -1421,8 +1173,7 @@ let () =
         (fun a ->
           match List.assoc_opt a all with
           | Some f -> run_experiment a f
-          | None when a = "speed" -> run_experiment "speed" speed
           | None ->
-              Format.printf "unknown experiment %S (known: %s, speed)@." a
+              Format.printf "unknown experiment %S (known: %s)@." a
                 (String.concat ", " (List.map fst all)))
         args

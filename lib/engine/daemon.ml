@@ -68,7 +68,7 @@ let handler ?default_deadline_s (eng : Engine.t) (rq : Serve.request) :
             match
               Engine.submit
                 ?deadline_s:(effective_deadline ?default_deadline_s d)
-                ~retries:d.Protocol.dq_retries eng d.Protocol.dq_request
+                eng d.Protocol.dq_request
             with
             | Ok resp ->
                 json_response 200

@@ -608,10 +608,9 @@ let cached t key answer =
           r)
 
 (* Answer [req] through the response cache. Each file the request names
-   is read once (once per attempt, when [submit] retries), here: the
-   response key, the parse-cache key and the answer all come from those
-   bytes, so a file rewritten meanwhile cannot cache one content's
-   answer under another's key. *)
+   is read once, here: the response key, the parse-cache key and the
+   answer all come from those bytes, so a file rewritten meanwhile
+   cannot cache one content's answer under another's key. *)
 let dispatch_cached t (req : request) =
   let ( let* ) = Option.bind in
   let key op source params =
@@ -654,30 +653,16 @@ let dispatch_cached t (req : request) =
         (key "sim" source [ Cache.digest_marshal (device, form, nki, optimize) ])
         (fun () -> do_sim t ~source ~device ~form ~nki ~optimize)
 
-let submit ?deadline_s ?(retries = 0) t req =
+let submit ?deadline_s t req =
   Metrics.incr "engine.requests";
   Span.with_ ~name:"engine.submit"
     ~attrs:[ ("op", Span.Str (op_name req)) ]
   @@ fun () ->
-  let attempt () =
-    match
-      Task.with_context ?deadline_s (fun () ->
-          dispatch_cached t req)
-    with
+  let r =
+    match Task.with_context ?deadline_s (fun () -> dispatch_cached t req) with
     | r -> r
     | exception Task.Timeout allotted -> Error (Timeout_error allotted)
     | exception e -> Error (Internal_error (Printexc.to_string e))
   in
-  let rec go n =
-    match attempt () with
-    | Ok _ as ok -> ok
-    | Error (Internal_error _ | Timeout_error _) when n < retries ->
-        (* transient-class failures burn the retry budget; parse and
-           validation errors are deterministic and fail immediately *)
-        Metrics.incr "engine.retries";
-        go (n + 1)
-    | Error _ as e ->
-        Metrics.incr "engine.errors";
-        e
-  in
-  go 0
+  (match r with Error _ -> Metrics.incr "engine.errors" | Ok _ -> ());
+  r

@@ -167,15 +167,12 @@ val response_cache_stats : t -> Tytra_exec.Cache.stats
     time line reflect the first, uncached run). *)
 
 val submit :
-  ?deadline_s:float -> ?retries:int -> t -> request -> (response, error) result
-(** [submit ?deadline_s ?retries t req] — run one request to completion
+  ?deadline_s:float -> t -> request -> (response, error) result
+(** [submit ?deadline_s t req] — run one request to completion, once,
     and answer it whole. [deadline_s] arms a request-level cooperative
-    deadline ({!Tytra_exec.Task.with_context}); [retries] re-runs the
-    request on transient-class failures (internal errors and timeouts —
-    parse/validation errors are deterministic and never retried).
-    An [Explore] that asks for point retries, a point deadline,
-    best-effort, a checkpoint or a resume is answered [Bad_request].
-    Never raises. *)
+    deadline ({!Tytra_exec.Task.with_context}). An [Explore] that asks
+    for point retries, a point deadline, best-effort, a checkpoint or a
+    resume is answered [Bad_request]. Never raises. *)
 
 val load_design :
   t -> source -> (Tytra_ir.Ast.design, error) result

@@ -51,13 +51,20 @@
     by minor 1's rule reads the reply as its result frame.
     [GET /v1/protocol] lists only the ["result"] frame. Minor 5 also
     refuses an integer member beyond ±2{^53}, the range a JSON number
-    (a double) holds exactly, where it used to read a wrapped value. *)
+    (a double) holds exactly, where it used to read a wrapped value.
+
+    Minor version 6 (no field added): the request-level ["retries"]
+    budget is no longer decoded, so like ["stream"] it is ignored. The
+    estimator is deterministic, so a rerun of a failed request failed
+    again, and a rerun of a timed-out one re-armed the whole deadline.
+    A request with ["retries"] gets the same answer as the same request
+    without it, from one response-cache entry. *)
 
 module J = Tytra_telemetry.Jsenc
 
 let version = 1
 
-let version_minor = 5
+let version_minor = 6
 
 (* ------------------------------------------------------------------ *)
 (* Field-level codecs                                                  *)
@@ -102,17 +109,16 @@ let opt f k = function None -> "" | Some v -> f k v
 (* Request encoding                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let encode_request ?deadline_s ?deadline_ms ?(retries = 0)
-    (req : Engine.request) : string =
+let encode_request ?deadline_s ?deadline_ms (req : Engine.request) : string =
   let envelope =
     [ int_field "v" version; str_field "op" (Engine.op_name req) ]
     @ (match deadline_s with
       | None -> []
       | Some d -> [ num_field "deadline_s" d ])
-    @ (match deadline_ms with
-      | None -> []
-      | Some d -> [ num_field "deadline_ms" d ])
-    @ if retries = 0 then [] else [ int_field "retries" retries ]
+    @
+    match deadline_ms with
+    | None -> []
+    | Some d -> [ num_field "deadline_ms" d ]
   in
   let body =
     match req with
@@ -160,7 +166,6 @@ let encode_request ?deadline_s ?deadline_ms ?(retries = 0)
 type decoded_request = {
   dq_request : Engine.request;
   dq_deadline_s : float option;  (** request-level deadline *)
-  dq_retries : int;              (** request-level retry budget *)
 }
 
 let bad fmt = Printf.ksprintf (fun m -> Error (Engine.Bad_request m)) fmt
@@ -327,8 +332,7 @@ let decode_request (body : string) : (decoded_request, Engine.error) result =
                     | Some ms -> Some (ms /. 1000.0)
                     | None -> deadline_s
                   in
-                  let* dq_retries = int_member ~default:0 "retries" j in
-                  Ok { dq_request; dq_deadline_s; dq_retries }))
+                  Ok { dq_request; dq_deadline_s }))
       | _ -> bad "request must be a JSON object")
 
 (* ------------------------------------------------------------------ *)

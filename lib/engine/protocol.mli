@@ -20,19 +20,19 @@ val version_minor : int
     always 0. Minor 4 reads an explore's ["jobs"] and ignores it.
     Minor 5 answers every explore in one reply: ["stream"] is ignored
     like any unknown member, no progress frame is written, and an
-    integer member beyond ±2{^53} is a ["bad_request"]. Decoders never
-    check it, clients read it from [GET /v1/protocol] for capability
-    discovery. *)
+    integer member beyond ±2{^53} is a ["bad_request"]. Minor 6
+    ignores the request-level ["retries"] budget like any unknown
+    member. Decoders never check it, clients read it from
+    [GET /v1/protocol] for capability discovery. *)
 
 (** {2 Requests} *)
 
 val encode_request :
-  ?deadline_s:float -> ?deadline_ms:float -> ?retries:int -> Engine.request ->
-  string
+  ?deadline_s:float -> ?deadline_ms:float -> Engine.request -> string
 (** One JSON object for the request, including the envelope fields
-    ([deadline_s]/[deadline_ms]/[retries] are the request-level budget
-    passed to [Engine.submit]; omitted when absent/zero — when both
-    deadline spellings are given, decoders prefer [deadline_ms]). *)
+    ([deadline_s]/[deadline_ms] are the request-level budget passed to
+    [Engine.submit]; omitted when absent — when both deadline spellings
+    are given, decoders prefer [deadline_ms]). *)
 
 (** A decoded request: the typed operation plus its envelope.
     [dq_deadline_s] is the unified budget — decoded from
@@ -40,15 +40,14 @@ val encode_request :
 type decoded_request = {
   dq_request : Engine.request;
   dq_deadline_s : float option;
-  dq_retries : int;
 }
 
 val decode_request : string -> (decoded_request, Engine.error) result
 (** Inverse of {!encode_request}. Missing optional fields take the CLI
     defaults (device, form B, nki 1, ...); unknown fields, ["stream"]
-    among them, are ignored; every malformed input is an
-    [Engine.Bad_request], an integer field that is fractional or beyond
-    ±2{^53} included. *)
+    and ["retries"] among them, are ignored; every malformed input is
+    an [Engine.Bad_request], an integer field that is fractional or
+    beyond ±2{^53} included. *)
 
 (** {2 Responses} *)
 

@@ -430,10 +430,8 @@ let no_lanes = { ls_lanes = [||]; ls_certified = 0 }
 (** The port names of a template's certified lanes, seeded with the
     kernel's scalar names, so a lane is certified only if its own are
     new: among [@main]'s parameters, and among [@f1]'s and [@flane]'s,
-    where the scalars follow the lanes' inputs. Replaced and mutated
-    only under [c_lock], which also serializes the growth of the
-    template's lanes. *)
-type certificate = { c_lock : Mutex.t; mutable c_ports : unit Symtab.Tbl.t }
+    where the scalars follow the lanes' inputs. *)
+type certificate = { mutable c_ports : unit Symtab.Tbl.t }
 
 type template = {
   tpl_program : Expr.program;
@@ -443,18 +441,17 @@ type template = {
       (** the scalar immediates [@main] passes, as the validated [Pipe]
           design passes them *)
   tpl_globals : Ast.global list;  (** the validated [Pipe] design's *)
-  tpl_lanes : lanes Atomic.t;
-      (** grown and certified on demand; shared, like the certificate,
-          by the domains deriving from the template and by its record
-          copies *)
+  mutable tpl_lanes : lanes;  (** grown and certified on demand *)
   tpl_certificate : certificate;
-  tpl_shells : (int * Ast.design) list Atomic.t;
+  mutable tpl_shells : (int * Ast.design) list;
       (** per PE count, the shell: the first replicated design of that
           count, published once it validated and never replaced *)
 }
 
 (** [template ?pattern p] — lower the [Pipe] variant of [p] in full
-    (including validation) and capture the PE function for reuse. *)
+    (including validation) and capture the PE function for reuse. A
+    template grows its lanes and shells as it derives, without a lock,
+    so it is used only on the domain that made it. *)
 let template ?(pattern = Ast.Cont) (p : Expr.program) : template =
   let d = lower ~pattern p Transform.Pipe in
   let k = p.Expr.p_kernel in
@@ -466,9 +463,9 @@ let template ?(pattern = Ast.Cont) (p : Expr.program) : template =
     tpl_f0 = Ast.find_func_exn d "f0";
     tpl_imms = param_args k;
     tpl_globals = d.Ast.d_globals;
-    tpl_lanes = Atomic.make no_lanes;
-    tpl_certificate = { c_lock = Mutex.create (); c_ports = ports };
-    tpl_shells = Atomic.make [];
+    tpl_lanes = no_lanes;
+    tpl_certificate = { c_ports = ports };
+    tpl_shells = [];
   }
 
 (* ---- position checks: physical comparisons, no name looked up ---- *)
@@ -583,42 +580,32 @@ let make_room (c : certificate) more =
   c.c_ports <- t
 
 (* The template's lanes, with at least [pes] interned and certified as
-   far as they hold the certificate. Domains deriving from one template
-   read the published value without a lock; growing it takes
-   the certificate's lock, so each lane is made and certified once. A
-   lane that fails the certificate is tried again on each call, which
-   stops at it. *)
+   far as they hold the certificate, so each lane is made and certified
+   once. A lane that fails the certificate is tried again on each call,
+   which stops at it. *)
 let template_lanes tpl pes : lanes =
-  let ready (ls : lanes) =
-    Array.length ls.ls_lanes >= pes && ls.ls_certified >= pes
-  in
-  let cur = Atomic.get tpl.tpl_lanes in
-  if ready cur then cur
-  else
-    let c = tpl.tpl_certificate in
-    Mutex.protect c.c_lock @@ fun () ->
-    let cur = Atomic.get tpl.tpl_lanes in
-    if ready cur then cur
-    else begin
-      let st = tpl.tpl_stems in
-      let n = Array.length cur.ls_lanes in
-      let lanes =
-        if n >= pes then cur.ls_lanes
-        else begin
-          make_room c ((pes - cur.ls_certified) * List.length st.st_ports);
-          Array.init pes (fun i ->
-              if i < n then cur.ls_lanes.(i)
-              else make_lane st (Transform.lane_suffix i))
-        end
-      in
-      let next =
-        { ls_lanes = lanes;
-          ls_certified =
-            certify c tpl.tpl_program.Expr.p_kernel lanes cur.ls_certified }
-      in
-      Atomic.set tpl.tpl_lanes next;
-      next
-    end
+  let cur = tpl.tpl_lanes in
+  if Array.length cur.ls_lanes >= pes && cur.ls_certified >= pes then cur
+  else begin
+    let c = tpl.tpl_certificate and st = tpl.tpl_stems in
+    let n = Array.length cur.ls_lanes in
+    let lanes =
+      if n >= pes then cur.ls_lanes
+      else begin
+        make_room c ((pes - cur.ls_certified) * List.length st.st_ports);
+        Array.init pes (fun i ->
+            if i < n then cur.ls_lanes.(i)
+            else make_lane st (Transform.lane_suffix i))
+      end
+    in
+    let next =
+      { ls_lanes = lanes;
+        ls_certified =
+          certify c tpl.tpl_program.Expr.p_kernel lanes cur.ls_certified }
+    in
+    tpl.tpl_lanes <- next;
+    next
+  end
 
 (* The template's first [pes] lanes, interned. *)
 let interned_lanes tpl pes : lane array = (template_lanes tpl pes).ls_lanes
@@ -771,15 +758,10 @@ let derive_sym (tpl : template) (v : Transform.variant) : Symtab.t =
       in
       validated sy (Validate.check_delta_sym ~trusted:[ "f0" ] sy)
 
-(* Publish [d], validated, as the shell of [pes] PEs unless another
-   domain published one first; by compare-and-set. *)
-let rec publish_shell tpl pes (d : Ast.design) =
-  let cur = Atomic.get tpl.tpl_shells in
-  if
-    not
-      (List.mem_assoc pes cur
-      || Atomic.compare_and_set tpl.tpl_shells cur ((pes, d) :: cur))
-  then publish_shell tpl pes d
+(* Publish [d], validated, as the shell of [pes] PEs unless it has one. *)
+let publish_shell tpl pes (d : Ast.design) =
+  if not (List.mem_assoc pes tpl.tpl_shells) then
+    tpl.tpl_shells <- (pes, d) :: tpl.tpl_shells
 
 (** [derive tpl v] — the design {!derive_sym} builds and validates, with
     the same result. A replicated variant is built around the template's
@@ -796,7 +778,7 @@ let derive (tpl : template) (v : Transform.variant) : Ast.design =
       check_variant p v;
       let ls = template_lanes tpl pes in
       let d =
-        match List.assoc_opt pes (Atomic.get tpl.tpl_shells) with
+        match List.assoc_opt pes tpl.tpl_shells with
         | Some sh ->
             let f1_params = (Ast.find_func_exn sh "f1").Ast.fn_params in
             {

@@ -3,10 +3,10 @@
     Library consumers used to have to catch [Parser.Parse_error],
     [Lexer.Lex_error], [Sys_error] and assorted [Failure _]s to find out
     *why* a design failed to load. This module is the single typed error
-    channel: every result-returning entry point ([Parser.parse_result],
-    [Parser.parse_file_result], [Parser.load_file]) reports one of these
-    constructors, carrying enough location to print a compiler-style
-    ["file:line: message"] diagnostic. *)
+    channel: [Parser.parse_result] reports [Lex] and [Parse], and the
+    engine, which reads a request's file once and validates what it
+    parsed, adds [Io] and [Invalid]. Each carries enough location to
+    print a compiler-style ["file:line: message"] diagnostic. *)
 
 (** Where a lexical/syntactic diagnostic points. *)
 type location = {

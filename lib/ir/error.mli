@@ -1,9 +1,9 @@
 (** Typed diagnostics for loading TyTra-IR designs.
 
-    The single error channel of the result-returning parser entry points
-    ([Parser.parse_result], [Parser.parse_file_result],
-    [Parser.load_file]); consumers match on constructors instead of
-    catching exceptions. *)
+    The single error channel of loading a design: [Parser.parse_result]
+    reports [Lex] and [Parse], and the engine adds [Io] for a file it
+    cannot read and [Invalid] for a design that fails validation.
+    Consumers match on constructors instead of catching exceptions. *)
 
 type location = {
   loc_file : string option;  (** source path, when parsing from a file *)

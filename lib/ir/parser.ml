@@ -415,36 +415,3 @@ let parse_result ?name ?file src : (Ast.design, Error.t) result =
         (Error.parse ?file
            ("internal parser failure: " ^ Printexc.to_string e)
            0)
-
-(** Parse the contents of a [.tirl] file. *)
-let parse_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let src = really_input_string ic (in_channel_length ic) in
-      parse ~name:(Filename.remove_extension (Filename.basename path)) src)
-
-(** [parse_file_result path] — {!parse_file} with typed errors;
-    unreadable files come back as [Error.Io]. *)
-let parse_file_result path : (Ast.design, Error.t) result =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Result.error (Error.Io { path; msg })
-  | src ->
-      parse_result
-        ~name:(Filename.remove_extension (Filename.basename path))
-        ~file:path src
-
-(** [load_file path] — parse *and* statically validate: the one-call
-    front door for tools. Validation failures come back as
-    [Error.Invalid]. *)
-let load_file path : (Ast.design, Error.t) result =
-  Result.bind (parse_file_result path) (fun d ->
-      match Validate.check d with
-      | [] -> Ok d
-      | errs -> Result.error (Error.Invalid errs))

@@ -168,8 +168,6 @@ let report_json () : string =
     (summary ());
   Buffer.add_string b "],\"metrics\":";
   Buffer.add_string b (Metrics.to_json ());
-  Buffer.add_string b ",\"perf_profile\":";
-  Buffer.add_string b (Expose.perf_profile_json ());
   Buffer.add_string b
     (Printf.sprintf ",\"dropped_events\":%d}" (Span.dropped_events ()));
   Buffer.contents b

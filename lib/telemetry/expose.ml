@@ -9,9 +9,7 @@
 
     The same module renders the registry as stable sorted JSON
     ({!registry_json}, the [--metrics-json] payload — byte-identical
-    across runs with identical counters, so CI can diff it) and the
-    versioned [perf_profile] section ({!perf_profile_json}) that
-    [scripts/perf_guard.py] gates on. *)
+    across runs with identical counters, so CI can diff it). *)
 
 let prefix = "tytra_"
 
@@ -85,33 +83,3 @@ let write_registry_json (path : string) : unit =
     (fun () ->
       output_string oc (registry_json ());
       output_char oc '\n')
-
-(* ------------------------------------------------------------------ *)
-(* Deterministic perf accounting                                       *)
-(* ------------------------------------------------------------------ *)
-
-(** Version of the [perf_profile] payload in bench [--json] reports.
-    Bumped when the shape (not the counter set) changes. *)
-let perf_profile_version = 1
-
-(** Versioned machine-readable work-counter profile: every registered
-    counter, sorted by name, values as exact integers where integral.
-    This is what [scripts/perf_guard.py] gates on with exact equality. *)
-let perf_profile_json () : string =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"version\":%d,\"counters\":{" perf_profile_version);
-  let first = ref true in
-  List.iter
-    (fun (name, v) ->
-      match (v : Metrics.snapshot_value) with
-      | Metrics.SCounter c ->
-          if not !first then Buffer.add_char b ',';
-          first := false;
-          Buffer.add_string b (Jsenc.json_string name);
-          Buffer.add_char b ':';
-          Buffer.add_string b (Jsenc.json_num c)
-      | _ -> ())
-    (Metrics.snapshot ());
-  Buffer.add_string b "}}";
-  Buffer.contents b

@@ -2,8 +2,7 @@
 
     Public interface of [Tytra_telemetry.Expose]. Renders the whole
     registry (from one consistent {!Metrics.snapshot}) as Prometheus
-    text, as stable sorted JSON, and as the versioned [perf_profile]
-    section that [scripts/perf_guard.py] gates on. *)
+    text and as stable sorted JSON. *)
 
 val render : unit -> string
 (** The whole registry in Prometheus text exposition format 0.0.4:
@@ -20,12 +19,3 @@ val registry_json : unit -> string
 
 val write_registry_json : string -> unit
 (** [write_registry_json path] — dump {!registry_json} to [path]. *)
-
-val perf_profile_version : int
-(** Version of the [perf_profile] payload in bench [--json] reports.
-    Bumped when the shape (not the counter set) changes. *)
-
-val perf_profile_json : unit -> string
-(** Versioned machine-readable work-counter profile: every registered
-    counter, sorted by name, values as exact integers where integral.
-    [scripts/perf_guard.py] gates on this with exact equality. *)

@@ -148,6 +148,13 @@ let error_response (error_responder : error_responder) status =
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+(* Count a request as served before closing its socket, so a client
+   that has read its reply to the end already sees it counted. *)
+let count_and_close sv fd =
+  Atomic.incr sv.sv_requests;
+  Metrics.incr "serve.requests";
+  close_quietly fd
+
 (* Answer one complete request on [fd] and close it; never raises. *)
 let answer (handler : handler) sv fd rq =
   (try
@@ -155,17 +162,13 @@ let answer (handler : handler) sv fd rq =
        (try match handler rq with Some r -> r | None -> metrics_routes rq
         with e -> text 500 ("internal error: " ^ Printexc.to_string e ^ "\n"))
    with _ -> ());
-  close_quietly fd;
-  Atomic.incr sv.sv_requests;
-  Metrics.incr "serve.requests"
+  count_and_close sv fd
 
 (* A wire error, answered by the loop: [error_responder]'s body for
    [status], then close. *)
 let answer_error ~error_responder sv fd status =
   (try write_response fd (error_response error_responder status) with _ -> ());
-  close_quietly fd;
-  Atomic.incr sv.sv_requests;
-  Metrics.incr "serve.requests"
+  count_and_close sv fd
 
 (* Admission control: a 429, counted as rejected, not as served. *)
 let shed ~error_responder sv fd =

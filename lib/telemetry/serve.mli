@@ -129,7 +129,9 @@ val bound_addr : server -> string
 
 val requests_served : server -> int
 (** Connections answered (wire errors included, 429s not) since the
-    server started. *)
+    server started. A connection is counted before its socket is
+    closed, so a client that has read its whole reply sees it
+    counted. *)
 
 val requests_rejected : server -> int
 (** Connections shed with a 429: the worker queue was full, or the

@@ -228,12 +228,13 @@ let test_pruned_front_keeps_ties () =
 
 (* The pruner's decisions on the E8 spaces (bench/main.ml: 64 lanes x
    vec 8, nki 100, form B on the Stratix-V GSD8), pinned: how many
-   points each sweep evaluates, and how many candidates it skips as
-   overflowing or dominated. The selection must be the exhaustive
-   sweep's. *)
+   points the exhaustive and the pruned sweep each evaluate, and how
+   many candidates the pruned one skips as overflowing or dominated.
+   The selection must be the exhaustive sweep's. *)
 let test_e8_pruned_outcome () =
   List.iter
-    (fun (name, p, (space, evaluated, overflow, dominated)) ->
+    (fun (name, p, (space, exhaustive_evaluated, evaluated, overflow,
+                     dominated)) ->
       let config = { cfg with nki = 100; max_lanes = 64; max_vec = 8 } in
       let pruned = Dse.explore_sweep ~config p in
       let exhaustive =
@@ -241,9 +242,10 @@ let test_e8_pruned_outcome () =
       in
       let s = pruned.Dse.sw_stats in
       Alcotest.(check (list int))
-        (name ^ ": space/evaluated/overflow/dominated")
-        [ space; evaluated; overflow; dominated ]
-        [ s.Dse.ss_space; s.Dse.ss_evaluated; s.Dse.ss_pruned_resource;
+        (name ^ ": space/exhaustive evaluated/evaluated/overflow/dominated")
+        [ space; exhaustive_evaluated; evaluated; overflow; dominated ]
+        [ s.Dse.ss_space; exhaustive.Dse.sw_stats.Dse.ss_evaluated;
+          s.Dse.ss_evaluated; s.Dse.ss_pruned_resource;
           s.Dse.ss_pruned_incumbent ];
       Alcotest.(check bool) (name ^ ": best agrees") true
         (same_opt_point
@@ -259,12 +261,12 @@ let test_e8_pruned_outcome () =
     [ ("sor",
        Tytra_kernels.Sor.program ~ty:(Tytra_ir.Ty.Float 32) ~im:64 ~jm:64
          ~km:64 (),
-       (26, 12, 6, 8));
+       (26, 26, 12, 6, 8));
       ("hotspot", Tytra_kernels.Hotspot.program ~rows:64 ~cols:64 (),
-       (26, 3, 3, 20));
-      ("lavamd", Tytra_kernels.Lavamd.program ~boxes:64 (), (59, 3, 8, 48));
+       (26, 26, 3, 3, 20));
+      ("lavamd", Tytra_kernels.Lavamd.program ~boxes:64 (), (59, 59, 3, 8, 48));
       ("srad", Tytra_kernels.Srad.program ~rows:64 ~cols:64 (),
-       (26, 5, 3, 18)) ]
+       (26, 26, 5, 3, 18)) ]
 
 (* Bounds admissibility against the full IR path: the resource lower
    bound never exceeds the variant's actual usage (componentwise), the

@@ -78,7 +78,7 @@ let requests_under_test : (string * Engine.request) list =
 let test_request_roundtrip () =
   List.iter
     (fun (name, req) ->
-      let wire = Protocol.encode_request ~deadline_s:1.5 ~retries:2 req in
+      let wire = Protocol.encode_request ~deadline_s:1.5 req in
       match Protocol.decode_request wire with
       | Error e ->
           Alcotest.failf "decode(%s) failed: %s" name (Engine.error_message e)
@@ -88,14 +88,11 @@ let test_request_roundtrip () =
             (Engine.op_name d.Protocol.dq_request);
           Alcotest.(check (option (float 1e-9)))
             (name ^ " deadline survives") (Some 1.5) d.Protocol.dq_deadline_s;
-          Alcotest.(check int)
-            (name ^ " retries survive") 2 d.Protocol.dq_retries;
           (* re-encoding the decoded request reproduces the wire bytes:
              the codec loses nothing *)
           Alcotest.(check string)
             (name ^ " re-encode is stable") wire
-            (Protocol.encode_request ~deadline_s:1.5 ~retries:2
-               d.Protocol.dq_request))
+            (Protocol.encode_request ~deadline_s:1.5 d.Protocol.dq_request))
     requests_under_test;
   (* place_mode is no longer a protocol member: old clients that still
      send it decode like any request with an unknown member, and the
@@ -135,7 +132,6 @@ let test_defaults_fill_in () =
   | Ok d -> (
       Alcotest.(check (option (float 0.))) "no deadline" None
         d.Protocol.dq_deadline_s;
-      Alcotest.(check int) "no retries" 0 d.Protocol.dq_retries;
       match d.Protocol.dq_request with
       | Engine.Cost { device; form; nki; optimize; calib; _ } ->
           Alcotest.(check string) "default device"
@@ -147,6 +143,31 @@ let test_defaults_fill_in () =
           Alcotest.(check bool) "default optimize" false optimize;
           Alcotest.(check (option string)) "default calib" None calib
       | _ -> Alcotest.fail "expected a cost request")
+
+(* ["retries"] is an unknown member since protocol minor 6: a request
+   that carries it decodes equal to the same request without it, for
+   every op, with or without a deadline. *)
+let test_retries_member_ignored () =
+  List.iter
+    (fun (name, req) ->
+      List.iter
+        (fun wire ->
+          let with_retries =
+            "{\"retries\":2," ^ String.sub wire 1 (String.length wire - 1)
+          in
+          match
+            (Protocol.decode_request wire, Protocol.decode_request with_retries)
+          with
+          | Ok plain, Ok retried ->
+              Alcotest.(check bool)
+                (name ^ ": \"retries\" changes nothing")
+                true (plain = retried)
+          | Error e, _ | _, Error e ->
+              Alcotest.failf "decode(%s) failed: %s" name
+                (Engine.error_message e))
+        [ Protocol.encode_request req;
+          Protocol.encode_request ~deadline_ms:1000. req ])
+    requests_under_test
 
 let expect_bad_request what body =
   match Protocol.decode_request body with
@@ -765,13 +786,28 @@ let test_typed_errors () =
    | Error e ->
        Alcotest.failf "expected validation error, got %s" (Engine.error_kind e)
    | Ok _ -> Alcotest.fail "invalid design was accepted");
+  (* a file that cannot be read is a parse error naming the file *)
   (match
      Engine.submit eng
        (Engine.Check { source = Engine.File "/nonexistent/x.tirl" })
    with
-  | Error (Engine.Parse_error _) -> ()
+  | Error (Engine.Parse_error m) ->
+      Alcotest.(check bool) ("names the file: " ^ m) true
+        (String.starts_with ~prefix:"/nonexistent/x.tirl: " m)
   | Error e -> Alcotest.failf "expected io error, got %s" (Engine.error_kind e)
   | Ok _ -> Alcotest.fail "nonexistent file was accepted");
+  (* a file that parses but fails validation is a validation error *)
+  (let path = Filename.temp_file "tytra_invalid" ".tirl" in
+   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+   Out_channel.with_open_bin path (fun oc ->
+       output_string oc
+         "define void @f (ui18 %x) pipe { %y = add ui18 %x, %nope }");
+   match Engine.submit eng (Engine.Check { source = Engine.File path }) with
+   | Error (Engine.Validation_error _ as e) ->
+       Alcotest.(check int) "invalid file exit code" 3 (Engine.exit_code e)
+   | Error e ->
+       Alcotest.failf "expected validation error, got %s" (Engine.error_kind e)
+   | Ok _ -> Alcotest.fail "invalid file was accepted");
   (* the retired sweep-resilience fields, and a size or an nki below 1,
      are refused, one at a time *)
   let x =
@@ -1779,4 +1815,6 @@ let suite =
       test_journal_replays_into_fresh_engine;
     Alcotest.test_case "serve: wire statuses answer typed protocol JSON" `Quick
       test_wire_error_responder;
+    Alcotest.test_case "\"retries\" decodes as an unknown member" `Quick
+      test_retries_member_ignored;
   ]

@@ -4,11 +4,10 @@
 
    - Lower.lower and derived variants (Lower.template / Lower.derive)
      pretty-print byte-identically to the Builder-based Oracle_lower,
-     also when domains derive from one template at once, and validate
-     clean; so do variants built from a PE count's shell, in any
-     derivation order; every replicated derive is checked by position,
-     and a broken wiring delta, or a lane the template's certificate
-     does not cover, falls back to the full check;
+     and validate clean; so do variants built from a PE count's shell,
+     in any derivation order; every replicated derive is checked by
+     position, and a broken wiring delta, or a lane the template's
+     certificate does not cover, falls back to the full check;
    - the indexed one-pass validator agrees with the multi-pass
      Oracle_validate on valid and broken designs, reports errors in
      source order, and deduplicates identical (loc, msg) pairs;
@@ -88,44 +87,6 @@ let test_derive_prints_identically () =
           check "derived" (Lower.derive tpl v))
         (shuffle seed (wide_variants p)))
     (typed_kernels ())
-
-(* Four domains derive every wide variant of one template, each in its
-   own order, so lanes are interned while other domains read them. Each
-   design must print as a sequential derivation's does, and every
-   replicated design must share lane 0's port record: a published lane
-   is never replaced. *)
-let test_derive_concurrent () =
-  let p = Tytra_kernels.Sor.program ~im:16 ~jm:16 ~km:16 () in
-  let vs = wide_variants p in
-  let sequential =
-    let tpl = Lower.template p in
-    List.map (fun v -> (v, Pprint.design_to_string (Lower.derive tpl v))) vs
-  in
-  let tpl = Lower.template p in
-  let derived =
-    List.concat_map Domain.join
-      (List.init 4 (fun seed ->
-           Domain.spawn (fun () ->
-               List.map (fun v -> (v, Lower.derive tpl v)) (shuffle seed vs))))
-  in
-  List.iter
-    (fun (v, d) ->
-      Alcotest.(check string)
-        (Transform.to_string v ^ " derived concurrently == sequentially")
-        (List.assoc v sequential) (Pprint.design_to_string d))
-    derived;
-  let lane0 = ref None in
-  List.iter
-    (fun (v, d) ->
-      if Transform.pes v > 1 then
-        let port = List.hd d.Ast.d_ports in
-        match !lane0 with
-        | None -> lane0 := Some port
-        | Some p0 ->
-            Alcotest.(check bool)
-              (Transform.to_string v ^ " shares lane 0's port record")
-              true (p0 == port))
-    derived
 
 let test_derive_validates_clean () =
   List.iter
@@ -287,8 +248,7 @@ let tampered_template p tamper =
   let lanes = Array.copy (Lower.interned_lanes (Lower.template p) 8) in
   tamper lanes;
   { (Lower.template p) with
-    Lower.tpl_lanes =
-      Atomic.make { Lower.no_lanes with Lower.ls_lanes = lanes } }
+    Lower.tpl_lanes = { Lower.no_lanes with Lower.ls_lanes = lanes } }
 
 (* The first derive of a PE count trusts a lane only once the template
    has certified it, and the design only where it is made of certified
@@ -748,8 +708,6 @@ let suite =
   [
     Alcotest.test_case "derived variants pretty-print identically" `Quick
       test_derive_prints_identically;
-    Alcotest.test_case "concurrent derivation shares lanes" `Quick
-      test_derive_concurrent;
     Alcotest.test_case "derived variants validate clean" `Quick
       test_derive_validates_clean;
     Alcotest.test_case "delta validation catches broken wiring" `Quick

@@ -107,7 +107,12 @@ let test_shipped_tirl_examples () =
     Array.iter
       (fun f ->
         if Filename.check_suffix f ".tirl" then begin
-          let d = Tytra_ir.Parser.parse_file (Filename.concat dir f) in
+          let path = Filename.concat dir f in
+          let d =
+            Tytra_ir.Parser.parse
+              ~name:(Filename.remove_extension f)
+              (In_channel.with_open_bin path In_channel.input_all)
+          in
           Alcotest.(check (list Alcotest.string)) (f ^ " validates") []
             (List.map Tytra_ir.Validate.error_to_string
                (Tytra_ir.Validate.check d))

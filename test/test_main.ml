@@ -24,6 +24,7 @@ let () =
       ("observability", Test_observability.suite);
       ("exec", Test_exec.suite);
       ("dse", Test_dse.suite);
+      ("work", Test_work.suite);
       ("resilience", Test_resilience.suite);
       ("fuzz", Test_fuzz.suite);
       ("fastpath", Test_fastpath.suite);

@@ -209,25 +209,6 @@ let test_registry_json_stable () =
         (String.length s > 0 && s.[String.length s - 1] = '\n');
       ignore (Test_telemetry.parse_json (String.trim s)))
 
-let test_perf_profile_json () =
-  with_obs @@ fun () ->
-  Tel.Metrics.incr ~by:7 "dse.points_evaluated";
-  Tel.Metrics.set "bench.e8.sor.space" 26.0;
-  let j = Test_telemetry.parse_json (Tel.Expose.perf_profile_json ()) in
-  (match Test_telemetry.member "version" j with
-  | Some (Test_telemetry.Num v) ->
-      Alcotest.(check int) "profile version" Tel.Expose.perf_profile_version
-        (int_of_float v)
-  | _ -> Alcotest.fail "no version");
-  match Test_telemetry.member "counters" j with
-  | Some (Test_telemetry.Obj cs) ->
-      Alcotest.(check bool) "counter present" true
-        (List.mem_assoc "dse.points_evaluated" cs);
-      (* gauges are timing-prone; the profile is counters only *)
-      Alcotest.(check bool) "gauges excluded" false
-        (List.mem_assoc "bench.e8.sor.space" cs)
-  | _ -> Alcotest.fail "no counters object"
-
 (* ------------------------------------------------------------------ *)
 (* Snapshot server                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -591,8 +572,6 @@ let suite =
       test_exposition_format;
     Alcotest.test_case "registry JSON is stable and sorted" `Quick
       test_registry_json_stable;
-    Alcotest.test_case "perf profile is versioned counters" `Quick
-      test_perf_profile_json;
     Alcotest.test_case "snapshot server over TCP" `Quick test_serve_tcp;
     Alcotest.test_case "snapshot server over a Unix socket" `Quick
       test_serve_unix_socket;
